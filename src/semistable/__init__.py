@@ -21,7 +21,8 @@ from .empirics import (Ecdf, ExperimentReport, feller_experiment, gamma_n,
                        negligibility_experiment, order_statistics_experiment)
 from .sampling import (PoissonPointSet, ResourceLimitError, RngStream,
                        SampleBatch, lepage_auto_terms, lepage_batch,
-                       petersburg_from_uniform, points_from_arrivals,
+                       petersburg_from_uniform, petersburg_sum_batch,
+                       points_from_arrivals,
                        poisson_sum_batch, poisson_sum_centering,
                        sample_lepage, sample_petersburg,
                        sample_poisson_points, sample_semistable_poisson_sum,

@@ -231,12 +231,7 @@ def _cmd_sample(args) -> int:
     config = _config(args, model=args.model, n=args.n, stream=args.stream,
                      symmetrize=bool(args.symmetrize))
     if args.out:
-        sampling.write_batch(batch, args.out)
-        meta = batch.metadata()
-        meta["config"] = config
-        with open(args.out + ".meta.json", "w", newline="\n") as fh:
-            json.dump(meta, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        sampling.write_batch(batch, args.out, config)
     else:
         print(json.dumps({"values": list(batch.values),
                           "metadata": batch.metadata(), "config": config},

@@ -3,8 +3,10 @@
 All randomness flows through counter-based Philox streams keyed by
 (seed, stream_id), so a draw is a pure function of that pair: replicated
 runs are bitwise identical and distinct stream ids give independent
-streams regardless of scheduling.  Batch helpers assign one stream per
-replicate, which is what makes the experiment layer thread-invariant.
+streams regardless of scheduling.  The Poisson and LePage batch helpers
+assign one stream per replicate; St. Petersburg sums use one stream per
+fixed block of _util.BLOCK (256) replicates.  Either layout is what makes
+the experiment layer thread-invariant.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import map_replicate_blocks
+from ._util import BLOCK, map_replicate_blocks
 from .tailmodel import (TailModel, intensity_quantile, intensity_tail,
                         tail_eval, tail_first_moment)
 
@@ -26,6 +28,7 @@ __all__ = [
     "ResourceLimitError",
     "petersburg_from_uniform",
     "sample_petersburg",
+    "petersburg_sum_batch",
     "sample_tail_model",
     "sample_poisson_points",
     "points_from_arrivals",
@@ -110,6 +113,36 @@ def sample_petersburg(n: int, rng: RngStream) -> SampleBatch:
     values = petersburg_from_uniform(_open01(gen, n))
     return SampleBatch(values=values, model="petersburg",
                        seed=rng.seed, stream_id=rng.stream_id)
+
+
+def petersburg_sum_batch(n: int, reps: int, seed: int, base_stream: int = 0,
+                         threads: int = 1) -> np.ndarray:
+    """reps independent sums S_n of n St. Petersburg draws, from level counts.
+
+    Since P(X = 2^k | X >= 2^k) = 1/2, the number N_k of draws equal to 2^k
+    is Binomial(r, 1/2) given the r draws at level >= k, so
+    S_n = sum_k N_k 2^k costs about log2(n) binomial draws instead of n
+    uniforms.  Counts are int64 and the float64 sums are exact below 2^53.
+    The block of replicates [start, start + BLOCK) draws from stream
+    base_stream + start // BLOCK, so the output depends on (seed,
+    base_stream, reps) and never on threads.
+    """
+    if n < 1 or reps < 1:
+        raise ValueError("need n >= 1 and reps >= 1")
+
+    def block(start, stop):
+        gen = RngStream(seed, base_stream + start // BLOCK).generator()
+        left = np.full(stop - start, n, dtype=np.int64)
+        sums = np.zeros(stop - start)
+        k = 1
+        while left.any():
+            count = gen.binomial(left, 0.5)
+            sums += np.ldexp(count, k)
+            left -= count
+            k += 1
+        return sums
+
+    return np.concatenate(map_replicate_blocks(block, reps, threads))
 
 
 def _quantile_batch(model: TailModel, u):
@@ -325,12 +358,19 @@ def lepage_batch(alpha: float, reps: int, seed: int, symmetric: bool = False,
 # -- export -------------------------------------------------------------------
 
 
-def write_batch(batch: SampleBatch, path: str) -> None:
-    """CSV with header index,value plus a JSON sidecar <path>.meta.json."""
+def write_batch(batch: SampleBatch, path: str,
+                config: dict | None = None) -> None:
+    """CSV with header index,value plus a JSON sidecar <path>.meta.json.
+
+    The sidecar holds the batch metadata, plus the run configuration under
+    "config" when one is given."""
     lines = ["index,value"]
     lines += ["%d,%.17g" % (i, v) for i, v in enumerate(batch.values)]
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
+    meta = batch.metadata()
+    if config is not None:
+        meta["config"] = config
     with open(path + ".meta.json", "w", newline="\n") as fh:
-        json.dump(batch.metadata(), fh, sort_keys=True, indent=2)
+        json.dump(meta, fh, sort_keys=True, indent=2)
         fh.write("\n")

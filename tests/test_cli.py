@@ -29,6 +29,30 @@ def test_sample_deterministic_files(tmp_path):
     assert meta["config"]["subcommand"] == "sample"
 
 
+def test_sample_sidecar_written_once(tmp_path, monkeypatch):
+    import builtins
+    out = str(tmp_path / "a.csv")
+    real_open = builtins.open
+    writes = []
+
+    def recording_open(file, mode="r", *args, **kwargs):
+        if "w" in mode:
+            writes.append(str(file))
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", recording_open)
+    assert main(["sample", "--n", "3", "--seed", "1", "--out", out]) == 0
+    monkeypatch.undo()
+    assert writes.count(out + ".meta.json") == 1
+    config = {"format": "json", "out": out, "seed": 1, "subcommand": "sample",
+              "params": {"model": "petersburg", "n": 3, "stream": 0,
+                         "symmetrize": False}}
+    meta = {"model": "petersburg", "seed": 1, "stream_id": 0,
+            "transform": "raw", "n": 3, "config": config}
+    assert read(out + ".meta.json") == json.dumps(meta, sort_keys=True,
+                                                  indent=2) + "\n"
+
+
 def test_sample_pareto_symmetrized(tmp_path):
     out = str(tmp_path / "p.csv")
     code = main(["sample", "--model", "pareto", "--alpha", "0.5", "--n", "64",

@@ -58,6 +58,18 @@ def test_two_sample_ks():
     assert ks_two_sample(a, a) == 0.0
 
 
+def test_two_sample_ks_exact_step():
+    # the ECDFs differ by exactly 20 of 1000 steps: no float residue
+    a = np.arange(1000.0)
+    assert ks_two_sample(a, a + 20.0) == 0.02
+
+
+def test_ecdf_rejects_non_finite_samples():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            Ecdf.from_sample([0.0, bad, 1.0])
+
+
 def test_levy_distance_identical():
     rng = np.random.default_rng(3)
     v = np.sort(rng.random(500))

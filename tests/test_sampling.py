@@ -6,8 +6,9 @@ import pytest
 from semistable.charfn import levy_cdf
 from semistable.empirics import Ecdf, ks_distance, ks_two_sample
 from semistable.sampling import (PoissonPointSet, ResourceLimitError,
-                                 RngStream, lepage_auto_terms, lepage_batch,
-                                 petersburg_from_uniform, points_from_arrivals,
+                                 RngStream, _open01, lepage_auto_terms,
+                                 lepage_batch, petersburg_from_uniform,
+                                 petersburg_sum_batch, points_from_arrivals,
                                  poisson_sum_batch, poisson_sum_centering,
                                  sample_lepage, sample_petersburg,
                                  sample_poisson_points,
@@ -48,6 +49,47 @@ def test_reproducibility_and_stream_independence():
 def test_batch_validation():
     with pytest.raises(ValueError):
         sample_petersburg(0, RngStream(1))
+
+
+# -- petersburg sums from level counts -------------------------------------------
+
+@pytest.mark.parametrize("n", (96, 1536))
+def test_petersburg_sums_match_the_draw_by_draw_construction(n):
+    reps = 2 * 10 ** 4
+    draws = np.array([petersburg_from_uniform(
+        _open01(RngStream(61, i).generator(), n)).sum() for i in range(reps)])
+    sums = petersburg_sum_batch(n, reps, seed=62)
+    assert ks_two_sample(sums, draws) <= 2.5 * math.sqrt(2.0 / reps)
+
+
+def test_petersburg_sum_of_one_draw_has_the_exact_law():
+    reps = 10 ** 5
+    vals = petersburg_sum_batch(1, reps, seed=63)
+    for k in range(1, 7):
+        p = 2.0 ** -k
+        freq = np.mean(vals == 2.0 ** k)
+        assert abs(freq - p) <= 4.0 * math.sqrt(p * (1.0 - p) / reps), k
+
+
+def test_petersburg_sums_do_not_depend_on_threads():
+    # 1000 is not a multiple of the 256-replicate block
+    a = petersburg_sum_batch(700, 1000, seed=64, base_stream=5)
+    b = petersburg_sum_batch(700, 1000, seed=64, base_stream=5, threads=2)
+    assert a.shape == (1000,)
+    assert np.array_equal(a, b)
+
+
+def test_petersburg_sums_at_huge_n_are_even_integers():
+    n = 2 ** 40
+    vals = petersburg_sum_batch(n, 300, seed=65)
+    assert np.all(vals >= 2.0 * n)
+    assert np.all(vals % 2.0 == 0.0)
+
+
+def test_petersburg_sum_batch_validation():
+    for n, reps in ((0, 10), (10, 0)):
+        with pytest.raises(ValueError, match="n >= 1 and reps >= 1"):
+            petersburg_sum_batch(n, reps, seed=1)
 
 
 # -- quantile-transform sampling -------------------------------------------------
