@@ -8,10 +8,9 @@ experiment harness that checks each limit statement quantitatively.
 """
 
 from .charfn import (CfExponent, InversionError, TabulatedCdf, cauchy_law,
-                     cdf_from_cf, cdf_table, convolution_power, erlang_cdf,
-                     g_exponent, g_gamma_exponent, g_gamma_law, gaussian_law,
-                     levy_cdf, one_sided_stable_exponent, petersburg_law,
-                     tabulate_cdf)
+                     cdf_from_cf, convolution_power, erlang_cdf, g_exponent,
+                     g_gamma_exponent, g_gamma_law, gaussian_law, levy_cdf,
+                     one_sided_stable_exponent, petersburg_law, tabulate_cdf)
 from .coupling import (CoupledPair, coupled_pair, coupling_gap_curve,
                        maximal_fluctuation)
 from .empirics import (Ecdf, ExperimentReport, feller_experiment, gamma_n,

@@ -31,7 +31,6 @@ __all__ = [
     "one_sided_stable_exponent",
     "convolution_power",
     "cdf_from_cf",
-    "cdf_table",
     "TabulatedCdf",
     "tabulate_cdf",
     "erlang_cdf",
@@ -48,8 +47,7 @@ class CfExponent:
     """Exponent h of a characteristic function phi = exp(h).
 
     fn must accept a float ndarray of t values and return complex h(t)
-    elementwise.  kind tags the builtin family; params carries its
-    parameters; tol is the series truncation budget where relevant.
+    elementwise.
 
     atoms lists isolated Levy-measure atoms (position, mass) with positions
     above 1.  Laws with lacunary jump atoms (the dyadic limit family) have a
@@ -59,9 +57,6 @@ class CfExponent:
     """
 
     fn: Callable
-    kind: str = "custom"
-    params: tuple = ()
-    tol: float = 1e-12
     atoms: tuple = ()
 
     def __call__(self, t):
@@ -104,12 +99,14 @@ def g_exponent(t, tol: float = 1e-12):
     truncated so the discarded mass is below tol:
     the lower sum at l = -M with t^2 2^{-M} < tol/2 (term bound
     |e^{iu} - 1 - iu| <= u^2/2), the upper at l = L with 2*2^{-(L-1)} < tol/2.
-    Terms are accumulated with Kahan compensation.
+    Terms are accumulated with Kahan compensation.  t must be finite.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     ta = np.asarray(t, dtype=float)
     tt = np.atleast_1d(ta).astype(float)
+    if not np.all(np.isfinite(tt)):
+        raise ValueError("t must be finite")
     tmax = max(float(np.max(np.abs(tt))) if tt.size else 0.0, 1.0)
     M = max(1, math.ceil(math.log2(2.0 * tmax * tmax / tol)))
     L = max(1, math.ceil(math.log2(8.0 / tol)))
@@ -151,8 +148,7 @@ def _dyadic_atoms(gamma: float = 1.0, levels: int = 60) -> tuple:
 
 def petersburg_law(tol: float = 1e-12) -> CfExponent:
     """The St. Petersburg limit law as a CfExponent."""
-    return CfExponent(fn=lambda t: g_exponent(t, tol), kind="petersburg_g",
-                      tol=tol, atoms=_dyadic_atoms(1.0))
+    return CfExponent(fn=lambda t: g_exponent(t, tol), atoms=_dyadic_atoms(1.0))
 
 
 def g_gamma_law(gamma: float, tol: float = 1e-12) -> CfExponent:
@@ -160,7 +156,6 @@ def g_gamma_law(gamma: float, tol: float = 1e-12) -> CfExponent:
     if not (1.0 <= gamma <= 2.0):
         raise ValueError("gamma must lie in [1, 2]")
     return CfExponent(fn=lambda t: g_gamma_exponent(t, gamma, tol),
-                      kind="g_gamma", params=(float(gamma),), tol=tol,
                       atoms=_dyadic_atoms(gamma))
 
 
@@ -171,13 +166,12 @@ def cauchy_law(scale: float = 1.0) -> CfExponent:
     """Cauchy exponent -scale*|t|; CDF 1/2 + arctan(x/scale)/pi."""
     if scale <= 0.0:
         raise ValueError("scale must be positive")
-    return CfExponent(fn=lambda t: -scale * np.abs(t) + 0j, kind="cauchy",
-                      params=(float(scale),))
+    return CfExponent(fn=lambda t: -scale * np.abs(t) + 0j)
 
 
 def gaussian_law() -> CfExponent:
     """Standard normal exponent -t**2/2."""
-    return CfExponent(fn=lambda t: -0.5 * t * t + 0j, kind="gaussian")
+    return CfExponent(fn=lambda t: -0.5 * t * t + 0j)
 
 
 def one_sided_stable_exponent(alpha: float, c: float = 1.0) -> CfExponent:
@@ -198,7 +192,7 @@ def one_sided_stable_exponent(alpha: float, c: float = 1.0) -> CfExponent:
         t = np.asarray(t, dtype=float)
         return -scale * np.abs(t) ** alpha * np.exp(-0.5j * math.pi * alpha * np.sign(t))
 
-    return CfExponent(fn=fn, kind="one_sided_stable", params=(float(alpha), float(c)))
+    return CfExponent(fn=fn)
 
 
 def convolution_power(h: CfExponent, k: float) -> CfExponent:
@@ -207,7 +201,6 @@ def convolution_power(h: CfExponent, k: float) -> CfExponent:
         raise ValueError("power must be positive")
     base = h.fn
     return CfExponent(fn=lambda t: float(k) * base(np.asarray(t, dtype=float)),
-                      kind="custom", params=(float(k),) + h.params, tol=h.tol,
                       atoms=tuple((a, float(k) * m) for a, m in h.atoms))
 
 
@@ -339,12 +332,15 @@ def cdf_from_cf(h: CfExponent, x, tol: float = 1e-8):
     and the t -> 0 neighborhood is integrated on dyadically refined panels.
     Declared Levy atoms beyond the query range are handled as an exact
     compound-Poisson factor rather than by quadrature (see CfExponent).
-    Absolute error target tol (tol >= 1e-10).  Accepts scalar or array x.
+    Absolute error target tol (tol >= 1e-10).  Accepts scalar or array x,
+    which must be finite.
     """
     if tol < 1e-10:
         raise ValueError("tol must be >= 1e-10")
     xa = np.asarray(x, dtype=float)
     xs = np.atleast_1d(xa).astype(float).ravel()
+    if not np.all(np.isfinite(xs)):
+        raise ValueError("x must be finite")
     out = np.empty(xs.size)
     T = _decay_cutoff(h, tol)
     # group query points by magnitude so panel counts track each group's |x|
@@ -373,12 +369,6 @@ def cdf_from_cf(h: CfExponent, x, tol: float = 1e-8):
     if np.shape(xa) == ():
         return float(out[0])
     return out.reshape(xa.shape)
-
-
-def cdf_table(h: CfExponent, xs, tol: float = 1e-8):
-    """Evaluate the inverted CDF on a grid; returns (x, F) arrays."""
-    xs = np.asarray(xs, dtype=float)
-    return xs, cdf_from_cf(h, xs, tol)
 
 
 class TabulatedCdf:

@@ -39,6 +39,8 @@ def _parse_grid(spec: str) -> np.ndarray:
         lo, hi, step = (float(p) for p in spec.split(":"))
     except Exception:
         raise ValueError("grid must be lo:hi:step") from None
+    if not all(map(math.isfinite, (lo, hi, step))):
+        raise ValueError("grid bounds and step must be finite")
     if step <= 0.0 or hi < lo:
         raise ValueError("grid needs hi >= lo and step > 0")
     rows = int(math.floor((hi - lo) / step + 1e-9)) + 1
@@ -178,7 +180,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("coupling", help="gap curve of the Poisson-count coupling")
     p.add_argument("--alpha", type=float, default=0.5)
     p.add_argument("--n-list", default="100,1000,10000")
-    common(p, reps_default=1000)
+    common(p, reps_default=10000)
 
     p = sub.add_parser("lepage", help="LePage series vs normalized block sums")
     p.add_argument("--alpha", type=float, default=0.5)
@@ -242,7 +244,7 @@ def _cmd_sample(args) -> int:
 def _cmd_cdf(args) -> int:
     law = _build_law(args)
     xs = _parse_grid(args.grid)
-    _, f = charfn.cdf_table(law, xs, tol=args.tol)
+    f = charfn.cdf_from_cf(law, xs, tol=args.tol)
     config = _config(args, law=args.law, gamma=args.gamma, alpha=args.alpha,
                      grid=args.grid, tol=args.tol)
     rows = [(float(x), float(v), args.tol) for x, v in zip(xs, f)]

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import map_replicate_blocks
-from .sampling import RngStream, _open01, _quantile_batch
+from .sampling import (_STRIDE, RngStream, _open01, _quantile_batch,
+                       _replicate_map)
 from .tailmodel import TailModel, tail_eval
 
 __all__ = ["CoupledPair", "coupled_pair", "coupling_gap_curve", "maximal_fluctuation"]
@@ -41,16 +41,21 @@ def _check_coupling_model(model: TailModel, n: int):
         raise ValueError("coupling needs unit total mass: T(x0) = 1")
 
 
-def _coupled_values(model, n, gen, force_count):
-    count = int(gen.poisson(n)) if force_count is None else int(force_count)
-    m = max(n, count)
-    x = _quantile_batch(model, _open01(gen, m))
+def _coupled_values(model, n, gen, count, half=0):
+    """(s_hat, s_bar, gap, fluct) from one path of max(n, count, n + half) terms.
+
+    s_hat sums the first n terms and s_bar the first count; fluct is the max
+    of |S_j - S_n| over |j - n| <= half (0 when half = 0).  All four are
+    scaled by n**(-1/alpha).
+    """
+    x = _quantile_batch(model, _open01(gen, max(n, count, n + half)))
     scale = float(n) ** (-1.0 / model.alpha)
-    s_hat = scale * float(x[:n].sum())
-    s_bar = scale * float(x[:count].sum())
     lo, hi = min(n, count), max(n, count)
-    gap = scale * abs(float(x[lo:hi].sum()))
-    return s_hat, s_bar, count, gap, x
+    start = max(0, n - half)
+    partial = np.concatenate([[0.0], np.cumsum(x[start:n + half])])
+    fluct = scale * float(np.max(np.abs(partial - partial[n - start])))
+    return (scale * float(x[:n].sum()), scale * float(x[:count].sum()),
+            scale * abs(float(x[lo:hi].sum())), fluct)
 
 
 def coupled_pair(model: TailModel, n: int, rng: RngStream,
@@ -58,7 +63,8 @@ def coupled_pair(model: TailModel, n: int, rng: RngStream,
     """Draw (s_hat, s_bar) on one path; force_count pins N for testing."""
     _check_coupling_model(model, n)
     gen = rng.generator()
-    s_hat, s_bar, count, gap, _ = _coupled_values(model, n, gen, force_count)
+    count = int(gen.poisson(n)) if force_count is None else int(force_count)
+    s_hat, s_bar, gap, _ = _coupled_values(model, n, gen, count)
     return CoupledPair(s_hat=s_hat, s_bar=s_bar, n=n, count=count, gap=gap)
 
 
@@ -70,14 +76,8 @@ def maximal_fluctuation(model: TailModel, n: int, rng: RngStream,
     rather than bounded.
     """
     _check_coupling_model(model, n)
-    gen = rng.generator()
     half = math.ceil(c_mult * math.sqrt(n))
-    lo, hi = max(0, n - half), n + half
-    x = _quantile_batch(model, _open01(gen, hi))
-    partial = np.concatenate([[0.0], np.cumsum(x[lo:hi])])
-    s_n = float(partial[n - lo])
-    scale = float(n) ** (-1.0 / model.alpha)
-    return scale * float(np.max(np.abs(partial - s_n)))
+    return _coupled_values(model, n, rng.generator(), n, half)[3]
 
 
 def _median_stderr(values):
@@ -103,31 +103,12 @@ def coupling_gap_curve(model: TailModel, n_list, reps: int, rng: RngStream,
     n_list = [int(n) for n in n_list]
     if any(n < 10 for n in n_list):
         raise ValueError("coupling curve needs n >= 10")
-    stride = 10 ** 7
     rows = []
     for idx, n in enumerate(n_list):
-        base = rng.stream_id + idx * stride
         half = math.ceil(c_mult * math.sqrt(n))
-
-        def block(start, stop, n=n, base=base, half=half):
-            out = np.empty((stop - start, 4))
-            for i in range(start, stop):
-                gen = RngStream(rng.seed, base + i).generator()
-                count = int(gen.poisson(n))
-                m = max(n, count, n + half)
-                x = _quantile_batch(model, _open01(gen, m))
-                scale = float(n) ** (-1.0 / model.alpha)
-                s_hat = scale * float(x[:n].sum())
-                s_bar = scale * float(x[:count].sum())
-                lo, hi = min(n, count), max(n, count)
-                lo0 = n - half if n > half else 0
-                partial = np.concatenate([[0.0], np.cumsum(x[lo0:n + half])])
-                origin = float(partial[n - lo0])
-                fluct = scale * float(np.max(np.abs(partial - origin)))
-                out[i - start] = (s_hat, s_bar, scale * abs(float(x[lo:hi].sum())), fluct)
-            return out
-
-        vals = np.concatenate(map_replicate_blocks(block, reps, threads))
+        vals = _replicate_map(
+            lambda gen: _coupled_values(model, n, gen, int(gen.poisson(n)), half),
+            reps, rng.seed, rng.stream_id + idx * _STRIDE, threads)
         row = {
             "n": n,
             "median_gap": float(np.median(vals[:, 2])),

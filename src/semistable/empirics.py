@@ -1,10 +1,12 @@
 """Empirical distribution machinery and the Monte Carlo limit-theorem experiments.
 
 Each experiment simulates on Philox streams addressed by replicate position
-alone, so results are bitwise independent of the thread count: St. Petersburg
-sums use one stream per 256-replicate block (stream id = base + start // 256),
-the other experiments one stream per replicate (stream id = base + replicate
-index).  Each compares against the inverted limit CDF or a closed-form oracle.
+alone, so results are bitwise independent of the thread count.  The layout
+lives in sampling: St. Petersburg sums use one stream per 256-replicate block
+(sampling._map_blocks, stream id = base + start // 256), the other
+experiments one stream per replicate (sampling._replicate_map, stream id =
+base + replicate index).  Each compares against the inverted limit CDF or a
+closed-form oracle.
 Reports carry the statistic, a Monte Carlo standard error where one makes
 sense, the seed and the pass/fail verdict at the stated tolerance.
 """
@@ -17,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import map_replicate_blocks
 from .charfn import (TabulatedCdf, cdf_from_cf, erlang_cdf, g_gamma_law,
                      tabulate_cdf)
-from .sampling import RngStream, _open01, petersburg_sum_batch
+from .sampling import (_STRIDE, RngStream, _lepage_prep, _lepage_terms,
+                       _open01, _replicate_map, petersburg_sum_batch)
 
 __all__ = [
     "Ecdf",
@@ -37,8 +39,6 @@ __all__ = [
     "negligibility_experiment",
     "lepage_limit_experiment",
 ]
-
-_STRIDE = 10 ** 7  # stream-id block separating experiment phases
 
 
 @dataclass(frozen=True)
@@ -339,20 +339,15 @@ def order_statistics_experiment(p: int, n: int, reps: int, rng: RngStream,
     if reps < 100:
         raise ValueError("reps must be >= 100")
 
-    def block(start, stop):
-        out = np.empty(stop - start)
-        for i in range(start, stop):
-            gen = RngStream(rng.seed, rng.stream_id + i).generator()
-            u = gen.random(n)
-            if p == 1:
-                out[i - start] = u.min()
-            elif p == n:
-                out[i - start] = u.max()
-            else:
-                out[i - start] = np.partition(u, p - 1)[p - 1]
-        return out
+    def draw(gen):
+        u = gen.random(n)
+        if p == 1:
+            return u.min()
+        if p == n:
+            return u.max()
+        return np.partition(u, p - 1)[p - 1]
 
-    ys = np.concatenate(map_replicate_blocks(block, reps, threads))
+    ys = _replicate_map(draw, reps, rng.seed, rng.stream_id, threads)
     mean_exact = p / (n + 1.0)
     var_exact = p * (n - p + 1.0) / ((n + 1.0) ** 2 * (n + 2.0))
     mean_err = float(abs(ys.mean() - mean_exact))
@@ -403,19 +398,15 @@ def negligibility_experiment(alpha_list, n: int, reps: int, rng: RngStream,
                 bounds[a] = (0.0, 0.05)
             else:
                 bounds[a] = (0.0, 1.0)
+
+    def ratio(gen, alpha):
+        mags = _open01(gen, n) ** (-1.0 / alpha)
+        return mags.max() / mags.sum()
+
     medians = {}
     for idx, alpha in enumerate(alpha_list):
-        base = rng.stream_id + idx * _STRIDE
-
-        def block(start, stop, alpha=alpha, base=base):
-            out = np.empty(stop - start)
-            for i in range(start, stop):
-                gen = RngStream(rng.seed, base + i).generator()
-                mags = _open01(gen, n) ** (-1.0 / alpha)
-                out[i - start] = mags.max() / mags.sum()
-            return out
-
-        ratios = np.concatenate(map_replicate_blocks(block, reps, threads))
+        ratios = _replicate_map(lambda gen: ratio(gen, alpha), reps, rng.seed,
+                                rng.stream_id + idx * _STRIDE, threads)
         medians[alpha] = float(np.median(ratios))
     passed = all(bounds[a][0] <= medians[a] <= bounds[a][1] for a in alpha_list)
     return ExperimentReport(
@@ -442,47 +433,26 @@ def lepage_limit_experiment(alpha: float, k: int, reps: int, rng: RngStream,
     the per-rank extremes n**(-1/alpha) * rho_p are compared with the series
     terms Z_p**(-1/alpha) for p = 1..rank_checks.
     """
-    from .sampling import _lepage_prep
-
     if not (4 <= k <= 24):
         raise ValueError("k must lie in [4, 24]")
     n = 1 << k
     p_terms = _lepage_prep(alpha, n_terms, symmetric)
     r = int(rank_checks)
 
-    def block_a(start, stop):
-        out = np.empty((stop - start, 1 + r))
-        scale = float(n) ** (-1.0 / alpha)
-        for i in range(start, stop):
-            gen = RngStream(rng.seed, rng.stream_id + i).generator()
-            mags = _open01(gen, n) ** (-1.0 / alpha)
-            if symmetric:
-                signed = mags * (2.0 * gen.integers(0, 2, n) - 1.0)
-                out[i - start, 0] = scale * signed.sum()
-            else:
-                out[i - start, 0] = scale * mags.sum()
-            if r:
-                top = np.sort(np.partition(mags, n - r)[n - r:])[::-1]
-                out[i - start, 1:] = scale * top
-        return out
+    scale = float(n) ** (-1.0 / alpha)
 
-    def block_b(start, stop):
-        out = np.empty((stop - start, 1 + r))
-        base = rng.stream_id + _STRIDE
-        for i in range(start, stop):
-            gen = RngStream(rng.seed, base + i).generator()
-            z = np.cumsum(gen.standard_exponential(p_terms))
-            mags = z ** (-1.0 / alpha)
-            if symmetric:
-                out[i - start, 0] = (mags * (2.0 * gen.integers(0, 2, p_terms) - 1.0)).sum()
-            else:
-                out[i - start, 0] = mags.sum()
-            if r:
-                out[i - start, 1:] = mags[:r]
-        return out
+    def draw_a(gen):
+        mags = _open01(gen, n) ** (-1.0 / alpha)
+        signed = mags * (2.0 * gen.integers(0, 2, n) - 1.0) if symmetric else mags
+        top = np.sort(np.partition(mags, n - r)[n - r:])[::-1] if r else mags[:0]
+        return scale * np.concatenate(([signed.sum()], top))
 
-    a = np.concatenate(map_replicate_blocks(block_a, reps, threads))
-    b = np.concatenate(map_replicate_blocks(block_b, reps, threads))
+    def draw_b(gen):
+        terms = _lepage_terms(alpha, gen, p_terms, symmetric)
+        return np.concatenate(([terms.sum()], np.abs(terms[:r])))
+
+    a = _replicate_map(draw_a, reps, rng.seed, rng.stream_id, threads)
+    b = _replicate_map(draw_b, reps, rng.seed, rng.stream_id + _STRIDE, threads)
     ks2 = ks_two_sample(a[:, 0], b[:, 0])
     rank_ks = [float(ks_two_sample(a[:, 1 + j], b[:, 1 + j])) for j in range(r)]
     passed = ks2 <= tolerance

@@ -3,21 +3,23 @@
 All randomness flows through counter-based Philox streams keyed by
 (seed, stream_id), so a draw is a pure function of that pair: replicated
 runs are bitwise identical and distinct stream ids give independent
-streams regardless of scheduling.  The Poisson and LePage batch helpers
-assign one stream per replicate; St. Petersburg sums use one stream per
-fixed block of _util.BLOCK (256) replicates.  Either layout is what makes
-the experiment layer thread-invariant.
+streams regardless of scheduling.  Two private helpers own the stream
+layout for the whole package: _replicate_map gives replicate i the stream
+base_stream + i (Poisson and LePage batches, the coupling curve and the
+per-replicate experiments), and _map_blocks splits replicates into fixed
+blocks of BLOCK (256), which St. Petersburg sums key one stream each.
+Either layout is what makes the experiment layer thread-invariant.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import BLOCK, map_replicate_blocks
 from .tailmodel import (TailModel, intensity_quantile, intensity_tail,
                         tail_eval, tail_first_moment)
 
@@ -42,6 +44,8 @@ __all__ = [
 ]
 
 _POINT_BUDGET = 1e9
+BLOCK = 256
+_STRIDE = 10 ** 7  # stream-id block separating experiment phases
 
 
 class ResourceLimitError(RuntimeError):
@@ -62,6 +66,34 @@ class RngStream:
 
     def shifted(self, offset: int) -> "RngStream":
         return RngStream(self.seed, self.stream_id + offset)
+
+
+def _map_blocks(block_fn, reps: int, threads: int = 1):
+    """Run block_fn(start, stop) over [0, reps) in fixed blocks, in order.
+
+    Results are listed by block index, so the output is identical for any
+    thread count; block_fn must derive all randomness from the replicate
+    index alone.
+    """
+    spans = [(s, min(s + BLOCK, reps)) for s in range(0, reps, BLOCK)]
+    if threads and threads > 1:
+        with ThreadPoolExecutor(max_workers=int(threads)) as ex:
+            return list(ex.map(lambda sp: block_fn(*sp), spans))
+    return [block_fn(s, e) for s, e in spans]
+
+
+def _replicate_map(draw, reps: int, seed: int, base_stream: int = 0,
+                   threads: int = 1) -> np.ndarray:
+    """Stack draw(gen) over replicates i in [0, reps), in replicate order.
+
+    Replicate i draws from the stream (seed, base_stream + i) alone, so the
+    result depends on (seed, base_stream, reps) and never on threads.
+    """
+    def block(start, stop):
+        return np.array([draw(RngStream(seed, base_stream + i).generator())
+                         for i in range(start, stop)])
+
+    return np.concatenate(_map_blocks(block, reps, threads))
 
 
 def _open01(gen, n):
@@ -142,7 +174,7 @@ def petersburg_sum_batch(n: int, reps: int, seed: int, base_stream: int = 0,
             k += 1
         return sums
 
-    return np.concatenate(map_replicate_blocks(block, reps, threads))
+    return np.concatenate(_map_blocks(block, reps, threads))
 
 
 def _quantile_batch(model: TailModel, u):
@@ -274,15 +306,9 @@ def poisson_sum_batch(model: TailModel, cutoff: float, reps: int, seed: int,
     if lam > _POINT_BUDGET:
         raise ResourceLimitError("expected point count %.3g over budget" % lam)
     centering = 0.0 if symmetric else poisson_sum_centering(model, cutoff)
-
-    def block(start, stop):
-        out = np.empty(stop - start)
-        for i in range(start, stop):
-            gen = RngStream(seed, base_stream + i).generator()
-            out[i - start] = _poisson_sum_one(model, cutoff, gen, symmetric, centering)
-        return out
-
-    return np.concatenate(map_replicate_blocks(block, reps, threads))
+    return _replicate_map(
+        lambda gen: _poisson_sum_one(model, cutoff, gen, symmetric, centering),
+        reps, seed, base_stream, threads)
 
 
 # -- LePage series ------------------------------------------------------------
@@ -344,15 +370,8 @@ def lepage_batch(alpha: float, reps: int, seed: int, symmetric: bool = False,
                  threads: int = 1) -> np.ndarray:
     """reps independent LePage sums, replicate i on stream base_stream + i."""
     p = _lepage_prep(alpha, n_terms, symmetric)
-
-    def block(start, stop):
-        out = np.empty(stop - start)
-        for i in range(start, stop):
-            gen = RngStream(seed, base_stream + i).generator()
-            out[i - start] = _lepage_terms(alpha, gen, p, symmetric).sum()
-        return out
-
-    return np.concatenate(map_replicate_blocks(block, reps, threads))
+    return _replicate_map(lambda gen: _lepage_terms(alpha, gen, p, symmetric).sum(),
+                          reps, seed, base_stream, threads)
 
 
 # -- export -------------------------------------------------------------------

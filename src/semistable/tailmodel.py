@@ -103,7 +103,7 @@ class TailModel:
     def _tail_formula(self, x):
         """T(x) on (0, inf) with no x0 restriction."""
         x = np.asarray(x, dtype=float)
-        if np.any(x <= 0.0):
+        if not np.all(x > 0.0):
             raise ValueError("tail formula needs x > 0")
         if self.psi_kind == "petersburg":
             # exact dyadic steps: T(x) = c * 2**(-floor(log2 x))
@@ -115,7 +115,7 @@ class TailModel:
     def _quantile_formula(self, u):
         """inf{x > 0 : T(x) <= u} on the full intensity domain."""
         u = np.asarray(u, dtype=float)
-        if np.any(u <= 0.0):
+        if not np.all(u > 0.0):
             raise ValueError("quantile argument must be positive")
         if self.psi_kind == "petersburg":
             k = np.ceil(np.log2(self.c / u))
@@ -186,7 +186,7 @@ def make_pareto(alpha: float, c: float = 1.0, x0: float | None = None) -> TailMo
 def tail_eval(model: TailModel, x):
     """T(x) = P(X > x) for x >= x0."""
     xa = np.asarray(x, dtype=float)
-    if np.any(xa < model.x0) or np.any(xa <= 0.0):
+    if not np.all((xa >= model.x0) & (xa > 0.0)):
         raise ValueError("tail_eval requires x >= x0 (and x > 0)")
     out = model._tail_formula(xa)
     return float(out) if np.isscalar(x) or np.shape(x) == () else out
@@ -203,7 +203,7 @@ def tail_quantile(model: TailModel, u):
         raise ValueError("tail_quantile needs x0 > 0 (finite total mass)")
     ua = np.asarray(u, dtype=float)
     cap = float(model._tail_formula(model.x0))
-    if np.any(ua <= 0.0) or np.any(ua > cap):
+    if not np.all((ua > 0.0) & (ua <= cap)):
         raise ValueError("quantile argument must lie in (0, T(x0)]")
     out = np.maximum(model._quantile_formula(ua), model.x0)
     return float(out) if np.isscalar(u) or np.shape(u) == () else out

@@ -5,9 +5,9 @@ import pytest
 from scipy.special import gammainc, ndtr
 
 from semistable.charfn import (CfExponent, InversionError, cauchy_law,
-                               cdf_from_cf, cdf_table, convolution_power,
-                               erlang_cdf, g_exponent, g_gamma_exponent,
-                               g_gamma_law, gaussian_law, levy_cdf,
+                               cdf_from_cf, convolution_power, erlang_cdf,
+                               g_exponent, g_gamma_exponent, g_gamma_law,
+                               gaussian_law, levy_cdf,
                                one_sided_stable_exponent, petersburg_law,
                                tabulate_cdf)
 
@@ -160,10 +160,29 @@ def test_cdf_tol_validation_and_failure():
         cdf_from_cf(degenerate, 0.5)
 
 
+def test_cdf_rejects_nan():
+    # the NaN slot used to come back as a clipped uninitialised entry
+    with pytest.raises(ValueError, match="finite"):
+        cdf_from_cf(cauchy_law(), [0.0, math.nan])
+
+
+def test_cdf_rejects_infinity():
+    # used to fail inside np.geomspace with an unrelated message
+    with pytest.raises(ValueError, match="finite"):
+        cdf_from_cf(cauchy_law(), [0.0, math.inf])
+
+
+def test_g_exponent_rejects_nan():
+    with pytest.raises(ValueError, match="finite"):
+        g_exponent(math.nan)
+    with pytest.raises(ValueError, match="finite"):
+        g_gamma_exponent(np.array([1.0, math.nan]), 1.5)
+
+
 def test_cdf_table_and_interpolant():
     law = g_gamma_law(1.5)
     xs = np.linspace(-6.0, 20.0, 53)
-    _, f = cdf_table(law, xs, tol=1e-8)
+    f = cdf_from_cf(law, xs, tol=1e-8)
     assert np.all(np.diff(f) >= -1e-8)
     tab = tabulate_cdf(law, -8.0, 64.0, tol=1e-7)
     probe = np.linspace(-5.0, 20.0, 23)

@@ -100,6 +100,12 @@ def test_cdf_bad_grid():
     assert main(["cdf", "--law", "g", "--grid", "nope"]) == 2
 
 
+@pytest.mark.parametrize("grid", ("0:inf:1", "-inf:0:1", "0:1:inf", "0:1:nan"))
+def test_cdf_non_finite_grid(grid):
+    # 0:inf:1 used to escape as an OverflowError traceback
+    assert main(["cdf", "--law", "cauchy", "--grid", grid]) == 2
+
+
 def test_parse_error_exit_code():
     assert main(["cdf", "--law", "not-a-law", "--grid", "0:1:1"]) == 2
     assert main(["no-such-command"]) == 2
@@ -108,7 +114,7 @@ def test_parse_error_exit_code():
 def test_numeric_failure_exit_code(monkeypatch):
     def boom(*a, **k):
         raise charfn.InversionError("no decay")
-    monkeypatch.setattr("semistable.cli.charfn.cdf_table", boom)
+    monkeypatch.setattr("semistable.cli.charfn.cdf_from_cf", boom)
     assert main(["cdf", "--law", "g", "--grid", "0:1:1"]) == 4
 
 
@@ -138,13 +144,25 @@ def test_jsonl_appends(tmp_path):
     assert json.loads(lines[0])["config"]["seed"] == 5
 
 
-def test_threads_byte_identical(tmp_path):
-    # identical config (same out path), different worker counts
+@pytest.mark.parametrize("argv, code", [
+    (["feller", "--n", "256", "--reps", "400"], 0),
+    (["coupling", "--n-list", "20,80", "--reps", "300"], 3),
+    (["lepage", "--k", "6", "--reps", "300", "--n-terms", "200"], 3),
+    (["lepage", "--k", "6", "--reps", "300", "--n-terms", "200",
+      "--alpha", "1.5", "--symmetric"], 3),
+    (["orderstats", "--p", "3", "--n", "50", "--reps", "300"], 3),
+    (["negligibility", "--n", "1000", "--reps", "300"], 0),
+    (["sweep", "--k", "8", "--points", "1", "--reps", "10000"], 0),
+], ids=["feller", "coupling", "lepage", "lepage-symmetric", "orderstats",
+        "negligibility", "sweep"])
+def test_threads_byte_identical(tmp_path, argv, code):
+    # identical config (same out path), different worker counts; at these
+    # small sizes some verdicts fail (exit 3), but the artifact must not move
     out = str(tmp_path / "t.json")
-    base = ["feller", "--n", "256", "--reps", "400", "--seed", "9", "--out", out]
-    assert main(base + ["--threads", "1"]) == 0
+    base = argv + ["--seed", "9", "--out", out]
+    assert main(base + ["--threads", "1"]) == code
     first = read(out)
-    assert main(base + ["--threads", "4"]) == 0
+    assert main(base + ["--threads", "4"]) == code
     assert read(out) == first
 
 

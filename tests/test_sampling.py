@@ -219,6 +219,19 @@ def test_poisson_sum_batch_deterministic_and_threaded():
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("threads", (1, 3))
+def test_poisson_sum_batch_stream_layout(threads):
+    # replicate i draws from stream base_stream + i; 300 is not a multiple
+    # of the 256-replicate block
+    m = make_pareto(0.5)
+    sums = poisson_sum_batch(m, 1e-3, 300, seed=16, base_stream=5,
+                             threads=threads)
+    assert sums.shape == (300,)
+    for i in range(300):
+        assert sums[i] == sample_semistable_poisson_sum(
+            m, 1e-3, RngStream(16, 5 + i))
+
+
 def test_dyadic_scaling_of_centered_sums():
     # one law across dyadic cutoff levels: centered sums at T(t) = 2^k merge
     pete = make_petersburg(x0=1.0)
@@ -288,6 +301,17 @@ def test_lepage_batch_reproducible():
     a = lepage_batch(0.5, 500, seed=2, n_terms=2000)
     b = lepage_batch(0.5, 500, seed=2, n_terms=2000, threads=3)
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("threads", (1, 3))
+@pytest.mark.parametrize("alpha, symmetric", ((0.5, False), (1.5, True)))
+def test_lepage_batch_stream_layout(threads, alpha, symmetric):
+    vals = lepage_batch(alpha, 300, seed=3, symmetric=symmetric, n_terms=400,
+                        base_stream=5, threads=threads)
+    assert vals.shape == (300,)
+    for i in range(300):
+        assert vals[i] == sample_lepage(alpha, RngStream(3, 5 + i), n_terms=400,
+                                        symmetric=symmetric)
 
 
 # -- export -----------------------------------------------------------------------------

@@ -59,6 +59,20 @@ def test_domain_errors():
         TailModel(alpha=1.0, q=2, c=-1.0, x0=1.0)
 
 
+def test_nan_arguments_raise():
+    m = make_pareto(0.5)
+    with pytest.raises(ValueError):
+        tail_quantile(m, math.nan)
+    with pytest.raises(ValueError):
+        tail_quantile(m, np.array([0.5, math.nan]))
+    with pytest.raises(ValueError):
+        intensity_quantile(m, math.nan)
+    with pytest.raises(ValueError):
+        tail_eval(m, math.nan)
+    with pytest.raises(ValueError):
+        intensity_tail(m, math.nan)
+
+
 def test_monotonicity_rejection():
     # ripple too strong: c x^-alpha psi(log_q x) increases somewhere
     u = np.arange(64) / 64.0
