@@ -10,6 +10,7 @@ distributions the test suite uses as oracles.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -49,15 +50,17 @@ class CfExponent:
     fn must accept a float ndarray of t values and return complex h(t)
     elementwise.
 
-    atoms lists isolated Levy-measure atoms (position, mass) with positions
-    above 1.  Laws with lacunary jump atoms (the dyadic limit family) have a
+    split, when given, maps a cut to (reduced exponent, removed mass): the
+    exponent without the Levy jumps above cut, and the total mass of those
+    jumps.  Laws with lacunary jump atoms (the dyadic limit family) have a
     merely continuous, non-differentiable exponent, which defeats panel
-    quadrature; the inversion splits atoms beyond the query range off as a
-    compound-Poisson factor, leaving an entire exponent to integrate.
+    quadrature; the inversion splits the jumps beyond the query range off
+    as an exact compound-Poisson factor, leaving an entire exponent to
+    integrate.  Closed-form laws have no split.
     """
 
     fn: Callable
-    atoms: tuple = ()
+    split: Callable | None = None
 
     def __call__(self, t):
         return self.fn(np.asarray(t, dtype=float))
@@ -66,60 +69,57 @@ class CfExponent:
 # -- the St. Petersburg limit exponent --------------------------------------
 
 
-def _e_iu_m1(u):
-    """exp(iu) - 1; no cancellation issue (imag part is sin u)."""
-    return np.exp(1j * u) - 1.0
+# 1 / (j! (1 - 2^(1-j))) for j = 19..2: the small-jump levels l <= l0 sum to
+# 2^-l0 sum_{j>=2} z^j / (j! (1 - 2^(1-j))), z = i t 2^l0 (expand e^{iu} - 1 - iu
+# and sum the geometric series over l); past j = 19 at |z| < 1/4 is below 1e-24
+_SMALL_C = [1.0 / (math.factorial(j) * (1.0 - 2.0 ** (1 - j))) for j in range(19, 1, -1)]
 
 
-def _e_iu_m1_miu(u):
-    """exp(iu) - 1 - iu, series-evaluated for small |u| to avoid cancellation."""
-    u = np.asarray(u, dtype=float)
-    out = np.empty(u.shape, dtype=complex)
-    small = np.abs(u) < 0.25
-    if np.any(small):
-        z = 1j * u[small]
-        term = z * z / 2.0
-        acc = term.copy()
-        for k in range(3, 19):
-            term = term * (z / k)
-            acc = acc + term
-        out[small] = acc
-    big = ~small
-    if np.any(big):
-        ub = u[big]
-        out[big] = np.exp(1j * ub) - 1.0 - 1j * ub
-    return out
+def _top_level(tol: float, max_jump=None) -> int:
+    """Last upper level L of the series: 2^-L < tol/8, and 2^L <= max_jump."""
+    L = max(1, math.ceil(math.log2(8.0 / tol)))
+    if max_jump is not None and math.isfinite(max_jump):
+        L = min(L, max(0, math.frexp(max_jump)[1] - 1))
+    return L
 
 
-def g_exponent(t, tol: float = 1e-12):
+def g_exponent(t, tol: float = 1e-12, max_jump=None):
     """Exponent of the St. Petersburg limit law, a doubly infinite dyadic series.
 
     g(t) = sum_{l<=0} (e^{i t 2^l} - 1 - i t 2^l) 2^{-l}
-         + sum_{l>=1} (e^{i t 2^l} - 1) 2^{-l},
-    truncated so the discarded mass is below tol:
-    the lower sum at l = -M with t^2 2^{-M} < tol/2 (term bound
-    |e^{iu} - 1 - iu| <= u^2/2), the upper at l = L with 2*2^{-(L-1)} < tol/2.
-    Terms are accumulated with Kahan compensation.  t must be finite.
+         + sum_{l>=1} (e^{i t 2^l} - 1) 2^{-l}.
+    Per point, the small-jump levels l <= l0 with |t 2^l0| < 1/4 are summed
+    in closed form (no lower truncation); the levels l0 < l <= 0 one by one.
+    The upper sum stops at the first level L with 2^{-L} < tol/8, which
+    bounds the discarded mass 2 * 2^{-L} by tol/4.  With max_jump it also
+    stops below the jumps 2^l > max_jump, whose total mass is exactly
+    2^{-L}; the inversion splits those off (see CfExponent).  Terms are
+    accumulated with Kahan compensation.  t must be finite.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
+    if max_jump is not None and not max_jump > 0.0:
+        raise ValueError("max_jump must be positive")
     ta = np.asarray(t, dtype=float)
     tt = np.atleast_1d(ta).astype(float)
     if not np.all(np.isfinite(tt)):
         raise ValueError("t must be finite")
-    tmax = max(float(np.max(np.abs(tt))) if tt.size else 0.0, 1.0)
-    M = max(1, math.ceil(math.log2(2.0 * tmax * tmax / tol)))
-    L = max(1, math.ceil(math.log2(8.0 / tol)))
+    # l0 = -(e + 2) for |t| = m 2^e, m in [0.5, 1), so |t 2^l0| < 1/4
+    l0 = np.minimum(0, -np.frexp(tt)[1] - 2)
+    z = 1j * np.ldexp(tt, l0)
     total = np.zeros(tt.shape, dtype=complex)
+    for c in _SMALL_C:
+        total = total * z + c
+    total = total * z * z * np.ldexp(1.0, -l0)
     comp = np.zeros(tt.shape, dtype=complex)
-    for l in range(-M, L + 1):
-        u = np.ldexp(tt, l)
-        w = 2.0 ** float(-l)
+    for l in range(int(l0.min(initial=0)) + 1, _top_level(tol, max_jump) + 1):
+        # past level 1 by squaring: its rounding error grows like 2^l, which
+        # the weight 2^-l cancels, so each term stays at the ulp of its weight
+        e = e * e if l > 1 else np.exp(1j * np.ldexp(tt, l))
+        term = e - 1.0
         if l <= 0:
-            term = _e_iu_m1_miu(u) * w
-        else:
-            term = _e_iu_m1(u) * w
-        y = term - comp
+            term = np.where(l > l0, term - 1j * np.ldexp(tt, l), 0.0)
+        y = term * 2.0 ** float(-l) - comp
         s = total + y
         comp = (s - total) - y
         total = s
@@ -128,35 +128,39 @@ def g_exponent(t, tol: float = 1e-12):
     return total.reshape(ta.shape)
 
 
-def g_gamma_exponent(t, gamma: float, tol: float = 1e-12):
+def g_gamma_exponent(t, gamma: float, tol: float = 1e-12, max_jump=None):
     """Exponent of the dyadic merging family: gamma * g(t/gamma) - i t log2(gamma).
 
     gamma ranges over [1, 2]; the two endpoints give the same law (the
-    telescoping identity g(t) = 2 g(t/2) - i t closes the family).
+    telescoping identity g(t) = 2 g(t/2) - i t closes the family).  Its
+    jumps sit at 2^l / gamma with mass gamma 2^-l; max_jump drops those
+    above it, as in g_exponent.
     """
     if not (1.0 <= gamma <= 2.0):
         raise ValueError("gamma must lie in [1, 2]")
     ta = np.asarray(t, dtype=float)
-    return gamma * g_exponent(ta / gamma, tol / gamma) - 1j * ta * math.log2(gamma)
+    mj = None if max_jump is None else max_jump * gamma
+    return gamma * g_exponent(ta / gamma, tol / gamma, mj) - 1j * ta * math.log2(gamma)
 
 
-def _dyadic_atoms(gamma: float = 1.0, levels: int = 60) -> tuple:
-    # large-jump atoms of gamma*g(t/gamma): position 2^l/gamma, mass gamma*2^-l
-    return tuple((2.0 ** l / gamma, gamma * 2.0 ** (-l))
-                 for l in range(1, levels + 1))
+def _dyadic_law(gamma: float, tol: float) -> CfExponent:
+    def split(cut):
+        removed = gamma * 2.0 ** -_top_level(tol / gamma, cut * gamma)
+        return (lambda t: g_gamma_exponent(t, gamma, tol, cut)), removed
+
+    return CfExponent(fn=lambda t: g_gamma_exponent(t, gamma, tol), split=split)
 
 
 def petersburg_law(tol: float = 1e-12) -> CfExponent:
     """The St. Petersburg limit law as a CfExponent."""
-    return CfExponent(fn=lambda t: g_exponent(t, tol), atoms=_dyadic_atoms(1.0))
+    return _dyadic_law(1.0, tol)
 
 
 def g_gamma_law(gamma: float, tol: float = 1e-12) -> CfExponent:
     """Member of the merging family at position gamma in [1, 2]."""
     if not (1.0 <= gamma <= 2.0):
         raise ValueError("gamma must lie in [1, 2]")
-    return CfExponent(fn=lambda t: g_gamma_exponent(t, gamma, tol),
-                      atoms=_dyadic_atoms(gamma))
+    return _dyadic_law(gamma, tol)
 
 
 # -- closed-form reference exponents ----------------------------------------
@@ -199,26 +203,25 @@ def convolution_power(h: CfExponent, k: float) -> CfExponent:
     """The law with characteristic function phi**k, exact in exponent form."""
     if not k > 0.0:
         raise ValueError("power must be positive")
-    base = h.fn
-    return CfExponent(fn=lambda t: float(k) * base(np.asarray(t, dtype=float)),
-                      atoms=tuple((a, float(k) * m) for a, m in h.atoms))
+    k, base, base_split = float(k), h.fn, h.split
+    split = None
+    if base_split is not None:
+        def split(cut):
+            fn, removed = base_split(cut)
+            return (lambda t: k * fn(t)), k * removed
+    return CfExponent(fn=lambda t: k * base(np.asarray(t, dtype=float)), split=split)
 
 
 # -- Gil-Pelaez inversion ----------------------------------------------------
 
-_GL_CACHE: dict = {}
+_gl_rule = functools.cache(leggauss)
 
 
-def _gl_rule(n):
-    if n not in _GL_CACHE:
-        _GL_CACHE[n] = leggauss(n)
-    return _GL_CACHE[n]
-
-
-def _gl_panel(a, b, n):
+def _gl_panels(a, b, n):
+    """n-point Gauss-Legendre nodes and weights on the panels [a_i, b_i], in order."""
     x, w = _gl_rule(n)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return mid + half * x, half * w
+    return (mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel()
 
 
 def _decay_cutoff(h, tol):
@@ -249,6 +252,21 @@ def _phase_slope(h, t_lo, t_hi):
 
 
 _DYADIC_LEVELS = 150
+_NODE_BUDGET = 1 << 22  # about |x| <= 6e4 on the dyadic family (1e4 takes 1.0e6)
+
+
+def _check_node_budget(T, omega):
+    """Raise InversionError, naming the node count, if _build_nodes(T, omega)
+    would pass _NODE_BUDGET; else return its t_start.  The count grows with omega."""
+    t_start = min(0.5, math.pi / (2.0 * omega), T / 8.0)
+    # T omega / pi steps of pi/omega, plus a ramp of at most log_1.5(T/t_start) + 1
+    ramp = math.log(T / t_start, 1.5) + 1.0 if t_start > 0.0 else math.inf
+    need = 16 * _DYADIC_LEVELS + 12 * (T * omega / math.pi + ramp + 1.0)
+    if not need <= _NODE_BUDGET:
+        raise InversionError(
+            "inversion would need about %.3g quadrature nodes, over the budget of %d"
+            % (need, _NODE_BUDGET))
+    return t_start
 
 
 def _build_nodes(T, omega):
@@ -259,27 +277,20 @@ def _build_nodes(T, omega):
     t**(alpha-1) / log(1/t) behavior of the integrand near t = 0.  Above
     t_start the panel width ramps up geometrically, capped at half an
     oscillation pi/omega of e^{-itx} phi(t); the width <= t/2 cap keeps the
-    1/t curvature of the integrand resolved near the transition.
+    1/t curvature of the integrand resolved near the transition.  Raises
+    InversionError, naming the node count, past _NODE_BUDGET nodes.
     """
-    t_start = min(0.5, math.pi / (2.0 * omega), T / 8.0)
-    nodes = []
-    weights = []
-    a = t_start
-    for _ in range(_DYADIC_LEVELS):
-        x, w = _gl_panel(0.5 * a, a, 16)
-        nodes.append(x)
-        weights.append(w)
-        a *= 0.5
+    t_start = _check_node_budget(T, omega)
+    a = t_start * 0.5 ** np.arange(_DYADIC_LEVELS)
     edges = [t_start]
     t = t_start
     while t < T:
         t = min(T, t + min(0.5 * t, math.pi / omega))
         edges.append(t)
-    for a, b in zip(edges[:-1], edges[1:]):
-        x, w = _gl_panel(a, b, 12)
-        nodes.append(x)
-        weights.append(w)
-    return np.concatenate(nodes), np.concatenate(weights)
+    edges = np.array(edges)
+    xd, wd = _gl_panels(0.5 * a, a, 16)
+    xp, wp = _gl_panels(edges[:-1], edges[1:], 12)
+    return np.concatenate([xd, xp]), np.concatenate([wd, wp])
 
 
 def _phase_sums(xs, t, cw_re, cw_im):
@@ -302,27 +313,6 @@ _ATOM_MARGIN = 64.0  # left-support clearance; the laws here have doubly
                      # above the query range cannot land below it
 
 
-def _reduce_atoms(h, cut):
-    """Split off Levy atoms at positions > cut as a compound-Poisson factor.
-
-    Returns (reduced exponent callable, removed mass M).  For every query
-    x < cut - margin, F(x) = exp(-M) * F_reduced(x) exactly: a removed jump
-    exceeds the query by more than the law's lower-tail reach.
-    """
-    removed = [(a, m) for a, m in h.atoms if a > cut]
-    if not removed:
-        return h, 0.0
-    pos = np.array([a for a, _ in removed])
-    mass = np.array([m for _, m in removed])
-
-    def reduced(t):
-        t = np.asarray(t, dtype=float)
-        corr = (mass * (np.exp(1j * np.multiply.outer(t, pos)) - 1.0)).sum(axis=-1)
-        return h(t) - corr
-
-    return reduced, float(mass.sum())
-
-
 def cdf_from_cf(h: CfExponent, x, tol: float = 1e-8):
     """CDF by Gil-Pelaez inversion: F(x) = 1/2 - (1/pi) int_0^inf Im(e^{-itx} phi)/t dt.
 
@@ -330,8 +320,8 @@ def cdf_from_cf(h: CfExponent, x, tol: float = 1e-8):
     (raises InversionError if the search passes 1e6); panel density is
     matched to the oscillation frequency |x| plus the phase slope of phi,
     and the t -> 0 neighborhood is integrated on dyadically refined panels.
-    Declared Levy atoms beyond the query range are handled as an exact
-    compound-Poisson factor rather than by quadrature (see CfExponent).
+    Levy jumps beyond the query range are handled as an exact
+    compound-Poisson factor rather than by quadrature (see CfExponent.split).
     Absolute error target tol (tol >= 1e-10).  Accepts scalar or array x,
     which must be finite.
     """
@@ -348,17 +338,19 @@ def cdf_from_cf(h: CfExponent, x, tol: float = 1e-8):
     bounds = [32.0]
     while bounds[-1] < max(1.0, absx.max()):
         bounds.append(bounds[-1] * 2.0)
+    _check_node_budget(T, bounds[-1])  # fail before any work: each omega exceeds its b
     prev = -1.0
     for b in bounds:
         mask = (absx > prev) & (absx <= b)
         prev = b
         if not np.any(mask):
             continue
-        hr, removed_mass = _reduce_atoms(h, b + _ATOM_MARGIN)
+        # F(x) = exp(-M) F_reduced(x) exactly for x < cut - margin: a removed
+        # jump exceeds the query by more than the law's lower-tail reach
+        hr, removed_mass = h.split(b + _ATOM_MARGIN) if h.split else (h, 0.0)
         slope = _phase_slope(hr, min(1e-3, T / 100.0), T)
         omega = b + max(4.0, 1.3 * slope)
-        t_start = min(0.5, math.pi / (2.0 * omega), T / 8.0)
-        slope = _phase_slope(hr, t_start, T)
+        slope = _phase_slope(hr, _check_node_budget(T, omega), T)
         omega = b + max(4.0, 1.3 * slope)
         t, w = _build_nodes(T, omega)
         with np.errstate(under="ignore"):

@@ -4,7 +4,7 @@ Every run is reproducible: the seed defaults to a fixed constant (override
 with --seed or the SEMISTABLE_SEED environment variable; the flag wins),
 and each artifact embeds its full run configuration.  Exit codes: 0 on
 success, 2 on parse/parameter errors, 3 when an experiment reports
-pass = false, 4 on numeric failure (non-decaying inversion, point budget).
+pass = false, 4 on numeric failure (no decay, point or node budget).
 """
 
 from __future__ import annotations
@@ -33,6 +33,9 @@ def _seed_default() -> int:
     return DEFAULT_SEED
 
 
+_MAX_GRID_ROWS = 10 ** 6
+
+
 def _parse_grid(spec: str) -> np.ndarray:
     """Grid 'lo:hi:step' with exactly floor((hi - lo)/step) + 1 rows."""
     try:
@@ -43,7 +46,10 @@ def _parse_grid(spec: str) -> np.ndarray:
         raise ValueError("grid bounds and step must be finite")
     if step <= 0.0 or hi < lo:
         raise ValueError("grid needs hi >= lo and step > 0")
-    rows = int(math.floor((hi - lo) / step + 1e-9)) + 1
+    span = (hi - lo) / step
+    if not span < _MAX_GRID_ROWS:
+        raise ValueError("grid has more than the %d-row cap" % _MAX_GRID_ROWS)
+    rows = int(math.floor(span + 1e-9)) + 1
     return lo + step * np.arange(rows)
 
 

@@ -1,7 +1,11 @@
 import math
 
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import gammainc, ndtr
 
 from semistable.charfn import (CfExponent, InversionError, cauchy_law,
@@ -84,6 +88,51 @@ def test_exponent_invariants_builtin_laws():
         assert np.allclose(law(-t), np.conj(h), atol=1e-12)
 
 
+def test_small_t_and_level_boundaries_match_oracle():
+    # l0 steps where |t| crosses a power of two; the lower levels below it
+    # are summed in closed form, the ones above it term by term
+    ts = [1e-9, 1e-3] + [2.0 ** m * f for m in range(-3, 6)
+                         for f in (1.0 - 1e-9, 1.0, 1.0 + 1e-9)]
+    for t in ts:
+        assert abs(g_exponent(t) - g_series_oracle(t)) < 1e-12
+    # per point, so a value does not depend on the batch it is evaluated in
+    assert np.array_equal(g_exponent(np.array(ts)), [g_exponent(t) for t in ts])
+
+
+def old_split(gamma, cut, t):
+    """Full series minus an explicit outer product over the atoms above cut."""
+    levels = np.arange(1, 61)
+    pos, mass = 2.0 ** levels / gamma, gamma * 2.0 ** -levels.astype(float)
+    pos, mass = pos[pos > cut], mass[pos > cut]
+    corr = (mass * (np.exp(1j * np.multiply.outer(t, pos)) - 1.0)).sum(axis=-1)
+    return g_gamma_exponent(t, gamma) - corr
+
+
+@pytest.mark.parametrize("gamma", [1.0, 1.3, 1.5, 2.0])
+def test_split_matches_atom_outer_product(gamma):
+    t = np.concatenate([np.linspace(-64.0, 64.0, 257),
+                        np.random.default_rng(5).uniform(-200.0, 200.0, 200)])
+    law = petersburg_law() if gamma == 1.0 else g_gamma_law(gamma)
+    for cut in [2.0 ** k for k in range(3, 13)] + [96.0, 1088.0, 3000.0]:
+        reduced, removed = law.split(cut)
+        assert np.max(np.abs(reduced(t) - old_split(gamma, cut, t))) < 1e-12
+        atoms = [gamma * 2.0 ** -l for l in range(1, 1000) if 2.0 ** l / gamma > cut]
+        assert removed == pytest.approx(math.fsum(atoms), rel=1e-15)
+
+
+@settings(max_examples=60, deadline=None)
+@given(gamma=st.floats(1.0, 2.0), cut=st.floats(0.5, 1e7),
+       t=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=16))
+def test_reduced_exponent_properties(gamma, cut, t):
+    reduced, removed = g_gamma_law(gamma).split(cut)
+    t = np.array(t)
+    h = reduced(t)
+    assert reduced(np.array([0.0]))[0] == 0
+    assert np.all(np.real(h) <= 1e-15)
+    assert np.allclose(reduced(-t), np.conj(h), rtol=0.0, atol=1e-12)
+    assert 0.0 < removed <= gamma
+
+
 def test_convolution_power():
     c = cauchy_law()
     t = np.linspace(-5, 5, 41)
@@ -94,6 +143,12 @@ def test_convolution_power():
     half = convolution_power(g, 0.5)
     back = convolution_power(half, 2.0)
     assert np.max(np.abs(back(t) - g(t))) < 1e-14
+    # the split scales with the power: phi^k keeps the jumps, k times the mass
+    fn, removed = g.split(96.0)
+    half_fn, half_removed = half.split(96.0)
+    assert half_removed == 0.5 * removed
+    assert np.array_equal(half_fn(t), 0.5 * fn(t))
+    assert c.split is None and convolution_power(c, 2.0).split is None
     with pytest.raises(ValueError):
         convolution_power(c, 0.0)
 
@@ -177,6 +232,18 @@ def test_g_exponent_rejects_nan():
         g_exponent(math.nan)
     with pytest.raises(ValueError, match="finite"):
         g_gamma_exponent(np.array([1.0, math.nan]), 1.5)
+
+
+def test_cdf_node_budget():
+    # t + pi/omega == t at x = 1e300: the panel loop used to never finish
+    start = time.perf_counter()
+    with pytest.raises(InversionError, match="quadrature nodes"):
+        cdf_from_cf(cauchy_law(), 1e300)
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(InversionError, match="quadrature nodes"):
+        cdf_from_cf(g_gamma_law(1.5), [0.0, 1.7e308])
+    # about 1e6 nodes, inside the budget
+    assert 0.999 < cdf_from_cf(g_gamma_law(1.5), 1e4) < 1.0
 
 
 def test_cdf_table_and_interpolant():

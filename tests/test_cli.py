@@ -106,6 +106,18 @@ def test_cdf_non_finite_grid(grid):
     assert main(["cdf", "--law", "cauchy", "--grid", grid]) == 2
 
 
+def test_cdf_grid_row_cap(capsys):
+    # the row count used to overflow int() into an OverflowError traceback
+    assert main(["cdf", "--law", "cauchy", "--grid", "0:1e308:1e-308"]) == 2
+    assert "1000000-row cap" in capsys.readouterr().err
+
+
+def test_cdf_node_budget_exit_code(capsys):
+    # x = 1e300 used to run without end
+    assert main(["cdf", "--law", "cauchy", "--grid", "0:1e300:1e300"]) == 4
+    assert "quadrature nodes" in capsys.readouterr().err
+
+
 def test_parse_error_exit_code():
     assert main(["cdf", "--law", "not-a-law", "--grid", "0:1:1"]) == 2
     assert main(["no-such-command"]) == 2
