@@ -256,8 +256,8 @@ _NODE_BUDGET = 1 << 22  # about |x| <= 6e4 on the dyadic family (1e4 takes 1.0e6
 
 
 def _check_node_budget(T, omega):
-    """Raise InversionError, naming the node count, if _build_nodes(T, omega)
-    would pass _NODE_BUDGET; else return its t_start.  The count grows with omega."""
+    """t_start of _build_nodes(T, omega), or InversionError naming the node
+    count if that node set would pass _NODE_BUDGET (the count grows with omega)."""
     t_start = min(0.5, math.pi / (2.0 * omega), T / 8.0)
     # T omega / pi steps of pi/omega, plus a ramp of at most log_1.5(T/t_start) + 1
     ramp = math.log(T / t_start, 1.5) + 1.0 if t_start > 0.0 else math.inf

@@ -46,10 +46,10 @@ def _parse_grid(spec: str) -> np.ndarray:
         raise ValueError("grid bounds and step must be finite")
     if step <= 0.0 or hi < lo:
         raise ValueError("grid needs hi >= lo and step > 0")
-    span = (hi - lo) / step
+    span = (hi - lo) / step + 1e-9
     if not span < _MAX_GRID_ROWS:
         raise ValueError("grid has more than the %d-row cap" % _MAX_GRID_ROWS)
-    rows = int(math.floor(span + 1e-9)) + 1
+    rows = int(math.floor(span)) + 1
     return lo + step * np.arange(rows)
 
 
