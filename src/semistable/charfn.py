@@ -253,15 +253,23 @@ def _phase_slope(h, t_lo, t_hi):
 
 _DYADIC_LEVELS = 150
 _NODE_BUDGET = 1 << 22  # about |x| <= 6e4 on the dyadic family (1e4 takes 1.0e6)
+_WORK_BUDGET = 1 << 29  # point x node products per cdf_from_cf call; about 30 s
+                        # of _phase_sums on a 2-core x86 host, 50x the largest
+                        # call the tests and the benchmark make
+
+
+def _node_count(T, omega):
+    """(t_start, node count) of _build_nodes(T, omega); the count grows with omega."""
+    t_start = min(0.5, math.pi / (2.0 * omega), T / 8.0)
+    # T omega / pi steps of pi/omega, plus a ramp of at most log_1.5(T/t_start) + 1
+    ramp = math.log(T / t_start, 1.5) + 1.0 if t_start > 0.0 else math.inf
+    return t_start, 16 * _DYADIC_LEVELS + 12 * (T * omega / math.pi + ramp + 1.0)
 
 
 def _check_node_budget(T, omega):
     """t_start of _build_nodes(T, omega), or InversionError naming the node
-    count if that node set would pass _NODE_BUDGET (the count grows with omega)."""
-    t_start = min(0.5, math.pi / (2.0 * omega), T / 8.0)
-    # T omega / pi steps of pi/omega, plus a ramp of at most log_1.5(T/t_start) + 1
-    ramp = math.log(T / t_start, 1.5) + 1.0 if t_start > 0.0 else math.inf
-    need = 16 * _DYADIC_LEVELS + 12 * (T * omega / math.pi + ramp + 1.0)
+    count if that node set would pass _NODE_BUDGET."""
+    t_start, need = _node_count(T, omega)
     if not need <= _NODE_BUDGET:
         raise InversionError(
             "inversion would need about %.3g quadrature nodes, over the budget of %d"
@@ -323,7 +331,9 @@ def cdf_from_cf(h: CfExponent, x, tol: float = 1e-8):
     Levy jumps beyond the query range are handled as an exact
     compound-Poisson factor rather than by quadrature (see CfExponent.split).
     Absolute error target tol (tol >= 1e-10).  Accepts scalar or array x,
-    which must be finite.
+    which must be finite.  Before any quadrature, raises InversionError if a
+    node set would pass _NODE_BUDGET or the whole call _WORK_BUDGET point x
+    node products.
     """
     if tol < 1e-10:
         raise ValueError("tol must be >= 1e-10")
@@ -339,12 +349,21 @@ def cdf_from_cf(h: CfExponent, x, tol: float = 1e-8):
     while bounds[-1] < max(1.0, absx.max()):
         bounds.append(bounds[-1] * 2.0)
     _check_node_budget(T, bounds[-1])  # fail before any work: each omega exceeds its b
+    groups = []
     prev = -1.0
     for b in bounds:
         mask = (absx > prev) & (absx <= b)
         prev = b
-        if not np.any(mask):
-            continue
+        if np.any(mask):
+            groups.append((b, mask))
+    # each group costs its points times at least _node_count(T, b + 4) nodes
+    work = sum(int(np.count_nonzero(mask)) * _node_count(T, b + 4.0)[1]
+               for b, mask in groups)
+    if not work <= _WORK_BUDGET:
+        raise InversionError(
+            "inversion would take about %.3g point x node products, over the "
+            "budget of %.3g" % (work, _WORK_BUDGET))
+    for b, mask in groups:
         # F(x) = exp(-M) F_reduced(x) exactly for x < cut - margin: a removed
         # jump exceeds the query by more than the law's lower-tail reach
         hr, removed_mass = h.split(b + _ATOM_MARGIN) if h.split else (h, 0.0)

@@ -5,6 +5,9 @@ i.i.d. sequence; the deterministic-count sum uses the first n terms and the
 randomized sum the first N.  The randomized sum is exactly a Poisson-point
 sum for the rescaled intensity, so the pair exposes how fast swapping n for
 N stops mattering.  Restricted to the uncentered regime alpha < 1.
+The curve draws a block of 256 replicates at a time from one Philox stream
+(sampling._map_blocks): the block's Poisson counts first, then its paths;
+coupled_pair and maximal_fluctuation run the same kernel on one row.
 """
 
 from __future__ import annotations
@@ -14,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sampling import (_STRIDE, RngStream, _open01, _quantile_batch,
-                       _replicate_map)
+from .sampling import (_STRIDE, RngStream, _col_chunks, _map_blocks, _open01,
+                       _quantile_batch, _row_groups)
 from .tailmodel import TailModel, tail_eval
 
 __all__ = ["CoupledPair", "coupled_pair", "coupling_gap_curve", "maximal_fluctuation"]
@@ -41,21 +44,48 @@ def _check_coupling_model(model: TailModel, n: int):
         raise ValueError("coupling needs unit total mass: T(x0) = 1")
 
 
-def _coupled_values(model, n, gen, count, half=0):
-    """(s_hat, s_bar, gap, fluct) from one path of max(n, count, n + half) terms.
+def _coupled_block(model, n, half, gen, counts):
+    """Rows (s_hat, s_bar, gap, fluct), one path per entry of counts.
 
-    s_hat sums the first n terms and s_bar the first count; fluct is the max
-    of |S_j - S_n| over |j - n| <= half (0 when half = 0).  All four are
-    scaled by n**(-1/alpha).
+    Row i sums one i.i.d. path: s_hat the first n terms, s_bar the first
+    counts[i], gap |s_hat - s_bar| and fluct the max of |S_j - S_n| over
+    |j - n| <= half (0 when half = 0), all scaled by n**(-1/alpha).  The
+    uniforms are drawn after the counts, a tile of rows x terms at a time:
+    the head below every row's window is one pairwise sum, and the window
+    a cumsum P_j = S_j - head carried across column chunks.
     """
-    x = _quantile_batch(model, _open01(gen, max(n, count, n + half)))
     scale = float(n) ** (-1.0 / model.alpha)
-    lo, hi = min(n, count), max(n, count)
-    start = max(0, n - half)
-    partial = np.concatenate([[0.0], np.cumsum(x[start:n + half])])
-    fluct = scale * float(np.max(np.abs(partial - partial[n - start])))
-    return (scale * float(x[:n].sum()), scale * float(x[:count].sum()),
-            scale * abs(float(x[lo:hi].sum())), fluct)
+    a, b = max(0, n - half), n + half  # the fluctuation window, j in [a, b]
+    out = np.empty((counts.size, 4))
+    for rs in _row_groups(counts.size, b):
+        cnt = counts[rs]
+        nr = cnt.size
+        w0, w1 = min(a, int(cnt.min())), max(b, int(cnt.max()))
+        head = np.zeros(nr)
+        for c0, c1 in _col_chunks(0, w0, nr):
+            head += _quantile_batch(model, _open01(gen, (nr, c1 - c0))).sum(axis=1)
+        at_n, at_count, carry = np.zeros(nr), np.zeros(nr), np.zeros(nr)
+        top = np.full(nr, 0.0 if a == w0 else -np.inf)  # P_w0 = 0
+        bottom = -top
+        for c0, c1 in _col_chunks(w0, w1, nr):
+            x = _quantile_batch(model, _open01(gen, (nr, c1 - c0)))
+            x[:, 0] += carry
+            cs = np.cumsum(x, axis=1)  # cs[:, k] = P_{c0 + k + 1}
+            carry = cs[:, -1]
+            if c0 < n <= c1:
+                at_n = cs[:, n - c0 - 1]
+            hit = np.nonzero((cnt > c0) & (cnt <= c1))[0]
+            at_count[hit] = cs[hit, cnt[hit] - c0 - 1]
+            j0, j1 = max(a, c0 + 1), min(b, c1)
+            if j0 <= j1:
+                win = cs[:, j0 - c0 - 1:j1 - c0]
+                top = np.maximum(top, win.max(axis=1))
+                bottom = np.minimum(bottom, win.min(axis=1))
+        out[rs, 0] = scale * (head + at_n)
+        out[rs, 1] = scale * (head + at_count)
+        out[rs, 2] = scale * np.abs(at_n - at_count)
+        out[rs, 3] = scale * np.maximum(top - at_n, at_n - bottom)
+    return out
 
 
 def coupled_pair(model: TailModel, n: int, rng: RngStream,
@@ -64,8 +94,9 @@ def coupled_pair(model: TailModel, n: int, rng: RngStream,
     _check_coupling_model(model, n)
     gen = rng.generator()
     count = int(gen.poisson(n)) if force_count is None else int(force_count)
-    s_hat, s_bar, gap, _ = _coupled_values(model, n, gen, count)
-    return CoupledPair(s_hat=s_hat, s_bar=s_bar, n=n, count=count, gap=gap)
+    s_hat, s_bar, gap, _ = _coupled_block(model, n, 0, gen, np.array([count]))[0]
+    return CoupledPair(s_hat=float(s_hat), s_bar=float(s_bar), n=n, count=count,
+                       gap=float(gap))
 
 
 def maximal_fluctuation(model: TailModel, n: int, rng: RngStream,
@@ -77,7 +108,7 @@ def maximal_fluctuation(model: TailModel, n: int, rng: RngStream,
     """
     _check_coupling_model(model, n)
     half = math.ceil(c_mult * math.sqrt(n))
-    return _coupled_values(model, n, rng.generator(), n, half)[3]
+    return float(_coupled_block(model, n, half, rng.generator(), np.array([n]))[0, 3])
 
 
 def _median_stderr(values):
@@ -106,8 +137,8 @@ def coupling_gap_curve(model: TailModel, n_list, reps: int, rng: RngStream,
     rows = []
     for idx, n in enumerate(n_list):
         half = math.ceil(c_mult * math.sqrt(n))
-        vals = _replicate_map(
-            lambda gen: _coupled_values(model, n, gen, int(gen.poisson(n)), half),
+        vals = _map_blocks(
+            lambda gen, rows: _coupled_block(model, n, half, gen, gen.poisson(n, rows)),
             reps, rng.seed, rng.stream_id + idx * _STRIDE, threads)
         row = {
             "n": n,

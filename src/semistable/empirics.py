@@ -2,11 +2,10 @@
 
 Each experiment simulates on Philox streams addressed by replicate position
 alone, so results are bitwise independent of the thread count.  The layout
-lives in sampling: St. Petersburg sums use one stream per 256-replicate block
-(sampling._map_blocks, stream id = base + start // 256), the other
-experiments one stream per replicate (sampling._replicate_map, stream id =
-base + replicate index).  Each compares against the inverted limit CDF or a
-closed-form oracle.
+lives in sampling._map_blocks: replicates [256 b, 256 b + 256) draw from
+stream base + b, St. Petersburg sums through a vectorized block kernel and
+the other experiments one row after another from the block's stream.  Each
+compares against the inverted limit CDF or a closed-form oracle.
 Reports carry the statistic, a Monte Carlo standard error where one makes
 sense, the seed and the pass/fail verdict at the stated tolerance.
 """
@@ -22,7 +21,7 @@ import numpy as np
 from .charfn import (TabulatedCdf, cdf_from_cf, erlang_cdf, g_gamma_law,
                      tabulate_cdf)
 from .sampling import (_STRIDE, RngStream, _lepage_prep, _lepage_terms,
-                       _open01, _replicate_map, petersburg_sum_batch)
+                       _map_blocks, _open01, _rows, petersburg_sum_batch)
 
 __all__ = [
     "Ecdf",
@@ -347,7 +346,7 @@ def order_statistics_experiment(p: int, n: int, reps: int, rng: RngStream,
             return u.max()
         return np.partition(u, p - 1)[p - 1]
 
-    ys = _replicate_map(draw, reps, rng.seed, rng.stream_id, threads)
+    ys = _map_blocks(_rows(draw), reps, rng.seed, rng.stream_id, threads)
     mean_exact = p / (n + 1.0)
     var_exact = p * (n - p + 1.0) / ((n + 1.0) ** 2 * (n + 2.0))
     mean_err = float(abs(ys.mean() - mean_exact))
@@ -405,8 +404,8 @@ def negligibility_experiment(alpha_list, n: int, reps: int, rng: RngStream,
 
     medians = {}
     for idx, alpha in enumerate(alpha_list):
-        ratios = _replicate_map(lambda gen: ratio(gen, alpha), reps, rng.seed,
-                                rng.stream_id + idx * _STRIDE, threads)
+        ratios = _map_blocks(_rows(lambda gen: ratio(gen, alpha)), reps, rng.seed,
+                             rng.stream_id + idx * _STRIDE, threads)
         medians[alpha] = float(np.median(ratios))
     passed = all(bounds[a][0] <= medians[a] <= bounds[a][1] for a in alpha_list)
     return ExperimentReport(
@@ -451,8 +450,8 @@ def lepage_limit_experiment(alpha: float, k: int, reps: int, rng: RngStream,
         terms = _lepage_terms(alpha, gen, p_terms, symmetric)
         return np.concatenate(([terms.sum()], np.abs(terms[:r])))
 
-    a = _replicate_map(draw_a, reps, rng.seed, rng.stream_id, threads)
-    b = _replicate_map(draw_b, reps, rng.seed, rng.stream_id + _STRIDE, threads)
+    a = _map_blocks(_rows(draw_a), reps, rng.seed, rng.stream_id, threads)
+    b = _map_blocks(_rows(draw_b), reps, rng.seed, rng.stream_id + _STRIDE, threads)
     ks2 = ks_two_sample(a[:, 0], b[:, 0])
     rank_ks = [float(ks_two_sample(a[:, 1 + j], b[:, 1 + j])) for j in range(r)]
     passed = ks2 <= tolerance

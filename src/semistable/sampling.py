@@ -3,12 +3,14 @@
 All randomness flows through counter-based Philox streams keyed by
 (seed, stream_id), so a draw is a pure function of that pair: replicated
 runs are bitwise identical and distinct stream ids give independent
-streams regardless of scheduling.  Two private helpers own the stream
-layout for the whole package: _replicate_map gives replicate i the stream
-base_stream + i (Poisson and LePage batches, the coupling curve and the
-per-replicate experiments), and _map_blocks splits replicates into fixed
-blocks of BLOCK (256), which St. Petersburg sums key one stream each.
-Either layout is what makes the experiment layer thread-invariant.
+streams regardless of scheduling.  One private helper owns the stream
+layout for the whole package: _map_blocks splits a batch of replicates
+into fixed blocks of BLOCK (256), and block b draws all its replicates from
+stream base_stream + b.  Batches draw a block at a time through vectorized
+kernels whose temporaries hold at most _CHUNK doubles; the per-replicate
+experiments draw their rows one after another from the block's stream.
+The single-draw functions run the same kernels on one row.  This layout is
+what makes the experiment layer thread-invariant.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ __all__ = [
 
 _POINT_BUDGET = 1e9
 BLOCK = 256
+_CHUNK = 1 << 15  # doubles per kernel temporary, whatever n, P or lambda
 _STRIDE = 10 ** 7  # stream-id block separating experiment phases
 
 
@@ -68,32 +71,43 @@ class RngStream:
         return RngStream(self.seed, self.stream_id + offset)
 
 
-def _map_blocks(block_fn, reps: int, threads: int = 1):
-    """Run block_fn(start, stop) over [0, reps) in fixed blocks, in order.
+def _map_blocks(block_fn, reps: int, seed: int, base_stream: int = 0,
+                threads: int = 1) -> np.ndarray:
+    """Concatenate block_fn(gen, rows) over fixed blocks of BLOCK replicates.
 
-    Results are listed by block index, so the output is identical for any
-    thread count; block_fn must derive all randomness from the replicate
-    index alone.
+    Block b covers replicates [b * BLOCK, min((b + 1) * BLOCK, reps)) and
+    draws from the stream (seed, base_stream + b) alone, so the result
+    depends on (seed, base_stream, reps) and never on threads.
     """
-    spans = [(s, min(s + BLOCK, reps)) for s in range(0, reps, BLOCK)]
+    if reps < 1:
+        raise ValueError("reps must be >= 1")
+
+    def run(b):
+        gen = RngStream(seed, base_stream + b).generator()
+        return block_fn(gen, min(BLOCK, reps - b * BLOCK))
+
+    blocks = range(-(-reps // BLOCK))
     if threads and threads > 1:
         with ThreadPoolExecutor(max_workers=int(threads)) as ex:
-            return list(ex.map(lambda sp: block_fn(*sp), spans))
-    return [block_fn(s, e) for s, e in spans]
+            return np.concatenate(list(ex.map(run, blocks)))
+    return np.concatenate([run(b) for b in blocks])
 
 
-def _replicate_map(draw, reps: int, seed: int, base_stream: int = 0,
-                   threads: int = 1) -> np.ndarray:
-    """Stack draw(gen) over replicates i in [0, reps), in replicate order.
+def _rows(draw):
+    """Block function stacking draw(gen) for each row, drawn in turn."""
+    return lambda gen, rows: np.array([draw(gen) for _ in range(rows)])
 
-    Replicate i draws from the stream (seed, base_stream + i) alone, so the
-    result depends on (seed, base_stream, reps) and never on threads.
-    """
-    def block(start, stop):
-        return np.array([draw(RngStream(seed, base_stream + i).generator())
-                         for i in range(start, stop)])
 
-    return np.concatenate(_map_blocks(block, reps, threads))
+def _row_groups(rows: int, cols: int):
+    """Row slices of a rows x cols array, about _CHUNK elements each."""
+    step = max(1, min(rows, _CHUNK // max(cols, 1)))
+    return [slice(r, min(r + step, rows)) for r in range(0, rows, step)]
+
+
+def _col_chunks(lo: int, hi: int, nrows: int):
+    """Column spans of [lo, hi) with at most _CHUNK elements over nrows rows."""
+    width = max(1, _CHUNK // nrows)
+    return [(c, min(c + width, hi)) for c in range(lo, hi, width)]
 
 
 def _open01(gen, n):
@@ -155,17 +169,16 @@ def petersburg_sum_batch(n: int, reps: int, seed: int, base_stream: int = 0,
     is Binomial(r, 1/2) given the r draws at level >= k, so
     S_n = sum_k N_k 2^k costs about log2(n) binomial draws instead of n
     uniforms.  Counts are int64 and the float64 sums are exact below 2^53.
-    The block of replicates [start, start + BLOCK) draws from stream
-    base_stream + start // BLOCK, so the output depends on (seed,
-    base_stream, reps) and never on threads.
+    Block b of BLOCK replicates draws from stream base_stream + b
+    (_map_blocks), so the output depends on (seed, base_stream, reps) and
+    never on threads.
     """
     if n < 1 or reps < 1:
         raise ValueError("need n >= 1 and reps >= 1")
 
-    def block(start, stop):
-        gen = RngStream(seed, base_stream + start // BLOCK).generator()
-        left = np.full(stop - start, n, dtype=np.int64)
-        sums = np.zeros(stop - start)
+    def block(gen, rows):
+        left = np.full(rows, n, dtype=np.int64)
+        sums = np.zeros(rows)
         k = 1
         while left.any():
             count = gen.binomial(left, 0.5)
@@ -174,11 +187,11 @@ def petersburg_sum_batch(n: int, reps: int, seed: int, base_stream: int = 0,
             k += 1
         return sums
 
-    return np.concatenate(_map_blocks(block, reps, threads))
+    return _map_blocks(block, reps, seed, base_stream, threads)
 
 
 def _quantile_batch(model: TailModel, u):
-    """Vectorized tail quantile at u in (0, T(x0)]; grid psi falls back to a loop."""
+    """Vectorized tail quantile at u in (0, T(x0)]."""
     x = model._quantile_formula(u)
     return np.maximum(x, model.x0)
 
@@ -239,21 +252,22 @@ def points_from_arrivals(model: TailModel, arrivals):
     return intensity_quantile(model, np.asarray(arrivals, dtype=float))
 
 
-def sample_poisson_points(model: TailModel, cutoff: float,
-                          rng: RngStream) -> PoissonPointSet:
-    """Points of the Poisson process with intensity tails T above the cutoff."""
-    gen = rng.generator()
-    return _poisson_points(model, cutoff, gen)
-
-
-def _poisson_points(model, cutoff, gen):
+def _point_rate(model: TailModel, cutoff: float) -> float:
+    """Expected point count T(cutoff) above the cutoff, within the budget."""
     if cutoff <= 0.0:
         raise ValueError("cutoff must be positive")
     lam = intensity_tail(model, cutoff)
     if lam > _POINT_BUDGET:
         raise ResourceLimitError(
             "expected point count %.3g exceeds the %.0g budget" % (lam, _POINT_BUDGET))
-    arr = _arrivals_below(gen, lam)
+    return lam
+
+
+def sample_poisson_points(model: TailModel, cutoff: float,
+                          rng: RngStream) -> PoissonPointSet:
+    """Points of the Poisson process with intensity tails T above the cutoff."""
+    lam = _point_rate(model, cutoff)
+    arr = _arrivals_below(rng.generator(), lam)
     pts = points_from_arrivals(model, arr) if arr.size else np.empty(0)
     return PoissonPointSet(points=pts, arrival_times=arr,
                            cutoff=float(cutoff), intensity=model)
@@ -273,41 +287,60 @@ def poisson_sum_centering(model: TailModel, cutoff: float) -> float:
     return tail_first_moment(model, cutoff, None)
 
 
+def _check_poisson_sum(model: TailModel, cutoff: float, symmetric: bool):
+    """(lambda, centering) of a Poisson sum, after the contract checks."""
+    if not (0.0 < model.alpha < 2.0):
+        raise ValueError("poisson sums need alpha in (0, 2)")
+    lam = _point_rate(model, cutoff)
+    return lam, 0.0 if symmetric else poisson_sum_centering(model, cutoff)
+
+
+def _poisson_sum_block(model, lam, symmetric, centering, gen, rows):
+    """rows Poisson sums: counts K_i ~ Poisson(lam), then sum T_inverse(lam U).
+
+    Given K_i the unordered arrivals are i.i.d. uniform on (0, lam), and the
+    sum does not see their order, so each replicate needs only its count and
+    K_i uniforms.  The points of all rows are drawn as one flat sequence,
+    _CHUNK at a time (signs after each chunk's uniforms), and reduced per row
+    at the replicate boundaries that fall in the chunk.
+    """
+    ends = np.cumsum(gen.poisson(lam, rows))
+    starts = np.concatenate(([0], ends[:-1]))
+    sums = np.zeros(rows)
+    for c0 in range(0, int(ends[-1]), _CHUNK):
+        c1 = min(c0 + _CHUNK, int(ends[-1]))
+        x = intensity_quantile(model, lam * _open01(gen, c1 - c0))
+        if symmetric:
+            x = x * (2.0 * gen.integers(0, 2, c1 - c0) - 1.0)
+        r0, r1 = np.searchsorted(ends, [c0, c1 - 1], side="right")
+        heads = np.maximum(starts[r0:r1 + 1], c0) - c0
+        full = heads < np.minimum(ends[r0:r1 + 1], c1) - c0
+        sums[r0:r1 + 1][full] += np.add.reduceat(x, heads[full])
+    return sums - centering
+
+
 def sample_semistable_poisson_sum(model: TailModel, cutoff: float, rng: RngStream,
                                   symmetric: bool = False) -> float:
     """One draw of the (centered) sum of Poisson points above the cutoff.
 
     As the cutoff shrinks this converges to the semistable law whose Levy
     measure has tails T.  With symmetric=True each point gets an independent
-    uniform sign and no centering is applied.
+    uniform sign and no centering is applied.  The draw is the one-replicate
+    poisson_sum_batch on stream rng.stream_id.
     """
-    if not (0.0 < model.alpha < 2.0):
-        raise ValueError("poisson sums need alpha in (0, 2)")
-    gen = rng.generator()
-    centering = 0.0 if symmetric else poisson_sum_centering(model, cutoff)
-    return _poisson_sum_one(model, cutoff, gen, symmetric, centering)
-
-
-def _poisson_sum_one(model, cutoff, gen, symmetric, centering):
-    pset = _poisson_points(model, cutoff, gen)
-    pts = pset.points
-    if symmetric and pts.size:
-        pts = pts * (2.0 * gen.integers(0, 2, pts.size) - 1.0)
-    return float(pts.sum()) - centering
+    lam, centering = _check_poisson_sum(model, cutoff, symmetric)
+    return float(_poisson_sum_block(model, lam, symmetric, centering,
+                                    rng.generator(), 1)[0])
 
 
 def poisson_sum_batch(model: TailModel, cutoff: float, reps: int, seed: int,
                       base_stream: int = 0, symmetric: bool = False,
                       threads: int = 1) -> np.ndarray:
-    """reps independent Poisson-sum draws, replicate i on stream base_stream + i."""
-    if not (0.0 < model.alpha < 2.0):
-        raise ValueError("poisson sums need alpha in (0, 2)")
-    lam = intensity_tail(model, cutoff)
-    if lam > _POINT_BUDGET:
-        raise ResourceLimitError("expected point count %.3g over budget" % lam)
-    centering = 0.0 if symmetric else poisson_sum_centering(model, cutoff)
-    return _replicate_map(
-        lambda gen: _poisson_sum_one(model, cutoff, gen, symmetric, centering),
+    """reps independent Poisson-sum draws, block b on stream base_stream + b."""
+    lam, centering = _check_poisson_sum(model, cutoff, symmetric)
+    return _map_blocks(
+        lambda gen, rows: _poisson_sum_block(model, lam, symmetric, centering,
+                                             gen, rows),
         reps, seed, base_stream, threads)
 
 
@@ -337,11 +370,11 @@ def sample_lepage(alpha: float, rng: RngStream, n_terms: int | None = None,
     identically +1.  The positive mode requires alpha < 1 (otherwise the
     series diverges without term-wise centering, which is not provided);
     symmetric mode allows alpha in (0, 2).  n_terms = None picks the
-    truncation from lepage_auto_terms.
+    truncation from lepage_auto_terms.  The draw is the one-replicate
+    lepage_batch on stream rng.stream_id.
     """
-    gen = rng.generator()
-    terms = _lepage_terms(alpha, gen, n_terms, symmetric)
-    return float(terms.sum())
+    p = _lepage_prep(alpha, n_terms, symmetric)
+    return float(_lepage_block(alpha, p, symmetric, rng.generator(), 1)[0])
 
 
 def _lepage_prep(alpha, n_terms, symmetric):
@@ -357,6 +390,7 @@ def _lepage_prep(alpha, n_terms, symmetric):
 
 
 def _lepage_terms(alpha, gen, n_terms, symmetric):
+    """The p signed terms of one series, for row-wise experiments."""
     p = _lepage_prep(alpha, n_terms, symmetric)
     z = np.cumsum(gen.standard_exponential(p))
     mags = z ** (-1.0 / alpha)
@@ -365,13 +399,35 @@ def _lepage_terms(alpha, gen, n_terms, symmetric):
     return mags
 
 
+def _lepage_block(alpha, p, symmetric, gen, rows):
+    """rows LePage sums of p terms from row-wise cumsums of exponential blocks.
+
+    A row longer than one _CHUNK-element block carries its partial sum Z
+    into the next column chunk; signs are drawn after each chunk's
+    exponentials.
+    """
+    sums = np.zeros(rows)
+    for rs in _row_groups(rows, p):
+        carry = np.zeros(rs.stop - rs.start)
+        for c0, c1 in _col_chunks(0, p, carry.size):
+            e = gen.standard_exponential((carry.size, c1 - c0))
+            e[:, 0] += carry
+            z = np.cumsum(e, axis=1)
+            carry = z[:, -1]
+            mags = z ** (-1.0 / alpha)
+            if symmetric:
+                mags *= 2.0 * gen.integers(0, 2, mags.shape) - 1.0
+            sums[rs] += mags.sum(axis=1)
+    return sums
+
+
 def lepage_batch(alpha: float, reps: int, seed: int, symmetric: bool = False,
                  n_terms: int | None = None, base_stream: int = 0,
                  threads: int = 1) -> np.ndarray:
-    """reps independent LePage sums, replicate i on stream base_stream + i."""
+    """reps independent LePage sums, block b on stream base_stream + b."""
     p = _lepage_prep(alpha, n_terms, symmetric)
-    return _replicate_map(lambda gen: _lepage_terms(alpha, gen, p, symmetric).sum(),
-                          reps, seed, base_stream, threads)
+    return _map_blocks(lambda gen, rows: _lepage_block(alpha, p, symmetric, gen, rows),
+                       reps, seed, base_stream, threads)
 
 
 # -- export -------------------------------------------------------------------

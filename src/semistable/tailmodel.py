@@ -79,6 +79,8 @@ class TailModel:
             object.__setattr__(self, "psi_values", tuple(float(v) for v in vals))
         else:
             object.__setattr__(self, "psi_values", ())
+        if self.x0 > 0.0 and not 0.0 < float(self._tail_formula(self.x0)) < math.inf:
+            raise ValueError("x0 must leave a finite positive mass T(x0)")
         _check_nonincreasing(self)
 
     # -- psi and tail formula (intensity reading, any x > 0) ---------------
@@ -122,26 +124,47 @@ class TailModel:
             return np.exp2(k)
         if self.psi_kind == "const":
             return (self.c / u) ** (1.0 / self.alpha)
-        flat = np.atleast_1d(u).ravel()
-        out = np.array([self._quantile_grid(float(v)) for v in flat])
+        out = self._quantile_grid(np.atleast_1d(u).ravel())
         return out.reshape(np.shape(u)) if np.shape(u) else float(out[0])
 
     def _quantile_grid(self, u):
-        # One period block has exact tail ratio q; locate the block, bisect inside.
+        """Grid-psi quantiles: one bisection over all points, each inside its block.
+
+        The period block [r0 rho^(j-1), r0 rho^j], rho = q^(1/alpha), has
+        tail ratio exactly q, so j = ceil(log_q(T(r0)/u)) brackets the
+        quantile; a point the rounded logarithm puts one block off is moved
+        back, so T(hi) <= u < T(lo) holds from the start.  Each point stops
+        once hi - lo <= 1e-12 hi.
+        """
         r0 = self.x0 if self.x0 > 0.0 else 1.0
         t0 = float(self._tail_formula(r0))
-        jstar = math.ceil(math.log(t0 / u, self.q))
         rho = self.q ** (1.0 / self.alpha)
-        lo = r0 * rho ** (jstar - 1)
-        hi = r0 * rho ** jstar
+
+        def edge(j):
+            # r0 * rho**k once per distinct block index k, in logs where
+            # rho**k alone would leave the float range
+            ks, where = np.unique(j, return_inverse=True)
+            return np.array([
+                r0 * rho ** int(k) if abs(k) * math.log(rho) < 700.0
+                else math.exp(math.log(r0) + k * math.log(rho)) for k in ks])[where]
+
+        j = np.ceil((math.log(t0) - np.log(u)) / math.log(self.q))
+        lo, hi = edge(j - 1), edge(j)
+        shift = (self._tail_formula(hi) > u).astype(int) - (self._tail_formula(lo) <= u)
+        if shift.any():
+            j += shift
+            lo, hi = edge(j - 1), edge(j)
+        idx = np.arange(u.size)
         for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if float(self._tail_formula(mid)) <= u:
-                hi = mid
-            else:
-                lo = mid
-            if hi - lo <= 1e-12 * hi:
+            if idx.size == 0:
                 break
+            a, b = lo[idx], hi[idx]
+            mid = 0.5 * (a + b)
+            below = self._tail_formula(mid) <= u[idx]
+            b = np.where(below, mid, b)
+            a = np.where(below, a, mid)
+            lo[idx], hi[idx] = a, b
+            idx = idx[b - a > 1e-12 * b]
         return hi
 
 

@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -116,6 +117,15 @@ def test_cdf_node_budget_exit_code(capsys):
     # x = 1e300 used to run without end
     assert main(["cdf", "--law", "cauchy", "--grid", "0:1e300:1e300"]) == 4
     assert "quadrature nodes" in capsys.readouterr().err
+
+
+def test_cdf_work_budget_exit_code(capsys):
+    # 30001 points, each group inside the node budget; this used to run for
+    # more than a minute
+    t0 = time.perf_counter()
+    assert main(["cdf", "--law", "cauchy", "--grid", "0:30000:1"]) == 4
+    assert time.perf_counter() - t0 < 5.0
+    assert "point x node products" in capsys.readouterr().err
 
 
 def test_parse_error_exit_code():

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from semistable.coupling import (coupled_pair, coupling_gap_curve,
-                                 maximal_fluctuation)
+from semistable import sampling
+from semistable.coupling import (_coupled_block, coupled_pair,
+                                 coupling_gap_curve, maximal_fluctuation)
 from semistable.empirics import ks_two_sample
-from semistable.sampling import RngStream, poisson_sum_batch
+from semistable.sampling import (RngStream, _map_blocks, _open01,
+                                 poisson_sum_batch)
 from semistable.tailmodel import make_pareto, make_petersburg
 
 
@@ -96,3 +98,43 @@ def test_maximal_fluctuation_scale():
     vals_big = [maximal_fluctuation(m, 10 ** 4, RngStream(62, i)) for i in range(200)]
     assert np.median(vals_big) < np.median(vals_small)
     assert min(vals_big) >= 0.0
+
+
+def _reference_path_values(model, n, half, gen):
+    # one replicate on its own stream: count, then a path of uniforms
+    count = int(gen.poisson(n))
+    x = (1.0 / _open01(gen, max(n, count, n + half))) ** (1.0 / model.alpha)
+    scale = float(n) ** (-1.0 / model.alpha)
+    s = np.concatenate(([0.0], np.cumsum(x)))
+    window = s[max(0, n - half):n + half + 1]
+    return scale * np.array([s[n], s[count], abs(s[n] - s[count]),
+                             np.max(np.abs(window - s[n]))])
+
+
+def test_curve_columns_match_per_replicate_paths():
+    m = make_pareto(0.5)  # unit mass, quantile (1/u)^(1/alpha)
+    n, half, reps = 100, 30, 2 * 10 ** 4
+    ref = np.array([_reference_path_values(m, n, half, RngStream(91, i).generator())
+                    for i in range(reps)])
+    vals = _map_blocks(lambda gen, rows: _coupled_block(m, n, half, gen,
+                                                        gen.poisson(n, rows)),
+                       reps, 92)
+    assert vals.shape == (reps, 4)
+    for col in range(4):
+        assert ks_two_sample(vals[:, col], ref[:, col]) <= 2.5 * math.sqrt(2.0 / reps)
+
+
+def test_single_paths_survive_column_chunking(monkeypatch):
+    # with a tiny _CHUNK the head sum and the window cumsum span many column
+    # chunks; the path is the same, only the summation order moves
+    m = make_pareto(0.5)
+    cases = [(300, RngStream(93, i)) for i in range(5)]
+    before = [(coupled_pair(m, n, r), maximal_fluctuation(m, n, r)) for n, r in cases]
+    monkeypatch.setattr(sampling, "_CHUNK", 7)
+    after = [(coupled_pair(m, n, r), maximal_fluctuation(m, n, r)) for n, r in cases]
+    for (p0, f0), (p1, f1) in zip(before, after):
+        assert p1.count == p0.count
+        assert p1.s_hat == pytest.approx(p0.s_hat, rel=1e-12)
+        assert p1.s_bar == pytest.approx(p0.s_bar, rel=1e-12)
+        assert p1.gap == pytest.approx(p0.gap, rel=1e-9, abs=1e-12)
+        assert f1 == pytest.approx(f0, rel=1e-9)

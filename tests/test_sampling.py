@@ -1,9 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from semistable import sampling
 from semistable.charfn import levy_cdf
+from semistable.coupling import coupling_gap_curve
 from semistable.empirics import Ecdf, ks_distance, ks_two_sample
 from semistable.sampling import (PoissonPointSet, ResourceLimitError,
                                  RngStream, _open01, lepage_auto_terms,
@@ -221,15 +226,52 @@ def test_poisson_sum_batch_deterministic_and_threaded():
 
 @pytest.mark.parametrize("threads", (1, 3))
 def test_poisson_sum_batch_stream_layout(threads):
-    # replicate i draws from stream base_stream + i; 300 is not a multiple
-    # of the 256-replicate block
+    # block b of 256 replicates draws from stream base_stream + b, so a
+    # 300-replicate batch on base 5 ends with the 44-replicate batch on base 6
+    for model, symmetric in ((make_pareto(0.5), False),
+                             (make_pareto(1.5, x0=1.0), True)):
+        sums = poisson_sum_batch(model, 1e-3, 300, seed=16, base_stream=5,
+                                 symmetric=symmetric, threads=threads)
+        assert sums.shape == (300,)
+        tail = poisson_sum_batch(model, 1e-3, 44, seed=16, base_stream=6,
+                                 symmetric=symmetric)
+        assert np.array_equal(sums[256:], tail)
+        for b in (5, 6, 7):
+            one = poisson_sum_batch(model, 1e-3, 1, seed=16, base_stream=b,
+                                    symmetric=symmetric)
+            assert one[0] == sample_semistable_poisson_sum(
+                model, 1e-3, RngStream(16, b), symmetric=symmetric)
+
+
+def test_batches_need_a_replicate():
+    # an empty batch used to fail inside np.concatenate
+    with pytest.raises(ValueError, match="reps must be >= 1"):
+        poisson_sum_batch(make_pareto(0.5), 1e-3, 0, seed=1)
+    with pytest.raises(ValueError, match="reps must be >= 1"):
+        lepage_batch(0.5, 0, seed=1, n_terms=10)
+
+
+def test_poisson_sums_match_sums_of_point_sets():
+    # a count plus unordered uniforms against the ordered arrival construction
     m = make_pareto(0.5)
-    sums = poisson_sum_batch(m, 1e-3, 300, seed=16, base_stream=5,
-                             threads=threads)
-    assert sums.shape == (300,)
-    for i in range(300):
-        assert sums[i] == sample_semistable_poisson_sum(
-            m, 1e-3, RngStream(16, 5 + i))
+    reps = 2 * 10 ** 4
+    ref = np.array([sample_poisson_points(m, 1e-4, RngStream(81, i)).points.sum()
+                    for i in range(reps)])
+    sums = poisson_sum_batch(m, 1e-4, reps, seed=82)
+    assert ks_two_sample(sums, ref) <= 2.5 * math.sqrt(2.0 / reps)
+
+
+def test_poisson_sum_memory_is_bounded():
+    # lambda = 1e7 points per replicate, drawn _CHUNK at a time
+    m = make_pareto(0.5)
+    tracemalloc.start()
+    try:
+        sums = poisson_sum_batch(m, 1e-14, 2, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(sums > 0.0)
+    assert peak <= 4 * 2 ** 20
 
 
 def test_dyadic_scaling_of_centered_sums():
@@ -306,12 +348,65 @@ def test_lepage_batch_reproducible():
 @pytest.mark.parametrize("threads", (1, 3))
 @pytest.mark.parametrize("alpha, symmetric", ((0.5, False), (1.5, True)))
 def test_lepage_batch_stream_layout(threads, alpha, symmetric):
+    # block b of 256 replicates draws from stream base_stream + b
     vals = lepage_batch(alpha, 300, seed=3, symmetric=symmetric, n_terms=400,
                         base_stream=5, threads=threads)
     assert vals.shape == (300,)
-    for i in range(300):
-        assert vals[i] == sample_lepage(alpha, RngStream(3, 5 + i), n_terms=400,
-                                        symmetric=symmetric)
+    tail = lepage_batch(alpha, 44, seed=3, symmetric=symmetric, n_terms=400,
+                        base_stream=6)
+    assert np.array_equal(vals[256:], tail)
+    for b in (5, 6, 7):
+        one = lepage_batch(alpha, 1, seed=3, symmetric=symmetric, n_terms=400,
+                           base_stream=b)
+        assert one[0] == sample_lepage(alpha, RngStream(3, b), n_terms=400,
+                                       symmetric=symmetric)
+
+
+@pytest.mark.parametrize("alpha, symmetric", ((0.5, False), (1.5, True)))
+def test_lepage_sums_match_the_per_replicate_series(alpha, symmetric):
+    reps, p = 2 * 10 ** 4, 200
+    ref = np.empty(reps)
+    for i in range(reps):
+        gen = RngStream(83, i).generator()
+        mags = np.cumsum(gen.standard_exponential(p)) ** (-1.0 / alpha)
+        if symmetric:
+            mags *= 2.0 * gen.integers(0, 2, p) - 1.0
+        ref[i] = mags.sum()
+    vals = lepage_batch(alpha, reps, seed=84, symmetric=symmetric, n_terms=p)
+    assert ks_two_sample(vals, ref) <= 2.5 * math.sqrt(2.0 / reps)
+
+
+def test_kernel_chunking_changes_only_rounding(monkeypatch):
+    # a tiny _CHUNK splits every row across column chunks; the uniforms and
+    # exponentials come off the stream in the same order, so only the
+    # summation order moves
+    m = make_pareto(0.5)
+    before = (poisson_sum_batch(m, 1e-3, 40, seed=85),
+              sample_lepage(0.5, RngStream(86), n_terms=500))
+    monkeypatch.setattr(sampling, "_CHUNK", 7)
+    after = (poisson_sum_batch(m, 1e-3, 40, seed=85),
+             sample_lepage(0.5, RngStream(86), n_terms=500))
+    assert np.allclose(after[0], before[0], rtol=1e-12, atol=0.0)
+    assert after[1] == pytest.approx(before[1], rel=1e-12)
+
+
+@settings(max_examples=12, deadline=None)
+@given(reps=st.integers(1, 600), base=st.integers(0, 10 ** 9))
+def test_batches_do_not_depend_on_threads(reps, base):
+    m = make_pareto(0.5)
+    runs = []
+    for threads in (1, 2, 3):
+        curve = coupling_gap_curve(m, [20, 60], reps, RngStream(87, base),
+                                   threads=threads)
+        runs.append((
+            poisson_sum_batch(m, 1e-2, reps, seed=87, base_stream=base,
+                              threads=threads).tobytes(),
+            lepage_batch(0.5, reps, seed=87, n_terms=60, base_stream=base,
+                         threads=threads).tobytes(),
+            petersburg_sum_batch(100, reps, seed=87, base_stream=base,
+                                 threads=threads).tobytes(),
+            curve.statistic))
+    assert runs[0] == runs[1] == runs[2]
 
 
 # -- export -----------------------------------------------------------------------------

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from semistable.tailmodel import (TailModel, gaussian_criterion_ratio,
                                   intensity_quantile, intensity_tail,
@@ -149,6 +151,29 @@ def test_grid_quantile_matches_bisection_inverse():
     for u in (0.7, 0.31, 0.05, 0.011):
         x = tail_quantile(m, u)
         assert tail_eval(m, x) == pytest.approx(u, rel=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(alpha=st.floats(0.3, 1.9), q=st.sampled_from((2, 3, 10)),
+       c=st.floats(0.1, 10.0), x0=st.floats(0.0, 5.0),
+       shape=st.lists(st.floats(-1.0, 1.0), min_size=64, max_size=160),
+       logu=st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=30))
+def test_grid_quantile_galois_property(alpha, q, c, x0, shape, logu):
+    # random grid psi, its slope held inside the monotonicity budget
+    # psi'/psi < alpha ln q (grid steps below ln(q) psi / m, with psi >= 1/2)
+    v = np.array(shape)
+    step = np.max(np.abs(np.diff(np.append(v, v[0]))))
+    amp = min(0.5, 0.4 * math.log(q) / (v.size * step)) if step > 0.0 else 0.0
+    try:
+        m = TailModel(alpha=alpha, q=q, c=c, x0=x0, psi_kind="grid",
+                      psi_values=tuple(1.0 + amp * v))
+    except ValueError as exc:  # T(x0) overflows for x0 near 0
+        assert "finite positive mass" in str(exc)
+        assume(False)
+    u = c * 10.0 ** np.array(logu)
+    x = intensity_quantile(m, u)
+    assert np.all(intensity_tail(m, x) <= u)
+    assert np.all(u < intensity_tail(m, x * (1.0 - 4e-12)))
 
 
 # -- criterion ratio and moments ---------------------------------------------
