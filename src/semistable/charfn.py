@@ -20,6 +20,8 @@ from numpy.polynomial.legendre import leggauss
 from scipy.interpolate import PchipInterpolator
 from scipy.special import erfc, gammaln
 
+from ._arrays import elementwise
+
 __all__ = [
     "CfExponent",
     "InversionError",
@@ -100,32 +102,32 @@ def g_exponent(t, tol: float = 1e-12, max_jump=None):
         raise ValueError("tol must be positive")
     if max_jump is not None and not max_jump > 0.0:
         raise ValueError("max_jump must be positive")
-    ta = np.asarray(t, dtype=float)
-    tt = np.atleast_1d(ta).astype(float)
-    if not np.all(np.isfinite(tt)):
-        raise ValueError("t must be finite")
-    # l0 = -(e + 2) for |t| = m 2^e, m in [0.5, 1), so |t 2^l0| < 1/4
-    l0 = np.minimum(0, -np.frexp(tt)[1] - 2)
-    z = 1j * np.ldexp(tt, l0)
-    total = np.zeros(tt.shape, dtype=complex)
-    for c in _SMALL_C:
-        total = total * z + c
-    total = total * z * z * np.ldexp(1.0, -l0)
-    comp = np.zeros(tt.shape, dtype=complex)
-    for l in range(int(l0.min(initial=0)) + 1, _top_level(tol, max_jump) + 1):
-        # past level 1 by squaring: its rounding error grows like 2^l, which
-        # the weight 2^-l cancels, so each term stays at the ulp of its weight
-        e = e * e if l > 1 else np.exp(1j * np.ldexp(tt, l))
-        term = e - 1.0
-        if l <= 0:
-            term = np.where(l > l0, term - 1j * np.ldexp(tt, l), 0.0)
-        y = term * 2.0 ** float(-l) - comp
-        s = total + y
-        comp = (s - total) - y
-        total = s
-    if np.shape(ta) == ():
-        return complex(total[0])
-    return total.reshape(ta.shape)
+
+    def series(tt):
+        if not np.all(np.isfinite(tt)):
+            raise ValueError("t must be finite")
+        # l0 = -(e + 2) for |t| = m 2^e, m in [0.5, 1), so |t 2^l0| < 1/4
+        l0 = np.minimum(0, -np.frexp(tt)[1] - 2)
+        z = 1j * np.ldexp(tt, l0)
+        total = np.zeros(tt.shape, dtype=complex)
+        for c in _SMALL_C:
+            total = total * z + c
+        total = total * z * z * np.ldexp(1.0, -l0)
+        comp = np.zeros(tt.shape, dtype=complex)
+        for l in range(int(l0.min(initial=0)) + 1, _top_level(tol, max_jump) + 1):
+            # past level 1 by squaring: its rounding error grows like 2^l, which
+            # the weight 2^-l cancels, so each term stays at the ulp of its weight
+            e = e * e if l > 1 else np.exp(1j * np.ldexp(tt, l))
+            term = e - 1.0
+            if l <= 0:
+                term = np.where(l > l0, term - 1j * np.ldexp(tt, l), 0.0)
+            y = term * 2.0 ** float(-l) - comp
+            s = total + y
+            comp = (s - total) - y
+            total = s
+        return total
+
+    return elementwise(series, t, complex)
 
 
 def g_gamma_exponent(t, gamma: float, tol: float = 1e-12, max_jump=None):
@@ -337,8 +339,11 @@ def cdf_from_cf(h: CfExponent, x, tol: float = 1e-8):
     """
     if tol < 1e-10:
         raise ValueError("tol must be >= 1e-10")
-    xa = np.asarray(x, dtype=float)
-    xs = np.atleast_1d(xa).astype(float).ravel()
+    return elementwise(lambda xs: _invert(h, xs, tol), x)
+
+
+def _invert(h, xs, tol):
+    """cdf_from_cf over the flat float array xs."""
     if not np.all(np.isfinite(xs)):
         raise ValueError("x must be finite")
     out = np.empty(xs.size)
@@ -376,18 +381,16 @@ def cdf_from_cf(h: CfExponent, x, tol: float = 1e-8):
             cw = np.exp(hr(t)) * (w / t)
         vals = _phase_sums(xs[mask], t, np.real(cw), np.imag(cw))
         out[mask] = math.exp(-removed_mass) * (0.5 - vals / math.pi)
-    out = np.clip(out, 0.0, 1.0)
-    if np.shape(xa) == ():
-        return float(out[0])
-    return out.reshape(xa.shape)
+    return np.clip(out, 0.0, 1.0)
 
 
 class TabulatedCdf:
     """Monotone interpolant of a CDF table, clamped to the end values outside.
 
-    Callable on scalars or arrays.  Evaluations outside [x[0], x[-1]] return
-    F(x[0]) / F(x[-1]); choose the table span so the clamped tail mass is
-    below the accuracy you need.
+    Callable on scalars or arrays.  Finite evaluations outside
+    [x[0], x[-1]] return F(x[0]) / F(x[-1]); choose the table span so the
+    clamped tail mass is below the accuracy you need.  x = -inf / +inf give
+    0 / 1, and NaN raises ValueError.
     """
 
     def __init__(self, x, f):
@@ -400,17 +403,17 @@ class TabulatedCdf:
         self._interp = PchipInterpolator(x, f, extrapolate=False)
 
     def __call__(self, x):
-        xa = np.asarray(x, dtype=float)
-        out = self._interp(np.clip(xa, self.x_lo, self.x_hi))
-        if np.shape(xa) == ():
-            return float(out)
-        return out
+        return elementwise(lambda v: self._interp(np.clip(v, self.x_lo, self.x_hi)),
+                           x, cdf_from=-np.inf)
+
+
+_TABLE_POINTS = 385  # initial grid points up to min(x_hi, body_hi)
+_TABLE_MAX_GAP = 0.005
 
 
 def tabulate_cdf(h: CfExponent, x_lo: float, x_hi: float, tol: float = 1e-7,
-                 max_gap: float = 0.005, init_points: int = 385,
                  body_hi: float = 48.0, tail_tol: float = 1e-5) -> TabulatedCdf:
-    """Adaptive CDF table: refine wherever a cell steps more than max_gap in F.
+    """Adaptive CDF table: refine wherever a cell steps more than 0.005 in F.
 
     Points beyond body_hi are evaluated at the looser tail_tol; far-tail
     oscillatory quadrature is expensive and KS-style consumers only need
@@ -427,14 +430,14 @@ def tabulate_cdf(h: CfExponent, x_lo: float, x_hi: float, tol: float = 1e-7,
         return out
 
     top = min(x_hi, body_hi)
-    grid = np.linspace(x_lo, top, init_points)
+    grid = np.linspace(x_lo, top, _TABLE_POINTS)
     if x_hi > top:
         grid = np.concatenate([grid, np.geomspace(top + 1.0, x_hi, 48)])
     grid = np.unique(grid)
     f = evaluate(grid)
     for _ in range(6):
         gaps = np.abs(np.diff(f))
-        coarse = np.nonzero(gaps > max_gap)[0]
+        coarse = np.nonzero(gaps > _TABLE_MAX_GAP)[0]
         if coarse.size == 0:
             break
         mids = 0.5 * (grid[coarse] + grid[coarse + 1])
@@ -450,26 +453,21 @@ def tabulate_cdf(h: CfExponent, x_lo: float, x_hi: float, tol: float = 1e-7,
 
 
 def erlang_cdf(p: int, x):
-    """Gamma(p, 1) CDF for integer shape p: 1 - e^{-x} sum_{j<p} x^j/j!."""
+    """Gamma(p, 1) CDF for integer shape p: 1 - e^{-x} sum_{j<p} x^j/j!.
+
+    x = +inf gives 1; NaN raises ValueError."""
     if int(p) != p or p < 1:
         raise ValueError("p must be an integer >= 1")
     p = int(p)
-    xa = np.asarray(x, dtype=float)
-    out = np.zeros(xa.shape if xa.shape else (1,))
-    flat = np.atleast_1d(xa).astype(float)
-    pos = flat > 0.0
-    xp = flat[pos]
-    s = np.ones_like(xp)
-    term = np.ones_like(xp)
-    for j in range(1, p):
-        term = term * xp / j
-        s = s + term
-    vals = -np.expm1(np.log(s) - xp)
-    out = np.zeros(flat.shape)
-    out[pos] = vals
-    if np.shape(xa) == ():
-        return float(out[0])
-    return out.reshape(xa.shape)
+
+    def cdf(v):
+        s = term = np.ones_like(v)
+        for j in range(1, p):
+            term = term * v / j
+            s = s + term
+        return -np.expm1(np.log(s) - v)
+
+    return elementwise(cdf, x, cdf_from=0.0)
 
 
 def levy_cdf(x):
@@ -477,12 +475,6 @@ def levy_cdf(x):
 
     F(x) = erfc(sqrt(pi/(4x))); this is the limit of the sums built on the
     intensity tail T(x) = x**(-1/2) and the LePage series at alpha = 1/2.
+    NaN raises ValueError.
     """
-    xa = np.asarray(x, dtype=float)
-    flat = np.atleast_1d(xa).astype(float)
-    out = np.zeros(flat.shape)
-    pos = flat > 0.0
-    out[pos] = erfc(np.sqrt(math.pi / (4.0 * flat[pos])))
-    if np.shape(xa) == ():
-        return float(out[0])
-    return out.reshape(xa.shape)
+    return elementwise(lambda v: erfc(np.sqrt(math.pi / (4.0 * v))), x, cdf_from=0.0)

@@ -102,31 +102,82 @@ def _config(args, **params) -> dict:
 
 
 def _build_model(args) -> tailmodel.TailModel:
-    if getattr(args, "model_json", None):
+    if args.model_json:
         with open(args.model_json) as fh:
             return tailmodel.model_from_json(fh.read())
     if args.model == "petersburg":
         return tailmodel.make_petersburg(x0=args.x0 if args.x0 is not None else 2.0)
-    if args.model == "pareto":
-        return tailmodel.make_pareto(args.alpha, c=args.c, x0=args.x0)
-    raise ValueError("unknown model %r" % (args.model,))
+    return tailmodel.make_pareto(args.alpha, c=args.c, x0=args.x0)
 
 
-_LAWS = ("g", "g-gamma", "cauchy", "gaussian", "stable")
+_LAWS = {
+    "g": lambda a: charfn.petersburg_law(),
+    "g-gamma": lambda a: charfn.g_gamma_law(a.gamma),
+    "cauchy": lambda a: charfn.cauchy_law(),
+    "gaussian": lambda a: charfn.gaussian_law(),
+    "stable": lambda a: charfn.one_sided_stable_exponent(a.alpha, a.c),
+}
 
 
-def _build_law(args) -> charfn.CfExponent:
-    if args.law == "g":
-        return charfn.petersburg_law()
-    if args.law == "g-gamma":
-        return charfn.g_gamma_law(args.gamma)
-    if args.law == "cauchy":
-        return charfn.cauchy_law()
-    if args.law == "gaussian":
-        return charfn.gaussian_law()
-    if args.law == "stable":
-        return charfn.one_sided_stable_exponent(args.alpha, args.c)
-    raise ValueError("unknown law %r" % (args.law,))
+_REQUIRED_INT = {"type": int, "required": True}
+
+
+def _real(default):
+    return {"type": float, "default": default}
+
+
+# name: (help, run(args, rng) -> ExperimentReport, flags, default --reps);
+# the artifact config records every flag of the row plus --reps
+_EXPERIMENTS = {
+    "merging": (
+        "sup distance of S_n/n - log2 n to the family law at gamma_n",
+        lambda a, rng: empirics.merging_experiment(a.n, a.reps, rng,
+                                                   tolerance=a.tolerance),
+        [("--n", _REQUIRED_INT), ("--tolerance", _real(0.03))], 200000),
+    "mlof": (
+        "dyadic-subsequence limit: KS at n = 2^k",
+        lambda a, rng: empirics.martin_lof_experiment(a.k, a.reps, rng,
+                                                      tolerance=a.tolerance),
+        [("--k", _REQUIRED_INT), ("--tolerance", _real(0.02))], 200000),
+    "feller": (
+        "weak-law exceedance vs the limit prediction",
+        lambda a, rng: empirics.feller_experiment(a.n, a.reps, rng),
+        [("--n", _REQUIRED_INT)], 2000),
+    "coupling": (
+        "gap curve of the Poisson-count coupling",
+        lambda a, rng: coupling.coupling_gap_curve(tailmodel.make_pareto(a.alpha),
+                                                   a.n_list, a.reps, rng),
+        [("--alpha", _real(0.5)),
+         ("--n-list", {"type": _parse_counts, "default": "100,1000,10000"})], 10000),
+    "lepage": (
+        "LePage series vs normalized block sums",
+        lambda a, rng: empirics.lepage_limit_experiment(
+            a.alpha, a.k, a.reps, rng, symmetric=a.symmetric,
+            n_terms=None if a.n_terms in (None, "auto") else int(a.n_terms),
+            tolerance=a.tolerance),
+        [("--alpha", _real(0.5)), ("--k", {"type": int, "default": 14}),
+         ("--symmetric", {"action": "store_true"}),
+         ("--n-terms", {"default": None,
+                        "help": "series truncation (integer or 'auto')"}),
+         ("--tolerance", _real(0.015))], 100000),
+    "orderstats": (
+        "uniform order statistics vs the Gamma limit",
+        lambda a, rng: empirics.order_statistics_experiment(
+            a.p, a.n, a.reps, rng, ks_tolerance=a.tolerance),
+        [("--p", _REQUIRED_INT), ("--n", _REQUIRED_INT), ("--tolerance", _real(0.012))], 100000),
+    "negligibility": (
+        "max-to-sum ratio across tail exponents",
+        lambda a, rng: empirics.negligibility_experiment(a.alphas, a.n, a.reps, rng),
+        [("--alphas", {"type": _parse_reals, "default": "0.5,2.5"}),
+         ("--n", {"type": int, "default": 10000})], 1000),
+    "sweep": (
+        "merging walk across one dyadic octave",
+        lambda a, rng: empirics.merging_sweep(a.k, a.points, a.reps, rng,
+                                              tol_max=a.tol_max,
+                                              tol_two_sample=a.tol_two_sample),
+        [("--k", _REQUIRED_INT), ("--points", {"type": int, "default": 8}),
+         ("--tol-max", _real(0.04)), ("--tol-two-sample", _real(0.015))], 100000),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -142,7 +193,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="artifact path (default: stdout)")
         p.add_argument("--format", choices=("csv", "json", "jsonl"), default="json")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker threads; outputs do not depend on this")
+                       help="accepted and ignored; replicates run in order")
         if reps_default is not None:
             p.add_argument("--reps", type=int, default=reps_default)
 
@@ -168,54 +219,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-8)
     common(p)
 
-    p = sub.add_parser("merging", help="sup distance of S_n/n - log2 n to the "
-                                       "family law at gamma_n")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--tolerance", type=float, default=0.03)
-    common(p, reps_default=200000)
-
-    p = sub.add_parser("mlof", help="dyadic-subsequence limit: KS at n = 2^k")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--tolerance", type=float, default=0.02)
-    common(p, reps_default=200000)
-
-    p = sub.add_parser("feller", help="weak-law exceedance vs the limit prediction")
-    p.add_argument("--n", type=int, required=True)
-    common(p, reps_default=2000)
-
-    p = sub.add_parser("coupling", help="gap curve of the Poisson-count coupling")
-    p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--n-list", default="100,1000,10000")
-    common(p, reps_default=10000)
-
-    p = sub.add_parser("lepage", help="LePage series vs normalized block sums")
-    p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--k", type=int, default=14)
-    p.add_argument("--symmetric", action="store_true")
-    p.add_argument("--n-terms", default=None,
-                   help="series truncation (integer or 'auto')")
-    p.add_argument("--tolerance", type=float, default=0.015)
-    common(p, reps_default=100000)
-
-    p = sub.add_parser("orderstats", help="uniform order statistics vs the "
-                                          "Gamma limit")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--tolerance", type=float, default=0.012)
-    common(p, reps_default=100000)
-
-    p = sub.add_parser("negligibility", help="max-to-sum ratio across tail "
-                                             "exponents")
-    p.add_argument("--alphas", default="0.5,2.5")
-    p.add_argument("--n", type=int, default=10000)
-    common(p, reps_default=1000)
-
-    p = sub.add_parser("sweep", help="merging walk across one dyadic octave")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--points", type=int, default=8)
-    p.add_argument("--tol-max", type=float, default=0.04)
-    p.add_argument("--tol-two-sample", type=float, default=0.015)
-    common(p, reps_default=100000)
+    for name, (help_, _, flags, reps) in _EXPERIMENTS.items():
+        p = sub.add_parser(name, help=help_)
+        for flag, kwargs in flags:
+            p.add_argument(flag, **kwargs)
+        common(p, reps_default=reps)
 
     p = sub.add_parser("selftest", help="fast subset of the acceptance checks")
     p.add_argument("--g-tol", type=float, default=1e-12, help=argparse.SUPPRESS)
@@ -230,9 +238,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_sample(args) -> int:
     model = _build_model(args)
     rng = sampling.RngStream(args.seed, args.stream)
-    if args.model == "petersburg" and not args.symmetrize and args.model_json is None \
-            and (args.x0 is None or args.x0 == 2.0):
-        batch = sampling.sample_petersburg(args.n, rng)
+    if args.model == "petersburg" and args.model_json is None and args.x0 in (None, 2.0):
+        # the game itself: the x0 = 2 model would draw X | X > 2
+        batch = sampling._uniform_batch(sampling.petersburg_from_uniform, args.n,
+                                        rng, "petersburg", args.symmetrize)
     else:
         batch = sampling.sample_tail_model(model, args.n, rng,
                                            symmetrize=args.symmetrize)
@@ -248,7 +257,7 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_cdf(args) -> int:
-    law = _build_law(args)
+    law = _LAWS[args.law](args)
     xs = _parse_grid(args.grid)
     f = charfn.cdf_from_cf(law, xs, tol=args.tol)
     config = _config(args, law=args.law, gamma=args.gamma, alpha=args.alpha,
@@ -262,90 +271,18 @@ def _cmd_cdf(args) -> int:
     return 0
 
 
-def _finish_experiment(report, config, args) -> int:
-    _emit_summary(report.to_dict(), config, args)
-    return 0 if report.passed else 3
-
-
-def _cmd_merging(args) -> int:
-    rng = sampling.RngStream(args.seed)
-    report = empirics.merging_experiment(args.n, args.reps, rng,
-                                         threads=args.threads,
-                                         tolerance=args.tolerance)
-    return _finish_experiment(report, _config(args, n=args.n, reps=args.reps,
-                                              tolerance=args.tolerance), args)
-
-
-def _cmd_mlof(args) -> int:
-    rng = sampling.RngStream(args.seed)
-    report = empirics.martin_lof_experiment(args.k, args.reps, rng,
-                                            threads=args.threads,
-                                            tolerance=args.tolerance)
-    return _finish_experiment(report, _config(args, k=args.k, reps=args.reps,
-                                              tolerance=args.tolerance), args)
-
-
-def _cmd_feller(args) -> int:
-    rng = sampling.RngStream(args.seed)
-    report = empirics.feller_experiment(args.n, args.reps, rng,
-                                        threads=args.threads)
-    return _finish_experiment(report, _config(args, n=args.n, reps=args.reps), args)
-
-
-def _cmd_coupling(args) -> int:
-    n_list = _parse_counts(args.n_list)
-    model = tailmodel.make_pareto(args.alpha)
-    rng = sampling.RngStream(args.seed)
-    report = coupling.coupling_gap_curve(model, n_list, args.reps, rng,
-                                         threads=args.threads)
-    config = _config(args, alpha=args.alpha, n_list=n_list, reps=args.reps)
-    if args.out and args.format == "csv":
+def _cmd_experiment(args) -> int:
+    _, run, flags, _ = _EXPERIMENTS[args.command]
+    keys = [flag[2:].replace("-", "_") for flag, _ in flags] + ["reps"]
+    config = _config(args, **{k: getattr(args, k) for k in keys})
+    report = run(args, sampling.RngStream(args.seed))
+    if args.command == "coupling" and args.out and args.format == "csv":
         rows = [(r["n"], r["median_gap"], r["q90_gap"], r["ks"])
                 for r in report.statistic["rows"]]
         _write_csv(args.out, config, ("n", "median_gap", "q90_gap", "ks"), rows)
-        return 0 if report.passed else 3
-    return _finish_experiment(report, config, args)
-
-
-def _cmd_lepage(args) -> int:
-    n_terms = None
-    if args.n_terms is not None and str(args.n_terms) != "auto":
-        n_terms = int(args.n_terms)
-    rng = sampling.RngStream(args.seed)
-    report = empirics.lepage_limit_experiment(
-        args.alpha, args.k, args.reps, rng, threads=args.threads,
-        symmetric=args.symmetric, n_terms=n_terms, tolerance=args.tolerance)
-    return _finish_experiment(report, _config(
-        args, alpha=args.alpha, k=args.k, reps=args.reps,
-        symmetric=bool(args.symmetric), n_terms=args.n_terms,
-        tolerance=args.tolerance), args)
-
-
-def _cmd_orderstats(args) -> int:
-    rng = sampling.RngStream(args.seed)
-    report = empirics.order_statistics_experiment(
-        args.p, args.n, args.reps, rng, threads=args.threads,
-        ks_tolerance=args.tolerance)
-    return _finish_experiment(report, _config(args, p=args.p, n=args.n,
-                                              reps=args.reps), args)
-
-
-def _cmd_negligibility(args) -> int:
-    alphas = _parse_reals(args.alphas)
-    rng = sampling.RngStream(args.seed)
-    report = empirics.negligibility_experiment(alphas, args.n, args.reps, rng,
-                                               threads=args.threads)
-    return _finish_experiment(report, _config(args, alphas=alphas, n=args.n,
-                                              reps=args.reps), args)
-
-
-def _cmd_sweep(args) -> int:
-    rng = sampling.RngStream(args.seed)
-    report = empirics.merging_sweep(args.k, args.points, args.reps, rng,
-                                    threads=args.threads, tol_max=args.tol_max,
-                                    tol_two_sample=args.tol_two_sample)
-    return _finish_experiment(report, _config(args, k=args.k, points=args.points,
-                                              reps=args.reps), args)
+    else:
+        _emit_summary(report.to_dict(), config, args)
+    return 0 if report.passed else 3
 
 
 # -- selftest -------------------------------------------------------------------
@@ -433,19 +370,8 @@ def _cmd_selftest(args) -> int:
     return code
 
 
-_DISPATCH = {
-    "sample": _cmd_sample,
-    "cdf": _cmd_cdf,
-    "merging": _cmd_merging,
-    "mlof": _cmd_mlof,
-    "feller": _cmd_feller,
-    "coupling": _cmd_coupling,
-    "lepage": _cmd_lepage,
-    "orderstats": _cmd_orderstats,
-    "negligibility": _cmd_negligibility,
-    "sweep": _cmd_sweep,
-    "selftest": _cmd_selftest,
-}
+_DISPATCH = {"sample": _cmd_sample, "cdf": _cmd_cdf, "selftest": _cmd_selftest,
+             **dict.fromkeys(_EXPERIMENTS, _cmd_experiment)}
 
 
 def main(argv=None) -> int:

@@ -23,6 +23,8 @@ from .tailmodel import TailModel, tail_eval
 
 __all__ = ["CoupledPair", "coupled_pair", "coupling_gap_curve", "maximal_fluctuation"]
 
+_C_MULT = 3.0  # fluctuation window |j - n| <= _C_MULT sqrt(n)
+
 
 @dataclass(frozen=True)
 class CoupledPair:
@@ -99,15 +101,14 @@ def coupled_pair(model: TailModel, n: int, rng: RngStream,
                        gap=float(gap))
 
 
-def maximal_fluctuation(model: TailModel, n: int, rng: RngStream,
-                        c_mult: float = 3.0) -> float:
-    """Empirical max of |S_j - S_n| * n**(-1/alpha) over |j - n| <= c_mult*sqrt(n).
+def maximal_fluctuation(model: TailModel, n: int, rng: RngStream) -> float:
+    """Empirical max of |S_j - S_n| * n**(-1/alpha) over |j - n| <= 3 sqrt(n).
 
     The coupling argument needs this fluctuation to vanish; it is reported
     rather than bounded.
     """
     _check_coupling_model(model, n)
-    half = math.ceil(c_mult * math.sqrt(n))
+    half = math.ceil(_C_MULT * math.sqrt(n))
     return float(_coupled_block(model, n, half, rng.generator(), np.array([n]))[0, 3])
 
 
@@ -120,26 +121,30 @@ def _median_stderr(values):
 
 def coupling_gap_curve(model: TailModel, n_list, reps: int, rng: RngStream,
                        threads: int = 1, with_ks: bool = True,
-                       ks_tolerance: float = 0.02, c_mult: float = 3.0):
+                       ks_tolerance: float = 0.02):
     """Gap statistics across n: medians, 0.9-quantiles, the monotone-trend
     fraction, per-n two-sample KS between the coupled sums, and the median
     maximal fluctuation.
 
     Returns an ExperimentReport; pass requires every adjacent median pair to
     decrease (fraction 1.0) and, when with_ks, each KS below ks_tolerance.
+    The fluctuation window is |j - n| <= 3 sqrt(n); threads is accepted and
+    ignored.
     """
     from .empirics import ExperimentReport, ks_two_sample
 
-    _check_coupling_model(model, int(n_list[0]))
     n_list = [int(n) for n in n_list]
+    if not n_list:
+        raise ValueError("n_list must not be empty")
+    _check_coupling_model(model, n_list[0])
     if any(n < 10 for n in n_list):
         raise ValueError("coupling curve needs n >= 10")
     rows = []
     for idx, n in enumerate(n_list):
-        half = math.ceil(c_mult * math.sqrt(n))
+        half = math.ceil(_C_MULT * math.sqrt(n))
         vals = _map_blocks(
             lambda gen, rows: _coupled_block(model, n, half, gen, gen.poisson(n, rows)),
-            reps, rng.seed, rng.stream_id + idx * _STRIDE, threads)
+            reps, rng.seed, rng.stream_id + idx * _STRIDE)
         row = {
             "n": n,
             "median_gap": float(np.median(vals[:, 2])),
@@ -159,7 +164,7 @@ def coupling_gap_curve(model: TailModel, n_list, reps: int, rng: RngStream,
     return ExperimentReport(
         experiment="coupling_gap_curve",
         params={"alpha": model.alpha, "n_list": n_list, "reps": reps,
-                "c_mult": c_mult},
+                "c_mult": _C_MULT},
         statistic={"monotone_fraction": fraction, "rows": rows},
         stderr=stderr,
         seed=rng.seed,

@@ -1,11 +1,12 @@
 """Empirical distribution machinery and the Monte Carlo limit-theorem experiments.
 
 Each experiment simulates on Philox streams addressed by replicate position
-alone, so results are bitwise independent of the thread count.  The layout
-lives in sampling._map_blocks: replicates [256 b, 256 b + 256) draw from
-stream base + b, St. Petersburg sums through a vectorized block kernel and
-the other experiments one row after another from the block's stream.  Each
-compares against the inverted limit CDF or a closed-form oracle.
+alone.  The layout lives in sampling._map_blocks: replicates
+[256 b, 256 b + 256) draw from stream base + b, a block at a time (the
+LePage experiment draws its rows one after another from the block's
+stream).  The threads= keywords are accepted and ignored, so results are
+bitwise independent of them.  Each experiment compares against the
+inverted limit CDF or a closed-form oracle.
 Reports carry the statistic, a Monte Carlo standard error where one makes
 sense, the seed and the pass/fail verdict at the stated tolerance.
 """
@@ -14,14 +15,16 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .charfn import (TabulatedCdf, cdf_from_cf, erlang_cdf, g_gamma_law,
                      tabulate_cdf)
+from ._arrays import elementwise
 from .sampling import (_STRIDE, RngStream, _lepage_prep, _lepage_terms,
-                       _map_blocks, _open01, _rows, petersburg_sum_batch)
+                       _map_blocks, _open01, _row_groups, _rows,
+                       petersburg_sum_batch)
 
 __all__ = [
     "Ecdf",
@@ -58,9 +61,9 @@ class Ecdf:
         return len(self.values)
 
     def __call__(self, x):
-        out = np.searchsorted(self.values, np.asarray(x, dtype=float),
-                              side="right") / self.n
-        return float(out) if np.shape(x) == () else out
+        return elementwise(
+            lambda v: np.searchsorted(self.values, v, side="right") / self.n,
+            x, cdf_from=-np.inf)
 
 
 def ks_distance(e: Ecdf, cdf) -> float:
@@ -193,19 +196,23 @@ def _ks_versus_limit(vals: np.ndarray, gamma: float) -> float:
 # -- experiments ----------------------------------------------------------------
 
 
-def feller_experiment(n: int, reps: int, rng: RngStream, threads: int = 1,
-                      tol_base: float = 0.02) -> ExperimentReport:
+_FELLER_TOL_BASE = 0.02
+_RANK_CHECKS = 3  # LePage extremes compared rank by rank
+
+
+def feller_experiment(n: int, reps: int, rng: RngStream,
+                      threads: int = 1) -> ExperimentReport:
     """Weak-law drift check: S_n/(n log2 n) is near 1, at the rate the limit
     family predicts.
 
     Reports the empirical exceedance P(|S_n/(n log2 n) - 1| > eps) for
     eps in {0.5, 0.25} and compares the 0.5 figure with the limit-law value
     P(|W| > 0.5 log2 n), W following the family law at gamma_n; the
-    tolerance is tol_base + 3 * binomial stderr.
+    tolerance is 0.02 + 3 * binomial stderr.
     """
     if n < 2 or reps < 100:
         raise ValueError("need n >= 2 and reps >= 100")
-    sums = petersburg_sum_batch(n, reps, rng.seed, rng.stream_id, threads)
+    sums = petersburg_sum_batch(n, reps, rng.seed, rng.stream_id)
     log2n = math.log2(n)
     w = sums / (n * log2n) - 1.0
     exc_half = float(np.mean(np.abs(w) > 0.5))
@@ -216,7 +223,7 @@ def feller_experiment(n: int, reps: int, rng: RngStream, threads: int = 1,
     predicted = float(1.0 - cdf_from_cf(law, thr) + cdf_from_cf(law, -thr))
     stat = abs(exc_half - predicted)
     stderr = math.sqrt(max(exc_half * (1.0 - exc_half), 1e-12) / reps)
-    tolerance = tol_base + 3.0 * stderr
+    tolerance = _FELLER_TOL_BASE + 3.0 * stderr
     return ExperimentReport(
         experiment="feller",
         params={"n": n, "reps": reps},
@@ -232,24 +239,12 @@ def feller_experiment(n: int, reps: int, rng: RngStream, threads: int = 1,
 
 def martin_lof_experiment(k: int, reps: int, rng: RngStream, threads: int = 1,
                           tolerance: float = 0.02) -> ExperimentReport:
-    """KS distance of S_{2^k}/2^k - k against the inverted limit CDF."""
+    """KS distance of S_{2^k}/2^k - k against the inverted limit CDF: the
+    merging experiment at n = 2^k, where gamma_n = 1."""
     if not (4 <= k <= 20):
         raise ValueError("k must lie in [4, 20]")
-    if reps < 10 ** 4:
-        raise ValueError("reps must be >= 1e4")
-    n = 1 << k
-    sums = petersburg_sum_batch(n, reps, rng.seed, rng.stream_id, threads)
-    vals = sums / n - k
-    stat = _ks_versus_limit(vals, 1.0)
-    return ExperimentReport(
-        experiment="martin_lof",
-        params={"k": k, "reps": reps},
-        statistic=stat,
-        stderr=0.5 / math.sqrt(reps),
-        seed=rng.seed,
-        tolerance=tolerance,
-        passed=bool(stat <= tolerance),
-    )
+    report = merging_experiment(1 << k, reps, rng, tolerance=tolerance)
+    return replace(report, experiment="martin_lof", params={"k": k, "reps": reps})
 
 
 def merging_experiment(n: int, reps: int, rng: RngStream, threads: int = 1,
@@ -260,7 +255,7 @@ def merging_experiment(n: int, reps: int, rng: RngStream, threads: int = 1,
     if reps < 10 ** 4:
         raise ValueError("reps must be >= 1e4")
     gamma = gamma_n(n)
-    sums = petersburg_sum_batch(n, reps, rng.seed, rng.stream_id, threads)
+    sums = petersburg_sum_batch(n, reps, rng.seed, rng.stream_id)
     vals = sums / n - math.log2(n)
     stat = _ks_versus_limit(vals, gamma)
     return ExperimentReport(
@@ -289,21 +284,13 @@ def merging_sweep(k: int, points_per_octave: int, reps: int, rng: RngStream,
         raise ValueError("points_per_octave must be >= 1")
     ns = [round((1 << k) * (1.0 + i / points_per_octave))
           for i in range(points_per_octave + 1)]
-    distances = []
-    gammas = []
-    first_vals = last_vals = None
+    gammas = [gamma_n(n) for n in ns]
+    vals = []
     for idx, n in enumerate(ns):
-        base = rng.stream_id + idx * _STRIDE
-        sums = petersburg_sum_batch(n, reps, rng.seed, base, threads)
-        vals = sums / n - math.log2(n)
-        gamma = gamma_n(n)
-        gammas.append(gamma)
-        distances.append(_ks_versus_limit(vals, gamma))
-        if idx == 0:
-            first_vals = vals
-        if idx == len(ns) - 1:
-            last_vals = vals
-    ks2 = ks_two_sample(first_vals, last_vals)
+        sums = petersburg_sum_batch(n, reps, rng.seed, rng.stream_id + idx * _STRIDE)
+        vals.append(sums / n - math.log2(n))
+    distances = [_ks_versus_limit(v, g) for v, g in zip(vals, gammas)]
+    ks2 = ks_two_sample(vals[0], vals[-1])
     max_distance = float(np.max(distances))
     closure = gammas[0] == gammas[-1] == 1.0
     passed = max_distance <= tol_max and ks2 <= tol_two_sample and closure
@@ -338,15 +325,15 @@ def order_statistics_experiment(p: int, n: int, reps: int, rng: RngStream,
     if reps < 100:
         raise ValueError("reps must be >= 100")
 
-    def draw(gen):
-        u = gen.random(n)
-        if p == 1:
-            return u.min()
-        if p == n:
-            return u.max()
-        return np.partition(u, p - 1)[p - 1]
+    def block(gen, rows):
+        ys = np.empty(rows)
+        for rs in _row_groups(rows, n):
+            u = gen.random((rs.stop - rs.start, n))
+            u.partition(p - 1, axis=1)
+            ys[rs] = u[:, p - 1]
+        return ys
 
-    ys = _map_blocks(_rows(draw), reps, rng.seed, rng.stream_id, threads)
+    ys = _map_blocks(block, reps, rng.seed, rng.stream_id)
     mean_exact = p / (n + 1.0)
     var_exact = p * (n - p + 1.0) / ((n + 1.0) ** 2 * (n + 2.0))
     mean_err = float(abs(ys.mean() - mean_exact))
@@ -375,37 +362,33 @@ def order_statistics_experiment(p: int, n: int, reps: int, rng: RngStream,
 
 
 def negligibility_experiment(alpha_list, n: int, reps: int, rng: RngStream,
-                             threads: int = 1, bounds: dict | None = None
-                             ) -> ExperimentReport:
+                             threads: int = 1) -> ExperimentReport:
     """Median of max|x| / sum|x| across tail exponents.
 
     For alpha < 2 the largest term keeps the order of magnitude of the whole
     sum; past the finite-variance threshold it becomes negligible.  The
     ratio is invariant under the symmetrizing signs, so only magnitudes are
-    drawn.  Default bounds: median >= 0.2 for alpha < 1 and <= 0.05 for
-    alpha > 2.
+    drawn.  Bounds: median >= 0.2 for alpha < 1 and <= 0.05 for alpha > 2.
     """
     if n < 10 ** 3:
         raise ValueError("n must be >= 1e3")
     alpha_list = [float(a) for a in alpha_list]
-    if bounds is None:
-        bounds = {}
-        for a in alpha_list:
-            if a < 1.0:
-                bounds[a] = (0.2, 1.0)
-            elif a > 2.0:
-                bounds[a] = (0.0, 0.05)
-            else:
-                bounds[a] = (0.0, 1.0)
+    if not alpha_list:
+        raise ValueError("alpha_list must not be empty")
+    bounds = {a: (0.2, 1.0) if a < 1.0 else (0.0, 0.05) if a > 2.0 else (0.0, 1.0)
+              for a in alpha_list}
 
-    def ratio(gen, alpha):
-        mags = _open01(gen, n) ** (-1.0 / alpha)
-        return mags.max() / mags.sum()
+    def block(gen, rows, alpha):
+        ratios = np.empty(rows)
+        for rs in _row_groups(rows, n):
+            mags = _open01(gen, (rs.stop - rs.start, n)) ** (-1.0 / alpha)
+            ratios[rs] = mags.max(axis=1) / mags.sum(axis=1)
+        return ratios
 
     medians = {}
     for idx, alpha in enumerate(alpha_list):
-        ratios = _map_blocks(_rows(lambda gen: ratio(gen, alpha)), reps, rng.seed,
-                             rng.stream_id + idx * _STRIDE, threads)
+        ratios = _map_blocks(lambda gen, rows: block(gen, rows, alpha), reps,
+                             rng.seed, rng.stream_id + idx * _STRIDE)
         medians[alpha] = float(np.median(ratios))
     passed = all(bounds[a][0] <= medians[a] <= bounds[a][1] for a in alpha_list)
     return ExperimentReport(
@@ -422,36 +405,35 @@ def negligibility_experiment(alpha_list, n: int, reps: int, rng: RngStream,
 def lepage_limit_experiment(alpha: float, k: int, reps: int, rng: RngStream,
                             threads: int = 1, symmetric: bool = False,
                             n_terms: int | None = None,
-                            tolerance: float = 0.015,
-                            rank_checks: int = 3) -> ExperimentReport:
+                            tolerance: float = 0.015) -> ExperimentReport:
     """Normalized i.i.d. block sums against the LePage series, as two samples.
 
     Batch (a): n = 2^k pure power-tail draws per replicate, summed and scaled
     by n**(-1/alpha) (signs randomized in symmetric mode).  Batch (b): the
     truncated LePage series.  The statistic is the two-sample KS distance;
     the per-rank extremes n**(-1/alpha) * rho_p are compared with the series
-    terms Z_p**(-1/alpha) for p = 1..rank_checks.
+    terms Z_p**(-1/alpha) for p = 1, 2, 3.
     """
     if not (4 <= k <= 24):
         raise ValueError("k must lie in [4, 24]")
     n = 1 << k
     p_terms = _lepage_prep(alpha, n_terms, symmetric)
-    r = int(rank_checks)
+    r = _RANK_CHECKS
 
     scale = float(n) ** (-1.0 / alpha)
 
     def draw_a(gen):
         mags = _open01(gen, n) ** (-1.0 / alpha)
         signed = mags * (2.0 * gen.integers(0, 2, n) - 1.0) if symmetric else mags
-        top = np.sort(np.partition(mags, n - r)[n - r:])[::-1] if r else mags[:0]
+        top = np.sort(np.partition(mags, n - r)[n - r:])[::-1]
         return scale * np.concatenate(([signed.sum()], top))
 
     def draw_b(gen):
         terms = _lepage_terms(alpha, gen, p_terms, symmetric)
         return np.concatenate(([terms.sum()], np.abs(terms[:r])))
 
-    a = _map_blocks(_rows(draw_a), reps, rng.seed, rng.stream_id, threads)
-    b = _map_blocks(_rows(draw_b), reps, rng.seed, rng.stream_id + _STRIDE, threads)
+    a = _map_blocks(_rows(draw_a), reps, rng.seed, rng.stream_id)
+    b = _map_blocks(_rows(draw_b), reps, rng.seed, rng.stream_id + _STRIDE)
     ks2 = ks_two_sample(a[:, 0], b[:, 0])
     rank_ks = [float(ks_two_sample(a[:, 1 + j], b[:, 1 + j])) for j in range(r)]
     passed = ks2 <= tolerance

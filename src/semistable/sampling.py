@@ -7,23 +7,23 @@ streams regardless of scheduling.  One private helper owns the stream
 layout for the whole package: _map_blocks splits a batch of replicates
 into fixed blocks of BLOCK (256), and block b draws all its replicates from
 stream base_stream + b.  Batches draw a block at a time through vectorized
-kernels whose temporaries hold at most _CHUNK doubles; the per-replicate
-experiments draw their rows one after another from the block's stream.
-The single-draw functions run the same kernels on one row.  This layout is
-what makes the experiment layer thread-invariant.
+kernels whose temporaries hold at most _CHUNK doubles; the LePage
+experiment draws its rows one after another from the block's stream.
+The single-draw functions run the same kernels on one row.  Blocks run in
+order on the calling thread; the threads= keywords are accepted and
+ignored, so outputs cannot depend on them.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .tailmodel import (TailModel, intensity_quantile, intensity_tail,
-                        tail_eval, tail_first_moment)
+                        model_to_json, tail_eval, tail_first_moment)
 
 __all__ = [
     "RngStream",
@@ -67,30 +67,20 @@ class RngStream:
                        dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
 
-    def shifted(self, offset: int) -> "RngStream":
-        return RngStream(self.seed, self.stream_id + offset)
 
-
-def _map_blocks(block_fn, reps: int, seed: int, base_stream: int = 0,
-                threads: int = 1) -> np.ndarray:
+def _map_blocks(block_fn, reps: int, seed: int, base_stream: int = 0) -> np.ndarray:
     """Concatenate block_fn(gen, rows) over fixed blocks of BLOCK replicates.
 
     Block b covers replicates [b * BLOCK, min((b + 1) * BLOCK, reps)) and
     draws from the stream (seed, base_stream + b) alone, so the result
-    depends on (seed, base_stream, reps) and never on threads.
+    depends on (seed, base_stream, reps) only.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
-
-    def run(b):
-        gen = RngStream(seed, base_stream + b).generator()
-        return block_fn(gen, min(BLOCK, reps - b * BLOCK))
-
-    blocks = range(-(-reps // BLOCK))
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=int(threads)) as ex:
-            return np.concatenate(list(ex.map(run, blocks)))
-    return np.concatenate([run(b) for b in blocks])
+    return np.concatenate([
+        block_fn(RngStream(seed, base_stream + b).generator(),
+                 min(BLOCK, reps - b * BLOCK))
+        for b in range(-(-reps // BLOCK))])
 
 
 def _rows(draw):
@@ -151,14 +141,23 @@ def petersburg_from_uniform(u):
     return np.ldexp(1.0, k)
 
 
-def sample_petersburg(n: int, rng: RngStream) -> SampleBatch:
-    """n independent St. Petersburg draws."""
+def _uniform_batch(transform, n: int, rng: RngStream, model: str,
+                   symmetrize: bool = False) -> SampleBatch:
+    """transform(U) for n uniforms U on (0, 1]; with symmetrize the values get
+    independent uniform signs, drawn after them on the same stream."""
     if n < 1:
         raise ValueError("n must be >= 1")
     gen = rng.generator()
-    values = petersburg_from_uniform(_open01(gen, n))
-    return SampleBatch(values=values, model="petersburg",
-                       seed=rng.seed, stream_id=rng.stream_id)
+    values = transform(_open01(gen, n))
+    if symmetrize:
+        values = values * (2.0 * gen.integers(0, 2, n) - 1.0)
+    return SampleBatch(values=values, model=model, seed=rng.seed,
+                       stream_id=rng.stream_id)
+
+
+def sample_petersburg(n: int, rng: RngStream) -> SampleBatch:
+    """n independent St. Petersburg draws."""
+    return _uniform_batch(petersburg_from_uniform, n, rng, "petersburg")
 
 
 def petersburg_sum_batch(n: int, reps: int, seed: int, base_stream: int = 0,
@@ -170,8 +169,8 @@ def petersburg_sum_batch(n: int, reps: int, seed: int, base_stream: int = 0,
     S_n = sum_k N_k 2^k costs about log2(n) binomial draws instead of n
     uniforms.  Counts are int64 and the float64 sums are exact below 2^53.
     Block b of BLOCK replicates draws from stream base_stream + b
-    (_map_blocks), so the output depends on (seed, base_stream, reps) and
-    never on threads.
+    (_map_blocks), so the output depends on (seed, base_stream, reps);
+    threads is accepted and ignored.
     """
     if n < 1 or reps < 1:
         raise ValueError("need n >= 1 and reps >= 1")
@@ -187,7 +186,7 @@ def petersburg_sum_batch(n: int, reps: int, seed: int, base_stream: int = 0,
             k += 1
         return sums
 
-    return _map_blocks(block, reps, seed, base_stream, threads)
+    return _map_blocks(block, reps, seed, base_stream)
 
 
 def _quantile_batch(model: TailModel, u):
@@ -204,18 +203,11 @@ def sample_tail_model(model: TailModel, n: int, rng: RngStream,
     magnitudes are multiplied by independent uniform signs (drawn after the
     magnitudes on the same stream).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
     if model.x0 <= 0.0:
         raise ValueError("sampling needs x0 > 0 (finite total mass)")
-    gen = rng.generator()
     cap = tail_eval(model, model.x0)
-    values = _quantile_batch(model, _open01(gen, n) * cap)
-    if symmetrize:
-        values = values * (2.0 * gen.integers(0, 2, n) - 1.0)
-    from .tailmodel import model_to_json
-    return SampleBatch(values=values, model=model_to_json(model),
-                       seed=rng.seed, stream_id=rng.stream_id)
+    return _uniform_batch(lambda u: _quantile_batch(model, u * cap), n, rng,
+                          model_to_json(model), symmetrize)
 
 
 # -- Poisson point processes -------------------------------------------------
@@ -336,12 +328,14 @@ def sample_semistable_poisson_sum(model: TailModel, cutoff: float, rng: RngStrea
 def poisson_sum_batch(model: TailModel, cutoff: float, reps: int, seed: int,
                       base_stream: int = 0, symmetric: bool = False,
                       threads: int = 1) -> np.ndarray:
-    """reps independent Poisson-sum draws, block b on stream base_stream + b."""
+    """reps independent Poisson-sum draws, block b on stream base_stream + b.
+
+    threads is accepted and ignored."""
     lam, centering = _check_poisson_sum(model, cutoff, symmetric)
     return _map_blocks(
         lambda gen, rows: _poisson_sum_block(model, lam, symmetric, centering,
                                              gen, rows),
-        reps, seed, base_stream, threads)
+        reps, seed, base_stream)
 
 
 # -- LePage series ------------------------------------------------------------
@@ -424,10 +418,12 @@ def _lepage_block(alpha, p, symmetric, gen, rows):
 def lepage_batch(alpha: float, reps: int, seed: int, symmetric: bool = False,
                  n_terms: int | None = None, base_stream: int = 0,
                  threads: int = 1) -> np.ndarray:
-    """reps independent LePage sums, block b on stream base_stream + b."""
+    """reps independent LePage sums, block b on stream base_stream + b.
+
+    threads is accepted and ignored."""
     p = _lepage_prep(alpha, n_terms, symmetric)
     return _map_blocks(lambda gen, rows: _lepage_block(alpha, p, symmetric, gen, rows),
-                       reps, seed, base_stream, threads)
+                       reps, seed, base_stream)
 
 
 # -- export -------------------------------------------------------------------

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
+from ._arrays import elementwise
+
 __all__ = [
     "TailModel",
     "make_petersburg",
@@ -124,8 +126,7 @@ class TailModel:
             return np.exp2(k)
         if self.psi_kind == "const":
             return (self.c / u) ** (1.0 / self.alpha)
-        out = self._quantile_grid(np.atleast_1d(u).ravel())
-        return out.reshape(np.shape(u)) if np.shape(u) else float(out[0])
+        return elementwise(self._quantile_grid, u)
 
     def _quantile_grid(self, u):
         """Grid-psi quantiles: one bisection over all points, each inside its block.
@@ -211,8 +212,7 @@ def tail_eval(model: TailModel, x):
     xa = np.asarray(x, dtype=float)
     if not np.all((xa >= model.x0) & (xa > 0.0)):
         raise ValueError("tail_eval requires x >= x0 (and x > 0)")
-    out = model._tail_formula(xa)
-    return float(out) if np.isscalar(x) or np.shape(x) == () else out
+    return elementwise(model._tail_formula, xa)
 
 
 def tail_quantile(model: TailModel, u):
@@ -228,8 +228,7 @@ def tail_quantile(model: TailModel, u):
     cap = float(model._tail_formula(model.x0))
     if not np.all((ua > 0.0) & (ua <= cap)):
         raise ValueError("quantile argument must lie in (0, T(x0)]")
-    out = np.maximum(model._quantile_formula(ua), model.x0)
-    return float(out) if np.isscalar(u) or np.shape(u) == () else out
+    return elementwise(lambda v: np.maximum(model._quantile_formula(v), model.x0), ua)
 
 
 # -- intensity-measure reading on (0, inf) ---------------------------------
@@ -237,16 +236,12 @@ def tail_quantile(model: TailModel, u):
 
 def intensity_tail(model: TailModel, x):
     """Tail mass of the intensity measure: same formula as T, any x > 0."""
-    out = model._tail_formula(np.asarray(x, dtype=float))
-    return float(out) if np.isscalar(x) or np.shape(x) == () else out
+    return elementwise(model._tail_formula, x)
 
 
 def intensity_quantile(model: TailModel, u):
     """inf{x > 0 : T(x) <= u} with no x0 cap; inverse-measure point mapping."""
-    out = model._quantile_formula(u)
-    if np.isscalar(u) or np.shape(u) == ():
-        return float(out)
-    return out
+    return elementwise(model._quantile_formula, u)
 
 
 # -- tail integrals --------------------------------------------------------

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammainc, ndtr
 
-from semistable.charfn import (CfExponent, InversionError, cauchy_law,
+from semistable.charfn import (CfExponent, InversionError, TabulatedCdf,
+                               cauchy_law,
                                cdf_from_cf, convolution_power, erlang_cdf,
                                g_exponent, g_gamma_exponent, g_gamma_law,
                                gaussian_law, levy_cdf,
@@ -275,6 +276,44 @@ def test_erlang_cdf_vs_gammainc():
     xs = np.linspace(0.0, 30.0, 77)
     for p in (1, 2, 3, 7):
         assert np.max(np.abs(erlang_cdf(p, xs) - gammainc(p, xs))) < 1e-13
+
+
+def test_erlang_cdf_at_infinity():
+    # exp(-x) * x^j / j! gave inf - inf = nan
+    assert erlang_cdf(3, math.inf) == 1.0
+    assert erlang_cdf(3, -math.inf) == 0.0
+
+
+def test_erlang_cdf_rejects_nan():
+    # used to return 0.0
+    with pytest.raises(ValueError, match="NaN"):
+        erlang_cdf(3, math.nan)
+
+
+def test_levy_cdf_rejects_nan():
+    # used to return 0.0
+    with pytest.raises(ValueError, match="NaN"):
+        levy_cdf(np.array([1.0, math.nan]))
+    assert levy_cdf(math.inf) == 1.0
+
+
+def test_tabulated_cdf_nan_and_infinities():
+    # NaN used to come back as NaN; the infinities are the law's own limits
+    tab = TabulatedCdf([0.0, 1.0, 2.0], [0.1, 0.5, 0.9])
+    with pytest.raises(ValueError, match="NaN"):
+        tab(math.nan)
+    assert (tab(-math.inf), tab(math.inf), tab(5.0)) == (0.0, 1.0, 0.9)
+
+
+@settings(max_examples=12, deadline=None)
+@given(gamma=st.floats(1.0, 2.0),
+       xs=st.lists(st.floats(-8.0, 64.0), min_size=1, max_size=24))
+def test_inverted_cdf_is_a_distribution_function(gamma, xs):
+    xs = np.sort(xs)
+    tol = 1e-8
+    f = cdf_from_cf(g_gamma_law(gamma), xs, tol=tol)
+    assert np.all((f >= 0.0) & (f <= 1.0))
+    assert np.all(np.diff(f) >= -tol)
 
 
 def test_levy_cdf_shape():

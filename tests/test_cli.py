@@ -1,10 +1,13 @@
 import json
+import pathlib
+import shlex
 import time
 
 import numpy as np
 import pytest
 
 from semistable import charfn
+from semistable import cli
 from semistable.cli import DEFAULT_SEED, main, run_selftest
 
 
@@ -61,6 +64,18 @@ def test_sample_pareto_symmetrized(tmp_path):
     assert code == 0
     vals = [float(l.split(",")[1]) for l in read(out).splitlines()[1:]]
     assert any(v < 0 for v in vals) and any(v > 0 for v in vals)
+
+
+def test_sample_symmetrized_petersburg(capsys):
+    # the symmetrized default model used to draw X | X > 2, never |x| = 2
+    def values(extra):
+        assert main(["sample", "--n", "2000", "--seed", "4"] + extra) == 0
+        return np.array(json.loads(capsys.readouterr().out)["values"])
+
+    plain, signed = values([]), values(["--symmetrize"])
+    assert np.array_equal(np.abs(signed), plain)  # magnitudes first, then signs
+    assert 0.45 < np.mean(np.abs(signed) == 2.0) < 0.55
+    assert 0.45 < np.mean(signed < 0.0) < 0.55
 
 
 def test_sample_model_json(tmp_path):
@@ -188,6 +203,15 @@ def test_threads_byte_identical(tmp_path, argv, code):
     assert read(out) == first
 
 
+@pytest.mark.parametrize("argv", [["coupling", "--n-list", ","],
+                                  ["negligibility", "--alphas", ","]])
+def test_empty_list_exit_code(argv, capsys):
+    # an IndexError traceback (coupling) and a pass over no exponents
+    # (negligibility) before
+    assert main(argv + ["--reps", "100"]) == 2
+    assert "must not be empty" in capsys.readouterr().err
+
+
 def test_coupling_csv(tmp_path):
     out = str(tmp_path / "c.csv")
     code = main(["coupling", "--alpha", "0.5", "--n-list", "50,200", "--reps",
@@ -235,3 +259,20 @@ def test_selftest_injected_corruption_fails():
     code, lines = run_selftest(DEFAULT_SEED, g_tol=1.0)
     assert code == 3
     assert any("FAIL" in l for l in lines)
+
+
+# -- documentation ------------------------------------------------------------------
+
+def _readme_commands():
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text().split("## Command line", 1)[1].split("```")[1]
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("semistable ")]
+
+
+def test_readme_commands_parse():
+    commands = _readme_commands()
+    parser = cli._build_parser()
+    for argv in commands:
+        parser.parse_args(argv)  # exits 2 on an unknown flag or bad value
+    assert {argv[0] for argv in commands} >= set(cli._EXPERIMENTS)

@@ -70,6 +70,20 @@ def test_ecdf_rejects_non_finite_samples():
             Ecdf.from_sample([0.0, bad, 1.0])
 
 
+def test_ecdf_rejects_nan_argument():
+    # NaN used to sort past every value and read 1.0
+    e = Ecdf.from_sample([0.0, 1.0])
+    with pytest.raises(ValueError, match="NaN"):
+        e(np.nan)
+    assert e(-np.inf) == 0.0 and e(np.inf) == 1.0
+
+
+def test_empty_alpha_list_rejected():
+    # used to pass with no exponents checked
+    with pytest.raises(ValueError, match="empty"):
+        negligibility_experiment([], 10 ** 3, 100, RngStream(1))
+
+
 def test_levy_distance_identical():
     rng = np.random.default_rng(3)
     v = np.sort(rng.random(500))
