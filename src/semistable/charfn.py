@@ -255,9 +255,10 @@ def _phase_slope(h, t_lo, t_hi):
 
 _DYADIC_LEVELS = 150
 _NODE_BUDGET = 1 << 22  # about |x| <= 6e4 on the dyadic family (1e4 takes 1.0e6)
-_WORK_BUDGET = 1 << 29  # point x node products per cdf_from_cf call; about 30 s
-                        # of _phase_sums on a 2-core x86 host, 50x the largest
-                        # call the tests and the benchmark make
+_WORK_BUDGET = 1 << 29  # point x node products per cdf_from_cf call; 3.5-6 s
+                        # on a 2-core x86 host (the direct head sum bounds
+                        # small |x|, the exponent on 4e6 nodes large |x|),
+                        # 50x the largest call the tests and the benchmark make
 
 
 def _node_count(T, omega):
@@ -280,31 +281,52 @@ def _check_node_budget(T, omega):
 
 
 def _build_nodes(T, omega):
-    """Quadrature nodes/weights on (0, T].
+    """Quadrature nodes/weights on (0, T], as a head and a bulk.
 
     The singular neighborhood (0, t_start] is covered by dyadically
-    shrinking Gauss-Legendre panels, which resolve the integrable
+    shrinking 16-point Gauss-Legendre panels, which resolve the integrable
     t**(alpha-1) / log(1/t) behavior of the integrand near t = 0.  Above
-    t_start the panel width ramps up geometrically, capped at half an
-    oscillation pi/omega of e^{-itx} phi(t); the width <= t/2 cap keeps the
-    1/t curvature of the integrand resolved near the transition.  Raises
-    InversionError, naming the node count, past _NODE_BUDGET nodes.
+    t_start the panel width ramps up geometrically (width t/2, which keeps
+    the 1/t curvature of the integrand resolved near the transition) until
+    it reaches half an oscillation delta = pi/omega of e^{-itx} phi(t).
+    From that edge t0 on, K full panels of width delta follow, then one
+    panel clipped at T.  Returns (t_head, w_head, t0, delta, K): the head
+    holds the dyadic cascade, the ramp and the clipped panel; the bulk is
+    the K equal panels [t0 + k delta, t0 + (k+1) delta] with the 12-point
+    rule (see _bulk_nodes).  K = 0 when T falls inside the ramp or within
+    one width of t0.  Raises InversionError, naming the node count, past
+    _NODE_BUDGET nodes.
     """
     t_start = _check_node_budget(T, omega)
+    delta = math.pi / omega
     a = t_start * 0.5 ** np.arange(_DYADIC_LEVELS)
     edges = [t_start]
     t = t_start
-    while t < T:
-        t = min(T, t + min(0.5 * t, math.pi / omega))
+    while t < T and 0.5 * t < delta:
+        t = min(T, t + 0.5 * t)
         edges.append(t)
-    edges = np.array(edges)
+    t0, K = t, 0
+    lo, hi = np.array(edges[:-1]), np.array(edges[1:])
+    if t < T:
+        K = math.ceil((T - t0) / delta) - 1
+        lo, hi = np.append(lo, t0 + K * delta), np.append(hi, T)
     xd, wd = _gl_panels(0.5 * a, a, 16)
-    xp, wp = _gl_panels(edges[:-1], edges[1:], 12)
-    return np.concatenate([xd, xp]), np.concatenate([wd, wp])
+    xp, wp = _gl_panels(lo, hi, 12)
+    return np.concatenate([xd, xp]), np.concatenate([wd, wp]), t0, delta, K
 
 
-def _phase_sums(xs, t, cw_re, cw_im):
-    """sum_i [cw_im_i cos(t_i x) - cw_re_i sin(t_i x)] for each x, chunked."""
+def _bulk_nodes(t0, delta, K):
+    """(K, 12) nodes t0 + k delta + s_j and weights of the equal panels."""
+    x, w = _gl_rule(12)
+    s = 0.5 * delta * (1.0 + x)
+    t = t0 + (delta * np.arange(K))[:, None] + s
+    return t, np.broadcast_to(0.5 * delta * w, t.shape)
+
+
+def _phase_sums(xs, t, cw):
+    """Im sum_i cw_i e^{-i t_i x} for each x, directly: a cosine and a sine
+    per node and point, in chunks.  _invert runs it on the head nodes."""
+    cw_re, cw_im = np.real(cw), np.imag(cw)
     out = np.zeros(xs.size)
     xblock = 64
     tblock = 1 << 17
@@ -315,6 +337,36 @@ def _phase_sums(xs, t, cw_re, cw_im):
             ph = xb * t[None, j:j + tblock]
             acc += np.cos(ph) @ cw_im[j:j + tblock] - np.sin(ph) @ cw_re[j:j + tblock]
         out[i:i + xblock] = acc
+    return out
+
+
+def _bulk_phase_sums(xs, t0, delta, cw):
+    """_phase_sums over the (K, 12) bulk weights cw of _bulk_nodes(t0, delta, K).
+
+    With panel k = a B + b, B about sqrt(K/12), a node is
+    t = t0 + a B delta + (b delta + s_j), so
+    sum cw e^{-itx} = e^{-i t0 x} sum_a V[x, a] (U @ C^T)[x, a], where
+    U[x, (b, j)] = e^{-i (b delta + s_j) x}, V[x, a] = e^{-i a B delta x} and C
+    is cw zero-padded to A B panels and reshaped to (A, 12 B).  Per point
+    that is 12 B + A complex exponentials, about 2 sqrt(12 K), instead of
+    12 K cosines and sines; the multiply-adds go to one matrix product per
+    block of 64 points.
+    """
+    K = cw.shape[0]
+    B = max(1, round(math.sqrt(K / 12.0)))
+    A = -(-K // B)
+    C = np.zeros((A * B, 12), dtype=complex)
+    C[:K] = cw
+    C = C.reshape(A, 12 * B)
+    inner = _bulk_nodes(0.0, delta, B)[0].ravel()
+    outer = (B * delta) * np.arange(A)
+    out = np.empty(xs.size)
+    xblock = 64
+    for i in range(0, xs.size, xblock):
+        xb = xs[i:i + xblock, None]
+        s = np.einsum("ij,ij->i", np.exp(-1j * (xb * outer)),
+                      np.exp(-1j * (xb * inner)) @ C.T)
+        out[i:i + xblock] = np.imag(np.exp(-1j * t0 * xb[:, 0]) * s)
     return out
 
 
@@ -376,10 +428,14 @@ def _invert(h, xs, tol):
         omega = b + max(4.0, 1.3 * slope)
         slope = _phase_slope(hr, _check_node_budget(T, omega), T)
         omega = b + max(4.0, 1.3 * slope)
-        t, w = _build_nodes(T, omega)
+        t, w, t0, delta, K = _build_nodes(T, omega)
+        tb, wb = _bulk_nodes(t0, delta, K)
+        t, w = np.concatenate([t, tb.ravel()]), np.concatenate([w, wb.ravel()])
         with np.errstate(under="ignore"):
             cw = np.exp(hr(t)) * (w / t)
-        vals = _phase_sums(xs[mask], t, np.real(cw), np.imag(cw))
+        head = cw.size - 12 * K
+        vals = (_phase_sums(xs[mask], t[:head], cw[:head])
+                + _bulk_phase_sums(xs[mask], t0, delta, cw[head:].reshape(K, 12)))
         out[mask] = math.exp(-removed_mass) * (0.5 - vals / math.pi)
     return np.clip(out, 0.0, 1.0)
 

@@ -122,8 +122,16 @@ _LAWS = {
 _REQUIRED_INT = {"type": int, "required": True}
 
 
+def _finite(spec: str) -> float:
+    """A float option value; NaN and +-inf are parse errors (exit 2)."""
+    v = float(spec)
+    if not math.isfinite(v):
+        raise argparse.ArgumentTypeError("not a finite number: %r" % spec)
+    return v
+
+
 def _real(default):
-    return {"type": float, "default": default}
+    return {"type": _finite, "default": default}
 
 
 # name: (help, run(args, rng) -> ExperimentReport, flags, default --reps);
@@ -200,9 +208,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="draw a sample batch (CSV + JSON sidecar)")
     p.add_argument("--model", choices=("petersburg", "pareto"), default="petersburg")
     p.add_argument("--model-json", default=None, help="TailModel JSON document path")
-    p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--c", type=float, default=1.0)
-    p.add_argument("--x0", type=float, default=None)
+    p.add_argument("--alpha", type=_finite, default=0.5)
+    p.add_argument("--c", type=_finite, default=1.0)
+    p.add_argument("--x0", type=_finite, default=None)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--symmetrize", action="store_true")
     p.add_argument("--stream", type=int, default=0)
@@ -212,11 +220,11 @@ def _build_parser() -> argparse.ArgumentParser:
     # let grid specs like -5:15:0.1 pass as values rather than option strings
     p._negative_number_matcher = re.compile(r"^-\d")
     p.add_argument("--law", choices=_LAWS, required=True)
-    p.add_argument("--gamma", type=float, default=1.0)
-    p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--c", type=float, default=1.0)
+    p.add_argument("--gamma", type=_finite, default=1.0)
+    p.add_argument("--alpha", type=_finite, default=0.5)
+    p.add_argument("--c", type=_finite, default=1.0)
     p.add_argument("--grid", required=True, help="lo:hi:step")
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=_finite, default=1e-8)
     common(p)
 
     for name, (help_, _, flags, reps) in _EXPERIMENTS.items():
@@ -226,7 +234,7 @@ def _build_parser() -> argparse.ArgumentParser:
         common(p, reps_default=reps)
 
     p = sub.add_parser("selftest", help="fast subset of the acceptance checks")
-    p.add_argument("--g-tol", type=float, default=1e-12, help=argparse.SUPPRESS)
+    p.add_argument("--g-tol", type=_finite, default=1e-12, help=argparse.SUPPRESS)
     common(p)
 
     return ap

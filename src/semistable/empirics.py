@@ -375,6 +375,8 @@ def negligibility_experiment(alpha_list, n: int, reps: int, rng: RngStream,
     alpha_list = [float(a) for a in alpha_list]
     if not alpha_list:
         raise ValueError("alpha_list must not be empty")
+    if not all(math.isfinite(a) and a > 0.0 for a in alpha_list):
+        raise ValueError("alphas must be finite and positive")
     bounds = {a: (0.2, 1.0) if a < 1.0 else (0.0, 0.05) if a > 2.0 else (0.0, 1.0)
               for a in alpha_list}
 
@@ -419,6 +421,8 @@ def lepage_limit_experiment(alpha: float, k: int, reps: int, rng: RngStream,
     n = 1 << k
     p_terms = _lepage_prep(alpha, n_terms, symmetric)
     r = _RANK_CHECKS
+    if p_terms < r:
+        raise ValueError("n_terms must be >= %d, the ranks compared" % r)
 
     scale = float(n) ** (-1.0 / alpha)
 

@@ -377,6 +377,8 @@ def _lepage_prep(alpha, n_terms, symmetric):
     if not symmetric and alpha >= 1.0:
         raise ValueError("positive mode needs alpha < 1")
     p = int(n_terms) if n_terms is not None else lepage_auto_terms(alpha, symmetric)
+    if p < 1:
+        raise ValueError("n_terms must be >= 1")
     if p > 10 ** 8:
         raise ResourceLimitError(
             "series truncation at %d terms exceeds the budget; pass n_terms" % p)

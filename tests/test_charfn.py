@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammainc, ndtr
 
-from semistable.charfn import (CfExponent, InversionError, TabulatedCdf,
-                               cauchy_law,
+from semistable.charfn import (_DYADIC_LEVELS, CfExponent, InversionError,
+                               TabulatedCdf, _build_nodes, _bulk_nodes,
+                               _bulk_phase_sums, _phase_sums, cauchy_law,
                                cdf_from_cf, convolution_power, erlang_cdf,
                                g_exponent, g_gamma_exponent, g_gamma_law,
                                gaussian_law, levy_cdf,
@@ -325,3 +326,118 @@ def test_levy_cdf_shape():
     from scipy.special import erfcinv
     med = (math.pi / 2.0) / (2.0 * erfcinv(0.5) ** 2)
     assert levy_cdf(med) == pytest.approx(0.5, abs=1e-12)
+
+
+# -- the factored quadrature --------------------------------------------------------
+
+# cdf_from_cf before the bulk panels were factored (a direct cos/sin sum over
+# every node), at tol = 1e-8; the last two dyadic points are far-tail queries
+DYADIC_X = [-3.0, -1.5, -0.5, 0.0, 0.75, 2.0, 4.5, 10.0, 1e3, 1e4]
+CDF_PINS = [
+    pytest.param(g_gamma_law(1.0), DYADIC_X,
+                 [0.0017575874476267845, 0.05161697452351366, 0.14704730082103626,
+                  0.2071624374590195, 0.3008303242292, 0.44209518154091176,
+                  0.6403644843945467, 0.8244028790429603, 0.9980468649001791,
+                  0.9998778402608749],
+                 id="g_gamma(1)"),
+    pytest.param(g_gamma_law(1.25), DYADIC_X,
+                 [0.0017574392702222055, 0.05159756361198817, 0.14715933865595915,
+                  0.2072370635997687, 0.30036842973967415, 0.44292816736284296,
+                  0.6370666404673564, 0.8188532699407652, 0.9987703297007985,
+                  0.9998474116773476],
+                 id="g_gamma(1.25)"),
+    pytest.param(g_gamma_law(1.5), DYADIC_X,
+                 [0.0017575728752296234, 0.05160269466202479, 0.14714199101620937,
+                  0.2070510292435009, 0.3004226894011094, 0.4434000242451918,
+                  0.6381465128557174, 0.8170850034720285, 0.9985308557441344,
+                  0.9998168945229814],
+                 id="g_gamma(1.5)"),
+    pytest.param(g_gamma_law(1.75), DYADIC_X,
+                 [0.0017576625073299707, 0.05161704207395048, 0.14705774919271436,
+                  0.20703135122644623, 0.30076824514378514, 0.4426229766401614,
+                  0.6402639917672156, 0.8225710600444581, 0.998290968593933,
+                  0.9998930240222903],
+                 id="g_gamma(1.75)"),
+    pytest.param(g_gamma_law(2.0), DYADIC_X,
+                 [0.0017575874476267845, 0.051616974523513603, 0.14704730082103626,
+                  0.20716243745901944, 0.30083032422919986, 0.4420951815409119,
+                  0.6403644843945466, 0.8244028790429603, 0.9980468649001791,
+                  0.9998778402608747],
+                 id="g_gamma(2)"),
+    pytest.param(petersburg_law(), DYADIC_X,
+                 [0.0017575874476267845, 0.05161697452351366, 0.14704730082103626,
+                  0.2071624374590195, 0.3008303242292, 0.44209518154091176,
+                  0.6403644843945467, 0.8244028790429603, 0.9980468649001791,
+                  0.9998778402608749],
+                 id="petersburg"),
+    pytest.param(one_sided_stable_exponent(0.5),
+                 [0.05, 0.2, 0.5, 1.0, 2.0, 5.0, 12.0, 40.0, 150.0, 600.0],
+                 [2.086108696897071e-08, 0.005070890670573425, 0.07631924945439522,
+                  0.21009140544636384, 0.37549525721013716, 0.5751390386205102,
+                  0.7175010233584124, 0.8429149025382587, 0.9184926238755289,
+                  0.9591929771526498],
+                 id="stable(0.5)"),
+    pytest.param(cauchy_law(),
+                 [-200.0, -20.0, -3.0, -1.0, -0.25, 0.0, 0.5, 2.0, 7.5, 90.0],
+                 [0.0015915361682056206, 0.01590225125617667, 0.10241638234956701,
+                  0.2500000000000001, 0.42202086962263075, 0.5,
+                  0.6475836176504334, 0.8524163823495663, 0.9578075368411585,
+                  0.996463369022426],
+                 id="cauchy"),
+]
+
+
+@pytest.mark.parametrize("law, xs, expected", CDF_PINS)
+def test_cdf_values_pinned(law, xs, expected):
+    got = cdf_from_cf(law, np.array(xs))
+    assert np.max(np.abs(got - np.array(expected))) < 1e-12
+
+
+def _per_edge_node_count(T, omega):
+    """Node count of the per-edge panel loop the closed-form bulk replaced."""
+    t = min(0.5, math.pi / (2.0 * omega), T / 8.0)
+    panels = 0
+    while t < T:
+        t = min(T, t + min(0.5 * t, math.pi / omega))
+        panels += 1
+    return 16 * _DYADIC_LEVELS + 12 * panels
+
+
+def _all_nodes(T, omega):
+    t, w, t0, delta, K = _build_nodes(T, omega)
+    tb, wb = _bulk_nodes(t0, delta, K)
+    return np.concatenate([t, tb.ravel()]), np.concatenate([w, wb.ravel()]), K
+
+
+def test_build_nodes_counts_and_weights():
+    pairs = 0
+    for T in (8.0, 16.0, 32.0, 64.0, 256.0, 1024.0):
+        for omega in (0.3, 1.0, 1.4, 4.0, 5.2, 37.3, 68.0, 132.5, 516.0, 1028.0, 4100.0):
+            try:
+                t, w, _ = _all_nodes(T, omega)
+            except InversionError:
+                continue
+            pairs += 1
+            assert t.size == _per_edge_node_count(T, omega)
+            assert abs(w.sum() - T) <= 1e-12 * T
+            assert np.all((t > 0.0) & (t <= T)) and np.all(w >= 0.0)
+    assert pairs >= 50
+
+
+@pytest.mark.parametrize("T, omega, span, K", [
+    (16.0, 6e4 + 4.0, 6e4, 305595),  # a far-tail node set near the node budget
+    (32.0, 137.0, 6e4, 1392),        # K = 1392 is not a multiple of B = 11
+    (8.0, 0.3, 6e4, 0),              # T falls inside the ramp
+    # one panel: with nothing to average over, the ulp(t) |x| phase rounding
+    # of either kernel reaches 1e-12 of the weights at |x| = 6e4
+    (8.0, 1.4, 60.0, 1),
+])
+def test_factored_bulk_matches_direct_sum(T, omega, span, K):
+    _, _, t0, delta, k = _build_nodes(T, omega)
+    assert k == K
+    tb, wb = _bulk_nodes(t0, delta, K)
+    cw = np.exp(cauchy_law()(tb)) * wb / tb
+    xs = np.concatenate([np.linspace(-span, span, 7), [0.37, -2.5]])
+    direct = _phase_sums(xs, tb.ravel(), cw.ravel())
+    factored = _bulk_phase_sums(xs, t0, delta, cw)
+    assert np.max(np.abs(factored - direct)) <= 1e-12 * np.abs(cw).sum()

@@ -212,6 +212,37 @@ def test_empty_list_exit_code(argv, capsys):
     assert "must not be empty" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["merging", "--n", "1536", "--tolerance", "nan", "--reps", "10"],
+    ["merging", "--n", "1536", "--tolerance", "inf", "--reps", "10"],
+    ["sweep", "--k", "10", "--tol-max=-inf", "--reps", "10"],
+    ["cdf", "--law", "g", "--grid", "0:1:1", "--tol", "nan"],
+    ["sample", "--model", "pareto", "--alpha", "nan", "--n", "3"],
+])
+def test_non_finite_real_is_a_parse_error(argv, tmp_path, capsys):
+    # --tolerance nan ran the whole experiment, exited 3 and wrote a bare NaN
+    # into the JSON artifact
+    out = tmp_path / "r.json"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert "not a finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("alphas", ("nan", "-1", "0.5,inf"))
+def test_negligibility_bad_alpha_exit_code(alphas, capsys):
+    # exited 3 with a NaN or meaningless median before
+    assert main(["negligibility", "--alphas", alphas, "--n", "1000",
+                 "--reps", "100"]) == 2
+    assert "finite and positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n_terms, message", (("0", ">= 1"), ("2", ">= 3")))
+def test_lepage_too_few_terms_exit_code(n_terms, message, capsys):
+    # --n-terms 0 died with an IndexError traceback (exit 1) before
+    assert main(["lepage", "--n-terms", n_terms, "--k", "6", "--reps", "300"]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_coupling_csv(tmp_path):
     out = str(tmp_path / "c.csv")
     code = main(["coupling", "--alpha", "0.5", "--n-list", "50,200", "--reps",

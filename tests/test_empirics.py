@@ -84,6 +84,19 @@ def test_empty_alpha_list_rejected():
         negligibility_experiment([], 10 ** 3, 100, RngStream(1))
 
 
+@pytest.mark.parametrize("alpha", (math.nan, math.inf, -1.0, 0.0))
+def test_negligibility_rejects_bad_alpha(alpha):
+    # exited 3 with a NaN or meaningless median before
+    with pytest.raises(ValueError, match="finite and positive"):
+        negligibility_experiment([0.5, alpha], 10 ** 3, 100, RngStream(1))
+
+
+def test_lepage_limit_needs_the_ranked_terms():
+    # an IndexError from the rank checks before
+    with pytest.raises(ValueError, match="n_terms must be >= 3"):
+        lepage_limit_experiment(0.5, 6, 300, RngStream(1), n_terms=2)
+
+
 def test_levy_distance_identical():
     rng = np.random.default_rng(3)
     v = np.sort(rng.random(500))

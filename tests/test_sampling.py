@@ -251,6 +251,15 @@ def test_batches_need_a_replicate():
         lepage_batch(0.5, 0, seed=1, n_terms=10)
 
 
+@pytest.mark.parametrize("n_terms", (0, -5))
+def test_lepage_needs_a_term(n_terms):
+    # returned sums of no terms (0.0) before
+    with pytest.raises(ValueError, match="n_terms must be >= 1"):
+        lepage_batch(0.5, 3, 1, n_terms=n_terms)
+    with pytest.raises(ValueError, match="n_terms must be >= 1"):
+        sample_lepage(0.5, RngStream(1), n_terms=n_terms)
+
+
 def test_poisson_sums_match_sums_of_point_sets():
     # a count plus unordered uniforms against the ordered arrival construction
     m = make_pareto(0.5)
