@@ -201,7 +201,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="artifact path (default: stdout)")
         p.add_argument("--format", choices=("csv", "json", "jsonl"), default="json")
         p.add_argument("--threads", type=int, default=1,
-                       help="accepted and ignored; replicates run in order")
+                       help="accepted and ignored; outputs do not depend on it")
         if reps_default is not None:
             p.add_argument("--reps", type=int, default=reps_default)
 

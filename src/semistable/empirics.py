@@ -4,9 +4,9 @@ Each experiment simulates on Philox streams addressed by replicate position
 alone.  The layout lives in sampling._map_blocks: replicates
 [256 b, 256 b + 256) draw from stream base + b, a block at a time (the
 LePage experiment draws its rows one after another from the block's
-stream).  The threads= keywords are accepted and ignored, so results are
-bitwise independent of them.  Each experiment compares against the
-inverted limit CDF or a closed-form oracle.
+stream).  Blocks run on the process's CPUs (Petersburg sums excepted) and
+join in block order, so results depend on neither the worker count nor
+threads=.  Each experiment compares with the inverted limit CDF or an oracle.
 Reports carry the statistic, a Monte Carlo standard error where one makes
 sense, the seed and the pass/fail verdict at the stated tolerance.
 """

@@ -9,15 +9,20 @@ into fixed blocks of BLOCK (256), and block b draws all its replicates from
 stream base_stream + b.  Batches draw a block at a time through vectorized
 kernels whose temporaries hold at most _CHUNK doubles; the LePage
 experiment draws its rows one after another from the block's stream.
-The single-draw functions run the same kernels on one row.  Blocks run in
-order on the calling thread; the threads= keywords are accepted and
-ignored, so outputs cannot depend on them.
+The single-draw functions run the same kernels on one row.  Blocks of
+large GIL-free fills run on a pool of one worker per usable CPU (the
+GIL-bound Petersburg blocks stay on the caller) and join in block order:
+outputs do not depend on the worker count, and threads= is ignored.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +54,7 @@ _POINT_BUDGET = 1e9
 BLOCK = 256
 _CHUNK = 1 << 15  # doubles per kernel temporary, whatever n, P or lambda
 _STRIDE = 10 ** 7  # stream-id block separating experiment phases
+_WORKER_NAME = "semistable-block"  # the pool's threads; their calls run in line
 
 
 class ResourceLimitError(RuntimeError):
@@ -65,22 +71,50 @@ class RngStream:
     def generator(self) -> np.random.Generator:
         key = np.array([self.seed % (1 << 64), self.stream_id % (1 << 64)],
                        dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
+        return np.random.Generator(np.random.Philox(_PhiloxKey(key)))
 
 
-def _map_blocks(block_fn, reps: int, seed: int, base_stream: int = 0) -> np.ndarray:
+@dataclass
+class _PhiloxKey(np.random.bit_generator.ISeedSequence):
+    """Hands Philox its key as state: Philox(key=key) without OS entropy."""
+
+    key: np.ndarray
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.key
+
+
+def _cpus() -> int:  # the CPUs this process may run on
+    has_mask = hasattr(os, "sched_getaffinity")
+    return len(os.sched_getaffinity(0)) if has_mask else os.cpu_count() or 1
+
+
+@functools.lru_cache(maxsize=None)
+def _pool(workers: int) -> ThreadPoolExecutor:
+    """The shared block pool, made on first use; it starts threads lazily."""
+    return ThreadPoolExecutor(workers, thread_name_prefix=_WORKER_NAME)
+
+
+def _map_blocks(block_fn, reps: int, seed: int, base_stream: int = 0,
+                pooled: bool = True) -> np.ndarray:
     """Concatenate block_fn(gen, rows) over fixed blocks of BLOCK replicates.
 
     Block b covers replicates [b * BLOCK, min((b + 1) * BLOCK, reps)) and
     draws from the stream (seed, base_stream + b) alone, so the result
-    depends on (seed, base_stream, reps) only.
+    depends on (seed, base_stream, reps) only.  With pooled, several blocks
+    run on the shared pool; a call from a pool worker runs in line.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    return np.concatenate([
-        block_fn(RngStream(seed, base_stream + b).generator(),
-                 min(BLOCK, reps - b * BLOCK))
-        for b in range(-(-reps // BLOCK))])
+
+    def run(b):
+        return block_fn(RngStream(seed, base_stream + b).generator(),
+                        min(BLOCK, reps - b * BLOCK))
+
+    blocks, cpus = range(-(-reps // BLOCK)), _cpus()
+    pooled = (pooled and min(len(blocks), cpus) > 1
+              and not threading.current_thread().name.startswith(_WORKER_NAME))
+    return np.concatenate(list((_pool(cpus).map if pooled else map)(run, blocks)))
 
 
 def _rows(draw):
@@ -170,7 +204,7 @@ def petersburg_sum_batch(n: int, reps: int, seed: int, base_stream: int = 0,
     uniforms.  Counts are int64 and the float64 sums are exact below 2^53.
     Block b of BLOCK replicates draws from stream base_stream + b
     (_map_blocks), so the output depends on (seed, base_stream, reps);
-    threads is accepted and ignored.
+    threads is ignored; blocks stay on this thread (GIL-bound binomial calls).
     """
     if n < 1 or reps < 1:
         raise ValueError("need n >= 1 and reps >= 1")
@@ -186,13 +220,13 @@ def petersburg_sum_batch(n: int, reps: int, seed: int, base_stream: int = 0,
             k += 1
         return sums
 
-    return _map_blocks(block, reps, seed, base_stream)
+    return _map_blocks(block, reps, seed, base_stream, pooled=False)
 
 
 def _quantile_batch(model: TailModel, u):
     """Vectorized tail quantile at u in (0, T(x0)]."""
     x = model._quantile_formula(u)
-    return np.maximum(x, model.x0)
+    return np.maximum(x, model.x0, out=x)
 
 
 def sample_tail_model(model: TailModel, n: int, rng: RngStream,
@@ -203,9 +237,9 @@ def sample_tail_model(model: TailModel, n: int, rng: RngStream,
     magnitudes are multiplied by independent uniform signs (drawn after the
     magnitudes on the same stream).
     """
-    if model.x0 <= 0.0:
-        raise ValueError("sampling needs x0 > 0 (finite total mass)")
-    cap = tail_eval(model, model.x0)
+    cap = tail_eval(model, model.x0) if model.x0 > 0.0 else 0.0
+    if not cap * 2.0 ** -53 > 0.0:  # U * T(x0), U >= 2^-53, must stay positive
+        raise ValueError("sampling needs x0 > 0 and T(x0) >= 2^-1021")
     return _uniform_batch(lambda u: _quantile_batch(model, u * cap), n, rng,
                           model_to_json(model), symmetrize)
 
@@ -330,7 +364,7 @@ def poisson_sum_batch(model: TailModel, cutoff: float, reps: int, seed: int,
                       threads: int = 1) -> np.ndarray:
     """reps independent Poisson-sum draws, block b on stream base_stream + b.
 
-    threads is accepted and ignored."""
+    Blocks run on the process's CPUs; threads is accepted and ignored."""
     lam, centering = _check_poisson_sum(model, cutoff, symmetric)
     return _map_blocks(
         lambda gen, rows: _poisson_sum_block(model, lam, symmetric, centering,
@@ -422,7 +456,7 @@ def lepage_batch(alpha: float, reps: int, seed: int, symmetric: bool = False,
                  threads: int = 1) -> np.ndarray:
     """reps independent LePage sums, block b on stream base_stream + b.
 
-    threads is accepted and ignored."""
+    Blocks run on the process's CPUs; threads is accepted and ignored."""
     p = _lepage_prep(alpha, n_terms, symmetric)
     return _map_blocks(lambda gen, rows: _lepage_block(alpha, p, symmetric, gen, rows),
                        reps, seed, base_stream)

@@ -117,10 +117,8 @@ class TailModel:
         return self.c * x ** (-self.alpha) * self._psi(logq)
 
     def _quantile_formula(self, u):
-        """inf{x > 0 : T(x) <= u} on the full intensity domain."""
+        """inf{x > 0 : T(x) <= u} on the full intensity domain, for u > 0."""
         u = np.asarray(u, dtype=float)
-        if not np.all(u > 0.0):
-            raise ValueError("quantile argument must be positive")
         if self.psi_kind == "petersburg":
             k = np.ceil(np.log2(self.c / u))
             return np.exp2(k)
@@ -241,6 +239,8 @@ def intensity_tail(model: TailModel, x):
 
 def intensity_quantile(model: TailModel, u):
     """inf{x > 0 : T(x) <= u} with no x0 cap; inverse-measure point mapping."""
+    if not np.all(np.asarray(u, dtype=float) > 0.0):
+        raise ValueError("quantile argument must be positive")
     return elementwise(model._quantile_formula, u)
 
 

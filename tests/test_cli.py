@@ -143,6 +143,14 @@ def test_cdf_work_budget_exit_code(capsys):
     assert "point x node products" in capsys.readouterr().err
 
 
+def test_coupling_work_budget_exit_code(capsys):
+    # n = 10^12 terms per path used to run without end
+    t0 = time.perf_counter()
+    assert main(["coupling", "--n-list", "100,1000000000000"]) == 4
+    assert time.perf_counter() - t0 < 1.0
+    assert "1e+09 budget" in capsys.readouterr().err
+
+
 def test_parse_error_exit_code():
     assert main(["cdf", "--law", "not-a-law", "--grid", "0:1:1"]) == 2
     assert main(["no-such-command"]) == 2

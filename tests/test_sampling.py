@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -9,7 +13,10 @@ from hypothesis import strategies as st
 from semistable import sampling
 from semistable.charfn import levy_cdf
 from semistable.coupling import coupling_gap_curve
-from semistable.empirics import Ecdf, ks_distance, ks_two_sample
+from semistable.empirics import (Ecdf, ks_distance, ks_two_sample,
+                                 lepage_limit_experiment,
+                                 negligibility_experiment,
+                                 order_statistics_experiment)
 from semistable.sampling import (PoissonPointSet, ResourceLimitError,
                                  RngStream, _open01, lepage_auto_terms,
                                  lepage_batch, petersburg_from_uniform,
@@ -19,7 +26,8 @@ from semistable.sampling import (PoissonPointSet, ResourceLimitError,
                                  sample_poisson_points,
                                  sample_semistable_poisson_sum,
                                  sample_tail_model, write_batch)
-from semistable.tailmodel import make_pareto, make_petersburg, tail_eval
+from semistable.tailmodel import (TailModel, make_pareto, make_petersburg,
+                                  tail_eval)
 
 
 # -- petersburg draws -----------------------------------------------------------
@@ -416,6 +424,115 @@ def test_batches_do_not_depend_on_threads(reps, base):
                                  threads=threads).tobytes(),
             curve.statistic))
     assert runs[0] == runs[1] == runs[2]
+
+
+def test_tail_model_sampling_needs_a_positive_scaled_mass():
+    # T(x0) = 1e-320: U * T(x0) underflows to 0 for U < 0.49, where the
+    # quantile would be inf
+    tiny = TailModel(alpha=0.5, q=2, c=1e-300, x0=1e40)
+    with pytest.raises(ValueError, match="T\\(x0\\)"):
+        sample_tail_model(tiny, 10, RngStream(1))
+    with pytest.raises(ValueError, match="x0 > 0"):
+        sample_tail_model(make_pareto(0.5, x0=0.0), 10, RngStream(1))
+
+
+# -- block pool ----------------------------------------------------------------
+
+
+@pytest.fixture
+def pool_of(monkeypatch):
+    """Point pooled batches at fresh pools sized for the given CPU count;
+    with 1 CPU, blocks run in line."""
+    made, make = {}, sampling._pool.__wrapped__
+
+    def pool(workers):
+        if workers not in made:
+            made[workers] = make(workers)
+        return made[workers]
+
+    def use(cpus):
+        monkeypatch.setattr(sampling, "_cpus", lambda: cpus)
+
+    monkeypatch.setattr(sampling, "_pool", pool)
+    yield use
+    for p in made.values():
+        p.shutdown()
+
+
+def _pooled_outputs():
+    m = make_pareto(0.5)
+    curve = coupling_gap_curve(m, [20, 300], 700, RngStream(88, 3))
+    return [
+        poisson_sum_batch(m, 1e-3, 1000, seed=88).tobytes(),
+        poisson_sum_batch(m, 1e-3, 1000, seed=88, symmetric=True).tobytes(),
+        lepage_batch(0.5, 900, seed=88, n_terms=500).tobytes(),
+        lepage_batch(1.5, 900, seed=88, symmetric=True, n_terms=500).tobytes(),
+        curve.to_json(),
+        order_statistics_experiment(3, 500, 700, RngStream(89)).to_json(),
+        negligibility_experiment([0.5, 2.5], 1000, 600, RngStream(90)).to_json(),
+        lepage_limit_experiment(0.5, 5, 600, RngStream(91), n_terms=300).to_json(),
+    ]
+
+
+def test_pooled_batches_match_one_worker(pool_of):
+    pool_of(1)
+    inline = _pooled_outputs()
+    pool_of(3)
+    assert _pooled_outputs() == inline
+    ran_on = sampling._map_blocks(
+        lambda gen, rows: np.full(rows, threading.get_ident(), dtype=object),
+        4 * sampling.BLOCK, 1)
+    assert threading.get_ident() not in set(ran_on)  # pool threads drew them
+
+
+def test_import_starts_no_thread():
+    code = ("import threading; n = threading.active_count(); import semistable; "
+            "from semistable import sampling; "
+            "assert threading.active_count() == n; "
+            "assert sampling._pool.cache_info().currsize == 0")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=60)
+
+
+def test_pool_passes_block_errors_and_stays_usable(pool_of):
+    pool_of(2)
+
+    def block(gen, rows):
+        if rows < sampling.BLOCK:
+            raise ArithmeticError("last block")
+        return gen.random(rows)
+
+    with pytest.raises(ArithmeticError, match="last block"):
+        sampling._map_blocks(block, 3 * sampling.BLOCK - 1, 5)
+    m = make_pareto(0.5)
+    a = poisson_sum_batch(m, 1e-3, 700, seed=92)
+    pool_of(1)
+    assert a.tobytes() == poisson_sum_batch(m, 1e-3, 700, seed=92).tobytes()
+
+
+def test_nested_map_blocks_returns(pool_of):
+    pool_of(2)
+
+    def outer(gen, rows):
+        inner = sampling._map_blocks(lambda g, r: g.random(r), 600, 7)
+        return np.full(rows, inner.sum())
+
+    done = []
+    worker = threading.Thread(
+        target=lambda: done.append(sampling._map_blocks(outer, 800, 6)), daemon=True)
+    worker.start()
+    worker.join(60.0)
+    assert not worker.is_alive() and done[0].shape == (800,)
+    assert np.all(done[0] == done[0][0])
+
+
+def test_generator_keys_philox_directly():
+    for seed, stream in ((0, 0), (7, 3), (-1, 2 ** 64 + 5)):
+        key = np.array([seed % 2 ** 64, stream % 2 ** 64], dtype=np.uint64)
+        want = np.random.Generator(np.random.Philox(key=key))
+        got = RngStream(seed, stream).generator()
+        assert repr(got.bit_generator.state) == repr(want.bit_generator.state)
+        assert got.random(5).tobytes() == want.random(5).tobytes()
 
 
 # -- export -----------------------------------------------------------------------------
