@@ -463,29 +463,31 @@ class TabulatedCdf:
                            x, cdf_from=-np.inf)
 
 
-_TABLE_POINTS = 385  # initial grid points up to min(x_hi, body_hi)
+_TABLE_POINTS = 385  # initial grid points up to min(x_hi, _BODY_HI)
 _TABLE_MAX_GAP = 0.005
+_BODY_HI = 48.0  # table points above it are evaluated at _TAIL_TOL
+_TAIL_TOL = 1e-5
 
 
-def tabulate_cdf(h: CfExponent, x_lo: float, x_hi: float, tol: float = 1e-7,
-                 body_hi: float = 48.0, tail_tol: float = 1e-5) -> TabulatedCdf:
+def tabulate_cdf(h: CfExponent, x_lo: float, x_hi: float,
+                 tol: float = 1e-7) -> TabulatedCdf:
     """Adaptive CDF table: refine wherever a cell steps more than 0.005 in F.
 
-    Points beyond body_hi are evaluated at the looser tail_tol; far-tail
+    Points beyond _BODY_HI are evaluated at the looser _TAIL_TOL; far-tail
     oscillatory quadrature is expensive and KS-style consumers only need
     absolute accuracy well below their distance tolerance out there.
     """
 
     def evaluate(xs):
         out = np.empty(xs.size)
-        body = xs <= body_hi
+        body = xs <= _BODY_HI
         if np.any(body):
             out[body] = cdf_from_cf(h, xs[body], tol)
         if np.any(~body):
-            out[~body] = cdf_from_cf(h, xs[~body], max(tol, tail_tol))
+            out[~body] = cdf_from_cf(h, xs[~body], max(tol, _TAIL_TOL))
         return out
 
-    top = min(x_hi, body_hi)
+    top = min(x_hi, _BODY_HI)
     grid = np.linspace(x_lo, top, _TABLE_POINTS)
     if x_hi > top:
         grid = np.concatenate([grid, np.geomspace(top + 1.0, x_hi, 48)])

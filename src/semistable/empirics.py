@@ -2,11 +2,12 @@
 
 Each experiment simulates on Philox streams addressed by replicate position
 alone.  The layout lives in sampling._map_blocks: replicates
-[256 b, 256 b + 256) draw from stream base + b, a block at a time (the
-LePage experiment draws its rows one after another from the block's
-stream).  Blocks run on the process's CPUs (Petersburg sums excepted) and
-join in block order, so results depend on neither the worker count nor
-threads=.  Each experiment compares with the inverted limit CDF or an oracle.
+[256 b, 256 b + 256) draw from stream base + b, a block at a time through
+one vectorized kernel per construction (power-law rows share _power_block;
+the LePage series is sampling._lepage_block).  Blocks run on the process's
+CPUs (Petersburg sums excepted) and join in block order, so results depend
+on neither the worker count nor threads=.  Each experiment compares with
+the inverted limit CDF or an oracle.
 Reports carry the statistic, a Monte Carlo standard error where one makes
 sense, the seed and the pass/fail verdict at the stated tolerance.
 """
@@ -22,8 +23,8 @@ import numpy as np
 from .charfn import (TabulatedCdf, cdf_from_cf, erlang_cdf, g_gamma_law,
                      tabulate_cdf)
 from ._arrays import elementwise
-from .sampling import (_STRIDE, RngStream, _lepage_prep, _lepage_terms,
-                       _map_blocks, _open01, _row_groups, _rows,
+from .sampling import (_STRIDE, RngStream, _check_draws, _lepage_block,
+                       _lepage_prep, _map_blocks, _open01, _row_groups,
                        petersburg_sum_batch)
 
 __all__ = [
@@ -361,6 +362,24 @@ def order_statistics_experiment(p: int, n: int, reps: int, rng: RngStream,
     )
 
 
+def _power_block(alpha, n, ranks, symmetric, gen, rows):
+    """(rows, 1 + ranks): sums of n draws U**(-1/alpha), U uniform on (0, 1],
+    then their ranks largest magnitudes in decreasing order.  In symmetric
+    mode the sums are signed, by signs drawn after each row group's uniforms.
+    """
+    out = np.empty((rows, 1 + ranks))
+    for rs in _row_groups(rows, n):
+        mags = _open01(gen, (rs.stop - rs.start, n)) ** (-1.0 / alpha)
+        signed = mags * (2.0 * gen.integers(0, 2, mags.shape) - 1.0) if symmetric else mags
+        out[rs, 0] = signed.sum(axis=1)
+        if ranks == 1:
+            out[rs, 1] = mags.max(axis=1)
+        else:
+            top = np.partition(mags, n - ranks, axis=1)[:, n - ranks:]
+            out[rs, 1:] = np.sort(top, axis=1)[:, ::-1]
+    return out
+
+
 def negligibility_experiment(alpha_list, n: int, reps: int, rng: RngStream,
                              threads: int = 1) -> ExperimentReport:
     """Median of max|x| / sum|x| across tail exponents.
@@ -379,19 +398,13 @@ def negligibility_experiment(alpha_list, n: int, reps: int, rng: RngStream,
         raise ValueError("alphas must be finite and positive")
     bounds = {a: (0.2, 1.0) if a < 1.0 else (0.0, 0.05) if a > 2.0 else (0.0, 1.0)
               for a in alpha_list}
-
-    def block(gen, rows, alpha):
-        ratios = np.empty(rows)
-        for rs in _row_groups(rows, n):
-            mags = _open01(gen, (rs.stop - rs.start, n)) ** (-1.0 / alpha)
-            ratios[rs] = mags.max(axis=1) / mags.sum(axis=1)
-        return ratios
+    _check_draws(reps, n)
 
     medians = {}
     for idx, alpha in enumerate(alpha_list):
-        ratios = _map_blocks(lambda gen, rows: block(gen, rows, alpha), reps,
-                             rng.seed, rng.stream_id + idx * _STRIDE)
-        medians[alpha] = float(np.median(ratios))
+        top = _map_blocks(lambda gen, rows: _power_block(alpha, n, 1, False, gen, rows),
+                          reps, rng.seed, rng.stream_id + idx * _STRIDE)
+        medians[alpha] = float(np.median(top[:, 1] / top[:, 0]))
     passed = all(bounds[a][0] <= medians[a] <= bounds[a][1] for a in alpha_list)
     return ExperimentReport(
         experiment="negligibility",
@@ -414,7 +427,8 @@ def lepage_limit_experiment(alpha: float, k: int, reps: int, rng: RngStream,
     by n**(-1/alpha) (signs randomized in symmetric mode).  Batch (b): the
     truncated LePage series.  The statistic is the two-sample KS distance;
     the per-rank extremes n**(-1/alpha) * rho_p are compared with the series
-    terms Z_p**(-1/alpha) for p = 1, 2, 3.
+    terms Z_p**(-1/alpha) for p = 1, 2, 3.  Both batches are block kernels
+    (_power_block, sampling._lepage_block) within the 2^32 draw budget.
     """
     if not (4 <= k <= 24):
         raise ValueError("k must lie in [4, 24]")
@@ -423,21 +437,14 @@ def lepage_limit_experiment(alpha: float, k: int, reps: int, rng: RngStream,
     r = _RANK_CHECKS
     if p_terms < r:
         raise ValueError("n_terms must be >= %d, the ranks compared" % r)
+    _check_draws(reps, max(n, p_terms))  # batches (a) and (b)
 
-    scale = float(n) ** (-1.0 / alpha)
-
-    def draw_a(gen):
-        mags = _open01(gen, n) ** (-1.0 / alpha)
-        signed = mags * (2.0 * gen.integers(0, 2, n) - 1.0) if symmetric else mags
-        top = np.sort(np.partition(mags, n - r)[n - r:])[::-1]
-        return scale * np.concatenate(([signed.sum()], top))
-
-    def draw_b(gen):
-        terms = _lepage_terms(alpha, gen, p_terms, symmetric)
-        return np.concatenate(([terms.sum()], np.abs(terms[:r])))
-
-    a = _map_blocks(_rows(draw_a), reps, rng.seed, rng.stream_id)
-    b = _map_blocks(_rows(draw_b), reps, rng.seed, rng.stream_id + _STRIDE)
+    a = float(n) ** (-1.0 / alpha) * _map_blocks(
+        lambda gen, rows: _power_block(alpha, n, r, symmetric, gen, rows),
+        reps, rng.seed, rng.stream_id)
+    b = _map_blocks(
+        lambda gen, rows: _lepage_block(alpha, p_terms, symmetric, gen, rows, r),
+        reps, rng.seed, rng.stream_id + _STRIDE)
     ks2 = ks_two_sample(a[:, 0], b[:, 0])
     rank_ks = [float(ks_two_sample(a[:, 1 + j], b[:, 1 + j])) for j in range(r)]
     passed = ks2 <= tolerance

@@ -6,13 +6,12 @@ runs are bitwise identical and distinct stream ids give independent
 streams regardless of scheduling.  One private helper owns the stream
 layout for the whole package: _map_blocks splits a batch of replicates
 into fixed blocks of BLOCK (256), and block b draws all its replicates from
-stream base_stream + b.  Batches draw a block at a time through vectorized
-kernels whose temporaries hold at most _CHUNK doubles; the LePage
-experiment draws its rows one after another from the block's stream.
-The single-draw functions run the same kernels on one row.  Blocks of
-large GIL-free fills run on a pool of one worker per usable CPU (the
-GIL-bound Petersburg blocks stay on the caller) and join in block order:
-outputs do not depend on the worker count, and threads= is ignored.
+stream base_stream + b.  Every batch and experiment draws a block at a time
+through one vectorized kernel per construction, whose temporaries hold at
+most _CHUNK doubles; the single-draw functions run the same kernels on one
+row.  Blocks of large GIL-free fills run on a pool of one worker per usable
+CPU (the GIL-bound Petersburg blocks stay on the caller) and join in block
+order: outputs do not depend on the worker count, and threads= is ignored.
 """
 
 from __future__ import annotations
@@ -51,6 +50,8 @@ __all__ = [
 ]
 
 _POINT_BUDGET = 1e9
+_DRAW_BUDGET = 1 << 32  # replicates x draws per replicate in one batch
+_SERIES_TAIL = 1e-6  # LePage series tail proxy at the auto truncation
 BLOCK = 256
 _CHUNK = 1 << 15  # doubles per kernel temporary, whatever n, P or lambda
 _STRIDE = 10 ** 7  # stream-id block separating experiment phases
@@ -117,9 +118,10 @@ def _map_blocks(block_fn, reps: int, seed: int, base_stream: int = 0,
     return np.concatenate(list((_pool(cpus).map if pooled else map)(run, blocks)))
 
 
-def _rows(draw):
-    """Block function stacking draw(gen) for each row, drawn in turn."""
-    return lambda gen, rows: np.array([draw(gen) for _ in range(rows)])
+def _check_draws(reps: int, per_rep: int) -> None:  # before the batch draws
+    if reps * per_rep > _DRAW_BUDGET:
+        raise ResourceLimitError(
+            "%d replicates x %d draws exceed the 2^32 draw budget" % (reps, per_rep))
 
 
 def _row_groups(rows: int, cols: int):
@@ -313,14 +315,6 @@ def poisson_sum_centering(model: TailModel, cutoff: float) -> float:
     return tail_first_moment(model, cutoff, None)
 
 
-def _check_poisson_sum(model: TailModel, cutoff: float, symmetric: bool):
-    """(lambda, centering) of a Poisson sum, after the contract checks."""
-    if not (0.0 < model.alpha < 2.0):
-        raise ValueError("poisson sums need alpha in (0, 2)")
-    lam = _point_rate(model, cutoff)
-    return lam, 0.0 if symmetric else poisson_sum_centering(model, cutoff)
-
-
 def _poisson_sum_block(model, lam, symmetric, centering, gen, rows):
     """rows Poisson sums: counts K_i ~ Poisson(lam), then sum T_inverse(lam U).
 
@@ -354,9 +348,7 @@ def sample_semistable_poisson_sum(model: TailModel, cutoff: float, rng: RngStrea
     uniform sign and no centering is applied.  The draw is the one-replicate
     poisson_sum_batch on stream rng.stream_id.
     """
-    lam, centering = _check_poisson_sum(model, cutoff, symmetric)
-    return float(_poisson_sum_block(model, lam, symmetric, centering,
-                                    rng.generator(), 1)[0])
+    return float(poisson_sum_batch(model, cutoff, 1, rng.seed, rng.stream_id, symmetric)[0])
 
 
 def poisson_sum_batch(model: TailModel, cutoff: float, reps: int, seed: int,
@@ -365,7 +357,10 @@ def poisson_sum_batch(model: TailModel, cutoff: float, reps: int, seed: int,
     """reps independent Poisson-sum draws, block b on stream base_stream + b.
 
     Blocks run on the process's CPUs; threads is accepted and ignored."""
-    lam, centering = _check_poisson_sum(model, cutoff, symmetric)
+    if not (0.0 < model.alpha < 2.0):
+        raise ValueError("poisson sums need alpha in (0, 2)")
+    lam = _point_rate(model, cutoff)
+    centering = 0.0 if symmetric else poisson_sum_centering(model, cutoff)
     return _map_blocks(
         lambda gen, rows: _poisson_sum_block(model, lam, symmetric, centering,
                                              gen, rows),
@@ -375,8 +370,8 @@ def poisson_sum_batch(model: TailModel, cutoff: float, reps: int, seed: int,
 # -- LePage series ------------------------------------------------------------
 
 
-def lepage_auto_terms(alpha: float, symmetric: bool, tail_budget: float = 1e-6) -> int:
-    """Truncation point P with the series tail bound below tail_budget.
+def lepage_auto_terms(alpha: float, symmetric: bool) -> int:
+    """Truncation point P with the series tail bound below 1e-6.
 
     The proxy is sum_{p>P} p^{-2/alpha} (variance, symmetric case) or
     sum_{p>P} p^{-1/alpha} (mean, positive case), bounded by the integral
@@ -385,7 +380,7 @@ def lepage_auto_terms(alpha: float, symmetric: bool, tail_budget: float = 1e-6) 
     s = 2.0 / alpha if symmetric else 1.0 / alpha
     if s <= 1.0:
         raise ValueError("series tail does not truncate in this mode")
-    p = math.ceil((tail_budget * (s - 1.0)) ** (-1.0 / (s - 1.0)))
+    p = math.ceil((_SERIES_TAIL * (s - 1.0)) ** (-1.0 / (s - 1.0)))
     return max(int(p), 8)
 
 
@@ -401,8 +396,7 @@ def sample_lepage(alpha: float, rng: RngStream, n_terms: int | None = None,
     truncation from lepage_auto_terms.  The draw is the one-replicate
     lepage_batch on stream rng.stream_id.
     """
-    p = _lepage_prep(alpha, n_terms, symmetric)
-    return float(_lepage_block(alpha, p, symmetric, rng.generator(), 1)[0])
+    return float(lepage_batch(alpha, 1, rng.seed, symmetric, n_terms, rng.stream_id)[0])
 
 
 def _lepage_prep(alpha, n_terms, symmetric):
@@ -419,24 +413,15 @@ def _lepage_prep(alpha, n_terms, symmetric):
     return p
 
 
-def _lepage_terms(alpha, gen, n_terms, symmetric):
-    """The p signed terms of one series, for row-wise experiments."""
-    p = _lepage_prep(alpha, n_terms, symmetric)
-    z = np.cumsum(gen.standard_exponential(p))
-    mags = z ** (-1.0 / alpha)
-    if symmetric:
-        mags = mags * (2.0 * gen.integers(0, 2, p) - 1.0)
-    return mags
-
-
-def _lepage_block(alpha, p, symmetric, gen, rows):
+def _lepage_block(alpha, p, symmetric, gen, rows, ranks=0):
     """rows LePage sums of p terms from row-wise cumsums of exponential blocks.
 
-    A row longer than one _CHUNK-element block carries its partial sum Z
-    into the next column chunk; signs are drawn after each chunk's
-    exponentials.
+    Returns (rows, 1 + ranks): each sum, then its first ranks <= p term
+    magnitudes (its largest, as Z_p increases).  A row longer than one
+    _CHUNK-element block carries its partial sum Z into the next column
+    chunk; signs are drawn after each chunk's exponentials.
     """
-    sums = np.zeros(rows)
+    out = np.zeros((rows, 1 + ranks))
     for rs in _row_groups(rows, p):
         carry = np.zeros(rs.stop - rs.start)
         for c0, c1 in _col_chunks(0, p, carry.size):
@@ -445,10 +430,12 @@ def _lepage_block(alpha, p, symmetric, gen, rows):
             z = np.cumsum(e, axis=1)
             carry = z[:, -1]
             mags = z ** (-1.0 / alpha)
+            if c0 == 0:
+                out[rs, 1:] = mags[:, :ranks]
             if symmetric:
                 mags *= 2.0 * gen.integers(0, 2, mags.shape) - 1.0
-            sums[rs] += mags.sum(axis=1)
-    return sums
+            out[rs, 0] += mags.sum(axis=1)
+    return out
 
 
 def lepage_batch(alpha: float, reps: int, seed: int, symmetric: bool = False,
@@ -456,10 +443,13 @@ def lepage_batch(alpha: float, reps: int, seed: int, symmetric: bool = False,
                  threads: int = 1) -> np.ndarray:
     """reps independent LePage sums, block b on stream base_stream + b.
 
-    Blocks run on the process's CPUs; threads is accepted and ignored."""
+    reps x n_terms must stay within the 2^32 draw budget.  Blocks run on
+    the process's CPUs; threads is accepted and ignored."""
     p = _lepage_prep(alpha, n_terms, symmetric)
-    return _map_blocks(lambda gen, rows: _lepage_block(alpha, p, symmetric, gen, rows),
-                       reps, seed, base_stream)
+    _check_draws(reps, p)
+    return _map_blocks(
+        lambda gen, rows: _lepage_block(alpha, p, symmetric, gen, rows)[:, 0],
+        reps, seed, base_stream)
 
 
 # -- export -------------------------------------------------------------------

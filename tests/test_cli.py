@@ -251,6 +251,15 @@ def test_lepage_too_few_terms_exit_code(n_terms, message, capsys):
     assert message in capsys.readouterr().err
 
 
+def test_lepage_defaults_exceed_the_draw_budget(capsys):
+    # 10^5 reps x 10^6 auto terms ran for many minutes before; now refused
+    # before any draw
+    t0 = time.perf_counter()
+    assert main(["lepage"]) == 4
+    assert time.perf_counter() - t0 < 1.0
+    assert "2^32 draw budget" in capsys.readouterr().err
+
+
 def test_coupling_csv(tmp_path):
     out = str(tmp_path / "c.csv")
     code = main(["coupling", "--alpha", "0.5", "--n-list", "50,200", "--reps",

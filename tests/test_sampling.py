@@ -1,3 +1,4 @@
+import contextlib
 import math
 import os
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semistable import sampling
+from semistable import empirics, sampling
 from semistable.charfn import levy_cdf
 from semistable.coupling import coupling_gap_curve
 from semistable.empirics import (Ecdf, ks_distance, ks_two_sample,
@@ -341,19 +342,37 @@ def test_lepage_term_ratio():
 
 def test_lepage_truncation_refinement_stability():
     # doubling the term count moves the 0.9-quantile by far less than 1e-3
-    from semistable.sampling import _lepage_terms
     for alpha, symmetric in ((0.4, False), (0.6, True)):
         p = lepage_auto_terms(alpha, symmetric)
         q_short = []
         q_long = []
         for i in range(2000):
             gen = RngStream(33, i).generator()
-            terms = _lepage_terms(alpha, gen, 2 * p, symmetric)
+            terms = np.cumsum(gen.standard_exponential(2 * p)) ** (-1.0 / alpha)
+            if symmetric:
+                terms *= 2.0 * gen.integers(0, 2, 2 * p) - 1.0
             partial = np.cumsum(terms)
             q_short.append(partial[p - 1])
             q_long.append(partial[-1])
         shift = abs(np.quantile(q_short, 0.9) - np.quantile(q_long, 0.9))
         assert shift < 1e-3, (alpha, symmetric, shift)
+
+
+def test_lepage_work_budget(monkeypatch):
+    # reps x draws per replicate is refused before any draw; the defaults of
+    # `semistable lepage` asked for 10^5 x 10^6 exponentials
+    def drew(*args, **kwargs):
+        raise AssertionError("drew before the budget check")
+
+    monkeypatch.setattr(sampling, "_map_blocks", drew)
+    monkeypatch.setattr(empirics, "_map_blocks", drew)
+    for call in (lambda: lepage_batch(0.5, 10 ** 5, seed=1),
+                 lambda: lepage_limit_experiment(0.5, 14, 10 ** 5, RngStream(1)),
+                 lambda: lepage_limit_experiment(0.5, 24, 300, RngStream(1), n_terms=10),
+                 lambda: negligibility_experiment([0.5], 10 ** 7, 10 ** 3, RngStream(1))):
+        with pytest.raises(ResourceLimitError, match="2\\^32 draw budget"):
+            call()
+    sampling._check_draws(10 ** 5, 1 << 14)  # the README's lepage command fits
 
 
 def test_lepage_batch_reproducible():
@@ -410,19 +429,17 @@ def test_kernel_chunking_changes_only_rounding(monkeypatch):
 @settings(max_examples=12, deadline=None)
 @given(reps=st.integers(1, 600), base=st.integers(0, 10 ** 9))
 def test_batches_do_not_depend_on_threads(reps, base):
+    # the pool's worker count follows the CPU count; 1 CPU runs blocks in line
     m = make_pareto(0.5)
     runs = []
-    for threads in (1, 2, 3):
-        curve = coupling_gap_curve(m, [20, 60], reps, RngStream(87, base),
-                                   threads=threads)
-        runs.append((
-            poisson_sum_batch(m, 1e-2, reps, seed=87, base_stream=base,
-                              threads=threads).tobytes(),
-            lepage_batch(0.5, reps, seed=87, n_terms=60, base_stream=base,
-                         threads=threads).tobytes(),
-            petersburg_sum_batch(100, reps, seed=87, base_stream=base,
-                                 threads=threads).tobytes(),
-            curve.statistic))
+    for cpus in (1, 2, 3):
+        with _cpu_count(cpus):
+            curve = coupling_gap_curve(m, [20, 60], reps, RngStream(87, base))
+            runs.append((
+                poisson_sum_batch(m, 1e-2, reps, seed=87, base_stream=base).tobytes(),
+                lepage_batch(0.5, reps, seed=87, n_terms=60, base_stream=base).tobytes(),
+                petersburg_sum_batch(100, reps, seed=87, base_stream=base).tobytes(),
+                curve.statistic))
     assert runs[0] == runs[1] == runs[2]
 
 
@@ -439,24 +456,15 @@ def test_tail_model_sampling_needs_a_positive_scaled_mass():
 # -- block pool ----------------------------------------------------------------
 
 
-@pytest.fixture
-def pool_of(monkeypatch):
-    """Point pooled batches at fresh pools sized for the given CPU count;
-    with 1 CPU, blocks run in line."""
-    made, make = {}, sampling._pool.__wrapped__
-
-    def pool(workers):
-        if workers not in made:
-            made[workers] = make(workers)
-        return made[workers]
-
-    def use(cpus):
-        monkeypatch.setattr(sampling, "_cpus", lambda: cpus)
-
-    monkeypatch.setattr(sampling, "_pool", pool)
-    yield use
-    for p in made.values():
-        p.shutdown()
+@contextlib.contextmanager
+def _cpu_count(cpus):
+    """Pooled batches see cpus CPUs and run on a fresh pool of that size;
+    with 1 CPU, blocks run in line.  A context manager rather than a
+    fixture, so that hypothesis tests can use it too."""
+    with pytest.MonkeyPatch.context() as mp, sampling._pool.__wrapped__(cpus) as pool:
+        mp.setattr(sampling, "_cpus", lambda: cpus)
+        mp.setattr(sampling, "_pool", lambda workers: pool)
+        yield
 
 
 def _pooled_outputs():
@@ -471,17 +479,19 @@ def _pooled_outputs():
         order_statistics_experiment(3, 500, 700, RngStream(89)).to_json(),
         negligibility_experiment([0.5, 2.5], 1000, 600, RngStream(90)).to_json(),
         lepage_limit_experiment(0.5, 5, 600, RngStream(91), n_terms=300).to_json(),
+        lepage_limit_experiment(1.5, 5, 600, RngStream(92), symmetric=True,
+                                n_terms=300).to_json(),
     ]
 
 
-def test_pooled_batches_match_one_worker(pool_of):
-    pool_of(1)
-    inline = _pooled_outputs()
-    pool_of(3)
-    assert _pooled_outputs() == inline
-    ran_on = sampling._map_blocks(
-        lambda gen, rows: np.full(rows, threading.get_ident(), dtype=object),
-        4 * sampling.BLOCK, 1)
+def test_pooled_batches_match_one_worker():
+    with _cpu_count(1):
+        inline = _pooled_outputs()
+    with _cpu_count(3):
+        assert _pooled_outputs() == inline
+        ran_on = sampling._map_blocks(
+            lambda gen, rows: np.full(rows, threading.get_ident(), dtype=object),
+            4 * sampling.BLOCK, 1)
     assert threading.get_ident() not in set(ran_on)  # pool threads drew them
 
 
@@ -494,24 +504,23 @@ def test_import_starts_no_thread():
     subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=60)
 
 
-def test_pool_passes_block_errors_and_stays_usable(pool_of):
-    pool_of(2)
+def test_pool_passes_block_errors_and_stays_usable():
 
     def block(gen, rows):
         if rows < sampling.BLOCK:
             raise ArithmeticError("last block")
         return gen.random(rows)
 
-    with pytest.raises(ArithmeticError, match="last block"):
-        sampling._map_blocks(block, 3 * sampling.BLOCK - 1, 5)
     m = make_pareto(0.5)
-    a = poisson_sum_batch(m, 1e-3, 700, seed=92)
-    pool_of(1)
-    assert a.tobytes() == poisson_sum_batch(m, 1e-3, 700, seed=92).tobytes()
+    with _cpu_count(2):
+        with pytest.raises(ArithmeticError, match="last block"):
+            sampling._map_blocks(block, 3 * sampling.BLOCK - 1, 5)
+        a = poisson_sum_batch(m, 1e-3, 700, seed=92)
+    with _cpu_count(1):
+        assert a.tobytes() == poisson_sum_batch(m, 1e-3, 700, seed=92).tobytes()
 
 
-def test_nested_map_blocks_returns(pool_of):
-    pool_of(2)
+def test_nested_map_blocks_returns():
 
     def outer(gen, rows):
         inner = sampling._map_blocks(lambda g, r: g.random(r), 600, 7)
@@ -520,8 +529,9 @@ def test_nested_map_blocks_returns(pool_of):
     done = []
     worker = threading.Thread(
         target=lambda: done.append(sampling._map_blocks(outer, 800, 6)), daemon=True)
-    worker.start()
-    worker.join(60.0)
+    with _cpu_count(2):
+        worker.start()
+        worker.join(60.0)
     assert not worker.is_alive() and done[0].shape == (800,)
     assert np.all(done[0] == done[0][0])
 
