@@ -256,63 +256,50 @@ def _phase_slope(h, t_lo, t_hi):
 _DYADIC_LEVELS = 150
 _NODE_BUDGET = 1 << 22  # about |x| <= 6e4 on the dyadic family (1e4 takes 1.0e6)
 _WORK_BUDGET = 1 << 29  # point x node products per cdf_from_cf call; 3.5-6 s
-                        # on a 2-core x86 host (the direct head sum bounds
-                        # small |x|, the exponent on 4e6 nodes large |x|),
-                        # 50x the largest call the tests and the benchmark make
+                        # on a 2-core x86 host (the direct sum over the
+                        # 2,400 cascade nodes bounds small |x|, the exponent
+                        # on 4e6 nodes large |x|), 50x the largest call the
+                        # tests and the benchmark make
 
 
 def _node_count(T, omega):
-    """(t_start, node count) of _build_nodes(T, omega); the count grows with omega."""
-    t_start = min(0.5, math.pi / (2.0 * omega), T / 8.0)
-    # T omega / pi steps of pi/omega, plus a ramp of at most log_1.5(T/t_start) + 1
-    ramp = math.log(T / t_start, 1.5) + 1.0 if t_start > 0.0 else math.inf
-    return t_start, 16 * _DYADIC_LEVELS + 12 * (T * omega / math.pi + ramp + 1.0)
+    """(K, node count) of _build_nodes(T, omega): K = ceil((T - t0)/delta)
+    panels of 12 nodes above the 150-level cascade.  Floats that grow with
+    omega; np.ceil keeps an overflowing T omega at inf, not OverflowError."""
+    K = np.ceil(T * omega / math.pi - 0.5)  # (T - t0)/delta, t0 = delta/2
+    return K, 16 * _DYADIC_LEVELS + 12.0 * K
 
 
 def _check_node_budget(T, omega):
-    """t_start of _build_nodes(T, omega), or InversionError naming the node
-    count if that node set would pass _NODE_BUDGET."""
-    t_start, need = _node_count(T, omega)
+    """K of _build_nodes(T, omega), or InversionError naming the node count
+    if that node set would pass _NODE_BUDGET."""
+    K, need = _node_count(T, omega)
     if not need <= _NODE_BUDGET:
         raise InversionError(
             "inversion would need about %.3g quadrature nodes, over the budget of %d"
             % (need, _NODE_BUDGET))
-    return t_start
+    return int(K)
 
 
 def _build_nodes(T, omega):
     """Quadrature nodes/weights on (0, T], as a head and a bulk.
 
-    The singular neighborhood (0, t_start] is covered by dyadically
-    shrinking 16-point Gauss-Legendre panels, which resolve the integrable
-    t**(alpha-1) / log(1/t) behavior of the integrand near t = 0.  Above
-    t_start the panel width ramps up geometrically (width t/2, which keeps
-    the 1/t curvature of the integrand resolved near the transition) until
-    it reaches half an oscillation delta = pi/omega of e^{-itx} phi(t).
-    From that edge t0 on, K full panels of width delta follow, then one
-    panel clipped at T.  Returns (t_head, w_head, t0, delta, K): the head
-    holds the dyadic cascade, the ramp and the clipped panel; the bulk is
-    the K equal panels [t0 + k delta, t0 + (k+1) delta] with the 12-point
-    rule (see _bulk_nodes).  K = 0 when T falls inside the ramp or within
-    one width of t0.  Raises InversionError, naming the node count, past
-    _NODE_BUDGET nodes.
+    With delta = pi/omega half an oscillation of e^{-itx} phi(t) and
+    t0 = delta/2, the head covers (0, t0] with 150 dyadically shrinking
+    16-point Gauss-Legendre panels [t0 2^-(l+1), t0 2^-l], which resolve
+    the integrable t**(alpha-1) / log(1/t) behavior of the integrand near
+    t = 0.  The bulk is the K = ceil((T - t0)/delta) equal panels
+    [t0 + k delta, t0 + (k+1) delta] with the 12-point rule (see
+    _bulk_nodes); the last may end past T, where the integrand is already
+    below the cutoff's bound.  Returns (t_head, w_head, t0, delta, K).
+    Raises InversionError, naming the node count, past _NODE_BUDGET nodes.
     """
-    t_start = _check_node_budget(T, omega)
+    K = _check_node_budget(T, omega)
     delta = math.pi / omega
-    a = t_start * 0.5 ** np.arange(_DYADIC_LEVELS)
-    edges = [t_start]
-    t = t_start
-    while t < T and 0.5 * t < delta:
-        t = min(T, t + 0.5 * t)
-        edges.append(t)
-    t0, K = t, 0
-    lo, hi = np.array(edges[:-1]), np.array(edges[1:])
-    if t < T:
-        K = math.ceil((T - t0) / delta) - 1
-        lo, hi = np.append(lo, t0 + K * delta), np.append(hi, T)
-    xd, wd = _gl_panels(0.5 * a, a, 16)
-    xp, wp = _gl_panels(lo, hi, 12)
-    return np.concatenate([xd, xp]), np.concatenate([wd, wp]), t0, delta, K
+    t0 = 0.5 * delta
+    a = t0 * 0.5 ** np.arange(_DYADIC_LEVELS)
+    t, w = _gl_panels(0.5 * a, a, 16)
+    return t, w, t0, delta, K
 
 
 def _bulk_nodes(t0, delta, K):
@@ -426,16 +413,14 @@ def _invert(h, xs, tol):
         hr, removed_mass = h.split(b + _ATOM_MARGIN) if h.split else (h, 0.0)
         slope = _phase_slope(hr, min(1e-3, T / 100.0), T)
         omega = b + max(4.0, 1.3 * slope)
-        slope = _phase_slope(hr, _check_node_budget(T, omega), T)
+        slope = _phase_slope(hr, math.pi / (2.0 * omega), T)
         omega = b + max(4.0, 1.3 * slope)
         t, w, t0, delta, K = _build_nodes(T, omega)
         tb, wb = _bulk_nodes(t0, delta, K)
-        t, w = np.concatenate([t, tb.ravel()]), np.concatenate([w, wb.ravel()])
         with np.errstate(under="ignore"):
-            cw = np.exp(hr(t)) * (w / t)
-        head = cw.size - 12 * K
-        vals = (_phase_sums(xs[mask], t[:head], cw[:head])
-                + _bulk_phase_sums(xs[mask], t0, delta, cw[head:].reshape(K, 12)))
+            cw, cwb = np.exp(hr(t)) * (w / t), np.exp(hr(tb)) * (wb / tb)
+        vals = (_phase_sums(xs[mask], t, cw)
+                + _bulk_phase_sums(xs[mask], t0, delta, cwb))
         out[mask] = math.exp(-removed_mass) * (0.5 - vals / math.pi)
     return np.clip(out, 0.0, 1.0)
 

@@ -1,8 +1,9 @@
 """Command-line surface: samplers, CDF tables and the experiment suite.
 
 Every run is reproducible: the seed defaults to a fixed constant (override
-with --seed or the SEMISTABLE_SEED environment variable; the flag wins),
-and each artifact embeds its full run configuration.  Exit codes: 0 on
+with --seed or the SEMISTABLE_SEED environment variable; the flag wins,
+but a SEMISTABLE_SEED that is not an integer is a parameter error either
+way), and each artifact embeds its full run configuration.  Exit codes: 0 on
 success, 2 on parse/parameter errors, 3 when an experiment reports
 pass = false, 4 on numeric failure (no decay, point or node budget).
 """
@@ -28,9 +29,12 @@ __all__ = ["main", "run_selftest", "DEFAULT_SEED", "SEED_ENV"]
 
 def _seed_default() -> int:
     env = os.environ.get(SEED_ENV)
-    if env is not None:
+    if env is None:
+        return DEFAULT_SEED
+    try:
         return int(env, 0)
-    return DEFAULT_SEED
+    except ValueError:
+        raise ValueError("%s=%r is not an integer" % (SEED_ENV, env)) from None
 
 
 _MAX_GRID_ROWS = 10 ** 6
@@ -383,13 +387,11 @@ _DISPATCH = {"sample": _cmd_sample, "cdf": _cmd_cdf, "selftest": _cmd_selftest,
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code else 0
-    try:
+        args = _build_parser().parse_args(argv)
         return _DISPATCH[args.command](args)
+    except SystemExit as exc:  # from argparse
+        return int(exc.code) if exc.code else 0
     except (charfn.InversionError, sampling.ResourceLimitError) as exc:
         print("numeric failure: %s" % exc, file=sys.stderr)
         return 4

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sampling import (_POINT_BUDGET, _STRIDE, ResourceLimitError, RngStream,
-                       _col_chunks, _map_blocks, _open01, _quantile_batch,
-                       _row_groups)
+                       _check_draws, _col_chunks, _map_blocks, _open01,
+                       _quantile_batch, _row_groups)
 from .tailmodel import TailModel, tail_eval
 
 __all__ = ["CoupledPair", "coupled_pair", "coupling_gap_curve", "maximal_fluctuation"]
@@ -140,8 +140,9 @@ def coupling_gap_curve(model: TailModel, n_list, reps: int, rng: RngStream,
 
     Returns an ExperimentReport; pass requires every adjacent median pair to
     decrease (fraction 1.0) and, when with_ks, each KS below ks_tolerance.
-    The fluctuation window is |j - n| <= 3 sqrt(n).  Blocks run on the
-    process's CPUs; threads is accepted and ignored.
+    The fluctuation window is |j - n| <= 3 sqrt(n); reps x (n + window
+    half-width) must stay within the 2^32 draw budget at every n.  Blocks
+    run on the process's CPUs; threads is accepted and ignored.
     """
     from .empirics import ExperimentReport, ks_two_sample
 
@@ -151,6 +152,8 @@ def coupling_gap_curve(model: TailModel, n_list, reps: int, rng: RngStream,
     if any(n < 10 for n in n_list):
         raise ValueError("coupling curve needs n >= 10")
     halves = [_check_coupling_model(model, n, window=True) for n in n_list]
+    for n, half in zip(n_list, halves):
+        _check_draws(reps, n + half)
     rows = []
     for idx, (n, half) in enumerate(zip(n_list, halves)):
         vals = _map_blocks(

@@ -86,9 +86,13 @@ def ks_two_sample(a, b) -> float:
 
     The gap is max|c_a n_b - c_b n_a| / (n_a n_b) over int64 step counts c,
     so the only rounding is the final division (an exact 20/1000 step gives
-    0.02)."""
+    0.02).  Empty samples and NaN raise ValueError."""
     a = np.sort(np.asarray(a, dtype=float))
     b = np.sort(np.asarray(b, dtype=float))
+    if a.size == 0 or b.size == 0:
+        raise ValueError("samples must not be empty")
+    if np.isnan(a[-1]) or np.isnan(b[-1]):  # np.sort puts NaN last
+        raise ValueError("sample contains NaN")
     both = np.concatenate([a, b])
     ca = np.searchsorted(a, both, side="right").astype(np.int64, copy=False)
     cb = np.searchsorted(b, both, side="right").astype(np.int64, copy=False)
@@ -325,6 +329,7 @@ def order_statistics_experiment(p: int, n: int, reps: int, rng: RngStream,
         raise ValueError("need 1 <= p <= n")
     if reps < 100:
         raise ValueError("reps must be >= 100")
+    _check_draws(reps, n)
 
     def block(gen, rows):
         ys = np.empty(rows)

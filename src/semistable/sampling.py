@@ -356,10 +356,12 @@ def poisson_sum_batch(model: TailModel, cutoff: float, reps: int, seed: int,
                       threads: int = 1) -> np.ndarray:
     """reps independent Poisson-sum draws, block b on stream base_stream + b.
 
-    Blocks run on the process's CPUs; threads is accepted and ignored."""
+    reps x ceil(T(cutoff)) must stay within the 2^32 draw budget.  Blocks
+    run on the process's CPUs; threads is accepted and ignored."""
     if not (0.0 < model.alpha < 2.0):
         raise ValueError("poisson sums need alpha in (0, 2)")
     lam = _point_rate(model, cutoff)
+    _check_draws(reps, math.ceil(lam))
     centering = 0.0 if symmetric else poisson_sum_centering(model, cutoff)
     return _map_blocks(
         lambda gen, rows: _poisson_sum_block(model, lam, symmetric, centering,

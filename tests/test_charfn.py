@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammainc, ndtr
 
-from semistable.charfn import (_DYADIC_LEVELS, CfExponent, InversionError,
+from semistable.charfn import (_NODE_BUDGET, CfExponent, InversionError,
                                TabulatedCdf, _build_nodes, _bulk_nodes,
-                               _bulk_phase_sums, _phase_sums, cauchy_law,
+                               _bulk_phase_sums, _node_count, _phase_sums,
+                               cauchy_law,
                                cdf_from_cf, convolution_power, erlang_cdf,
                                g_exponent, g_gamma_exponent, g_gamma_law,
                                gaussian_law, levy_cdf,
@@ -393,44 +394,38 @@ def test_cdf_values_pinned(law, xs, expected):
     assert np.max(np.abs(got - np.array(expected))) < 1e-12
 
 
-def _per_edge_node_count(T, omega):
-    """Node count of the per-edge panel loop the closed-form bulk replaced."""
-    t = min(0.5, math.pi / (2.0 * omega), T / 8.0)
-    panels = 0
-    while t < T:
-        t = min(T, t + min(0.5 * t, math.pi / omega))
-        panels += 1
-    return 16 * _DYADIC_LEVELS + 12 * panels
-
-
 def _all_nodes(T, omega):
     t, w, t0, delta, K = _build_nodes(T, omega)
     tb, wb = _bulk_nodes(t0, delta, K)
-    return np.concatenate([t, tb.ravel()]), np.concatenate([w, wb.ravel()]), K
+    return np.concatenate([t, tb.ravel()]), np.concatenate([w, wb.ravel()]), t0 + K * delta
 
 
 def test_build_nodes_counts_and_weights():
+    # every magnitude group has b >= 32 and omega >= b + 4, and the decay
+    # cutoff T is a power of two from 8 on
     pairs = 0
-    for T in (8.0, 16.0, 32.0, 64.0, 256.0, 1024.0):
-        for omega in (0.3, 1.0, 1.4, 4.0, 5.2, 37.3, 68.0, 132.5, 516.0, 1028.0, 4100.0):
-            try:
-                t, w, _ = _all_nodes(T, omega)
-            except InversionError:
+    for T in (8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0):
+        for omega in (36.0, 37.3, 68.0, 75.17, 132.5, 516.0, 1028.0, 4100.0):
+            need = _node_count(T, omega)[1]
+            if need > _NODE_BUDGET:
+                with pytest.raises(InversionError, match="quadrature nodes"):
+                    _build_nodes(T, omega)
                 continue
             pairs += 1
-            assert t.size == _per_edge_node_count(T, omega)
-            assert abs(w.sum() - T) <= 1e-12 * T
-            assert np.all((t > 0.0) & (t <= T)) and np.all(w >= 0.0)
-    assert pairs >= 50
+            t, w, end = _all_nodes(T, omega)
+            delta = math.pi / omega
+            assert t.size == need
+            assert T <= end < T + delta
+            assert abs(w.sum() - end) <= 1e-12 * end
+            assert np.all((t > 0.0) & (t < end)) and np.all(w >= 0.0)
+    assert pairs == 62
 
 
 @pytest.mark.parametrize("T, omega, span, K", [
-    (16.0, 6e4 + 4.0, 6e4, 305595),  # a far-tail node set near the node budget
-    (32.0, 137.0, 6e4, 1392),        # K = 1392 is not a multiple of B = 11
-    (8.0, 0.3, 6e4, 0),              # T falls inside the ramp
-    # one panel: with nothing to average over, the ulp(t) |x| phase rounding
-    # of either kernel reaches 1e-12 of the weights at |x| = 6e4
-    (8.0, 1.4, 60.0, 1),
+    (16.0, 6e4 + 4.0, 6e4, 305598),  # a far-tail node set near the node budget
+    (32.0, 137.0, 6e4, 1395),        # K = 1395 is not a multiple of B = 11
+    (64.0, 37.3, 6e4, 760),          # K = 760 is a multiple of B = 8: no padding
+    (8.0, 36.0, 6e4, 92),            # the fewest panels the inversion builds
 ])
 def test_factored_bulk_matches_direct_sum(T, omega, span, K):
     _, _, t0, delta, k = _build_nodes(T, omega)

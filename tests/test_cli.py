@@ -8,6 +8,7 @@ import pytest
 
 from semistable import charfn
 from semistable import cli
+from semistable import sampling
 from semistable.cli import DEFAULT_SEED, main, run_selftest
 
 
@@ -143,6 +144,18 @@ def test_cdf_work_budget_exit_code(capsys):
     assert "point x node products" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["orderstats", "--p", "3", "--n", "1000000", "--reps", "100000"],
+    ["coupling", "--n-list", "100,10000000", "--reps", "1000"],
+], ids=["orderstats", "coupling"])
+def test_draw_budget_exit_code(argv, capsys):
+    # reps x n was unbounded: the orderstats command asked for 10^11 uniforms
+    t0 = time.perf_counter()
+    assert main(argv) == 4
+    assert time.perf_counter() - t0 < 1.0
+    assert "2^32 draw budget" in capsys.readouterr().err
+
+
 def test_coupling_work_budget_exit_code(capsys):
     # n = 10^12 terms per path used to run without end
     t0 = time.perf_counter()
@@ -200,15 +213,20 @@ def test_jsonl_appends(tmp_path):
     (["sweep", "--k", "8", "--points", "1", "--reps", "10000"], 0),
 ], ids=["feller", "coupling", "lepage", "lepage-symmetric", "orderstats",
         "negligibility", "sweep"])
-def test_threads_byte_identical(tmp_path, argv, code):
-    # identical config (same out path), different worker counts; at these
-    # small sizes some verdicts fail (exit 3), but the artifact must not move
+def test_threads_byte_identical(tmp_path, argv, code, monkeypatch):
+    # identical config (same out path), different --threads values and block
+    # pools of 1 and 4 workers; at these small sizes some verdicts fail
+    # (exit 3), but the artifact must not move
     out = str(tmp_path / "t.json")
     base = argv + ["--seed", "9", "--out", out]
     assert main(base + ["--threads", "1"]) == code
     first = read(out)
     assert main(base + ["--threads", "4"]) == code
     assert read(out) == first
+    for cpus in (1, 4):
+        monkeypatch.setattr(sampling, "_cpus", lambda: cpus)
+        assert main(base) == code
+        assert read(out) == first
 
 
 @pytest.mark.parametrize("argv", [["coupling", "--n-list", ","],
@@ -273,6 +291,14 @@ def test_coupling_csv(tmp_path):
 def test_negligibility_cli():
     assert main(["negligibility", "--alphas", "0.5,2.5", "--n", "2000",
                  "--reps", "200", "--seed", "4"]) == 0
+
+
+@pytest.mark.parametrize("seed_flag", [[], ["--seed", "77"]], ids=["env", "env-and-flag"])
+def test_bad_seed_env_exit_code(seed_flag, monkeypatch, capsys):
+    # a ValueError traceback from building the parser before, flag or not
+    monkeypatch.setenv("SEMISTABLE_SEED", "notanumber")
+    assert main(["sample", "--model", "petersburg", "--n", "4"] + seed_flag) == 2
+    assert "SEMISTABLE_SEED='notanumber' is not an integer" in capsys.readouterr().err
 
 
 def test_seed_env_override(tmp_path, monkeypatch):

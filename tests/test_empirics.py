@@ -64,6 +64,17 @@ def test_two_sample_ks_exact_step():
     assert ks_two_sample(a, a + 20.0) == 0.02
 
 
+def test_two_sample_ks_rejects_nan_and_empty():
+    # [1, nan] vs [1, 2] gave 0.5, and an empty sample a ZeroDivisionError
+    with pytest.raises(ValueError, match="NaN"):
+        ks_two_sample([1.0, math.nan], [1.0, 2.0])
+    with pytest.raises(ValueError, match="NaN"):
+        ks_two_sample([1.0, 2.0], [math.nan])
+    for a, b in (([], [1.0]), ([1.0], []), ([], [])):
+        with pytest.raises(ValueError, match="empty"):
+            ks_two_sample(a, b)
+
+
 def test_ecdf_rejects_non_finite_samples():
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semistable import empirics, sampling
+from semistable import coupling, empirics, sampling
 from semistable.charfn import levy_cdf
 from semistable.coupling import coupling_gap_curve
 from semistable.empirics import (Ecdf, ks_distance, ks_two_sample,
@@ -360,18 +361,25 @@ def test_lepage_truncation_refinement_stability():
 
 def test_lepage_work_budget(monkeypatch):
     # reps x draws per replicate is refused before any draw; the defaults of
-    # `semistable lepage` asked for 10^5 x 10^6 exponentials
+    # `semistable lepage` asked for 10^5 x 10^6 exponentials, and the order
+    # statistics, coupling curve and Poisson sum calls below ran until stopped
     def drew(*args, **kwargs):
         raise AssertionError("drew before the budget check")
 
-    monkeypatch.setattr(sampling, "_map_blocks", drew)
-    monkeypatch.setattr(empirics, "_map_blocks", drew)
+    for module in (sampling, empirics, coupling):
+        monkeypatch.setattr(module, "_map_blocks", drew)
+    m = make_pareto(0.5)
     for call in (lambda: lepage_batch(0.5, 10 ** 5, seed=1),
                  lambda: lepage_limit_experiment(0.5, 14, 10 ** 5, RngStream(1)),
                  lambda: lepage_limit_experiment(0.5, 24, 300, RngStream(1), n_terms=10),
-                 lambda: negligibility_experiment([0.5], 10 ** 7, 10 ** 3, RngStream(1))):
+                 lambda: negligibility_experiment([0.5], 10 ** 7, 10 ** 3, RngStream(1)),
+                 lambda: order_statistics_experiment(3, 10 ** 6, 10 ** 5, RngStream(1)),
+                 lambda: coupling_gap_curve(m, [100, 10 ** 7], 1000, RngStream(1)),
+                 lambda: poisson_sum_batch(m, 1e-10, 10 ** 5, seed=1)):
+        start = time.perf_counter()
         with pytest.raises(ResourceLimitError, match="2\\^32 draw budget"):
             call()
+        assert time.perf_counter() - start < 1.0
     sampling._check_draws(10 ** 5, 1 << 14)  # the README's lepage command fits
 
 
