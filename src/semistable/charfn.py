@@ -249,8 +249,10 @@ def _phase_slope(h, t_lo, t_hi):
         np.linspace(min(1.0, t_hi), t_hi, 192),
     ]))
     im = np.imag(h(probes))
-    d = np.abs(np.diff(im) / np.diff(probes))
-    return float(np.max(d)) if d.size else 0.0
+    slope = float(np.max(np.abs(np.diff(im) / np.diff(probes)), initial=0.0))
+    if not math.isfinite(slope):
+        raise InversionError("the phase of the exponent has a non-finite slope")
+    return slope
 
 
 _DYADIC_LEVELS = 150
@@ -367,10 +369,10 @@ def cdf_from_cf(h: CfExponent, x, tol: float = 1e-8):
 
     The cutoff T is chosen so exp(Re h(T))/T sits three decades below tol
     (raises InversionError if the search passes 1e6); panel density is
-    matched to the oscillation frequency |x| plus the phase slope of phi,
-    and the t -> 0 neighborhood is integrated on dyadically refined panels.
-    Levy jumps beyond the query range are handled as an exact
-    compound-Poisson factor rather than by quadrature (see CfExponent.split).
+    matched to the oscillation frequency |x| plus the phase slope of phi
+    (InversionError if not finite); the t -> 0 neighborhood is integrated on
+    dyadically refined panels, and Levy jumps beyond the query range are an
+    exact compound-Poisson factor rather than quadrature (CfExponent.split).
     Absolute error target tol (tol >= 1e-10).  Accepts scalar or array x,
     which must be finite.  Before any quadrature, raises InversionError if a
     node set would pass _NODE_BUDGET or the whole call _WORK_BUDGET point x

@@ -3,11 +3,11 @@
 Each experiment simulates on Philox streams addressed by replicate position
 alone.  The layout lives in sampling._map_blocks: replicates
 [256 b, 256 b + 256) draw from stream base + b, a block at a time through
-one vectorized kernel per construction (power-law rows share _power_block;
-the LePage series is sampling._lepage_block).  Blocks run on the process's
-CPUs (Petersburg sums excepted) and join in block order, so results depend
-on neither the worker count nor threads=.  Each experiment compares with
-the inverted limit CDF or an oracle.
+one vectorized kernel per construction (_power_block for power-law rows,
+sampling._lepage_block for the LePage series, two Gamma variates for an
+order statistic).  Blocks of large fills run on the process's CPUs and join
+in block order, so results depend on neither the worker count nor threads=.
+Each experiment compares with the inverted limit CDF or an oracle.
 Reports carry the statistic, a Monte Carlo standard error where one makes
 sense, the seed and the pass/fail verdict at the stated tolerance.
 """
@@ -53,6 +53,8 @@ class Ecdf:
     @classmethod
     def from_sample(cls, sample) -> "Ecdf":
         values = np.asarray(sample, dtype=float)
+        if values.size == 0:
+            raise ValueError("sample must not be empty")
         if not np.all(np.isfinite(values)):
             raise ValueError("sample contains non-finite values")
         return cls(values=np.sort(values))
@@ -313,33 +315,34 @@ def merging_sweep(k: int, points_per_octave: int, reps: int, rng: RngStream,
     )
 
 
+def _order_statistic_block(p, n, gen, rows):
+    """rows draws of Gamma_p / (Gamma_p + Gamma'), Gamma' ~ Gamma(n + 1 - p)."""
+    g = gen.standard_gamma(p, rows)
+    return g / (g + gen.standard_gamma(n + 1 - p, rows))
+
+
 def order_statistics_experiment(p: int, n: int, reps: int, rng: RngStream,
                                 threads: int = 1,
                                 ks_tolerance: float | None = 0.012
                                 ) -> ExperimentReport:
     """p-th smallest of n uniforms: exact moments and the Gamma(p, 1) limit of n*y_p.
 
-    Checks the closed forms E y_p = p/(n+1) and
+    Renyi (1953): (U_(1), ..., U_(n)) = (Gamma_1, ..., Gamma_n) / Gamma_{n+1}
+    in law over Poisson arrivals Gamma_i, so y_p = Gamma_p / (Gamma_p + Gamma')
+    exactly, 2 draws per replicate whatever p and n (n <= 2^53, exact in
+    float64).  Checks the closed forms E y_p = p/(n+1) and
     Var y_p = p(n-p+1)/((n+1)^2 (n+2)) within 3 Monte Carlo standard errors,
     and the KS distance of n*y_p to the Erlang(p) CDF.  The Erlang limit
     needs n >> p; pass ks_tolerance=None to report the KS without letting it
     decide the verdict (exact-moment checks at small n).
     """
-    if not (1 <= p <= n):
-        raise ValueError("need 1 <= p <= n")
+    if not (1 <= p <= n <= 1 << 53):
+        raise ValueError("need 1 <= p <= n <= 2^53, the counts float64 holds exactly")
     if reps < 100:
         raise ValueError("reps must be >= 100")
-    _check_draws(reps, n)
-
-    def block(gen, rows):
-        ys = np.empty(rows)
-        for rs in _row_groups(rows, n):
-            u = gen.random((rs.stop - rs.start, n))
-            u.partition(p - 1, axis=1)
-            ys[rs] = u[:, p - 1]
-        return ys
-
-    ys = _map_blocks(block, reps, rng.seed, rng.stream_id)
+    _check_draws(reps, 2)
+    ys = _map_blocks(lambda gen, rows: _order_statistic_block(p, n, gen, rows),
+                     reps, rng.seed, rng.stream_id, pooled=False)  # too few draws to pool
     mean_exact = p / (n + 1.0)
     var_exact = p * (n - p + 1.0) / ((n + 1.0) ** 2 * (n + 2.0))
     mean_err = float(abs(ys.mean() - mean_exact))

@@ -218,6 +218,15 @@ def test_cdf_tol_validation_and_failure():
         cdf_from_cf(degenerate, 0.5)
 
 
+def test_cdf_non_finite_phase_slope_raises():
+    # the drift overflows on the slope probes: the slope was NaN, and
+    # max(4.0, 1.3 * nan) = 4.0 returned a silent NaN CDF
+    overflowing = CfExponent(fn=lambda t: -0.5 * t * t + 1j * 1.5e308 * t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(InversionError, match="non-finite slope"):
+            cdf_from_cf(overflowing, 0.0)
+
+
 def test_cdf_rejects_nan():
     # the NaN slot used to come back as a clipped uninitialised entry
     with pytest.raises(ValueError, match="finite"):

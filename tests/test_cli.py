@@ -145,15 +145,22 @@ def test_cdf_work_budget_exit_code(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["orderstats", "--p", "3", "--n", "1000000", "--reps", "100000"],
+    ["orderstats", "--p", "3", "--n", "1000000", "--reps", "2147483649"],
     ["coupling", "--n-list", "100,10000000", "--reps", "1000"],
 ], ids=["orderstats", "coupling"])
 def test_draw_budget_exit_code(argv, capsys):
-    # reps x n was unbounded: the orderstats command asked for 10^11 uniforms
+    # reps x draws per replicate was unbounded: orderstats asks for 2 Gamma
+    # variates per replicate, so 2^31 + 1 replicates exceed the budget
     t0 = time.perf_counter()
     assert main(argv) == 4
     assert time.perf_counter() - t0 < 1.0
     assert "2^32 draw budget" in capsys.readouterr().err
+
+
+def test_orderstats_n_bound_exit_code(capsys):
+    # refused before any draw: a Gamma shape of 10^400 overflows float64
+    assert main(["orderstats", "--p", "3", "--n", str(10 ** 400)]) == 2
+    assert "2^53" in capsys.readouterr().err
 
 
 def test_coupling_work_budget_exit_code(capsys):

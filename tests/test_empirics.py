@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 from semistable.charfn import erlang_cdf
-from semistable.empirics import (Ecdf, ExperimentReport, feller_experiment,
-                                 gamma_n, ks_distance, ks_two_sample,
-                                 lepage_limit_experiment, levy_distance,
-                                 martin_lof_experiment, merging_experiment,
-                                 merging_sweep, negligibility_experiment,
+from semistable.empirics import (Ecdf, ExperimentReport, _order_statistic_block,
+                                 feller_experiment, gamma_n, ks_distance,
+                                 ks_two_sample, lepage_limit_experiment,
+                                 levy_distance, martin_lof_experiment,
+                                 merging_experiment, merging_sweep,
+                                 negligibility_experiment,
                                  order_statistics_experiment)
-from semistable.sampling import RngStream
+from semistable.sampling import RngStream, _map_blocks
 
 
 # -- distances -------------------------------------------------------------------
@@ -79,6 +80,12 @@ def test_ecdf_rejects_non_finite_samples():
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError):
             Ecdf.from_sample([0.0, bad, 1.0])
+
+
+def test_ecdf_rejects_empty_sample():
+    # used to evaluate to NaN, and ks_distance hit numpy's zero-size error
+    with pytest.raises(ValueError, match="empty"):
+        Ecdf.from_sample([])
 
 
 def test_ecdf_rejects_nan_argument():
@@ -242,6 +249,26 @@ def test_order_statistics_erlang_limit():
     assert rep.statistic["ks"] <= 0.02
     # direct check against the exponential CDF
     assert erlang_cdf(1, 1.0) == pytest.approx(1 - math.exp(-1))
+
+
+def _partition_order_statistic(p, n, reps, gen, chunk=1000):
+    """Reference y_p: partition each row of n uniforms at rank p, drawing
+    chunk rows at a time."""
+    ys = np.empty(reps)
+    for start in range(0, reps, chunk):
+        u = gen.random((min(chunk, reps - start), n))
+        ys[start:start + len(u)] = np.partition(u, p - 1, axis=1)[:, p - 1]
+    return ys
+
+
+@pytest.mark.parametrize("p, n", ((1, 10), (3, 1000), (50, 2000)))
+def test_order_statistic_block_matches_partition(p, n):
+    # the two-Gamma kernel against sorting uniforms, by two-sample KS
+    reps = 2 * 10 ** 4
+    gamma = _map_blocks(lambda gen, rows: _order_statistic_block(p, n, gen, rows),
+                        reps, 93, p)
+    reference = _partition_order_statistic(p, n, reps, RngStream(94, p).generator())
+    assert ks_two_sample(gamma, reference) <= 2.5 * math.sqrt(2.0 / reps)
 
 
 def test_negligibility_thresholds():

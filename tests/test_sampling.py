@@ -373,7 +373,7 @@ def test_lepage_work_budget(monkeypatch):
                  lambda: lepage_limit_experiment(0.5, 14, 10 ** 5, RngStream(1)),
                  lambda: lepage_limit_experiment(0.5, 24, 300, RngStream(1), n_terms=10),
                  lambda: negligibility_experiment([0.5], 10 ** 7, 10 ** 3, RngStream(1)),
-                 lambda: order_statistics_experiment(3, 10 ** 6, 10 ** 5, RngStream(1)),
+                 lambda: order_statistics_experiment(3, 10 ** 6, 2 ** 31 + 1, RngStream(1)),
                  lambda: coupling_gap_curve(m, [100, 10 ** 7], 1000, RngStream(1)),
                  lambda: poisson_sum_batch(m, 1e-10, 10 ** 5, seed=1)):
         start = time.perf_counter()
