@@ -462,8 +462,10 @@ def tabulate_cdf(h: CfExponent, x_lo: float, x_hi: float,
 
     Points beyond _BODY_HI are evaluated at the looser _TAIL_TOL; far-tail
     oscillatory quadrature is expensive and KS-style consumers only need
-    absolute accuracy well below their distance tolerance out there.
-    """
+    absolute accuracy well below their distance tolerance out there.  For
+    g_gamma_law on [-8, 1024] at tol=1e-7 the table is within 1.4e-5 of
+    cdf_from_cf up to x = 48, and 1.2e-3 between its geometric tail nodes
+    (near jumps 2^k/gamma) though the nodes are exact to 7e-12."""
 
     def evaluate(xs):
         out = np.empty(xs.size)

@@ -4,8 +4,9 @@ Every run is reproducible: the seed defaults to a fixed constant (override
 with --seed or the SEMISTABLE_SEED environment variable; the flag wins,
 but a SEMISTABLE_SEED that is not an integer is a parameter error either
 way), and each artifact embeds its full run configuration.  Exit codes: 0 on
-success, 2 on parse/parameter errors, 3 when an experiment reports
-pass = false, 4 on numeric failure (no decay, point or node budget).
+success, 1 when stdout closes early (a broken pipe, e.g. into head), 2 on
+parse/parameter errors, 3 when an experiment reports pass = false, 4 on
+numeric failure (no decay, point or node budget).
 """
 
 from __future__ import annotations
@@ -82,15 +83,13 @@ def _write_csv(path, config, header, rows):
 
 
 def _emit_summary(report_dict, config, args):
-    doc = dict(report_dict)
-    doc["config"] = config
+    doc = dict(report_dict, config=config)
     text = json.dumps(doc, sort_keys=True)
-    if args.out:
-        if getattr(args, "format", "json") == "jsonl":
-            with open(args.out, "a", newline="\n") as fh:
-                fh.write(text + "\n")
-        else:
-            _write_lines(args.out, [json.dumps(doc, sort_keys=True, indent=2)])
+    if args.out and args.format == "jsonl":
+        with open(args.out, "a", newline="\n") as fh:
+            fh.write(text + "\n")
+    elif args.out:
+        _write_lines(args.out, [json.dumps(doc, sort_keys=True, indent=2)])
     else:
         print(text)
 
@@ -101,7 +100,7 @@ def _config(args, **params) -> dict:
         "seed": args.seed,
         "params": params,
         "out": args.out,
-        "format": getattr(args, "format", "json"),
+        "format": args.format,
     }
 
 
@@ -285,6 +284,8 @@ def _cmd_cdf(args) -> int:
 
 def _cmd_experiment(args) -> int:
     _, run, flags, _ = _EXPERIMENTS[args.command]
+    if args.format == "csv" and args.command != "coupling":
+        raise ValueError("--format csv is the coupling curve's format; use json or jsonl")
     keys = [flag[2:].replace("-", "_") for flag, _ in flags] + ["reps"]
     config = _config(args, **{k: getattr(args, k) for k in keys})
     report = run(args, sampling.RngStream(args.seed))
@@ -357,13 +358,10 @@ def run_selftest(seed: int, g_tol: float = 1e-12):
     det = bool(np.all(b1.values == b2.values))
     check("determinism-reruns", 0.0 if det else 1.0, 0.5, ok=det)
 
-    lines = []
-    failed = 0
-    for name, stat, tol, ok in checks:
-        lines.append("selftest %-32s statistic=%-12.4g tolerance=%-8.3g %s"
-                     % (name, stat, tol, "PASS" if ok else "FAIL"))
-        failed += 0 if ok else 1
-    return (0 if failed == 0 else 3), lines
+    lines = ["selftest %-32s statistic=%-12.4g tolerance=%-8.3g %s"
+             % (name, stat, tol, "PASS" if ok else "FAIL")
+             for name, stat, tol, ok in checks]
+    return (0 if all(ok for *_, ok in checks) else 3), lines
 
 
 def _cmd_selftest(args) -> int:
@@ -383,9 +381,14 @@ _DISPATCH = {"sample": _cmd_sample, "cdf": _cmd_cdf, "selftest": _cmd_selftest,
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        return _DISPATCH[args.command](args)
+        code = _DISPATCH[args.command](args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
     except SystemExit as exc:  # from argparse
         return int(exc.code) if exc.code else 0
+    except BrokenPipeError:  # the Python docs' recipe: flush at exit to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (charfn.InversionError, sampling.ResourceLimitError) as exc:
         print("numeric failure: %s" % exc, file=sys.stderr)
         return 4

@@ -8,7 +8,8 @@ layout for the whole package: _map_blocks splits a batch of replicates
 into fixed blocks of BLOCK (256), and block b draws all its replicates from
 stream base_stream + b.  Every batch and experiment draws a block at a time
 through one vectorized kernel per construction, whose temporaries hold at
-most _CHUNK doubles; the single-draw functions run the same kernels on one
+most _CHUNK doubles (one power-sum kernel serves the LePage series and the
+i.i.d. block sums); the single-draw functions run the same kernels on one
 row.  Blocks of large GIL-free fills run on a pool of one worker per usable
 CPU (the GIL-bound Petersburg blocks stay on the caller) and join in block
 order: outputs do not depend on the worker count, and threads= is ignored.
@@ -388,15 +389,16 @@ def lepage_auto_terms(alpha: float, symmetric: bool) -> int:
 
 def sample_lepage(alpha: float, rng: RngStream, n_terms: int | None = None,
                   symmetric: bool = False) -> float:
-    """One draw of the LePage series sum_p eps_p Z_p**(-1/alpha).
+    """One draw of the LePage series sum_p eps_p Z_p**(-1/alpha), p <= P.
 
-    Z_p are the partial sums of a single i.i.d. sequence of mean-1
-    exponentials; eps_p are independent uniform signs when symmetric, else
-    identically +1.  The positive mode requires alpha < 1 (otherwise the
-    series diverges without term-wise centering, which is not provided);
-    symmetric mode allows alpha in (0, 2).  n_terms = None picks the
-    truncation from lepage_auto_terms.  The draw is the one-replicate
-    lepage_batch on stream rng.stream_id.
+    Z_p are the arrivals of a rate-1 Poisson process and eps_p independent
+    uniform signs when symmetric, else identically +1; the sum is drawn as
+    the terms (Z_{P+1} U_j)**(-1/alpha), U_j uniform (_lepage_block).  The
+    positive mode requires alpha < 1 (otherwise the series diverges without
+    term-wise centering, which is not provided); symmetric mode allows
+    alpha in (0, 2).  n_terms = P = None picks the truncation from
+    lepage_auto_terms.  The draw is the one-replicate lepage_batch on
+    stream rng.stream_id.
     """
     return float(lepage_batch(alpha, 1, rng.seed, symmetric, n_terms, rng.stream_id)[0])
 
@@ -415,29 +417,43 @@ def _lepage_prep(alpha, n_terms, symmetric):
     return p
 
 
-def _lepage_block(alpha, p, symmetric, gen, rows, ranks=0):
-    """rows LePage sums of p terms from row-wise cumsums of exponential blocks.
+def _power_block(alpha, n, ranks, symmetric, gen, rows, scale=None):
+    """(rows, 1 + ranks): sums of n terms (s U)**(-1/alpha), U uniform on
+    (0, 1] and s the row's scale (1 without one), then the ranks largest.
 
-    Returns (rows, 1 + ranks): each sum, then its first ranks <= p term
-    magnitudes (its largest, as Z_p increases).  A row longer than one
-    _CHUNK-element block carries its partial sum Z into the next column
-    chunk; signs are drawn after each chunk's exponentials.
+    Tiles of at most _CHUNK uniforms (_row_groups, then _col_chunks); signs
+    follow each tile's uniforms, and the top ranks merge tile by tile.  The
+    scale goes on each term: on the sum, s**(-1/alpha) overflows (inf * 0).
     """
     out = np.zeros((rows, 1 + ranks))
-    for rs in _row_groups(rows, p):
-        carry = np.zeros(rs.stop - rs.start)
-        for c0, c1 in _col_chunks(0, p, carry.size):
-            e = gen.standard_exponential((carry.size, c1 - c0))
-            e[:, 0] += carry
-            z = np.cumsum(e, axis=1)
-            carry = z[:, -1]
-            mags = z ** (-1.0 / alpha)
-            if c0 == 0:
-                out[rs, 1:] = mags[:, :ranks]
-            if symmetric:
-                mags *= 2.0 * gen.integers(0, 2, mags.shape) - 1.0
-            out[rs, 0] += mags.sum(axis=1)
+    for rs in _row_groups(rows, n):
+        nr = rs.stop - rs.start
+        top = np.full((nr, ranks), -np.inf)
+        for c0, c1 in _col_chunks(0, n, nr):
+            u = _open01(gen, (nr, c1 - c0))
+            if scale is not None:
+                u *= scale[rs, None]
+            mags = u ** (-1.0 / alpha)
+            signed = mags * (2.0 * gen.integers(0, 2, mags.shape) - 1.0) if symmetric else mags
+            out[rs, 0] += signed.sum(axis=1)
+            if ranks == 1:
+                top = np.maximum(top, mags.max(axis=1, keepdims=True))
+            elif ranks:
+                top = np.partition(np.concatenate([top, mags], axis=1),
+                                   c1 - c0, axis=1)[:, c1 - c0:]
+        out[rs, 1:] = np.sort(top, axis=1)[:, ::-1]
     return out
+
+
+def _lepage_block(alpha, p, symmetric, gen, rows, ranks=0):
+    """rows LePage sums of p terms, then each row's ranks <= p largest terms.
+
+    (Z_1, ..., Z_p)/Z_{p+1} are p uniform order statistics independent of
+    Z_{p+1} (Renyi 1953), so the series is in law the power sum of the
+    terms (Z_{p+1} U_j)**(-1/alpha): Z_{p+1} first, then the uniforms.
+    """
+    return _power_block(alpha, p, ranks, symmetric, gen, rows,
+                        scale=gen.standard_gamma(p + 1, rows))
 
 
 def lepage_batch(alpha: float, reps: int, seed: int, symmetric: bool = False,

@@ -271,6 +271,10 @@ def test_cdf_table_and_interpolant():
     assert tab(1e9) == tab(64.0)
     grid = np.linspace(-20, 100, 301)
     assert np.all(np.diff(tab(grid)) >= 0.0)
+    # between the geometric tail nodes the interpolant is looser (~1.1e-3)
+    tab = tabulate_cdf(law, -8.0, 1024.0, tol=1e-7)
+    probe = np.linspace(48.0, 1024.0, 300)
+    assert np.max(np.abs(tab(probe) - cdf_from_cf(law, probe, 1e-8))) < 2e-3
 
 
 # -- closed-form references -----------------------------------------------------

@@ -1,6 +1,8 @@
+import io
 import json
 import pathlib
 import shlex
+import sys
 import time
 
 import numpy as np
@@ -293,6 +295,31 @@ def test_coupling_csv(tmp_path):
     lines = read(out).splitlines()
     assert lines[1] == "n,median_gap,q90_gap,ks"
     assert len(lines) == 4
+
+
+@pytest.mark.parametrize("command", (["merging", "--n", "96"],
+                                     ["orderstats", "--p", "3", "--n", "500"]))
+def test_csv_is_refused_outside_coupling(command, tmp_path, capsys):
+    # only the coupling curve has a csv form; the others wrote json into it
+    out = tmp_path / "m.csv"
+    assert main(command + ["--reps", "10000", "--format", "csv",
+                           "--out", str(out)]) == 2
+    assert "coupling" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_closed_stdout_exits_quietly(tmp_path, monkeypatch):
+    # a reader that stops early (| head) closes the pipe: exit 1, no traceback
+    class ClosedPipe(io.TextIOBase):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def fileno(self):  # the recipe points this descriptor at devnull
+            return sink.fileno()
+
+    with open(tmp_path / "sink", "w") as sink:
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(["sample", "--n", "5", "--seed", "1"]) == 1
 
 
 def test_negligibility_cli():

@@ -291,18 +291,20 @@ def test_lepage_limit_two_sample():
 
 def test_experiment_kernels_match_the_row_by_row_draws():
     # in positive mode both kernels draw in stream order, so they reproduce
-    # one-row-at-a-time draws exactly: the sum and the three largest terms
+    # one-row-at-a-time draws exactly: the sum and the three largest terms;
+    # the LePage block draws its rows' Gamma_{p+1} before the uniforms
     from semistable.empirics import _power_block
     from semistable.sampling import _lepage_block, _open01
     alpha, n, p, rows = 0.5, 1000, 500, 70  # several row groups each
     a = _power_block(alpha, n, 3, False, RngStream(93).generator(), rows)
     b = _lepage_block(alpha, p, False, RngStream(94).generator(), rows, 3)
     gen_a, gen_b = RngStream(93).generator(), RngStream(94).generator()
+    scale = gen_b.standard_gamma(p + 1, rows)
     for i in range(rows):
         mags = _open01(gen_a, n) ** (-1.0 / alpha)
         assert list(a[i]) == [mags.sum()] + sorted(mags, reverse=True)[:3]
-        terms = np.cumsum(gen_b.standard_exponential(p)) ** (-1.0 / alpha)
-        assert list(b[i]) == [terms.sum()] + list(terms[:3])
+        terms = (scale[i] * _open01(gen_b, p)) ** (-1.0 / alpha)
+        assert list(b[i]) == [terms.sum()] + sorted(terms, reverse=True)[:3]
 
 
 def test_lepage_limit_symmetric_mode():

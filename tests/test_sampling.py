@@ -420,10 +420,69 @@ def test_lepage_sums_match_the_per_replicate_series(alpha, symmetric):
     assert ks_two_sample(vals, ref) <= 2.5 * math.sqrt(2.0 / reps)
 
 
+def _cumsum_lepage(alpha, p, symmetric, gen, rows, ranks=0):
+    # reference: the series over cumulative sums of exponentials, whose
+    # first terms are its largest
+    out = np.empty((rows, 1 + ranks))
+    for r0 in range(0, rows, 500):
+        terms = np.cumsum(gen.standard_exponential((min(500, rows - r0), p)),
+                          axis=1) ** (-1.0 / alpha)
+        out[r0:r0 + 500, 1:] = terms[:, :ranks]
+        if symmetric:
+            terms *= 2.0 * gen.integers(0, 2, terms.shape) - 1.0
+        out[r0:r0 + 500, 0] = terms.sum(axis=1)
+    return out
+
+
+@pytest.mark.parametrize("alpha, symmetric, ranks, reps", (
+    (0.5, False, 0, 4 * 10 ** 4), (1.5, True, 0, 4 * 10 ** 4),
+    (0.7, True, 3, 80 * sampling.BLOCK)))
+def test_lepage_block_matches_the_cumsum_reference(alpha, symmetric, ranks, reps):
+    # the Gamma-scaled power sum has the law of the exponential-cumsum
+    # series: the sums and each of the largest terms, by two-sample KS
+    p = 500
+    ref = _cumsum_lepage(alpha, p, symmetric, RngStream(95).generator(), reps, ranks)
+    vals = sampling._map_blocks(
+        lambda gen, rows: sampling._lepage_block(alpha, p, symmetric, gen, rows, ranks),
+        reps, 96)
+    for j in range(1 + ranks):
+        assert ks_two_sample(vals[:, j], ref[:, j]) <= 2.5 * math.sqrt(2.0 / reps)
+
+
+def test_power_block_tiles_hold_at_most_chunk_uniforms(monkeypatch):
+    # rows longer than _CHUNK are drawn a tile at a time, and the sums and
+    # the merged top ranks are those of the whole row
+    tiles = []
+
+    def recording(gen, size):
+        tiles.append(_open01(gen, size))
+        return tiles[-1]
+
+    monkeypatch.setattr(sampling, "_open01", recording)
+    n, rows = 4 * sampling._CHUNK, 3
+    out = sampling._power_block(0.5, n, 3, False, RngStream(97).generator(), rows)
+    sampling._lepage_block(0.5, n, True, RngStream(98).generator(), rows, 3)
+    assert max(t.size for t in tiles) <= sampling._CHUNK
+    assert sum(t.size for t in tiles) == 2 * rows * n
+    row_tiles = len(tiles) // (2 * rows)
+    for i in range(rows):
+        mags = np.concatenate(tiles[i * row_tiles:(i + 1) * row_tiles],
+                              axis=None) ** -2.0
+        assert list(out[i, 1:]) == sorted(mags, reverse=True)[:3]
+        assert out[i, 0] == pytest.approx(mags.sum(), rel=1e-12)
+
+
+def test_lepage_small_alpha_is_not_nan():
+    # each term is scaled before the power; scaling the sum by
+    # Gamma_{p+1}**(-100) gives inf * 0
+    vals = lepage_batch(0.01, 512, seed=99, n_terms=10 ** 4)
+    assert not np.isnan(vals).any()
+
+
 def test_kernel_chunking_changes_only_rounding(monkeypatch):
-    # a tiny _CHUNK splits every row across column chunks; the uniforms and
-    # exponentials come off the stream in the same order, so only the
-    # summation order moves
+    # a tiny _CHUNK splits every row across column chunks; the uniforms (after
+    # the LePage row's Gamma draw) come off the stream in the same order, so
+    # only the summation order moves
     m = make_pareto(0.5)
     before = (poisson_sum_batch(m, 1e-3, 40, seed=85),
               sample_lepage(0.5, RngStream(86), n_terms=500))
