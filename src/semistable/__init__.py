@@ -1,10 +1,11 @@
 """St. Petersburg sums and semistable limit laws.
 
-A numpy/scipy toolkit for heavy-tailed i.i.d. sums whose tails oscillate
+A toolkit for heavy-tailed i.i.d. sums whose tails oscillate
 log-periodically: exact samplers, the dyadic merging family of limit laws
 via characteristic-function inversion, Poisson point-process constructions
 and couplings, the LePage series, and a reproducible Monte Carlo
-experiment harness that checks each limit statement quantitatively.
+experiment harness that checks each limit statement quantitatively.  It
+imports numpy alone; levy_cdf and the CLI selftest load scipy on demand.
 """
 
 from .charfn import (CfExponent, InversionError, TabulatedCdf, cauchy_law,

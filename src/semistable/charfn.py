@@ -17,8 +17,6 @@ from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.interpolate import PchipInterpolator
-from scipy.special import erfc, gammaln
 
 from ._arrays import elementwise
 
@@ -192,7 +190,7 @@ def one_sided_stable_exponent(alpha: float, c: float = 1.0) -> CfExponent:
         raise ValueError("alpha must lie in (0, 1)")
     if c <= 0.0:
         raise ValueError("c must be positive")
-    scale = c * math.exp(gammaln(1.0 - alpha))
+    scale = c * math.gamma(1.0 - alpha)
 
     def fn(t):
         t = np.asarray(t, dtype=float)
@@ -428,7 +426,7 @@ def _invert(h, xs, tol):
 
 
 class TabulatedCdf:
-    """Monotone interpolant of a CDF table, clamped to the end values outside.
+    """Monotone cubic (PCHIP) interpolant of a CDF table, clamped outside it.
 
     Callable on scalars or arrays.  Finite evaluations outside
     [x[0], x[-1]] return F(x[0]) / F(x[-1]); choose the table span so the
@@ -439,15 +437,37 @@ class TabulatedCdf:
     def __init__(self, x, f):
         x = np.asarray(x, dtype=float)
         f = np.maximum.accumulate(np.asarray(f, dtype=float))
-        self.x_lo = float(x[0])
-        self.x_hi = float(x[-1])
-        self.f_lo = float(f[0])
-        self.f_hi = float(f[-1])
-        self._interp = PchipInterpolator(x, f, extrapolate=False)
+        if not (x.ndim == 1 and x.shape == f.shape and x.size > 1 and np.all(np.diff(x) > 0)):
+            raise ValueError("a CDF table needs >= 2 increasing x, one F each")
+        self.x_lo, self.x_hi = float(x[0]), float(x[-1])
+        self.f_lo, self.f_hi = float(f[0]), float(f[-1])
+        # the slopes of scipy's PchipInterpolator (Fritsch-Butland); with f
+        # nondecreasing its sign tests reduce to these two rules
+        h = np.diff(x)
+        m = np.diff(f) / h
+        d = np.full(x.size, m[0])  # two points: the line through them
+        if x.size > 2:
+            # interior: weighted harmonic mean of the secants, 0 beside a flat cell
+            w1, w2 = 2.0 * h[1:] + h[:-1], h[1:] + 2.0 * h[:-1]
+            with np.errstate(divide="ignore"):
+                d[1:-1] = 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2))
+            # ends: the three-point estimate, clipped at 0
+            h0, h1, m0, m1 = h[[0, -1]], h[[1, -2]], m[[0, -1]], m[[1, -2]]
+            d[[0, -1]] = np.maximum(0.0, ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1))
+        t = (d[:-1] + d[1:] - 2.0 * m) / h
+        self._x = x
+        self._coef = (f[:-1], d[:-1], (m - d[:-1]) / h - t, t / h)
 
     def __call__(self, x):
-        return elementwise(lambda v: self._interp(np.clip(v, self.x_lo, self.x_hi)),
-                           x, cdf_from=-np.inf)
+        def interp(v):
+            v = np.clip(v, self.x_lo, self.x_hi)
+            i = np.searchsorted(self._x[1:-1], v, side="right")  # x_hi: the last cell
+            s = v - self._x[i]
+            c0, c1, c2, c3 = (c[i] for c in self._coef)
+            s2 = s * s  # summed in scipy's order, which this matches bit for bit
+            return c0 + c1 * s + c2 * s2 + c3 * (s2 * s)
+
+        return elementwise(interp, x, cdf_from=-np.inf)
 
 
 _TABLE_POINTS = 385  # initial grid points up to min(x_hi, _BODY_HI)
@@ -524,4 +544,6 @@ def levy_cdf(x):
     intensity tail T(x) = x**(-1/2) and the LePage series at alpha = 1/2.
     NaN raises ValueError.
     """
+    from scipy.special import erfc  # loaded on first use, not with the package
+
     return elementwise(lambda v: erfc(np.sqrt(math.pi / (4.0 * v))), x, cdf_from=0.0)

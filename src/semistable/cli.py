@@ -6,7 +6,7 @@ but a SEMISTABLE_SEED that is not an integer is a parameter error either
 way), and each artifact embeds its full run configuration.  Exit codes: 0 on
 success, 1 when stdout closes early (a broken pipe, e.g. into head), 2 on
 parse/parameter errors, 3 when an experiment reports pass = false, 4 on
-numeric failure (no decay, point or node budget).
+numeric failure (no decay, point or node budget, float overflow).
 """
 
 from __future__ import annotations
@@ -71,6 +71,10 @@ def _fmt(v: float) -> str:
 
 
 def _write_lines(path, lines):
+    """lines to the file at path, or to stdout when path is None."""
+    if path is None:
+        print("\n".join(lines))
+        return
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -100,7 +104,7 @@ def _config(args, **params) -> dict:
         "seed": args.seed,
         "params": params,
         "out": args.out,
-        "format": args.format,
+        "format": args.format or "json",
     }
 
 
@@ -202,7 +206,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=lambda s: int(s, 0), default=_seed_default(),
                        help="PRNG seed (default fixed; env %s overrides)" % SEED_ENV)
         p.add_argument("--out", default=None, help="artifact path (default: stdout)")
-        p.add_argument("--format", choices=("csv", "json", "jsonl"), default="json")
+        p.add_argument("--format", choices=("csv", "json", "jsonl"), default=None,
+                       help="artifact format; without it cdf and sample --out "
+                            "write csv, the rest json")
         p.add_argument("--threads", type=int, default=1,
                        help="accepted and ignored; outputs do not depend on it")
         if reps_default is not None:
@@ -258,12 +264,14 @@ def _cmd_sample(args) -> int:
                                            symmetrize=args.symmetrize)
     config = _config(args, model=args.model, n=args.n, stream=args.stream,
                      symmetrize=bool(args.symmetrize))
-    if args.out:
+    csv = args.format == "csv" or (args.format is None and args.out)
+    if csv and args.out:  # with its JSON sidecar
         sampling.write_batch(batch, args.out, config)
+    elif csv:
+        _write_lines(None, sampling._csv_lines(batch))
     else:
-        print(json.dumps({"values": list(batch.values),
-                          "metadata": batch.metadata(), "config": config},
-                         sort_keys=True))
+        _emit_summary({"values": list(batch.values), "metadata": batch.metadata()},
+                      config, args)
     return 0
 
 
@@ -274,7 +282,9 @@ def _cmd_cdf(args) -> int:
     config = _config(args, law=args.law, gamma=args.gamma, alpha=args.alpha,
                      grid=args.grid, tol=args.tol)
     rows = [(float(x), float(v), args.tol) for x, v in zip(xs, f)]
-    if args.out:
+    if args.format in ("json", "jsonl"):
+        _emit_summary({"x": xs.tolist(), "F": f.tolist(), "tol": args.tol}, config, args)
+    elif args.out:
         _write_csv(args.out, config, ("x", "F", "tol"), rows)
     else:
         for row in rows:
@@ -289,7 +299,7 @@ def _cmd_experiment(args) -> int:
     keys = [flag[2:].replace("-", "_") for flag, _ in flags] + ["reps"]
     config = _config(args, **{k: getattr(args, k) for k in keys})
     report = run(args, sampling.RngStream(args.seed))
-    if args.command == "coupling" and args.out and args.format == "csv":
+    if args.format == "csv":  # the coupling curve
         rows = [(r["n"], r["median_gap"], r["q90_gap"], r["ks"])
                 for r in report.statistic["rows"]]
         _write_csv(args.out, config, ("n", "median_gap", "q90_gap", "ks"), rows)
@@ -389,7 +399,7 @@ def main(argv=None) -> int:
     except BrokenPipeError:  # the Python docs' recipe: flush at exit to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (charfn.InversionError, sampling.ResourceLimitError) as exc:
+    except (charfn.InversionError, sampling.ResourceLimitError, OverflowError) as exc:
         print("numeric failure: %s" % exc, file=sys.stderr)
         return 4
     except ValueError as exc:

@@ -137,6 +137,14 @@ def _col_chunks(lo: int, hi: int, nrows: int):
     return [(c, min(c + width, hi)) for c in range(lo, hi, width)]
 
 
+def _finite(out, alpha):
+    """out, or OverflowError if a term left the float range (tiny alpha)."""
+    if not np.isfinite(out).all():
+        raise OverflowError("at alpha = %g a term overflows float64 (max %.3g), "
+                            "so the sums are not finite" % (alpha, np.finfo(float).max))
+    return out
+
+
 def _open01(gen, n):
     # uniforms on (0, 1]: keeps log/quantile transforms finite
     return 1.0 - gen.random(n)
@@ -337,7 +345,7 @@ def _poisson_sum_block(model, lam, symmetric, centering, gen, rows):
         heads = np.maximum(starts[r0:r1 + 1], c0) - c0
         full = heads < np.minimum(ends[r0:r1 + 1], c1) - c0
         sums[r0:r1 + 1][full] += np.add.reduceat(x, heads[full])
-    return sums - centering
+    return _finite(sums - centering, model.alpha)
 
 
 def sample_semistable_poisson_sum(model: TailModel, cutoff: float, rng: RngStream,
@@ -357,7 +365,8 @@ def poisson_sum_batch(model: TailModel, cutoff: float, reps: int, seed: int,
                       threads: int = 1) -> np.ndarray:
     """reps independent Poisson-sum draws, block b on stream base_stream + b.
 
-    reps x ceil(T(cutoff)) must stay within the 2^32 draw budget.  Blocks
+    reps x ceil(T(cutoff)) must stay within the 2^32 draw budget, and a
+    point past the float range (alpha near 0) raises OverflowError.  Blocks
     run on the process's CPUs; threads is accepted and ignored."""
     if not (0.0 < model.alpha < 2.0):
         raise ValueError("poisson sums need alpha in (0, 2)")
@@ -424,6 +433,7 @@ def _power_block(alpha, n, ranks, symmetric, gen, rows, scale=None):
     Tiles of at most _CHUNK uniforms (_row_groups, then _col_chunks); signs
     follow each tile's uniforms, and the top ranks merge tile by tile.  The
     scale goes on each term: on the sum, s**(-1/alpha) overflows (inf * 0).
+    A term past the float range (alpha near 0) raises OverflowError.
     """
     out = np.zeros((rows, 1 + ranks))
     for rs in _row_groups(rows, n):
@@ -442,7 +452,7 @@ def _power_block(alpha, n, ranks, symmetric, gen, rows, scale=None):
                 top = np.partition(np.concatenate([top, mags], axis=1),
                                    c1 - c0, axis=1)[:, c1 - c0:]
         out[rs, 1:] = np.sort(top, axis=1)[:, ::-1]
-    return out
+    return _finite(out, alpha)
 
 
 def _lepage_block(alpha, p, symmetric, gen, rows, ranks=0):
@@ -461,7 +471,8 @@ def lepage_batch(alpha: float, reps: int, seed: int, symmetric: bool = False,
                  threads: int = 1) -> np.ndarray:
     """reps independent LePage sums, block b on stream base_stream + b.
 
-    reps x n_terms must stay within the 2^32 draw budget.  Blocks run on
+    reps x n_terms must stay within the 2^32 draw budget, and a term past
+    the float range (alpha near 0) raises OverflowError.  Blocks run on
     the process's CPUs; threads is accepted and ignored."""
     p = _lepage_prep(alpha, n_terms, symmetric)
     _check_draws(reps, p)
@@ -473,16 +484,18 @@ def lepage_batch(alpha: float, reps: int, seed: int, symmetric: bool = False,
 # -- export -------------------------------------------------------------------
 
 
+def _csv_lines(batch: SampleBatch):
+    return ["index,value"] + ["%d,%.17g" % (i, v) for i, v in enumerate(batch.values)]
+
+
 def write_batch(batch: SampleBatch, path: str,
                 config: dict | None = None) -> None:
     """CSV with header index,value plus a JSON sidecar <path>.meta.json.
 
     The sidecar holds the batch metadata, plus the run configuration under
     "config" when one is given."""
-    lines = ["index,value"]
-    lines += ["%d,%.17g" % (i, v) for i, v in enumerate(batch.values)]
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(_csv_lines(batch)) + "\n")
     meta = batch.metadata()
     if config is not None:
         meta["config"] = config

@@ -320,6 +320,45 @@ def test_tabulated_cdf_nan_and_infinities():
     assert (tab(-math.inf), tab(math.inf), tab(5.0)) == (0.0, 1.0, 0.9)
 
 
+def _scipy_pchip(x, f, v):
+    """scipy's PCHIP on the nondecreasing table, clamped as TabulatedCdf is."""
+    from scipy.interpolate import PchipInterpolator
+    x, f = np.asarray(x, dtype=float), np.maximum.accumulate(np.asarray(f, dtype=float))
+    return PchipInterpolator(x, f, extrapolate=False)(np.clip(v, x[0], x[-1]))
+
+
+# flat at 0, on a plateau at 0.4 and at 1, on uneven cells
+_FLAT_X = np.concatenate([np.linspace(-3.0, 0.0, 7), np.geomspace(0.05, 1.0, 6),
+                          [1.7, 2.5], np.linspace(2.8, 4.0, 5), np.linspace(5.0, 9.0, 6)])
+_FLAT_F = (0.4 * np.sin(0.5 * math.pi * np.clip(_FLAT_X, 0.0, 1.0)) ** 2
+           + 0.6 * np.sin(0.5 * math.pi * np.clip((_FLAT_X - 2.5) / 1.5, 0.0, 1.0)) ** 2)
+
+
+@pytest.mark.parametrize("x, f", [
+    ([0.0, 1.0], [0.2, 0.7]),
+    ([0.0, 1.0, 3.0], [0.1, 0.5, 0.9]),
+    (_FLAT_X, _FLAT_F),
+    # a dip, made flat; both three-point end slopes are negative and clipped
+    ([0.0, 0.5, 1.5, 2.0, 3.5, 4.0], [0.0, 0.02, 0.4, 0.3, 1.0, 1.0]),
+], ids=["two-points", "three-points", "flat-runs", "dip-and-clipped-ends"])
+def test_tabulated_cdf_matches_scipy_pchip(x, f):
+    v = np.concatenate([np.linspace(x[0] - 1.0, x[-1] + 1.0, 20001), x])
+    assert np.max(np.abs(TabulatedCdf(x, f)(v) - _scipy_pchip(x, f, v))) <= 1e-15
+
+
+def test_tabulated_limit_law_matches_scipy_pchip():
+    tab = tabulate_cdf(g_gamma_law(1.5), -8.0, 1024.0)
+    x, f = tab._x, np.append(tab._coef[0], tab.f_hi)
+    v = np.concatenate([np.linspace(-9.0, 1025.0, 200001), np.linspace(-8.0, 48.0, 100001), x])
+    assert np.max(np.abs(tab(v) - _scipy_pchip(x, f, v))) <= 1e-15
+
+
+def test_tabulated_cdf_rejects_bad_tables():
+    for x, f in (([0.0], [0.5]), ([0.0, 1.0, 1.0], [0.1, 0.2, 0.3]), ([0.0, 1.0], [0.5])):
+        with pytest.raises(ValueError, match="CDF table"):
+            TabulatedCdf(x, f)
+
+
 @settings(max_examples=12, deadline=None)
 @given(gamma=st.floats(1.0, 2.0),
        xs=st.lists(st.floats(-8.0, 64.0), min_size=1, max_size=24))

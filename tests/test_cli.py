@@ -1,7 +1,9 @@
 import io
 import json
+import os
 import pathlib
 import shlex
+import subprocess
 import sys
 import time
 
@@ -295,6 +297,85 @@ def test_coupling_csv(tmp_path):
     lines = read(out).splitlines()
     assert lines[1] == "n,median_gap,q90_gap,ks"
     assert len(lines) == 4
+
+
+def test_coupling_csv_to_stdout(capsys):
+    # printed the JSON report before
+    code = main(["coupling", "--n-list", "50,100", "--reps", "200", "--seed", "3",
+                 "--format", "csv"])
+    assert code in (0, 3)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("# config: ") and json.loads(lines[0][10:])["format"] == "csv"
+    assert lines[1] == "n,median_gap,q90_gap,ks"
+    assert [int(l.split(",")[0]) for l in lines[2:]] == [50, 100]
+
+
+def test_cdf_json_formats(tmp_path, capsys):
+    # --format json --out wrote CSV before
+    out = tmp_path / "f.json"
+    argv = ["cdf", "--law", "cauchy", "--grid", "0:2:1", "--seed", "1"]
+    assert main(argv + ["--format", "json", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["x"] == [0.0, 1.0, 2.0]
+    assert np.allclose(doc["F"], 0.5 + np.arctan(doc["x"]) / np.pi, atol=1e-8, rtol=0.0)
+    assert (doc["tol"], doc["config"]["format"]) == (1e-8, "json")
+    runs = tmp_path / "f.jsonl"
+    for _ in range(2):
+        assert main(argv + ["--format", "jsonl", "--out", str(runs)]) == 0
+    assert [json.loads(l) for l in runs.read_text().splitlines()] == [
+        dict(doc, config=dict(doc["config"], format="jsonl", out=str(runs)))] * 2
+    assert main(argv + ["--format", "csv"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith("1,0.7")
+
+
+def test_sample_formats(tmp_path, capsys):
+    # --format json --out wrote CSV and its sidecar before
+    out = tmp_path / "s.out"
+    argv = ["sample", "--n", "3", "--seed", "1"]
+    assert main(argv + ["--format", "json", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert len(doc["values"]) == 3 and doc["metadata"]["n"] == 3
+    assert not (tmp_path / "s.out.meta.json").exists()
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["values"] == doc["values"]
+    assert main(argv + ["--format", "csv"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "index,value"
+    assert [float(l.split(",")[1]) for l in lines[1:]] == doc["values"]
+    csv = tmp_path / "s.csv"
+    assert main(argv + ["--format", "csv", "--out", str(csv)]) == 0
+    assert csv.read_text().splitlines() == lines
+    assert (tmp_path / "s.csv.meta.json").exists()
+
+
+def test_cold_start_loads_no_scipy():
+    # the package imports numpy alone; levy_cdf and selftest load scipy on
+    # first use, so a fresh run of the refused default lepage command pays
+    # for no scipy import
+    env = dict(os.environ)
+    env.pop(cli.SEED_ENV, None)
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    probe = ("import sys, semistable.cli; "
+             "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    res = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert (res.returncode, res.stdout.strip()) == (0, "[]"), res.stderr
+    res = subprocess.run([sys.executable, "-m", "semistable.cli", "lepage"], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 4, res.stderr
+    assert "2^32 draw budget" in res.stderr
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("argv", [
+    ["lepage", "--alpha", "0.01", "--k", "6", "--reps", "3000", "--n-terms", "100"],
+    ["negligibility", "--alphas", "0.01", "--n", "1000", "--reps", "300"],
+])
+def test_float_overflow_exit_code(argv, capsys):
+    # exited 3 with infinite sums or a bare NaN median in the JSON before
+    assert main(argv) == 4
+    assert "alpha = 0.01" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", (["merging", "--n", "96"],

@@ -479,6 +479,20 @@ def test_lepage_small_alpha_is_not_nan():
     assert not np.isnan(vals).any()
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("call", [
+    lambda: lepage_batch(0.01, 20000, seed=5, n_terms=100),
+    lambda: lepage_batch(0.01, 2000, seed=5, symmetric=True, n_terms=100),
+    lambda: poisson_sum_batch(make_pareto(0.01), 1e-6, 20000, seed=5),
+], ids=["lepage", "lepage-symmetric", "poisson"])
+def test_small_alpha_overflow_is_an_error(call):
+    # the largest term Z_1**(-100) passes float64's max when Z_1 < 8.3e-4;
+    # these batches returned rows of +inf (11 of the LePage rows) with only
+    # a RuntimeWarning before
+    with pytest.raises(OverflowError, match=r"alpha = 0\.01 .*overflows float64"):
+        call()
+
+
 def test_kernel_chunking_changes_only_rounding(monkeypatch):
     # a tiny _CHUNK splits every row across column chunks; the uniforms (after
     # the LePage row's Gamma draw) come off the stream in the same order, so
