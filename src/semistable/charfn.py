@@ -270,15 +270,11 @@ def _node_count(T, omega):
     return K, 16 * _DYADIC_LEVELS + 12.0 * K
 
 
-def _check_node_budget(T, omega):
-    """K of _build_nodes(T, omega), or InversionError naming the node count
-    if that node set would pass _NODE_BUDGET."""
-    K, need = _node_count(T, omega)
-    if not need <= _NODE_BUDGET:
-        raise InversionError(
-            "inversion would need about %.3g quadrature nodes, over the budget of %d"
-            % (need, _NODE_BUDGET))
-    return int(K)
+def _check_budget(need, budget, what):
+    """InversionError naming the work, if need passes budget (or is not finite)."""
+    if not need <= budget:
+        raise InversionError("inversion would need about %.3g %s, over the budget of %.3g"
+                             % (need, what, budget))
 
 
 def _build_nodes(T, omega):
@@ -292,9 +288,8 @@ def _build_nodes(T, omega):
     [t0 + k delta, t0 + (k+1) delta] with the 12-point rule (see
     _bulk_nodes); the last may end past T, where the integrand is already
     below the cutoff's bound.  Returns (t_head, w_head, t0, delta, K).
-    Raises InversionError, naming the node count, past _NODE_BUDGET nodes.
     """
-    K = _check_node_budget(T, omega)
+    K = int(_node_count(T, omega)[0])
     delta = math.pi / omega
     t0 = 0.5 * delta
     a = t0 * 0.5 ** np.arange(_DYADIC_LEVELS)
@@ -372,9 +367,10 @@ def cdf_from_cf(h: CfExponent, x, tol: float = 1e-8):
     dyadically refined panels, and Levy jumps beyond the query range are an
     exact compound-Poisson factor rather than quadrature (CfExponent.split).
     Absolute error target tol (tol >= 1e-10).  Accepts scalar or array x,
-    which must be finite.  Before any quadrature, raises InversionError if a
-    node set would pass _NODE_BUDGET or the whole call _WORK_BUDGET point x
-    node products.
+    which must be finite.  Each magnitude group |x| <= 32 2^k gets its own
+    node set, priced exactly at its omega; before any quadrature, raises
+    InversionError if one would pass _NODE_BUDGET nodes or the whole call
+    _WORK_BUDGET point x node products.
     """
     if tol < 1e-10:
         raise ValueError("tol must be >= 1e-10")
@@ -387,27 +383,16 @@ def _invert(h, xs, tol):
         raise ValueError("x must be finite")
     out = np.empty(xs.size)
     T = _decay_cutoff(h, tol)
-    # group query points by magnitude so panel counts track each group's |x|
-    absx = np.abs(xs)
-    bounds = [32.0]
-    while bounds[-1] < max(1.0, absx.max()):
-        bounds.append(bounds[-1] * 2.0)
-    _check_node_budget(T, bounds[-1])  # fail before any work: each omega exceeds its b
-    groups = []
-    prev = -1.0
-    for b in bounds:
-        mask = (absx > prev) & (absx <= b)
-        prev = b
-        if np.any(mask):
-            groups.append((b, mask))
-    # each group costs its points times at least _node_count(T, b + 4) nodes
-    work = sum(int(np.count_nonzero(mask)) * _node_count(T, b + 4.0)[1]
-               for b, mask in groups)
-    if not work <= _WORK_BUDGET:
-        raise InversionError(
-            "inversion would take about %.3g point x node products, over the "
-            "budget of %.3g" % (work, _WORK_BUDGET))
-    for b, mask in groups:
+    # group query points by magnitude, |x| <= b = 32 2^k, so panel counts
+    # track each group's |x|
+    m, e = np.frexp(np.abs(xs) / 32.0)
+    ks = np.maximum(e - (m == 0.5), 0)
+    # each omega exceeds its b (inf past |x| = 2^1023): refuse before any slope probe
+    _check_budget(_node_count(T, 32.0 * 2.0 ** int(ks.max()))[1], _NODE_BUDGET,
+                  "quadrature nodes")
+    plan = []
+    for k in np.unique(ks).tolist():
+        b = 32.0 * 2.0 ** k
         # F(x) = exp(-M) F_reduced(x) exactly for x < cut - margin: a removed
         # jump exceeds the query by more than the law's lower-tail reach
         hr, removed_mass = h.split(b + _ATOM_MARGIN) if h.split else (h, 0.0)
@@ -415,6 +400,11 @@ def _invert(h, xs, tol):
         omega = b + max(4.0, 1.3 * slope)
         slope = _phase_slope(hr, math.pi / (2.0 * omega), T)
         omega = b + max(4.0, 1.3 * slope)
+        plan.append((ks == k, hr, removed_mass, omega, _node_count(T, omega)[1]))
+    _check_budget(max(need for *_, need in plan), _NODE_BUDGET, "quadrature nodes")
+    _check_budget(sum(np.count_nonzero(mask) * need for mask, *_, need in plan),
+                  _WORK_BUDGET, "point x node products")
+    for mask, hr, removed_mass, omega, _ in plan:
         t, w, t0, delta, K = _build_nodes(T, omega)
         tb, wb = _bulk_nodes(t0, delta, K)
         with np.errstate(under="ignore"):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sampling import (_POINT_BUDGET, _STRIDE, ResourceLimitError, RngStream,
-                       _check_draws, _col_chunks, _map_blocks, _open01,
+                       _check_draws, _col_chunks, _finite, _map_blocks, _open01,
                        _quantile_batch, _row_groups)
 from .tailmodel import TailModel, tail_eval
 
@@ -67,6 +67,7 @@ def _coupled_block(model, n, half, gen, counts):
     the head below every row's window is one pairwise sum, and the window
     a cumsum P_j = S_j - head carried across column chunks.  A lone row
     draws in stream order whatever the tiling, so it tiles [0, w1) at once.
+    A term past the float range (alpha near 0) raises OverflowError.
     """
     a, b = max(0, n - half), n + half  # the fluctuation window, j in [a, b]
     out = np.zeros((counts.size, 4))
@@ -105,7 +106,7 @@ def _coupled_block(model, n, half, gen, counts):
         if half:
             out[rs, 3] = np.maximum(top - at_n, at_n - bottom)
     out *= float(n) ** (-1.0 / model.alpha)
-    return out
+    return _finite(out, model.alpha)
 
 
 def coupled_pair(model: TailModel, n: int, rng: RngStream,

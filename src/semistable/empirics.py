@@ -287,6 +287,7 @@ def merging_sweep(k: int, points_per_octave: int, reps: int, rng: RngStream,
     ns = [round((1 << k) * (1.0 + i / points_per_octave))
           for i in range(points_per_octave + 1)]
     gammas = [gamma_n(n) for n in ns]
+    _check_draws(reps, ns[-1].bit_length())  # the largest batch, before the first
     vals = []
     for idx, n in enumerate(ns):
         sums = petersburg_sum_batch(n, reps, rng.seed, rng.stream_id + idx * _STRIDE)

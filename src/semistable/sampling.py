@@ -141,7 +141,7 @@ def _finite(out, alpha):
     """out, or OverflowError if a term left the float range (tiny alpha)."""
     if not np.isfinite(out).all():
         raise OverflowError("at alpha = %g a term overflows float64 (max %.3g), "
-                            "so the sums are not finite" % (alpha, np.finfo(float).max))
+                            "so the output is not finite" % (alpha, np.finfo(float).max))
     return out
 
 
@@ -216,9 +216,11 @@ def petersburg_sum_batch(n: int, reps: int, seed: int, base_stream: int = 0,
     Block b of BLOCK replicates draws from stream base_stream + b
     (_map_blocks), so the output depends on (seed, base_stream, reps);
     threads is ignored; blocks stay on this thread (GIL-bound binomial calls).
+    reps x bit_length(n) binomial levels must stay within the 2^32 draw budget.
     """
     if n < 1 or reps < 1:
         raise ValueError("need n >= 1 and reps >= 1")
+    _check_draws(reps, int(n).bit_length())
 
     def block(gen, rows):
         left = np.full(rows, n, dtype=np.int64)
@@ -246,13 +248,14 @@ def sample_tail_model(model: TailModel, n: int, rng: RngStream,
 
     x = T_inverse(U * T(x0)) with U uniform on (0, 1]; with symmetrize the
     magnitudes are multiplied by independent uniform signs (drawn after the
-    magnitudes on the same stream).
+    magnitudes on the same stream).  A draw past the float range (alpha
+    near 0) raises OverflowError.
     """
     cap = tail_eval(model, model.x0) if model.x0 > 0.0 else 0.0
     if not cap * 2.0 ** -53 > 0.0:  # U * T(x0), U >= 2^-53, must stay positive
         raise ValueError("sampling needs x0 > 0 and T(x0) >= 2^-1021")
-    return _uniform_batch(lambda u: _quantile_batch(model, u * cap), n, rng,
-                          model_to_json(model), symmetrize)
+    return _uniform_batch(lambda u: _finite(_quantile_batch(model, u * cap), model.alpha),
+                          n, rng, model_to_json(model), symmetrize)
 
 
 # -- Poisson point processes -------------------------------------------------

@@ -312,29 +312,33 @@ def gaussian_criterion_ratio(model: TailModel, x: float) -> float:
     x0 = 0 (pure intensity reading, needs alpha < 2) the boundary term
     vanishes and the integral from 0 is summed exactly over period blocks;
     for psi == 1 the ratio is then (2 - alpha)/alpha at every x.  A
-    vanishing limit signals a Gaussian domain.
+    vanishing limit signals a Gaussian domain.  OverflowError if m2(x)
+    leaves the float range.
     """
     if x <= model.x0 or x <= 0.0:
         raise ValueError("x must exceed x0 (and be positive)")
     t_x = float(model._tail_formula(x))
-    if t_x == 0.0:
-        return 0.0
-    if model.x0 > 0.0:
-        t_x0 = float(model._tail_formula(model.x0))
-        integral = _integrate_tail(model, model.x0, x, weight="u")
-        boundary = model.x0 ** 2 * t_x0
-    else:
-        if model.alpha >= 2.0:
-            return 0.0  # truncated second moment diverges at the origin
-        # int_0^x u T(u) du over blocks [x/rho^(j+1), x/rho^j] scales by
-        # q^((alpha-2)/alpha) per block: exact geometric sum
-        rho = model.q ** (1.0 / model.alpha)
-        ratio = model.q ** ((model.alpha - 2.0) / model.alpha)
-        block = _integrate_tail(model, x / rho, x, weight="u")
-        integral = block / (1.0 - ratio)
-        boundary = 0.0
-    m2 = -x * x * t_x + boundary + 2.0 * integral
-    return x * x * t_x / m2
+    if t_x == 0.0 or (model.x0 == 0.0 and model.alpha >= 2.0):
+        return 0.0  # at x0 = 0 and alpha >= 2 m2 diverges at the origin
+    top = x * (x * t_x)  # x * x alone overflows sooner
+    try:
+        if model.x0 > 0.0:
+            integral = _integrate_tail(model, model.x0, x, weight="u")
+            boundary = model.x0 * (model.x0 * float(model._tail_formula(model.x0)))
+        else:
+            # int_0^x u T(u) du over blocks [x/rho^(j+1), x/rho^j] scales by
+            # q^((alpha-2)/alpha) per block: exact geometric sum
+            rho = model.q ** (1.0 / model.alpha)
+            ratio = model.q ** ((model.alpha - 2.0) / model.alpha)
+            integral = _integrate_tail(model, x / rho, x, weight="u") / (1.0 - ratio)
+            boundary = 0.0
+        m2 = -top + boundary + 2.0 * integral
+    except OverflowError:  # from the geometric block sum of _integrate_tail
+        m2 = math.inf
+    if not math.isfinite(m2):
+        raise OverflowError("the truncated second moment at x = %g overflows float64 "
+                            "(alpha = %g)" % (x, model.alpha))
+    return top / m2
 
 
 # -- JSON ------------------------------------------------------------------

@@ -258,6 +258,25 @@ def test_cdf_node_budget():
     assert 0.999 < cdf_from_cf(g_gamma_law(1.5), 1e4) < 1.0
 
 
+def test_node_budget_checked_before_any_quadrature(monkeypatch):
+    # the |x| <= 32 group fits, but the drift puts the 1e5 group at about
+    # 4.2e6 nodes; the whole first group used to be inverted before the refusal
+    from semistable import charfn
+
+    calls = []
+    for name in ("_phase_sums", "_bulk_phase_sums"):
+        kernel = getattr(charfn, name)
+        monkeypatch.setattr(charfn, name,
+                            lambda *a, kernel=kernel, name=name: calls.append(name) or kernel(*a))
+    drift = CfExponent(fn=lambda t: -0.5 * t * t + 5000j * t)
+    with pytest.raises(InversionError, match="quadrature nodes"):
+        cdf_from_cf(drift, [0.0, 1e5])
+    assert calls == []
+    # inside the budget the kernels run once per magnitude group
+    cdf_from_cf(drift, [0.0, 100.0])
+    assert sorted(calls) == ["_bulk_phase_sums"] * 2 + ["_phase_sums"] * 2
+
+
 def test_cdf_table_and_interpolant():
     law = g_gamma_law(1.5)
     xs = np.linspace(-6.0, 20.0, 53)
@@ -459,9 +478,7 @@ def test_build_nodes_counts_and_weights():
     for T in (8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0):
         for omega in (36.0, 37.3, 68.0, 75.17, 132.5, 516.0, 1028.0, 4100.0):
             need = _node_count(T, omega)[1]
-            if need > _NODE_BUDGET:
-                with pytest.raises(InversionError, match="quadrature nodes"):
-                    _build_nodes(T, omega)
+            if need > _NODE_BUDGET:  # cdf_from_cf refuses these before building
                 continue
             pairs += 1
             t, w, end = _all_nodes(T, omega)

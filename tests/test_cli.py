@@ -151,10 +151,16 @@ def test_cdf_work_budget_exit_code(capsys):
 @pytest.mark.parametrize("argv", [
     ["orderstats", "--p", "3", "--n", "1000000", "--reps", "2147483649"],
     ["coupling", "--n-list", "100,10000000", "--reps", "1000"],
-], ids=["orderstats", "coupling"])
+    ["feller", "--n", "4", "--reps", "1000000000000"],
+    ["merging", "--n", "1024", "--reps", "400000000"],
+    ["sweep", "--k", "8", "--points", "2", "--reps", "450000000"],
+], ids=["orderstats", "coupling", "feller", "merging", "sweep"])
 def test_draw_budget_exit_code(argv, capsys):
     # reps x draws per replicate was unbounded: orderstats asks for 2 Gamma
-    # variates per replicate, so 2^31 + 1 replicates exceed the budget
+    # variates per replicate, so 2^31 + 1 replicates exceed the budget; a
+    # St. Petersburg sum draws about log2(n) binomial levels per replicate,
+    # and these three ran until killed (the sweep's first batch, at n = 256,
+    # fits; its last, at n = 512, does not)
     t0 = time.perf_counter()
     assert main(argv) == 4
     assert time.perf_counter() - t0 < 1.0
@@ -367,10 +373,12 @@ def test_cold_start_loads_no_scipy():
     assert "2^32 draw budget" in res.stderr
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value")
 @pytest.mark.parametrize("argv", [
     ["lepage", "--alpha", "0.01", "--k", "6", "--reps", "3000", "--n-terms", "100"],
     ["negligibility", "--alphas", "0.01", "--n", "1000", "--reps", "300"],
+    # 256 reps: one block, so no pool thread runs on past the error
+    ["coupling", "--alpha", "0.01", "--n-list", "10,100", "--reps", "256"],
 ])
 def test_float_overflow_exit_code(argv, capsys):
     # exited 3 with infinite sums or a bare NaN median in the JSON before

@@ -479,16 +479,22 @@ def test_lepage_small_alpha_is_not_nan():
     assert not np.isnan(vals).any()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value")
 @pytest.mark.parametrize("call", [
     lambda: lepage_batch(0.01, 20000, seed=5, n_terms=100),
     lambda: lepage_batch(0.01, 2000, seed=5, symmetric=True, n_terms=100),
     lambda: poisson_sum_batch(make_pareto(0.01), 1e-6, 20000, seed=5),
-], ids=["lepage", "lepage-symmetric", "poisson"])
+    lambda: sample_tail_model(make_pareto(0.01), 20000, RngStream(5)),
+    lambda: coupling.coupled_pair(make_pareto(0.01), 10 ** 4, RngStream(5)),
+    # 256 reps: one block, so no pool thread runs on past the error
+    lambda: coupling_gap_curve(make_pareto(0.01), [10, 100], 256, RngStream(5)),
+], ids=["lepage", "lepage-symmetric", "poisson", "tail-model", "coupled-pair",
+        "coupling-curve"])
 def test_small_alpha_overflow_is_an_error(call):
     # the largest term Z_1**(-100) passes float64's max when Z_1 < 8.3e-4;
-    # these batches returned rows of +inf (11 of the LePage rows) with only
-    # a RuntimeWarning before
+    # these batches returned rows of +inf (11 of the LePage rows, 22 of the
+    # tail-model draws) with only a RuntimeWarning before, and the coupled
+    # pair came back as s_hat = s_bar = nan with gap = 0.0
     with pytest.raises(OverflowError, match=r"alpha = 0\.01 .*overflows float64"):
         call()
 

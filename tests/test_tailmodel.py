@@ -195,6 +195,17 @@ def test_gaussian_criterion_stabilizes():
     assert errs[-1] < 1e-3
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_gaussian_criterion_far_range():
+    # x * x * T(x) overflowed before the division: NaN above about 1.3e154
+    m = make_pareto(0.5)
+    assert gaussian_criterion_ratio(m, 1e200) == pytest.approx(3.0, abs=1e-9)
+    # m2(x) itself passes float64's max: a named error, not "math range error"
+    for x in (1e250, 1e300):
+        with pytest.raises(OverflowError, match=r"x = 1e\+(250|300) .*alpha = 0\.5"):
+            gaussian_criterion_ratio(m, x)
+
+
 def test_gaussian_criterion_domain():
     m = make_pareto(0.5)
     with pytest.raises(ValueError):
