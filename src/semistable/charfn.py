@@ -382,6 +382,8 @@ def _invert(h, xs, tol):
     if not np.all(np.isfinite(xs)):
         raise ValueError("x must be finite")
     out = np.empty(xs.size)
+    if not xs.size:
+        return out
     T = _decay_cutoff(h, tol)
     # group query points by magnitude, |x| <= b = 32 2^k, so panel counts
     # track each group's |x|

@@ -1,12 +1,9 @@
 """Empirical distribution machinery and the Monte Carlo limit-theorem experiments.
 
-Each experiment simulates on Philox streams addressed by replicate position
-alone.  The layout lives in sampling._map_blocks: replicates
-[256 b, 256 b + 256) draw from stream base + b, a block at a time through
-one vectorized kernel per construction (sampling._power_block for
-power-law rows and, Gamma-scaled, the LePage series; two Gamma variates for
-an order statistic).  Blocks of large fills run on the process's CPUs and join
-in block order, so results depend on neither the worker count nor threads=.
+Each experiment draws its batches as phases of block kernels, one per
+construction, on sampling._map_blocks, which alone lays out the Philox
+streams, bounds the draws and picks the pool; results depend on neither
+the worker count nor threads=.
 Each experiment compares with the inverted limit CDF or an oracle.
 Reports carry the statistic, a Monte Carlo standard error where one makes
 sense, the seed and the pass/fail verdict at the stated tolerance.
@@ -14,6 +11,7 @@ sense, the seed and the pass/fail verdict at the stated tolerance.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import asdict, dataclass, replace
@@ -23,9 +21,8 @@ import numpy as np
 from .charfn import (TabulatedCdf, cdf_from_cf, erlang_cdf, g_gamma_law,
                      tabulate_cdf)
 from ._arrays import elementwise
-from .sampling import (_STRIDE, RngStream, _check_draws, _lepage_block,
-                       _lepage_prep, _map_blocks, _power_block,
-                       petersburg_sum_batch)
+from .sampling import (RngStream, _lepage_block, _lepage_prep, _map_blocks,
+                       _petersburg_block, _power_block, petersburg_sum_batch)
 
 __all__ = [
     "Ecdf",
@@ -287,11 +284,11 @@ def merging_sweep(k: int, points_per_octave: int, reps: int, rng: RngStream,
     ns = [round((1 << k) * (1.0 + i / points_per_octave))
           for i in range(points_per_octave + 1)]
     gammas = [gamma_n(n) for n in ns]
-    _check_draws(reps, ns[-1].bit_length())  # the largest batch, before the first
-    vals = []
-    for idx, n in enumerate(ns):
-        sums = petersburg_sum_batch(n, reps, rng.seed, rng.stream_id + idx * _STRIDE)
-        vals.append(sums / n - math.log2(n))
+    vals = _map_blocks([(functools.partial(_petersburg_block, n), n.bit_length())
+                        for n in ns], reps, rng.seed, rng.stream_id)
+    for n, v in zip(ns, vals):  # S_n/n - log2 n, in place
+        v /= n
+        v -= math.log2(n)
     distances = [_ks_versus_limit(v, g) for v, g in zip(vals, gammas)]
     ks2 = ks_two_sample(vals[0], vals[-1])
     max_distance = float(np.max(distances))
@@ -336,9 +333,8 @@ def order_statistics_experiment(p: int, n: int, reps: int, rng: RngStream,
         raise ValueError("need 1 <= p <= n <= 2^53, the counts float64 holds exactly")
     if reps < 100:
         raise ValueError("reps must be >= 100")
-    _check_draws(reps, 2)
-    ys = _map_blocks(lambda gen, rows: _order_statistic_block(p, n, gen, rows),
-                     reps, rng.seed, rng.stream_id, pooled=False)  # too few draws to pool
+    (ys,) = _map_blocks([(functools.partial(_order_statistic_block, p, n), 2)],
+                        reps, rng.seed, rng.stream_id)
     mean_exact = p / (n + 1.0)
     var_exact = p * (n - p + 1.0) / ((n + 1.0) ** 2 * (n + 2.0))
     mean_err = float(abs(ys.mean() - mean_exact))
@@ -384,13 +380,10 @@ def negligibility_experiment(alpha_list, n: int, reps: int, rng: RngStream,
         raise ValueError("alphas must be finite and positive")
     bounds = {a: (0.2, 1.0) if a < 1.0 else (0.0, 0.05) if a > 2.0 else (0.0, 1.0)
               for a in alpha_list}
-    _check_draws(reps, n)
-
-    medians = {}
-    for idx, alpha in enumerate(alpha_list):
-        top = _map_blocks(lambda gen, rows: _power_block(alpha, n, 1, False, gen, rows),
-                          reps, rng.seed, rng.stream_id + idx * _STRIDE)
-        medians[alpha] = float(np.median(top[:, 1] / top[:, 0]))
+    tops = _map_blocks([(functools.partial(_power_block, alpha, n, 1, False), n)
+                        for alpha in alpha_list], reps, rng.seed, rng.stream_id)
+    medians = {alpha: float(np.median(top[:, 1] / top[:, 0]))
+               for alpha, top in zip(alpha_list, tops)}
     passed = all(bounds[a][0] <= medians[a] <= bounds[a][1] for a in alpha_list)
     return ExperimentReport(
         experiment="negligibility",
@@ -424,14 +417,11 @@ def lepage_limit_experiment(alpha: float, k: int, reps: int, rng: RngStream,
     r = _RANK_CHECKS
     if p_terms < r:
         raise ValueError("n_terms must be >= %d, the ranks compared" % r)
-    _check_draws(reps, max(n, p_terms))  # batches (a) and (b)
-
-    a = float(n) ** (-1.0 / alpha) * _map_blocks(
-        lambda gen, rows: _power_block(alpha, n, r, symmetric, gen, rows),
+    a, b = _map_blocks(
+        [(functools.partial(_power_block, alpha, n, r, symmetric), n),
+         (functools.partial(_lepage_block, alpha, p_terms, symmetric, ranks=r), p_terms)],
         reps, rng.seed, rng.stream_id)
-    b = _map_blocks(
-        lambda gen, rows: _lepage_block(alpha, p_terms, symmetric, gen, rows, r),
-        reps, rng.seed, rng.stream_id + _STRIDE)
+    a *= float(n) ** (-1.0 / alpha)
     ks2 = ks_two_sample(a[:, 0], b[:, 0])
     rank_ks = [float(ks_two_sample(a[:, 1 + j], b[:, 1 + j])) for j in range(r)]
     passed = ks2 <= tolerance

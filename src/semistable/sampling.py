@@ -3,16 +3,15 @@
 All randomness flows through counter-based Philox streams keyed by
 (seed, stream_id), so a draw is a pure function of that pair: replicated
 runs are bitwise identical and distinct stream ids give independent
-streams regardless of scheduling.  One private helper owns the stream
-layout for the whole package: _map_blocks splits a batch of replicates
-into fixed blocks of BLOCK (256), and block b draws all its replicates from
-stream base_stream + b.  Every batch and experiment draws a block at a time
-through one vectorized kernel per construction, whose temporaries hold at
-most _CHUNK doubles (one power-sum kernel serves the LePage series and the
-i.i.d. block sums); the single-draw functions run the same kernels on one
-row.  Blocks of large GIL-free fills run on a pool of one worker per usable
-CPU (the GIL-bound Petersburg blocks stay on the caller) and join in block
-order: outputs do not depend on the worker count, and threads= is ignored.
+streams regardless of scheduling.  Every batch draws through _map_blocks,
+which alone owns the stream layout (block b of phase i on stream
+base_stream + i * _STRIDE + b, blocks of BLOCK = 256 replicates), the 2^32
+draw budget of a phase, checked before any phase draws, and the pool: a
+block of at least _CHUNK draws runs on one worker per usable CPU, smaller
+ones (the St. Petersburg level counts) on the caller.  Blocks join in block
+order, so outputs depend on neither the worker count nor threads=.  Each
+construction has one vectorized block kernel whose temporaries hold at
+most _CHUNK doubles; the single-draw functions run it on one row.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ import json
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,7 +50,7 @@ __all__ = [
 ]
 
 _POINT_BUDGET = 1e9
-_DRAW_BUDGET = 1 << 32  # replicates x draws per replicate in one batch
+_DRAW_BUDGET = 1 << 32  # replicates x draws per replicate in one phase
 _SERIES_TAIL = 1e-6  # LePage series tail proxy at the auto truncation
 BLOCK = 256
 _CHUNK = 1 << 15  # doubles per kernel temporary, whatever n, P or lambda
@@ -97,32 +96,47 @@ def _pool(workers: int) -> ThreadPoolExecutor:
     return ThreadPoolExecutor(workers, thread_name_prefix=_WORKER_NAME)
 
 
-def _map_blocks(block_fn, reps: int, seed: int, base_stream: int = 0,
-                pooled: bool = True) -> np.ndarray:
-    """Concatenate block_fn(gen, rows) over fixed blocks of BLOCK replicates.
+def _map_blocks(phases, reps: int, seed: int, base_stream: int = 0) -> list:
+    """For each phase (block_fn, draws per replicate), block_fn(gen, rows)
+    concatenated over blocks of BLOCK replicates.
 
-    Block b covers replicates [b * BLOCK, min((b + 1) * BLOCK, reps)) and
-    draws from the stream (seed, base_stream + b) alone, so the result
-    depends on (seed, base_stream, reps) only.  With pooled, several blocks
-    run on the shared pool; a call from a pool worker runs in line.
+    Block b of phase i covers replicates [b * BLOCK, min((b + 1) * BLOCK, reps))
+    and draws from stream (seed, base_stream + i * _STRIDE + b) alone.  A
+    phase of reps x draws > 2^32 is refused before any phase draws.  Blocks
+    of BLOCK x draws >= _CHUNK run on the shared pool, save with one CPU, one
+    block or a call from a pool worker; a block error cancels the pending
+    blocks and waits for the running ones before it is raised.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
-
-    def run(b):
-        return block_fn(RngStream(seed, base_stream + b).generator(),
-                        min(BLOCK, reps - b * BLOCK))
-
+    for _, draws in phases:
+        if reps * draws > _DRAW_BUDGET:
+            raise ResourceLimitError(
+                "%d replicates x %d draws exceed the 2^32 draw budget" % (reps, draws))
     blocks, cpus = range(-(-reps // BLOCK)), _cpus()
-    pooled = (pooled and min(len(blocks), cpus) > 1
-              and not threading.current_thread().name.startswith(_WORKER_NAME))
-    return np.concatenate(list((_pool(cpus).map if pooled else map)(run, blocks)))
+    inline = (min(len(blocks), cpus) == 1
+              or threading.current_thread().name.startswith(_WORKER_NAME))
+    out = []
+    for i, (block_fn, draws) in enumerate(phases):
+        def run(b):  # called only within this iteration
+            return block_fn(RngStream(seed, base_stream + i * _STRIDE + b).generator(),
+                            min(BLOCK, reps - b * BLOCK))
+
+        on_pool = not inline and BLOCK * draws >= _CHUNK
+        out.append(np.concatenate(_on_pool(run, blocks, cpus) if on_pool
+                                  else list(map(run, blocks))))
+    return out
 
 
-def _check_draws(reps: int, per_rep: int) -> None:  # before the batch draws
-    if reps * per_rep > _DRAW_BUDGET:
-        raise ResourceLimitError(
-            "%d replicates x %d draws exceed the 2^32 draw budget" % (reps, per_rep))
+def _on_pool(run, blocks, workers):  # [run(b) for b in blocks] on the pool
+    futures = [_pool(workers).submit(run, b) for b in blocks]
+    try:
+        return [f.result() for f in futures]
+    except BaseException:
+        for f in futures:
+            f.cancel()
+        wait(futures)
+        raise
 
 
 def _row_groups(rows: int, cols: int):
@@ -205,35 +219,34 @@ def sample_petersburg(n: int, rng: RngStream) -> SampleBatch:
     return _uniform_batch(petersburg_from_uniform, n, rng, "petersburg")
 
 
-def petersburg_sum_batch(n: int, reps: int, seed: int, base_stream: int = 0,
-                         threads: int = 1) -> np.ndarray:
-    """reps independent sums S_n of n St. Petersburg draws, from level counts.
+def _petersburg_block(n, gen, rows):
+    """rows sums S_n of n St. Petersburg draws, from dyadic level counts.
 
     Since P(X = 2^k | X >= 2^k) = 1/2, the number N_k of draws equal to 2^k
     is Binomial(r, 1/2) given the r draws at level >= k, so
     S_n = sum_k N_k 2^k costs about log2(n) binomial draws instead of n
     uniforms.  Counts are int64 and the float64 sums are exact below 2^53.
-    Block b of BLOCK replicates draws from stream base_stream + b
-    (_map_blocks), so the output depends on (seed, base_stream, reps);
-    threads is ignored; blocks stay on this thread (GIL-bound binomial calls).
-    reps x bit_length(n) binomial levels must stay within the 2^32 draw budget.
     """
+    left = np.full(rows, n, dtype=np.int64)
+    sums = np.zeros(rows)
+    k = 1
+    while left.any():
+        count = gen.binomial(left, 0.5)
+        sums += np.ldexp(count, k)
+        left -= count
+        k += 1
+    return sums
+
+
+def petersburg_sum_batch(n: int, reps: int, seed: int, base_stream: int = 0,
+                         threads: int = 1) -> np.ndarray:
+    """reps independent sums S_n (_petersburg_block), block b on stream
+    base_stream + b.  reps x bit_length(n) binomial levels must stay within
+    the 2^32 draw budget; threads is ignored."""
     if n < 1 or reps < 1:
         raise ValueError("need n >= 1 and reps >= 1")
-    _check_draws(reps, int(n).bit_length())
-
-    def block(gen, rows):
-        left = np.full(rows, n, dtype=np.int64)
-        sums = np.zeros(rows)
-        k = 1
-        while left.any():
-            count = gen.binomial(left, 0.5)
-            sums += np.ldexp(count, k)
-            left -= count
-            k += 1
-        return sums
-
-    return _map_blocks(block, reps, seed, base_stream, pooled=False)
+    phase = (functools.partial(_petersburg_block, n), int(n).bit_length())
+    return _map_blocks([phase], reps, seed, base_stream)[0]
 
 
 def _quantile_batch(model: TailModel, u):
@@ -369,17 +382,14 @@ def poisson_sum_batch(model: TailModel, cutoff: float, reps: int, seed: int,
     """reps independent Poisson-sum draws, block b on stream base_stream + b.
 
     reps x ceil(T(cutoff)) must stay within the 2^32 draw budget, and a
-    point past the float range (alpha near 0) raises OverflowError.  Blocks
-    run on the process's CPUs; threads is accepted and ignored."""
+    point past the float range (alpha near 0) raises OverflowError; threads
+    is ignored."""
     if not (0.0 < model.alpha < 2.0):
         raise ValueError("poisson sums need alpha in (0, 2)")
     lam = _point_rate(model, cutoff)
-    _check_draws(reps, math.ceil(lam))
     centering = 0.0 if symmetric else poisson_sum_centering(model, cutoff)
-    return _map_blocks(
-        lambda gen, rows: _poisson_sum_block(model, lam, symmetric, centering,
-                                             gen, rows),
-        reps, seed, base_stream)
+    block = functools.partial(_poisson_sum_block, model, lam, symmetric, centering)
+    return _map_blocks([(block, math.ceil(lam))], reps, seed, base_stream)[0]
 
 
 # -- LePage series ------------------------------------------------------------
@@ -475,13 +485,10 @@ def lepage_batch(alpha: float, reps: int, seed: int, symmetric: bool = False,
     """reps independent LePage sums, block b on stream base_stream + b.
 
     reps x n_terms must stay within the 2^32 draw budget, and a term past
-    the float range (alpha near 0) raises OverflowError.  Blocks run on
-    the process's CPUs; threads is accepted and ignored."""
+    the float range (alpha near 0) raises OverflowError; threads is ignored."""
     p = _lepage_prep(alpha, n_terms, symmetric)
-    _check_draws(reps, p)
-    return _map_blocks(
-        lambda gen, rows: _lepage_block(alpha, p, symmetric, gen, rows)[:, 0],
-        reps, seed, base_stream)
+    block = lambda gen, rows: _lepage_block(alpha, p, symmetric, gen, rows)[:, 0]
+    return _map_blocks([(block, p)], reps, seed, base_stream)[0]
 
 
 # -- export -------------------------------------------------------------------

@@ -119,9 +119,12 @@ class TailModel:
     def _quantile_formula(self, u):
         """inf{x > 0 : T(x) <= u} on the full intensity domain, for u > 0."""
         u = np.asarray(u, dtype=float)
-        if self.psi_kind == "petersburg":
-            k = np.ceil(np.log2(self.c / u))
-            return np.exp2(k)
+        if self.psi_kind == "petersburg":  # 2^k, k least with u 2^k >= c exactly
+            # the rounded logarithm may be one off; 2^k is 0 or inf past +-1100
+            k = np.clip(np.ceil(np.log2(self.c) - np.log2(u)), -1100, 1100).astype(int)
+            k += np.ldexp(u, k) < self.c
+            k -= np.ldexp(u, k - 1) >= self.c
+            return np.ldexp(1.0, k)
         if self.psi_kind == "const":
             return (self.c / u) ** (1.0 / self.alpha)
         return elementwise(self._quantile_grid, u)
@@ -216,9 +219,9 @@ def tail_eval(model: TailModel, x):
 def tail_quantile(model: TailModel, u):
     """Generalized inverse inf{x >= x0 : T(x) <= u} for 0 < u <= T(x0).
 
-    For the petersburg tail this is exactly 2**ceil(log2(c/u)); for const
-    psi the closed form (c/u)**(1/alpha); grid psi uses per-period-block
-    bisection to relative precision 1e-12.
+    For the petersburg tail this is exactly 2**k, k the least integer with
+    c 2**-k <= u; for const psi the closed form (c/u)**(1/alpha); grid psi
+    uses per-period-block bisection to relative precision 1e-12.
     """
     if model.x0 <= 0.0:
         raise ValueError("tail_quantile needs x0 > 0 (finite total mass)")

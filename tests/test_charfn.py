@@ -505,3 +505,12 @@ def test_factored_bulk_matches_direct_sum(T, omega, span, K):
     direct = _phase_sums(xs, tb.ravel(), cw.ravel())
     factored = _bulk_phase_sums(xs, t0, delta, cw)
     assert np.max(np.abs(factored - direct)) <= 1e-12 * np.abs(cw).sum()
+
+
+def test_empty_queries_give_empty_arrays():
+    # cdf_from_cf([]) raised numpy's "zero-size array" ValueError from the
+    # magnitude grouping; it now matches the closed forms and the exponent
+    for out in (cdf_from_cf(cauchy_law(), []), erlang_cdf(2, []), levy_cdf([]),
+                g_exponent([])):
+        assert isinstance(out, np.ndarray) and out.shape == (0,)
+    assert cdf_from_cf(cauchy_law(), []).dtype == float

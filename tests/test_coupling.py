@@ -136,9 +136,8 @@ def test_curve_columns_match_per_replicate_paths():
     n, half, reps = 100, 30, 2 * 10 ** 4
     ref = np.array([_reference_path_values(m, n, half, RngStream(91, i).generator())
                     for i in range(reps)])
-    vals = _map_blocks(lambda gen, rows: _coupled_block(m, n, half, gen,
-                                                        gen.poisson(n, rows)),
-                       reps, 92)
+    (vals,) = _map_blocks([(lambda gen, rows: _coupled_block(m, n, half, gen, rows),
+                            n + half)], reps, 92)
     assert vals.shape == (reps, 4)
     for col in range(4):
         assert ks_two_sample(vals[:, col], ref[:, col]) <= 2.5 * math.sqrt(2.0 / reps)

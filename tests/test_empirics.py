@@ -265,8 +265,8 @@ def _partition_order_statistic(p, n, reps, gen, chunk=1000):
 def test_order_statistic_block_matches_partition(p, n):
     # the two-Gamma kernel against sorting uniforms, by two-sample KS
     reps = 2 * 10 ** 4
-    gamma = _map_blocks(lambda gen, rows: _order_statistic_block(p, n, gen, rows),
-                        reps, 93, p)
+    (gamma,) = _map_blocks([(lambda gen, rows: _order_statistic_block(p, n, gen, rows), 2)],
+                           reps, 93, p)
     reference = _partition_order_statistic(p, n, reps, RngStream(94, p).generator())
     assert ks_two_sample(gamma, reference) <= 2.5 * math.sqrt(2.0 / reps)
 

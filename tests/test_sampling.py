@@ -360,14 +360,14 @@ def test_lepage_truncation_refinement_stability():
 
 
 def test_lepage_work_budget(monkeypatch):
-    # reps x draws per replicate is refused before any draw; the defaults of
-    # `semistable lepage` asked for 10^5 x 10^6 exponentials, and the order
-    # statistics, coupling curve and Poisson sum calls below ran until stopped
+    # reps x draws per replicate is refused before any stream is opened; the
+    # defaults of `semistable lepage` asked for 10^5 x 10^6 exponentials, and
+    # the other calls below ran until stopped.  The coupling curve and the
+    # sweep refuse a later phase before their first phase draws.
     def drew(*args, **kwargs):
         raise AssertionError("drew before the budget check")
 
-    for module in (sampling, empirics, coupling):
-        monkeypatch.setattr(module, "_map_blocks", drew)
+    monkeypatch.setattr(RngStream, "generator", drew)
     m = make_pareto(0.5)
     for call in (lambda: lepage_batch(0.5, 10 ** 5, seed=1),
                  lambda: lepage_limit_experiment(0.5, 14, 10 ** 5, RngStream(1)),
@@ -375,12 +375,17 @@ def test_lepage_work_budget(monkeypatch):
                  lambda: negligibility_experiment([0.5], 10 ** 7, 10 ** 3, RngStream(1)),
                  lambda: order_statistics_experiment(3, 10 ** 6, 2 ** 31 + 1, RngStream(1)),
                  lambda: coupling_gap_curve(m, [100, 10 ** 7], 1000, RngStream(1)),
-                 lambda: poisson_sum_batch(m, 1e-10, 10 ** 5, seed=1)):
+                 lambda: poisson_sum_batch(m, 1e-10, 10 ** 5, seed=1),
+                 lambda: petersburg_sum_batch(2 ** 62, 2 ** 27, seed=1),
+                 # 9 binomial levels per sum fit, the last phase's 10 do not
+                 lambda: empirics.merging_sweep(8, 4, 2 ** 32 // 9, RngStream(1))):
         start = time.perf_counter()
         with pytest.raises(ResourceLimitError, match="2\\^32 draw budget"):
             call()
         assert time.perf_counter() - start < 1.0
-    sampling._check_draws(10 ** 5, 1 << 14)  # the README's lepage command fits
+    monkeypatch.undo()
+    # the README's lepage command fits: 10^5 replicates x 2^14 draws
+    sampling._map_blocks([(lambda gen, rows: np.zeros(rows), 1 << 14)], 10 ** 5, 1)
 
 
 def test_lepage_batch_reproducible():
@@ -442,9 +447,9 @@ def test_lepage_block_matches_the_cumsum_reference(alpha, symmetric, ranks, reps
     # series: the sums and each of the largest terms, by two-sample KS
     p = 500
     ref = _cumsum_lepage(alpha, p, symmetric, RngStream(95).generator(), reps, ranks)
-    vals = sampling._map_blocks(
-        lambda gen, rows: sampling._lepage_block(alpha, p, symmetric, gen, rows, ranks),
-        reps, 96)
+    (vals,) = sampling._map_blocks(
+        [(lambda gen, rows: sampling._lepage_block(alpha, p, symmetric, gen, rows, ranks),
+          p)], reps, 96)
     for j in range(1 + ranks):
         assert ks_two_sample(vals[:, j], ref[:, j]) <= 2.5 * math.sqrt(2.0 / reps)
 
@@ -486,8 +491,9 @@ def test_lepage_small_alpha_is_not_nan():
     lambda: poisson_sum_batch(make_pareto(0.01), 1e-6, 20000, seed=5),
     lambda: sample_tail_model(make_pareto(0.01), 20000, RngStream(5)),
     lambda: coupling.coupled_pair(make_pareto(0.01), 10 ** 4, RngStream(5)),
-    # 256 reps: one block, so no pool thread runs on past the error
-    lambda: coupling_gap_curve(make_pareto(0.01), [10, 100], 256, RngStream(5)),
+    # n = 100 draws 130 terms per path, so its 4 blocks pool; none of them
+    # runs on past the error
+    lambda: coupling_gap_curve(make_pareto(0.01), [100, 1000], 1000, RngStream(5)),
 ], ids=["lepage", "lepage-symmetric", "poisson", "tail-model", "coupled-pair",
         "coupling-curve"])
 def test_small_alpha_overflow_is_an_error(call):
@@ -576,9 +582,9 @@ def test_pooled_batches_match_one_worker():
         inline = _pooled_outputs()
     with _cpu_count(3):
         assert _pooled_outputs() == inline
-        ran_on = sampling._map_blocks(
-            lambda gen, rows: np.full(rows, threading.get_ident(), dtype=object),
-            4 * sampling.BLOCK, 1)
+        (ran_on,) = sampling._map_blocks(
+            [(lambda gen, rows: np.full(rows, threading.get_ident(), dtype=object),
+              sampling._CHUNK)], 4 * sampling.BLOCK, 1)
     assert threading.get_ident() not in set(ran_on)  # pool threads drew them
 
 
@@ -601,21 +607,45 @@ def test_pool_passes_block_errors_and_stays_usable():
     m = make_pareto(0.5)
     with _cpu_count(2):
         with pytest.raises(ArithmeticError, match="last block"):
-            sampling._map_blocks(block, 3 * sampling.BLOCK - 1, 5)
+            sampling._map_blocks([(block, sampling._CHUNK)], 3 * sampling.BLOCK - 1, 5)
         a = poisson_sum_batch(m, 1e-3, 700, seed=92)
     with _cpu_count(1):
         assert a.tobytes() == poisson_sum_batch(m, 1e-3, 700, seed=92).tobytes()
 
 
+def test_pool_block_error_stops_the_batch():
+    # the error of block 0 cancels the blocks not yet started and waits for
+    # the running ones: none draws on once the caller sees the error (the
+    # pool used to leave 2 of them running)
+    running, lock = [0], threading.Lock()
+
+    def block(gen, rows):
+        if gen.bit_generator.state["state"]["key"][1] == 0:  # stream 0: block 0
+            raise ArithmeticError("first block")
+        with lock:
+            running[0] += 1
+        time.sleep(0.3)
+        with lock:
+            running[0] -= 1
+        return gen.random(rows)
+
+    with _cpu_count(2):
+        with pytest.raises(ArithmeticError, match="first block"):
+            sampling._map_blocks([(block, sampling._CHUNK)], 8 * sampling.BLOCK, 5)
+        assert running[0] == 0
+
+
 def test_nested_map_blocks_returns():
 
     def outer(gen, rows):
-        inner = sampling._map_blocks(lambda g, r: g.random(r), 600, 7)
+        (inner,) = sampling._map_blocks([(lambda g, r: g.random(r), sampling._CHUNK)],
+                                        600, 7)
         return np.full(rows, inner.sum())
 
     done = []
     worker = threading.Thread(
-        target=lambda: done.append(sampling._map_blocks(outer, 800, 6)), daemon=True)
+        target=lambda: done.extend(sampling._map_blocks([(outer, sampling._CHUNK)], 800, 6)),
+        daemon=True)
     with _cpu_count(2):
         worker.start()
         worker.join(60.0)

@@ -105,6 +105,26 @@ def test_petersburg_quantiles():
     assert tail_quantile(m, 0.25) == 4.0
 
 
+def test_petersburg_quantile_just_below_powers_of_two():
+    # ceil(log2(c/u)) rounded u = nextafter(2^-4, 0) to level 4 (Q = 16,
+    # T(16) = 2^-4 > u); of the 9 largest doubles at or below 2^-(k-1),
+    # k = 1..999, 7,904 of 8,991 broke T(Q(u)) <= u
+    m = make_petersburg(1.0)
+    u = np.ldexp(1.0, -np.arange(999))
+    us = [u]
+    for _ in range(8):
+        us.append(np.nextafter(us[-1], 0.0))
+    u = np.concatenate(us)
+    q = tail_quantile(m, u)
+    assert np.all(intensity_tail(m, q) <= u)
+    assert np.all(u < intensity_tail(m, q / 2.0))
+    assert tail_quantile(m, np.nextafter(2.0 ** -4, 0.0)) == 32.0
+    assert np.array_equal(intensity_quantile(m, u), q)
+    c3 = TailModel(alpha=1.0, q=2, c=3.0, x0=2.0, psi_kind="petersburg")
+    assert list(intensity_quantile(c3, [0.75, np.nextafter(0.75, 0.0), 1.5, 6.0])) == [
+        4.0, 8.0, 2.0, 0.5]
+
+
 def test_pure_stable_quantile():
     m = make_pareto(0.5)
     assert tail_quantile(m, 0.25) == pytest.approx(16.0, rel=1e-14)
