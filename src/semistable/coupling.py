@@ -5,11 +5,9 @@ i.i.d. sequence; the deterministic-count sum uses the first n terms and the
 randomized sum the first N.  The randomized sum is exactly a Poisson-point
 sum for the rescaled intensity, so the pair exposes how fast swapping n for
 N stops mattering.  Restricted to the uncentered regime alpha < 1.
-The curve runs one phase per n on sampling._map_blocks, which lays out
-the streams, bounds the draws and picks the pool; each block draws its
-Poisson counts first, then its paths.  coupled_pair and
-maximal_fluctuation run the same kernel on one row.  A path holds at most
-sampling._POINT_BUDGET terms.
+The curve runs one phase per n on sampling._map_blocks, each block drawing
+its Poisson counts, then its paths; coupled_pair and maximal_fluctuation
+run the same kernel on one row.  A path holds at most _POINT_BUDGET terms.
 """
 
 from __future__ import annotations
@@ -57,21 +55,19 @@ def _check_coupling_model(model: TailModel, n: int, window: bool = False,
     return half
 
 
-def _coupled_block(model, n, half, gen, rows, counts=None):
-    """Rows (s_hat, s_bar, gap, fluct) of rows paths, Poisson(n) counts drawn
-    first unless given.
+def _coupled_block(model, n, half, gen, counts):
+    """Rows (s_hat, s_bar, gap, fluct) of one path per count.
 
     Row i sums one i.i.d. path: s_hat the first n terms, s_bar the first
     counts[i], gap |s_hat - s_bar| and fluct the max of |S_j - S_n| over
     |j - n| <= half (0 when half = 0), all scaled by n**(-1/alpha).  The
-    uniforms are drawn after the counts, a tile of rows x terms at a time:
-    the head below every row's window is one pairwise sum, and the window
-    a cumsum P_j = S_j - head carried across column chunks.  A lone row
-    draws in stream order whatever the tiling, so it tiles [0, w1) at once.
-    A term past the float range (alpha near 0) raises OverflowError.
+    uniforms are drawn a tile of rows x terms at a time: the head below
+    every row's window is one pairwise sum, and the window a cumsum
+    P_j = S_j - head carried across column chunks.  A lone row draws in
+    stream order whatever the tiling, so it tiles [0, w1) at once.  A term
+    past the float range (alpha near 0) raises OverflowError.
     """
     a, b = max(0, n - half), n + half  # the fluctuation window, j in [a, b]
-    counts = gen.poisson(n, rows) if counts is None else counts
     out = np.zeros((counts.size, 4))
     for rs in _row_groups(counts.size, b):
         ends = counts[rs].tolist()
@@ -111,6 +107,10 @@ def _coupled_block(model, n, half, gen, rows, counts=None):
     return _finite(out, model.alpha)
 
 
+def _curve_block(model, n, half, gen, rows):  # the curve's phase: counts, then paths
+    return _coupled_block(model, n, half, gen, gen.poisson(n, rows))
+
+
 def coupled_pair(model: TailModel, n: int, rng: RngStream,
                  force_count: int | None = None) -> CoupledPair:
     """Draw (s_hat, s_bar) on one path; force_count pins N for testing."""
@@ -120,7 +120,7 @@ def coupled_pair(model: TailModel, n: int, rng: RngStream,
     _check_coupling_model(model, n, False, force_count or 0)
     gen = rng.generator()
     count = int(gen.poisson(n)) if force_count is None else int(force_count)
-    s_hat, s_bar, gap, _ = _coupled_block(model, n, 0, gen, 1, np.array([count]))[0].tolist()
+    s_hat, s_bar, gap, _ = _coupled_block(model, n, 0, gen, np.array([count]))[0].tolist()
     return CoupledPair(s_hat=s_hat, s_bar=s_bar, n=n, count=count, gap=gap)
 
 
@@ -131,7 +131,7 @@ def maximal_fluctuation(model: TailModel, n: int, rng: RngStream) -> float:
     rather than bounded.
     """
     half = _check_coupling_model(model, n, window=True)
-    return float(_coupled_block(model, n, half, rng.generator(), 1, np.array([n]))[0, 3])
+    return float(_coupled_block(model, n, half, rng.generator(), np.array([n]))[0, 3])
 
 
 def coupling_gap_curve(model: TailModel, n_list, reps: int, rng: RngStream,
@@ -154,22 +154,23 @@ def coupling_gap_curve(model: TailModel, n_list, reps: int, rng: RngStream,
         raise ValueError("n_list must not be empty")
     if any(n < 10 for n in n_list):
         raise ValueError("coupling curve needs n >= 10")
-    halves = [_check_coupling_model(model, n, window=True) for n in n_list]
-    curves = _map_blocks([(functools.partial(_coupled_block, model, n, half), n + half)
-                          for n, half in zip(n_list, halves)], reps, rng.seed, rng.stream_id)
-    rows = [{
-        "n": n,
-        "median_gap": float(np.median(vals[:, 2])),
-        "q90_gap": float(np.quantile(vals[:, 2], 0.9)),
-        "median_max_fluctuation": float(np.median(vals[:, 3])),
-        "ks": float(ks_two_sample(vals[:, 0], vals[:, 1])) if with_ks else None,
-    } for n, vals in zip(n_list, curves)]
+    phases = [(functools.partial(_curve_block, model, n, half), n + half)
+              for n in n_list for half in [_check_coupling_model(model, n, window=True)]]
+    rows = []  # each phase reduced before the next draws
+    for n, vals in zip(n_list, _map_blocks(phases, reps, rng.seed, rng.stream_id)):
+        rows.append({
+            "n": n,
+            "median_gap": float(np.median(vals[:, 2])),
+            "q90_gap": float(np.quantile(vals[:, 2], 0.9)),
+            "median_max_fluctuation": float(np.median(vals[:, 3])),
+            "ks": float(ks_two_sample(vals[:, 0], vals[:, 1])) if with_ks else None,
+        })
     medians = [r["median_gap"] for r in rows]
     drops = [b < a for a, b in zip(medians, medians[1:])]
     fraction = sum(drops) / len(drops) if drops else 1.0
     passed = fraction == 1.0 and (
         not with_ks or all(r["ks"] <= ks_tolerance for r in rows))
-    q25, q75 = np.quantile(curves[-1][:, 2], [0.25, 0.75])  # median stderr from the IQR
+    q25, q75 = np.quantile(vals[:, 2], [0.25, 0.75])  # last n: median stderr from the IQR
     stderr = 1.2533 * ((q75 - q25) / 1.349) / math.sqrt(reps) if reps > 1 else None
     return ExperimentReport(
         experiment="coupling_gap_curve",

@@ -284,11 +284,9 @@ def merging_sweep(k: int, points_per_octave: int, reps: int, rng: RngStream,
     ns = [round((1 << k) * (1.0 + i / points_per_octave))
           for i in range(points_per_octave + 1)]
     gammas = [gamma_n(n) for n in ns]
-    vals = _map_blocks([(functools.partial(_petersburg_block, n), n.bit_length())
-                        for n in ns], reps, rng.seed, rng.stream_id)
-    for n, v in zip(ns, vals):  # S_n/n - log2 n, in place
-        v /= n
-        v -= math.log2(n)
+    phases = [(functools.partial(_petersburg_block, n), n.bit_length()) for n in ns]
+    vals = [np.subtract(np.divide(v, n, out=v), math.log2(n), out=v)  # S_n/n - log2 n
+            for n, v in zip(ns, _map_blocks(phases, reps, rng.seed, rng.stream_id))]
     distances = [_ks_versus_limit(v, g) for v, g in zip(vals, gammas)]
     ks2 = ks_two_sample(vals[0], vals[-1])
     max_distance = float(np.max(distances))

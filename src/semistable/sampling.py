@@ -96,9 +96,9 @@ def _pool(workers: int) -> ThreadPoolExecutor:
     return ThreadPoolExecutor(workers, thread_name_prefix=_WORKER_NAME)
 
 
-def _map_blocks(phases, reps: int, seed: int, base_stream: int = 0) -> list:
+def _map_blocks(phases, reps: int, seed: int, base_stream: int = 0):
     """For each phase (block_fn, draws per replicate), block_fn(gen, rows)
-    concatenated over blocks of BLOCK replicates.
+    concatenated over blocks of BLOCK replicates, drawn at its next().
 
     Block b of phase i covers replicates [b * BLOCK, min((b + 1) * BLOCK, reps))
     and draws from stream (seed, base_stream + i * _STRIDE + b) alone.  A
@@ -116,22 +116,23 @@ def _map_blocks(phases, reps: int, seed: int, base_stream: int = 0) -> list:
     blocks, cpus = range(-(-reps // BLOCK)), _cpus()
     inline = (min(len(blocks), cpus) == 1
               or threading.current_thread().name.startswith(_WORKER_NAME))
-    out = []
-    for i, (block_fn, draws) in enumerate(phases):
-        def run(b):  # called only within this iteration
-            return block_fn(RngStream(seed, base_stream + i * _STRIDE + b).generator(),
-                            min(BLOCK, reps - b * BLOCK))
 
-        on_pool = not inline and BLOCK * draws >= _CHUNK
-        out.append(np.concatenate(_on_pool(run, blocks, cpus) if on_pool
-                                  else list(map(run, blocks))))
-    return out
+    def draw():
+        for i, (block_fn, draws) in enumerate(phases):
+            def run(b):  # called only within this iteration
+                return block_fn(RngStream(seed, base_stream + i * _STRIDE + b).generator(),
+                                min(BLOCK, reps - b * BLOCK))
+
+            on_pool = not inline and BLOCK * draws >= _CHUNK
+            yield np.concatenate(_on_pool(run, blocks, cpus) if on_pool
+                                 else list(map(run, blocks)))
+    return draw()
 
 
 def _on_pool(run, blocks, workers):  # [run(b) for b in blocks] on the pool
-    futures = [_pool(workers).submit(run, b) for b in blocks]
-    try:
-        return [f.result() for f in futures]
+    futures = [_pool(workers).submit(run, b) for b in blocks][::-1]
+    try:  # drop each future once read, as Executor.map does: each holds a lock
+        return [futures.pop().result() for _ in blocks]
     except BaseException:
         for f in futures:
             f.cancel()
@@ -246,7 +247,7 @@ def petersburg_sum_batch(n: int, reps: int, seed: int, base_stream: int = 0,
     if n < 1 or reps < 1:
         raise ValueError("need n >= 1 and reps >= 1")
     phase = (functools.partial(_petersburg_block, n), int(n).bit_length())
-    return _map_blocks([phase], reps, seed, base_stream)[0]
+    return next(_map_blocks([phase], reps, seed, base_stream))
 
 
 def _quantile_batch(model: TailModel, u):
@@ -389,7 +390,7 @@ def poisson_sum_batch(model: TailModel, cutoff: float, reps: int, seed: int,
     lam = _point_rate(model, cutoff)
     centering = 0.0 if symmetric else poisson_sum_centering(model, cutoff)
     block = functools.partial(_poisson_sum_block, model, lam, symmetric, centering)
-    return _map_blocks([(block, math.ceil(lam))], reps, seed, base_stream)[0]
+    return next(_map_blocks([(block, math.ceil(lam))], reps, seed, base_stream))
 
 
 # -- LePage series ------------------------------------------------------------
@@ -488,7 +489,7 @@ def lepage_batch(alpha: float, reps: int, seed: int, symmetric: bool = False,
     the float range (alpha near 0) raises OverflowError; threads is ignored."""
     p = _lepage_prep(alpha, n_terms, symmetric)
     block = lambda gen, rows: _lepage_block(alpha, p, symmetric, gen, rows)[:, 0]
-    return _map_blocks([(block, p)], reps, seed, base_stream)[0]
+    return next(_map_blocks([(block, p)], reps, seed, base_stream))
 
 
 # -- export -------------------------------------------------------------------

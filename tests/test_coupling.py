@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from semistable import sampling
-from semistable.coupling import (_coupled_block, coupled_pair,
+from semistable.coupling import (_curve_block, coupled_pair,
                                  coupling_gap_curve, maximal_fluctuation)
 from semistable.empirics import ks_two_sample
 from semistable.sampling import (ResourceLimitError, RngStream, _map_blocks,
@@ -136,7 +136,7 @@ def test_curve_columns_match_per_replicate_paths():
     n, half, reps = 100, 30, 2 * 10 ** 4
     ref = np.array([_reference_path_values(m, n, half, RngStream(91, i).generator())
                     for i in range(reps)])
-    (vals,) = _map_blocks([(lambda gen, rows: _coupled_block(m, n, half, gen, rows),
+    (vals,) = _map_blocks([(lambda gen, rows: _curve_block(m, n, half, gen, rows),
                             n + half)], reps, 92)
     assert vals.shape == (reps, 4)
     for col in range(4):

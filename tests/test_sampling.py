@@ -522,17 +522,21 @@ def test_kernel_chunking_changes_only_rounding(monkeypatch):
 @settings(max_examples=12, deadline=None)
 @given(reps=st.integers(1, 600), base=st.integers(0, 10 ** 9))
 def test_batches_do_not_depend_on_threads(reps, base):
-    # the pool's worker count follows the CPU count; 1 CPU runs blocks in line
+    # the pool's worker count follows the CPU count; 1 CPU runs blocks in line.
+    # Poisson (lambda = 316), LePage (128 terms) and both curve phases (130
+    # and 187 draws) pool once there are two blocks; the St. Petersburg sums
+    # (7 levels) stay in line
     m = make_pareto(0.5)
     runs = []
     for cpus in (1, 2, 3):
-        with _cpu_count(cpus):
-            curve = coupling_gap_curve(m, [20, 60], reps, RngStream(87, base))
+        with _cpu_count(cpus) as pooled:
+            curve = coupling_gap_curve(m, [100, 150], reps, RngStream(87, base))
             runs.append((
-                poisson_sum_batch(m, 1e-2, reps, seed=87, base_stream=base).tobytes(),
-                lepage_batch(0.5, reps, seed=87, n_terms=60, base_stream=base).tobytes(),
+                poisson_sum_batch(m, 1e-5, reps, seed=87, base_stream=base).tobytes(),
+                lepage_batch(0.5, reps, seed=87, n_terms=128, base_stream=base).tobytes(),
                 petersburg_sum_batch(100, reps, seed=87, base_stream=base).tobytes(),
                 curve.statistic))
+        assert len(pooled) == (4 if cpus > 1 and reps > sampling.BLOCK else 0)
     assert runs[0] == runs[1] == runs[2]
 
 
@@ -552,40 +556,68 @@ def test_tail_model_sampling_needs_a_positive_scaled_mass():
 @contextlib.contextmanager
 def _cpu_count(cpus):
     """Pooled batches see cpus CPUs and run on a fresh pool of that size;
-    with 1 CPU, blocks run in line.  A context manager rather than a
-    fixture, so that hypothesis tests can use it too."""
+    with 1 CPU, blocks run in line.  Yields the block counts of the phases
+    run on the pool, in order.  A context manager rather than a fixture, so
+    that hypothesis tests can use it too."""
+    pooled, on_pool = [], sampling._on_pool
+
+    def spy(run, blocks, workers):
+        pooled.append(len(blocks))
+        return on_pool(run, blocks, workers)
+
     with pytest.MonkeyPatch.context() as mp, sampling._pool.__wrapped__(cpus) as pool:
         mp.setattr(sampling, "_cpus", lambda: cpus)
         mp.setattr(sampling, "_pool", lambda workers: pool)
-        yield
+        mp.setattr(sampling, "_on_pool", spy)
+        yield pooled
 
 
 def _pooled_outputs():
+    # with several CPUs every phase but the order statistics' (2 draws per
+    # replicate) pools: 12 phases of at least _CHUNK draws per block
     m = make_pareto(0.5)
-    curve = coupling_gap_curve(m, [20, 300], 700, RngStream(88, 3))
+    curve = coupling_gap_curve(m, [100, 300], 700, RngStream(88, 3))
     return [
-        poisson_sum_batch(m, 1e-3, 1000, seed=88).tobytes(),
-        poisson_sum_batch(m, 1e-3, 1000, seed=88, symmetric=True).tobytes(),
+        poisson_sum_batch(m, 1e-5, 1000, seed=88).tobytes(),
+        poisson_sum_batch(m, 1e-5, 1000, seed=88, symmetric=True).tobytes(),
         lepage_batch(0.5, 900, seed=88, n_terms=500).tobytes(),
         lepage_batch(1.5, 900, seed=88, symmetric=True, n_terms=500).tobytes(),
         curve.to_json(),
         order_statistics_experiment(3, 500, 700, RngStream(89)).to_json(),
         negligibility_experiment([0.5, 2.5], 1000, 600, RngStream(90)).to_json(),
-        lepage_limit_experiment(0.5, 5, 600, RngStream(91), n_terms=300).to_json(),
-        lepage_limit_experiment(1.5, 5, 600, RngStream(92), symmetric=True,
+        lepage_limit_experiment(0.5, 7, 600, RngStream(91), n_terms=300).to_json(),
+        lepage_limit_experiment(1.5, 7, 600, RngStream(92), symmetric=True,
                                 n_terms=300).to_json(),
     ]
 
 
 def test_pooled_batches_match_one_worker():
-    with _cpu_count(1):
+    with _cpu_count(1) as pooled:
         inline = _pooled_outputs()
-    with _cpu_count(3):
+    assert pooled == []
+    with _cpu_count(3) as pooled:
         assert _pooled_outputs() == inline
         (ran_on,) = sampling._map_blocks(
             [(lambda gen, rows: np.full(rows, threading.get_ident(), dtype=object),
               sampling._CHUNK)], 4 * sampling.BLOCK, 1)
+    assert len(pooled) == 13
     assert threading.get_ident() not in set(ran_on)  # pool threads drew them
+
+
+def test_map_blocks_draws_each_phase_when_reached():
+    # every phase's budget is checked at the call, but a phase draws only
+    # when the caller reaches it, so a caller that reduces each phase before
+    # the next holds one phase at a time
+    drawn = []
+    phases = [(lambda gen, rows, i=i: drawn.append(i) or gen.random(rows), 1)
+              for i in range(3)]
+    with pytest.raises(ResourceLimitError, match="2\\^32 draw budget"):
+        sampling._map_blocks(phases + [(phases[0][0], 2 ** 31)], 3, 1)
+    phase_out = sampling._map_blocks(phases, 3, 1)
+    assert drawn == []
+    first = next(phase_out)
+    assert drawn == [0] and first.shape == (3,)
+    assert [len(v) for v in phase_out] == [3, 3] and drawn == [0, 1, 2]
 
 
 def test_import_starts_no_thread():
@@ -605,12 +637,13 @@ def test_pool_passes_block_errors_and_stays_usable():
         return gen.random(rows)
 
     m = make_pareto(0.5)
-    with _cpu_count(2):
+    with _cpu_count(2) as pooled:
         with pytest.raises(ArithmeticError, match="last block"):
-            sampling._map_blocks([(block, sampling._CHUNK)], 3 * sampling.BLOCK - 1, 5)
-        a = poisson_sum_batch(m, 1e-3, 700, seed=92)
+            list(sampling._map_blocks([(block, sampling._CHUNK)], 3 * sampling.BLOCK - 1, 5))
+        a = poisson_sum_batch(m, 1e-5, 700, seed=92)
+    assert pooled == [3, 3]  # the failing phase, then the Poisson sums
     with _cpu_count(1):
-        assert a.tobytes() == poisson_sum_batch(m, 1e-3, 700, seed=92).tobytes()
+        assert a.tobytes() == poisson_sum_batch(m, 1e-5, 700, seed=92).tobytes()
 
 
 def test_pool_block_error_stops_the_batch():
@@ -631,7 +664,7 @@ def test_pool_block_error_stops_the_batch():
 
     with _cpu_count(2):
         with pytest.raises(ArithmeticError, match="first block"):
-            sampling._map_blocks([(block, sampling._CHUNK)], 8 * sampling.BLOCK, 5)
+            list(sampling._map_blocks([(block, sampling._CHUNK)], 8 * sampling.BLOCK, 5))
         assert running[0] == 0
 
 
