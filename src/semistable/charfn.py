@@ -89,7 +89,8 @@ def g_exponent(t, tol: float = 1e-12, max_jump=None):
     g(t) = sum_{l<=0} (e^{i t 2^l} - 1 - i t 2^l) 2^{-l}
          + sum_{l>=1} (e^{i t 2^l} - 1) 2^{-l}.
     Per point, the small-jump levels l <= l0 with |t 2^l0| < 1/4 are summed
-    in closed form (no lower truncation); the levels l0 < l <= 0 one by one.
+    in closed form (no lower truncation); the levels l > l0 one by one, from
+    one exponential e^{i t 2^(l0+1)} squared once per level.
     The upper sum stops at the first level L with 2^{-L} < tol/8, which
     bounds the discarded mass 2 * 2^{-L} by tol/4.  With max_jump it also
     stops below the jumps 2^l > max_jump, whose total mass is exactly
@@ -101,9 +102,7 @@ def g_exponent(t, tol: float = 1e-12, max_jump=None):
     if max_jump is not None and not max_jump > 0.0:
         raise ValueError("max_jump must be positive")
 
-    def series(tt):
-        if not np.all(np.isfinite(tt)):
-            raise ValueError("t must be finite")
+    def chunk(tt):
         # l0 = -(e + 2) for |t| = m 2^e, m in [0.5, 1), so |t 2^l0| < 1/4
         l0 = np.minimum(0, -np.frexp(tt)[1] - 2)
         z = 1j * np.ldexp(tt, l0)
@@ -112,10 +111,12 @@ def g_exponent(t, tol: float = 1e-12, max_jump=None):
             total = total * z + c
         total = total * z * z * np.ldexp(1.0, -l0)
         comp = np.zeros(tt.shape, dtype=complex)
+        # one exponential per point, at its first level l0 + 1; each later level
+        # squares it, so its rounding error grows like 2^(l - l0), which the
+        # weight 2^-l cancels: every term stays within about |t| ulp
+        e = e1 = np.exp(1j * np.ldexp(tt, l0 + 1))
         for l in range(int(l0.min(initial=0)) + 1, _top_level(tol, max_jump) + 1):
-            # past level 1 by squaring: its rounding error grows like 2^l, which
-            # the weight 2^-l cancels, so each term stays at the ulp of its weight
-            e = e * e if l > 1 else np.exp(1j * np.ldexp(tt, l))
+            e = e * e if l > 1 else np.where(l > l0 + 1, e * e, e1)
             term = e - 1.0
             if l <= 0:
                 term = np.where(l > l0, term - 1j * np.ldexp(tt, l), 0.0)
@@ -124,6 +125,12 @@ def g_exponent(t, tol: float = 1e-12, max_jump=None):
             comp = (s - total) - y
             total = s
         return total
+
+    def series(tt):
+        if not np.all(np.isfinite(tt)):
+            raise ValueError("t must be finite")
+        # 8,192 points at a time, so the level loop's temporaries stay in cache
+        return np.concatenate([chunk(c) for c in np.split(tt, range(8192, tt.size, 8192))])
 
     return elementwise(series, t, complex)
 
@@ -255,11 +262,11 @@ def _phase_slope(h, t_lo, t_hi):
 
 _DYADIC_LEVELS = 150
 _NODE_BUDGET = 1 << 22  # about |x| <= 6e4 on the dyadic family (1e4 takes 1.0e6)
-_WORK_BUDGET = 1 << 29  # point x node products per cdf_from_cf call; 3.5-6 s
-                        # on a 2-core x86 host (the direct sum over the
-                        # 2,400 cascade nodes bounds small |x|, the exponent
-                        # on 4e6 nodes large |x|), 50x the largest call the
-                        # tests and the benchmark make
+_WORK_BUDGET = 1 << 29  # point x node products per cdf_from_cf call; 0.5-0.9 s
+                        # on a 2-core x86 host (1e5 points with |x| <= 32, or
+                        # 132 near |x| = 6e4 on 4e6 nodes, where the exponent
+                        # and the bulk products share the time), 50x the
+                        # largest call the tests and the benchmark make
 
 
 def _node_count(T, omega):
@@ -306,10 +313,14 @@ def _bulk_nodes(t0, delta, K):
 
 
 def _phase_sums(xs, t, cw):
-    """Im sum_i cw_i e^{-i t_i x} for each x, directly: a cosine and a sine
-    per node and point, in chunks.  _invert runs it on the head nodes."""
+    """Im sum_i cw_i e^{-i t_i x} for each x; _invert runs it on the head nodes.
+    On the deep nodes, |t| max|x| < 2^-27, cos(tx) rounds to 1 and sin(tx)
+    to tx, so they add sum cw_im - x sum cw_re t: two dot products in all.
+    The rest cost a cosine and a sine per node and point, in chunks."""
     cw_re, cw_im = np.real(cw), np.imag(cw)
-    out = np.zeros(xs.size)
+    deep = np.abs(t) * np.max(np.abs(xs), initial=0.0) < 2.0 ** -27
+    out = np.sum(cw_im[deep]) - xs * np.dot(cw_re[deep], t[deep])
+    t, cw_re, cw_im = t[~deep], cw_re[~deep], cw_im[~deep]
     xblock = 64
     tblock = 1 << 17
     for i in range(0, xs.size, xblock):
@@ -318,7 +329,7 @@ def _phase_sums(xs, t, cw):
         for j in range(0, t.size, tblock):
             ph = xb * t[None, j:j + tblock]
             acc += np.cos(ph) @ cw_im[j:j + tblock] - np.sin(ph) @ cw_re[j:j + tblock]
-        out[i:i + xblock] = acc
+        out[i:i + xblock] += acc
     return out
 
 
@@ -328,11 +339,11 @@ def _bulk_phase_sums(xs, t0, delta, cw):
     With panel k = a B + b, B about sqrt(K/12), a node is
     t = t0 + a B delta + (b delta + s_j), so
     sum cw e^{-itx} = e^{-i t0 x} sum_a V[x, a] (U @ C^T)[x, a], where
-    U[x, (b, j)] = e^{-i (b delta + s_j) x}, V[x, a] = e^{-i a B delta x} and C
-    is cw zero-padded to A B panels and reshaped to (A, 12 B).  Per point
-    that is 12 B + A complex exponentials, about 2 sqrt(12 K), instead of
-    12 K cosines and sines; the multiply-adds go to one matrix product per
-    block of 64 points.
+    U[x, (b, j)] = e^{-i b delta x} e^{-i s_j x}, V[x, a] = e^{-i a B delta x}
+    and C is cw zero-padded to A B panels and reshaped to (A, 12 B).  U is
+    an outer product, so per point that is B + 12 + A complex exponentials,
+    about sqrt(12 K), instead of 12 K cosines and sines; the multiply-adds
+    go to one matrix product per block of 64 points.
     """
     K = cw.shape[0]
     B = max(1, round(math.sqrt(K / 12.0)))
@@ -340,14 +351,16 @@ def _bulk_phase_sums(xs, t0, delta, cw):
     C = np.zeros((A * B, 12), dtype=complex)
     C[:K] = cw
     C = C.reshape(A, 12 * B)
-    inner = _bulk_nodes(0.0, delta, B)[0].ravel()
+    offsets = _bulk_nodes(0.0, delta, 1)[0][0]
+    steps = delta * np.arange(B)
     outer = (B * delta) * np.arange(A)
     out = np.empty(xs.size)
     xblock = 64
     for i in range(0, xs.size, xblock):
         xb = xs[i:i + xblock, None]
-        s = np.einsum("ij,ij->i", np.exp(-1j * (xb * outer)),
-                      np.exp(-1j * (xb * inner)) @ C.T)
+        u = (np.exp(-1j * (xb * steps))[:, :, None]
+             * np.exp(-1j * (xb * offsets))[:, None, :]).reshape(xb.size, 12 * B)
+        s = np.einsum("ij,ij->i", np.exp(-1j * (xb * outer)), u @ C.T)
         out[i:i + xblock] = np.imag(np.exp(-1j * t0 * xb[:, 0]) * s)
     return out
 
@@ -477,7 +490,11 @@ def tabulate_cdf(h: CfExponent, x_lo: float, x_hi: float,
     absolute accuracy well below their distance tolerance out there.  For
     g_gamma_law on [-8, 1024] at tol=1e-7 the table is within 1.4e-5 of
     cdf_from_cf up to x = 48, and 1.2e-3 between its geometric tail nodes
-    (near jumps 2^k/gamma) though the nodes are exact to 7e-12."""
+    (near jumps 2^k/gamma) though the nodes are exact to 7e-12.  The span
+    must be finite with x_lo < x_hi, or ValueError."""
+    if not -math.inf < x_lo < x_hi < math.inf:
+        raise ValueError("a CDF table needs finite x_lo < x_hi, got %s and %s"
+                         % (x_lo, x_hi))
 
     def evaluate(xs):
         out = np.empty(xs.size)

@@ -81,8 +81,9 @@ class TailModel:
             object.__setattr__(self, "psi_values", tuple(float(v) for v in vals))
         else:
             object.__setattr__(self, "psi_values", ())
-        if self.x0 > 0.0 and not 0.0 < float(self._tail_formula(self.x0)) < math.inf:
-            raise ValueError("x0 must leave a finite positive mass T(x0)")
+        with np.errstate(over="ignore"):  # an overflowing T(x0) is refused here
+            if self.x0 > 0.0 and not 0.0 < float(self._tail_formula(self.x0)) < math.inf:
+                raise ValueError("x0 must leave a finite positive mass T(x0)")
         _check_nonincreasing(self)
 
     # -- psi and tail formula (intensity reading, any x > 0) ---------------

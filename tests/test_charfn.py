@@ -1,6 +1,7 @@
+import cmath
 import math
-
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -100,6 +101,41 @@ def test_small_t_and_level_boundaries_match_oracle():
         assert abs(g_exponent(t) - g_series_oracle(t)) < 1e-12
     # per point, so a value does not depend on the batch it is evaluated in
     assert np.array_equal(g_exponent(np.array(ts)), [g_exponent(t) for t in ts])
+
+
+LARGE_T = [16.0, 31.9, 100.0, -700.3, 1000.0]
+
+
+@pytest.mark.parametrize("t", LARGE_T)
+def test_g_matches_oracle_at_large_t(t):
+    # one exponential at level l0 + 1 ~ -log2|t|, squared up to level 43:
+    # the longest squaring chains; the bound adds one ulp of |g| (up to 1e4)
+    want = g_series_oracle(t)
+    assert abs(g_exponent(t) - want) < 1e-12 + 2e-16 * abs(want)
+
+
+@pytest.mark.parametrize("cut", [96.0, 1088.0])
+def test_reduced_exponent_matches_oracle_at_large_t(cut):
+    gamma = 1.5
+    reduced, _ = g_gamma_law(gamma).split(cut)
+    for t in LARGE_T:
+        tg = t / gamma
+        atoms = sum(2.0 ** -l * (cmath.exp(1j * math.ldexp(tg, l)) - 1.0)
+                    for l in range(1, 80) if 2.0 ** l > cut * gamma)
+        want = gamma * (g_series_oracle(tg) - atoms) - 1j * t * math.log2(gamma)
+        assert abs(reduced(t) - want) < 1e-12 + 2e-16 * abs(want)
+
+
+def test_exponent_chunks_match_per_point_calls():
+    # more points than one pass of the level loop takes, with magnitudes (so
+    # first levels) mixed inside each pass
+    rng = np.random.default_rng(16)
+    t = rng.choice([-1.0, 1.0], 20000) * 10.0 ** rng.uniform(-6.0, 3.0, 20000)
+    t[[0, 8191, 8192, 12345]] = 0.0, 1e3, -1e-9, 64.0
+    got = g_exponent(t)
+    assert np.array_equal(got, np.concatenate([g_exponent(p) for p in np.array_split(t, 37)]))
+    picks = np.r_[0:t.size:97, 8189:8196]
+    assert np.array_equal(got[picks], [g_exponent(t[i]) for i in picks])
 
 
 def old_split(gamma, cut, t):
@@ -294,6 +330,26 @@ def test_cdf_table_and_interpolant():
     tab = tabulate_cdf(law, -8.0, 1024.0, tol=1e-7)
     probe = np.linspace(48.0, 1024.0, 300)
     assert np.max(np.abs(tab(probe) - cdf_from_cf(law, probe, 1e-8))) < 2e-3
+
+
+def test_tabulate_cdf_rejects_reversed_span():
+    # used to tabulate [-10, 10] silently
+    with pytest.raises(ValueError, match="finite x_lo < x_hi, got 10 and -10"):
+        tabulate_cdf(cauchy_law(), 10, -10)
+
+
+def test_tabulate_cdf_rejects_empty_span():
+    # used to fail inside TabulatedCdf with "needs >= 2 increasing x"
+    with pytest.raises(ValueError, match="finite x_lo < x_hi, got 5 and 5"):
+        tabulate_cdf(cauchy_law(), 5, 5)
+
+
+def test_tabulate_cdf_rejects_nan_span_without_warning():
+    # used to warn from linspace before "x must be finite"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite x_lo < x_hi, got nan and 3"):
+            tabulate_cdf(cauchy_law(), math.nan, 3)
 
 
 # -- closed-form references -----------------------------------------------------
@@ -505,6 +561,28 @@ def test_factored_bulk_matches_direct_sum(T, omega, span, K):
     direct = _phase_sums(xs, tb.ravel(), cw.ravel())
     factored = _bulk_phase_sums(xs, t0, delta, cw)
     assert np.max(np.abs(factored - direct)) <= 1e-12 * np.abs(cw).sum()
+
+
+def direct_phase_sums(xs, t, cw):
+    """Im sum cw e^{-itx} with a cosine and a sine per node and point."""
+    return np.array([np.cos(x * t) @ np.imag(cw) - np.sin(x * t) @ np.real(cw)
+                     for x in xs])
+
+
+@pytest.mark.parametrize("omega", [40.0, 600.0, 6e4])
+def test_head_phase_sums_match_direct_sum(omega):
+    t, w, *_ = _build_nodes(16.0, omega)
+    b = omega - 4.0
+    # the deep nodes, summed as two moments, and the rest, summed directly
+    deep = t * b < 2.0 ** -27
+    assert deep.any() and not deep.all()
+    xs = np.array([0.0, b, -b, 0.5 * b, 1e-3, -2.5])
+    # Im phi is O(t) near 0, which would hide an error in the cosines there
+    for cw in (np.exp(g_gamma_law(1.5)(t)) * w / t, (1.0 + 1.0j) * w / t):
+        bound = 1e-15 * np.abs(cw).sum()
+        assert np.max(np.abs(_phase_sums(xs, t, cw) - direct_phase_sums(xs, t, cw))) <= bound
+        # x = 0 alone: every node is deep
+        assert abs(_phase_sums(np.zeros(1), t, cw)[0] - np.imag(cw).sum()) <= bound
 
 
 def test_empty_queries_give_empty_arrays():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -93,6 +94,18 @@ def test_grid_needs_64_samples():
 def test_petersburg_psi_requires_alpha_one():
     with pytest.raises(ValueError):
         TailModel(alpha=0.5, q=2, c=1.0, x0=1.0, psi_kind="petersburg")
+
+
+def test_tiny_x0_raises_without_overflow_warning():
+    # T(x0) = x0**(-alpha) overflows; the typed error, not numpy's
+    # RuntimeWarning, must reach a caller that runs with warnings as errors
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite positive mass"):
+            TailModel(alpha=1.9, q=2, c=1.0, x0=1e-300, psi_kind="const")
+        with pytest.raises(ValueError, match="finite positive mass"):
+            TailModel(alpha=1.9, q=2, c=1.0, x0=1e-300, psi_kind="grid",
+                      psi_values=tuple(np.ones(64)))
 
 
 # -- quantiles ----------------------------------------------------------------
