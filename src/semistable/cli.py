@@ -243,7 +243,6 @@ def _build_parser() -> argparse.ArgumentParser:
         common(p, reps_default=reps)
 
     p = sub.add_parser("selftest", help="fast subset of the acceptance checks")
-    p.add_argument("--g-tol", type=_finite, default=1e-12, help=argparse.SUPPRESS)
     common(p)
 
     return ap
@@ -311,7 +310,7 @@ def _cmd_experiment(args) -> int:
 # -- selftest -------------------------------------------------------------------
 
 
-def run_selftest(seed: int, g_tol: float = 1e-12):
+def run_selftest(seed: int):
     """Fast subset of the acceptance checks; returns (exit_code, report lines)."""
     from scipy.special import ndtr
 
@@ -323,8 +322,8 @@ def run_selftest(seed: int, g_tol: float = 1e-12):
 
     ts = np.linspace(-50.0, 50.0, 1001)
     ts = ts[ts != 0.0]
-    ident = np.max(np.abs(charfn.g_exponent(ts, g_tol)
-                          - (2.0 * charfn.g_exponent(ts / 2.0, g_tol) - 1j * ts)))
+    ident = np.max(np.abs(charfn.g_exponent(ts)
+                          - (2.0 * charfn.g_exponent(ts / 2.0) - 1j * ts)))
     check("cf-telescoping-identity", float(ident), 1e-10)
 
     xs = np.linspace(-10.0, 10.0, 81)
@@ -375,12 +374,12 @@ def run_selftest(seed: int, g_tol: float = 1e-12):
 
 
 def _cmd_selftest(args) -> int:
-    code, lines = run_selftest(args.seed, g_tol=args.g_tol)
+    code, lines = run_selftest(args.seed)
     for line in lines:
         print(line)
     if args.out:
         _write_lines(args.out, ["# config: " + json.dumps(
-            _config(args, g_tol=args.g_tol), sort_keys=True)] + lines)
+            _config(args), sort_keys=True)] + lines)
     return code
 
 

@@ -39,8 +39,7 @@ class CoupledPair:
 
 
 @functools.lru_cache(maxsize=256)  # a pure check: only passes are cached
-def _check_coupling_model(model: TailModel, n: int, window: bool = False,
-                          count: int = 0) -> int:
+def _check_coupling_model(model: TailModel, n: int, window: bool = False) -> int:
     """Contract and work checks; returns the window half-width (0 without)."""
     if not model.alpha < 1.0:
         raise ValueError("coupling is implemented for alpha < 1 (uncentered regime)")
@@ -49,9 +48,9 @@ def _check_coupling_model(model: TailModel, n: int, window: bool = False,
     if abs(tail_eval(model, model.x0) - 1.0) > 1e-9:
         raise ValueError("coupling needs unit total mass: T(x0) = 1")
     half = math.ceil(_C_MULT * math.sqrt(n)) if window else 0
-    if max(n + half, count) > _POINT_BUDGET:
+    if n + half > _POINT_BUDGET:
         raise ResourceLimitError("%d terms per path exceed the %.0g budget"
-                                 % (max(n + half, count), _POINT_BUDGET))
+                                 % (n + half, _POINT_BUDGET))
     return half
 
 
@@ -111,15 +110,12 @@ def _curve_block(model, n, half, gen, rows):  # the curve's phase: counts, then 
     return _coupled_block(model, n, half, gen, gen.poisson(n, rows))
 
 
-def coupled_pair(model: TailModel, n: int, rng: RngStream,
-                 force_count: int | None = None) -> CoupledPair:
-    """Draw (s_hat, s_bar) on one path; force_count pins N for testing."""
-    if force_count is not None and not (isinstance(force_count, (int, np.integer))
-                                        and force_count >= 0):
-        raise ValueError("force_count must be an integer >= 0")
-    _check_coupling_model(model, n, False, force_count or 0)
+def coupled_pair(model: TailModel, n: int, rng: RngStream) -> CoupledPair:
+    """Draw N ~ Poisson(n), then one path: s_hat sums its first n terms,
+    s_bar its first N."""
+    _check_coupling_model(model, n)
     gen = rng.generator()
-    count = int(gen.poisson(n)) if force_count is None else int(force_count)
+    count = int(gen.poisson(n))
     s_hat, s_bar, gap, _ = _coupled_block(model, n, 0, gen, np.array([count]))[0].tolist()
     return CoupledPair(s_hat=s_hat, s_bar=s_bar, n=n, count=count, gap=gap)
 

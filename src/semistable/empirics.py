@@ -165,18 +165,10 @@ class ExperimentReport:
 # -- shared limit tables -------------------------------------------------------
 
 
-_TABLE_CACHE: dict = {}
-
-
+@functools.lru_cache(maxsize=256)
 def _limit_table(gamma: float, x_lo: float, x_hi: float) -> TabulatedCdf:
-    """Tabulated CDF of the merging-family law at gamma, cached on a coarse
-    span key."""
-    key = (round(float(gamma), 12), 8.0 * math.floor(x_lo / 8.0),
-           8.0 * math.ceil(x_hi / 8.0))
-    if key not in _TABLE_CACHE:
-        law = g_gamma_law(key[0])
-        _TABLE_CACHE[key] = tabulate_cdf(law, key[1], key[2], tol=1e-7)
-    return _TABLE_CACHE[key]
+    """Tabulated CDF of the merging-family law at gamma on [x_lo, x_hi]."""
+    return tabulate_cdf(g_gamma_law(gamma), x_lo, x_hi, tol=1e-7)
 
 
 def _ks_versus_limit(vals: np.ndarray, gamma: float) -> float:
@@ -188,7 +180,9 @@ def _ks_versus_limit(vals: np.ndarray, gamma: float) -> float:
     1.2e-3 above (tabulate_cdf), well below the 0.02+ tolerances in play."""
     x_lo = float(np.min(vals)) - 1.0
     x_hi = min(max(64.0, float(np.quantile(vals, 1.0 - 5e-4))), 1024.0)
-    table = _limit_table(gamma, x_lo, x_hi)
+    # the span rounded out to multiples of 8, so that runs share tables
+    table = _limit_table(round(float(gamma), 12), 8.0 * math.floor(x_lo / 8.0),
+                         8.0 * math.ceil(x_hi / 8.0))
     return ks_distance(Ecdf.from_sample(vals), table)
 
 
@@ -219,7 +213,8 @@ def feller_experiment(n: int, reps: int, rng: RngStream,
     gamma = gamma_n(n)
     law = g_gamma_law(gamma)
     thr = 0.5 * log2n
-    predicted = float(1.0 - cdf_from_cf(law, thr) + cdf_from_cf(law, -thr))
+    up, down = cdf_from_cf(law, [thr, -thr]).tolist()  # one inversion plan
+    predicted = 1.0 - up + down
     stat = abs(exc_half - predicted)
     stderr = math.sqrt(max(exc_half * (1.0 - exc_half), 1e-12) / reps)
     tolerance = _FELLER_TOL_BASE + 3.0 * stderr

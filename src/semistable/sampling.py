@@ -50,6 +50,7 @@ __all__ = [
 ]
 
 _POINT_BUDGET = 1e9
+_POINT_SET_BUDGET = 1 << 26  # expected points a materialized point set may hold
 _DRAW_BUDGET = 1 << 32  # replicates x draws per replicate in one phase
 _SERIES_TAIL = 1e-6  # LePage series tail proxy at the auto truncation
 BLOCK = 256
@@ -173,7 +174,6 @@ class SampleBatch:
     model: str
     seed: int
     stream_id: int
-    transform: str = "raw"
 
     def __post_init__(self):
         if len(self.values) == 0:
@@ -184,7 +184,6 @@ class SampleBatch:
             "model": self.model,
             "seed": self.seed,
             "stream_id": self.stream_id,
-            "transform": self.transform,
             "n": int(len(self.values)),
         }
 
@@ -306,21 +305,22 @@ def points_from_arrivals(model: TailModel, arrivals):
     return intensity_quantile(model, np.asarray(arrivals, dtype=float))
 
 
-def _point_rate(model: TailModel, cutoff: float) -> float:
+def _point_rate(model: TailModel, cutoff: float, budget=_POINT_BUDGET) -> float:
     """Expected point count T(cutoff) above the cutoff, within the budget."""
     if cutoff <= 0.0:
         raise ValueError("cutoff must be positive")
     lam = intensity_tail(model, cutoff)
-    if lam > _POINT_BUDGET:
+    if lam > budget:
         raise ResourceLimitError(
-            "expected point count %.3g exceeds the %.0g budget" % (lam, _POINT_BUDGET))
+            "expected point count %.3g exceeds the %.3g budget" % (lam, budget))
     return lam
 
 
 def sample_poisson_points(model: TailModel, cutoff: float,
                           rng: RngStream) -> PoissonPointSet:
-    """Points of the Poisson process with intensity tails T above the cutoff."""
-    lam = _point_rate(model, cutoff)
+    """Points of the Poisson process with intensity tails T above the cutoff,
+    all held in memory: at most 2^26 expected."""
+    lam = _point_rate(model, cutoff, _POINT_SET_BUDGET)
     arr = _arrivals_below(rng.generator(), lam)
     pts = points_from_arrivals(model, arr) if arr.size else np.empty(0)
     return PoissonPointSet(points=pts, arrival_times=arr,

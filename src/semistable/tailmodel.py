@@ -258,27 +258,34 @@ def _integrate_tail(model, a, b, weight=None):
     linear function between the kinks and jumps of psi (grid cells, dyadic
     steps); on the pieces of one lattice through them, at most 1/4 long
     (shorter at large alpha), 12 points integrate it to rounding.  It scales
-    by q^(k/alpha - 1) per period log(q)/alpha, so whole periods cost one.
+    by r = q^(k/alpha - 1) per period log(q)/alpha, so a run of whole
+    periods is one period's integral times a geometric sum: n periods, or
+    all of them down to a = 0 (needs k > alpha) or up to b = inf (needs
+    k < alpha).  Overflowing pieces give inf or nan, for the caller to refuse.
     """
     k = 2.0 if weight == "u" else 1.0
-    lo, hi = sorted((math.log(a), math.log(b)))
+    lo, hi = sorted((math.log(a) if a else -math.inf, math.log(b)))
     period = math.log(model.q) / model.alpha
     h = period / (len(model.psi_values) if model.psi_kind == "grid" else 1)
     h /= math.ceil(h * max(4.0, abs(k - model.alpha) / 8.0))
     x, w = leggauss(12)
+    log_r = (k / model.alpha - 1.0) * math.log(model.q)
 
     def pieces(s0, s1):
         edges = np.concatenate(
             ([s0], h * np.arange(math.floor(s0 / h) + 1, math.ceil(s1 / h)), [s1]))
         mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
-        u = np.exp(mid[:, None] + half[:, None] * x)
-        g = u ** (k - 1.0) * (u * model._tail_formula(u))  # u**2 alone overflows sooner
-        return float(np.sum(half[:, None] * w * g))
+        with np.errstate(over="ignore", invalid="ignore"):
+            u = np.exp(mid[:, None] + half[:, None] * x)
+            g = u ** (k - 1.0) * (u * model._tail_formula(u))  # u**2 alone overflows sooner
+            return float(np.sum(half[:, None] * w * g))
 
+    if math.isinf(hi - lo):  # down to 0 or up to inf: r^-1 or r per period
+        s = hi - period if lo == -math.inf else lo
+        return pieces(s, s + period) / -math.expm1(-abs(log_r))
     n = math.floor((hi - lo) / period)
     total = pieces(min(lo + n * period, hi), hi)
     if n:
-        log_r = (k / model.alpha - 1.0) * math.log(model.q)
         total += pieces(lo, lo + period) * (
             math.expm1(n * log_r) / math.expm1(log_r) if log_r else n)
     return total if a <= b else -total
@@ -287,24 +294,17 @@ def _integrate_tail(model, a, b, weight=None):
 def tail_first_moment(model: TailModel, lo: float, hi: float | None = None) -> float:
     """integral of x over the intensity measure on (lo, hi]; hi = None means inf.
 
-    Computed from the tail by parts:
-      finite hi:  lo*T(lo) - hi*T(hi) + int_lo^hi T(u) du
-      hi = inf (needs alpha > 1):  lo*T(lo) + int_lo^inf T(u) du, the improper
-      integral summed exactly by the geometric block relation
-      int over block j = q**(j*(1-alpha)/alpha) * int over block 0.
+    Computed from the tail by parts, lo*T(lo) - hi*T(hi) + int_lo^hi T(u) du;
+    hi = inf (needs alpha > 1) drops hi*T(hi), and _integrate_tail sums the
+    improper integral's periods exactly.
     """
     if lo <= 0.0:
         raise ValueError("lo must be positive")
-    t_lo = float(model._tail_formula(lo))
-    if hi is not None:
-        t_hi = float(model._tail_formula(hi))
-        return lo * t_lo - hi * t_hi + _integrate_tail(model, lo, hi)
-    if model.alpha <= 1.0:
+    if hi is None and model.alpha <= 1.0:
         raise ValueError("mean above a cutoff is infinite for alpha <= 1")
-    rho = model.q ** (1.0 / model.alpha)
-    ratio = model.q ** ((1.0 - model.alpha) / model.alpha)
-    block = _integrate_tail(model, lo, lo * rho)
-    return lo * t_lo + block / (1.0 - ratio)
+    top = 0.0 if hi is None else hi * float(model._tail_formula(hi))
+    return (lo * float(model._tail_formula(lo)) - top
+            + _integrate_tail(model, lo, math.inf if hi is None else hi))
 
 
 def gaussian_criterion_ratio(model: TailModel, x: float) -> float:
@@ -314,10 +314,10 @@ def gaussian_criterion_ratio(model: TailModel, x: float) -> float:
     m2(x) = -x**2 T(x) + x0**2 T(x0) + 2 * int_{x0}^{x} u T(u) du, the
     integral exact to rounding on the cells of psi (_integrate_tail).  With
     x0 = 0 (pure intensity reading, needs alpha < 2) the boundary term
-    vanishes and the integral from 0 is summed exactly over period blocks;
-    for psi == 1 the ratio is then (2 - alpha)/alpha at every x.  A
-    vanishing limit signals a Gaussian domain.  OverflowError if m2(x)
-    leaves the float range.
+    vanishes and _integrate_tail sums the periods down to 0 exactly; for
+    psi == 1 the ratio is then (2 - alpha)/alpha at every x.  A vanishing
+    limit signals a Gaussian domain.  OverflowError if m2(x) leaves the
+    float range.
     """
     if x <= model.x0 or x <= 0.0:
         raise ValueError("x must exceed x0 (and be positive)")
@@ -325,19 +325,11 @@ def gaussian_criterion_ratio(model: TailModel, x: float) -> float:
     if t_x == 0.0 or (model.x0 == 0.0 and model.alpha >= 2.0):
         return 0.0  # at x0 = 0 and alpha >= 2 m2 diverges at the origin
     top = x * (x * t_x)  # x * x alone overflows sooner
+    boundary = (model.x0 * (model.x0 * float(model._tail_formula(model.x0)))
+                if model.x0 > 0.0 else 0.0)
     try:
-        if model.x0 > 0.0:
-            integral = _integrate_tail(model, model.x0, x, weight="u")
-            boundary = model.x0 * (model.x0 * float(model._tail_formula(model.x0)))
-        else:
-            # int_0^x u T(u) du over blocks [x/rho^(j+1), x/rho^j] scales by
-            # q^((alpha-2)/alpha) per block: exact geometric sum
-            rho = model.q ** (1.0 / model.alpha)
-            ratio = model.q ** ((model.alpha - 2.0) / model.alpha)
-            integral = _integrate_tail(model, x / rho, x, weight="u") / (1.0 - ratio)
-            boundary = 0.0
-        m2 = -top + boundary + 2.0 * integral
-    except OverflowError:  # from the geometric block sum of _integrate_tail
+        m2 = -top + boundary + 2.0 * _integrate_tail(model, model.x0, x, weight="u")
+    except OverflowError:  # from the geometric sum of whole periods
         m2 = math.inf
     if not math.isfinite(m2):
         raise OverflowError("the truncated second moment at x = %g overflows float64 "

@@ -1,3 +1,4 @@
+import functools
 import io
 import json
 import os
@@ -57,7 +58,7 @@ def test_sample_sidecar_written_once(tmp_path, monkeypatch):
               "params": {"model": "petersburg", "n": 3, "stream": 0,
                          "symmetrize": False}}
     meta = {"model": "petersburg", "seed": 1, "stream_id": 0,
-            "transform": "raw", "n": 3, "config": config}
+            "n": 3, "config": config}
     assert read(out + ".meta.json") == json.dumps(meta, sort_keys=True,
                                                   indent=2) + "\n"
 
@@ -451,9 +452,11 @@ def test_selftest_passes_and_reports():
     assert all(l.startswith("selftest ") for l in lines)
 
 
-def test_selftest_injected_corruption_fails():
+def test_selftest_injected_corruption_fails(monkeypatch):
     # degrading the series truncation budget must break the identity check
-    code, lines = run_selftest(DEFAULT_SEED, g_tol=1.0)
+    monkeypatch.setattr(cli.charfn, "g_exponent",
+                        functools.partial(charfn.g_exponent, tol=1.0))
+    code, lines = run_selftest(DEFAULT_SEED)
     assert code == 3
     assert any("FAIL" in l for l in lines)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from semistable import sampling
-from semistable.coupling import (_curve_block, coupled_pair,
+from semistable.coupling import (_coupled_block, _curve_block, coupled_pair,
                                  coupling_gap_curve, maximal_fluctuation)
 from semistable.empirics import ks_two_sample
 from semistable.sampling import (ResourceLimitError, RngStream, _map_blocks,
@@ -13,10 +13,12 @@ from semistable.tailmodel import make_pareto, make_petersburg
 
 
 def test_forced_count_gives_zero_gap():
+    # a path whose count equals n: both sums stop at the same term
     m = make_pareto(0.5)
-    cp = coupled_pair(m, 500, RngStream(9), force_count=500)
-    assert cp.gap == 0.0
-    assert cp.s_hat == cp.s_bar
+    s_hat, s_bar, gap, _ = _coupled_block(m, 500, 0, RngStream(9).generator(),
+                                          np.array([500]))[0]
+    assert gap == 0.0
+    assert s_hat == s_bar
 
 
 def test_pathwise_identity():
@@ -34,21 +36,11 @@ def test_contract_checks():
         coupled_pair(make_petersburg(), 100, RngStream(1))  # T(x0) = 0.5 != 1
 
 
-@pytest.mark.parametrize("bad", (-5, 2.7, 3.0, "4"))
-def test_force_count_must_be_a_nonnegative_integer(bad):
-    # -5 used to give s_bar = 0.0 and 2.7 was truncated to 2
-    with pytest.raises(ValueError, match="force_count"):
-        coupled_pair(make_pareto(0.5), 100, RngStream(1), force_count=bad)
-    cp = coupled_pair(make_pareto(0.5), 100, RngStream(1), force_count=np.int64(0))
-    assert (cp.count, cp.s_bar) == (0, 0.0)
-
-
 def test_paths_have_a_work_budget():
     m = make_pareto(0.5)
     big = 10 ** 12
     for call in (lambda: coupling_gap_curve(m, [100, big], 10, RngStream(1)),
                  lambda: coupled_pair(m, big, RngStream(1)),
-                 lambda: coupled_pair(m, 100, RngStream(1), force_count=big),
                  lambda: maximal_fluctuation(m, big, RngStream(1))):
         with pytest.raises(ResourceLimitError, match="1e\\+09 budget"):
             call()

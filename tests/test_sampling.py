@@ -58,7 +58,7 @@ def test_reproducibility_and_stream_independence():
     assert not np.array_equal(a.values, c.values)
     meta = a.metadata()
     assert meta == {"model": "petersburg", "seed": 9, "stream_id": 3,
-                    "transform": "raw", "n": 512}
+                    "n": 512}
 
 
 def test_batch_validation():
@@ -179,6 +179,20 @@ def test_point_budget_guard():
     m = make_pareto(0.5)
     with pytest.raises(ResourceLimitError):
         sample_poisson_points(m, 1e-20, RngStream(1))
+
+
+def test_point_set_memory_bound(monkeypatch):
+    # a point set holds every point: above 2^26 expected points it is refused
+    # before a stream is opened, while the Poisson sums keep the 1e9 budget
+    def drew(*args, **kwargs):
+        raise AssertionError("drew before the point-set bound")
+
+    monkeypatch.setattr(RngStream, "generator", drew)
+    m = make_pareto(0.5)
+    cutoff = (1.01 * 2.0 ** 26) ** -2.0  # T(cutoff) = 1.01 * 2^26
+    with pytest.raises(ResourceLimitError, match="6.71e\\+07 budget"):
+        sample_poisson_points(m, cutoff, RngStream(1))
+    assert sampling._point_rate(m, cutoff) == pytest.approx(1.01 * 2.0 ** 26)
 
 
 # -- semistable poisson sums --------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -228,15 +229,18 @@ def test_gaussian_criterion_stabilizes():
     assert errs[-1] < 1e-3
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_gaussian_criterion_far_range():
     # x * x * T(x) overflowed before the division: NaN above about 1.3e154
     m = make_pareto(0.5)
     assert gaussian_criterion_ratio(m, 1e200) == pytest.approx(3.0, abs=1e-9)
-    # m2(x) itself passes float64's max: a named error, not "math range error"
-    for x in (1e250, 1e300):
-        with pytest.raises(OverflowError, match=r"x = 1e\+(250|300) .*alpha = 0\.5"):
-            gaussian_criterion_ratio(m, x)
+    # m2(x) itself passes float64's max: a named error, not "math range error",
+    # and no overflow warning before it
+    for alpha, x in ((0.5, 1e250), (0.5, 1e300), (0.3, 1e200)):
+        msg = "x = %g overflows float64 (alpha = %g)" % (x, alpha)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(OverflowError, match=re.escape(msg)):
+                gaussian_criterion_ratio(make_pareto(alpha), x)
 
 
 def test_gaussian_criterion_domain():
@@ -255,6 +259,36 @@ def test_tail_first_moment_closed_forms():
     pete = make_petersburg(x0=1.0)
     for k in (3, 10):
         assert tail_first_moment(pete, 2.0 ** -k, 1.0) == pytest.approx(k, abs=1e-7)
+
+
+def _ripple(alpha, q, x0):
+    vals = 1.0 + 0.05 * np.sin(2.0 * math.pi * np.arange(96) / 96)
+    return TailModel(alpha=alpha, q=q, c=1.0, x0=x0, psi_kind="grid",
+                     psi_values=tuple(vals))
+
+
+def test_first_moment_periods_up_to_infinity():
+    # the convergent sum of all periods above lo against n whole periods up
+    # to 1e250, above which the mean is below 1e-50 of the total
+    for m in (make_pareto(1.5, x0=1.0), _ripple(1.5, 2, 1.0), _ripple(1.2, 3, 1.0),
+              _ripple(1.8, 3, 0.5)):
+        for lo in (0.7, 1.0, 3.0, 1e5):
+            assert tail_first_moment(m, lo) == pytest.approx(
+                tail_first_moment(m, lo, 1e250), rel=1e-14)
+
+
+def test_gaussian_criterion_periods_down_to_zero():
+    # x0 = 0 sums all periods below x; from x0 = 1e-150, n whole periods, and
+    # the second moment below 1e-150, x0^(2 - alpha), is at most 1e-15
+    def petersburg(x0):
+        return TailModel(alpha=1.0, q=2, c=1.0, x0=x0, psi_kind="petersburg")
+
+    for make in (lambda x0: make_pareto(0.5, x0=x0), lambda x0: make_pareto(1.9, x0=x0),
+                 lambda x0: _ripple(0.5, 2, x0), lambda x0: _ripple(1.5, 3, x0),
+                 petersburg):
+        for x in (2.5, 1e3, 1e8):
+            assert gaussian_criterion_ratio(make(0.0), x) == pytest.approx(
+                gaussian_criterion_ratio(make(1e-150), x), rel=1e-12)
 
 
 def _cell_quad(model, a, b, weight):
