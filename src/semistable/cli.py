@@ -110,10 +110,13 @@ def _config(args, **params) -> dict:
 
 def _build_model(args) -> tailmodel.TailModel:
     if args.model_json:
-        with open(args.model_json) as fh:
-            return tailmodel.model_from_json(fh.read())
+        try:
+            with open(args.model_json) as fh:
+                return tailmodel.model_from_json(fh.read())
+        except OSError as exc:
+            raise ValueError("cannot read --model-json: %s" % exc) from None
     if args.model == "petersburg":
-        return tailmodel.make_petersburg(x0=args.x0 if args.x0 is not None else 2.0)
+        return tailmodel.make_petersburg(x0=args.x0)
     return tailmodel.make_pareto(args.alpha, c=args.c, x0=args.x0)
 
 
@@ -252,14 +255,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_sample(args) -> int:
-    model = _build_model(args)
     rng = sampling.RngStream(args.seed, args.stream)
-    if args.model == "petersburg" and args.model_json is None and args.x0 in (None, 2.0):
-        # the game itself: the x0 = 2 model would draw X | X > 2
+    if args.model == "petersburg" and args.model_json is None and args.x0 is None:
+        # the game itself; with --x0 the model draws X | X > x0
         batch = sampling._uniform_batch(sampling.petersburg_from_uniform, args.n,
                                         rng, "petersburg", args.symmetrize)
     else:
-        batch = sampling.sample_tail_model(model, args.n, rng,
+        batch = sampling.sample_tail_model(_build_model(args), args.n, rng,
                                            symmetrize=args.symmetrize)
     config = _config(args, model=args.model, n=args.n, stream=args.stream,
                      symmetrize=bool(args.symmetrize))

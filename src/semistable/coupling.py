@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sampling import (_POINT_BUDGET, ResourceLimitError, RngStream, _col_chunks,
-                       _finite, _map_blocks, _open01, _quantile_batch, _row_groups)
+                       _finite, _map_blocks, _open01, _quiet, _row_groups)
 from .tailmodel import TailModel, tail_eval
 
 __all__ = ["CoupledPair", "coupled_pair", "coupling_gap_curve", "maximal_fluctuation"]
@@ -77,7 +77,7 @@ def _coupled_block(model, n, half, gen, counts):
         head, at_n, at_count, carry = 0.0, 0.0, np.zeros(nr), 0.0  # P_w0 = 0
         top, bottom = (0.0, 0.0) if a == w0 else (-np.inf, np.inf)
         for c0, c1 in tiles:
-            x = _quantile_batch(model, _open01(gen, (nr, c1 - c0)))
+            x = model._quantile(_open01(gen, (nr, c1 - c0)))
             if c0 < w0:
                 head = head + x[:, :w0 - c0].sum(axis=1)
                 if c1 <= w0:
@@ -116,7 +116,8 @@ def coupled_pair(model: TailModel, n: int, rng: RngStream) -> CoupledPair:
     _check_coupling_model(model, n)
     gen = rng.generator()
     count = int(gen.poisson(n))
-    s_hat, s_bar, gap, _ = _coupled_block(model, n, 0, gen, np.array([count]))[0].tolist()
+    with _quiet():
+        s_hat, s_bar, gap, _ = _coupled_block(model, n, 0, gen, np.array([count]))[0].tolist()
     return CoupledPair(s_hat=s_hat, s_bar=s_bar, n=n, count=count, gap=gap)
 
 
@@ -127,7 +128,8 @@ def maximal_fluctuation(model: TailModel, n: int, rng: RngStream) -> float:
     rather than bounded.
     """
     half = _check_coupling_model(model, n, window=True)
-    return float(_coupled_block(model, n, half, rng.generator(), np.array([n]))[0, 3])
+    with _quiet():
+        return float(_coupled_block(model, n, half, rng.generator(), np.array([n]))[0, 3])
 
 
 def coupling_gap_curve(model: TailModel, n_list, reps: int, rng: RngStream,

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tailmodel import (TailModel, intensity_quantile, intensity_tail,
+from .tailmodel import (TailModel, _finite, intensity_quantile, intensity_tail,
                         model_to_json, tail_eval, tail_first_moment)
 
 __all__ = [
@@ -50,13 +50,15 @@ __all__ = [
 ]
 
 _POINT_BUDGET = 1e9
-_POINT_SET_BUDGET = 1 << 26  # expected points a materialized point set may hold
+_POINT_SET_BUDGET = 1 << 26  # points of a point set, or draws of a batch, held in memory
 _DRAW_BUDGET = 1 << 32  # replicates x draws per replicate in one phase
 _SERIES_TAIL = 1e-6  # LePage series tail proxy at the auto truncation
 BLOCK = 256
 _CHUNK = 1 << 15  # doubles per kernel temporary, whatever n, P or lambda
 _STRIDE = 10 ** 7  # stream-id block separating experiment phases
 _WORKER_NAME = "semistable-block"  # the pool's threads; their calls run in line
+# kernels run under it (per thread), so that _finite's error comes with no warning
+_quiet = functools.partial(np.errstate, over="ignore", invalid="ignore")
 
 
 class ResourceLimitError(RuntimeError):
@@ -121,8 +123,9 @@ def _map_blocks(phases, reps: int, seed: int, base_stream: int = 0):
     def draw():
         for i, (block_fn, draws) in enumerate(phases):
             def run(b):  # called only within this iteration
-                return block_fn(RngStream(seed, base_stream + i * _STRIDE + b).generator(),
-                                min(BLOCK, reps - b * BLOCK))
+                with _quiet():
+                    return block_fn(RngStream(seed, base_stream + i * _STRIDE + b).generator(),
+                                    min(BLOCK, reps - b * BLOCK))
 
             on_pool = not inline and BLOCK * draws >= _CHUNK
             yield np.concatenate(_on_pool(run, blocks, cpus) if on_pool
@@ -151,14 +154,6 @@ def _col_chunks(lo: int, hi: int, nrows: int):
     """Column spans of [lo, hi) with at most _CHUNK elements over nrows rows."""
     width = max(1, _CHUNK // nrows)
     return [(c, min(c + width, hi)) for c in range(lo, hi, width)]
-
-
-def _finite(out, alpha):
-    """out, or OverflowError if a term left the float range (tiny alpha)."""
-    if not np.isfinite(out).all():
-        raise OverflowError("at alpha = %g a term overflows float64 (max %.3g), "
-                            "so the output is not finite" % (alpha, np.finfo(float).max))
-    return out
 
 
 def _open01(gen, n):
@@ -203,9 +198,12 @@ def petersburg_from_uniform(u):
 def _uniform_batch(transform, n: int, rng: RngStream, model: str,
                    symmetrize: bool = False) -> SampleBatch:
     """transform(U) for n uniforms U on (0, 1]; with symmetrize the values get
-    independent uniform signs, drawn after them on the same stream."""
+    independent uniform signs, drawn after them on the same stream; at most
+    2^26 draws, as the batch is held in memory like a point set."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    if n > _POINT_SET_BUDGET:
+        raise ResourceLimitError("%d draws exceed the 2^26 a batch may hold" % n)
     gen = rng.generator()
     values = transform(_open01(gen, n))
     if symmetrize:
@@ -249,12 +247,6 @@ def petersburg_sum_batch(n: int, reps: int, seed: int, base_stream: int = 0,
     return next(_map_blocks([phase], reps, seed, base_stream))
 
 
-def _quantile_batch(model: TailModel, u):
-    """Vectorized tail quantile at u in (0, T(x0)]."""
-    x = model._quantile_formula(u)
-    return np.maximum(x, model.x0, out=x)
-
-
 def sample_tail_model(model: TailModel, n: int, rng: RngStream,
                       symmetrize: bool = False) -> SampleBatch:
     """Quantile-transform draws from the renormalized law on (x0, inf).
@@ -267,8 +259,9 @@ def sample_tail_model(model: TailModel, n: int, rng: RngStream,
     cap = tail_eval(model, model.x0) if model.x0 > 0.0 else 0.0
     if not cap * 2.0 ** -53 > 0.0:  # U * T(x0), U >= 2^-53, must stay positive
         raise ValueError("sampling needs x0 > 0 and T(x0) >= 2^-1021")
-    return _uniform_batch(lambda u: _finite(_quantile_batch(model, u * cap), model.alpha),
-                          n, rng, model_to_json(model), symmetrize)
+    with _quiet():
+        return _uniform_batch(lambda u: _finite(model._quantile(u * cap), model.alpha),
+                              n, rng, model_to_json(model), symmetrize)
 
 
 # -- Poisson point processes -------------------------------------------------

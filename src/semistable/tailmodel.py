@@ -35,7 +35,6 @@ __all__ = [
 
 _PSI_KINDS = ("const", "petersburg", "grid")
 _MIN_GRID = 64
-_MONOTONE_GRID = 1024
 
 
 @dataclass(frozen=True)
@@ -45,7 +44,9 @@ class TailModel:
     psi is periodic with period 1/alpha and is one of:
       - "const": psi == 1,
       - "petersburg": psi(u) = 2**frac(u) (requires alpha == 1, q == 2),
-      - "grid": >= 64 samples over one period, linear interpolation, wraparound.
+      - "grid": m >= 64 samples v[j] over one period, linear interpolation,
+        wraparound; T is nonincreasing iff m (v[j+1] - v[j]) <= ln(q) v[j] on
+        every cell j (v[m] = v[0]), which the constructor checks.
 
     x0 >= 0 is the lower support bound; T(x0) is the total mass above x0
     (it need not be 1, samplers renormalize).
@@ -78,23 +79,22 @@ class TailModel:
                 raise ValueError("grid psi needs >= %d samples over one period" % _MIN_GRID)
             if not np.all(np.isfinite(vals)) or np.any(vals <= 0.0):
                 raise ValueError("psi must be finite and strictly positive")
+            # on cell j, d log T / du = psi'/psi - alpha ln q, psi' = alpha m (v[j+1] - v[j])
+            rising = vals.size * np.diff(vals, append=vals[0]) > math.log(self.q) * vals
+            if rising.any():
+                raise ValueError("tail is not nonincreasing: psi grid cell j = %d has "
+                                 "m (v[j+1] - v[j]) > ln(q) v[j]" % np.argmax(rising))
             object.__setattr__(self, "psi_values", tuple(float(v) for v in vals))
         else:
             object.__setattr__(self, "psi_values", ())
         with np.errstate(over="ignore"):  # an overflowing T(x0) is refused here
             if self.x0 > 0.0 and not 0.0 < float(self._tail_formula(self.x0)) < math.inf:
                 raise ValueError("x0 must leave a finite positive mass T(x0)")
-        _check_nonincreasing(self)
 
     # -- psi and tail formula (intensity reading, any x > 0) ---------------
 
     def _psi(self, u):
-        """psi evaluated at u = log_q x; periodic with period 1/alpha."""
-        if self.psi_kind == "const":
-            return np.ones_like(np.asarray(u, dtype=float))
-        if self.psi_kind == "petersburg":
-            u = np.asarray(u, dtype=float)
-            return np.exp2(u - np.floor(u))
+        """Grid psi evaluated at u = log_q x; periodic with period 1/alpha."""
         vals = np.asarray(self.psi_values)
         m = vals.size
         # position within the period, in grid units
@@ -114,6 +114,8 @@ class TailModel:
             # exact dyadic steps: T(x) = c * 2**(-floor(log2 x))
             _, e = np.frexp(x)
             return self.c * np.ldexp(1.0, 1 - e)
+        if self.psi_kind == "const":
+            return self.c * x ** (-self.alpha)
         logq = np.log(x) / math.log(self.q) if self.q != 2 else np.log2(x)
         return self.c * x ** (-self.alpha) * self._psi(logq)
 
@@ -121,14 +123,19 @@ class TailModel:
         """inf{x > 0 : T(x) <= u} on the full intensity domain, for u > 0."""
         u = np.asarray(u, dtype=float)
         if self.psi_kind == "petersburg":  # 2^k, k least with u 2^k >= c exactly
-            # the rounded logarithm may be one off; 2^k is 0 or inf past +-1100
-            k = np.clip(np.ceil(np.log2(self.c) - np.log2(u)), -1100, 1100).astype(int)
-            k += np.ldexp(u, k) < self.c
-            k -= np.ldexp(u, k - 1) >= self.c
-            return np.ldexp(1.0, k)
+            (m, e), (mc, ec) = np.frexp(u), math.frexp(self.c)  # mantissas in [1/2, 1)
+            return np.ldexp(1.0, ec - e + (m < mc))
         if self.psi_kind == "const":
             return (self.c / u) ** (1.0 / self.alpha)
-        return elementwise(self._quantile_grid, u)
+        try:
+            return elementwise(self._quantile_grid, u)
+        except OverflowError:  # a block edge past float64's max (math.exp, rho)
+            return _finite(math.inf, self.alpha)  # raises, naming alpha
+
+    def _quantile(self, u):
+        """inf{x >= x0 : T(x) <= u} for an array u in (0, T(x0)], unchecked."""
+        x = self._quantile_formula(u)
+        return np.maximum(x, self.x0, out=x)
 
     def _quantile_grid(self, u):
         """Grid-psi quantiles: one bisection over all points, each inside its block.
@@ -171,16 +178,12 @@ class TailModel:
         return hi
 
 
-def _check_nonincreasing(model):
-    """Dense-grid monotonicity check over two psi periods; raises on violation."""
-    s = model.x0 if model.x0 > 0.0 else 1.0
-    span = model.q ** (2.0 / model.alpha)
-    xs = np.geomspace(s, s * span, _MONOTONE_GRID)
-    t = model._tail_formula(xs)
-    rising = np.diff(t) > 1e-12 * t[:-1]
-    if np.any(rising):
-        bad = xs[:-1][rising][0]
-        raise ValueError("tail is not nonincreasing (increases near x = %g)" % bad)
+def _finite(out, alpha):
+    """out, or OverflowError if a term left the float range (tiny alpha)."""
+    if not np.isfinite(out).all():
+        raise OverflowError("at alpha = %g a term overflows float64 (max %.3g), "
+                            "so the output is not finite" % (alpha, np.finfo(float).max))
+    return out
 
 
 # -- constructors ----------------------------------------------------------
@@ -230,7 +233,7 @@ def tail_quantile(model: TailModel, u):
     cap = float(model._tail_formula(model.x0))
     if not np.all((ua > 0.0) & (ua <= cap)):
         raise ValueError("quantile argument must lie in (0, T(x0)]")
-    return elementwise(lambda v: np.maximum(model._quantile_formula(v), model.x0), ua)
+    return elementwise(model._quantile, ua)
 
 
 # -- intensity-measure reading on (0, inf) ---------------------------------
@@ -353,13 +356,13 @@ def model_to_json(model: TailModel) -> str:
 
 
 def model_from_json(text: str) -> TailModel:
+    """Parse the canonical JSON document; ValueError names what is malformed."""
     doc = json.loads(text)
-    psi = doc.get("psi", {"kind": "const"})
-    return TailModel(
-        alpha=float(doc["alpha"]),
-        q=int(doc["q"]),
-        c=float(doc["c"]),
-        x0=float(doc["x0"]),
-        psi_kind=psi.get("kind", "const"),
-        psi_values=tuple(psi.get("values", ()) or ()),
-    )
+    try:
+        psi = doc.get("psi", {"kind": "const"})
+        return TailModel(alpha=float(doc["alpha"]), q=doc["q"], c=float(doc["c"]),
+                         x0=float(doc["x0"]), psi_kind=psi.get("kind", "const"),
+                         psi_values=tuple(psi.get("values", ()) or ()))
+    except (AttributeError, KeyError, TypeError) as exc:  # not an object, no key, null
+        raise ValueError("malformed model document (%s: %s)"
+                         % (type(exc).__name__, exc)) from None

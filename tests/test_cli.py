@@ -94,6 +94,52 @@ def test_sample_model_json(tmp_path):
     assert len(read(out).splitlines()) == 9
 
 
+def test_sample_explicit_x0_two_draws_above_it(capsys):
+    # --x0 2 drew the game (values 2, 4, ...) while --x0 4 drew X | X > 4
+    from semistable.tailmodel import make_petersburg
+    assert main(["sample", "--x0", "2", "--n", "200", "--seed", "5"]) == 0
+    vals = np.array(json.loads(capsys.readouterr().out)["values"])
+    expect = sampling.sample_tail_model(make_petersburg(2.0), 200,
+                                        sampling.RngStream(5, 0)).values
+    assert np.array_equal(vals, expect)
+    assert vals.min() >= 4.0
+
+
+@pytest.mark.parametrize("text", [
+    '{"q": 2, "c": 1, "x0": 1}',
+    '[1, 2]',
+    '{"alpha": 0.5, "q": 2, "c": 1, "x0": 1, "psi": "grid"}',
+    '{"alpha": null, "q": 2, "c": 1, "x0": 1}',
+    '{"alpha": 0.5, "q": 2.5, "c": 1, "x0": 1}',
+    None,  # no such file
+], ids=["missing-key", "not-an-object", "psi-not-an-object", "null-alpha",
+        "fractional-q", "missing-file"])
+def test_malformed_model_json_exit_code(text, tmp_path, capsys):
+    # a KeyError, AttributeError, TypeError or FileNotFoundError traceback
+    # (exit 1) before
+    doc = tmp_path / "model.json"
+    if text is not None:
+        doc.write_text(text)
+    assert main(["sample", "--model-json", str(doc), "--n", "8"]) == 2
+    assert capsys.readouterr().err.startswith("parameter error: ")
+
+
+def test_sample_size_bound(monkeypatch, capsys):
+    # 2^50 draws ended in a MemoryError traceback (exit 1); the bound is
+    # checked before any stream opens, so this test allocates nothing
+    opened = []
+
+    def spy(self):
+        opened.append(self)
+        raise AssertionError("a stream was opened")
+
+    monkeypatch.setattr(sampling.RngStream, "generator", spy)
+    for argv in (["--n", str(2 ** 26 + 1)], ["--n", str(2 ** 50), "--x0", "4"]):
+        assert main(["sample"] + argv) == 4
+        assert "2^26" in capsys.readouterr().err
+    assert opened == []
+
+
 # -- cdf --------------------------------------------------------------------------
 
 def test_cdf_grid_rows_and_monotone(tmp_path):
@@ -374,7 +420,6 @@ def test_cold_start_loads_no_scipy():
     assert "2^32 draw budget" in res.stderr
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value")
 @pytest.mark.parametrize("argv", [
     ["lepage", "--alpha", "0.01", "--k", "6", "--reps", "3000", "--n-terms", "100"],
     ["negligibility", "--alphas", "0.01", "--n", "1000", "--reps", "300"],

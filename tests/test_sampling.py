@@ -6,6 +6,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -498,7 +499,6 @@ def test_lepage_small_alpha_is_not_nan():
     assert not np.isnan(vals).any()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value")
 @pytest.mark.parametrize("call", [
     lambda: lepage_batch(0.01, 20000, seed=5, n_terms=100),
     lambda: lepage_batch(0.01, 2000, seed=5, symmetric=True, n_terms=100),
@@ -508,15 +508,24 @@ def test_lepage_small_alpha_is_not_nan():
     # n = 100 draws 130 terms per path, so its 4 blocks pool; none of them
     # runs on past the error
     lambda: coupling_gap_curve(make_pareto(0.01), [100, 1000], 1000, RngStream(5)),
+    # a block edge q**(k/alpha) of the grid quantile passes float64's max
+    lambda: sample_tail_model(TailModel(alpha=0.002, q=2, c=1.0, x0=1.0, psi_kind="grid",
+                                        psi_values=tuple(np.ones(64))), 1000, RngStream(5)),
+    # U * T(x0) below 2^-1023 maps to 2**1024 = inf
+    lambda: sample_tail_model(make_petersburg(x0=2.0 ** 1015), 1000, RngStream(5)),
 ], ids=["lepage", "lepage-symmetric", "poisson", "tail-model", "coupled-pair",
-        "coupling-curve"])
+        "coupling-curve", "grid", "petersburg"])
 def test_small_alpha_overflow_is_an_error(call):
     # the largest term Z_1**(-100) passes float64's max when Z_1 < 8.3e-4;
     # these batches returned rows of +inf (11 of the LePage rows, 22 of the
     # tail-model draws) with only a RuntimeWarning before, and the coupled
-    # pair came back as s_hat = s_bar = nan with gap = 0.0
-    with pytest.raises(OverflowError, match=r"alpha = 0\.01 .*overflows float64"):
-        call()
+    # pair came back as s_hat = s_bar = nan with gap = 0.0.  The typed error
+    # comes with no RuntimeWarning before it (the grid raised a bare "math
+    # range error")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match=r"alpha = (0\.01|0\.002|1) .*overflows float64"):
+            call()
 
 
 def test_kernel_chunking_changes_only_rounding(monkeypatch):

@@ -86,6 +86,31 @@ def test_monotonicity_rejection():
                   psi_values=tuple(vals))
 
 
+def test_monotonicity_is_checked_on_every_cell():
+    # one spike among 4,096 cells: T rises by 0.069 near x = 1.404, yet a
+    # 1,024-point sample over two periods passed it before
+    v = np.ones(4096)
+    v[1003] = 5.0
+    with pytest.raises(ValueError, match="cell j = 1002"):
+        TailModel(alpha=0.5, q=2, c=1.0, x0=1.0, psi_kind="grid", psi_values=tuple(v))
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_monotonicity_budget_is_exact(q):
+    # a geometric ramp rising at a fraction r of the budget on every cell but
+    # the last: m (v[j+1] - v[j]) = r ln(q) v[j]
+    def ramp(r):
+        v = (1.0 + r * math.log(q) / 64) ** np.arange(64)
+        return TailModel(alpha=0.7, q=q, c=1.0, x0=1.0, psi_kind="grid",
+                         psi_values=tuple(v))
+
+    m = ramp(1.0 - 1e-9)
+    x = np.geomspace(1.0, q ** (1.0 / 0.7), 4001)
+    assert np.all(np.diff(tail_eval(m, x)) <= 0.0)
+    with pytest.raises(ValueError, match="not nonincreasing"):
+        ramp(1.0 + 1e-6)
+
+
 def test_grid_needs_64_samples():
     with pytest.raises(ValueError):
         TailModel(alpha=1.0, q=2, c=1.0, x0=1.0, psi_kind="grid",
@@ -178,6 +203,17 @@ def test_intensity_extension_below_x0():
     pete = make_petersburg()
     assert intensity_tail(pete, 0.6) == 2.0
     assert intensity_quantile(pete, 3.0) == 0.5
+
+
+@settings(max_examples=200, deadline=None)
+@given(c=st.floats(1e-100, 1e100), u=st.floats(1e-200, 1e200))
+def test_petersburg_quantile_galois_property(c, u):
+    # Q(u) = 2^k, k least with c 2^-k <= u, from the exponents of u and c;
+    # T(Q) stays in the normal range, where the dyadic steps are exact
+    m = TailModel(alpha=1.0, q=2, c=c, x0=0.0, psi_kind="petersburg")
+    x = intensity_quantile(m, u)
+    assert math.frexp(x)[0] == 0.5
+    assert intensity_tail(m, x) <= u < intensity_tail(m, x / 2.0)
 
 
 def test_grid_quantile_matches_bisection_inverse():
