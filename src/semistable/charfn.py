@@ -50,17 +50,21 @@ class CfExponent:
     fn must accept a float ndarray of t values and return complex h(t)
     elementwise.
 
-    split, when given, maps a cut to (reduced exponent, removed mass): the
-    exponent without the Levy jumps above cut, and the total mass of those
-    jumps.  Laws with lacunary jump atoms (the dyadic limit family) have a
-    merely continuous, non-differentiable exponent, which defeats panel
-    quadrature; the inversion splits the jumps beyond the query range off
-    as an exact compound-Poisson factor, leaving an entire exponent to
-    integrate.  Closed-form laws have no split.
+    split, when given, maps a cut to (reduced law, a, Lambda): the law
+    without the Levy jumps above cut, as a CfExponent with log_mgf, and the
+    removed jumps, which sit at a 2^j (j >= 0) with rates (Lambda/2) 2^-j.
+    They form a compound-Poisson variable B on the lattice a N, so
+    F(x) = sum_m P(B = m) F_reduced(x - m a) exactly.  Laws with lacunary
+    jump atoms (the dyadic limit family) have a merely continuous,
+    non-differentiable exponent, which defeats panel quadrature; the
+    reduced exponent is entire, and so is its real log-MGF
+    log_mgf(s) = log E e^{sY}, whose Chernoff bounds give the reach of the
+    reduced law.  Closed-form laws have no split.
     """
 
     fn: Callable
     split: Callable | None = None
+    log_mgf: Callable | None = None
 
     def __call__(self, t):
         return self.fn(np.asarray(t, dtype=float))
@@ -150,10 +154,26 @@ def g_gamma_exponent(t, gamma: float, tol: float = 1e-12, max_jump=None):
     return gamma * g_exponent(ta / gamma, tol / gamma, mj) - 1j * ta * math.log2(gamma)
 
 
+def _dyadic_log_mgf(s, gamma: float, L: int):
+    """log E e^{sY}, s real, of the merging-family law with only its jumps
+    2^l / gamma, l <= L: the exponent at t = -is, summed level by level down
+    to l = -100, below which the levels add under (s/gamma)^2 2^-101."""
+    s = np.asarray(s, dtype=float)
+    levels = np.arange(-100, L + 1)
+    u = np.multiply.outer(s, np.ldexp(1.0 / gamma, levels))
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = (np.expm1(u) - np.where(levels <= 0, u, 0.0)) * np.ldexp(gamma, -levels)
+    return terms.sum(axis=-1) - s * math.log2(gamma)
+
+
 def _dyadic_law(gamma: float, tol: float) -> CfExponent:
     def split(cut):
-        removed = gamma * 2.0 ** -_top_level(tol / gamma, cut * gamma)
-        return (lambda t: g_gamma_exponent(t, gamma, tol, cut)), removed
+        # the reduced series stops at level L; the jumps 2^l / gamma, l > L,
+        # are a 2^j with a = 2^(L+1) / gamma and rates (Lambda/2) 2^-j
+        L = _top_level(tol / gamma, cut * gamma)
+        reduced = CfExponent(fn=lambda t: g_gamma_exponent(t, gamma, tol, cut),
+                             log_mgf=lambda s: _dyadic_log_mgf(s, gamma, L))
+        return reduced, 2.0 ** (L + 1) / gamma, gamma * 2.0 ** -L
 
     return CfExponent(fn=lambda t: g_gamma_exponent(t, gamma, tol), split=split)
 
@@ -207,16 +227,22 @@ def one_sided_stable_exponent(alpha: float, c: float = 1.0) -> CfExponent:
 
 
 def convolution_power(h: CfExponent, k: float) -> CfExponent:
-    """The law with characteristic function phi**k, exact in exponent form."""
+    """The law with characteristic function phi**k, exact in exponent form.
+
+    Its split keeps the lattice spacing and scales the removed rate by k."""
     if not k > 0.0:
         raise ValueError("power must be positive")
-    k, base, base_split = float(k), h.fn, h.split
-    split = None
+    k, base, base_split, base_mgf = float(k), h.fn, h.split, h.log_mgf
+    split = log_mgf = None
     if base_split is not None:
         def split(cut):
-            fn, removed = base_split(cut)
-            return (lambda t: k * fn(t)), k * removed
-    return CfExponent(fn=lambda t: k * base(np.asarray(t, dtype=float)), split=split)
+            reduced, spacing, rate = base_split(cut)
+            return convolution_power(reduced, k), spacing, k * rate
+    if base_mgf is not None:
+        def log_mgf(s):
+            return k * base_mgf(s)
+    return CfExponent(fn=lambda t: k * base(np.asarray(t, dtype=float)), split=split,
+                      log_mgf=log_mgf)
 
 
 # -- Gil-Pelaez inversion ----------------------------------------------------
@@ -261,12 +287,19 @@ def _phase_slope(h, t_lo, t_hi):
 
 
 _DYADIC_LEVELS = 150
-_NODE_BUDGET = 1 << 22  # about |x| <= 6e4 on the dyadic family (1e4 takes 1.0e6)
-_WORK_BUDGET = 1 << 29  # point x node products per cdf_from_cf call; 0.5-0.9 s
-                        # on a 2-core x86 host (1e5 points with |x| <= 32, or
-                        # 132 near |x| = 6e4 on 4e6 nodes, where the exponent
-                        # and the bulk products share the time), 50x the
-                        # largest call the tests and the benchmark make
+_LATTICE_BUDGET = 1 << 20  # lattice pmf points per cdf_from_cf call; the far
+                           # pmf reaches |x| / a, a in (2, 4], so |x| <= 2e6 at
+                           # every gamma (1e6 takes 3.8e5 at gamma 1.5, 20-30 ms)
+_NODE_BUDGET = 1 << 22  # nodes in one node set.  The dyadic family's far points
+                        # share one small set at any |x|; a closed-form law's
+                        # set grows like 12 T |x| / pi (Cauchy, T = 32: about
+                        # |x| <= 3.2e4)
+_WORK_BUDGET = 1 << 29  # reduced point x node products per cdf_from_cf call;
+                        # 0.5-0.9 s on a 2-core x86 host (1e5 points with
+                        # |x| <= 32, or 120 Cauchy points near |x| = 3e4 on
+                        # 4e6 nodes), 50x the largest call the tests and the
+                        # benchmark make; a far dyadic point is about 10
+                        # reduced points
 
 
 def _node_count(T, omega):
@@ -365,9 +398,62 @@ def _bulk_phase_sums(xs, t0, delta, cw):
     return out
 
 
-_ATOM_MARGIN = 64.0  # left-support clearance; the laws here have doubly
-                     # exponentially thin lower tails, so jumps this far
-                     # above the query range cannot land below it
+_ATOM_MARGIN = 64.0  # near groups (b <= 64) cut at b + 64: every removed jump
+                     # then lies past the query range plus the reduced law's
+                     # reach below 0, so only m = 0 of the lattice sum is left
+_FAR_CUT = 2.0  # far groups (b > 64) cut here, doubled until the removed
+                # rate is at most 1; their reduced points all lie in |y| <= 32
+_REACH_TOL = 0.1  # relative to tol: the mass the reach may drop on each side
+_CHERNOFF_S = 2.0 ** (np.arange(-40, 81) / 4.0)  # 2^-10 .. 2^20
+
+
+def _reach(law, eps):
+    """(lo, hi) with F(-lo) <= eps and 1 - F(hi) <= eps by Chernoff bounds,
+    P(Y >= y) <= e^{-s y} E e^{sY}, on a geometric grid of s > 0; laws with
+    no log_mgf reach (inf, inf)."""
+    if law.log_mgf is None:
+        return math.inf, math.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        bounds = [np.nanmin((law.log_mgf(side * _CHERNOFF_S) - math.log(eps)) / _CHERNOFF_S)
+                  for side in (-1.0, 1.0)]
+    return float(bounds[0]), float(bounds[1])
+
+
+def _lattice_pmf(rate, M):
+    """P(B = m), m = 0..M, for the compound-Poisson B with jumps 2^j
+    (j >= 0) at rates (rate/2) 2^-j: the pmf of Panjer's recursion
+    p_0 = e^-rate, p_m = (rate/2m) sum_{2^j <= m} p_{m-2^j}.
+
+    B = N + 2 B' with N ~ Poisson(rate/2) and B' the same variable at half
+    the rate, independent.  So from the level where M >> i = 0 down, each
+    halving level is one convolution of the upsampled pmf with a Poisson
+    pmf, cut 32 + 12 sqrt(mu) terms past its mean mu: log2 M array
+    operations in all."""
+    levels = M.bit_length()
+    p = np.array([math.exp(-rate * 2.0 ** -levels)])
+    for i in range(levels - 1, -1, -1):
+        mu = rate * 2.0 ** -(i + 1)
+        n = 32 + math.ceil(mu + 12.0 * math.sqrt(mu))
+        poisson = math.exp(-mu) * np.cumprod(np.concatenate([[1.0], mu / np.arange(1.0, n)]))
+        up = np.zeros((M >> i) + 1)
+        up[::2] = p
+        p = np.convolve(up, poisson)[:up.size]
+    return p
+
+
+def _lattice_terms(xs, spacing, rate, lo, hi):
+    """F(x) = P(B a < x - hi) + sum_m p_m F_reduced(x - m a) over the m with
+    x - m a in [-lo, hi], for a = spacing.  Returns the reduced points y, the
+    index of the x each belongs to, their weights p_m, and P(B a < x - hi)
+    per x."""
+    m_lo = np.maximum(np.ceil((xs - hi) / spacing), 0.0).astype(np.int64)
+    m_hi = np.maximum(np.floor((xs + lo) / spacing), -1.0).astype(np.int64)
+    count = np.maximum(m_hi - m_lo + 1, 0)
+    owner = np.repeat(np.arange(xs.size), count)
+    m = m_lo[owner] + (np.arange(owner.size) - np.repeat(np.cumsum(count) - count, count))
+    pmf = _lattice_pmf(rate, int(m_hi.max(initial=0)))
+    below = np.concatenate([[0.0], np.cumsum(pmf)])  # m_lo <= m_hi + 1, as lo + hi > 0
+    return xs[owner] - m * spacing, owner, pmf[m], below[m_lo]
 
 
 def cdf_from_cf(h: CfExponent, x, tol: float = 1e-8):
@@ -377,56 +463,102 @@ def cdf_from_cf(h: CfExponent, x, tol: float = 1e-8):
     (raises InversionError if the search passes 1e6); panel density is
     matched to the oscillation frequency |x| plus the phase slope of phi
     (InversionError if not finite); the t -> 0 neighborhood is integrated on
-    dyadically refined panels, and Levy jumps beyond the query range are an
-    exact compound-Poisson factor rather than quadrature (CfExponent.split).
-    Absolute error target tol (tol >= 1e-10).  Accepts scalar or array x,
-    which must be finite.  Each magnitude group |x| <= 32 2^k gets its own
-    node set, priced exactly at its omega; before any quadrature, raises
-    InversionError if one would pass _NODE_BUDGET nodes or the whole call
-    _WORK_BUDGET point x node products.
+    dyadically refined panels.  Absolute error target tol (tol >= 1e-10).
+    Accepts scalar or array x, which must be finite.
+
+    Query points are grouped by magnitude, |x| <= b = 32 2^k.  A law with a
+    split (the dyadic family) is inverted as the lattice mixture
+    F(x) = P(B a < x - hi) + sum_m p_m F_red(x - m a) of CfExponent.split,
+    over the m with x - m a in the reduced law's Chernoff reach [-lo, hi],
+    which drops at most tol/10 on each side.  Groups with b <= 64 cut at
+    b + 64, which leaves m = 0 alone; all farther points share one small
+    cut, so their reduced points lie in |y| <= 32 and one reduced-law node
+    set serves them at any |x|: x = 1e5 costs about what x = 1e2 does, and
+    the lattice pmf adds 15-25 ms at 1e6.
+    Before any quadrature, raises InversionError if the lattice pmfs would
+    pass _LATTICE_BUDGET points, one node set _NODE_BUDGET nodes, or the
+    whole call _WORK_BUDGET point x node products.
     """
     if tol < 1e-10:
         raise ValueError("tol must be >= 1e-10")
     return elementwise(lambda xs: _invert(h, xs, tol), x)
 
 
+def _magnitudes(xs):
+    """k with |x| <= 32 2^k, per point (k >= 0)."""
+    m, e = np.frexp(np.abs(xs) / 32.0)
+    return np.maximum(e - (m == 0.5), 0)
+
+
+def _reduced_laws(h, ks):
+    """(points, reduced law, spacing, rate) for each reduced law that serves
+    the points of magnitude ks; a law without split serves them all itself."""
+    if h.split is None:
+        return [(np.ones(ks.size, bool), h, math.inf, 0.0)]
+    jobs = [(ks == k, *h.split(32.0 * 2.0 ** k + _ATOM_MARGIN))
+            for k in np.unique(ks[ks <= 1]).tolist()]
+    if np.any(ks > 1):
+        cut = _FAR_CUT
+        while (split := h.split(cut))[2] > 1.0:
+            cut *= 2.0
+        jobs.append((ks > 1, *split))
+    return jobs
+
+
+def _node_plan(law, ys, tol):
+    """(points, T, omega, node count) per magnitude group of ys; refuses a
+    group past _NODE_BUDGET before any slope probe."""
+    if not ys.size:
+        return []
+    T = _decay_cutoff(law, tol)
+    ks = _magnitudes(ys)
+    # each omega exceeds its b (inf past |x| = 2^1023)
+    _check_budget(_node_count(T, 32.0 * 2.0 ** int(ks.max()))[1], _NODE_BUDGET,
+                  "quadrature nodes")
+    plan = []
+    slope_0 = _phase_slope(law, min(1e-3, T / 100.0), T)
+    for k in np.unique(ks).tolist():
+        b = 32.0 * 2.0 ** k
+        omega = b + max(4.0, 1.3 * slope_0)
+        slope = _phase_slope(law, math.pi / (2.0 * omega), T)
+        omega = b + max(4.0, 1.3 * slope)
+        plan.append((ks == k, T, omega, _node_count(T, omega)[1]))
+    return plan
+
+
 def _invert(h, xs, tol):
     """cdf_from_cf over the flat float array xs."""
     if not np.all(np.isfinite(xs)):
         raise ValueError("x must be finite")
-    out = np.empty(xs.size)
+    out = np.zeros(xs.size)
     if not xs.size:
         return out
-    T = _decay_cutoff(h, tol)
-    # group query points by magnitude, |x| <= b = 32 2^k, so panel counts
-    # track each group's |x|
-    m, e = np.frexp(np.abs(xs) / 32.0)
-    ks = np.maximum(e - (m == 0.5), 0)
-    # each omega exceeds its b (inf past |x| = 2^1023): refuse before any slope probe
-    _check_budget(_node_count(T, 32.0 * 2.0 ** int(ks.max()))[1], _NODE_BUDGET,
-                  "quadrature nodes")
+    jobs = _reduced_laws(h, _magnitudes(xs))
+    reach = [_reach(law, tol * _REACH_TOL) for _, law, *_ in jobs]
+    _check_budget(sum(max(0.0, (float(xs[mask].max()) + lo) / spacing) + 1.0
+                      for (mask, _, spacing, rate), (lo, _) in zip(jobs, reach) if rate),
+                  _LATTICE_BUDGET, "lattice points")
     plan = []
-    for k in np.unique(ks).tolist():
-        b = 32.0 * 2.0 ** k
-        # F(x) = exp(-M) F_reduced(x) exactly for x < cut - margin: a removed
-        # jump exceeds the query by more than the law's lower-tail reach
-        hr, removed_mass = h.split(b + _ATOM_MARGIN) if h.split else (h, 0.0)
-        slope = _phase_slope(hr, min(1e-3, T / 100.0), T)
-        omega = b + max(4.0, 1.3 * slope)
-        slope = _phase_slope(hr, math.pi / (2.0 * omega), T)
-        omega = b + max(4.0, 1.3 * slope)
-        plan.append((ks == k, hr, removed_mass, omega, _node_count(T, omega)[1]))
-    _check_budget(max(need for *_, need in plan), _NODE_BUDGET, "quadrature nodes")
-    _check_budget(sum(np.count_nonzero(mask) * need for mask, *_, need in plan),
+    for (mask, law, spacing, rate), (lo, hi) in zip(jobs, reach):
+        idx = np.nonzero(mask)[0]
+        if rate:
+            ys, owner, weight, below = _lattice_terms(xs[idx], spacing, rate, lo, hi)
+            out[idx] = below
+        else:
+            ys, owner, weight = xs[idx], np.arange(idx.size), np.ones(idx.size)
+        plan += [(law, ys[sel], idx[owner[sel]], weight[sel], *group)
+                 for sel, *group in _node_plan(law, ys, tol)]
+    _check_budget(max((need for *_, need in plan), default=0.0), _NODE_BUDGET,
+                  "quadrature nodes")
+    _check_budget(sum(ys.size * need for _, ys, *_, need in plan),
                   _WORK_BUDGET, "point x node products")
-    for mask, hr, removed_mass, omega, _ in plan:
+    for law, ys, owner, weight, T, omega, _ in plan:
         t, w, t0, delta, K = _build_nodes(T, omega)
         tb, wb = _bulk_nodes(t0, delta, K)
         with np.errstate(under="ignore"):
-            cw, cwb = np.exp(hr(t)) * (w / t), np.exp(hr(tb)) * (wb / tb)
-        vals = (_phase_sums(xs[mask], t, cw)
-                + _bulk_phase_sums(xs[mask], t0, delta, cwb))
-        out[mask] = math.exp(-removed_mass) * (0.5 - vals / math.pi)
+            cw, cwb = np.exp(law(t)) * (w / t), np.exp(law(tb)) * (wb / tb)
+        vals = _phase_sums(ys, t, cw) + _bulk_phase_sums(ys, t0, delta, cwb)
+        out += np.bincount(owner, weight * (0.5 - vals / math.pi), minlength=out.size)
     return np.clip(out, 0.0, 1.0)
 
 
@@ -485,9 +617,9 @@ def tabulate_cdf(h: CfExponent, x_lo: float, x_hi: float,
                  tol: float = 1e-7) -> TabulatedCdf:
     """Adaptive CDF table: refine wherever a cell steps more than 0.005 in F.
 
-    Points beyond _BODY_HI are evaluated at the looser _TAIL_TOL; far-tail
-    oscillatory quadrature is expensive and KS-style consumers only need
-    absolute accuracy well below their distance tolerance out there.  For
+    Points beyond _BODY_HI are evaluated at the looser _TAIL_TOL; KS-style
+    consumers only need absolute accuracy well below their distance
+    tolerance out there.  For
     g_gamma_law on [-8, 1024] at tol=1e-7 the table is within 1.4e-5 of
     cdf_from_cf up to x = 48, and 1.2e-3 between its geometric tail nodes
     (near jumps 2^k/gamma) though the nodes are exact to 7e-12.  The span

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sampling import (_POINT_BUDGET, ResourceLimitError, RngStream, _col_chunks,
-                       _finite, _map_blocks, _open01, _quiet, _row_groups)
+                       _finite, _map_blocks, _quiet, _row_groups)
 from .tailmodel import TailModel, tail_eval
 
 __all__ = ["CoupledPair", "coupled_pair", "coupling_gap_curve", "maximal_fluctuation"]
@@ -74,10 +74,15 @@ def _coupled_block(model, n, half, gen, counts):
         w0, w1 = min(a, min(ends)), max(b, max(ends))
         tiles = (_col_chunks(0, w1, 1) if nr == 1
                  else _col_chunks(0, w0, nr) + _col_chunks(w0, w1, nr))
+        # every tile is drawn, transformed and summed in these two buffers
+        width = max(c1 - c0 for c0, c1 in tiles)
+        draws, sums = np.empty(nr * width), np.empty(nr * width)
         head, at_n, at_count, carry = 0.0, 0.0, np.zeros(nr), 0.0  # P_w0 = 0
         top, bottom = (0.0, 0.0) if a == w0 else (-np.inf, np.inf)
         for c0, c1 in tiles:
-            x = model._quantile(_open01(gen, (nr, c1 - c0)))
+            u = draws[:nr * (c1 - c0)].reshape(nr, c1 - c0)
+            gen.random(out=u)
+            x = model._quantile(np.subtract(1.0, u, out=u), out=u)  # 1 - U in (0, 1]
             if c0 < w0:
                 head = head + x[:, :w0 - c0].sum(axis=1)
                 if c1 <= w0:
@@ -85,10 +90,11 @@ def _coupled_block(model, n, half, gen, counts):
                 x, c0 = x[:, w0 - c0:], w0
             if c0 > w0:
                 x[:, 0] += carry
-            cs = x.cumsum(axis=1)  # cs[:, k] = P_{c0 + k + 1}
-            carry = cs[:, -1]
+            # cs[:, k] = P_{c0 + k + 1}
+            cs = np.cumsum(x, axis=1, out=sums[:x.size].reshape(x.shape))
+            carry = cs[:, -1].copy()
             if c0 < n <= c1:
-                at_n = cs[:, n - c0 - 1]
+                at_n = cs[:, n - c0 - 1].copy()
             for i, e in enumerate(ends):
                 if c0 < e <= c1:
                     at_count[i] = cs[i, e - c0 - 1]

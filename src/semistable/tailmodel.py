@@ -119,22 +119,27 @@ class TailModel:
         logq = np.log(x) / math.log(self.q) if self.q != 2 else np.log2(x)
         return self.c * x ** (-self.alpha) * self._psi(logq)
 
-    def _quantile_formula(self, u):
-        """inf{x > 0 : T(x) <= u} on the full intensity domain, for u > 0."""
+    def _quantile_formula(self, u, out=None):
+        """inf{x > 0 : T(x) <= u} on the full intensity domain, for u > 0.
+        The const formula writes into out (which may be u) when given; use
+        the returned array."""
         u = np.asarray(u, dtype=float)
         if self.psi_kind == "petersburg":  # 2^k, k least with u 2^k >= c exactly
             (m, e), (mc, ec) = np.frexp(u), math.frexp(self.c)  # mantissas in [1/2, 1)
             return np.ldexp(1.0, ec - e + (m < mc))
         if self.psi_kind == "const":
-            return (self.c / u) ** (1.0 / self.alpha)
+            x = np.divide(self.c, u, out=out)
+            x **= 1.0 / self.alpha
+            return x
         try:
             return elementwise(self._quantile_grid, u)
         except OverflowError:  # a block edge past float64's max (math.exp, rho)
             return _finite(math.inf, self.alpha)  # raises, naming alpha
 
-    def _quantile(self, u):
-        """inf{x >= x0 : T(x) <= u} for an array u in (0, T(x0)], unchecked."""
-        x = self._quantile_formula(u)
+    def _quantile(self, u, out=None):
+        """inf{x >= x0 : T(x) <= u} for an array u in (0, T(x0)], unchecked;
+        out as in _quantile_formula."""
+        x = self._quantile_formula(u, out)
         return np.maximum(x, self.x0, out=x)
 
     def _quantile_grid(self, u):
@@ -225,7 +230,8 @@ def tail_quantile(model: TailModel, u):
 
     For the petersburg tail this is exactly 2**k, k the least integer with
     c 2**-k <= u; for const psi the closed form (c/u)**(1/alpha); grid psi
-    uses per-period-block bisection to relative precision 1e-12.
+    uses per-period-block bisection to relative precision 1e-12.  A
+    quantile past float64's range (alpha near 0) raises OverflowError.
     """
     if model.x0 <= 0.0:
         raise ValueError("tail_quantile needs x0 > 0 (finite total mass)")
@@ -233,7 +239,8 @@ def tail_quantile(model: TailModel, u):
     cap = float(model._tail_formula(model.x0))
     if not np.all((ua > 0.0) & (ua <= cap)):
         raise ValueError("quantile argument must lie in (0, T(x0)]")
-    return elementwise(model._quantile, ua)
+    with np.errstate(over="ignore"):  # refused by _finite, naming alpha
+        return _finite(elementwise(model._quantile, ua), model.alpha)
 
 
 # -- intensity-measure reading on (0, inf) ---------------------------------
@@ -245,10 +252,13 @@ def intensity_tail(model: TailModel, x):
 
 
 def intensity_quantile(model: TailModel, u):
-    """inf{x > 0 : T(x) <= u} with no x0 cap; inverse-measure point mapping."""
+    """inf{x > 0 : T(x) <= u} with no x0 cap; inverse-measure point mapping.
+
+    A quantile past float64's range (alpha near 0) raises OverflowError."""
     if not np.all(np.asarray(u, dtype=float) > 0.0):
         raise ValueError("quantile argument must be positive")
-    return elementwise(model._quantile_formula, u)
+    with np.errstate(over="ignore"):  # refused by _finite, naming alpha
+        return _finite(elementwise(model._quantile_formula, u), model.alpha)
 
 
 # -- tail integrals --------------------------------------------------------

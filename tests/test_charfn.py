@@ -117,7 +117,7 @@ def test_g_matches_oracle_at_large_t(t):
 @pytest.mark.parametrize("cut", [96.0, 1088.0])
 def test_reduced_exponent_matches_oracle_at_large_t(cut):
     gamma = 1.5
-    reduced, _ = g_gamma_law(gamma).split(cut)
+    reduced, *_ = g_gamma_law(gamma).split(cut)
     for t in LARGE_T:
         tg = t / gamma
         atoms = sum(2.0 ** -l * (cmath.exp(1j * math.ldexp(tg, l)) - 1.0)
@@ -153,23 +153,26 @@ def test_split_matches_atom_outer_product(gamma):
                         np.random.default_rng(5).uniform(-200.0, 200.0, 200)])
     law = petersburg_law() if gamma == 1.0 else g_gamma_law(gamma)
     for cut in [2.0 ** k for k in range(3, 13)] + [96.0, 1088.0, 3000.0]:
-        reduced, removed = law.split(cut)
+        reduced, spacing, removed = law.split(cut)
         assert np.max(np.abs(reduced(t) - old_split(gamma, cut, t))) < 1e-12
         atoms = [gamma * 2.0 ** -l for l in range(1, 1000) if 2.0 ** l / gamma > cut]
         assert removed == pytest.approx(math.fsum(atoms), rel=1e-15)
+        # the removed jumps are spacing 2^j with rates (removed/2) 2^-j
+        assert spacing == min(2.0 ** l / gamma for l in range(1, 80) if 2.0 ** l / gamma > cut)
+        assert atoms[0] == 0.5 * removed
 
 
 @settings(max_examples=60, deadline=None)
 @given(gamma=st.floats(1.0, 2.0), cut=st.floats(0.5, 1e7),
        t=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=16))
 def test_reduced_exponent_properties(gamma, cut, t):
-    reduced, removed = g_gamma_law(gamma).split(cut)
+    reduced, spacing, removed = g_gamma_law(gamma).split(cut)
     t = np.array(t)
     h = reduced(t)
     assert reduced(np.array([0.0]))[0] == 0
     assert np.all(np.real(h) <= 1e-15)
     assert np.allclose(reduced(-t), np.conj(h), rtol=0.0, atol=1e-12)
-    assert 0.0 < removed <= gamma
+    assert 0.0 < removed <= gamma and spacing > cut
 
 
 def test_convolution_power():
@@ -183,10 +186,12 @@ def test_convolution_power():
     back = convolution_power(half, 2.0)
     assert np.max(np.abs(back(t) - g(t))) < 1e-14
     # the split scales with the power: phi^k keeps the jumps, k times the mass
-    fn, removed = g.split(96.0)
-    half_fn, half_removed = half.split(96.0)
-    assert half_removed == 0.5 * removed
+    fn, spacing, removed = g.split(96.0)
+    half_fn, half_spacing, half_removed = half.split(96.0)
+    assert half_removed == 0.5 * removed and half_spacing == spacing
     assert np.array_equal(half_fn(t), 0.5 * fn(t))
+    s = np.linspace(-20.0, 3.0, 24)
+    assert np.array_equal(half_fn.log_mgf(s), 0.5 * fn.log_mgf(s))
     assert c.split is None and convolution_power(c, 2.0).split is None
     with pytest.raises(ValueError):
         convolution_power(c, 0.0)
@@ -288,9 +293,9 @@ def test_cdf_node_budget():
     with pytest.raises(InversionError, match="quadrature nodes"):
         cdf_from_cf(cauchy_law(), 1e300)
     assert time.perf_counter() - start < 1.0
-    with pytest.raises(InversionError, match="quadrature nodes"):
+    # the far points of the dyadic family cost lattice points, not nodes
+    with pytest.raises(InversionError, match="lattice points"):
         cdf_from_cf(g_gamma_law(1.5), [0.0, 1.7e308])
-    # about 1e6 nodes, inside the budget
     assert 0.999 < cdf_from_cf(g_gamma_law(1.5), 1e4) < 1.0
 
 
@@ -311,6 +316,82 @@ def test_node_budget_checked_before_any_quadrature(monkeypatch):
     # inside the budget the kernels run once per magnitude group
     cdf_from_cf(drift, [0.0, 100.0])
     assert sorted(calls) == ["_bulk_phase_sums"] * 2 + ["_phase_sums"] * 2
+
+
+def test_far_points_cost_one_reduced_node_set(monkeypatch):
+    # every point past |x| = 64 is a lattice mixture of reduced points in
+    # |y| <= 32, so one node set serves any number of them at any |x|; the
+    # node set grew with |x| before (1e4 took 1.0e6 nodes, 1e5 was refused)
+    from semistable import charfn
+
+    built, calls = [], []
+    build = charfn._build_nodes
+    monkeypatch.setattr(charfn, "_build_nodes",
+                        lambda T, omega: built.append((T, omega)) or build(T, omega))
+    for name in ("_phase_sums", "_bulk_phase_sums"):
+        kernel = getattr(charfn, name)
+        monkeypatch.setattr(charfn, name,
+                            lambda *a, kernel=kernel, name=name: calls.append(name) or kernel(*a))
+    law = g_gamma_law(1.5)
+    sets = []
+    for xs in ([100.0], [1e6], [-1e300, -5e3, 65.0, 1e3, 1e4, 1e5, 1e6],
+               np.geomspace(65.0, 1e6, 400)):
+        built.clear()
+        f = cdf_from_cf(law, xs)
+        assert np.all(np.diff(f) >= -1e-8) and len(built) == 1
+        sets.append(built[0])
+    assert len(set(sets)) == 1
+    assert 0.999 < cdf_from_cf(law, 1e6) < 1.0
+    # the lattice budget refuses before any quadrature
+    calls.clear()
+    with pytest.raises(InversionError, match="lattice points"):
+        cdf_from_cf(law, [0.0, 1.7e308])
+    assert calls == []
+
+
+def panjer(rate, M):
+    """P(B = m) by Panjer's recursion, one lattice point at a time."""
+    p = [math.exp(-rate)]
+    for m in range(1, M + 1):
+        p.append(rate / (2.0 * m) * math.fsum(p[m - 2 ** j] for j in range(m.bit_length())))
+    return np.array(p)
+
+
+@pytest.mark.parametrize("rate", [0.25, 0.75, 1.0, 3.0])
+def test_lattice_pmf_matches_panjer_recursion(rate):
+    from semistable.charfn import _lattice_pmf
+
+    for M in (0, 1, 2, 7, 300):
+        assert np.max(np.abs(_lattice_pmf(rate, M) - panjer(rate, M))) < 1e-15
+    # P(B > M) is about rate/M, the chance of one jump past M
+    assert 0.0 < 1.0 - _lattice_pmf(rate, 1 << 16).sum() < 2.0 * rate / 2 ** 16
+
+
+@pytest.mark.parametrize("gamma", [1.0, 1.5, 1.99])
+def test_reach_bounds_the_reduced_law(gamma):
+    # Chernoff bounds from the reduced law's real MGF: the mass beyond the
+    # reach, by inversion of that law itself, is at most eps on each side
+    from semistable.charfn import _FAR_CUT, _reach
+
+    reduced, spacing, rate = g_gamma_law(gamma).split(_FAR_CUT)
+    assert rate <= 1.0 and 2.0 < spacing <= 4.0
+    for eps in (1e-6, 1e-9):
+        lo, hi = _reach(reduced, eps)
+        assert 0.0 < lo < hi < 32.0
+        f_lo, f_hi = cdf_from_cf(reduced, [-lo, hi], tol=1e-10)
+        assert f_lo <= eps and 1.0 - f_hi <= eps
+
+
+@pytest.mark.parametrize("k", [2, 8])
+def test_far_tail_matches_convolution_identity(k):
+    # X_1 + ... + X_k = k X + k log2 k in law for the St. Petersburg limit X
+    # (k a power of 2), out to |x| = 1e6; k = 8 removes rate 4 at cut 2, so
+    # the far cut doubles until the rate is at most 1
+    xs = np.array([-7.0, 0.0, 5.0, 40.0, 70.0, 333.0, 1e3, 4e3, 1e4, 1e5, 1e6])
+    g = petersburg_law()
+    got = cdf_from_cf(convolution_power(g, k), xs)
+    want = cdf_from_cf(g, (xs - k * math.log2(k)) / k)
+    assert np.max(np.abs(got - want)) < 2e-8
 
 
 def test_cdf_table_and_interpolant():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from semistable.sampling import points_from_arrivals
 from semistable.tailmodel import (TailModel, gaussian_criterion_ratio,
                                   intensity_quantile, intensity_tail,
                                   make_pareto, make_petersburg,
@@ -167,6 +168,21 @@ def test_petersburg_quantile_just_below_powers_of_two():
 def test_pure_stable_quantile():
     m = make_pareto(0.5)
     assert tail_quantile(m, 0.25) == pytest.approx(16.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: tail_quantile(make_pareto(0.01), 1e-5),
+    lambda: tail_quantile(make_pareto(0.01), [0.5, 1e-5]),
+    lambda: intensity_quantile(make_pareto(0.01), 1e-5),
+    lambda: points_from_arrivals(make_pareto(0.01), [1e-5, 1.0]),
+], ids=["tail", "tail-array", "intensity", "points"])
+def test_quantile_overflow_is_an_error(call):
+    # (1e5)**100 = 1e500: these returned inf with only an overflow warning;
+    # now they raise the samplers' typed error, with no warning before it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match=r"alpha = 0\.01 .*overflows float64"):
+            call()
 
 
 @pytest.mark.parametrize("model", [make_petersburg(), make_pareto(0.5),
