@@ -8,10 +8,11 @@ which alone owns the stream layout (block b of phase i on stream
 base_stream + i * _STRIDE + b, blocks of BLOCK = 256 replicates), the 2^32
 draw budget of a phase, checked before any phase draws, and the pool: a
 block of at least _CHUNK draws runs on one worker per usable CPU, smaller
-ones (the St. Petersburg level counts) on the caller.  Blocks join in block
-order, so outputs depend on neither the worker count nor threads=.  Each
-construction has one vectorized block kernel whose temporaries hold at
-most _CHUNK doubles; the single-draw functions run it on one row.
+ones (the St. Petersburg level counts, of sums and of Poisson sums) on the
+caller.  Blocks join in block order, so outputs depend on neither the
+worker count nor threads=.  Each construction has one vectorized block
+kernel whose temporaries hold at most _CHUNK doubles; the single-draw
+functions run it on one row.
 """
 
 from __future__ import annotations
@@ -217,30 +218,46 @@ def sample_petersburg(n: int, rng: RngStream) -> SampleBatch:
     return _uniform_batch(petersburg_from_uniform, n, rng, "petersburg")
 
 
-def _petersburg_block(n, gen, rows):
-    """rows sums S_n of n St. Petersburg draws, from dyadic level counts.
+# P(X = 2^k) = 2^-k for k < 64, then the rest, 2^-63, in one last cell
+_LEVEL_P = np.ldexp(1.0, -np.minimum(np.arange(1, 65), 63))
+_LEVEL_VALUES = np.ldexp(1.0, np.arange(1, 64))
 
-    Since P(X = 2^k | X >= 2^k) = 1/2, the number N_k of draws equal to 2^k
-    is Binomial(r, 1/2) given the r draws at level >= k, so
-    S_n = sum_k N_k 2^k costs about log2(n) binomial draws instead of n
-    uniforms.  Counts are int64 and the float64 sums are exact below 2^53.
+
+def _level_sums(counts, gen):
+    """Sums of counts[i] St. Petersburg draws, from dyadic level counts.
+
+    The level counts (N_1, N_2, ...) of r draws are Multinomial(r; 1/2,
+    1/4, ...), and gen.multinomial draws each row in C as conditional
+    binomials, stopping at its last non-empty level.  Every conditional
+    probability of _LEVEL_P is exactly 1/2 (P(X = 2^k | X >= 2^k)), so each
+    is the same Binomial(left, 1/2) a level-by-level loop would draw.  The
+    draws in the last cell (X >= 2^64) are 2^63 times St. Petersburg draws
+    again and recurse.  Counts are int64 and the float64 sums are exact
+    below 2^53.
     """
-    left = np.full(rows, n, dtype=np.int64)
-    sums = np.zeros(rows)
-    k = 1
-    while left.any():
-        count = gen.binomial(left, 0.5)
-        sums += np.ldexp(count, k)
-        left -= count
-        k += 1
+    levels = gen.multinomial(counts, _LEVEL_P)
+    # elementwise: a small BLAS product can stall on OpenBLAS's threads
+    sums = (levels[:, :-1] * _LEVEL_VALUES).sum(axis=1)
+    deep = levels[:, -1] > 0
+    if deep.any():
+        sums[deep] += np.ldexp(_level_sums(levels[deep, -1], gen), 63)
     return sums
+
+
+def _petersburg_block(n, gen, rows):
+    """rows sums S_n of n St. Petersburg draws (_level_sums): one
+    multinomial of about log2(n) binomial levels per row instead of n
+    uniforms."""
+    return _level_sums(np.full(rows, n, dtype=np.int64), gen)
 
 
 def petersburg_sum_batch(n: int, reps: int, seed: int, base_stream: int = 0,
                          threads: int = 1) -> np.ndarray:
-    """reps independent sums S_n (_petersburg_block), block b on stream
-    base_stream + b.  reps x bit_length(n) binomial levels must stay within
-    the 2^32 draw budget; threads is ignored."""
+    """reps independent sums S_n, block b on stream base_stream + b.
+
+    Each block is one multinomial call over its rows (_petersburg_block),
+    and a row's levels count as its draws: reps x bit_length(n) must stay
+    within the 2^32 draw budget; threads is ignored."""
     if n < 1 or reps < 1:
         raise ValueError("need n >= 1 and reps >= 1")
     phase = (functools.partial(_petersburg_block, n), int(n).bit_length())
@@ -358,6 +375,24 @@ def _poisson_sum_block(model, lam, symmetric, centering, gen, rows):
     return _finite(sums - centering, model.alpha)
 
 
+def _level_poisson_block(model, lam, e, symmetric, centering, gen, rows):
+    """rows Poisson sums for the St. Petersburg intensity, from level counts.
+
+    Above a cutoff in [2^(e-1), 2^e) the atoms are 2^(e-1+j), j >= 1, of
+    mass c 2^-(e-1+j), so given its Poisson(lam) count each point is
+    2^(e-1) times a St. Petersburg draw, and the sum is 2^(e-1) times the
+    level sum of the count (_level_sums).  With symmetric the two sign
+    classes are independent Poisson processes of rate lam/2: the sum is the
+    difference of their level sums.
+    """
+    if symmetric:
+        pos, neg = _level_sums(gen.poisson(lam / 2, 2 * rows), gen).reshape(rows, 2).T
+        sums = pos - neg
+    else:
+        sums = _level_sums(gen.poisson(lam, rows), gen)
+    return _finite(np.ldexp(sums, e - 1) - centering, model.alpha)
+
+
 def sample_semistable_poisson_sum(model: TailModel, cutoff: float, rng: RngStream,
                                   symmetric: bool = False) -> float:
     """One draw of the (centered) sum of Poisson points above the cutoff.
@@ -375,15 +410,25 @@ def poisson_sum_batch(model: TailModel, cutoff: float, reps: int, seed: int,
                       threads: int = 1) -> np.ndarray:
     """reps independent Poisson-sum draws, block b on stream base_stream + b.
 
-    reps x ceil(T(cutoff)) must stay within the 2^32 draw budget, and a
-    point past the float range (alpha near 0) raises OverflowError; threads
-    is ignored."""
+    The block kernel follows psi_kind.  St. Petersburg intensities draw
+    dyadic level counts on each Poisson count (_level_poisson_block), and
+    reps x (one per sign class) x bit_length(ceil(T(cutoff))) levels must
+    stay within the 2^32 draw budget.  Pareto and grid intensities draw
+    each point (_poisson_sum_block), and reps x ceil(T(cutoff)) must.  A sum
+    past the float range (alpha near 0) raises OverflowError; threads is
+    ignored."""
     if not (0.0 < model.alpha < 2.0):
         raise ValueError("poisson sums need alpha in (0, 2)")
     lam = _point_rate(model, cutoff)
     centering = 0.0 if symmetric else poisson_sum_centering(model, cutoff)
-    block = functools.partial(_poisson_sum_block, model, lam, symmetric, centering)
-    return next(_map_blocks([(block, math.ceil(lam))], reps, seed, base_stream))
+    if model.psi_kind == "petersburg":
+        block = functools.partial(_level_poisson_block, model, lam,
+                                  math.frexp(cutoff)[1], symmetric, centering)
+        draws = (2 if symmetric else 1) * math.ceil(lam).bit_length()
+    else:
+        block = functools.partial(_poisson_sum_block, model, lam, symmetric, centering)
+        draws = math.ceil(lam)
+    return next(_map_blocks([(block, draws)], reps, seed, base_stream))
 
 
 # -- LePage series ------------------------------------------------------------

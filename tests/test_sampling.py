@@ -87,6 +87,64 @@ def test_petersburg_sum_of_one_draw_has_the_exact_law():
         assert abs(freq - p) <= 4.0 * math.sqrt(p * (1.0 - p) / reps), k
 
 
+def _petersburg_sum_pmf(n, levels=40):
+    """Exact P(S_n = s) over draws up to 2^levels: n-fold convolution of
+    P(X = 2^k) = 2^-k."""
+    pmf = {0: 1.0}
+    for _ in range(n):
+        nxt = {}
+        for s, p in pmf.items():
+            for k in range(1, levels + 1):
+                nxt[s + 2 ** k] = nxt.get(s + 2 ** k, 0.0) + p * 2.0 ** -k
+        pmf = nxt
+    return pmf
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_petersburg_sums_of_few_draws_have_the_exact_law(n):
+    # n = 1 is test_petersburg_sum_of_one_draw_has_the_exact_law
+    reps = 10 ** 5
+    vals = petersburg_sum_batch(n, reps, seed=67 + n)
+    pmf = _petersburg_sum_pmf(n)
+    assert set(np.unique(vals)) <= set(pmf)
+    for s, p in pmf.items():
+        if p >= 1e-4:
+            freq = np.mean(vals == s)
+            assert abs(freq - p) <= 4.0 * math.sqrt(p * (1.0 - p) / reps), (n, s)
+
+
+def test_level_sums_match_the_level_by_level_loop():
+    # every conditional probability of the multinomial is exactly 1/2, so it
+    # draws the same Binomial(left, 1/2) sequence, row by row, as this loop
+    counts = np.array([0, 1, 5, 96, 1536, 65536, 2 ** 40, 3], dtype=np.int64)
+    gen = RngStream(68).generator()
+    ref = np.zeros(counts.size)
+    for i, left in enumerate(counts):
+        k = 1
+        while left > 0:
+            drawn = gen.binomial(left, 0.5)
+            ref[i] += drawn * 2.0 ** k
+            left -= drawn
+            k += 1
+    assert np.array_equal(sampling._level_sums(counts, RngStream(68).generator()), ref)
+
+
+def test_level_sums_recurse_past_the_last_cell():
+    # at 2^62 - 1 draws a row has one at 2^64 or above with probability
+    # 1 - e^(-1/2); those land in the last cell and are 2^63 times
+    # St. Petersburg draws, so each adds at least 2^64 to its row
+    counts = np.full(300, 2 ** 62 - 1, dtype=np.int64)
+    levels = RngStream(66).generator().multinomial(counts, sampling._LEVEL_P)
+    sums = sampling._level_sums(counts, RngStream(66).generator())
+    lower = (levels[:, :-1] * np.ldexp(1.0, np.arange(1, 64))).sum(axis=1)
+    last = levels[:, -1]
+    deep = last > 0
+    assert 0.25 < deep.mean() < 0.55
+    assert np.all(np.isfinite(sums))
+    assert np.all(sums[~deep] == lower[~deep])
+    assert np.all(sums[deep] - lower[deep] >= 2.0 ** 64 * last[deep] * (1.0 - 2.0 ** -40))
+
+
 def test_petersburg_sums_do_not_depend_on_threads():
     # 1000 is not a multiple of the 256-replicate block
     a = petersburg_sum_batch(700, 1000, seed=64, base_stream=5)
@@ -254,7 +312,9 @@ def test_poisson_sum_batch_stream_layout(threads):
     # block b of 256 replicates draws from stream base_stream + b, so a
     # 300-replicate batch on base 5 ends with the 44-replicate batch on base 6
     for model, symmetric in ((make_pareto(0.5), False),
-                             (make_pareto(1.5, x0=1.0), True)):
+                             (make_pareto(1.5, x0=1.0), True),
+                             (make_petersburg(x0=1.0), False),
+                             (make_petersburg(x0=1.0), True)):
         sums = poisson_sum_batch(model, 1e-3, 300, seed=16, base_stream=5,
                                  symmetric=symmetric, threads=threads)
         assert sums.shape == (300,)
@@ -293,6 +353,36 @@ def test_poisson_sums_match_sums_of_point_sets():
                     for i in range(reps)])
     sums = poisson_sum_batch(m, 1e-4, reps, seed=82)
     assert ks_two_sample(sums, ref) <= 2.5 * math.sqrt(2.0 / reps)
+
+
+@pytest.mark.parametrize("model, cutoff", [
+    (make_petersburg(x0=1.0), 2.0 ** -8),
+    # a cutoff off the lattice, and c != 1
+    (TailModel(alpha=1, q=2, c=3, x0=1, psi_kind="petersburg"), 0.3),
+], ids=["dyadic-cutoff", "c3-cutoff0.3"])
+def test_petersburg_poisson_sums_match_sums_of_point_sets(model, cutoff):
+    # level counts on a Poisson count against the ordered arrival
+    # construction, one set of point sets for both modes (signs on seed 85)
+    reps = 2 * 10 ** 4
+    ref, signed = np.empty(reps), np.empty(reps)
+    for i in range(reps):
+        pts = sample_poisson_points(model, cutoff, RngStream(83, i)).points
+        ref[i] = pts.sum()
+        signs = 2.0 * RngStream(85, i).generator().integers(0, 2, pts.size) - 1.0
+        signed[i] = (pts * signs).sum()
+    ref -= poisson_sum_centering(model, cutoff)
+    bound = 2.5 * math.sqrt(2.0 / reps)
+    assert ks_two_sample(poisson_sum_batch(model, cutoff, reps, seed=84), ref) <= bound
+    assert ks_two_sample(poisson_sum_batch(model, cutoff, reps, seed=84, symmetric=True),
+                         signed) <= bound
+
+
+def test_petersburg_poisson_sums_pass_the_old_draw_budget():
+    # about 2^20 points per replicate: drawn point by point, 10^5 of them
+    # exceeded the 2^32 draw budget; as level counts they take 21 draws each
+    sums = poisson_sum_batch(make_petersburg(x0=1.0), 2.0 ** -20, 10 ** 5, seed=1)
+    assert sums.shape == (10 ** 5,)
+    assert np.all(np.isfinite(sums))
 
 
 def test_poisson_sum_memory_is_bounded():
@@ -391,6 +481,9 @@ def test_lepage_work_budget(monkeypatch):
                  lambda: order_statistics_experiment(3, 10 ** 6, 2 ** 31 + 1, RngStream(1)),
                  lambda: coupling_gap_curve(m, [100, 10 ** 7], 1000, RngStream(1)),
                  lambda: poisson_sum_batch(m, 1e-10, 10 ** 5, seed=1),
+                 # 2 x 21 level draws per symmetric St. Petersburg Poisson sum
+                 lambda: poisson_sum_batch(make_petersburg(x0=1.0), 2.0 ** -20, 2 ** 27,
+                                           seed=1, symmetric=True),
                  lambda: petersburg_sum_batch(2 ** 62, 2 ** 27, seed=1),
                  # 9 binomial levels per sum fit, the last phase's 10 do not
                  lambda: empirics.merging_sweep(8, 4, 2 ** 32 // 9, RngStream(1))):
@@ -548,14 +641,18 @@ def test_batches_do_not_depend_on_threads(reps, base):
     # the pool's worker count follows the CPU count; 1 CPU runs blocks in line.
     # Poisson (lambda = 316), LePage (128 terms) and both curve phases (130
     # and 187 draws) pool once there are two blocks; the St. Petersburg sums
-    # (7 levels) stay in line
-    m = make_pareto(0.5)
+    # (7 level draws per replicate at n = 100) and the St. Petersburg Poisson
+    # sums (9 at lambda = 256, twice that when symmetric) stay in line
+    m, pete = make_pareto(0.5), make_petersburg(x0=1.0)
     runs = []
     for cpus in (1, 2, 3):
         with _cpu_count(cpus) as pooled:
             curve = coupling_gap_curve(m, [100, 150], reps, RngStream(87, base))
             runs.append((
                 poisson_sum_batch(m, 1e-5, reps, seed=87, base_stream=base).tobytes(),
+                poisson_sum_batch(pete, 2.0 ** -8, reps, seed=87, base_stream=base).tobytes(),
+                poisson_sum_batch(pete, 2.0 ** -8, reps, seed=87, base_stream=base,
+                                  symmetric=True).tobytes(),
                 lepage_batch(0.5, reps, seed=87, n_terms=128, base_stream=base).tobytes(),
                 petersburg_sum_batch(100, reps, seed=87, base_stream=base).tobytes(),
                 curve.statistic))
