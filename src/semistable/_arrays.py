@@ -1,6 +1,19 @@
-"""The scalar-or-array calling convention shared by the public functions."""
+"""The scalar-or-array calling convention and the working-set rule shared
+by the public functions.
+
+The working-set rule: every array kernel (sampling, inversion, KS) works
+in pieces whose temporaries hold at most _CHUNK doubles (256 KiB, within a
+core's L2 cache), whatever the input size, so the memory a call needs does
+not grow with its work.  The matrix products of the inversion follow it
+too: each does at most _CHUNK complex multiply-adds (see
+charfn._bulk_phase_sums), below the size from which OpenBLAS hands a
+product to a second thread; on a busy host such a hand-off can stall every
+product of a process about 100x.
+"""
 
 import numpy as np
+
+_CHUNK = 1 << 15  # doubles per kernel temporary; complex multiply-adds per product
 
 
 def elementwise(fn, x, cast=float, cdf_from=None):

@@ -6,6 +6,15 @@ powers branch-free (k * h) and keeps the Gil-Pelaez inversion integrand
 well conditioned.  The St. Petersburg limit exponent and its dyadic
 merging family live here, together with the closed-form reference
 distributions the test suite uses as oracles.
+
+The inversion follows the package's working-set rule (_arrays): it builds
+its quadrature weights a slab of nodes at a time and sums phases over
+blocks of 64 points, so no temporary holds more than _CHUNK doubles, even
+on the largest node set the budget admits (4e6 nodes); and each matrix
+product does at most _CHUNK complex multiply-adds, which OpenBLAS 0.3.31
+runs on the calling thread (it hands a complex product to a second thread
+from 2^16 multiply-adds, and a complex matrix-vector product from a few
+thousand elements, so none has a single column).
 """
 
 from __future__ import annotations
@@ -18,7 +27,7 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from ._arrays import elementwise
+from ._arrays import _CHUNK, elementwise
 
 __all__ = [
     "CfExponent",
@@ -133,8 +142,10 @@ def g_exponent(t, tol: float = 1e-12, max_jump=None):
     def series(tt):
         if not np.all(np.isfinite(tt)):
             raise ValueError("t must be finite")
-        # 8,192 points at a time, so the level loop's temporaries stay in cache
-        return np.concatenate([chunk(c) for c in np.split(tt, range(8192, tt.size, 8192))])
+        # _CHUNK / 4 points at a time: complex temporaries of _CHUNK / 2
+        # doubles, so the level loop stays in cache
+        step = _CHUNK // 4
+        return np.concatenate([chunk(c) for c in np.split(tt, range(step, tt.size, step))])
 
     return elementwise(series, t, complex)
 
@@ -295,9 +306,10 @@ _NODE_BUDGET = 1 << 22  # nodes in one node set.  The dyadic family's far points
                         # set grows like 12 T |x| / pi (Cauchy, T = 32: about
                         # |x| <= 3.2e4)
 _WORK_BUDGET = 1 << 29  # reduced point x node products per cdf_from_cf call;
-                        # 0.5-0.9 s on a 2-core x86 host (1e5 points with
-                        # |x| <= 32, or 120 Cauchy points near |x| = 3e4 on
-                        # 4e6 nodes), 50x the largest call the tests and the
+                        # on a 2-core x86 host, with every product on one
+                        # thread, 1.0-1.3 s for 1e5 points with |x| <= 32 and
+                        # 0.4-0.6 s for 120 Cauchy points near |x| = 3e4 on
+                        # 4e6 nodes, 50x the largest call the tests and the
                         # benchmark make; a far dyadic point is about 10
                         # reduced points
 
@@ -325,9 +337,10 @@ def _build_nodes(T, omega):
     16-point Gauss-Legendre panels [t0 2^-(l+1), t0 2^-l], which resolve
     the integrable t**(alpha-1) / log(1/t) behavior of the integrand near
     t = 0.  The bulk is the K = ceil((T - t0)/delta) equal panels
-    [t0 + k delta, t0 + (k+1) delta] with the 12-point rule (see
-    _bulk_nodes); the last may end past T, where the integrand is already
-    below the cutoff's bound.  Returns (t_head, w_head, t0, delta, K).
+    [t0 + k delta, t0 + (k+1) delta] with the 12-point rule, which
+    _bulk_phase_sums builds a slab at a time (_bulk_nodes); the last may
+    end past T, where the integrand is already below the cutoff's bound.
+    Returns (t_head, w_head, t0, delta, K).
     """
     K = int(_node_count(T, omega)[0])
     delta = math.pi / omega
@@ -337,65 +350,94 @@ def _build_nodes(T, omega):
     return t, w, t0, delta, K
 
 
-def _bulk_nodes(t0, delta, K):
-    """(K, 12) nodes t0 + k delta + s_j and weights of the equal panels."""
+def _bulk_nodes(t0, delta, stop, start=0):
+    """(stop - start, 12) nodes t0 + k delta + s_j and weights of the equal
+    panels k = start .. stop - 1."""
     x, w = _gl_rule(12)
     s = 0.5 * delta * (1.0 + x)
-    t = t0 + (delta * np.arange(K))[:, None] + s
+    t = t0 + (delta * np.arange(start, stop))[:, None] + s
     return t, np.broadcast_to(0.5 * delta * w, t.shape)
+
+
+_XBLOCK = 64  # points per block of the phase sums
 
 
 def _phase_sums(xs, t, cw):
     """Im sum_i cw_i e^{-i t_i x} for each x; _invert runs it on the head nodes.
     On the deep nodes, |t| max|x| < 2^-27, cos(tx) rounds to 1 and sin(tx)
     to tx, so they add sum cw_im - x sum cw_re t: two dot products in all.
-    The rest cost a cosine and a sine per node and point, in chunks."""
+    The rest cost a cosine and a sine per node and point, in tiles of
+    _CHUNK phases."""
     cw_re, cw_im = np.real(cw), np.imag(cw)
     deep = np.abs(t) * np.max(np.abs(xs), initial=0.0) < 2.0 ** -27
     out = np.sum(cw_im[deep]) - xs * np.dot(cw_re[deep], t[deep])
     t, cw_re, cw_im = t[~deep], cw_re[~deep], cw_im[~deep]
-    xblock = 64
-    tblock = 1 << 17
-    for i in range(0, xs.size, xblock):
-        xb = xs[i:i + xblock, None]
+    tblock = _CHUNK // _XBLOCK
+    for i in range(0, xs.size, _XBLOCK):
+        xb = xs[i:i + _XBLOCK, None]
         acc = np.zeros(xb.size)
         for j in range(0, t.size, tblock):
             ph = xb * t[None, j:j + tblock]
-            acc += np.cos(ph) @ cw_im[j:j + tblock] - np.sin(ph) @ cw_re[j:j + tblock]
-        out[i:i + xblock] += acc
+            acc += np.cos(ph) @ cw_im[j:j + tblock] - np.sin(ph, out=ph) @ cw_re[j:j + tblock]
+        out[i:i + _XBLOCK] += acc
     return out
 
 
-def _bulk_phase_sums(xs, t0, delta, cw):
-    """_phase_sums over the (K, 12) bulk weights cw of _bulk_nodes(t0, delta, K).
+def _slab_plan(K):
+    """(B, rows, tile) for _bulk_phase_sums over K panels.
 
-    With panel k = a B + b, B about sqrt(K/12), a node is
+    C has rows of B panels (12 B nodes); a slab is at most `rows` rows and
+    a product `tile` rows.  A product of a block's U (64 x 12 B) by a tile
+    does 64 x 12 B x tile <= _CHUNK complex multiply-adds, and the tile is
+    a multiple of 4 rows (such tiles ran 1.3-2.3x faster per multiply-add
+    than tiles of 2, 7 or 10 rows, OpenBLAS 0.3.31 on a 2-CPU x86 host), so
+    B, about sqrt(K/12), is at most 10.
+    A slab's weights C and a block's U, V and U @ C^T hold at most
+    _CHUNK / 2 complex values each.  A one-point block multiplies as a
+    matrix-vector product of 12 B x tile <= _CHUNK / 64 elements."""
+    half = _CHUNK // 2
+    B = max(1, min(round(math.sqrt(K / 12.0)), _CHUNK // (_XBLOCK * 12 * 4)))
+    tile = _CHUNK // (_XBLOCK * 12 * B) // 4 * 4
+    rows = min(half // (12 * B), half // _XBLOCK) // tile * tile
+    return B, rows, tile
+
+
+def _bulk_phase_sums(xs, law, t0, delta, K):
+    """_phase_sums over the K bulk panels of _bulk_nodes(t0, delta, K), with
+    weights exp(law(t)) w / t.
+
+    With panel k = a B + b (_slab_plan), a node is
     t = t0 + a B delta + (b delta + s_j), so
     sum cw e^{-itx} = e^{-i t0 x} sum_a V[x, a] (U @ C^T)[x, a], where
     U[x, (b, j)] = e^{-i b delta x} e^{-i s_j x}, V[x, a] = e^{-i a B delta x}
-    and C is cw zero-padded to A B panels and reshaped to (A, 12 B).  U is
-    an outer product, so per point that is B + 12 + A complex exponentials,
-    about sqrt(12 K), instead of 12 K cosines and sines; the multiply-adds
-    go to one matrix product per block of 64 points.
+    and C[a, (b, j)] is the weight of node t, zero past panel K.  U is an
+    outer product, so per point and slab that is B + 12 complex
+    exponentials, plus one per row of C, instead of 12 K cosines and sines.
+    C is built one slab of rows at a time, the law evaluated on that slab's
+    nodes alone; for each block of 64 points U @ C^T is one stacked matmul
+    over the slab's tiles, a BLAS product per tile (_slab_plan bounds each),
+    and its sum with V is added into the block's total.
     """
-    K = cw.shape[0]
-    B = max(1, round(math.sqrt(K / 12.0)))
+    B, rows, tile = _slab_plan(K)
     A = -(-K // B)
-    C = np.zeros((A * B, 12), dtype=complex)
-    C[:K] = cw
-    C = C.reshape(A, 12 * B)
     offsets = _bulk_nodes(0.0, delta, 1)[0][0]
     steps = delta * np.arange(B)
-    outer = (B * delta) * np.arange(A)
-    out = np.empty(xs.size)
-    xblock = 64
-    for i in range(0, xs.size, xblock):
-        xb = xs[i:i + xblock, None]
-        u = (np.exp(-1j * (xb * steps))[:, :, None]
-             * np.exp(-1j * (xb * offsets))[:, None, :]).reshape(xb.size, 12 * B)
-        s = np.einsum("ij,ij->i", np.exp(-1j * (xb * outer)), u @ C.T)
-        out[i:i + xblock] = np.imag(np.exp(-1j * t0 * xb[:, 0]) * s)
-    return out
+    s = np.zeros(xs.size, dtype=complex)
+    for a0 in range(0, A, rows):
+        n_rows = -(-min(rows, A - a0) // tile) * tile  # whole tiles
+        t, w = _bulk_nodes(t0, delta, min((a0 + n_rows) * B, K), a0 * B)
+        C = np.zeros((n_rows * B, 12), dtype=complex)
+        with np.errstate(under="ignore"):
+            C[:t.shape[0]] = np.exp(law(t)) * (w / t)
+        C = C.reshape(-1, tile, 12 * B).transpose(0, 2, 1)  # tiles of C^T
+        outer = (B * delta) * np.arange(a0, a0 + n_rows)
+        for i in range(0, xs.size, _XBLOCK):
+            xb = xs[i:i + _XBLOCK, None]
+            u = (np.exp(-1j * (xb * steps))[:, :, None]
+                 * np.exp(-1j * (xb * offsets))[:, None, :]).reshape(xb.size, 12 * B)
+            v = np.exp(-1j * (xb * outer)).reshape(xb.size, -1, tile)
+            s[i:i + _XBLOCK] += np.einsum("itk,tik->i", v, u @ C)
+    return np.imag(np.exp(-1j * t0 * xs) * s)
 
 
 _ATOM_MARGIN = 64.0  # near groups (b <= 64) cut at b + 64: every removed jump
@@ -554,10 +596,9 @@ def _invert(h, xs, tol):
                   _WORK_BUDGET, "point x node products")
     for law, ys, owner, weight, T, omega, _ in plan:
         t, w, t0, delta, K = _build_nodes(T, omega)
-        tb, wb = _bulk_nodes(t0, delta, K)
         with np.errstate(under="ignore"):
-            cw, cwb = np.exp(law(t)) * (w / t), np.exp(law(tb)) * (wb / tb)
-        vals = _phase_sums(ys, t, cw) + _bulk_phase_sums(ys, t0, delta, cwb)
+            cw = np.exp(law(t)) * (w / t)
+        vals = _phase_sums(ys, t, cw) + _bulk_phase_sums(ys, law, t0, delta, K)
         out += np.bincount(owner, weight * (0.5 - vals / math.pi), minlength=out.size)
     return np.clip(out, 0.0, 1.0)
 

@@ -7,6 +7,11 @@ the worker count nor threads=.
 Each experiment compares with the inverted limit CDF or an oracle.
 Reports carry the statistic, a Monte Carlo standard error where one makes
 sense, the seed and the pass/fail verdict at the stated tolerance.
+
+The distances follow the package's working-set rule (_arrays): they
+reduce over the sorted sample _KS_CHUNK points at a time, so a KS
+statistic holds a few temporaries of _CHUNK doubles, however large the
+sample; the result is the max (or the all) of the same terms, exactly.
 """
 
 from __future__ import annotations
@@ -20,9 +25,12 @@ import numpy as np
 
 from .charfn import (TabulatedCdf, cdf_from_cf, erlang_cdf, g_gamma_law,
                      tabulate_cdf)
-from ._arrays import elementwise
+from ._arrays import _CHUNK, elementwise
 from .sampling import (RngStream, _lepage_block, _lepage_prep, _map_blocks,
                        _petersburg_block, _power_block, petersburg_sum_batch)
+
+_KS_CHUNK = _CHUNK // 4  # points per KS step: the step and a TabulatedCdf call
+                         # on it hold about ten temporaries of this many doubles
 
 __all__ = [
     "Ecdf",
@@ -66,18 +74,25 @@ class Ecdf:
             x, cdf_from=-np.inf)
 
 
+def _steps(e: Ecdf):
+    """(v, i) per chunk of _KS_CHUNK sorted values v of e, i their ranks."""
+    for c0 in range(0, e.n, _KS_CHUNK):
+        v = e.values[c0:c0 + _KS_CHUNK]
+        yield v, np.arange(c0 + 1, c0 + 1 + v.size)
+
+
 def ks_distance(e: Ecdf, cdf) -> float:
     """sup_x |F_hat(x) - F(x)|, exact over the jump points of the ECDF.
 
     The approach from the left evaluates F at the previous float, which
     keeps the statistic exact for step-function F as well (a sample against
-    its own ECDF gives 0)."""
-    fv = np.asarray(cdf(e.values), dtype=float)
-    fv_left = np.asarray(cdf(np.nextafter(e.values, -np.inf)), dtype=float)
-    i = np.arange(1, e.n + 1)
-    upper = np.abs(i / e.n - fv)
-    lower = np.abs((i - 1) / e.n - fv_left)
-    return float(max(upper.max(), lower.max()))
+    its own ECDF gives 0).  cdf is called on chunks of the sorted sample."""
+    gap = 0.0
+    for v, i in _steps(e):
+        fv = np.asarray(cdf(v), dtype=float)
+        fv_left = np.asarray(cdf(np.nextafter(v, -np.inf)), dtype=float)
+        gap = np.max([gap, np.abs(i / e.n - fv).max(), np.abs((i - 1) / e.n - fv_left).max()])
+    return float(gap)
 
 
 def ks_two_sample(a, b) -> float:
@@ -85,17 +100,21 @@ def ks_two_sample(a, b) -> float:
 
     The gap is max|c_a n_b - c_b n_a| / (n_a n_b) over int64 step counts c,
     so the only rounding is the final division (an exact 20/1000 step gives
-    0.02).  Empty samples and NaN raise ValueError."""
+    0.02); the counts are taken at the points of a, then of b, in chunks.
+    Empty samples and NaN raise ValueError."""
     a = np.sort(np.asarray(a, dtype=float))
     b = np.sort(np.asarray(b, dtype=float))
     if a.size == 0 or b.size == 0:
         raise ValueError("samples must not be empty")
     if np.isnan(a[-1]) or np.isnan(b[-1]):  # np.sort puts NaN last
         raise ValueError("sample contains NaN")
-    both = np.concatenate([a, b])
-    ca = np.searchsorted(a, both, side="right").astype(np.int64, copy=False)
-    cb = np.searchsorted(b, both, side="right").astype(np.int64, copy=False)
-    gap = np.max(np.abs(ca * b.size - cb * a.size))
+    gap = 0
+    for x in (a, b):
+        for c0 in range(0, x.size, _KS_CHUNK):
+            v = x[c0:c0 + _KS_CHUNK]
+            ca = np.searchsorted(a, v, side="right").astype(np.int64, copy=False)
+            cb = np.searchsorted(b, v, side="right").astype(np.int64, copy=False)
+            gap = max(gap, int(np.max(np.abs(ca * b.size - cb * a.size))))
     return float(gap) / (a.size * b.size)
 
 
@@ -103,18 +122,16 @@ def levy_distance(e: Ecdf, cdf, grid_step: float = 1e-4) -> float:
     """inf{eps : F(x-eps) - eps <= F_hat(x) <= F(x+eps) + eps for all x}.
 
     Bisection on eps, checked at the ECDF jump points (sufficient for a
-    continuous F); approximation error at most grid_step.  Bounded above by
-    the KS distance, which seeds the bracket.
+    continuous F) a chunk at a time; approximation error at most grid_step.
+    Bounded above by the KS distance, which seeds the bracket.
     """
     if grid_step <= 0.0:
         raise ValueError("grid_step must be positive")
-    v = e.values
-    i = np.arange(1, e.n + 1)
 
     def feasible(eps):
-        above = np.asarray(cdf(v - eps), dtype=float) - eps <= (i - 1) / e.n + 1e-15
-        below = np.asarray(cdf(v + eps), dtype=float) + eps >= i / e.n - 1e-15
-        return bool(np.all(above) and np.all(below))
+        return all(np.all(np.asarray(cdf(v - eps), dtype=float) - eps <= (i - 1) / e.n + 1e-15)
+                   and np.all(np.asarray(cdf(v + eps), dtype=float) + eps >= i / e.n - 1e-15)
+                   for v, i in _steps(e))
 
     hi = ks_distance(e, cdf) + grid_step
     lo = 0.0

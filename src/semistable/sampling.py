@@ -11,8 +11,10 @@ block of at least _CHUNK draws runs on one worker per usable CPU, smaller
 ones (the St. Petersburg level counts, of sums and of Poisson sums) on the
 caller.  Blocks join in block order, so outputs depend on neither the
 worker count nor threads=.  Each construction has one vectorized block
-kernel whose temporaries hold at most _CHUNK doubles; the single-draw
-functions run it on one row.
+kernel; the single-draw functions run it on one row.  The kernels follow
+the package's working-set rule (_arrays): their temporaries hold at most
+_CHUNK doubles, whatever n, P or lambda, and they sum elementwise, not by
+matrix products, which OpenBLAS may hand to a second thread.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._arrays import _CHUNK
 from .tailmodel import (TailModel, _finite, intensity_quantile, intensity_tail,
                         model_to_json, tail_eval, tail_first_moment)
 
@@ -51,11 +54,12 @@ __all__ = [
 ]
 
 _POINT_BUDGET = 1e9
+# the largest mean gen.poisson takes: int64 max - 10 sqrt(int64 max)
+_POISSON_MAX = np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max)
 _POINT_SET_BUDGET = 1 << 26  # points of a point set, or draws of a batch, held in memory
 _DRAW_BUDGET = 1 << 32  # replicates x draws per replicate in one phase
 _SERIES_TAIL = 1e-6  # LePage series tail proxy at the auto truncation
 BLOCK = 256
-_CHUNK = 1 << 15  # doubles per kernel temporary, whatever n, P or lambda
 _STRIDE = 10 ** 7  # stream-id block separating experiment phases
 _WORKER_NAME = "semistable-block"  # the pool's threads; their calls run in line
 # kernels run under it (per thread), so that _finite's error comes with no warning
@@ -315,14 +319,15 @@ def points_from_arrivals(model: TailModel, arrivals):
     return intensity_quantile(model, np.asarray(arrivals, dtype=float))
 
 
-def _point_rate(model: TailModel, cutoff: float, budget=_POINT_BUDGET) -> float:
+def _point_rate(model: TailModel, cutoff: float, budget=_POINT_BUDGET,
+                what="budget") -> float:
     """Expected point count T(cutoff) above the cutoff, within the budget."""
     if cutoff <= 0.0:
         raise ValueError("cutoff must be positive")
     lam = intensity_tail(model, cutoff)
     if lam > budget:
         raise ResourceLimitError(
-            "expected point count %.3g exceeds the %.3g budget" % (lam, budget))
+            "expected point count %.3g exceeds the %.3g %s" % (lam, budget, what))
     return lam
 
 
@@ -411,15 +416,21 @@ def poisson_sum_batch(model: TailModel, cutoff: float, reps: int, seed: int,
     """reps independent Poisson-sum draws, block b on stream base_stream + b.
 
     The block kernel follows psi_kind.  St. Petersburg intensities draw
-    dyadic level counts on each Poisson count (_level_poisson_block), and
-    reps x (one per sign class) x bit_length(ceil(T(cutoff))) levels must
-    stay within the 2^32 draw budget.  Pareto and grid intensities draw
-    each point (_poisson_sum_block), and reps x ceil(T(cutoff)) must.  A sum
-    past the float range (alpha near 0) raises OverflowError; threads is
-    ignored."""
+    dyadic level counts on each Poisson count (_level_poisson_block) and
+    hold no points: reps x (one per sign class) x bit_length(ceil(T(cutoff)))
+    levels must stay within the 2^32 draw budget, and each count within
+    numpy's Poisson range, a mean of about 9.2e18 (per sign class, T/2).
+    Pareto and grid intensities draw each point (_poisson_sum_block):
+    T(cutoff) is at most 1e9, and reps x ceil(T(cutoff)) must stay within
+    the draw budget.  A sum past the float range (alpha near 0) raises
+    OverflowError; threads is ignored."""
     if not (0.0 < model.alpha < 2.0):
         raise ValueError("poisson sums need alpha in (0, 2)")
-    lam = _point_rate(model, cutoff)
+    if model.psi_kind == "petersburg":
+        lam = _point_rate(model, cutoff, (2 if symmetric else 1) * _POISSON_MAX,
+                          "limit of numpy's Poisson draws")
+    else:
+        lam = _point_rate(model, cutoff)
     centering = 0.0 if symmetric else poisson_sum_centering(model, cutoff)
     if model.psi_kind == "petersburg":
         block = functools.partial(_level_poisson_block, model, lam,

@@ -1,6 +1,7 @@
 import cmath
 import math
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,10 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammainc, ndtr
 
-from semistable.charfn import (_NODE_BUDGET, CfExponent, InversionError,
+from semistable._arrays import _CHUNK
+from semistable.charfn import (_NODE_BUDGET, _XBLOCK, CfExponent, InversionError,
                                TabulatedCdf, _build_nodes, _bulk_nodes,
                                _bulk_phase_sums, _node_count, _phase_sums,
-                               cauchy_law,
+                               _slab_plan, cauchy_law,
                                cdf_from_cf, convolution_power, erlang_cdf,
                                g_exponent, g_gamma_exponent, g_gamma_law,
                                gaussian_law, levy_cdf,
@@ -640,8 +642,49 @@ def test_factored_bulk_matches_direct_sum(T, omega, span, K):
     cw = np.exp(cauchy_law()(tb)) * wb / tb
     xs = np.concatenate([np.linspace(-span, span, 7), [0.37, -2.5]])
     direct = _phase_sums(xs, tb.ravel(), cw.ravel())
-    factored = _bulk_phase_sums(xs, t0, delta, cw)
+    factored = _bulk_phase_sums(xs, cauchy_law(), t0, delta, K)
     assert np.max(np.abs(factored - direct)) <= 1e-12 * np.abs(cw).sum()
+
+
+def test_slab_plans_bound_every_product_and_temporary():
+    # every panel count a node set within the budget can have: a product of
+    # a 64-point block by a tile does m n k <= _CHUNK = 2^15 <= 2^18 complex
+    # multiply-adds (OpenBLAS runs it on the calling thread) with k >= 2
+    # columns (a single one would be a matrix-vector product, threaded from
+    # a few thousand elements), and each complex temporary holds at most
+    # _CHUNK / 2 values: U (64 x 12 B), a slab's weights (rows x 12 B), V
+    # and U @ C^T (64 x rows)
+    ks = np.unique(np.concatenate([np.arange(1, 5000),
+                                   np.geomspace(5000, _NODE_BUDGET // 12, 2000).astype(int)]))
+    assert _CHUNK <= 2 ** 18 and _XBLOCK == 64
+    for K in ks.tolist():
+        B, rows, tile = _slab_plan(K)
+        n = 12 * B
+        assert _XBLOCK * n * tile <= _CHUNK and tile >= 2
+        assert rows >= tile and rows % tile == 0
+        assert max(_XBLOCK * n, rows * n, _XBLOCK * rows) <= _CHUNK // 2
+    # a dyadic body set (214 panels) is one slab, so its law is evaluated once
+    B, rows, _ = _slab_plan(214)
+    assert B == 4 and -(-214 // B) <= rows
+
+
+@pytest.mark.parametrize("law, xs, bound", [
+    # 1.3e5 bulk nodes on the top group: 7.3 MiB when the inversion built
+    # the weights of a whole node set at once
+    (one_sided_stable_exponent(0.5), np.geomspace(0.1, 100.0, 201), 2),
+    # 4.0e6 nodes, the largest set the node budget admits: 153 MiB before
+    (cauchy_law(), [3e4, -3e4], 8),
+], ids=["stable-oracle", "cauchy-3e4"])
+def test_inversion_memory_is_bounded(law, xs, bound):
+    cdf_from_cf(law, xs)  # caches filled outside the trace
+    tracemalloc.start()
+    try:
+        f = cdf_from_cf(law, xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all((f > 0.0) & (f < 1.0))
+    assert peak < bound * 2 ** 20
 
 
 def direct_phase_sums(xs, t, cw):

@@ -1,10 +1,11 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from semistable.charfn import erlang_cdf
+from semistable.charfn import TabulatedCdf, erlang_cdf
 from semistable.empirics import (Ecdf, ExperimentReport, _order_statistic_block,
                                  feller_experiment, gamma_n, ks_distance,
                                  ks_two_sample, lepage_limit_experiment,
@@ -74,6 +75,73 @@ def test_two_sample_ks_rejects_nan_and_empty():
     for a, b in (([], [1.0]), ([1.0], []), ([], [])):
         with pytest.raises(ValueError, match="empty"):
             ks_two_sample(a, b)
+
+
+def one_shot_ks(e, cdf):
+    """ks_distance over the whole sample at once, as it was before chunking."""
+    i = np.arange(1, e.n + 1)
+    upper = np.abs(i / e.n - np.asarray(cdf(e.values), dtype=float))
+    lower = np.abs((i - 1) / e.n - np.asarray(cdf(np.nextafter(e.values, -np.inf)), dtype=float))
+    return float(max(upper.max(), lower.max()))
+
+
+def one_shot_two_sample(a, b):
+    a, b = np.sort(np.asarray(a, dtype=float)), np.sort(np.asarray(b, dtype=float))
+    both = np.concatenate([a, b])
+    ca = np.searchsorted(a, both, side="right").astype(np.int64)
+    cb = np.searchsorted(b, both, side="right").astype(np.int64)
+    return float(np.max(np.abs(ca * b.size - cb * a.size))) / (a.size * b.size)
+
+
+def one_shot_levy(e, cdf, grid_step):
+    """levy_distance with each bisection step over the whole sample at once."""
+    v, i = e.values, np.arange(1, e.n + 1)
+
+    def feasible(eps):
+        above = np.asarray(cdf(v - eps), dtype=float) - eps <= (i - 1) / e.n + 1e-15
+        below = np.asarray(cdf(v + eps), dtype=float) + eps >= i / e.n - 1e-15
+        return bool(np.all(above) and np.all(below))
+
+    hi, lo = one_shot_ks(e, cdf) + grid_step, 0.0
+    if feasible(lo):
+        return 0.0
+    while hi - lo > grid_step:
+        mid = 0.5 * (lo + hi)
+        hi, lo = (mid, lo) if feasible(mid) else (hi, mid)
+    return hi
+
+
+@pytest.mark.parametrize("n", [8191, 8192, 8193, 10 ** 5])
+def test_chunked_distances_equal_one_shot_reductions(n):
+    # the reductions run over chunks of 2^13 sorted points; values on a 1/32
+    # lattice, the largest three times, put ties across the chunk edges; the
+    # second sample has another size and lies between the lattice points
+    rng = np.random.default_rng(n)
+    a = np.round(rng.standard_normal(n) * 4.0) / 32.0
+    a[:3] = a.max()
+    b = (np.round(rng.standard_normal(n // 3 + 7) * 4.0 + 0.3) + 0.5) / 32.0
+    assert n <= 8192 or np.sort(a)[8191] == np.sort(a)[8192]
+    e = Ecdf.from_sample(a)
+    table = TabulatedCdf(np.linspace(-0.6, 0.6, 97), 0.5 + 0.5 * np.tanh(np.linspace(-6, 6, 97)))
+    for cdf in (table, Ecdf.from_sample(b)):
+        assert ks_distance(e, cdf) == one_shot_ks(e, cdf)
+    assert ks_two_sample(a, b) == one_shot_two_sample(a, b)
+    assert ks_two_sample(b, a) == one_shot_two_sample(b, a)
+    assert levy_distance(e, table, 1e-3) == one_shot_levy(e, table, 1e-3)
+
+
+def test_ks_distance_memory_is_bounded():
+    # 10^6 points against a table: the one-shot reduction held about 100 MiB
+    e = Ecdf.from_sample(np.random.default_rng(6).standard_normal(10 ** 6))
+    table = TabulatedCdf(np.linspace(-6, 6, 400), 0.5 + 0.5 * np.tanh(np.linspace(-6, 6, 400)))
+    tracemalloc.start()
+    try:
+        ks = ks_distance(e, table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.0 < ks < 1.0
+    assert peak < 2 * 2 ** 20
 
 
 def test_ecdf_rejects_non_finite_samples():

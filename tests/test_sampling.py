@@ -385,6 +385,28 @@ def test_petersburg_poisson_sums_pass_the_old_draw_budget():
     assert np.all(np.isfinite(sums))
 
 
+def test_petersburg_poisson_sums_pass_the_point_budget(monkeypatch):
+    # 2^31 expected points per sum: the 1e9 point budget refused it, though
+    # the level kernel holds no point; the bound is numpy's Poisson range
+    sums = poisson_sum_batch(make_petersburg(x0=1.0), 2.0 ** -31, 10, seed=1)
+    assert sums.shape == (10,) and np.all(np.isfinite(sums))
+    sums = poisson_sum_batch(make_petersburg(x0=1.0), 2.0 ** -62, 10, seed=1, symmetric=True)
+    assert sums.shape == (10,) and np.all(np.isfinite(sums))
+
+    def drew(*args, **kwargs):
+        raise AssertionError("drew before the Poisson-range check")
+
+    monkeypatch.setattr(RngStream, "generator", drew)
+    # T = 2^63 per sum passes the largest mean numpy draws (about 9.2e18);
+    # symmetric, each sign class has half of it, and 2^64 passes that
+    for cutoff, symmetric in ((2.0 ** -63, False), (2.0 ** -64, True), (1e-300, False)):
+        with pytest.raises(ResourceLimitError, match="limit of numpy's Poisson draws"):
+            poisson_sum_batch(make_petersburg(x0=1.0), cutoff, 10, seed=1, symmetric=symmetric)
+    # Pareto sums draw every point and keep the point budget
+    with pytest.raises(ResourceLimitError, match="1e\\+09 budget"):
+        poisson_sum_batch(make_pareto(0.5), 1e-20, 10, seed=1)
+
+
 def test_poisson_sum_memory_is_bounded():
     # lambda = 1e7 points per replicate, drawn _CHUNK at a time
     m = make_pareto(0.5)
