@@ -9,12 +9,9 @@ distributions the test suite uses as oracles.
 
 The inversion follows the package's working-set rule (_arrays): it builds
 its quadrature weights a slab of nodes at a time and sums phases over
-blocks of 64 points, so no temporary holds more than _CHUNK doubles, even
-on the largest node set the budget admits (4e6 nodes); and each matrix
-product does at most _CHUNK complex multiply-adds, which OpenBLAS 0.3.31
-runs on the calling thread (it hands a complex product to a second thread
-from 2^16 multiply-adds, and a complex matrix-vector product from a few
-thousand elements, so none has a single column).
+blocks of 64 points, so no temporary holds more than _CHUNK doubles and no
+matrix product does more than _CHUNK complex multiply-adds (_slab_plan),
+even on the largest node set the budget admits (4e6 nodes).
 """
 
 from __future__ import annotations
@@ -177,7 +174,16 @@ def _dyadic_log_mgf(s, gamma: float, L: int):
     return terms.sum(axis=-1) - s * math.log2(gamma)
 
 
-def _dyadic_law(gamma: float, tol: float) -> CfExponent:
+def petersburg_law(tol: float = 1e-12) -> CfExponent:
+    """The St. Petersburg limit law as a CfExponent."""
+    return g_gamma_law(1.0, tol)
+
+
+def g_gamma_law(gamma: float, tol: float = 1e-12) -> CfExponent:
+    """Member of the merging family at position gamma in [1, 2]."""
+    if not (1.0 <= gamma <= 2.0):
+        raise ValueError("gamma must lie in [1, 2]")
+
     def split(cut):
         # the reduced series stops at level L; the jumps 2^l / gamma, l > L,
         # are a 2^j with a = 2^(L+1) / gamma and rates (Lambda/2) 2^-j
@@ -187,18 +193,6 @@ def _dyadic_law(gamma: float, tol: float) -> CfExponent:
         return reduced, 2.0 ** (L + 1) / gamma, gamma * 2.0 ** -L
 
     return CfExponent(fn=lambda t: g_gamma_exponent(t, gamma, tol), split=split)
-
-
-def petersburg_law(tol: float = 1e-12) -> CfExponent:
-    """The St. Petersburg limit law as a CfExponent."""
-    return _dyadic_law(1.0, tol)
-
-
-def g_gamma_law(gamma: float, tol: float = 1e-12) -> CfExponent:
-    """Member of the merging family at position gamma in [1, 2]."""
-    if not (1.0 <= gamma <= 2.0):
-        raise ValueError("gamma must lie in [1, 2]")
-    return _dyadic_law(gamma, tol)
 
 
 # -- closed-form reference exponents ----------------------------------------
@@ -229,10 +223,12 @@ def one_sided_stable_exponent(alpha: float, c: float = 1.0) -> CfExponent:
     if c <= 0.0:
         raise ValueError("c must be positive")
     scale = c * math.gamma(1.0 - alpha)
+    # exp(-i sign(t) pi alpha / 2) for sign(t) = -1, 0, 1, picked per node
+    phases = np.exp(-0.5j * math.pi * alpha * np.array([-1.0, 0.0, 1.0]))
 
     def fn(t):
         t = np.asarray(t, dtype=float)
-        return -scale * np.abs(t) ** alpha * np.exp(-0.5j * math.pi * alpha * np.sign(t))
+        return -scale * np.abs(t) ** alpha * phases[np.sign(t).astype(int) + 1]
 
     return CfExponent(fn=fn)
 
@@ -300,53 +296,53 @@ def _phase_slope(h, t_lo, t_hi):
 _DYADIC_LEVELS = 150
 _LATTICE_BUDGET = 1 << 20  # lattice pmf points per cdf_from_cf call; the far
                            # pmf reaches |x| / a, a in (2, 4], so |x| <= 2e6 at
-                           # every gamma (1e6 takes 3.8e5 at gamma 1.5, 20-30 ms)
-_NODE_BUDGET = 1 << 22  # nodes in one node set.  The dyadic family's far points
+                           # every gamma (1e6 takes 3.8e5 at gamma 1.5, 36 ms)
+_NODE_BUDGET = 1 << 22  # nodes in one node set: the dyadic family's far points
                         # share one small set at any |x|; a closed-form law's
-                        # set grows like 12 T |x| / pi (Cauchy, T = 32: about
-                        # |x| <= 3.2e4)
-_WORK_BUDGET = 1 << 29  # reduced point x node products per cdf_from_cf call;
-                        # on a 2-core x86 host, with every product on one
-                        # thread, 1.0-1.3 s for 1e5 points with |x| <= 32 and
-                        # 0.4-0.6 s for 120 Cauchy points near |x| = 3e4 on
-                        # 4e6 nodes, 50x the largest call the tests and the
-                        # benchmark make; a far dyadic point is about 10
-                        # reduced points
+                        # grows like 12 T |x| / pi (Cauchy, T = 32: |x| <= 3.2e4)
+_WORK_BUDGET = 1 << 29  # reduced point x node products per call; 2-core x86, one
+                        # thread per product: 0.35 s for 1e5 points, |x| <= 32, on
+                        # 2,656 nodes, 0.54 s for 120 Cauchy points near 3e4 on 4e6,
+                        # 50x the largest call the tests and the benchmark make
 
 
-def _node_count(T, omega):
-    """(K, node count) of _build_nodes(T, omega): K = ceil((T - t0)/delta)
-    panels of 12 nodes above the 150-level cascade.  Floats that grow with
-    omega; np.ceil keeps an overflowing T omega at inf, not OverflowError."""
+def _node_count(law, T, omega):
+    """(K, node count) of _build_nodes(law, T, omega): K = ceil((T - t0)/delta)
+    panels of 12 nodes above a head of 16 (law with log_mgf) or 2,400 nodes.
+    Floats; np.ceil keeps an overflowing T omega at inf, not OverflowError."""
     K = np.ceil(T * omega / math.pi - 0.5)  # (T - t0)/delta, t0 = delta/2
-    return K, 16 * _DYADIC_LEVELS + 12.0 * K
+    return K, 16 * (_DYADIC_LEVELS if law.log_mgf is None else 1) + 12.0 * K
 
 
 def _check_budget(need, budget, what):
     """InversionError naming the work, if need passes budget (or is not finite)."""
     if not need <= budget:
-        raise InversionError("inversion would need about %.3g %s, over the budget of %.3g"
+        raise InversionError("inversion would need %.10g %s, over the budget of %.10g"
                              % (need, what, budget))
 
 
-def _build_nodes(T, omega):
-    """Quadrature nodes/weights on (0, T], as a head and a bulk.
+def _build_nodes(law, T, omega):
+    """Quadrature nodes/weights of law's inversion on (0, T], as a head and a bulk.
 
     With delta = pi/omega half an oscillation of e^{-itx} phi(t) and
-    t0 = delta/2, the head covers (0, t0] with 150 dyadically shrinking
-    16-point Gauss-Legendre panels [t0 2^-(l+1), t0 2^-l], which resolve
-    the integrable t**(alpha-1) / log(1/t) behavior of the integrand near
-    t = 0.  The bulk is the K = ceil((T - t0)/delta) equal panels
-    [t0 + k delta, t0 + (k+1) delta] with the 12-point rule, which
-    _bulk_phase_sums builds a slab at a time (_bulk_nodes); the last may
-    end past T, where the integrand is already below the cutoff's bound.
+    t0 = delta/2, the head covers (0, t0] with 16-point Gauss-Legendre
+    panels: for a law with log_mgf, whose integrand is analytic at t = 0,
+    the one panel [0, t0]; else 150 dyadically shrinking panels
+    [t0 2^-(l+1), t0 2^-l], which resolve an integrable t**(alpha-1) or
+    log(1/t) behavior near t = 0.  The bulk is the K = ceil((T - t0)/delta)
+    equal panels [t0 + k delta, t0 + (k+1) delta] with the 12-point rule,
+    which _bulk_phase_sums builds a slab at a time (_bulk_nodes); the last
+    may end past T, where the integrand is already below the cutoff's bound.
     Returns (t_head, w_head, t0, delta, K).
     """
-    K = int(_node_count(T, omega)[0])
+    K = int(_node_count(law, T, omega)[0])
     delta = math.pi / omega
     t0 = 0.5 * delta
-    a = t0 * 0.5 ** np.arange(_DYADIC_LEVELS)
-    t, w = _gl_panels(0.5 * a, a, 16)
+    if law.log_mgf is not None:
+        t, w = _gl_panels(np.zeros(1), np.array([t0]), 16)
+    else:
+        a = t0 * 0.5 ** np.arange(_DYADIC_LEVELS)
+        t, w = _gl_panels(0.5 * a, a, 16)
     return t, w, t0, delta, K
 
 
@@ -504,9 +500,10 @@ def cdf_from_cf(h: CfExponent, x, tol: float = 1e-8):
     The cutoff T is chosen so exp(Re h(T))/T sits three decades below tol
     (raises InversionError if the search passes 1e6); panel density is
     matched to the oscillation frequency |x| plus the phase slope of phi
-    (InversionError if not finite); the t -> 0 neighborhood is integrated on
-    dyadically refined panels.  Absolute error target tol (tol >= 1e-10).
-    Accepts scalar or array x, which must be finite.
+    (InversionError if not finite); the t -> 0 neighborhood is one panel
+    for a law with log_mgf (entire, so the integrand is analytic there) and
+    dyadically refined panels for any other (_build_nodes).  Absolute error
+    target tol (tol >= 1e-10).  Accepts scalar or array x, which must be finite.
 
     Query points are grouped by magnitude, |x| <= b = 32 2^k.  A law with a
     split (the dyadic family) is inverted as the lattice mixture
@@ -516,7 +513,7 @@ def cdf_from_cf(h: CfExponent, x, tol: float = 1e-8):
     b + 64, which leaves m = 0 alone; all farther points share one small
     cut, so their reduced points lie in |y| <= 32 and one reduced-law node
     set serves them at any |x|: x = 1e5 costs about what x = 1e2 does, and
-    the lattice pmf adds 15-25 ms at 1e6.
+    the lattice pmf adds about 30 ms at 1e6.
     Before any quadrature, raises InversionError if the lattice pmfs would
     pass _LATTICE_BUDGET points, one node set _NODE_BUDGET nodes, or the
     whole call _WORK_BUDGET point x node products.
@@ -549,22 +546,25 @@ def _reduced_laws(h, ks):
 
 def _node_plan(law, ys, tol):
     """(points, T, omega, node count) per magnitude group of ys; refuses a
-    group past _NODE_BUDGET before any slope probe."""
+    group past _NODE_BUDGET before any slope probe.  omega = b + max(4, 1.3
+    slope), the phase slope probed on [min(1e-3, T/100), T]; a law without
+    log_mgf probes again per group down to its head at pi/(2 omega), for a
+    phase that is singular at 0 like the 1/2-stable's."""
     if not ys.size:
         return []
     T = _decay_cutoff(law, tol)
     ks = _magnitudes(ys)
     # each omega exceeds its b (inf past |x| = 2^1023)
-    _check_budget(_node_count(T, 32.0 * 2.0 ** int(ks.max()))[1], _NODE_BUDGET,
+    _check_budget(_node_count(law, T, 32.0 * 2.0 ** int(ks.max()))[1], _NODE_BUDGET,
                   "quadrature nodes")
     plan = []
-    slope_0 = _phase_slope(law, min(1e-3, T / 100.0), T)
+    slope = _phase_slope(law, min(1e-3, T / 100.0), T)
     for k in np.unique(ks).tolist():
         b = 32.0 * 2.0 ** k
-        omega = b + max(4.0, 1.3 * slope_0)
-        slope = _phase_slope(law, math.pi / (2.0 * omega), T)
         omega = b + max(4.0, 1.3 * slope)
-        plan.append((ks == k, T, omega, _node_count(T, omega)[1]))
+        if law.log_mgf is None:
+            omega = b + max(4.0, 1.3 * _phase_slope(law, math.pi / (2.0 * omega), T))
+        plan.append((ks == k, T, omega, _node_count(law, T, omega)[1]))
     return plan
 
 
@@ -595,7 +595,7 @@ def _invert(h, xs, tol):
     _check_budget(sum(ys.size * need for _, ys, *_, need in plan),
                   _WORK_BUDGET, "point x node products")
     for law, ys, owner, weight, T, omega, _ in plan:
-        t, w, t0, delta, K = _build_nodes(T, omega)
+        t, w, t0, delta, K = _build_nodes(law, T, omega)
         with np.errstate(under="ignore"):
             cw = np.exp(law(t)) * (w / t)
         vals = _phase_sums(ys, t, cw) + _bulk_phase_sums(ys, law, t0, delta, K)
@@ -672,10 +672,8 @@ def tabulate_cdf(h: CfExponent, x_lo: float, x_hi: float,
     def evaluate(xs):
         out = np.empty(xs.size)
         body = xs <= _BODY_HI
-        if np.any(body):
-            out[body] = cdf_from_cf(h, xs[body], tol)
-        if np.any(~body):
-            out[~body] = cdf_from_cf(h, xs[~body], max(tol, _TAIL_TOL))
+        out[body] = cdf_from_cf(h, xs[body], tol)
+        out[~body] = cdf_from_cf(h, xs[~body], max(tol, _TAIL_TOL))
         return out
 
     top = min(x_hi, _BODY_HI)

@@ -326,8 +326,10 @@ def _point_rate(model: TailModel, cutoff: float, budget=_POINT_BUDGET,
         raise ValueError("cutoff must be positive")
     lam = intensity_tail(model, cutoff)
     if lam > budget:
+        # the fewest digits (from 3) that tell the two numbers apart
+        d = next(d for d in range(3, 18) if "%.*g" % (d, lam) != "%.*g" % (d, budget))
         raise ResourceLimitError(
-            "expected point count %.3g exceeds the %.3g %s" % (lam, budget, what))
+            "expected point count %.*g exceeds the %.*g %s" % (d, lam, d, budget, what))
     return lam
 
 

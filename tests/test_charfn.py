@@ -221,6 +221,18 @@ def test_one_sided_stable_exponent_form():
         one_sided_stable_exponent(0.5, c=-1.0)
 
 
+@pytest.mark.parametrize("alpha", [0.1, 0.5, 0.77])
+def test_one_sided_stable_phases_match_per_node_exponentials(alpha):
+    # the two unit phases are computed once and picked by the sign of t; the
+    # values stay bit for bit those of one exponential per node
+    t = np.concatenate([np.linspace(-50.0, 50.0, 2001),
+                        [0.0, -0.0, 1e300, -1e300, 5e-324, -5e-324, 1.7e308]])
+    scale = 2.5 * math.gamma(1.0 - alpha)
+    old = -scale * np.abs(t) ** alpha * np.exp(-0.5j * math.pi * alpha * np.sign(t))
+    new = one_sided_stable_exponent(alpha, 2.5)(t)
+    assert new.dtype == complex and np.array_equal(new.view(np.uint64), old.view(np.uint64))
+
+
 # -- inversion ----------------------------------------------------------------
 
 def test_cdf_cauchy():
@@ -320,6 +332,81 @@ def test_node_budget_checked_before_any_quadrature(monkeypatch):
     assert sorted(calls) == ["_bulk_phase_sums"] * 2 + ["_phase_sums"] * 2
 
 
+def _drift_law(mu, entire=True):
+    """N(mu, 1); with entire its log-MGF is given, so it inverts as an entire law."""
+    return CfExponent(fn=lambda t: -0.5 * t * t + 1j * mu * t,
+                      log_mgf=(lambda s: 0.5 * s * s + mu * s) if entire else None)
+
+
+@pytest.mark.parametrize("K, fits", [(349524, True), (349525, False)])
+def test_node_budget_prices_the_entire_head(K, fits):
+    # x = mu -+ 1 lie in the group b = 2^16, T = 8 and the phase slope is mu,
+    # so omega = 2^16 + 1.3 mu; mu puts 8 omega / pi - 1/2 at K - 1/2, which
+    # makes K bulk panels: 16 + 12 K = 2^22 = _NODE_BUDGET nodes at
+    # K = 349524, 12 more at K = 349525.  With the cascade both are refused
+    mu = (K * math.pi / 8.0 - 2.0 ** 16) / 1.3
+    xs = np.array([mu - 1.0, mu + 1.0])
+    need = 16 + 12 * K
+    assert _node_count(_drift_law(mu), 8.0, K * math.pi / 8.0)[1] == need
+    if fits:
+        assert np.max(np.abs(cdf_from_cf(_drift_law(mu), xs) - ndtr([-1.0, 1.0]))) < 1e-8
+    else:
+        with pytest.raises(InversionError, match="need %d quadrature nodes, over the budget "
+                                                 "of %d" % (need, _NODE_BUDGET)):
+            cdf_from_cf(_drift_law(mu), xs)
+    with pytest.raises(InversionError, match="need %d quadrature nodes" % (need + 2384)):
+        cdf_from_cf(_drift_law(mu, entire=False), xs)
+
+
+def test_entire_laws_probe_once_and_build_one_head_panel(monkeypatch):
+    # a law with log_mgf: one slope probe per call and a 16-node head per
+    # group; any other law probes again per group and keeps the cascade
+    from semistable import charfn
+
+    heads, probes = [], []
+    build, slope = charfn._build_nodes, charfn._phase_slope
+    monkeypatch.setattr(charfn, "_build_nodes",
+                        lambda *a: heads.append(build(*a)[0].size) or build(*a))
+    monkeypatch.setattr(charfn, "_phase_slope",
+                        lambda *a: probes.append(a[0]) or slope(*a))
+    cases = [
+        (_drift_law(3.0), [0.0, 100.0, 1e3], [16] * 3, 1),
+        (_drift_law(3.0, entire=False), [0.0, 100.0, 1e3], [2400] * 3, 4),
+        # one reduced law per near group and one for the far points
+        (g_gamma_law(1.5), [0.5, 50.0, 1e3, 1e5], [16] * 3, 3),
+        (cauchy_law(), [0.5], [2400], 2),
+        (one_sided_stable_exponent(0.5), [0.5], [2400], 2),
+    ]
+    for law, xs, want_heads, want_probes in cases:
+        heads.clear()
+        probes.clear()
+        cdf_from_cf(law, xs)
+        assert heads == want_heads and len(probes) == want_probes
+
+
+@pytest.mark.parametrize("gamma", [1.0, 1.5, 1.99])
+@pytest.mark.parametrize("cut, b", [(96.0, 32.0), (128.0, 64.0), (2.0, 32.0)])
+def test_entire_head_panel_matches_the_cascade(gamma, cut, b):
+    # the reduced laws are entire, so one 16-point panel on [0, t0] sums the
+    # head as the 150-level cascade does, for every x of the group
+    from semistable.charfn import _node_plan
+
+    law = g_gamma_law(gamma).split(cut)[0]
+    (_, T, omega, _), = _node_plan(law, np.array([b]), 1e-8)
+    xs = np.linspace(-b, b, 81)
+
+    def head_sums(nodes):
+        t, w, *_ = _build_nodes(nodes, T, omega)
+        cw = np.exp(law(t)) * w / t
+        return t.size, _phase_sums(xs, t, cw), np.abs(cw).sum()
+
+    n_panel, panel, scale = head_sums(law)
+    n_cascade, cascade, _ = head_sums(CfExponent(fn=law.fn))  # no log_mgf: the cascade
+    assert (n_panel, n_cascade) == (16, 2400)
+    # scale is the panel's sum |cw|, about 7 (the cascade's is about 104)
+    assert np.max(np.abs(panel - cascade)) <= 1e-15 * scale
+
+
 def test_far_points_cost_one_reduced_node_set(monkeypatch):
     # every point past |x| = 64 is a lattice mixture of reduced points in
     # |y| <= 32, so one node set serves any number of them at any |x|; the
@@ -329,7 +416,7 @@ def test_far_points_cost_one_reduced_node_set(monkeypatch):
     built, calls = [], []
     build = charfn._build_nodes
     monkeypatch.setattr(charfn, "_build_nodes",
-                        lambda T, omega: built.append((T, omega)) or build(T, omega))
+                        lambda law, T, omega: built.append((T, omega)) or build(law, T, omega))
     for name in ("_phase_sums", "_bulk_phase_sums"):
         kernel = getattr(charfn, name)
         monkeypatch.setattr(charfn, name,
@@ -604,29 +691,36 @@ def test_cdf_values_pinned(law, xs, expected):
     assert np.max(np.abs(got - np.array(expected))) < 1e-12
 
 
-def _all_nodes(T, omega):
-    t, w, t0, delta, K = _build_nodes(T, omega)
+# the far-cut reduced law of the dyadic family: its exponent is entire
+REDUCED = g_gamma_law(1.5).split(2.0)[0]
+
+
+def _all_nodes(law, T, omega):
+    t, w, t0, delta, K = _build_nodes(law, T, omega)
     tb, wb = _bulk_nodes(t0, delta, K)
     return np.concatenate([t, tb.ravel()]), np.concatenate([w, wb.ravel()]), t0 + K * delta
 
 
 def test_build_nodes_counts_and_weights():
     # every magnitude group has b >= 32 and omega >= b + 4, and the decay
-    # cutoff T is a power of two from 8 on
-    pairs = 0
-    for T in (8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0):
-        for omega in (36.0, 37.3, 68.0, 75.17, 132.5, 516.0, 1028.0, 4100.0):
-            need = _node_count(T, omega)[1]
-            if need > _NODE_BUDGET:  # cdf_from_cf refuses these before building
-                continue
-            pairs += 1
-            t, w, end = _all_nodes(T, omega)
-            delta = math.pi / omega
-            assert t.size == need
-            assert T <= end < T + delta
-            assert abs(w.sum() - end) <= 1e-12 * end
-            assert np.all((t > 0.0) & (t < end)) and np.all(w >= 0.0)
-    assert pairs == 62
+    # cutoff T is a power of two from 8 on; a law with log_mgf has a head of
+    # one panel, any other law the 150-level cascade
+    for law, head, want in ((cauchy_law(), 2400, 62), (REDUCED, 16, 62)):
+        pairs = 0
+        for T in (8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0):
+            for omega in (36.0, 37.3, 68.0, 75.17, 132.5, 516.0, 1028.0, 4100.0):
+                need = _node_count(law, T, omega)[1]
+                if need > _NODE_BUDGET:  # cdf_from_cf refuses these before building
+                    continue
+                pairs += 1
+                assert _build_nodes(law, T, omega)[0].size == head
+                t, w, end = _all_nodes(law, T, omega)
+                delta = math.pi / omega
+                assert t.size == need
+                assert T <= end < T + delta
+                assert abs(w.sum() - end) <= 1e-12 * end
+                assert np.all((t > 0.0) & (t < end)) and np.all(w >= 0.0)
+        assert pairs == want
 
 
 @pytest.mark.parametrize("T, omega, span, K", [
@@ -636,7 +730,7 @@ def test_build_nodes_counts_and_weights():
     (8.0, 36.0, 6e4, 92),            # the fewest panels the inversion builds
 ])
 def test_factored_bulk_matches_direct_sum(T, omega, span, K):
-    _, _, t0, delta, k = _build_nodes(T, omega)
+    _, _, t0, delta, k = _build_nodes(cauchy_law(), T, omega)
     assert k == K
     tb, wb = _bulk_nodes(t0, delta, K)
     cw = np.exp(cauchy_law()(tb)) * wb / tb
@@ -695,7 +789,7 @@ def direct_phase_sums(xs, t, cw):
 
 @pytest.mark.parametrize("omega", [40.0, 600.0, 6e4])
 def test_head_phase_sums_match_direct_sum(omega):
-    t, w, *_ = _build_nodes(16.0, omega)
+    t, w, *_ = _build_nodes(g_gamma_law(1.5), 16.0, omega)
     b = omega - 4.0
     # the deep nodes, summed as two moments, and the rest, summed directly
     deep = t * b < 2.0 ** -27

@@ -407,6 +407,18 @@ def test_petersburg_poisson_sums_pass_the_point_budget(monkeypatch):
         poisson_sum_batch(make_pareto(0.5), 1e-20, 10, seed=1)
 
 
+def test_point_rate_refusal_tells_the_numbers_apart():
+    # 2^63 and the largest Poisson mean numpy draws agree to 7 digits: with
+    # three the refusal read "9.22e+18 exceeds the 9.22e+18 limit"
+    with pytest.raises(ResourceLimitError) as err:
+        poisson_sum_batch(make_petersburg(1.0), 2.0 ** -63, 10, seed=1)
+    assert str(err.value) == ("expected point count 9.22337204e+18 exceeds the "
+                              "9.22337201e+18 limit of numpy's Poisson draws")
+    # numbers that differ in the first three digits keep three
+    with pytest.raises(ResourceLimitError, match="count 1e\\+20 exceeds the 1e\\+09 budget$"):
+        poisson_sum_batch(make_pareto(0.5), 1e-40, 10, seed=1)
+
+
 def test_poisson_sum_memory_is_bounded():
     # lambda = 1e7 points per replicate, drawn _CHUNK at a time
     m = make_pareto(0.5)
