@@ -428,19 +428,18 @@ def poisson_sum_batch(model: TailModel, cutoff: float, reps: int, seed: int,
     OverflowError; threads is ignored."""
     if not (0.0 < model.alpha < 2.0):
         raise ValueError("poisson sums need alpha in (0, 2)")
+    classes = 2 if symmetric else 1
     if model.psi_kind == "petersburg":
-        lam = _point_rate(model, cutoff, (2 if symmetric else 1) * _POISSON_MAX,
+        lam = _point_rate(model, cutoff, classes * _POISSON_MAX,
                           "limit of numpy's Poisson draws")
+        kernel = functools.partial(_level_poisson_block, model, lam, math.frexp(cutoff)[1])
+        draws = classes * math.ceil(lam).bit_length()
     else:
         lam = _point_rate(model, cutoff)
-    centering = 0.0 if symmetric else poisson_sum_centering(model, cutoff)
-    if model.psi_kind == "petersburg":
-        block = functools.partial(_level_poisson_block, model, lam,
-                                  math.frexp(cutoff)[1], symmetric, centering)
-        draws = (2 if symmetric else 1) * math.ceil(lam).bit_length()
-    else:
-        block = functools.partial(_poisson_sum_block, model, lam, symmetric, centering)
+        kernel = functools.partial(_poisson_sum_block, model, lam)
         draws = math.ceil(lam)
+    centering = 0.0 if symmetric else poisson_sum_centering(model, cutoff)
+    block = functools.partial(kernel, symmetric, centering)
     return next(_map_blocks([(block, draws)], reps, seed, base_stream))
 
 

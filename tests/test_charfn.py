@@ -522,6 +522,46 @@ def test_tabulate_cdf_rejects_nan_span_without_warning():
             tabulate_cdf(cauchy_law(), math.nan, 3)
 
 
+def test_tabulate_cdf_makes_one_inversion_call_at_tol(monkeypatch):
+    # an adaptive table made six calls, its tail ones at a looser 1e-5
+    from semistable import charfn
+    tols = []
+    invert = charfn.cdf_from_cf
+    monkeypatch.setattr(charfn, "cdf_from_cf",
+                        lambda h, x, tol=1e-8: tols.append(tol) or invert(h, x, tol))
+    tab = tabulate_cdf(g_gamma_law(1.5), -8.0, 1024.0, tol=1e-7)
+    assert tols == [1e-7]
+    assert (tab.x_lo, tab.x_hi, tab._x.size) == (-8.0, 1024.0, 56 * 16 + 1 + 48)
+
+
+@pytest.mark.parametrize("gamma", [1.0, 1.5, 2.0])
+def test_limit_table_matches_the_law(gamma):
+    law = g_gamma_law(gamma)
+    tab = tabulate_cdf(law, -8.0, 1024.0, tol=1e-7)
+    body = np.linspace(-8.0, 48.0, 2241)  # four probes per table cell
+    assert np.max(np.abs(tab(body) - cdf_from_cf(law, body, 1e-10))) <= 1e-6
+    # between the geometric tail nodes PCHIP misses the bumps near 2^k/gamma
+    tail = np.linspace(48.0, 1024.0, 977)
+    assert np.max(np.abs(tab(tail) - cdf_from_cf(law, tail, 1e-10))) <= 1.3e-3
+
+
+def test_tabulate_cdf_spans_x_lo_to_x_hi_about_the_knee():
+    law = g_gamma_law(1.5)
+    # spanned [48, 1024], from a reversed linspace of 385 points, before
+    tab = tabulate_cdf(law, 100.0, 1024.0)
+    assert (tab.x_lo, tab.x_hi, tab._x.size) == (100.0, 1024.0, 49)
+    assert tab(100.0) == pytest.approx(cdf_from_cf(law, 100.0, 1e-10), abs=1e-7)
+    assert tab(50.0) == tab(100.0)
+    # spanned [-8, 49], from geometric points running down from 49, before
+    tab = tabulate_cdf(law, -8.0, 48.5)
+    assert (tab.x_lo, tab.x_hi, tab._x.size) == (-8.0, 48.5, 56 * 16 + 2)
+
+
+def test_tabulate_cdf_refuses_a_body_past_the_point_budget():
+    with pytest.raises(InversionError, match="table points"):
+        tabulate_cdf(cauchy_law(), -1e300, 0.0)
+
+
 # -- closed-form references -----------------------------------------------------
 
 def test_erlang_cdf_values():
@@ -602,6 +642,17 @@ def test_tabulated_cdf_rejects_bad_tables():
     for x, f in (([0.0], [0.5]), ([0.0, 1.0, 1.0], [0.1, 0.2, 0.3]), ([0.0, 1.0], [0.5])):
         with pytest.raises(ValueError, match="CDF table"):
             TabulatedCdf(x, f)
+
+
+@pytest.mark.parametrize("f", [[0.1, math.nan, 0.9], [-0.5, 0.5, 1.5], [0.1, 0.5, math.inf],
+                               [-math.inf, 0.5, 0.9], [0.0, 0.5, 1.0 + 1e-12]])
+def test_tabulated_cdf_rejects_f_outside_unit_interval(f):
+    # NaN made every evaluation NaN, [-0.5, 0.5, 1.5] evaluated to 1.5 and
+    # inf raised a RuntimeWarning, all without an error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="CDF table"):
+            TabulatedCdf([0.0, 1.0, 2.0], f)
 
 
 @settings(max_examples=12, deadline=None)

@@ -5,15 +5,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from semistable.charfn import TabulatedCdf, erlang_cdf
-from semistable.empirics import (Ecdf, ExperimentReport, _order_statistic_block,
+from semistable.charfn import TabulatedCdf, erlang_cdf, g_gamma_law, tabulate_cdf
+from semistable.empirics import (Ecdf, ExperimentReport, _ks_versus_limit,
+                                 _limit_table, _order_statistic_block,
                                  feller_experiment, gamma_n, ks_distance,
                                  ks_two_sample, lepage_limit_experiment,
                                  levy_distance, martin_lof_experiment,
                                  merging_experiment, merging_sweep,
                                  negligibility_experiment,
                                  order_statistics_experiment)
-from semistable.sampling import RngStream, _map_blocks
+from semistable.sampling import RngStream, _map_blocks, petersburg_sum_batch
 
 
 # -- distances -------------------------------------------------------------------
@@ -199,6 +200,14 @@ def test_levy_distance_point_masses():
     assert d == pytest.approx(delta, abs=2e-4)
 
 
+@pytest.mark.parametrize("grid_step", [math.nan, math.inf, 0.0, -1e-3])
+def test_levy_distance_rejects_bad_grid_step(grid_step):
+    # nan returned nan and inf returned inf before
+    e = Ecdf.from_sample([0.1, 0.4, 0.7])
+    with pytest.raises(ValueError, match="grid_step must be positive and finite"):
+        levy_distance(e, lambda x: np.clip(np.asarray(x), 0.0, 1.0), grid_step)
+
+
 def test_levy_below_ks():
     rng = np.random.default_rng(4)
     from scipy.special import ndtr
@@ -277,6 +286,20 @@ def test_merging_gamma_and_distance():
     assert rep.statistic <= 0.05
     with pytest.raises(ValueError):
         merging_experiment(8, 10 ** 4, RngStream(1))
+
+
+def test_limit_tables_are_keyed_by_gamma_alone():
+    # the table span followed the sample (its min and 1 - 5e-4 quantile),
+    # so these two samples built two tables
+    n = 1536
+    gamma = gamma_n(n)
+    sums = petersburg_sum_batch(n, 10 ** 4, 50)
+    samples = (sums / n - math.log2(n), np.random.default_rng(51).uniform(-2.0, 10.0, 10 ** 4))
+    table = tabulate_cdf(g_gamma_law(gamma), -8.0, 1024.0, tol=1e-7)
+    _limit_table.cache_clear()
+    for vals in samples:
+        assert _ks_versus_limit(vals, gamma) == ks_distance(Ecdf.from_sample(vals), table)
+    assert _limit_table.cache_info().currsize == 1
 
 
 def test_merging_threads_invariant():
