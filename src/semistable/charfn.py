@@ -107,8 +107,8 @@ def g_exponent(t, tol: float = 1e-12, max_jump=None):
     2^{-L}; the inversion splits those off (see CfExponent).  Terms are
     accumulated with Kahan compensation.  t must be finite.
     """
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite, got %s" % tol)
     if max_jump is not None and not max_jump > 0.0:
         raise ValueError("max_jump must be positive")
 
@@ -183,6 +183,8 @@ def g_gamma_law(gamma: float, tol: float = 1e-12) -> CfExponent:
     """Member of the merging family at position gamma in [1, 2]."""
     if not (1.0 <= gamma <= 2.0):
         raise ValueError("gamma must lie in [1, 2]")
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite, got %s" % tol)
 
     def split(cut):
         # the reduced series stops at level L; the jumps 2^l / gamma, l > L,
@@ -200,8 +202,8 @@ def g_gamma_law(gamma: float, tol: float = 1e-12) -> CfExponent:
 
 def cauchy_law(scale: float = 1.0) -> CfExponent:
     """Cauchy exponent -scale*|t|; CDF 1/2 + arctan(x/scale)/pi."""
-    if scale <= 0.0:
-        raise ValueError("scale must be positive")
+    if not 0.0 < scale < math.inf:
+        raise ValueError("scale must be positive and finite, got %s" % scale)
     return CfExponent(fn=lambda t: -scale * np.abs(t) + 0j)
 
 
@@ -220,8 +222,8 @@ def one_sided_stable_exponent(alpha: float, c: float = 1.0) -> CfExponent:
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError("alpha must lie in (0, 1)")
-    if c <= 0.0:
-        raise ValueError("c must be positive")
+    if not 0.0 < c < math.inf:
+        raise ValueError("c must be positive and finite, got %s" % c)
     scale = c * math.gamma(1.0 - alpha)
     # exp(-i sign(t) pi alpha / 2) for sign(t) = -1, 0, 1, picked per node
     phases = np.exp(-0.5j * math.pi * alpha * np.array([-1.0, 0.0, 1.0]))
@@ -237,8 +239,8 @@ def convolution_power(h: CfExponent, k: float) -> CfExponent:
     """The law with characteristic function phi**k, exact in exponent form.
 
     Its split keeps the lattice spacing and scales the removed rate by k."""
-    if not k > 0.0:
-        raise ValueError("power must be positive")
+    if not 0.0 < k < math.inf:
+        raise ValueError("power k must be positive and finite, got %s" % k)
     k, base, base_split, base_mgf = float(k), h.fn, h.split, h.log_mgf
     split = log_mgf = None
     if base_split is not None:
@@ -254,14 +256,19 @@ def convolution_power(h: CfExponent, k: float) -> CfExponent:
 
 # -- Gil-Pelaez inversion ----------------------------------------------------
 
-_gl_rule = functools.cache(leggauss)
+def _tanh_sinh_rule():
+    """The 55-node tanh-sinh rule on (0, 1] (Takahasi & Mori 1974): nodes
+    1/(1 + e^(-2u)), u = (pi/2) sinh(k/6), k = -27..27, and weights
+    (pi/24) cosh(k/6) / cosh(u)^2.  It integrates an analytic integrand and
+    a t**(alpha-1) or log(1/t) end at 0 alike to rounding.  The node nearest
+    0 is about 5e-62; as (1 + tanh u)/2 it would round to 0."""
+    s = np.arange(-27, 28) / 6.0
+    u = 0.5 * math.pi * np.sinh(s)
+    return 1.0 / (1.0 + np.exp(-2.0 * u)), math.pi / 24.0 * np.cosh(s) / np.cosh(u) ** 2
 
 
-def _gl_panels(a, b, n):
-    """n-point Gauss-Legendre nodes and weights on the panels [a_i, b_i], in order."""
-    x, w = _gl_rule(n)
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return (mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel()
+_HEAD_T, _HEAD_W = _tanh_sinh_rule()
+_gl_rule = functools.cache(leggauss)  # on first use: its eigensolver loads LAPACK
 
 
 def _decay_cutoff(h, tol):
@@ -293,7 +300,6 @@ def _phase_slope(h, t_lo, t_hi):
     return slope
 
 
-_DYADIC_LEVELS = 150
 _LATTICE_BUDGET = 1 << 20  # lattice pmf points per cdf_from_cf call; the far
                            # pmf reaches |x| / a, a in (2, 4], so |x| <= 2e6 at
                            # every gamma (1e6 takes 3.8e5 at gamma 1.5, 36 ms)
@@ -306,12 +312,12 @@ _WORK_BUDGET = 1 << 29  # reduced point x node products per call; 2-core x86, on
                         # 50x the largest call the tests and the benchmark make
 
 
-def _node_count(law, T, omega):
-    """(K, node count) of _build_nodes(law, T, omega): K = ceil((T - t0)/delta)
-    panels of 12 nodes above a head of 16 (law with log_mgf) or 2,400 nodes.
-    Floats; np.ceil keeps an overflowing T omega at inf, not OverflowError."""
+def _node_count(T, omega):
+    """(K, node count) of _build_nodes(T, omega): K = ceil((T - t0)/delta)
+    panels of 12 nodes above the 55-node head.  Floats; np.ceil keeps an
+    overflowing T omega at inf, not OverflowError."""
     K = np.ceil(T * omega / math.pi - 0.5)  # (T - t0)/delta, t0 = delta/2
-    return K, 16 * (_DYADIC_LEVELS if law.log_mgf is None else 1) + 12.0 * K
+    return K, _HEAD_T.size + 12.0 * K
 
 
 def _check_budget(need, budget, what):
@@ -321,29 +327,23 @@ def _check_budget(need, budget, what):
                              % (need, what, budget))
 
 
-def _build_nodes(law, T, omega):
-    """Quadrature nodes/weights of law's inversion on (0, T], as a head and a bulk.
+def _build_nodes(T, omega):
+    """Quadrature nodes/weights of the inversion on (0, T], as a head and a bulk.
 
     With delta = pi/omega half an oscillation of e^{-itx} phi(t) and
-    t0 = delta/2, the head covers (0, t0] with 16-point Gauss-Legendre
-    panels: for a law with log_mgf, whose integrand is analytic at t = 0,
-    the one panel [0, t0]; else 150 dyadically shrinking panels
-    [t0 2^-(l+1), t0 2^-l], which resolve an integrable t**(alpha-1) or
-    log(1/t) behavior near t = 0.  The bulk is the K = ceil((T - t0)/delta)
-    equal panels [t0 + k delta, t0 + (k+1) delta] with the 12-point rule,
+    t0 = delta/2, the head covers (0, t0] with the 55-node tanh-sinh rule,
+    the same for every law: it resolves an integrand that is analytic at
+    t = 0 and one that behaves like t**(alpha-1) or log(1/t) there.  The
+    bulk is the K = ceil((T - t0)/delta) equal panels
+    [t0 + k delta, t0 + (k+1) delta] with the 12-point Gauss-Legendre rule,
     which _bulk_phase_sums builds a slab at a time (_bulk_nodes); the last
     may end past T, where the integrand is already below the cutoff's bound.
     Returns (t_head, w_head, t0, delta, K).
     """
-    K = int(_node_count(law, T, omega)[0])
+    K = int(_node_count(T, omega)[0])
     delta = math.pi / omega
     t0 = 0.5 * delta
-    if law.log_mgf is not None:
-        t, w = _gl_panels(np.zeros(1), np.array([t0]), 16)
-    else:
-        a = t0 * 0.5 ** np.arange(_DYADIC_LEVELS)
-        t, w = _gl_panels(0.5 * a, a, 16)
-    return t, w, t0, delta, K
+    return t0 * _HEAD_T, t0 * _HEAD_W, t0, delta, K
 
 
 def _bulk_nodes(t0, delta, stop, start=0):
@@ -359,23 +359,13 @@ _XBLOCK = 64  # points per block of the phase sums
 
 
 def _phase_sums(xs, t, cw):
-    """Im sum_i cw_i e^{-i t_i x} for each x; _invert runs it on the head nodes.
-    On the deep nodes, |t| max|x| < 2^-27, cos(tx) rounds to 1 and sin(tx)
-    to tx, so they add sum cw_im - x sum cw_re t: two dot products in all.
-    The rest cost a cosine and a sine per node and point, in tiles of
-    _CHUNK phases."""
+    """Im sum_i cw_i e^{-i t_i x} for each x, a cosine and a sine per node
+    and point; _invert runs it on the 55 head nodes, _XBLOCK points at a time."""
     cw_re, cw_im = np.real(cw), np.imag(cw)
-    deep = np.abs(t) * np.max(np.abs(xs), initial=0.0) < 2.0 ** -27
-    out = np.sum(cw_im[deep]) - xs * np.dot(cw_re[deep], t[deep])
-    t, cw_re, cw_im = t[~deep], cw_re[~deep], cw_im[~deep]
-    tblock = _CHUNK // _XBLOCK
+    out = np.empty(xs.size)
     for i in range(0, xs.size, _XBLOCK):
-        xb = xs[i:i + _XBLOCK, None]
-        acc = np.zeros(xb.size)
-        for j in range(0, t.size, tblock):
-            ph = xb * t[None, j:j + tblock]
-            acc += np.cos(ph) @ cw_im[j:j + tblock] - np.sin(ph, out=ph) @ cw_re[j:j + tblock]
-        out[i:i + _XBLOCK] += acc
+        ph = np.multiply.outer(xs[i:i + _XBLOCK], t)
+        out[i:i + _XBLOCK] = np.cos(ph) @ cw_im - np.sin(ph, out=ph) @ cw_re
     return out
 
 
@@ -500,10 +490,11 @@ def cdf_from_cf(h: CfExponent, x, tol: float = 1e-8):
     The cutoff T is chosen so exp(Re h(T))/T sits three decades below tol
     (raises InversionError if the search passes 1e6); panel density is
     matched to the oscillation frequency |x| plus the phase slope of phi
-    (InversionError if not finite); the t -> 0 neighborhood is one panel
-    for a law with log_mgf (entire, so the integrand is analytic there) and
-    dyadically refined panels for any other (_build_nodes).  Absolute error
-    target tol (tol >= 1e-10).  Accepts scalar or array x, which must be finite.
+    (InversionError if not finite); the t -> 0 neighborhood is one 55-node
+    tanh-sinh rule for every law, which resolves an analytic integrand and a
+    t**(alpha-1) or log(1/t) one alike (_build_nodes).  Absolute error
+    target tol, finite and >= 1e-10 (else ValueError).  Accepts scalar or
+    array x, which must be finite.
 
     Query points are grouped by magnitude, |x| <= b = 32 2^k.  A law with a
     split (the dyadic family) is inverted as the lattice mixture
@@ -518,8 +509,8 @@ def cdf_from_cf(h: CfExponent, x, tol: float = 1e-8):
     pass _LATTICE_BUDGET points, one node set _NODE_BUDGET nodes, or the
     whole call _WORK_BUDGET point x node products.
     """
-    if tol < 1e-10:
-        raise ValueError("tol must be >= 1e-10")
+    if not 1e-10 <= tol < math.inf:
+        raise ValueError("tol must be finite and >= 1e-10, got %s" % tol)
     return elementwise(lambda xs: _invert(h, xs, tol), x)
 
 
@@ -547,15 +538,19 @@ def _reduced_laws(h, ks):
 def _node_plan(law, ys, tol):
     """(points, T, omega, node count) per magnitude group of ys; refuses a
     group past _NODE_BUDGET before any slope probe.  omega = b + max(4, 1.3
-    slope), the phase slope probed on [min(1e-3, T/100), T]; a law without
-    log_mgf probes again per group down to its head at pi/(2 omega), for a
-    phase that is singular at 0 like the 1/2-stable's."""
+    slope), the phase slope probed on [min(1e-3, T/100), T].  A law without
+    log_mgf probes again per group, from its head at pi/(2 omega) on: a phase
+    singular at 0, like the stable laws', is steepest there, where the head
+    rule covers it, so the first probe overprices its bulk (alone it puts
+    one_sided_stable_exponent(0.3) at 4,876,207 nodes, over the budget).  An
+    entire law's phase is smooth at 0, so one probe serves all its groups; a
+    re-probe would add about 0.5 ms per group to calls of a few ms."""
     if not ys.size:
         return []
     T = _decay_cutoff(law, tol)
     ks = _magnitudes(ys)
     # each omega exceeds its b (inf past |x| = 2^1023)
-    _check_budget(_node_count(law, T, 32.0 * 2.0 ** int(ks.max()))[1], _NODE_BUDGET,
+    _check_budget(_node_count(T, 32.0 * 2.0 ** int(ks.max()))[1], _NODE_BUDGET,
                   "quadrature nodes")
     plan = []
     slope = _phase_slope(law, min(1e-3, T / 100.0), T)
@@ -564,7 +559,7 @@ def _node_plan(law, ys, tol):
         omega = b + max(4.0, 1.3 * slope)
         if law.log_mgf is None:
             omega = b + max(4.0, 1.3 * _phase_slope(law, math.pi / (2.0 * omega), T))
-        plan.append((ks == k, T, omega, _node_count(law, T, omega)[1]))
+        plan.append((ks == k, T, omega, _node_count(T, omega)[1]))
     return plan
 
 
@@ -595,7 +590,7 @@ def _invert(h, xs, tol):
     _check_budget(sum(ys.size * need for _, ys, *_, need in plan),
                   _WORK_BUDGET, "point x node products")
     for law, ys, owner, weight, T, omega, _ in plan:
-        t, w, t0, delta, K = _build_nodes(law, T, omega)
+        t, w, t0, delta, K = _build_nodes(T, omega)
         with np.errstate(under="ignore"):
             cw = np.exp(law(t)) * (w / t)
         vals = _phase_sums(ys, t, cw) + _bulk_phase_sums(ys, law, t0, delta, K)

@@ -262,8 +262,8 @@ def petersburg_sum_batch(n: int, reps: int, seed: int, base_stream: int = 0,
     Each block is one multinomial call over its rows (_petersburg_block),
     and a row's levels count as its draws: reps x bit_length(n) must stay
     within the 2^32 draw budget; threads is ignored."""
-    if n < 1 or reps < 1:
-        raise ValueError("need n >= 1 and reps >= 1")
+    if not (float(n).is_integer() and n >= 1 and reps >= 1):
+        raise ValueError("need an integer n >= 1 and reps >= 1, got n = %s" % n)
     phase = (functools.partial(_petersburg_block, n), int(n).bit_length())
     return next(_map_blocks([phase], reps, seed, base_stream))
 
@@ -322,8 +322,8 @@ def points_from_arrivals(model: TailModel, arrivals):
 def _point_rate(model: TailModel, cutoff: float, budget=_POINT_BUDGET,
                 what="budget") -> float:
     """Expected point count T(cutoff) above the cutoff, within the budget."""
-    if cutoff <= 0.0:
-        raise ValueError("cutoff must be positive")
+    if not 0.0 < cutoff < math.inf:
+        raise ValueError("cutoff must be positive and finite, got %s" % cutoff)
     lam = intensity_tail(model, cutoff)
     if lam > budget:
         # the fewest digits (from 3) that tell the two numbers apart

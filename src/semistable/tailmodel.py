@@ -106,10 +106,13 @@ class TailModel:
         return vals[j] * (1.0 - frac) + nxt * frac
 
     def _tail_formula(self, x):
-        """T(x) on (0, inf) with no x0 restriction."""
+        """T(x) on (0, inf] with no x0 restriction; T(inf) = 0."""
         x = np.asarray(x, dtype=float)
         if not np.all(x > 0.0):
             raise ValueError("tail formula needs x > 0")
+        top = x == math.inf
+        if top.any():  # the formulas below see x = 1 there
+            return np.where(top, 0.0, self._tail_formula(np.where(top, 1.0, x)))
         if self.psi_kind == "petersburg":
             # exact dyadic steps: T(x) = c * 2**(-floor(log2 x))
             _, e = np.frexp(x)

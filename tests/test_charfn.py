@@ -273,6 +273,33 @@ def test_cdf_tol_validation_and_failure():
         cdf_from_cf(degenerate, 0.5)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("call, name", [
+    # a NaN tol raised InversionError ("does not decay"); inf returned a value
+    (lambda: cdf_from_cf(gaussian_law(), 0.5, tol=math.nan), "tol"),
+    (lambda: cdf_from_cf(gaussian_law(), 0.5, tol=math.inf), "tol"),
+    # warned "All-NaN slice"
+    (lambda: tabulate_cdf(gaussian_law(), -1.0, 1.0, tol=math.nan), "tol"),
+    # accepted, to fail later converting NaN to an integer level
+    (lambda: g_gamma_law(1.5, tol=math.nan), "tol"),
+    (lambda: g_gamma_law(1.5, tol=math.inf), "tol"),
+    (lambda: g_exponent(1.0, tol=math.inf), "tol"),
+    # inf gave F = 0.5 everywhere, NaN "does not decay"
+    (lambda: cauchy_law(math.inf), "scale"),
+    (lambda: cauchy_law(math.nan), "scale"),
+    # accepted, to warn invalid values on evaluation
+    (lambda: one_sided_stable_exponent(0.5, c=math.inf), "c"),
+    (lambda: one_sided_stable_exponent(0.5, c=math.nan), "c"),
+    (lambda: convolution_power(gaussian_law(), math.inf), "power k"),
+    (lambda: convolution_power(gaussian_law(), math.nan), "power k"),
+], ids=["cdf-tol-nan", "cdf-tol-inf", "table-tol-nan", "g-gamma-tol-nan", "g-gamma-tol-inf",
+        "g-tol-inf", "cauchy-inf", "cauchy-nan", "stable-c-inf", "stable-c-nan",
+        "power-inf", "power-nan"])
+def test_non_finite_parameters_are_refused_by_name(call, name):
+    with pytest.raises(ValueError, match="^%s must be .*finite" % name):
+        call()
+
+
 def test_cdf_non_finite_phase_slope_raises():
     # the drift overflows on the slope probes: the slope was NaN, and
     # max(4.0, 1.3 * nan) = 4.0 returned a silent NaN CDF
@@ -338,29 +365,30 @@ def _drift_law(mu, entire=True):
                       log_mgf=(lambda s: 0.5 * s * s + mu * s) if entire else None)
 
 
-@pytest.mark.parametrize("K, fits", [(349524, True), (349525, False)])
+@pytest.mark.parametrize("K, fits", [(349520, True), (349521, False)])
 def test_node_budget_prices_the_entire_head(K, fits):
     # x = mu -+ 1 lie in the group b = 2^16, T = 8 and the phase slope is mu,
     # so omega = 2^16 + 1.3 mu; mu puts 8 omega / pi - 1/2 at K - 1/2, which
-    # makes K bulk panels: 16 + 12 K = 2^22 = _NODE_BUDGET nodes at
-    # K = 349524, 12 more at K = 349525.  With the cascade both are refused
+    # makes K bulk panels: 55 + 12 K nodes, within _NODE_BUDGET = 2^22 at
+    # K = 349520 and 8 past it at K = 349521.  The head is the same 55 nodes
+    # with or without log_mgf, and the drift's constant slope is the same
+    # when probed again, so both laws meet the budget at the same K
     mu = (K * math.pi / 8.0 - 2.0 ** 16) / 1.3
     xs = np.array([mu - 1.0, mu + 1.0])
-    need = 16 + 12 * K
-    assert _node_count(_drift_law(mu), 8.0, K * math.pi / 8.0)[1] == need
-    if fits:
-        assert np.max(np.abs(cdf_from_cf(_drift_law(mu), xs) - ndtr([-1.0, 1.0]))) < 1e-8
-    else:
-        with pytest.raises(InversionError, match="need %d quadrature nodes, over the budget "
-                                                 "of %d" % (need, _NODE_BUDGET)):
-            cdf_from_cf(_drift_law(mu), xs)
-    with pytest.raises(InversionError, match="need %d quadrature nodes" % (need + 2384)):
-        cdf_from_cf(_drift_law(mu, entire=False), xs)
+    need = 55 + 12 * K
+    assert _node_count(8.0, K * math.pi / 8.0)[1] == need
+    for law in (_drift_law(mu), _drift_law(mu, entire=False)):
+        if fits:
+            assert np.max(np.abs(cdf_from_cf(law, xs) - ndtr([-1.0, 1.0]))) < 1e-8
+        else:
+            with pytest.raises(InversionError, match="need %d quadrature nodes, over the "
+                                                     "budget of %d" % (need, _NODE_BUDGET)):
+                cdf_from_cf(law, xs)
 
 
 def test_entire_laws_probe_once_and_build_one_head_panel(monkeypatch):
-    # a law with log_mgf: one slope probe per call and a 16-node head per
-    # group; any other law probes again per group and keeps the cascade
+    # a law with log_mgf: one slope probe per call; any other law probes
+    # again per group.  Every group of every law has the same 55-node head
     from semistable import charfn
 
     heads, probes = [], []
@@ -370,41 +398,65 @@ def test_entire_laws_probe_once_and_build_one_head_panel(monkeypatch):
     monkeypatch.setattr(charfn, "_phase_slope",
                         lambda *a: probes.append(a[0]) or slope(*a))
     cases = [
-        (_drift_law(3.0), [0.0, 100.0, 1e3], [16] * 3, 1),
-        (_drift_law(3.0, entire=False), [0.0, 100.0, 1e3], [2400] * 3, 4),
+        (_drift_law(3.0), [0.0, 100.0, 1e3], 3, 1),
+        (_drift_law(3.0, entire=False), [0.0, 100.0, 1e3], 3, 4),
         # one reduced law per near group and one for the far points
-        (g_gamma_law(1.5), [0.5, 50.0, 1e3, 1e5], [16] * 3, 3),
-        (cauchy_law(), [0.5], [2400], 2),
-        (one_sided_stable_exponent(0.5), [0.5], [2400], 2),
+        (g_gamma_law(1.5), [0.5, 50.0, 1e3, 1e5], 3, 3),
+        (cauchy_law(), [0.5], 1, 2),
+        (one_sided_stable_exponent(0.5), [0.5], 1, 2),
     ]
-    for law, xs, want_heads, want_probes in cases:
+    for law, xs, groups, want_probes in cases:
         heads.clear()
         probes.clear()
         cdf_from_cf(law, xs)
-        assert heads == want_heads and len(probes) == want_probes
+        assert heads == [55] * groups and len(probes) == want_probes
+
+
+def cascade_head(t0):
+    """The 150-level dyadic head that laws without log_mgf used to have:
+    16-point Gauss-Legendre panels [t0 2^-(l+1), t0 2^-l], l = 0..149."""
+    x, w = np.polynomial.legendre.leggauss(16)
+    a = t0 * 0.5 ** np.arange(150)
+    return (0.75 * a[:, None] + 0.25 * a[:, None] * x).ravel(), (0.25 * a[:, None] * w).ravel()
+
+
+def head_versus_cascade(law, b):
+    """(tanh-sinh head sums, cascade head sums, sum |cw| of the tanh-sinh
+    head) of law on 81 points of [-b, b], at the node plan of group b."""
+    from semistable.charfn import _node_plan
+
+    (_, T, omega, _), = _node_plan(law, np.array([b]), 1e-8)
+    xs = np.linspace(-b, b, 81)
+    t, w, t0, *_ = _build_nodes(T, omega)
+    tc, wc = cascade_head(t0)
+    assert t.size == 55 and np.all((t > 0.0) & (t <= t0)) and t.min() < 1e-60 * t0
+    cw, cwc = (np.exp(law(nodes)) * weights / nodes for nodes, weights in ((t, w), (tc, wc)))
+    return _phase_sums(xs, t, cw), direct_phase_sums(xs, tc, cwc), np.abs(cw).sum()
 
 
 @pytest.mark.parametrize("gamma", [1.0, 1.5, 1.99])
 @pytest.mark.parametrize("cut, b", [(96.0, 32.0), (128.0, 64.0), (2.0, 32.0)])
 def test_entire_head_panel_matches_the_cascade(gamma, cut, b):
-    # the reduced laws are entire, so one 16-point panel on [0, t0] sums the
-    # head as the 150-level cascade does, for every x of the group
-    from semistable.charfn import _node_plan
+    # the 55-node head sums the reduced laws' head as the 150-level cascade
+    # of 2,400 nodes did, for every x of the group
+    head, cascade, scale = head_versus_cascade(g_gamma_law(gamma).split(cut)[0], b)
+    # scale, the head's sum |cw|, is about 153
+    assert np.max(np.abs(head - cascade)) <= 1e-16 * scale
 
-    law = g_gamma_law(gamma).split(cut)[0]
-    (_, T, omega, _), = _node_plan(law, np.array([b]), 1e-8)
-    xs = np.linspace(-b, b, 81)
 
-    def head_sums(nodes):
-        t, w, *_ = _build_nodes(nodes, T, omega)
-        cw = np.exp(law(t)) * w / t
-        return t.size, _phase_sums(xs, t, cw), np.abs(cw).sum()
+@pytest.mark.parametrize("law", [cauchy_law(), gaussian_law()], ids=["cauchy", "gaussian"])
+def test_head_matches_the_cascade_on_closed_form_laws(law):
+    head, cascade, scale = head_versus_cascade(law, 32.0)
+    assert np.max(np.abs(head - cascade)) <= 1e-16 * scale
 
-    n_panel, panel, scale = head_sums(law)
-    n_cascade, cascade, _ = head_sums(CfExponent(fn=law.fn))  # no log_mgf: the cascade
-    assert (n_panel, n_cascade) == (16, 2400)
-    # scale is the panel's sum |cw|, about 7 (the cascade's is about 104)
-    assert np.max(np.abs(panel - cascade)) <= 1e-15 * scale
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9])
+def test_head_matches_the_cascade_on_singular_laws(alpha):
+    # Im phi(t)/t grows like t**(alpha-1) at 0; the cascade stops at
+    # t0 2^-150, which drops about (t0 2^-150)**alpha of it (2e-14 at
+    # alpha = 0.3), the tanh-sinh head at 5e-62 t0
+    head, cascade, _ = head_versus_cascade(one_sided_stable_exponent(alpha), 32.0)
+    assert np.max(np.abs(head - cascade)) <= 5e-14
 
 
 def test_far_points_cost_one_reduced_node_set(monkeypatch):
@@ -416,7 +468,7 @@ def test_far_points_cost_one_reduced_node_set(monkeypatch):
     built, calls = [], []
     build = charfn._build_nodes
     monkeypatch.setattr(charfn, "_build_nodes",
-                        lambda law, T, omega: built.append((T, omega)) or build(law, T, omega))
+                        lambda T, omega: built.append((T, omega)) or build(T, omega))
     for name in ("_phase_sums", "_bulk_phase_sums"):
         kernel = getattr(charfn, name)
         monkeypatch.setattr(charfn, name,
@@ -742,36 +794,32 @@ def test_cdf_values_pinned(law, xs, expected):
     assert np.max(np.abs(got - np.array(expected))) < 1e-12
 
 
-# the far-cut reduced law of the dyadic family: its exponent is entire
-REDUCED = g_gamma_law(1.5).split(2.0)[0]
-
-
-def _all_nodes(law, T, omega):
-    t, w, t0, delta, K = _build_nodes(law, T, omega)
+def _all_nodes(T, omega):
+    t, w, t0, delta, K = _build_nodes(T, omega)
     tb, wb = _bulk_nodes(t0, delta, K)
     return np.concatenate([t, tb.ravel()]), np.concatenate([w, wb.ravel()]), t0 + K * delta
 
 
 def test_build_nodes_counts_and_weights():
     # every magnitude group has b >= 32 and omega >= b + 4, and the decay
-    # cutoff T is a power of two from 8 on; a law with log_mgf has a head of
-    # one panel, any other law the 150-level cascade
-    for law, head, want in ((cauchy_law(), 2400, 62), (REDUCED, 16, 62)):
-        pairs = 0
-        for T in (8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0):
-            for omega in (36.0, 37.3, 68.0, 75.17, 132.5, 516.0, 1028.0, 4100.0):
-                need = _node_count(law, T, omega)[1]
-                if need > _NODE_BUDGET:  # cdf_from_cf refuses these before building
-                    continue
-                pairs += 1
-                assert _build_nodes(law, T, omega)[0].size == head
-                t, w, end = _all_nodes(law, T, omega)
-                delta = math.pi / omega
-                assert t.size == need
-                assert T <= end < T + delta
-                assert abs(w.sum() - end) <= 1e-12 * end
-                assert np.all((t > 0.0) & (t < end)) and np.all(w >= 0.0)
-        assert pairs == want
+    # cutoff T is a power of two from 8 on; the node set depends on (T,
+    # omega) alone: a 55-node head on (0, t0] and 12-node bulk panels
+    pairs = 0
+    for T in (8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0):
+        for omega in (36.0, 37.3, 68.0, 75.17, 132.5, 516.0, 1028.0, 4100.0):
+            need = _node_count(T, omega)[1]
+            if need > _NODE_BUDGET:  # cdf_from_cf refuses these before building
+                continue
+            pairs += 1
+            t_head, w_head, t0, *_ = _build_nodes(T, omega)
+            assert t_head.size == 55 and abs(w_head.sum() - t0) <= 1e-15 * t0
+            t, w, end = _all_nodes(T, omega)
+            delta = math.pi / omega
+            assert t.size == need
+            assert T <= end < T + delta
+            assert abs(w.sum() - end) <= 1e-12 * end
+            assert np.all((t > 0.0) & (t <= end)) and np.all(w >= 0.0)
+    assert pairs == 62
 
 
 @pytest.mark.parametrize("T, omega, span, K", [
@@ -781,12 +829,12 @@ def test_build_nodes_counts_and_weights():
     (8.0, 36.0, 6e4, 92),            # the fewest panels the inversion builds
 ])
 def test_factored_bulk_matches_direct_sum(T, omega, span, K):
-    _, _, t0, delta, k = _build_nodes(cauchy_law(), T, omega)
+    _, _, t0, delta, k = _build_nodes(T, omega)
     assert k == K
     tb, wb = _bulk_nodes(t0, delta, K)
     cw = np.exp(cauchy_law()(tb)) * wb / tb
     xs = np.concatenate([np.linspace(-span, span, 7), [0.37, -2.5]])
-    direct = _phase_sums(xs, tb.ravel(), cw.ravel())
+    direct = direct_phase_sums(xs, tb.ravel(), cw.ravel())
     factored = _bulk_phase_sums(xs, cauchy_law(), t0, delta, K)
     assert np.max(np.abs(factored - direct)) <= 1e-12 * np.abs(cw).sum()
 
@@ -840,17 +888,15 @@ def direct_phase_sums(xs, t, cw):
 
 @pytest.mark.parametrize("omega", [40.0, 600.0, 6e4])
 def test_head_phase_sums_match_direct_sum(omega):
-    t, w, *_ = _build_nodes(g_gamma_law(1.5), 16.0, omega)
+    t, w, *_ = _build_nodes(16.0, omega)
     b = omega - 4.0
-    # the deep nodes, summed as two moments, and the rest, summed directly
-    deep = t * b < 2.0 ** -27
-    assert deep.any() and not deep.all()
-    xs = np.array([0.0, b, -b, 0.5 * b, 1e-3, -2.5])
+    # three blocks of points; the head reaches down to t b < 1e-50, where
+    # sin(tx) is tx to rounding
+    xs = np.concatenate([[0.0, b, -b, 0.5 * b, 1e-3, -2.5], np.linspace(-b, b, 2 * _XBLOCK + 5)])
     # Im phi is O(t) near 0, which would hide an error in the cosines there
     for cw in (np.exp(g_gamma_law(1.5)(t)) * w / t, (1.0 + 1.0j) * w / t):
         bound = 1e-15 * np.abs(cw).sum()
         assert np.max(np.abs(_phase_sums(xs, t, cw) - direct_phase_sums(xs, t, cw))) <= bound
-        # x = 0 alone: every node is deep
         assert abs(_phase_sums(np.zeros(1), t, cw)[0] - np.imag(cw).sum()) <= bound
 
 

@@ -164,6 +164,22 @@ def test_petersburg_sum_batch_validation():
     for n, reps in ((0, 10), (10, 0)):
         with pytest.raises(ValueError, match="n >= 1 and reps >= 1"):
             petersburg_sum_batch(n, reps, seed=1)
+    # a non-integral n gave the sums of int(n) draws: [6, 16, 132] at 2.5
+    for n in (2.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match="integer n >= 1"):
+            petersburg_sum_batch(n, 3, seed=1)
+
+
+@pytest.mark.parametrize("cutoff", [math.inf, math.nan])
+def test_poisson_cutoff_must_be_finite(cutoff):
+    # an infinite cutoff raised ZeroDivisionError from the Petersburg tail
+    # integral, drew a Petersburg point at 4 "above" it, or drew empty Pareto
+    # sums; NaN was refused only by the tail formula, which names no cutoff
+    for model in (make_petersburg(1.0), make_pareto(0.5)):
+        with pytest.raises(ValueError, match="cutoff must be positive and finite"):
+            poisson_sum_batch(model, cutoff, 3, seed=1)
+        with pytest.raises(ValueError, match="cutoff must be positive and finite"):
+            sample_poisson_points(model, cutoff, RngStream(1))
 
 
 # -- quantile-transform sampling -------------------------------------------------

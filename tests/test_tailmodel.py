@@ -78,6 +78,16 @@ def test_nan_arguments_raise():
         intensity_tail(m, math.nan)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_tail_is_zero_at_infinity():
+    # the Petersburg steps gave T(inf) = 2 and grid psi warned an invalid value
+    for m in (make_petersburg(), make_pareto(0.5), wavy_grid_model()):
+        assert tail_eval(m, math.inf) == 0.0 and intensity_tail(m, math.inf) == 0.0
+        x = np.array([4.0, math.inf, 8.0])
+        assert np.array_equal(intensity_tail(m, x), [intensity_tail(m, 4.0), 0.0,
+                                                     intensity_tail(m, 8.0)])
+
+
 def test_monotonicity_rejection():
     # ripple too strong: c x^-alpha psi(log_q x) increases somewhere
     u = np.arange(64) / 64.0
