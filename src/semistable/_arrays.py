@@ -1,5 +1,5 @@
-"""The scalar-or-array calling convention and the working-set rule shared
-by the public functions.
+"""The scalar-or-array calling convention, and the working-set and
+work-bound rules shared by the public functions.
 
 The working-set rule: every array kernel (sampling, inversion, KS) works
 in pieces whose temporaries hold at most _CHUNK doubles (256 KiB, within a
@@ -9,11 +9,32 @@ too: each does at most _CHUNK complex multiply-adds (see
 charfn._bulk_phase_sums), below the size from which OpenBLAS hands a
 product to a second thread; on a busy host such a hand-off can stall every
 product of a process about 100x.
+
+The work-bound rule: a call prices work that has no natural limit
+before it draws or integrates, and _check_budget alone refuses it.
 """
+
+import math
+import sys
 
 import numpy as np
 
 _CHUNK = 1 << 15  # doubles per kernel temporary; complex multiply-adds per product
+
+
+class ResourceLimitError(RuntimeError):
+    """A call would pass a work bound (_check_budget); the CLI exits 4."""
+
+
+def _check_budget(need, budget, what):
+    """ResourceLimitError "would need N <what>, over the budget of B" if need
+    passes budget or is NaN (callers check before they draw or integrate);
+    N and B print in %.10g, with more digits where that prints them alike."""
+    if not need <= budget:
+        need = math.inf if need > sys.float_info.max else need  # an int past float64
+        d = next((d for d in range(10, 17) if "%.*g" % (d, need) != "%.*g" % (d, budget)), 17)
+        raise ResourceLimitError("would need %.*g %s, over the budget of %.*g"
+                                 % (d, need, what, d, budget))
 
 
 def elementwise(fn, x, cast=float, cdf_from=None):

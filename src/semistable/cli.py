@@ -6,7 +6,7 @@ but a SEMISTABLE_SEED that is not an integer is a parameter error either
 way), and each artifact embeds its full run configuration.  Exit codes: 0 on
 success, 1 when stdout closes early (a broken pipe, e.g. into head), 2 on
 parse/parameter errors, 3 when an experiment reports pass = false, 4 on
-numeric failure (no decay, point or node budget, float overflow).
+numeric failure (no decay, a work bound, float overflow).
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import sys
 import numpy as np
 
 from . import charfn, coupling, empirics, sampling, tailmodel
+from ._arrays import ResourceLimitError, _check_budget
 
 DEFAULT_SEED = 0xC5D00B5E55AA1234
 SEED_ENV = "SEMISTABLE_SEED"
@@ -38,11 +39,8 @@ def _seed_default() -> int:
         raise ValueError("%s=%r is not an integer" % (SEED_ENV, env)) from None
 
 
-_MAX_GRID_ROWS = 10 ** 6
-
-
 def _parse_grid(spec: str) -> np.ndarray:
-    """Grid 'lo:hi:step' with exactly floor((hi - lo)/step) + 1 rows."""
+    """Grid 'lo:hi:step' with exactly floor((hi - lo)/step) + 1 rows, at most 10^6."""
     try:
         lo, hi, step = (float(p) for p in spec.split(":"))
     except Exception:
@@ -51,11 +49,9 @@ def _parse_grid(spec: str) -> np.ndarray:
         raise ValueError("grid bounds and step must be finite")
     if step <= 0.0 or hi < lo:
         raise ValueError("grid needs hi >= lo and step > 0")
-    span = (hi - lo) / step + 1e-9
-    if not span < _MAX_GRID_ROWS:
-        raise ValueError("grid has more than the %d-row cap" % _MAX_GRID_ROWS)
-    rows = int(math.floor(span)) + 1
-    return lo + step * np.arange(rows)
+    rows = np.floor((hi - lo) / step + 1e-9) + 1.0
+    _check_budget(rows, 10 ** 6, "grid rows")
+    return lo + step * np.arange(int(rows))
 
 
 def _parse_counts(spec: str):
@@ -281,7 +277,7 @@ def _cmd_cdf(args) -> int:
     xs = _parse_grid(args.grid)
     f = charfn.cdf_from_cf(law, xs, tol=args.tol)
     config = _config(args, law=args.law, gamma=args.gamma, alpha=args.alpha,
-                     grid=args.grid, tol=args.tol)
+                     c=args.c, grid=args.grid, tol=args.tol)
     rows = [(float(x), float(v), args.tol) for x, v in zip(xs, f)]
     if args.format in ("json", "jsonl"):
         _emit_summary({"x": xs.tolist(), "F": f.tolist(), "tol": args.tol}, config, args)
@@ -400,7 +396,7 @@ def main(argv=None) -> int:
     except BrokenPipeError:  # the Python docs' recipe: flush at exit to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (charfn.InversionError, sampling.ResourceLimitError, OverflowError) as exc:
+    except (charfn.InversionError, ResourceLimitError, OverflowError) as exc:
         print("numeric failure: %s" % exc, file=sys.stderr)
         return 4
     except ValueError as exc:

@@ -18,13 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sampling import (_POINT_BUDGET, ResourceLimitError, RngStream, _col_chunks,
-                       _finite, _map_blocks, _quiet, _row_groups)
+from .sampling import (_POINT_BUDGET, RngStream, _check_budget, _col_chunks, _finite,
+                       _map_blocks, _quiet, _row_groups)
 from .tailmodel import TailModel, tail_eval
 
 __all__ = ["CoupledPair", "coupled_pair", "coupling_gap_curve", "maximal_fluctuation"]
 
 _C_MULT = 3.0  # fluctuation window |j - n| <= _C_MULT sqrt(n)
+_KS_TOL = 0.02  # the curve's bound on each two-sample KS between the coupled sums
 
 
 @dataclass(frozen=True)
@@ -48,9 +49,7 @@ def _check_coupling_model(model: TailModel, n: int, window: bool = False) -> int
     if abs(tail_eval(model, model.x0) - 1.0) > 1e-9:
         raise ValueError("coupling needs unit total mass: T(x0) = 1")
     half = math.ceil(_C_MULT * math.sqrt(n)) if window else 0
-    if n + half > _POINT_BUDGET:
-        raise ResourceLimitError("%d terms per path exceed the %.0g budget"
-                                 % (n + half, _POINT_BUDGET))
+    _check_budget(n + half, _POINT_BUDGET, "terms per path")
     return half
 
 
@@ -139,14 +138,13 @@ def maximal_fluctuation(model: TailModel, n: int, rng: RngStream) -> float:
 
 
 def coupling_gap_curve(model: TailModel, n_list, reps: int, rng: RngStream,
-                       threads: int = 1, with_ks: bool = True,
-                       ks_tolerance: float = 0.02):
+                       threads: int = 1, with_ks: bool = True):
     """Gap statistics across n: medians, 0.9-quantiles, the monotone-trend
     fraction, per-n two-sample KS between the coupled sums, and the median
     maximal fluctuation.
 
     Returns an ExperimentReport; pass requires every adjacent median pair to
-    decrease (fraction 1.0) and, when with_ks, each KS below ks_tolerance.
+    decrease (fraction 1.0) and, when with_ks, each KS at most _KS_TOL = 0.02.
     The fluctuation window is |j - n| <= 3 sqrt(n); reps x (n + window
     half-width) must stay within the 2^32 draw budget at every n; threads
     is ignored.
@@ -173,7 +171,7 @@ def coupling_gap_curve(model: TailModel, n_list, reps: int, rng: RngStream,
     drops = [b < a for a, b in zip(medians, medians[1:])]
     fraction = sum(drops) / len(drops) if drops else 1.0
     passed = fraction == 1.0 and (
-        not with_ks or all(r["ks"] <= ks_tolerance for r in rows))
+        not with_ks or all(r["ks"] <= _KS_TOL for r in rows))
     q25, q75 = np.quantile(vals[:, 2], [0.25, 0.75])  # last n: median stderr from the IQR
     stderr = 1.2533 * ((q75 - q25) / 1.349) / math.sqrt(reps) if reps > 1 else None
     return ExperimentReport(
@@ -184,6 +182,6 @@ def coupling_gap_curve(model: TailModel, n_list, reps: int, rng: RngStream,
         stderr=stderr,
         seed=rng.seed,
         tolerance={"monotone_fraction": 1.0,
-                   "ks": ks_tolerance if with_ks else None},
+                   "ks": _KS_TOL if with_ks else None},
         passed=bool(passed),
     )

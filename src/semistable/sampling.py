@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._arrays import _CHUNK
+from ._arrays import _CHUNK, ResourceLimitError, _check_budget
 from .tailmodel import (TailModel, _finite, intensity_quantile, intensity_tail,
                         model_to_json, tail_eval, tail_first_moment)
 
@@ -64,10 +64,6 @@ _STRIDE = 10 ** 7  # stream-id block separating experiment phases
 _WORKER_NAME = "semistable-block"  # the pool's threads; their calls run in line
 # kernels run under it (per thread), so that _finite's error comes with no warning
 _quiet = functools.partial(np.errstate, over="ignore", invalid="ignore")
-
-
-class ResourceLimitError(RuntimeError):
-    """Expected point count exceeds the practical generation budget."""
 
 
 @dataclass(frozen=True)
@@ -118,9 +114,7 @@ def _map_blocks(phases, reps: int, seed: int, base_stream: int = 0):
     if reps < 1:
         raise ValueError("reps must be >= 1")
     for _, draws in phases:
-        if reps * draws > _DRAW_BUDGET:
-            raise ResourceLimitError(
-                "%d replicates x %d draws exceed the 2^32 draw budget" % (reps, draws))
+        _check_budget(reps * draws, _DRAW_BUDGET, "draws in one phase")
     blocks, cpus = range(-(-reps // BLOCK)), _cpus()
     inline = (min(len(blocks), cpus) == 1
               or threading.current_thread().name.startswith(_WORKER_NAME))
@@ -207,8 +201,7 @@ def _uniform_batch(transform, n: int, rng: RngStream, model: str,
     2^26 draws, as the batch is held in memory like a point set."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > _POINT_SET_BUDGET:
-        raise ResourceLimitError("%d draws exceed the 2^26 a batch may hold" % n)
+    _check_budget(n, _POINT_SET_BUDGET, "draws held in memory")
     gen = rng.generator()
     values = transform(_open01(gen, n))
     if symmetrize:
@@ -320,16 +313,12 @@ def points_from_arrivals(model: TailModel, arrivals):
 
 
 def _point_rate(model: TailModel, cutoff: float, budget=_POINT_BUDGET,
-                what="budget") -> float:
+                what="expected points") -> float:
     """Expected point count T(cutoff) above the cutoff, within the budget."""
     if not 0.0 < cutoff < math.inf:
         raise ValueError("cutoff must be positive and finite, got %s" % cutoff)
     lam = intensity_tail(model, cutoff)
-    if lam > budget:
-        # the fewest digits (from 3) that tell the two numbers apart
-        d = next(d for d in range(3, 18) if "%.*g" % (d, lam) != "%.*g" % (d, budget))
-        raise ResourceLimitError(
-            "expected point count %.*g exceeds the %.*g %s" % (d, lam, d, budget, what))
+    _check_budget(lam, budget, what)
     return lam
 
 
@@ -337,7 +326,7 @@ def sample_poisson_points(model: TailModel, cutoff: float,
                           rng: RngStream) -> PoissonPointSet:
     """Points of the Poisson process with intensity tails T above the cutoff,
     all held in memory: at most 2^26 expected."""
-    lam = _point_rate(model, cutoff, _POINT_SET_BUDGET)
+    lam = _point_rate(model, cutoff, _POINT_SET_BUDGET, "expected points held in memory")
     arr = _arrivals_below(rng.generator(), lam)
     pts = points_from_arrivals(model, arr) if arr.size else np.empty(0)
     return PoissonPointSet(points=pts, arrival_times=arr,
@@ -431,7 +420,7 @@ def poisson_sum_batch(model: TailModel, cutoff: float, reps: int, seed: int,
     classes = 2 if symmetric else 1
     if model.psi_kind == "petersburg":
         lam = _point_rate(model, cutoff, classes * _POISSON_MAX,
-                          "limit of numpy's Poisson draws")
+                          "expected points in numpy's Poisson draws")
         kernel = functools.partial(_level_poisson_block, model, lam, math.frexp(cutoff)[1])
         draws = classes * math.ceil(lam).bit_length()
     else:
@@ -484,9 +473,7 @@ def _lepage_prep(alpha, n_terms, symmetric):
     p = int(n_terms) if n_terms is not None else lepage_auto_terms(alpha, symmetric)
     if p < 1:
         raise ValueError("n_terms must be >= 1")
-    if p > 10 ** 8:
-        raise ResourceLimitError(
-            "series truncation at %d terms exceeds the budget; pass n_terms" % p)
+    _check_budget(p, 10 ** 8, "series terms")
     return p
 
 

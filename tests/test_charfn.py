@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammainc, ndtr
 
-from semistable._arrays import _CHUNK
+from semistable._arrays import _CHUNK, ResourceLimitError
 from semistable.charfn import (_NODE_BUDGET, _XBLOCK, CfExponent, InversionError,
                                TabulatedCdf, _build_nodes, _bulk_nodes,
                                _bulk_phase_sums, _node_count, _phase_sums,
@@ -280,9 +280,6 @@ def test_cdf_tol_validation_and_failure():
     (lambda: cdf_from_cf(gaussian_law(), 0.5, tol=math.inf), "tol"),
     # warned "All-NaN slice"
     (lambda: tabulate_cdf(gaussian_law(), -1.0, 1.0, tol=math.nan), "tol"),
-    # accepted, to fail later converting NaN to an integer level
-    (lambda: g_gamma_law(1.5, tol=math.nan), "tol"),
-    (lambda: g_gamma_law(1.5, tol=math.inf), "tol"),
     (lambda: g_exponent(1.0, tol=math.inf), "tol"),
     # inf gave F = 0.5 everywhere, NaN "does not decay"
     (lambda: cauchy_law(math.inf), "scale"),
@@ -292,8 +289,7 @@ def test_cdf_tol_validation_and_failure():
     (lambda: one_sided_stable_exponent(0.5, c=math.nan), "c"),
     (lambda: convolution_power(gaussian_law(), math.inf), "power k"),
     (lambda: convolution_power(gaussian_law(), math.nan), "power k"),
-], ids=["cdf-tol-nan", "cdf-tol-inf", "table-tol-nan", "g-gamma-tol-nan", "g-gamma-tol-inf",
-        "g-tol-inf", "cauchy-inf", "cauchy-nan", "stable-c-inf", "stable-c-nan",
+], ids=["cdf-tol-nan", "cdf-tol-inf", "table-tol-nan", "g-tol-inf", "cauchy-inf", "cauchy-nan", "stable-c-inf", "stable-c-nan",
         "power-inf", "power-nan"])
 def test_non_finite_parameters_are_refused_by_name(call, name):
     with pytest.raises(ValueError, match="^%s must be .*finite" % name):
@@ -331,11 +327,11 @@ def test_g_exponent_rejects_nan():
 def test_cdf_node_budget():
     # t + pi/omega == t at x = 1e300: the panel loop used to never finish
     start = time.perf_counter()
-    with pytest.raises(InversionError, match="quadrature nodes"):
+    with pytest.raises(ResourceLimitError, match="quadrature nodes"):
         cdf_from_cf(cauchy_law(), 1e300)
     assert time.perf_counter() - start < 1.0
     # the far points of the dyadic family cost lattice points, not nodes
-    with pytest.raises(InversionError, match="lattice points"):
+    with pytest.raises(ResourceLimitError, match="lattice points"):
         cdf_from_cf(g_gamma_law(1.5), [0.0, 1.7e308])
     assert 0.999 < cdf_from_cf(g_gamma_law(1.5), 1e4) < 1.0
 
@@ -351,7 +347,7 @@ def test_node_budget_checked_before_any_quadrature(monkeypatch):
         monkeypatch.setattr(charfn, name,
                             lambda *a, kernel=kernel, name=name: calls.append(name) or kernel(*a))
     drift = CfExponent(fn=lambda t: -0.5 * t * t + 5000j * t)
-    with pytest.raises(InversionError, match="quadrature nodes"):
+    with pytest.raises(ResourceLimitError, match="quadrature nodes"):
         cdf_from_cf(drift, [0.0, 1e5])
     assert calls == []
     # inside the budget the kernels run once per magnitude group
@@ -381,8 +377,8 @@ def test_node_budget_prices_the_entire_head(K, fits):
         if fits:
             assert np.max(np.abs(cdf_from_cf(law, xs) - ndtr([-1.0, 1.0]))) < 1e-8
         else:
-            with pytest.raises(InversionError, match="need %d quadrature nodes, over the "
-                                                     "budget of %d" % (need, _NODE_BUDGET)):
+            with pytest.raises(ResourceLimitError, match="need %d quadrature nodes, over the "
+                                                         "budget of %d" % (need, _NODE_BUDGET)):
                 cdf_from_cf(law, xs)
 
 
@@ -485,7 +481,7 @@ def test_far_points_cost_one_reduced_node_set(monkeypatch):
     assert 0.999 < cdf_from_cf(law, 1e6) < 1.0
     # the lattice budget refuses before any quadrature
     calls.clear()
-    with pytest.raises(InversionError, match="lattice points"):
+    with pytest.raises(ResourceLimitError, match="lattice points"):
         cdf_from_cf(law, [0.0, 1.7e308])
     assert calls == []
 
@@ -610,7 +606,7 @@ def test_tabulate_cdf_spans_x_lo_to_x_hi_about_the_knee():
 
 
 def test_tabulate_cdf_refuses_a_body_past_the_point_budget():
-    with pytest.raises(InversionError, match="table points"):
+    with pytest.raises(ResourceLimitError, match="table points"):
         tabulate_cdf(cauchy_law(), -1e300, 0.0)
 
 

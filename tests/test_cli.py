@@ -1,3 +1,4 @@
+import argparse
 import functools
 import io
 import json
@@ -136,7 +137,7 @@ def test_sample_size_bound(monkeypatch, capsys):
     monkeypatch.setattr(sampling.RngStream, "generator", spy)
     for argv in (["--n", str(2 ** 26 + 1)], ["--n", str(2 ** 50), "--x0", "4"]):
         assert main(["sample"] + argv) == 4
-        assert "2^26" in capsys.readouterr().err
+        assert "draws held in memory, over the budget of 67108864" in capsys.readouterr().err
     assert opened == []
 
 
@@ -163,6 +164,25 @@ def test_cdf_gamma_law(tmp_path):
     assert len(read(out).splitlines()) == 7
 
 
+def test_cdf_config_records_every_flag(tmp_path):
+    # --c sets the stable law's scale, and the config line did not record
+    # it: the two runs below wrote different F under the same config
+    configs, rows = [], []
+    for c in ("1", "2"):
+        out = tmp_path / ("c%s.csv" % c)
+        assert main(["cdf", "--law", "stable", "--alpha", "0.5", "--c", c,
+                     "--grid", "1:2:1", "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        configs.append(json.loads(lines[0][len("# config: "):]))
+        rows.append(lines[2:])
+    assert rows[0] != rows[1] and configs[0] != configs[1]
+    assert [cfg["params"]["c"] for cfg in configs] == [1.0, 2.0]
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    flags = {a.dest for a in sub.choices["cdf"]._actions}
+    assert set(configs[0]["params"]) == flags - {"help", "seed", "out", "format", "threads"}
+
+
 def test_cdf_bad_grid():
     assert main(["cdf", "--law", "g", "--grid", "5:1:0.1"]) == 2
     assert main(["cdf", "--law", "g", "--grid", "nope"]) == 2
@@ -175,9 +195,10 @@ def test_cdf_non_finite_grid(grid):
 
 
 def test_cdf_grid_row_cap(capsys):
-    # the row count used to overflow int() into an OverflowError traceback
-    assert main(["cdf", "--law", "cauchy", "--grid", "0:1e308:1e-308"]) == 2
-    assert "1000000-row cap" in capsys.readouterr().err
+    # the row count used to overflow int() into an OverflowError traceback;
+    # past 10^6 rows the grid is a work bound like the others (exit 4)
+    assert main(["cdf", "--law", "cauchy", "--grid", "0:1e308:1e-308"]) == 4
+    assert "would need inf grid rows, over the budget of 1000000" in capsys.readouterr().err
 
 
 def test_cdf_node_budget_exit_code(capsys):
@@ -211,7 +232,7 @@ def test_draw_budget_exit_code(argv, capsys):
     t0 = time.perf_counter()
     assert main(argv) == 4
     assert time.perf_counter() - t0 < 1.0
-    assert "2^32 draw budget" in capsys.readouterr().err
+    assert "draws in one phase, over the budget of 4294967296" in capsys.readouterr().err
 
 
 def test_orderstats_n_bound_exit_code(capsys):
@@ -225,7 +246,8 @@ def test_coupling_work_budget_exit_code(capsys):
     t0 = time.perf_counter()
     assert main(["coupling", "--n-list", "100,1000000000000"]) == 4
     assert time.perf_counter() - t0 < 1.0
-    assert "1e+09 budget" in capsys.readouterr().err
+    assert ("would need 1.000003e+12 terms per path, over the budget of 1000000000"
+            in capsys.readouterr().err)
 
 
 def test_parse_error_exit_code():
@@ -339,7 +361,7 @@ def test_lepage_defaults_exceed_the_draw_budget(capsys):
     t0 = time.perf_counter()
     assert main(["lepage"]) == 4
     assert time.perf_counter() - t0 < 1.0
-    assert "2^32 draw budget" in capsys.readouterr().err
+    assert "draws in one phase, over the budget of 4294967296" in capsys.readouterr().err
 
 
 def test_coupling_csv(tmp_path):
@@ -417,7 +439,7 @@ def test_cold_start_loads_no_scipy():
     res = subprocess.run([sys.executable, "-m", "semistable.cli", "lepage"], env=env,
                          capture_output=True, text=True, timeout=120)
     assert res.returncode == 4, res.stderr
-    assert "2^32 draw budget" in res.stderr
+    assert "draws in one phase, over the budget of 4294967296" in res.stderr
 
 
 @pytest.mark.parametrize("argv", [
