@@ -149,19 +149,19 @@ def g_exponent(t, tol: float = 1e-12, max_jump=None):
     return elementwise(series, t, complex)
 
 
-def g_gamma_exponent(t, gamma: float, tol: float = 1e-12, max_jump=None):
+def g_gamma_exponent(t, gamma: float, max_jump=None):
     """Exponent of the dyadic merging family: gamma * g(t/gamma) - i t log2(gamma).
 
     gamma ranges over [1, 2]; the two endpoints give the same law (the
-    telescoping identity g(t) = 2 g(t/2) - i t closes the family).  Its
-    jumps sit at 2^l / gamma with mass gamma 2^-l; max_jump drops those
-    above it, as in g_exponent.
+    telescoping identity g(t) = 2 g(t/2) - i t closes the family).  The
+    series runs at tol _LAW_TOL.  Its jumps sit at 2^l / gamma with mass
+    gamma 2^-l; max_jump drops those above it, as in g_exponent.
     """
     if not (1.0 <= gamma <= 2.0):
         raise ValueError("gamma must lie in [1, 2]")
     ta = np.asarray(t, dtype=float)
     mj = None if max_jump is None else max_jump * gamma
-    return gamma * g_exponent(ta / gamma, tol / gamma, mj) - 1j * ta * math.log2(gamma)
+    return gamma * g_exponent(ta / gamma, _LAW_TOL / gamma, mj) - 1j * ta * math.log2(gamma)
 
 
 def _dyadic_log_mgf(s, gamma: float, L: int):
@@ -190,11 +190,11 @@ def g_gamma_law(gamma: float) -> CfExponent:
         # the reduced series stops at level L; the jumps 2^l / gamma, l > L,
         # are a 2^j with a = 2^(L+1) / gamma and rates (Lambda/2) 2^-j
         L = _top_level(_LAW_TOL / gamma, cut * gamma)
-        reduced = CfExponent(fn=lambda t: g_gamma_exponent(t, gamma, _LAW_TOL, cut),
+        reduced = CfExponent(fn=lambda t: g_gamma_exponent(t, gamma, cut),
                              log_mgf=lambda s: _dyadic_log_mgf(s, gamma, L))
         return reduced, 2.0 ** (L + 1) / gamma, gamma * 2.0 ** -L
 
-    return CfExponent(fn=lambda t: g_gamma_exponent(t, gamma, _LAW_TOL), split=split)
+    return CfExponent(fn=lambda t: g_gamma_exponent(t, gamma), split=split)
 
 
 # -- closed-form reference exponents ----------------------------------------

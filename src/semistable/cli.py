@@ -1,17 +1,20 @@
 """Command-line surface: samplers, CDF tables and the experiment suite.
 
+Every subcommand is one row of _COMMANDS, and each artifact records that
+row's flags (plus --reps where it has one) as its run configuration.
 Every run is reproducible: the seed defaults to a fixed constant (override
 with --seed or the SEMISTABLE_SEED environment variable; the flag wins,
 but a SEMISTABLE_SEED that is not an integer is a parameter error either
-way), and each artifact embeds its full run configuration.  Exit codes: 0 on
-success, 1 when stdout closes early (a broken pipe, e.g. into head), 2 on
-parse/parameter errors, 3 when an experiment reports pass = false, 4 on
+way).  Exit codes: 0 on success, 1 when stdout closes early (a broken
+pipe, e.g. into head), 2 on parse/parameter errors and an --out that
+cannot be written, 3 when an experiment reports pass = false, 4 on
 numeric failure (no decay, a work bound, float overflow).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -66,6 +69,19 @@ def _fmt(v: float) -> str:
     return "%.17g" % v
 
 
+def _config(args) -> dict:
+    """The run configuration: every flag of the subcommand's row, plus --reps."""
+    _, _, flags, reps = _COMMANDS[args.command]
+    keys = [flag[2:].replace("-", "_") for flag, _ in flags] + (["reps"] if reps else [])
+    return {
+        "subcommand": args.command,
+        "seed": args.seed,
+        "params": {k: getattr(args, k) for k in keys},
+        "out": args.out,
+        "format": args.format or "json",
+    }
+
+
 def _write_lines(path, lines):
     """lines to the file at path, or to stdout when path is None."""
     if path is None:
@@ -75,15 +91,19 @@ def _write_lines(path, lines):
         fh.write("\n".join(lines) + "\n")
 
 
-def _write_csv(path, config, header, rows):
-    lines = ["# config: " + json.dumps(config, sort_keys=True), ",".join(header)]
-    lines += [",".join(_fmt(c) if isinstance(c, float) else str(c) for c in row)
-              for row in rows]
-    _write_lines(path, lines)
+def _write_commented(args, lines):
+    """lines under a '# config:' comment, to --out or stdout."""
+    _write_lines(args.out, ["# config: " + json.dumps(_config(args), sort_keys=True)]
+                 + lines)
 
 
-def _emit_summary(report_dict, config, args):
-    doc = dict(report_dict, config=config)
+def _csv_rows(rows):
+    return [",".join(_fmt(c) if isinstance(c, float) else str(c) for c in row)
+            for row in rows]
+
+
+def _emit_summary(report_dict, args):
+    doc = dict(report_dict, config=_config(args))
     text = json.dumps(doc, sort_keys=True)
     if args.out and args.format == "jsonl":
         with open(args.out, "a", newline="\n") as fh:
@@ -92,16 +112,6 @@ def _emit_summary(report_dict, config, args):
         _write_lines(args.out, [json.dumps(doc, sort_keys=True, indent=2)])
     else:
         print(text)
-
-
-def _config(args, **params) -> dict:
-    return {
-        "subcommand": args.command,
-        "seed": args.seed,
-        "params": params,
-        "out": args.out,
-        "format": args.format or "json",
-    }
 
 
 def _build_model(args) -> tailmodel.TailModel:
@@ -125,6 +135,72 @@ _LAWS = {
 }
 
 
+# -- subcommand bodies ---------------------------------------------------------
+
+
+def _cmd_sample(args) -> int:
+    rng = sampling.RngStream(args.seed, args.stream)
+    if args.model == "petersburg" and args.model_json is None and args.x0 is None:
+        # the game itself; with --x0 the model draws X | X > x0
+        batch = sampling._uniform_batch(sampling.petersburg_from_uniform, args.n,
+                                        rng, "petersburg", args.symmetrize)
+    else:
+        batch = sampling.sample_tail_model(_build_model(args), args.n, rng,
+                                           symmetrize=args.symmetrize)
+    csv = args.format == "csv" or (args.format is None and args.out)
+    if csv and args.out:  # with its JSON sidecar
+        sampling.write_batch(batch, args.out, _config(args))
+    elif csv:
+        _write_lines(None, sampling._csv_lines(batch))
+    else:
+        _emit_summary({"values": list(batch.values), "metadata": batch.metadata()},
+                      args)
+    return 0
+
+
+def _cmd_cdf(args) -> int:
+    law = _LAWS[args.law](args)
+    xs = _parse_grid(args.grid)
+    f = charfn.cdf_from_cf(law, xs, tol=args.tol)
+    rows = [(float(x), float(v), args.tol) for x, v in zip(xs, f)]
+    if args.format in ("json", "jsonl"):
+        _emit_summary({"x": xs.tolist(), "F": f.tolist(), "tol": args.tol}, args)
+    elif args.out:
+        _write_commented(args, ["x,F,tol"] + _csv_rows(rows))
+    else:  # bare rows, for piping
+        _write_lines(None, _csv_rows(rows))
+    return 0
+
+
+def _cmd_experiment(args, run) -> int:
+    if args.format == "csv" and args.command != "coupling":
+        raise ValueError("--format csv is the coupling curve's format; use json or jsonl")
+    report = run(args, sampling.RngStream(args.seed))
+    if args.format == "csv":  # the coupling curve
+        rows = [(r["n"], r["median_gap"], r["q90_gap"], r["ks"])
+                for r in report.statistic["rows"]]
+        _write_commented(args, ["n,median_gap,q90_gap,ks"] + _csv_rows(rows))
+    else:
+        _emit_summary(report.to_dict(), args)
+    return 0 if report.passed else 3
+
+
+def _experiment(run):
+    """The handler of an experiment row; run(args, rng) -> ExperimentReport."""
+    return functools.partial(_cmd_experiment, run=run)
+
+
+def _cmd_selftest(args) -> int:
+    code, lines = run_selftest(args.seed)
+    _write_lines(None, lines)
+    if args.out:
+        _write_commented(args, lines)
+    return code
+
+
+# -- the subcommand table ---------------------------------------------------------
+
+
 _REQUIRED_INT = {"type": int, "required": True}
 
 
@@ -140,35 +216,48 @@ def _real(default):
     return {"type": _finite, "default": default}
 
 
-# name: (help, run(args, rng) -> ExperimentReport, flags, default --reps);
+# name: (help, handler(args) -> exit code, flags, default --reps or None);
 # the artifact config records every flag of the row plus --reps
-_EXPERIMENTS = {
+_COMMANDS = {
+    "sample": (
+        "draw a sample batch (CSV + JSON sidecar)", _cmd_sample,
+        [("--model", {"choices": ("petersburg", "pareto"), "default": "petersburg"}),
+         ("--model-json", {"default": None, "help": "TailModel JSON document path"}),
+         ("--alpha", _real(0.5)), ("--c", _real(1.0)), ("--x0", _real(None)),
+         ("--n", _REQUIRED_INT), ("--symmetrize", {"action": "store_true"}),
+         ("--stream", {"type": int, "default": 0})], None),
+    "cdf": (
+        "tabulate an inverted CDF on a grid", _cmd_cdf,
+        [("--law", {"choices": _LAWS, "required": True}), ("--gamma", _real(1.0)),
+         ("--alpha", _real(0.5)), ("--c", _real(1.0)),
+         ("--grid", {"required": True, "help": "lo:hi:step"}), ("--tol", _real(1e-8))],
+        None),
     "merging": (
         "sup distance of S_n/n - log2 n to the family law at gamma_n",
-        lambda a, rng: empirics.merging_experiment(a.n, a.reps, rng,
-                                                   tolerance=a.tolerance),
+        _experiment(lambda a, rng: empirics.merging_experiment(
+            a.n, a.reps, rng, tolerance=a.tolerance)),
         [("--n", _REQUIRED_INT), ("--tolerance", _real(0.03))], 200000),
     "mlof": (
         "dyadic-subsequence limit: KS at n = 2^k",
-        lambda a, rng: empirics.martin_lof_experiment(a.k, a.reps, rng,
-                                                      tolerance=a.tolerance),
+        _experiment(lambda a, rng: empirics.martin_lof_experiment(
+            a.k, a.reps, rng, tolerance=a.tolerance)),
         [("--k", _REQUIRED_INT), ("--tolerance", _real(0.02))], 200000),
     "feller": (
         "weak-law exceedance vs the limit prediction",
-        lambda a, rng: empirics.feller_experiment(a.n, a.reps, rng),
+        _experiment(lambda a, rng: empirics.feller_experiment(a.n, a.reps, rng)),
         [("--n", _REQUIRED_INT)], 2000),
     "coupling": (
         "gap curve of the Poisson-count coupling",
-        lambda a, rng: coupling.coupling_gap_curve(tailmodel.make_pareto(a.alpha),
-                                                   a.n_list, a.reps, rng),
+        _experiment(lambda a, rng: coupling.coupling_gap_curve(
+            tailmodel.make_pareto(a.alpha), a.n_list, a.reps, rng)),
         [("--alpha", _real(0.5)),
          ("--n-list", {"type": _parse_counts, "default": "100,1000,10000"})], 10000),
     "lepage": (
         "LePage series vs normalized block sums",
-        lambda a, rng: empirics.lepage_limit_experiment(
+        _experiment(lambda a, rng: empirics.lepage_limit_experiment(
             a.alpha, a.k, a.reps, rng, symmetric=a.symmetric,
             n_terms=None if a.n_terms in (None, "auto") else int(a.n_terms),
-            tolerance=a.tolerance),
+            tolerance=a.tolerance)),
         [("--alpha", _real(0.5)), ("--k", {"type": int, "default": 14}),
          ("--symmetric", {"action": "store_true"}),
          ("--n-terms", {"default": None,
@@ -176,33 +265,41 @@ _EXPERIMENTS = {
          ("--tolerance", _real(0.015))], 100000),
     "orderstats": (
         "uniform order statistics vs the Gamma limit",
-        lambda a, rng: empirics.order_statistics_experiment(
-            a.p, a.n, a.reps, rng, ks_tolerance=a.tolerance),
+        _experiment(lambda a, rng: empirics.order_statistics_experiment(
+            a.p, a.n, a.reps, rng, ks_tolerance=a.tolerance)),
         [("--p", _REQUIRED_INT), ("--n", _REQUIRED_INT), ("--tolerance", _real(0.012))], 100000),
     "negligibility": (
         "max-to-sum ratio across tail exponents",
-        lambda a, rng: empirics.negligibility_experiment(a.alphas, a.n, a.reps, rng),
+        _experiment(lambda a, rng: empirics.negligibility_experiment(
+            a.alphas, a.n, a.reps, rng)),
         [("--alphas", {"type": _parse_reals, "default": "0.5,2.5"}),
          ("--n", {"type": int, "default": 10000})], 1000),
     "sweep": (
         "merging walk across one dyadic octave",
-        lambda a, rng: empirics.merging_sweep(a.k, a.points, a.reps, rng,
-                                              tol_max=a.tol_max,
-                                              tol_two_sample=a.tol_two_sample),
+        _experiment(lambda a, rng: empirics.merging_sweep(
+            a.k, a.points, a.reps, rng, tol_max=a.tol_max,
+            tol_two_sample=a.tol_two_sample)),
         [("--k", _REQUIRED_INT), ("--points", {"type": int, "default": 8}),
          ("--tol-max", _real(0.04)), ("--tol-two-sample", _real(0.015))], 100000),
+    "selftest": ("fast subset of the acceptance checks", _cmd_selftest, [], None),
 }
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every _COMMANDS row, built once per process on first use."""
     ap = argparse.ArgumentParser(
         prog="semistable",
         description="St. Petersburg / semistable limit laws: samplers, CDF "
                     "inversion and Monte Carlo experiments.")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(p, reps_default=None):
-        p.add_argument("--seed", type=lambda s: int(s, 0), default=_seed_default(),
+    for name, (help_, _, flags, reps) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_)
+        # let values like the grid -5:15:0.1 pass as values, not option strings
+        p._negative_number_matcher = re.compile(r"^-\d")
+        for flag, kwargs in flags:
+            p.add_argument(flag, **kwargs)
+        p.add_argument("--seed", type=lambda s: int(s, 0), default=None,
                        help="PRNG seed (default fixed; env %s overrides)" % SEED_ENV)
         p.add_argument("--out", default=None, help="artifact path (default: stdout)")
         p.add_argument("--format", choices=("csv", "json", "jsonl"), default=None,
@@ -210,99 +307,9 @@ def _build_parser() -> argparse.ArgumentParser:
                             "write csv, the rest json")
         p.add_argument("--threads", type=int, default=1,
                        help="accepted and ignored; outputs do not depend on it")
-        if reps_default is not None:
-            p.add_argument("--reps", type=int, default=reps_default)
-
-    p = sub.add_parser("sample", help="draw a sample batch (CSV + JSON sidecar)")
-    p.add_argument("--model", choices=("petersburg", "pareto"), default="petersburg")
-    p.add_argument("--model-json", default=None, help="TailModel JSON document path")
-    p.add_argument("--alpha", type=_finite, default=0.5)
-    p.add_argument("--c", type=_finite, default=1.0)
-    p.add_argument("--x0", type=_finite, default=None)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--symmetrize", action="store_true")
-    p.add_argument("--stream", type=int, default=0)
-    common(p)
-
-    p = sub.add_parser("cdf", help="tabulate an inverted CDF on a grid")
-    # let grid specs like -5:15:0.1 pass as values rather than option strings
-    p._negative_number_matcher = re.compile(r"^-\d")
-    p.add_argument("--law", choices=_LAWS, required=True)
-    p.add_argument("--gamma", type=_finite, default=1.0)
-    p.add_argument("--alpha", type=_finite, default=0.5)
-    p.add_argument("--c", type=_finite, default=1.0)
-    p.add_argument("--grid", required=True, help="lo:hi:step")
-    p.add_argument("--tol", type=_finite, default=1e-8)
-    common(p)
-
-    for name, (help_, _, flags, reps) in _EXPERIMENTS.items():
-        p = sub.add_parser(name, help=help_)
-        for flag, kwargs in flags:
-            p.add_argument(flag, **kwargs)
-        common(p, reps_default=reps)
-
-    p = sub.add_parser("selftest", help="fast subset of the acceptance checks")
-    common(p)
-
+        if reps is not None:
+            p.add_argument("--reps", type=int, default=reps)
     return ap
-
-
-# -- subcommand bodies ---------------------------------------------------------
-
-
-def _cmd_sample(args) -> int:
-    rng = sampling.RngStream(args.seed, args.stream)
-    if args.model == "petersburg" and args.model_json is None and args.x0 is None:
-        # the game itself; with --x0 the model draws X | X > x0
-        batch = sampling._uniform_batch(sampling.petersburg_from_uniform, args.n,
-                                        rng, "petersburg", args.symmetrize)
-    else:
-        batch = sampling.sample_tail_model(_build_model(args), args.n, rng,
-                                           symmetrize=args.symmetrize)
-    config = _config(args, model=args.model, n=args.n, stream=args.stream,
-                     symmetrize=bool(args.symmetrize))
-    csv = args.format == "csv" or (args.format is None and args.out)
-    if csv and args.out:  # with its JSON sidecar
-        sampling.write_batch(batch, args.out, config)
-    elif csv:
-        _write_lines(None, sampling._csv_lines(batch))
-    else:
-        _emit_summary({"values": list(batch.values), "metadata": batch.metadata()},
-                      config, args)
-    return 0
-
-
-def _cmd_cdf(args) -> int:
-    law = _LAWS[args.law](args)
-    xs = _parse_grid(args.grid)
-    f = charfn.cdf_from_cf(law, xs, tol=args.tol)
-    config = _config(args, law=args.law, gamma=args.gamma, alpha=args.alpha,
-                     c=args.c, grid=args.grid, tol=args.tol)
-    rows = [(float(x), float(v), args.tol) for x, v in zip(xs, f)]
-    if args.format in ("json", "jsonl"):
-        _emit_summary({"x": xs.tolist(), "F": f.tolist(), "tol": args.tol}, config, args)
-    elif args.out:
-        _write_csv(args.out, config, ("x", "F", "tol"), rows)
-    else:
-        for row in rows:
-            print(",".join(_fmt(v) for v in row))
-    return 0
-
-
-def _cmd_experiment(args) -> int:
-    _, run, flags, _ = _EXPERIMENTS[args.command]
-    if args.format == "csv" and args.command != "coupling":
-        raise ValueError("--format csv is the coupling curve's format; use json or jsonl")
-    keys = [flag[2:].replace("-", "_") for flag, _ in flags] + ["reps"]
-    config = _config(args, **{k: getattr(args, k) for k in keys})
-    report = run(args, sampling.RngStream(args.seed))
-    if args.format == "csv":  # the coupling curve
-        rows = [(r["n"], r["median_gap"], r["q90_gap"], r["ks"])
-                for r in report.statistic["rows"]]
-        _write_csv(args.out, config, ("n", "median_gap", "q90_gap", "ks"), rows)
-    else:
-        _emit_summary(report.to_dict(), config, args)
-    return 0 if report.passed else 3
 
 
 # -- selftest -------------------------------------------------------------------
@@ -371,24 +378,13 @@ def run_selftest(seed: int):
     return (0 if all(ok for *_, ok in checks) else 3), lines
 
 
-def _cmd_selftest(args) -> int:
-    code, lines = run_selftest(args.seed)
-    for line in lines:
-        print(line)
-    if args.out:
-        _write_lines(args.out, ["# config: " + json.dumps(
-            _config(args), sort_keys=True)] + lines)
-    return code
-
-
-_DISPATCH = {"sample": _cmd_sample, "cdf": _cmd_cdf, "selftest": _cmd_selftest,
-             **dict.fromkeys(_EXPERIMENTS, _cmd_experiment)}
-
-
 def main(argv=None) -> int:
     try:
+        seed = _seed_default()  # the one read of the environment
         args = _build_parser().parse_args(argv)
-        code = _DISPATCH[args.command](args)
+        if args.seed is None:
+            args.seed = seed
+        code = _COMMANDS[args.command][1](args)
         sys.stdout.flush()  # a closed pipe raises here, not at exit
         return code
     except SystemExit as exc:  # from argparse
@@ -399,7 +395,7 @@ def main(argv=None) -> int:
     except (charfn.InversionError, ResourceLimitError, OverflowError) as exc:
         print("numeric failure: %s" % exc, file=sys.stderr)
         return 4
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # OSError: an --out that cannot be written
         print("parameter error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -175,8 +175,8 @@ class ExperimentReport:
         doc["pass"] = doc.pop("passed")
         return doc
 
-    def to_json(self, indent=None) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 # -- shared limit tables -------------------------------------------------------

@@ -56,7 +56,8 @@ def test_sample_sidecar_written_once(tmp_path, monkeypatch):
     monkeypatch.undo()
     assert writes.count(out + ".meta.json") == 1
     config = {"format": "json", "out": out, "seed": 1, "subcommand": "sample",
-              "params": {"model": "petersburg", "n": 3, "stream": 0,
+              "params": {"model": "petersburg", "model_json": None, "alpha": 0.5,
+                         "c": 1.0, "x0": None, "n": 3, "stream": 0,
                          "symmetrize": False}}
     meta = {"model": "petersburg", "seed": 1, "stream_id": 0,
             "n": 3, "config": config}
@@ -164,23 +165,43 @@ def test_cdf_gamma_law(tmp_path):
     assert len(read(out).splitlines()) == 7
 
 
-def test_cdf_config_records_every_flag(tmp_path):
-    # --c sets the stable law's scale, and the config line did not record
-    # it: the two runs below wrote different F under the same config
-    configs, rows = [], []
-    for c in ("1", "2"):
-        out = tmp_path / ("c%s.csv" % c)
-        assert main(["cdf", "--law", "stable", "--alpha", "0.5", "--c", c,
-                     "--grid", "1:2:1", "--out", str(out)]) == 0
-        lines = out.read_text().splitlines()
-        configs.append(json.loads(lines[0][len("# config: "):]))
-        rows.append(lines[2:])
-    assert rows[0] != rows[1] and configs[0] != configs[1]
-    assert [cfg["params"]["c"] for cfg in configs] == [1.0, 2.0]
+# a cheap run of each subcommand; a row added to cli._COMMANDS without an
+# entry here fails the test below with a KeyError
+_CHEAP_RUNS = {
+    "sample": ["--n", "3", "--model", "pareto", "--alpha", "0.75", "--c", "2"],
+    "cdf": ["--law", "stable", "--c", "2", "--grid", "1:2:1"],
+    "merging": ["--n", "96", "--reps", "10000"],
+    "mlof": ["--k", "6", "--reps", "10000"],
+    "feller": ["--n", "64", "--reps", "100"],
+    "coupling": ["--n-list", "20,80", "--reps", "100"],
+    "lepage": ["--k", "6", "--reps", "300", "--n-terms", "200"],
+    "orderstats": ["--p", "3", "--n", "50", "--reps", "300"],
+    "negligibility": ["--n", "1000", "--reps", "100"],
+    "sweep": ["--k", "8", "--points", "1", "--reps", "1000"],
+    "selftest": [],
+}
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_config_records_every_flag(command, tmp_path, monkeypatch):
+    # each subcommand kept its own list of recorded flags: the cdf list
+    # missed --c (two runs wrote different F under one config), and the
+    # sample list missed --alpha, --c, --x0 and --model-json
+    monkeypatch.setattr(cli, "run_selftest", lambda seed: (0, ["selftest stub"]))
+    out = tmp_path / "artifact"
+    argv = [command] + _CHEAP_RUNS[command] + ["--format", "json", "--out", str(out)]
+    assert main(argv) in (0, 3)
+    text = out.read_text()
+    if text.startswith("# config: "):
+        config = json.loads(text.splitlines()[0][len("# config: "):])
+    else:
+        config = json.loads(text)["config"]
     sub = next(a for a in cli._build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
-    flags = {a.dest for a in sub.choices["cdf"]._actions}
-    assert set(configs[0]["params"]) == flags - {"help", "seed", "out", "format", "threads"}
+    flags = {a.dest for a in sub.choices[command]._actions}
+    assert set(config["params"]) == flags - {"help", "seed", "out", "format", "threads"}
+    parsed = vars(sub.choices[command].parse_args(argv[1:]))
+    assert config["params"] == {k: parsed[k] for k in config["params"]}
 
 
 def test_cdf_bad_grid():
@@ -260,6 +281,22 @@ def test_numeric_failure_exit_code(monkeypatch):
         raise charfn.InversionError("no decay")
     monkeypatch.setattr("semistable.cli.charfn.cdf_from_cf", boom)
     assert main(["cdf", "--law", "g", "--grid", "0:1:1"]) == 4
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--n", "3"],
+    ["cdf", "--law", "cauchy", "--grid", "0:1:1"],
+    ["selftest"],
+    ["feller", "--n", "64", "--reps", "100"],
+], ids=["sample", "cdf", "selftest", "feller"])
+def test_unwritable_out_exit_code(argv, tmp_path, monkeypatch, capsys):
+    # a FileNotFoundError traceback (exit 1, the closed-stdout code) before
+    monkeypatch.setattr(cli, "run_selftest", lambda seed: (0, ["selftest stub"]))
+    out = tmp_path / "no-such-dir" / "artifact"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parameter error: ") and str(out) in err
+    assert not out.parent.exists()
 
 
 # -- experiments -------------------------------------------------------------------
@@ -484,7 +521,8 @@ def test_negligibility_cli():
                  "--reps", "200", "--seed", "4"]) == 0
 
 
-@pytest.mark.parametrize("seed_flag", [[], ["--seed", "77"]], ids=["env", "env-and-flag"])
+@pytest.mark.parametrize("seed_flag", [[], ["--seed", "77"], ["--help"]],
+                         ids=["env", "env-and-flag", "env-and-help"])
 def test_bad_seed_env_exit_code(seed_flag, monkeypatch, capsys):
     # a ValueError traceback from building the parser before, flag or not
     monkeypatch.setenv("SEMISTABLE_SEED", "notanumber")
@@ -507,6 +545,36 @@ def test_seed_env_override(tmp_path, monkeypatch):
     assert main(["sample", "--model", "petersburg", "--n", "4", "--out", out]) == 0
     meta = json.loads(read(out + ".meta.json"))
     assert meta["seed"] == DEFAULT_SEED
+
+
+def test_parser_built_once_and_seed_read_per_call(monkeypatch, capsys):
+    # every call rebuilt the parser, reading SEMISTABLE_SEED into each
+    # subcommand's --seed default; now the parser is built on first use and
+    # main reads the environment once per call
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._build_parser.cache_clear()
+    seeds, counts = [], []
+    for env in ("11", "0x0c", None, "13"):
+        if env is None:
+            monkeypatch.delenv(cli.SEED_ENV, raising=False)
+        else:
+            monkeypatch.setenv(cli.SEED_ENV, env)
+        assert main(["sample", "--n", "2", "--format", "json"]) == 0
+        seeds.append(json.loads(capsys.readouterr().out)["config"]["seed"])
+        counts.append(len(built))
+    assert seeds == [11, 12, DEFAULT_SEED, 13]
+    assert counts == [1 + len(cli._COMMANDS)] * 4
+    monkeypatch.setenv(cli.SEED_ENV, "bad")
+    assert main(["sample", "--n", "2", "--seed", "1"]) == 2
+    assert "SEMISTABLE_SEED='bad' is not an integer" in capsys.readouterr().err
+    assert len(built) == counts[0]
 
 
 # -- selftest ---------------------------------------------------------------------
@@ -542,4 +610,4 @@ def test_readme_commands_parse():
     parser = cli._build_parser()
     for argv in commands:
         parser.parse_args(argv)  # exits 2 on an unknown flag or bad value
-    assert {argv[0] for argv in commands} >= set(cli._EXPERIMENTS)
+    assert {argv[0] for argv in commands} == set(cli._COMMANDS)
