@@ -7,8 +7,9 @@ with --seed or the SEMISTABLE_SEED environment variable; the flag wins,
 but a SEMISTABLE_SEED that is not an integer is a parameter error either
 way).  Exit codes: 0 on success, 1 when stdout closes early (a broken
 pipe, e.g. into head), 2 on parse/parameter errors and an --out that
-cannot be written, 3 when an experiment reports pass = false, 4 on
-numeric failure (no decay, a work bound, float overflow).
+cannot be written (refused before the run; a run that fails leaves no new
+--out file), 3 when an experiment reports pass = false, 4 on numeric
+failure (no decay, a work bound, float overflow).
 """
 
 from __future__ import annotations
@@ -379,12 +380,17 @@ def run_selftest(seed: int):
 
 
 def main(argv=None) -> int:
+    fresh = None  # an --out this call made; removed if the run then fails
     try:
         seed = _seed_default()  # the one read of the environment
         args = _build_parser().parse_args(argv)
         if args.seed is None:
             args.seed = seed
+        if args.out:  # an --out that cannot be written is refused before the run
+            fresh = None if os.path.exists(args.out) else args.out
+            open(args.out, "a").close()
         code = _COMMANDS[args.command][1](args)
+        fresh = None
         sys.stdout.flush()  # a closed pipe raises here, not at exit
         return code
     except SystemExit as exc:  # from argparse
@@ -398,6 +404,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:  # OSError: an --out that cannot be written
         print("parameter error: %s" % exc, file=sys.stderr)
         return 2
+    finally:
+        if fresh and os.path.exists(fresh):
+            os.remove(fresh)
 
 
 if __name__ == "__main__":

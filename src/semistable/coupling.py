@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sampling import (_POINT_BUDGET, RngStream, _check_budget, _col_chunks, _finite,
-                       _map_blocks, _quiet, _row_groups)
+                       _map_blocks, _open01, _quiet, _row_groups)
 from .tailmodel import TailModel, tail_eval
 
 __all__ = ["CoupledPair", "coupled_pair", "coupling_gap_curve", "maximal_fluctuation"]
@@ -79,9 +79,8 @@ def _coupled_block(model, n, half, gen, counts):
         head, at_n, at_count, carry = 0.0, 0.0, np.zeros(nr), 0.0  # P_w0 = 0
         top, bottom = (0.0, 0.0) if a == w0 else (-np.inf, np.inf)
         for c0, c1 in tiles:
-            u = draws[:nr * (c1 - c0)].reshape(nr, c1 - c0)
-            gen.random(out=u)
-            x = model._quantile(np.subtract(1.0, u, out=u), out=u)  # 1 - U in (0, 1]
+            u = _open01(gen, draws[:nr * (c1 - c0)].reshape(nr, c1 - c0))
+            x = model._quantile(u, out=u)
             if c0 < w0:
                 head = head + x[:, :w0 - c0].sum(axis=1)
                 if c1 <= w0:
@@ -138,16 +137,15 @@ def maximal_fluctuation(model: TailModel, n: int, rng: RngStream) -> float:
 
 
 def coupling_gap_curve(model: TailModel, n_list, reps: int, rng: RngStream,
-                       threads: int = 1, with_ks: bool = True):
+                       threads: int = 1):
     """Gap statistics across n: medians, 0.9-quantiles, the monotone-trend
     fraction, per-n two-sample KS between the coupled sums, and the median
     maximal fluctuation.
 
     Returns an ExperimentReport; pass requires every adjacent median pair to
-    decrease (fraction 1.0) and, when with_ks, each KS at most _KS_TOL = 0.02.
-    The fluctuation window is |j - n| <= 3 sqrt(n); reps x (n + window
-    half-width) must stay within the 2^32 draw budget at every n; threads
-    is ignored.
+    decrease (fraction 1.0) and each KS at most _KS_TOL = 0.02.  The window
+    is |j - n| <= 3 sqrt(n); reps x (n + window half-width) must stay within
+    the 2^32 draw budget at every n; threads is ignored.
     """
     from .empirics import ExperimentReport, ks_two_sample
 
@@ -165,13 +163,12 @@ def coupling_gap_curve(model: TailModel, n_list, reps: int, rng: RngStream,
             "median_gap": float(np.median(vals[:, 2])),
             "q90_gap": float(np.quantile(vals[:, 2], 0.9)),
             "median_max_fluctuation": float(np.median(vals[:, 3])),
-            "ks": float(ks_two_sample(vals[:, 0], vals[:, 1])) if with_ks else None,
+            "ks": float(ks_two_sample(vals[:, 0], vals[:, 1])),
         })
     medians = [r["median_gap"] for r in rows]
     drops = [b < a for a, b in zip(medians, medians[1:])]
     fraction = sum(drops) / len(drops) if drops else 1.0
-    passed = fraction == 1.0 and (
-        not with_ks or all(r["ks"] <= _KS_TOL for r in rows))
+    passed = fraction == 1.0 and all(r["ks"] <= _KS_TOL for r in rows)
     q25, q75 = np.quantile(vals[:, 2], [0.25, 0.75])  # last n: median stderr from the IQR
     stderr = 1.2533 * ((q75 - q25) / 1.349) / math.sqrt(reps) if reps > 1 else None
     return ExperimentReport(
@@ -181,7 +178,6 @@ def coupling_gap_curve(model: TailModel, n_list, reps: int, rng: RngStream,
         statistic={"monotone_fraction": fraction, "rows": rows},
         stderr=stderr,
         seed=rng.seed,
-        tolerance={"monotone_fraction": 1.0,
-                   "ks": _KS_TOL if with_ks else None},
+        tolerance={"monotone_fraction": 1.0, "ks": _KS_TOL},
         passed=bool(passed),
     )

@@ -31,7 +31,7 @@ import numpy as np
 
 from ._arrays import _CHUNK, ResourceLimitError, _check_budget
 from .tailmodel import (TailModel, _finite, intensity_quantile, intensity_tail,
-                        model_to_json, tail_eval, tail_first_moment)
+                        make_pareto, model_to_json, tail_eval, tail_first_moment)
 
 __all__ = [
     "RngStream",
@@ -155,9 +155,9 @@ def _col_chunks(lo: int, hi: int, nrows: int):
     return [(c, min(c + width, hi)) for c in range(lo, hi, width)]
 
 
-def _open01(gen, n):
-    # uniforms on (0, 1]: keeps log/quantile transforms finite
-    return 1.0 - gen.random(n)
+def _open01(gen, out):  # fills out with uniforms on (0, 1], where log/quantile stay finite
+    gen.random(out=out)
+    return np.subtract(1.0, out, out=out)
 
 
 @dataclass(frozen=True)
@@ -203,7 +203,7 @@ def _uniform_batch(transform, n: int, rng: RngStream, model: str,
         raise ValueError("n must be >= 1")
     _check_budget(n, _POINT_SET_BUDGET, "draws held in memory")
     gen = rng.generator()
-    values = transform(_open01(gen, n))
+    values = transform(_open01(gen, np.empty(n)))
     if symmetrize:
         values = values * (2.0 * gen.integers(0, 2, n) - 1.0)
     return SampleBatch(values=values, model=model, seed=rng.seed,
@@ -265,17 +265,19 @@ def sample_tail_model(model: TailModel, n: int, rng: RngStream,
                       symmetrize: bool = False) -> SampleBatch:
     """Quantile-transform draws from the renormalized law on (x0, inf).
 
-    x = T_inverse(U * T(x0)) with U uniform on (0, 1]; with symmetrize the
-    magnitudes are multiplied by independent uniform signs (drawn after the
-    magnitudes on the same stream).  A draw past the float range (alpha
-    near 0) raises OverflowError.
+    x = inf{x : T(x) < U T(x0)}, U uniform on (0, 1]: the strict inverse,
+    exact on a St. Petersburg tail (above x0; petersburg_from_uniform(U) at
+    x0 = 1).  With symmetrize the magnitudes get independent uniform signs,
+    drawn after them on the same stream.  A draw past the float range
+    (alpha near 0) raises OverflowError.
     """
     cap = tail_eval(model, model.x0) if model.x0 > 0.0 else 0.0
     if not cap * 2.0 ** -53 > 0.0:  # U * T(x0), U >= 2^-53, must stay positive
         raise ValueError("sampling needs x0 > 0 and T(x0) >= 2^-1021")
     with _quiet():
-        return _uniform_batch(lambda u: _finite(model._quantile(u * cap), model.alpha),
-                              n, rng, model_to_json(model), symmetrize)
+        return _uniform_batch(
+            lambda u: _finite(model._quantile(u * cap, strict=True), model.alpha),
+            n, rng, model_to_json(model), symmetrize)
 
 
 # -- Poisson point processes -------------------------------------------------
@@ -353,15 +355,16 @@ def _poisson_sum_block(model, lam, symmetric, centering, gen, rows):
     Given K_i the unordered arrivals are i.i.d. uniform on (0, lam), and the
     sum does not see their order, so each replicate needs only its count and
     K_i uniforms.  The points of all rows are drawn as one flat sequence,
-    _CHUNK at a time (signs after each chunk's uniforms), and reduced per row
-    at the replicate boundaries that fall in the chunk.
+    _CHUNK at a time into one buffer (signs after each chunk's uniforms), and
+    reduced per row at the replicate boundaries that fall in the chunk.
     """
     ends = np.cumsum(gen.poisson(lam, rows))
     starts = np.concatenate(([0], ends[:-1]))
-    sums = np.zeros(rows)
+    sums, u = np.zeros(rows), np.empty(min(_CHUNK, int(ends[-1])))
     for c0 in range(0, int(ends[-1]), _CHUNK):
         c1 = min(c0 + _CHUNK, int(ends[-1]))
-        x = intensity_quantile(model, lam * _open01(gen, c1 - c0))
+        tile = _open01(gen, u[:c1 - c0])
+        x = intensity_quantile(model, np.multiply(tile, lam, out=tile))
         if symmetric:
             x = x * (2.0 * gen.integers(0, 2, c1 - c0) - 1.0)
         r0, r1 = np.searchsorted(ends, [c0, c1 - 1], side="right")
@@ -481,20 +484,22 @@ def _power_block(alpha, n, ranks, symmetric, gen, rows, scale=None):
     """(rows, 1 + ranks): sums of n terms (s U)**(-1/alpha), U uniform on
     (0, 1] and s the row's scale (1 without one), then the ranks largest.
 
-    Tiles of at most _CHUNK uniforms (_row_groups, then _col_chunks); signs
+    Tiles of at most _CHUNK uniforms (_row_groups, then _col_chunks) share one
+    buffer, mapped in place by the inverse of the tail x**(-alpha); signs
     follow each tile's uniforms, and the top ranks merge tile by tile.  The
     scale goes on each term: on the sum, s**(-1/alpha) overflows (inf * 0).
     A term past the float range (alpha near 0) raises OverflowError.
     """
-    out = np.zeros((rows, 1 + ranks))
+    out, buf = np.zeros((rows, 1 + ranks)), np.empty(min(_CHUNK, rows * n))
+    inverse = make_pareto(alpha)._quantile_formula  # (1/u)**(1/alpha), all u > 0
     for rs in _row_groups(rows, n):
         nr = rs.stop - rs.start
         top = np.full((nr, ranks), -np.inf)
         for c0, c1 in _col_chunks(0, n, nr):
-            u = _open01(gen, (nr, c1 - c0))
+            u = _open01(gen, buf[:nr * (c1 - c0)].reshape(nr, c1 - c0))
             if scale is not None:
                 u *= scale[rs, None]
-            mags = u ** (-1.0 / alpha)
+            mags = inverse(u, out=u)
             signed = mags * (2.0 * gen.integers(0, 2, mags.shape) - 1.0) if symmetric else mags
             out[rs, 0] += signed.sum(axis=1)
             if ranks == 1:

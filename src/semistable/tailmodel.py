@@ -122,14 +122,15 @@ class TailModel:
         logq = np.log(x) / math.log(self.q) if self.q != 2 else np.log2(x)
         return self.c * x ** (-self.alpha) * self._psi(logq)
 
-    def _quantile_formula(self, u, out=None):
-        """inf{x > 0 : T(x) <= u} on the full intensity domain, for u > 0.
-        The const formula writes into out (which may be u) when given; use
-        the returned array."""
+    def _quantile_formula(self, u, out=None, strict=False):
+        """inf{x > 0 : T(x) <= u} on the full intensity domain, for u > 0;
+        strict gives inf{x > 0 : T(x) < u}, one atom higher at a petersburg
+        step u = c 2^-k (const and grid tails ignore it).  The const formula
+        writes into out (which may be u) when given; use the returned array."""
         u = np.asarray(u, dtype=float)
-        if self.psi_kind == "petersburg":  # 2^k, k least with u 2^k >= c exactly
+        if self.psi_kind == "petersburg":  # 2^k, k least with u 2^k >= c (> c if strict)
             (m, e), (mc, ec) = np.frexp(u), math.frexp(self.c)  # mantissas in [1/2, 1)
-            return np.ldexp(1.0, ec - e + (m < mc))
+            return np.ldexp(1.0, ec - e + ((m <= mc) if strict else (m < mc)))
         if self.psi_kind == "const":
             x = np.divide(self.c, u, out=out)
             x **= 1.0 / self.alpha
@@ -139,10 +140,10 @@ class TailModel:
         except OverflowError:  # a block edge past float64's max (math.exp, rho)
             return _finite(math.inf, self.alpha)  # raises, naming alpha
 
-    def _quantile(self, u, out=None):
+    def _quantile(self, u, out=None, strict=False):
         """inf{x >= x0 : T(x) <= u} for an array u in (0, T(x0)], unchecked;
-        out as in _quantile_formula."""
-        x = self._quantile_formula(u, out)
+        out and strict as in _quantile_formula."""
+        x = self._quantile_formula(u, out, strict)
         return np.maximum(x, self.x0, out=x)
 
     def _quantile_grid(self, u):

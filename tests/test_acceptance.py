@@ -159,7 +159,7 @@ def test_criterion_09_coupling():
                        for i in range(10 ** 4)])
     sd_err = abs(counts.std(ddof=1) - math.sqrt(n)) / math.sqrt(n)
     curve = coupling_gap_curve(model, [100, 1000, 10000], 1000,
-                               RngStream(SEED, 13 * 10 ** 7), with_ks=False)
+                               RngStream(SEED, 13 * 10 ** 7))
     s_hat = np.empty(10 ** 5)
     s_bar = np.empty(10 ** 5)
     for i in range(10 ** 5):

@@ -14,6 +14,8 @@ import pytest
 
 from semistable import charfn
 from semistable import cli
+from semistable import coupling
+from semistable import empirics
 from semistable import sampling
 from semistable.cli import DEFAULT_SEED, main, run_selftest
 
@@ -283,20 +285,38 @@ def test_numeric_failure_exit_code(monkeypatch):
     assert main(["cdf", "--law", "g", "--grid", "0:1:1"]) == 4
 
 
+def _unreached(*args, **kwargs):
+    raise AssertionError("the run started")
+
+
 @pytest.mark.parametrize("argv", [
     ["sample", "--n", "3"],
     ["cdf", "--law", "cauchy", "--grid", "0:1:1"],
     ["selftest"],
     ["feller", "--n", "64", "--reps", "100"],
-], ids=["sample", "cdf", "selftest", "feller"])
+    ["merging", "--n", "1536", "--reps", "200000", "--seed", "7"],
+    ["coupling", "--reps", "100"],
+], ids=["sample", "cdf", "selftest", "feller", "merging", "coupling"])
 def test_unwritable_out_exit_code(argv, tmp_path, monkeypatch, capsys):
-    # a FileNotFoundError traceback (exit 1, the closed-stdout code) before
-    monkeypatch.setattr(cli, "run_selftest", lambda seed: (0, ["selftest stub"]))
+    # refused before the run: no uniform is drawn, no phase of _map_blocks
+    # runs and no CDF is inverted (each spy fails the test if reached)
+    for module in (sampling, coupling, empirics):
+        monkeypatch.setattr(module, "_map_blocks", _unreached)
+    monkeypatch.setattr(sampling, "_open01", _unreached)
+    monkeypatch.setattr(charfn, "cdf_from_cf", _unreached)
     out = tmp_path / "no-such-dir" / "artifact"
     assert main(argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("parameter error: ") and str(out) in err
     assert not out.parent.exists()
+    # with a writable --out the run reaches a spy; the failed run leaves no
+    # new file behind, and an existing file as it was
+    new, old = tmp_path / "new", tmp_path / "old"
+    old.write_text("kept\n")
+    for path in (new, old):
+        with pytest.raises(AssertionError, match="the run started"):
+            main(argv + ["--out", str(path)])
+    assert not new.exists() and old.read_text() == "kept\n"
 
 
 # -- experiments -------------------------------------------------------------------

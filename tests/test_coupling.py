@@ -80,7 +80,7 @@ def test_gap_curve_decreasing():
 
 def test_gap_curve_single_rep_has_no_stderr():
     m = make_pareto(0.5)
-    rep = coupling_gap_curve(m, [50, 100], 1, RngStream(3), with_ks=False)
+    rep = coupling_gap_curve(m, [50, 100], 1, RngStream(3))
     assert rep.stderr is None
 
 
@@ -116,7 +116,7 @@ def test_maximal_fluctuation_scale():
 def _reference_path_values(model, n, half, gen):
     # one replicate on its own stream: count, then a path of uniforms
     count = int(gen.poisson(n))
-    x = (1.0 / _open01(gen, max(n, count, n + half))) ** (1.0 / model.alpha)
+    x = (1.0 / _open01(gen, np.empty(max(n, count, n + half)))) ** (1.0 / model.alpha)
     scale = float(n) ** (-1.0 / model.alpha)
     s = np.concatenate(([0.0], np.cumsum(x)))
     window = s[max(0, n - half):n + half + 1]

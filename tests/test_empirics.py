@@ -386,15 +386,17 @@ def test_experiment_kernels_match_the_row_by_row_draws():
     # the LePage block draws its rows' Gamma_{p+1} before the uniforms
     from semistable.empirics import _power_block
     from semistable.sampling import _lepage_block, _open01
+    from semistable.tailmodel import make_pareto
     alpha, n, p, rows = 0.5, 1000, 500, 70  # several row groups each
     a = _power_block(alpha, n, 3, False, RngStream(93).generator(), rows)
     b = _lepage_block(alpha, p, False, RngStream(94).generator(), rows, 3)
     gen_a, gen_b = RngStream(93).generator(), RngStream(94).generator()
     scale = gen_b.standard_gamma(p + 1, rows)
+    inverse = make_pareto(alpha)._quantile_formula  # the kernels' map, (1/u)**(1/alpha)
     for i in range(rows):
-        mags = _open01(gen_a, n) ** (-1.0 / alpha)
+        mags = inverse(_open01(gen_a, np.empty(n)))
         assert list(a[i]) == [mags.sum()] + sorted(mags, reverse=True)[:3]
-        terms = (scale[i] * _open01(gen_b, p)) ** (-1.0 / alpha)
+        terms = inverse(scale[i] * _open01(gen_b, np.empty(p)))
         assert list(b[i]) == [terms.sum()] + sorted(terms, reverse=True)[:3]
 
 

@@ -73,7 +73,7 @@ def test_batch_validation():
 def test_petersburg_sums_match_the_draw_by_draw_construction(n):
     reps = 2 * 10 ** 4
     draws = np.array([petersburg_from_uniform(
-        _open01(RngStream(61, i).generator(), n)).sum() for i in range(reps)])
+        _open01(RngStream(61, i).generator(), np.empty(n))).sum() for i in range(reps)])
     sums = petersburg_sum_batch(n, reps, seed=62)
     assert ks_two_sample(sums, draws) <= 2.5 * math.sqrt(2.0 / reps)
 
@@ -207,6 +207,17 @@ def test_petersburg_via_tail_model_matches_direct():
     a = sample_tail_model(m, 200000, RngStream(5, 0))
     b = sample_petersburg(200000, RngStream(5, 1))
     assert ks_two_sample(a.values, b.values) <= 0.005
+    # on one stream its strict inverse inf{x : T(x) < u} gives exactly
+    # petersburg_from_uniform of the same uniforms, with or without signs
+    # (the generalized inverse put U = 2^-j on 2^j, and U = 1 on 1, outside
+    # the support)
+    for symmetrize in (False, True):
+        a = sample_tail_model(m, 10 ** 5, RngStream(5, 3), symmetrize)
+        b = sampling._uniform_batch(petersburg_from_uniform, 10 ** 5, RngStream(5, 3),
+                                    "petersburg", symmetrize)
+        assert a.values.tobytes() == b.values.tobytes()
+    for x0 in (2.0, 3.0):  # every draw lies above x0: the least is 4
+        assert sample_tail_model(make_petersburg(x0), 10 ** 5, RngStream(6)).values.min() == 4.0
 
 
 # -- poisson point sets ------------------------------------------------------------
@@ -621,12 +632,13 @@ def test_lepage_block_matches_the_cumsum_reference(alpha, symmetric, ranks, reps
 
 def test_power_block_tiles_hold_at_most_chunk_uniforms(monkeypatch):
     # rows longer than _CHUNK are drawn a tile at a time, and the sums and
-    # the merged top ranks are those of the whole row
+    # the merged top ranks are those of the whole row; each tile's uniforms
+    # are copied as drawn, before the kernel maps them in place
     tiles = []
 
-    def recording(gen, size):
-        tiles.append(_open01(gen, size))
-        return tiles[-1]
+    def recording(gen, out):
+        tiles.append(_open01(gen, out).copy())
+        return out
 
     monkeypatch.setattr(sampling, "_open01", recording)
     n, rows = 4 * sampling._CHUNK, 3
@@ -636,10 +648,23 @@ def test_power_block_tiles_hold_at_most_chunk_uniforms(monkeypatch):
     assert sum(t.size for t in tiles) == 2 * rows * n
     row_tiles = len(tiles) // (2 * rows)
     for i in range(rows):
-        mags = np.concatenate(tiles[i * row_tiles:(i + 1) * row_tiles],
-                              axis=None) ** -2.0
+        mags = make_pareto(0.5)._quantile_formula(
+            np.concatenate(tiles[i * row_tiles:(i + 1) * row_tiles], axis=None))
         assert list(out[i, 1:]) == sorted(mags, reverse=True)[:3]
         assert out[i, 0] == pytest.approx(mags.sum(), rel=1e-12)
+
+
+def test_lepage_block_working_set():
+    # one 256-row block of 10^4 terms: every tile is drawn and mapped in one
+    # buffer of _CHUNK doubles (256 KiB); fresh arrays per tile took 952 KiB
+    tracemalloc.start()
+    try:
+        vals = lepage_batch(0.5, sampling.BLOCK, seed=7, n_terms=10 ** 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert vals.shape == (sampling.BLOCK,)
+    assert peak <= 320 * 1024
 
 
 def test_lepage_small_alpha_is_not_nan():

@@ -175,6 +175,21 @@ def test_petersburg_quantile_just_below_powers_of_two():
         4.0, 8.0, 2.0, 0.5]
 
 
+def test_petersburg_strict_quantile():
+    # the samplers' strict inverse inf{x : T(x) < u} lies one atom above the
+    # generalized inverse at a step u = c 2^-k, u = T(x0) included, so it
+    # never returns x0, and agrees with it between the steps
+    m = make_petersburg()  # x0 = 2, T(x0) = 1/2
+    u = np.array([0.5, 2.0 ** -5, 2.0 ** -40, 0.3, np.nextafter(0.25, 0.0)])
+    strict = m._quantile(u, strict=True)
+    assert strict.tolist() == [4.0, 64.0, 2.0 ** 41, 4.0, 8.0]
+    assert tail_quantile(m, u).tolist() == [2.0, 32.0, 2.0 ** 40, 4.0, 8.0]
+    assert np.all(intensity_tail(m, strict) < u)
+    assert np.all(u <= intensity_tail(m, strict / 2.0))
+    c3 = TailModel(alpha=1.0, q=2, c=3.0, x0=2.0, psi_kind="petersburg")  # T(x0) = 3/2
+    assert c3._quantile(np.array([1.5, 0.75, 0.7]), strict=True).tolist() == [4.0, 8.0, 8.0]
+
+
 def test_pure_stable_quantile():
     m = make_pareto(0.5)
     assert tail_quantile(m, 0.25) == pytest.approx(16.0, rel=1e-14)
