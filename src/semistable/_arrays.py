@@ -1,19 +1,24 @@
-"""The scalar-or-array calling convention, and the working-set and
-work-bound rules shared by the public functions.
+"""The scalar-or-array calling convention, and the working-set, work-bound
+and count rules shared by the public functions.
 
 The working-set rule: every array kernel (sampling, inversion, KS) works
 in pieces whose temporaries hold at most _CHUNK doubles (256 KiB, within a
 core's L2 cache), whatever the input size, so the memory a call needs does
 not grow with its work.  Each sampler kernel draws a block into one such
-buffer through one fill (sampling._open01) and maps it with the tail
-model's inverse.  The matrix products of the inversion follow it
-too: each does at most _CHUNK complex multiply-adds (see
-charfn._bulk_phase_sums), below the size from which OpenBLAS hands a
+buffer through one fill (sampling._open01), maps it with the tail model's
+inverse and signs it in place (sampling._signed).  The matrix products of
+the inversion follow it too: each does at most _CHUNK complex multiply-adds
+(see charfn._bulk_phase_sums), below the size from which OpenBLAS hands a
 product to a second thread; on a busy host such a hand-off can stall every
 product of a process about 100x.
 
 The work-bound rule: a call prices work that has no natural limit
 before it draws or integrates, and _check_budget alone refuses it.
+
+The count rule: every integer parameter (n, reps, k, p, n_terms, q, a
+seed or stream id) passes _check_count at the public boundary, which alone
+decides integrality: the call then uses the int it returns, so no count is
+truncated or used as a float.
 """
 
 import math
@@ -28,15 +33,39 @@ class ResourceLimitError(RuntimeError):
     """A call would pass a work bound (_check_budget); the CLI exits 4."""
 
 
+def _printed(x, near):
+    """x in %.10g, with more digits (up to 17) where that prints it as near;
+    an int past float64 prints as inf."""
+    x, near = (math.inf if v > sys.float_info.max else v for v in (x, near))
+    d = next((d for d in range(10, 17) if "%.*g" % (d, x) != "%.*g" % (d, near)), 17)
+    return "%.*g" % (d, x)
+
+
 def _check_budget(need, budget, what):
     """ResourceLimitError "would need N <what>, over the budget of B" if need
     passes budget or is NaN (callers check before they draw or integrate);
     N and B print in %.10g, with more digits where that prints them alike."""
     if not need <= budget:
-        need = math.inf if need > sys.float_info.max else need  # an int past float64
-        d = next((d for d in range(10, 17) if "%.*g" % (d, need) != "%.*g" % (d, budget)), 17)
-        raise ResourceLimitError("would need %.*g %s, over the budget of %.*g"
-                                 % (d, need, what, d, budget))
+        raise ResourceLimitError("would need %s %s, over the budget of %s"
+                                 % (_printed(need, budget), what, _printed(budget, need)))
+
+
+def _check_count(value, name, least=None, most=None):
+    """int(value) for an int, numpy integer or integral float in [least, most]
+    (most comes with least); else ValueError "<name> must be an integer >=
+    least and <= most, got V", V exact up to 17 digits and beyond as
+    _check_budget prints N against the bound it passes."""
+    real = isinstance(value, (float, np.floating))
+    if isinstance(value, (int, np.integer)) or real and float(value).is_integer():
+        n = int(value)
+        if (least is None or n >= least) and (most is None or n <= most):
+            return n
+        shown = "%d" % n if abs(n) < 10 ** 17 else _printed(n, most if n > 0 else least)
+    else:  # a fraction, NaN or an infinity in full, anything else as its repr
+        shown = repr(float(value) if real else value)
+    rule = "" if least is None else " >= %d" % least
+    rule += "" if most is None else " and <= %d" % most
+    raise ValueError("%s must be an integer%s, got %s" % (name, rule, shown))
 
 
 def elementwise(fn, x, cast=float, cdf_from=None):

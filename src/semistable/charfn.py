@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from ._arrays import _CHUNK, _check_budget, elementwise
+from ._arrays import _CHUNK, _check_budget, _check_count, elementwise
 
 __all__ = [
     "CfExponent",
@@ -677,9 +677,7 @@ def erlang_cdf(p: int, x):
     """Gamma(p, 1) CDF for integer shape p: 1 - e^{-x} sum_{j<p} x^j/j!.
 
     x = +inf gives 1; NaN raises ValueError."""
-    if int(p) != p or p < 1:
-        raise ValueError("p must be an integer >= 1")
-    p = int(p)
+    p = _check_count(p, "p", 1)
 
     def cdf(v):
         s = term = np.ones_like(v)

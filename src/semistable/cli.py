@@ -257,7 +257,7 @@ _COMMANDS = {
         "LePage series vs normalized block sums",
         _experiment(lambda a, rng: empirics.lepage_limit_experiment(
             a.alpha, a.k, a.reps, rng, symmetric=a.symmetric,
-            n_terms=None if a.n_terms in (None, "auto") else int(a.n_terms),
+            n_terms=None if a.n_terms in (None, "auto") else float(a.n_terms),
             tolerance=a.tolerance)),
         [("--alpha", _real(0.5)), ("--k", {"type": int, "default": 14}),
          ("--symmetric", {"action": "store_true"}),

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sampling import (_POINT_BUDGET, RngStream, _check_budget, _col_chunks, _finite,
-                       _map_blocks, _open01, _quiet, _row_groups)
+from .sampling import (_POINT_BUDGET, RngStream, _check_budget, _check_count, _col_chunks,
+                       _finite, _map_blocks, _open01, _quiet, _row_groups)
 from .tailmodel import TailModel, tail_eval
 
 __all__ = ["CoupledPair", "coupled_pair", "coupling_gap_curve", "maximal_fluctuation"]
@@ -44,8 +44,6 @@ def _check_coupling_model(model: TailModel, n: int, window: bool = False) -> int
     """Contract and work checks; returns the window half-width (0 without)."""
     if not model.alpha < 1.0:
         raise ValueError("coupling is implemented for alpha < 1 (uncentered regime)")
-    if n < 1:
-        raise ValueError("n must be >= 1")
     if abs(tail_eval(model, model.x0) - 1.0) > 1e-9:
         raise ValueError("coupling needs unit total mass: T(x0) = 1")
     half = math.ceil(_C_MULT * math.sqrt(n)) if window else 0
@@ -117,6 +115,7 @@ def _curve_block(model, n, half, gen, rows):  # the curve's phase: counts, then 
 def coupled_pair(model: TailModel, n: int, rng: RngStream) -> CoupledPair:
     """Draw N ~ Poisson(n), then one path: s_hat sums its first n terms,
     s_bar its first N."""
+    n = _check_count(n, "n", 1)
     _check_coupling_model(model, n)
     gen = rng.generator()
     count = int(gen.poisson(n))
@@ -131,6 +130,7 @@ def maximal_fluctuation(model: TailModel, n: int, rng: RngStream) -> float:
     The coupling argument needs this fluctuation to vanish; it is reported
     rather than bounded.
     """
+    n = _check_count(n, "n", 1)
     half = _check_coupling_model(model, n, window=True)
     with _quiet():
         return float(_coupled_block(model, n, half, rng.generator(), np.array([n]))[0, 3])
@@ -149,11 +149,10 @@ def coupling_gap_curve(model: TailModel, n_list, reps: int, rng: RngStream,
     """
     from .empirics import ExperimentReport, ks_two_sample
 
-    n_list = [int(n) for n in n_list]
+    n_list = [_check_count(n, "each n in n_list", 10) for n in n_list]
     if not n_list:
         raise ValueError("n_list must not be empty")
-    if any(n < 10 for n in n_list):
-        raise ValueError("coupling curve needs n >= 10")
+    reps = _check_count(reps, "reps", 1)
     phases = [(functools.partial(_curve_block, model, n, half), n + half)
               for n in n_list for half in [_check_coupling_model(model, n, window=True)]]
     rows = []  # each phase reduced before the next draws

@@ -25,7 +25,7 @@ import numpy as np
 
 from .charfn import (TabulatedCdf, cdf_from_cf, erlang_cdf, g_gamma_law,
                      tabulate_cdf)
-from ._arrays import _CHUNK, elementwise
+from ._arrays import _CHUNK, _check_count, elementwise
 from .sampling import (RngStream, _lepage_block, _lepage_prep, _map_blocks,
                        _petersburg_block, _power_block, petersburg_sum_batch)
 
@@ -81,6 +81,13 @@ def _steps(e: Ecdf):
         yield v, np.arange(c0 + 1, c0 + 1 + v.size)
 
 
+def _cdf_on(cdf, v):  # cdf(v) as floats; a NaN, which no distance may hide, raises
+    f = np.asarray(cdf(v), dtype=float)
+    if np.isnan(f).any():
+        raise ValueError("the CDF returned NaN on the chunk [%g, %g]" % (v[0], v[-1]))
+    return f
+
+
 def ks_distance(e: Ecdf, cdf) -> float:
     """sup_x |F_hat(x) - F(x)|, exact over the jump points of the ECDF.
 
@@ -89,8 +96,8 @@ def ks_distance(e: Ecdf, cdf) -> float:
     its own ECDF gives 0).  cdf is called on chunks of the sorted sample."""
     gap = 0.0
     for v, i in _steps(e):
-        fv = np.asarray(cdf(v), dtype=float)
-        fv_left = np.asarray(cdf(np.nextafter(v, -np.inf)), dtype=float)
+        fv = _cdf_on(cdf, v)
+        fv_left = _cdf_on(cdf, np.nextafter(v, -np.inf))
         gap = np.max([gap, np.abs(i / e.n - fv).max(), np.abs((i - 1) / e.n - fv_left).max()])
     return float(gap)
 
@@ -129,8 +136,8 @@ def levy_distance(e: Ecdf, cdf, grid_step: float = 1e-4) -> float:
         raise ValueError("grid_step must be positive and finite, got %r" % grid_step)
 
     def feasible(eps):
-        return all(np.all(np.asarray(cdf(v - eps), dtype=float) - eps <= (i - 1) / e.n + 1e-15)
-                   and np.all(np.asarray(cdf(v + eps), dtype=float) + eps >= i / e.n - 1e-15)
+        return all(np.all(_cdf_on(cdf, v - eps) - eps <= (i - 1) / e.n + 1e-15)
+                   and np.all(_cdf_on(cdf, v + eps) + eps >= i / e.n - 1e-15)
                    for v, i in _steps(e))
 
     hi = ks_distance(e, cdf) + grid_step
@@ -148,9 +155,7 @@ def levy_distance(e: Ecdf, cdf, grid_step: float = 1e-4) -> float:
 
 def gamma_n(n: int) -> float:
     """Dyadic position n / 2**floor(log2 n) in [1, 2), computed exactly."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    m, _ = math.frexp(n)
+    m, _ = math.frexp(_check_count(n, "n", 1))
     return 2.0 * m
 
 
@@ -216,8 +221,7 @@ def feller_experiment(n: int, reps: int, rng: RngStream,
     P(|W| > 0.5 log2 n), W following the family law at gamma_n; the
     tolerance is 0.02 + 3 * binomial stderr.
     """
-    if n < 2 or reps < 100:
-        raise ValueError("need n >= 2 and reps >= 100")
+    n, reps = _check_count(n, "n", 2), _check_count(reps, "reps", 100)
     sums = petersburg_sum_batch(n, reps, rng.seed, rng.stream_id)
     log2n = math.log2(n)
     w = sums / (n * log2n) - 1.0
@@ -248,19 +252,16 @@ def martin_lof_experiment(k: int, reps: int, rng: RngStream, threads: int = 1,
                           tolerance: float = 0.02) -> ExperimentReport:
     """KS distance of S_{2^k}/2^k - k against the inverted limit CDF: the
     merging experiment at n = 2^k, where gamma_n = 1."""
-    if not (4 <= k <= 20):
-        raise ValueError("k must lie in [4, 20]")
+    k = _check_count(k, "k", 4, 20)
     report = merging_experiment(1 << k, reps, rng, tolerance=tolerance)
-    return replace(report, experiment="martin_lof", params={"k": k, "reps": reps})
+    return replace(report, experiment="martin_lof",
+                   params={"k": k, "reps": report.params["reps"]})
 
 
 def merging_experiment(n: int, reps: int, rng: RngStream, threads: int = 1,
                        tolerance: float = 0.03) -> ExperimentReport:
     """Sup distance of S_n/n - log2 n to the family law at gamma_n."""
-    if n < 16:
-        raise ValueError("n must be >= 16")
-    if reps < 10 ** 4:
-        raise ValueError("reps must be >= 1e4")
+    n, reps = _check_count(n, "n", 16), _check_count(reps, "reps", 10 ** 4)
     gamma = gamma_n(n)
     sums = petersburg_sum_batch(n, reps, rng.seed, rng.stream_id)
     vals = sums / n - math.log2(n)
@@ -285,10 +286,8 @@ def merging_sweep(k: int, points_per_octave: int, reps: int, rng: RngStream,
     i = 0..points; the family position returns to gamma = 1 at both ends,
     so the law tags coincide and the end batches must agree (two-sample KS).
     """
-    if k < 8:
-        raise ValueError("k must be >= 8")
-    if points_per_octave < 1:
-        raise ValueError("points_per_octave must be >= 1")
+    k, reps = _check_count(k, "k", 8), _check_count(reps, "reps", 1)
+    points_per_octave = _check_count(points_per_octave, "points_per_octave", 1)
     ns = [round((1 << k) * (1.0 + i / points_per_octave))
           for i in range(points_per_octave + 1)]
     gammas = [gamma_n(n) for n in ns]
@@ -335,10 +334,8 @@ def order_statistics_experiment(p: int, n: int, reps: int, rng: RngStream,
     needs n >> p; pass ks_tolerance=None to report the KS without letting it
     decide the verdict (exact-moment checks at small n).
     """
-    if not (1 <= p <= n <= 1 << 53):
-        raise ValueError("need 1 <= p <= n <= 2^53, the counts float64 holds exactly")
-    if reps < 100:
-        raise ValueError("reps must be >= 100")
+    n = _check_count(n, "n", 1, 1 << 53)  # the counts float64 holds exactly
+    p, reps = _check_count(p, "p", 1, n), _check_count(reps, "reps", 100)
     (ys,) = _map_blocks([(functools.partial(_order_statistic_block, p, n), 2)],
                         reps, rng.seed, rng.stream_id)
     mean_exact = p / (n + 1.0)
@@ -377,8 +374,7 @@ def negligibility_experiment(alpha_list, n: int, reps: int, rng: RngStream,
     ratio is invariant under the symmetrizing signs, so only magnitudes are
     drawn.  Bounds: median >= 0.2 for alpha < 1 and <= 0.05 for alpha > 2.
     """
-    if n < 10 ** 3:
-        raise ValueError("n must be >= 1e3")
+    n, reps = _check_count(n, "n", 10 ** 3), _check_count(reps, "reps", 1)
     alpha_list = [float(a) for a in alpha_list]
     if not alpha_list:
         raise ValueError("alpha_list must not be empty")
@@ -416,8 +412,7 @@ def lepage_limit_experiment(alpha: float, k: int, reps: int, rng: RngStream,
     kernel sampling._power_block, batch (b) with its uniforms scaled by
     Z_{P+1} (sampling._lepage_block), within the 2^32 draw budget.
     """
-    if not (4 <= k <= 24):
-        raise ValueError("k must lie in [4, 24]")
+    k, reps = _check_count(k, "k", 4, 24), _check_count(reps, "reps", 1)
     n = 1 << k
     p_terms = _lepage_prep(alpha, n_terms, symmetric)
     r = _RANK_CHECKS

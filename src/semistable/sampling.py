@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._arrays import _CHUNK, ResourceLimitError, _check_budget
+from ._arrays import _CHUNK, ResourceLimitError, _check_budget, _check_count
 from .tailmodel import (TailModel, _finite, intensity_quantile, intensity_tail,
                         make_pareto, model_to_json, tail_eval, tail_first_moment)
 
@@ -68,10 +68,14 @@ _quiet = functools.partial(np.errstate, over="ignore", invalid="ignore")
 
 @dataclass(frozen=True)
 class RngStream:
-    """Address of a reproducible random stream: Philox keyed by (seed, stream_id)."""
+    """Address of a reproducible random stream: Philox keyed by two integers mod 2^64."""
 
     seed: int
     stream_id: int = 0
+
+    def __post_init__(self):
+        object.__setattr__(self, "seed", _check_count(self.seed, "seed"))
+        object.__setattr__(self, "stream_id", _check_count(self.stream_id, "stream_id"))
 
     def generator(self) -> np.random.Generator:
         key = np.array([self.seed % (1 << 64), self.stream_id % (1 << 64)],
@@ -111,8 +115,7 @@ def _map_blocks(phases, reps: int, seed: int, base_stream: int = 0):
     block or a call from a pool worker; a block error cancels the pending
     blocks and waits for the running ones before it is raised.
     """
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
+    reps = _check_count(reps, "reps", 1)
     for _, draws in phases:
         _check_budget(reps * draws, _DRAW_BUDGET, "draws in one phase")
     blocks, cpus = range(-(-reps // BLOCK)), _cpus()
@@ -160,6 +163,10 @@ def _open01(gen, out):  # fills out with uniforms on (0, 1], where log/quantile 
     return np.subtract(1.0, out, out=out)
 
 
+def _signed(gen, x):  # x with independent uniform signs, in place: one draw per value
+    return np.negative(x, out=x, where=gen.integers(0, 2, x.shape) == 0)
+
+
 @dataclass(frozen=True)
 class SampleBatch:
     """Array of draws plus the metadata that regenerates it exactly."""
@@ -199,13 +206,12 @@ def _uniform_batch(transform, n: int, rng: RngStream, model: str,
     """transform(U) for n uniforms U on (0, 1]; with symmetrize the values get
     independent uniform signs, drawn after them on the same stream; at most
     2^26 draws, as the batch is held in memory like a point set."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _check_count(n, "n", 1)
     _check_budget(n, _POINT_SET_BUDGET, "draws held in memory")
     gen = rng.generator()
     values = transform(_open01(gen, np.empty(n)))
     if symmetrize:
-        values = values * (2.0 * gen.integers(0, 2, n) - 1.0)
+        _signed(gen, values)
     return SampleBatch(values=values, model=model, seed=rng.seed,
                        stream_id=rng.stream_id)
 
@@ -255,9 +261,8 @@ def petersburg_sum_batch(n: int, reps: int, seed: int, base_stream: int = 0,
     Each block is one multinomial call over its rows (_petersburg_block),
     and a row's levels count as its draws: reps x bit_length(n) must stay
     within the 2^32 draw budget; threads is ignored."""
-    if not (float(n).is_integer() and n >= 1 and reps >= 1):
-        raise ValueError("need an integer n >= 1 and reps >= 1, got n = %s" % n)
-    phase = (functools.partial(_petersburg_block, n), int(n).bit_length())
+    n = _check_count(n, "n", 1)
+    phase = (functools.partial(_petersburg_block, n), n.bit_length())
     return next(_map_blocks([phase], reps, seed, base_stream))
 
 
@@ -366,7 +371,7 @@ def _poisson_sum_block(model, lam, symmetric, centering, gen, rows):
         tile = _open01(gen, u[:c1 - c0])
         x = intensity_quantile(model, np.multiply(tile, lam, out=tile))
         if symmetric:
-            x = x * (2.0 * gen.integers(0, 2, c1 - c0) - 1.0)
+            _signed(gen, x)
         r0, r1 = np.searchsorted(ends, [c0, c1 - 1], side="right")
         heads = np.maximum(starts[r0:r1 + 1], c0) - c0
         full = heads < np.minimum(ends[r0:r1 + 1], c1) - c0
@@ -473,9 +478,8 @@ def _lepage_prep(alpha, n_terms, symmetric):
         raise ValueError("alpha must lie in (0, 2)")
     if not symmetric and alpha >= 1.0:
         raise ValueError("positive mode needs alpha < 1")
-    p = int(n_terms) if n_terms is not None else lepage_auto_terms(alpha, symmetric)
-    if p < 1:
-        raise ValueError("n_terms must be >= 1")
+    p = (lepage_auto_terms(alpha, symmetric) if n_terms is None
+         else _check_count(n_terms, "n_terms", 1))
     _check_budget(p, 10 ** 8, "series terms")
     return p
 
@@ -485,8 +489,8 @@ def _power_block(alpha, n, ranks, symmetric, gen, rows, scale=None):
     (0, 1] and s the row's scale (1 without one), then the ranks largest.
 
     Tiles of at most _CHUNK uniforms (_row_groups, then _col_chunks) share one
-    buffer, mapped in place by the inverse of the tail x**(-alpha); signs
-    follow each tile's uniforms, and the top ranks merge tile by tile.  The
+    buffer, mapped in place by the inverse of the tail x**(-alpha); the top
+    ranks merge tile by tile, then the signs go on in place (_signed).  The
     scale goes on each term: on the sum, s**(-1/alpha) overflows (inf * 0).
     A term past the float range (alpha near 0) raises OverflowError.
     """
@@ -500,13 +504,12 @@ def _power_block(alpha, n, ranks, symmetric, gen, rows, scale=None):
             if scale is not None:
                 u *= scale[rs, None]
             mags = inverse(u, out=u)
-            signed = mags * (2.0 * gen.integers(0, 2, mags.shape) - 1.0) if symmetric else mags
-            out[rs, 0] += signed.sum(axis=1)
             if ranks == 1:
                 top = np.maximum(top, mags.max(axis=1, keepdims=True))
             elif ranks:
                 top = np.partition(np.concatenate([top, mags], axis=1),
                                    c1 - c0, axis=1)[:, c1 - c0:]
+            out[rs, 0] += (_signed(gen, mags) if symmetric else mags).sum(axis=1)
         out[rs, 1:] = np.sort(top, axis=1)[:, ::-1]
     return _finite(out, alpha)
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from ._arrays import elementwise
+from ._arrays import _check_count, elementwise
 
 __all__ = [
     "TailModel",
@@ -62,9 +62,7 @@ class TailModel:
     def __post_init__(self):
         if not (self.alpha > 0.0 and math.isfinite(self.alpha)):
             raise ValueError("alpha must be positive and finite")
-        if int(self.q) != self.q or self.q < 2:
-            raise ValueError("q must be an integer >= 2")
-        object.__setattr__(self, "q", int(self.q))
+        object.__setattr__(self, "q", _check_count(self.q, "q", 2))
         if not (self.c > 0.0 and math.isfinite(self.c)):
             raise ValueError("c must be positive")
         if not (self.x0 >= 0.0 and math.isfinite(self.x0)):
@@ -315,8 +313,10 @@ def tail_first_moment(model: TailModel, lo: float, hi: float | None = None) -> f
     hi = inf (needs alpha > 1) drops hi*T(hi), and _integrate_tail sums the
     improper integral's periods exactly.
     """
-    if lo <= 0.0:
-        raise ValueError("lo must be positive")
+    if not 0.0 < lo < math.inf:
+        raise ValueError("lo must be positive and finite, got %s" % lo)
+    if hi is not None and not 0.0 < hi < math.inf:
+        raise ValueError("hi must be positive and finite, got %s" % hi)
     if hi is None and model.alpha <= 1.0:
         raise ValueError("mean above a cutoff is infinite for alpha <= 1")
     top = 0.0 if hi is None else hi * float(model._tail_formula(hi))
@@ -333,11 +333,11 @@ def gaussian_criterion_ratio(model: TailModel, x: float) -> float:
     x0 = 0 (pure intensity reading, needs alpha < 2) the boundary term
     vanishes and _integrate_tail sums the periods down to 0 exactly; for
     psi == 1 the ratio is then (2 - alpha)/alpha at every x.  A vanishing
-    limit signals a Gaussian domain.  OverflowError if m2(x) leaves the
-    float range.
+    limit signals a Gaussian domain.  x must be finite (ValueError).
+    OverflowError if m2(x) leaves the float range.
     """
-    if x <= model.x0 or x <= 0.0:
-        raise ValueError("x must exceed x0 (and be positive)")
+    if not (x > model.x0 and 0.0 < x < math.inf):
+        raise ValueError("x must be finite and exceed x0 (and be positive), got %s" % x)
     t_x = float(model._tail_formula(x))
     if t_x == 0.0 or (model.x0 == 0.0 and model.alpha >= 2.0):
         return 0.0  # at x0 = 0 and alpha >= 2 m2 diverges at the origin

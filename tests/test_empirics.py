@@ -208,6 +208,20 @@ def test_levy_distance_rejects_bad_grid_step(grid_step):
         levy_distance(e, lambda x: np.clip(np.asarray(x), 0.0, 1.0), grid_step)
 
 
+def test_a_nan_cdf_is_refused():
+    # both distances returned nan, which passes no tolerance and fails none
+    e = Ecdf.from_sample([1.0, 2.0, 3.0])
+    nan = lambda v: np.full(np.shape(v), np.nan)
+    for distance in (ks_distance, levy_distance):
+        with pytest.raises(ValueError, match=r"the CDF returned NaN on the chunk \[1, 3\]"):
+            distance(e, nan)
+    # NaN only past the sample: the KS points see none, the Levy bracket does
+    beyond = lambda v: np.where(np.asarray(v) <= 3.0, np.clip(np.asarray(v) / 4.0, 0, 1), np.nan)
+    assert ks_distance(e, beyond) == 0.25
+    with pytest.raises(ValueError, match="the CDF returned NaN"):
+        levy_distance(e, beyond)
+
+
 def test_levy_below_ks():
     rng = np.random.default_rng(4)
     from scipy.special import ndtr

@@ -161,12 +161,12 @@ def test_petersburg_sums_at_huge_n_are_even_integers():
 
 
 def test_petersburg_sum_batch_validation():
-    for n, reps in ((0, 10), (10, 0)):
-        with pytest.raises(ValueError, match="n >= 1 and reps >= 1"):
+    for n, reps, name in ((0, 10, "n"), (10, 0, "reps")):
+        with pytest.raises(ValueError, match="%s must be an integer >= 1, got 0" % name):
             petersburg_sum_batch(n, reps, seed=1)
     # a non-integral n gave the sums of int(n) draws: [6, 16, 132] at 2.5
     for n in (2.5, math.inf, math.nan):
-        with pytest.raises(ValueError, match="integer n >= 1"):
+        with pytest.raises(ValueError, match="n must be an integer >= 1"):
             petersburg_sum_batch(n, 3, seed=1)
 
 
@@ -227,6 +227,23 @@ def test_points_from_arrivals_power_law():
     arr = np.array([0.25, 1.0, 4.0, 9.0])
     pts = points_from_arrivals(m, arr)
     assert np.allclose(pts, arr ** -2.0, rtol=1e-13)  # y_p = Gamma_p^(-1/alpha)
+
+
+def test_arrivals_extend_past_the_first_draw():
+    # gaps of 1e-3 need about 10^4 exponentials below lam = 10, more than
+    # the first n0 = 105: the draw extends until it passes lam
+    drawn = []
+
+    class Small:
+        def standard_exponential(self, n):
+            drawn.append(1e-3 * RngStream(5, len(drawn)).generator().standard_exponential(n))
+            return drawn[-1]
+
+    arr = sampling._arrivals_below(Small(), 10.0)
+    assert len(drawn) > 2
+    every = np.cumsum(np.concatenate(drawn))
+    assert every[-1] >= 10.0 and arr.size == np.count_nonzero(every < 10.0)
+    assert np.allclose(arr, every[:arr.size], rtol=1e-12, atol=0.0)
 
 
 def test_poisson_point_set_structure():
@@ -358,18 +375,18 @@ def test_poisson_sum_batch_stream_layout(threads):
 
 def test_batches_need_a_replicate():
     # an empty batch used to fail inside np.concatenate
-    with pytest.raises(ValueError, match="reps must be >= 1"):
+    with pytest.raises(ValueError, match="reps must be an integer >= 1"):
         poisson_sum_batch(make_pareto(0.5), 1e-3, 0, seed=1)
-    with pytest.raises(ValueError, match="reps must be >= 1"):
+    with pytest.raises(ValueError, match="reps must be an integer >= 1"):
         lepage_batch(0.5, 0, seed=1, n_terms=10)
 
 
 @pytest.mark.parametrize("n_terms", (0, -5))
 def test_lepage_needs_a_term(n_terms):
     # returned sums of no terms (0.0) before
-    with pytest.raises(ValueError, match="n_terms must be >= 1"):
+    with pytest.raises(ValueError, match="n_terms must be an integer >= 1"):
         lepage_batch(0.5, 3, 1, n_terms=n_terms)
-    with pytest.raises(ValueError, match="n_terms must be >= 1"):
+    with pytest.raises(ValueError, match="n_terms must be an integer >= 1"):
         sample_lepage(0.5, RngStream(1), n_terms=n_terms)
 
 
@@ -665,6 +682,19 @@ def test_lepage_block_working_set():
         tracemalloc.stop()
     assert vals.shape == (sampling.BLOCK,)
     assert peak <= 320 * 1024
+
+
+def test_symmetric_lepage_block_signs_in_place():
+    # the signs go on the magnitudes in place (_signed); a fresh int64 and
+    # two float arrays per tile took 1,038 KiB
+    tracemalloc.start()
+    try:
+        vals = lepage_batch(1.5, sampling.BLOCK, seed=7, symmetric=True, n_terms=10 ** 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert vals.shape == (sampling.BLOCK,)
+    assert peak <= 640 * 1024
 
 
 def test_lepage_small_alpha_is_not_nan():

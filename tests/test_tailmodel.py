@@ -257,6 +257,13 @@ def test_petersburg_quantile_galois_property(c, u):
     assert intensity_tail(m, x) <= u < intensity_tail(m, x / 2.0)
 
 
+def test_grid_quantile_moves_a_point_one_block():
+    # the rounded logarithm puts u = T(4^29) one period block off; moved
+    # back, the bisection ends on the block edge itself
+    m = wavy_grid_model(alpha=0.5)
+    assert tail_quantile(m, tail_eval(m, 4.0 ** 29)) == 4.0 ** 29
+
+
 def test_grid_quantile_matches_bisection_inverse():
     m = wavy_grid_model()
     for u in (0.7, 0.31, 0.05, 0.011):
@@ -324,6 +331,24 @@ def test_gaussian_criterion_domain():
     m = make_pareto(0.5)
     with pytest.raises(ValueError):
         gaussian_criterion_ratio(m, 0.5)
+
+
+@pytest.mark.parametrize("call, name", [
+    # the ratio tends to (2 - alpha)/alpha = 1/3, but read 0.0 at inf
+    (lambda m: gaussian_criterion_ratio(m, math.inf), "x"),
+    (lambda m: gaussian_criterion_ratio(m, math.nan), "x"),
+    # "cannot convert float NaN to integer" at lo = inf
+    (lambda m: tail_first_moment(m, math.inf), "lo"),
+    (lambda m: tail_first_moment(m, math.nan), "lo"),
+    # "tail formula needs x > 0" at hi = nan
+    (lambda m: tail_first_moment(m, 1.0, math.nan), "hi"),
+    (lambda m: tail_first_moment(m, 1.0, math.inf), "hi"),
+], ids=["ratio-inf", "ratio-nan", "lo-inf", "lo-nan", "hi-nan", "hi-inf"])
+def test_tail_moments_refuse_non_finite_arguments(call, name):
+    m = make_pareto(1.5)
+    assert gaussian_criterion_ratio(m, 1e12) == pytest.approx(1.0 / 3.0, rel=1e-5)
+    with pytest.raises(ValueError, match="^%s must be .*finite" % name):
+        call(m)
 
 
 def test_tail_first_moment_closed_forms():
