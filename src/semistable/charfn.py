@@ -11,7 +11,8 @@ The inversion follows the package's working-set rule (_arrays): it builds
 its quadrature weights a slab of nodes at a time and sums phases over
 blocks of 64 points, so no temporary holds more than _CHUNK doubles and no
 matrix product does more than _CHUNK complex multiply-adds (_slab_plan),
-even on the largest node set the budget admits (4e6 nodes).
+even on the largest node set the budget admits (4e6 nodes).  A law that
+states its band (CfExponent) gets panels three times as wide past the first.
 """
 
 from __future__ import annotations
@@ -66,12 +67,16 @@ class CfExponent:
     non-differentiable exponent, which defeats panel quadrature; the
     reduced exponent is entire, and so is its real log-MGF
     log_mgf(s) = log E e^{sY}, whose Chernoff bounds give the reach of the
-    reduced law.  Closed-form laws have no split.
+    reduced law.  Closed-form laws have no split.  band, when given, is the
+    largest frequency among the exponent's oscillating terms, the largest
+    atom its Levy measure keeps (0 for the closed-form laws); the inversion
+    prices its panels from it (_node_count); None, from the phase alone.
     """
 
     fn: Callable
     split: Callable | None = None
     log_mgf: Callable | None = None
+    band: float | None = None
 
     def __call__(self, t):
         return self.fn(np.asarray(t, dtype=float))
@@ -191,7 +196,8 @@ def g_gamma_law(gamma: float) -> CfExponent:
         # are a 2^j with a = 2^(L+1) / gamma and rates (Lambda/2) 2^-j
         L = _top_level(_LAW_TOL / gamma, cut * gamma)
         reduced = CfExponent(fn=lambda t: g_gamma_exponent(t, gamma, cut),
-                             log_mgf=lambda s: _dyadic_log_mgf(s, gamma, L))
+                             log_mgf=lambda s: _dyadic_log_mgf(s, gamma, L),
+                             band=2.0 ** L / gamma)
         return reduced, 2.0 ** (L + 1) / gamma, gamma * 2.0 ** -L
 
     return CfExponent(fn=lambda t: g_gamma_exponent(t, gamma), split=split)
@@ -204,12 +210,12 @@ def cauchy_law(scale: float = 1.0) -> CfExponent:
     """Cauchy exponent -scale*|t|; CDF 1/2 + arctan(x/scale)/pi."""
     if not 0.0 < scale < math.inf:
         raise ValueError("scale must be positive and finite, got %s" % scale)
-    return CfExponent(fn=lambda t: -scale * np.abs(t) + 0j)
+    return CfExponent(fn=lambda t: -scale * np.abs(t) + 0j, band=0.0)
 
 
 def gaussian_law() -> CfExponent:
     """Standard normal exponent -t**2/2."""
-    return CfExponent(fn=lambda t: -0.5 * t * t + 0j)
+    return CfExponent(fn=lambda t: -0.5 * t * t + 0j, band=0.0)
 
 
 def one_sided_stable_exponent(alpha: float, c: float = 1.0) -> CfExponent:
@@ -232,13 +238,14 @@ def one_sided_stable_exponent(alpha: float, c: float = 1.0) -> CfExponent:
         t = np.asarray(t, dtype=float)
         return -scale * np.abs(t) ** alpha * phases[np.sign(t).astype(int) + 1]
 
-    return CfExponent(fn=fn)
+    return CfExponent(fn=fn, band=0.0)
 
 
 def convolution_power(h: CfExponent, k: float) -> CfExponent:
     """The law with characteristic function phi**k, exact in exponent form.
 
-    Its split keeps the lattice spacing and scales the removed rate by k."""
+    Its split keeps the lattice spacing and scales the removed rate by k;
+    its band is the base law's."""
     if not 0.0 < k < math.inf:
         raise ValueError("power k must be positive and finite, got %s" % k)
     k, base, base_split, base_mgf = float(k), h.fn, h.split, h.log_mgf
@@ -251,7 +258,7 @@ def convolution_power(h: CfExponent, k: float) -> CfExponent:
         def log_mgf(s):
             return k * base_mgf(s)
     return CfExponent(fn=lambda t: k * base(np.asarray(t, dtype=float)), split=split,
-                      log_mgf=log_mgf)
+                      log_mgf=log_mgf, band=h.band)
 
 
 # -- Gil-Pelaez inversion ----------------------------------------------------
@@ -272,19 +279,16 @@ _gl_rule = functools.cache(leggauss)  # on first use: its eigensolver loads LAPA
 
 
 def _decay_cutoff(h, tol):
-    """Smallest dyadic cutoff T with exp(Re h)/t safely below tol at and past T."""
-    target = tol * 1e-3
-    T = 8.0
-    while True:
-        probes = T * np.array([1.0, 1.25, 1.6])
-        with np.errstate(under="ignore"):
-            vals = np.exp(np.real(h(probes))) / probes
-        if np.all(vals < target):
-            return T
-        T *= 2.0
-        if T > 1e6:
-            raise InversionError(
-                "characteristic function does not decay (cutoff search passed 1e6)")
+    """Smallest dyadic cutoff T = 8 2^j <= 1e6 with exp(Re h)/t safely below
+    tol at T, 1.25 T and 1.6 T; every T's probes go in one exponent call."""
+    probes = np.ldexp(8.0, np.arange(17))[:, None] * np.array([1.0, 1.25, 1.6])
+    with np.errstate(under="ignore"):
+        ok = np.all(np.exp(np.real(h(probes.ravel()))).reshape(probes.shape) / probes
+                    < tol * 1e-3, axis=1)
+    if not ok.any():
+        raise InversionError(
+            "characteristic function does not decay (cutoff search passed 1e6)")
+    return float(probes[ok.argmax(), 0])
 
 
 def _phase_slope(h, t_lo, t_hi):
@@ -304,39 +308,49 @@ _LATTICE_BUDGET = 1 << 20  # lattice pmf points per cdf_from_cf call; the far
                            # pmf reaches |x| / a, a in (2, 4], so |x| <= 2e6 at
                            # every gamma (1e6 takes 3.8e5 at gamma 1.5, 36 ms)
 _NODE_BUDGET = 1 << 22  # nodes in one node set: the dyadic family's far points
-                        # share one small set at any |x|; a closed-form law's
-                        # grows like 12 T |x| / pi (Cauchy, T = 32: |x| <= 3.2e4)
+                        # share one small set at any |x|; a closed-form law's, of
+                        # band 0, grows like 4 T |x| / pi (Cauchy, T = 32: |x| <= 6.5e4)
 _WORK_BUDGET = 1 << 29  # reduced point x node products per call; 2-core x86, one
                         # thread per product: 0.35 s for 1e5 points, |x| <= 32, on
-                        # 2,656 nodes, 0.54 s for 120 Cauchy points near 3e4 on 4e6,
+                        # 2,656 nodes, 0.2 s for 120 Cauchy points near 3e4 on 1.3e6,
                         # 50x the largest call the tests and the benchmark make
 
 
-def _node_count(T, omega):
-    """(K, node count) of _build_nodes(T, omega): K = ceil((T - t0)/delta)
-    panels of 12 nodes above the 55-node head.  Floats; np.ceil keeps an
-    overflowing T omega at inf, not OverflowError."""
-    K = np.ceil(T * omega / math.pi - 0.5)  # (T - t0)/delta, t0 = delta/2
-    return K, _HEAD_T.size + 12.0 * K
+def _node_count(T, omega, band=None):
+    """(K, node count, span) of _build_nodes(T, omega, band): K 12-node panels
+    above the 55-node head on span = ceil((T - t0)/delta) half-oscillations
+    delta = pi/omega past t0 = delta/2, the first [t0, 3 t0], the rest at
+    most 3 pi/(omega + band) and at least delta wide (K = span without a
+    band).  Floats; np.ceil keeps an overflowing T omega at inf."""
+    span = np.ceil(T * omega / math.pi - 0.5)
+    f = 1.0 if band is None else min(1.0, (1.0 + band / omega) / 3.0)
+    K = 1.0 + np.ceil((span - 1.0) * f)
+    return K, _HEAD_T.size + 12.0 * K, span
 
 
-def _build_nodes(T, omega):
+def _build_nodes(T, omega, band=None):
     """Quadrature nodes/weights of the inversion on (0, T], as a head and a bulk.
 
     With delta = pi/omega half an oscillation of e^{-itx} phi(t) and
     t0 = delta/2, the head covers (0, t0] with the 55-node tanh-sinh rule,
     the same for every law: it resolves an integrand that is analytic at
     t = 0 and one that behaves like t**(alpha-1) or log(1/t) there.  The
-    bulk is the K = ceil((T - t0)/delta) equal panels
-    [t0 + k delta, t0 + (k+1) delta] with the 12-point Gauss-Legendre rule,
-    which _bulk_phase_sums builds a slab at a time (_bulk_nodes); the last
-    may end past T, where the integrand is already below the cutoff's bound.
-    Returns (t_head, w_head, t0, delta, K).
+    bulk is the K 12-point Gauss-Legendre panels of _node_count on
+    [t0, t0 + span delta]: [t0, 3 t0], then equal panels over at most three
+    half-oscillations of the top frequency omega + band, on which one errs
+    by about 2e-15 of its length.  Returns (t_head, w_head, (start, width,
+    panels)): the head nodes, with the first panel's where the rest are
+    wider, and the equal panels, which _bulk_phase_sums builds a slab at a
+    time (_bulk_nodes); the last ends past T, below the cutoff's bound.
     """
-    K = int(_node_count(T, omega)[0])
+    K, _, span = (int(v) for v in _node_count(T, omega, band))
     delta = math.pi / omega
     t0 = 0.5 * delta
-    return t0 * _HEAD_T, t0 * _HEAD_W, t0, delta, K
+    if K == span:
+        return t0 * _HEAD_T, t0 * _HEAD_W, (t0, delta, K)
+    t, w = _bulk_nodes(t0, delta, 1)
+    return (np.concatenate([t0 * _HEAD_T, t[0]]), np.concatenate([t0 * _HEAD_W, w[0]]),
+            (3.0 * t0, delta * (span - 1) / (K - 1), K - 1))
 
 
 def _bulk_nodes(t0, delta, stop, start=0):
@@ -353,7 +367,7 @@ _XBLOCK = 64  # points per block of the phase sums
 
 def _phase_sums(xs, t, cw):
     """Im sum_i cw_i e^{-i t_i x} for each x, a cosine and a sine per node
-    and point; _invert runs it on the 55 head nodes, _XBLOCK points at a time."""
+    and point; _invert runs it on the head nodes, _XBLOCK points at a time."""
     cw_re, cw_im = np.real(cw), np.imag(cw)
     out = np.empty(xs.size)
     for i in range(0, xs.size, _XBLOCK):
@@ -381,6 +395,16 @@ def _slab_plan(K):
     return B, rows, tile
 
 
+def _row_factors(xb, step, a0, n):
+    """V[x, a] = e^{-i (a0 + a) step x}, a < n, for the column of points xb:
+    an exponential every eighth row, times the powers z^r (r < 8) of
+    z = e^{-i step x}, so each factor takes at most 7 products."""
+    z = np.repeat(np.exp(-1j * step * xb), 8, axis=1)
+    z[:, 0] = 1.0
+    anchors = np.exp(-1j * (xb * (step * np.arange(a0, a0 + n, 8))))
+    return (anchors[:, :, None] * np.cumprod(z, axis=1)[:, None, :]).reshape(xb.size, -1)[:, :n]
+
+
 def _bulk_phase_sums(xs, law, t0, delta, K):
     """_phase_sums over the K bulk panels of _bulk_nodes(t0, delta, K), with
     weights exp(law(t)) w / t.
@@ -391,7 +415,8 @@ def _bulk_phase_sums(xs, law, t0, delta, K):
     U[x, (b, j)] = e^{-i b delta x} e^{-i s_j x}, V[x, a] = e^{-i a B delta x}
     and C[a, (b, j)] is the weight of node t, zero past panel K.  U is an
     outer product, so per point and slab that is B + 12 complex
-    exponentials, plus one per row of C, instead of 12 K cosines and sines.
+    exponentials, plus one per eight rows of C (_row_factors), instead of
+    12 K cosines and sines.
     C is built one slab of rows at a time, the law evaluated on that slab's
     nodes alone; for each block of 64 points U @ C^T is one stacked matmul
     over the slab's tiles, a BLAS product per tile (_slab_plan bounds each),
@@ -409,12 +434,11 @@ def _bulk_phase_sums(xs, law, t0, delta, K):
         with np.errstate(under="ignore"):
             C[:t.shape[0]] = np.exp(law(t)) * (w / t)
         C = C.reshape(-1, tile, 12 * B).transpose(0, 2, 1)  # tiles of C^T
-        outer = (B * delta) * np.arange(a0, a0 + n_rows)
         for i in range(0, xs.size, _XBLOCK):
             xb = xs[i:i + _XBLOCK, None]
             u = (np.exp(-1j * (xb * steps))[:, :, None]
                  * np.exp(-1j * (xb * offsets))[:, None, :]).reshape(xb.size, 12 * B)
-            v = np.exp(-1j * (xb * outer)).reshape(xb.size, -1, tile)
+            v = _row_factors(xb, B * delta, a0, n_rows).reshape(xb.size, -1, tile)
             s[i:i + _XBLOCK] += np.einsum("itk,tik->i", v, u @ C)
     return np.imag(np.exp(-1j * t0 * xs) * s)
 
@@ -483,9 +507,11 @@ def cdf_from_cf(h: CfExponent, x, tol: float = 1e-8):
     The cutoff T is chosen so exp(Re h(T))/T sits three decades below tol
     (raises InversionError if the search passes 1e6); panel density is
     matched to the oscillation frequency |x| plus the phase slope of phi
-    (InversionError if not finite); the t -> 0 neighborhood is one 55-node
-    tanh-sinh rule for every law, which resolves an analytic integrand and a
-    t**(alpha-1) or log(1/t) one alike (_build_nodes).  Absolute error
+    (InversionError if not finite), and for a law with a band, panels past
+    the first span three half-oscillations of that plus the band; the t -> 0
+    neighborhood is one 55-node tanh-sinh rule for every law, which resolves
+    an analytic integrand and a t**(alpha-1) or log(1/t) one alike
+    (_build_nodes).  Absolute error
     target tol, finite and >= 1e-10 (else ValueError), for a law whose
     exponent is smooth away from 0 or that has a split: an unsplit
     lacunary exponent, such as CfExponent(fn=g_exponent), defeats the panel
@@ -546,7 +572,7 @@ def _node_plan(law, ys, tol):
     T = _decay_cutoff(law, tol)
     ks = _magnitudes(ys)
     # each omega exceeds its b (inf past |x| = 2^1023)
-    _check_budget(_node_count(T, 32.0 * 2.0 ** int(ks.max()))[1], _NODE_BUDGET,
+    _check_budget(_node_count(T, 32.0 * 2.0 ** int(ks.max()), law.band)[1], _NODE_BUDGET,
                   "quadrature nodes")
     plan = []
     slope = _phase_slope(law, min(1e-3, T / 100.0), T)
@@ -555,7 +581,7 @@ def _node_plan(law, ys, tol):
         omega = b + max(4.0, 1.3 * slope)
         if law.log_mgf is None:
             omega = b + max(4.0, 1.3 * _phase_slope(law, math.pi / (2.0 * omega), T))
-        plan.append((ks == k, T, omega, _node_count(T, omega)[1]))
+        plan.append((ks == k, T, omega, _node_count(T, omega, law.band)[1]))
     return plan
 
 
@@ -586,10 +612,10 @@ def _invert(h, xs, tol):
     _check_budget(sum(ys.size * need for _, ys, *_, need in plan),
                   _WORK_BUDGET, "point x node products")
     for law, ys, owner, weight, T, omega, _ in plan:
-        t, w, t0, delta, K = _build_nodes(T, omega)
+        t, w, bulk = _build_nodes(T, omega, law.band)
         with np.errstate(under="ignore"):
             cw = np.exp(law(t)) * (w / t)
-        vals = _phase_sums(ys, t, cw) + _bulk_phase_sums(ys, law, t0, delta, K)
+        vals = _phase_sums(ys, t, cw) + _bulk_phase_sums(ys, law, *bulk)
         out += np.bincount(owner, weight * (0.5 - vals / math.pi), minlength=out.size)
     return np.clip(out, 0.0, 1.0)
 

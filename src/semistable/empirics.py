@@ -26,7 +26,7 @@ import numpy as np
 from .charfn import (TabulatedCdf, cdf_from_cf, erlang_cdf, g_gamma_law,
                      tabulate_cdf)
 from ._arrays import _CHUNK, _check_count, elementwise
-from .sampling import (RngStream, _lepage_block, _lepage_prep, _map_blocks,
+from .sampling import (_MAX_N, RngStream, _lepage_block, _lepage_prep, _map_blocks,
                        _petersburg_block, _power_block, petersburg_sum_batch)
 
 _KS_CHUNK = _CHUNK // 4  # points per KS step: the step and a TabulatedCdf call
@@ -154,9 +154,11 @@ def levy_distance(e: Ecdf, cdf, grid_step: float = 1e-4) -> float:
 
 
 def gamma_n(n: int) -> float:
-    """Dyadic position n / 2**floor(log2 n) in [1, 2), computed exactly."""
-    m, _ = math.frexp(_check_count(n, "n", 1))
-    return 2.0 * m
+    """Dyadic position n / 2**floor(log2 n) in [1, 2), rounded once from any
+    int; one that rounds to 2 is 1, the same law (the family closes)."""
+    n = _check_count(n, "n", 1)
+    g = n / (1 << (n.bit_length() - 1))
+    return g if g < 2.0 else 1.0
 
 
 @dataclass(frozen=True)
@@ -221,7 +223,7 @@ def feller_experiment(n: int, reps: int, rng: RngStream,
     P(|W| > 0.5 log2 n), W following the family law at gamma_n; the
     tolerance is 0.02 + 3 * binomial stderr.
     """
-    n, reps = _check_count(n, "n", 2), _check_count(reps, "reps", 100)
+    n, reps = _check_count(n, "n", 2, _MAX_N), _check_count(reps, "reps", 100)
     sums = petersburg_sum_batch(n, reps, rng.seed, rng.stream_id)
     log2n = math.log2(n)
     w = sums / (n * log2n) - 1.0
@@ -261,7 +263,7 @@ def martin_lof_experiment(k: int, reps: int, rng: RngStream, threads: int = 1,
 def merging_experiment(n: int, reps: int, rng: RngStream, threads: int = 1,
                        tolerance: float = 0.03) -> ExperimentReport:
     """Sup distance of S_n/n - log2 n to the family law at gamma_n."""
-    n, reps = _check_count(n, "n", 16), _check_count(reps, "reps", 10 ** 4)
+    n, reps = _check_count(n, "n", 16, _MAX_N), _check_count(reps, "reps", 10 ** 4)
     gamma = gamma_n(n)
     sums = petersburg_sum_batch(n, reps, rng.seed, rng.stream_id)
     vals = sums / n - math.log2(n)
@@ -286,7 +288,7 @@ def merging_sweep(k: int, points_per_octave: int, reps: int, rng: RngStream,
     i = 0..points; the family position returns to gamma = 1 at both ends,
     so the law tags coincide and the end batches must agree (two-sample KS).
     """
-    k, reps = _check_count(k, "k", 8), _check_count(reps, "reps", 1)
+    k, reps = _check_count(k, "k", 8, 61), _check_count(reps, "reps", 1)  # n <= 2^62
     points_per_octave = _check_count(points_per_octave, "points_per_octave", 1)
     ns = [round((1 << k) * (1.0 + i / points_per_octave))
           for i in range(points_per_octave + 1)]
@@ -414,10 +416,8 @@ def lepage_limit_experiment(alpha: float, k: int, reps: int, rng: RngStream,
     """
     k, reps = _check_count(k, "k", 4, 24), _check_count(reps, "reps", 1)
     n = 1 << k
-    p_terms = _lepage_prep(alpha, n_terms, symmetric)
-    r = _RANK_CHECKS
-    if p_terms < r:
-        raise ValueError("n_terms must be >= %d, the ranks compared" % r)
+    r = _RANK_CHECKS  # n_terms must reach the ranks compared
+    p_terms = _lepage_prep(alpha, n_terms, symmetric, least=r)
     a, b = _map_blocks(
         [(functools.partial(_power_block, alpha, n, r, symmetric), n),
          (functools.partial(_lepage_block, alpha, p_terms, symmetric, ranks=r), p_terms)],

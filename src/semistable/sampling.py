@@ -224,6 +224,7 @@ def sample_petersburg(n: int, rng: RngStream) -> SampleBatch:
 # P(X = 2^k) = 2^-k for k < 64, then the rest, 2^-63, in one last cell
 _LEVEL_P = np.ldexp(1.0, -np.minimum(np.arange(1, 65), 63))
 _LEVEL_VALUES = np.ldexp(1.0, np.arange(1, 64))
+_MAX_N = 2 ** 63 - 1  # the most draws in one int64 level count
 
 
 def _level_sums(counts, gen):
@@ -260,8 +261,9 @@ def petersburg_sum_batch(n: int, reps: int, seed: int, base_stream: int = 0,
 
     Each block is one multinomial call over its rows (_petersburg_block),
     and a row's levels count as its draws: reps x bit_length(n) must stay
-    within the 2^32 draw budget; threads is ignored."""
-    n = _check_count(n, "n", 1)
+    within the 2^32 draw budget, and n must fit the int64 level counts;
+    threads is ignored."""
+    n = _check_count(n, "n", 1, _MAX_N)
     phase = (functools.partial(_petersburg_block, n), n.bit_length())
     return next(_map_blocks([phase], reps, seed, base_stream))
 
@@ -473,13 +475,13 @@ def sample_lepage(alpha: float, rng: RngStream, n_terms: int | None = None,
     return float(lepage_batch(alpha, 1, rng.seed, symmetric, n_terms, rng.stream_id)[0])
 
 
-def _lepage_prep(alpha, n_terms, symmetric):
+def _lepage_prep(alpha, n_terms, symmetric, least=1):
     if not (0.0 < alpha < 2.0):
         raise ValueError("alpha must lie in (0, 2)")
     if not symmetric and alpha >= 1.0:
         raise ValueError("positive mode needs alpha < 1")
     p = (lepage_auto_terms(alpha, symmetric) if n_terms is None
-         else _check_count(n_terms, "n_terms", 1))
+         else _check_count(n_terms, "n_terms", least))
     _check_budget(p, 10 ** 8, "series terms")
     return p
 

@@ -13,8 +13,8 @@ from scipy.special import gammainc, ndtr
 from semistable._arrays import _CHUNK, ResourceLimitError
 from semistable.charfn import (_NODE_BUDGET, _XBLOCK, CfExponent, InversionError,
                                TabulatedCdf, _build_nodes, _bulk_nodes,
-                               _bulk_phase_sums, _node_count, _phase_sums,
-                               _slab_plan, cauchy_law,
+                               _bulk_phase_sums, _node_count, _node_plan, _phase_sums,
+                               _row_factors, _slab_plan, cauchy_law,
                                cdf_from_cf, convolution_power, erlang_cdf,
                                g_exponent, g_gamma_exponent, g_gamma_law,
                                gaussian_law, levy_cdf,
@@ -384,7 +384,9 @@ def test_node_budget_prices_the_entire_head(K, fits):
 
 def test_entire_laws_probe_once_and_build_one_head_panel(monkeypatch):
     # a law with log_mgf: one slope probe per call; any other law probes
-    # again per group.  Every group of every law has the same 55-node head
+    # again per group.  Every group of every law has the same 55-node head;
+    # a law with a band adds its first bulk panel's 12 nodes to it, as the
+    # panels after it are wider
     from semistable import charfn
 
     heads, probes = [], []
@@ -394,18 +396,18 @@ def test_entire_laws_probe_once_and_build_one_head_panel(monkeypatch):
     monkeypatch.setattr(charfn, "_phase_slope",
                         lambda *a: probes.append(a[0]) or slope(*a))
     cases = [
-        (_drift_law(3.0), [0.0, 100.0, 1e3], 3, 1),
-        (_drift_law(3.0, entire=False), [0.0, 100.0, 1e3], 3, 4),
+        (_drift_law(3.0), [0.0, 100.0, 1e3], [55] * 3, 1),
+        (_drift_law(3.0, entire=False), [0.0, 100.0, 1e3], [55] * 3, 4),
         # one reduced law per near group and one for the far points
-        (g_gamma_law(1.5), [0.5, 50.0, 1e3, 1e5], 3, 3),
-        (cauchy_law(), [0.5], 1, 2),
-        (one_sided_stable_exponent(0.5), [0.5], 1, 2),
+        (g_gamma_law(1.5), [0.5, 50.0, 1e3, 1e5], [67] * 3, 3),
+        (cauchy_law(), [0.5], [67], 2),
+        (one_sided_stable_exponent(0.5), [0.5], [67], 2),
     ]
-    for law, xs, groups, want_probes in cases:
+    for law, xs, want_heads, want_probes in cases:
         heads.clear()
         probes.clear()
         cdf_from_cf(law, xs)
-        assert heads == [55] * groups and len(probes) == want_probes
+        assert heads == want_heads and len(probes) == want_probes
 
 
 def cascade_head(t0):
@@ -423,7 +425,7 @@ def head_versus_cascade(law, b):
 
     (_, T, omega, _), = _node_plan(law, np.array([b]), 1e-8)
     xs = np.linspace(-b, b, 81)
-    t, w, t0, *_ = _build_nodes(T, omega)
+    t, w, (t0, *_) = _build_nodes(T, omega)
     tc, wc = cascade_head(t0)
     assert t.size == 55 and np.all((t > 0.0) & (t <= t0)) and t.min() < 1e-60 * t0
     cw, cwc = (np.exp(law(nodes)) * weights / nodes for nodes, weights in ((t, w), (tc, wc)))
@@ -463,8 +465,7 @@ def test_far_points_cost_one_reduced_node_set(monkeypatch):
 
     built, calls = [], []
     build = charfn._build_nodes
-    monkeypatch.setattr(charfn, "_build_nodes",
-                        lambda T, omega: built.append((T, omega)) or build(T, omega))
+    monkeypatch.setattr(charfn, "_build_nodes", lambda *a: built.append(a) or build(*a))
     for name in ("_phase_sums", "_bulk_phase_sums"):
         kernel = getattr(charfn, name)
         monkeypatch.setattr(charfn, name,
@@ -790,31 +791,43 @@ def test_cdf_values_pinned(law, xs, expected):
     assert np.max(np.abs(got - np.array(expected))) < 1e-12
 
 
-def _all_nodes(T, omega):
-    t, w, t0, delta, K = _build_nodes(T, omega)
-    tb, wb = _bulk_nodes(t0, delta, K)
-    return np.concatenate([t, tb.ravel()]), np.concatenate([w, wb.ravel()]), t0 + K * delta
+def _all_nodes(T, omega, band=None):
+    t, w, (start, width, K) = _build_nodes(T, omega, band)
+    tb, wb = _bulk_nodes(start, width, K)
+    return np.concatenate([t, tb.ravel()]), np.concatenate([w, wb.ravel()]), start + K * width
 
 
 def test_build_nodes_counts_and_weights():
     # every magnitude group has b >= 32 and omega >= b + 4, and the decay
     # cutoff T is a power of two from 8 on; the node set depends on (T,
-    # omega) alone: a 55-node head on (0, t0] and 12-node bulk panels
+    # omega, band) alone: a 55-node head on (0, t0] and 12-node bulk panels
+    # on the same span [t0, end] whatever the band, the first [t0, 3 t0],
+    # the rest between delta and 3 pi/(omega + band) wide; where they are
+    # wider than delta, the first panel's nodes join the head's
     pairs = 0
     for T in (8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0):
         for omega in (36.0, 37.3, 68.0, 75.17, 132.5, 516.0, 1028.0, 4100.0):
-            need = _node_count(T, omega)[1]
-            if need > _NODE_BUDGET:  # cdf_from_cf refuses these before building
+            if _node_count(T, omega)[1] > _NODE_BUDGET:  # refused before building
                 continue
             pairs += 1
-            t_head, w_head, t0, *_ = _build_nodes(T, omega)
-            assert t_head.size == 55 and abs(w_head.sum() - t0) <= 1e-15 * t0
-            t, w, end = _all_nodes(T, omega)
             delta = math.pi / omega
-            assert t.size == need
-            assert T <= end < T + delta
-            assert abs(w.sum() - end) <= 1e-12 * end
-            assert np.all((t > 0.0) & (t <= end)) and np.all(w >= 0.0)
+            t0 = 0.5 * delta
+            ends = set()
+            for band in (None, 0.0, 1.5, omega, 2.0 * omega):
+                need = _node_count(T, omega, band)[1]
+                t_head, w_head, (start, width, _) = _build_nodes(T, omega, band)
+                head = abs(w_head.sum() - (t0 if width == delta else start)) <= 1e-15 * start
+                assert head and t_head.size == (55 if width == delta else 67)
+                assert start == (t0 if width == delta else 3.0 * t0)
+                widest = delta if band is None else max(delta, 3.0 * math.pi / (omega + band))
+                assert delta <= width <= widest * (1.0 + 1e-15)
+                t, w, end = _all_nodes(T, omega, band)
+                assert t.size == need
+                assert T <= end < T + delta
+                assert abs(w.sum() - end) <= 1e-12 * end
+                assert np.all((t > 0.0) & (t <= end * (1.0 + 1e-15))) and np.all(w >= 0.0)
+                ends.add(round(end / delta - 0.5))  # t0 + span delta
+            assert len(ends) == 1
     assert pairs == 62
 
 
@@ -825,7 +838,7 @@ def test_build_nodes_counts_and_weights():
     (8.0, 36.0, 6e4, 92),            # the fewest panels the inversion builds
 ])
 def test_factored_bulk_matches_direct_sum(T, omega, span, K):
-    _, _, t0, delta, k = _build_nodes(T, omega)
+    _, _, (t0, delta, k) = _build_nodes(T, omega)
     assert k == K
     tb, wb = _bulk_nodes(t0, delta, K)
     cw = np.exp(cauchy_law()(tb)) * wb / tb
@@ -855,6 +868,93 @@ def test_slab_plans_bound_every_product_and_temporary():
     # a dyadic body set (214 panels) is one slab, so its law is evaluated once
     B, rows, _ = _slab_plan(214)
     assert B == 4 and -(-214 // B) <= rows
+
+
+# -- panels priced from the band ---------------------------------------------------
+
+# _node_plan rows (points, T, omega, nodes) of laws without a band at tol 1e-8,
+# as the plan was before bands: 55 + 12 ceil(T omega / pi - 1/2) nodes
+BANDLESS_PLANS = [
+    pytest.param(CfExponent(fn=g_exponent), [0.5, 50.0, 1e3],
+                 [(16.0, 42.33852402561856, 2647), (16.0, 74.33852402561857, 4603),
+                  (16.0, 1036.5915736940153, 63403)], id="unsplit-dyadic"),
+    pytest.param(CfExponent(fn=lambda t: -0.5 * t * t + 3j * t,
+                            log_mgf=lambda s: 0.5 * s * s + 3.0 * s), [0.0, 100.0, 1e3],
+                 [(8.0, 36.0, 1159), (8.0, 132.0, 4087), (8.0, 1028.0, 31471)], id="drift"),
+    pytest.param(CfExponent(fn=cauchy_law().fn), [0.5, 3e4],
+                 [(32.0, 36.0, 4459), (32.0, 32772.0, 4005811)], id="cauchy-fn"),
+    pytest.param(CfExponent(fn=one_sided_stable_exponent(0.3).fn), [0.5, 50.0],
+                 [(8192.0, 36.0, 1126531), (8192.0, 68.0, 2127847)], id="stable-fn"),
+]
+
+
+@pytest.mark.parametrize("law, xs, rows", BANDLESS_PLANS)
+def test_laws_without_a_band_keep_their_node_plans(law, xs, rows):
+    assert law.band is None
+    plan = _node_plan(law, np.array(xs), 1e-8)
+    # omega comes from finite differences of the phase: equal to rounding
+    assert [(T, pytest.approx(omega, rel=1e-12), need) for T, omega, need in rows] \
+        == [(T, omega, need) for _, T, omega, need in plan]
+    for _, T, omega, need in plan:
+        t, _, (t0, delta, K) = _build_nodes(T, omega, law.band)
+        assert t.size == 55 and 55 + 12 * K == need and delta == math.pi / omega == 2.0 * t0
+
+
+def test_laws_carry_their_band():
+    assert cauchy_law(2.0).band == gaussian_law().band == 0.0
+    assert one_sided_stable_exponent(0.5).band == 0.0
+    assert g_gamma_law(1.5).band is None and CfExponent(fn=g_exponent).band is None
+    # the reduced law keeps the jumps 2^l / gamma <= cut: its largest is the band
+    for gamma in (1.0, 1.5, 1.99):
+        for cut in (2.0, 96.0, 128.0, 1e3):
+            reduced, spacing, _ = g_gamma_law(gamma).split(cut)
+            assert reduced.band <= cut and 2.0 * reduced.band == spacing
+            assert reduced.band in 2.0 ** np.arange(0, 12) / gamma
+            assert convolution_power(reduced, 2.5).band == reduced.band
+            assert convolution_power(g_gamma_law(gamma), 2.5).split(cut)[0].band == reduced.band
+    assert convolution_power(cauchy_law(), 3.0).band == 0.0
+    assert convolution_power(CfExponent(fn=g_exponent), 3.0).band is None
+
+
+@pytest.mark.parametrize("law, xs, closed", [
+    (cauchy_law(), np.linspace(-10.0, 10.0, 201), lambda x: 0.5 + np.arctan(x) / math.pi),
+    (cauchy_law(), np.array([3e4, -3e4, 6.5e4, -6.5e4]), lambda x: 0.5 + np.arctan(x) / math.pi),
+    (gaussian_law(), np.linspace(-8.0, 8.0, 161), ndtr),
+    (one_sided_stable_exponent(0.5), np.geomspace(0.1, 100.0, 201), levy_cdf),
+], ids=["cauchy-body", "cauchy-far", "gaussian", "stable(0.5)"])
+def test_banded_laws_meet_their_closed_forms(law, xs, closed):
+    # panels over three half-oscillations of omega + band, not one
+    assert np.max(np.abs(cdf_from_cf(law, xs, tol=1e-10) - closed(xs))) <= 1e-12
+
+
+@pytest.mark.parametrize("law, xs, most", [
+    # the benchmark's 1/2-stable oracle: 237,561 nodes with panels of pi/omega
+    (one_sided_stable_exponent(0.5), np.geomspace(0.1, 100.0, 201), 80_000),
+    # 4,005,811 nodes before, near the node budget
+    (cauchy_law(), np.array([3e4, -3e4]), 1_400_000),
+], ids=["stable-oracle", "cauchy-3e4"])
+def test_banded_node_sets_are_a_third(law, xs, most):
+    assert sum(need for *_, need in _node_plan(law, xs, 1e-8)) <= most
+
+
+def test_cauchy_reach_doubles_under_the_node_budget():
+    # |x| <= 65,536 is one group, b = 2^16, on 2.7e6 nodes (inverted above);
+    # 6.6e4 is in the next, which would need 5.3e6
+    with pytest.raises(ResourceLimitError, match="need 5340415 quadrature nodes"):
+        cdf_from_cf(cauchy_law(), -6.6e4)
+
+
+def test_anchored_row_factors_match_exponentials():
+    # every eighth row an exponential, the rows between by up to 7 products;
+    # dyadic x and step make each argument x (a0 + a) step exact, so np.exp
+    # is the reference to rounding
+    xb = np.concatenate([np.arange(-64, 65) / 2.0, [1e-3 * 2.0 ** -10, 37.125]])[:, None]
+    step, a0, n = 3.0 / 64.0, 40, 333
+    v = _row_factors(xb, step, a0, n)
+    exact = np.exp(-1j * (xb * (step * np.arange(a0, a0 + n))))
+    assert v.shape == (xb.size, n)
+    assert np.max(np.abs(v - exact)) <= 1e-14  # |exact| = 1
+    assert np.array_equal(v[:, ::8], exact[:, ::8])
 
 
 @pytest.mark.parametrize("law, xs, bound", [

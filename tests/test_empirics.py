@@ -180,7 +180,7 @@ def test_negligibility_rejects_bad_alpha(alpha):
 
 def test_lepage_limit_needs_the_ranked_terms():
     # an IndexError from the rank checks before
-    with pytest.raises(ValueError, match="n_terms must be >= 3"):
+    with pytest.raises(ValueError, match="^n_terms must be an integer >= 3, got 2$"):
         lepage_limit_experiment(0.5, 6, 300, RngStream(1), n_terms=2)
 
 

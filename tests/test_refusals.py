@@ -22,6 +22,7 @@ from semistable import (ExperimentReport, RngStream, SampleBatch, TailModel,
 
 PARETO = make_pareto(0.5)
 R = RngStream(1)
+INT64 = 2 ** 63 - 1  # the int64 level counts of the St. Petersburg sums
 
 # id: (call of the count v, its name, least, most, a valid count)
 COUNTS = {
@@ -29,7 +30,7 @@ COUNTS = {
                        "seed", None, None, 3),
     "RngStream-stream_id": (lambda v: (RngStream(1, v), RngStream(1, v).generator().random()),
                             "stream_id", None, None, 3),
-    "petersburg_sum_batch-n": (lambda v: petersburg_sum_batch(v, 3, seed=1), "n", 1, None, 5),
+    "petersburg_sum_batch-n": (lambda v: petersburg_sum_batch(v, 3, seed=1), "n", 1, INT64, 5),
     "petersburg_sum_batch-reps": (lambda v: petersburg_sum_batch(16, v, seed=1),
                                   "reps", 1, None, 3),
     "poisson_sum_batch-reps": (lambda v: poisson_sum_batch(PARETO, 1e-2, v, seed=1),
@@ -41,13 +42,13 @@ COUNTS = {
     "sample_petersburg-n": (lambda v: sample_petersburg(v, R), "n", 1, None, 8),
     "sample_tail_model-n": (lambda v: sample_tail_model(PARETO, v, R), "n", 1, None, 8),
     "gamma_n-n": (gamma_n, "n", 1, None, 1536),
-    "feller-n": (lambda v: feller_experiment(v, 100, R), "n", 2, None, 16),
+    "feller-n": (lambda v: feller_experiment(v, 100, R), "n", 2, INT64, 16),
     "feller-reps": (lambda v: feller_experiment(16, v, R), "reps", 100, None, 100),
     "mlof-k": (lambda v: martin_lof_experiment(v, 10 ** 4, R), "k", 4, 20, 4),
     "mlof-reps": (lambda v: martin_lof_experiment(4, v, R), "reps", 10 ** 4, None, 10 ** 4),
-    "merging-n": (lambda v: merging_experiment(v, 10 ** 4, R), "n", 16, None, 24),
+    "merging-n": (lambda v: merging_experiment(v, 10 ** 4, R), "n", 16, INT64, 24),
     "merging-reps": (lambda v: merging_experiment(16, v, R), "reps", 10 ** 4, None, 10 ** 4),
-    "sweep-k": (lambda v: merging_sweep(v, 1, 200, R), "k", 8, None, 8),
+    "sweep-k": (lambda v: merging_sweep(v, 1, 200, R), "k", 8, 61, 8),
     "sweep-points_per_octave": (lambda v: merging_sweep(8, v, 200, R),
                                 "points_per_octave", 1, None, 1),
     "sweep-reps": (lambda v: merging_sweep(8, 1, v, R), "reps", 1, None, 200),
@@ -65,7 +66,7 @@ COUNTS = {
     "lepage_limit-reps": (lambda v: lepage_limit_experiment(0.5, 4, v, R, n_terms=10),
                           "reps", 1, None, 20),
     "lepage_limit-n_terms": (lambda v: lepage_limit_experiment(0.5, 4, 20, R, n_terms=v),
-                             "n_terms", 1, None, 10),
+                             "n_terms", 3, None, 10),
     "coupled_pair-n": (lambda v: coupled_pair(PARETO, v, R), "n", 1, None, 10),
     "maximal_fluctuation-n": (lambda v: maximal_fluctuation(PARETO, v, R), "n", 1, None, 10),
     "coupling-n_list": (lambda v: coupling_gap_curve(PARETO, [v], 20, R),
@@ -82,8 +83,8 @@ def _bad_values(least, most):
            ("3", "'3'")]
     if least is not None:
         bad.append((least - 1, str(least - 1)))
-    if most is not None:
-        bad.append((most + 1, str(most + 1)))
+    if most is not None:  # past 17 digits as _check_budget prints a need
+        bad.append((most + 1, str(most + 1) if most + 1 < 10 ** 17 else "%.17g" % (most + 1)))
     return bad
 
 
@@ -159,11 +160,63 @@ def test_a_long_count_is_not_echoed():
         order_statistics_experiment(3, 2 ** 53 + 1, 100, R)
 
 
+@pytest.mark.parametrize("call, name, rule, shown", [
+    # each raised OverflowError ("int too large to convert to float", or
+    # "Python int too large to convert to C long" from the int64 level
+    # counts), which names no parameter
+    (lambda: merging_experiment(2 ** 1100, 10 ** 4, R), "n", ">= 16 and <= %d" % INT64, "inf"),
+    (lambda: merging_sweep(1100, 1, 10, R), "k", ">= 8 and <= 61", "1100"),
+    (lambda: feller_experiment(2 ** 63, 100, R), "n", ">= 2 and <= %d" % INT64,
+     "9.2233720368547758e+18"),
+    (lambda: petersburg_sum_batch(2 ** 63, 3, seed=1), "n", ">= 1 and <= %d" % INT64,
+     "9.2233720368547758e+18"),
+], ids=["merging-n", "sweep-k", "feller-n", "petersburg_sum_batch-n"])
+def test_counts_past_int64_refuse_by_name(call, name, rule, shown, monkeypatch):
+    def started(*args, **kwargs):
+        raise AssertionError("drew before the count check")
+
+    monkeypatch.setattr(sampling.RngStream, "generator", started)
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == "%s must be an integer %s, got %s" % (name, rule, shown)
+
+
+def test_the_largest_counts_still_run():
+    # 2^62 draws a sum fine; k = 61 puts the octave's top n at 2^62
+    assert np.all(petersburg_sum_batch(INT64, 3, seed=1) > 0.0)
+    assert feller_experiment(2 ** 62, 100, R).params["n"] == 2 ** 62
+
+
+def test_gamma_n_reads_any_count():
+    # gamma_n(2**1100) raised OverflowError from float(n); the position is
+    # now one rounding of n / 2^floor(log2 n), which any int has
+    assert gamma_n(2 ** 1100) == 1.0 and gamma_n(3 * 2 ** 1099) == 1.5
+    assert gamma_n(5 * 2 ** 2000 + 1) == 1.25
+    # a position that rounds to 2 is 1, the same law, as frexp gave it
+    for n in (2 ** 60 - 1, 2 ** 1024 - 1, 2 ** 1100 - 1):
+        assert gamma_n(n) == 1.0
+    for n in (1, 3, 1536, 2 ** 53 - 1, 2 ** 53 + 2, 10 ** 300 + 7):
+        assert gamma_n(n) == 2.0 * math.frexp(n)[0]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--k", "1100"], "k must be an integer >= 8 and <= 61, got 1100"),
+    (["feller", "--n", str(2 ** 63), "--reps", "100"],
+     "n must be an integer >= 2 and <= %d, got 9.2233720368547758e+18" % INT64),
+    (["merging", "--n", str(2 ** 1100)], "n must be an integer >= 16 and <= %d, got inf" % INT64),
+], ids=["sweep-k", "feller-n", "merging-n"])
+def test_cli_counts_past_int64_exit_2(argv, message, capsys):
+    # semistable sweep --k 1100 exited 4 with "numeric failure: int too
+    # large to convert to float"
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "parameter error: %s\n" % message
+
+
 @pytest.mark.parametrize("spec, shown", [("3.5", "3.5"), ("nan", "nan"), ("0", "0")])
 def test_cli_n_terms_is_a_count(spec, shown, capsys):
     # --n-terms 3.5 exited 2 with int()'s message, which names no option
     assert cli.main(["lepage", "--n-terms", spec, "--reps", "10"]) == 2
-    assert ("parameter error: n_terms must be an integer >= 1, got %s\n" % shown
+    assert ("parameter error: n_terms must be an integer >= 3, got %s\n" % shown
             == capsys.readouterr().err)
 
 
