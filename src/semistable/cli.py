@@ -122,8 +122,8 @@ def _build_model(args) -> tailmodel.TailModel:
                 return tailmodel.model_from_json(fh.read())
         except OSError as exc:
             raise ValueError("cannot read --model-json: %s" % exc) from None
-    if args.model == "petersburg":
-        return tailmodel.make_petersburg(x0=args.x0)
+    if args.model == "petersburg":  # the game itself unless --x0 conditions it
+        return tailmodel.make_petersburg(x0=1.0 if args.x0 is None else args.x0)
     return tailmodel.make_pareto(args.alpha, c=args.c, x0=args.x0)
 
 
@@ -141,13 +141,7 @@ _LAWS = {
 
 def _cmd_sample(args) -> int:
     rng = sampling.RngStream(args.seed, args.stream)
-    if args.model == "petersburg" and args.model_json is None and args.x0 is None:
-        # the game itself; with --x0 the model draws X | X > x0
-        batch = sampling._uniform_batch(sampling.petersburg_from_uniform, args.n,
-                                        rng, "petersburg", args.symmetrize)
-    else:
-        batch = sampling.sample_tail_model(_build_model(args), args.n, rng,
-                                           symmetrize=args.symmetrize)
+    batch = sampling.sample_tail_model(_build_model(args), args.n, rng, args.symmetrize)
     csv = args.format == "csv" or (args.format is None and args.out)
     if csv and args.out:  # with its JSON sidecar
         sampling.write_batch(batch, args.out, _config(args))

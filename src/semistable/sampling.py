@@ -3,7 +3,7 @@
 All randomness flows through counter-based Philox streams keyed by
 (seed, stream_id), so a draw is a pure function of that pair: replicated
 runs are bitwise identical and distinct stream ids give independent
-streams regardless of scheduling.  Every batch draws through _map_blocks,
+streams regardless of scheduling.  Every sum batch draws through _map_blocks,
 which alone owns the stream layout (block b of phase i on stream
 base_stream + i * _STRIDE + b, blocks of BLOCK = 256 replicates), the 2^32
 draw budget of a phase, checked before any phase draws, and the pool: a
@@ -11,7 +11,9 @@ block of at least _CHUNK draws runs on one worker per usable CPU, smaller
 ones (the St. Petersburg level counts, of sums and of Poisson sums) on the
 caller.  Blocks join in block order, so outputs depend on neither the
 worker count nor threads=.  Each construction has one vectorized block
-kernel; the single-draw functions run it on one row.  The kernels follow
+kernel; the single-draw functions run it on one row.  Every sampler maps
+its uniforms in place through the tail model's inverse, the St. Petersburg
+game's too: the game is the model at x0 = 1 (_GAME).  The kernels follow
 the package's working-set rule (_arrays): their temporaries hold at most
 _CHUNK doubles, whatever n, P or lambda, and they sum elementwise, not by
 matrix products, which OpenBLAS may hand to a second thread.
@@ -31,7 +33,8 @@ import numpy as np
 
 from ._arrays import _CHUNK, ResourceLimitError, _check_budget, _check_count
 from .tailmodel import (TailModel, _finite, intensity_quantile, intensity_tail,
-                        make_pareto, model_to_json, tail_eval, tail_first_moment)
+                        make_pareto, make_petersburg, model_to_json, tail_eval,
+                        tail_first_moment)
 
 __all__ = [
     "RngStream",
@@ -59,6 +62,7 @@ _POISSON_MAX = np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max)
 _POINT_SET_BUDGET = 1 << 26  # points of a point set, or draws of a batch, held in memory
 _DRAW_BUDGET = 1 << 32  # replicates x draws per replicate in one phase
 _SERIES_TAIL = 1e-6  # LePage series tail proxy at the auto truncation
+_GAME = make_petersburg(1.0)  # the game X, P(X = 2^k) = 2^-k: its tail at x0 = 1
 BLOCK = 256
 _STRIDE = 10 ** 7  # stream-id block separating experiment phases
 _WORKER_NAME = "semistable-block"  # the pool's threads; their calls run in line
@@ -192,33 +196,17 @@ class SampleBatch:
 def petersburg_from_uniform(u):
     """Map uniforms on (0, 1] to St. Petersburg winnings 2**k, k = floor(log2(1/u)) + 1.
 
-    Exponent extraction keeps the dyadic masses exact: u in (2^-k, 2^-(k-1)]
-    maps to 2**k, so each value 2**k receives probability exactly 2**-k on
-    the 2**-53 uniform lattice.  Values are exact powers of two up to 2**53.
+    The strict inverse of the game's tail (_GAME, x0 = 1) keeps the dyadic
+    masses exact: u in (2^-k, 2^-(k-1)] maps to 2**k, so each value 2**k
+    receives probability exactly 2**-k on the 2**-53 uniform lattice.
+    Values are exact powers of two up to 2**53.
     """
-    m, e = np.frexp(np.asarray(u, dtype=float))
-    k = (1 - e) + (m == 0.5)
-    return np.ldexp(1.0, k)
-
-
-def _uniform_batch(transform, n: int, rng: RngStream, model: str,
-                   symmetrize: bool = False) -> SampleBatch:
-    """transform(U) for n uniforms U on (0, 1]; with symmetrize the values get
-    independent uniform signs, drawn after them on the same stream; at most
-    2^26 draws, as the batch is held in memory like a point set."""
-    n = _check_count(n, "n", 1)
-    _check_budget(n, _POINT_SET_BUDGET, "draws held in memory")
-    gen = rng.generator()
-    values = transform(_open01(gen, np.empty(n)))
-    if symmetrize:
-        _signed(gen, values)
-    return SampleBatch(values=values, model=model, seed=rng.seed,
-                       stream_id=rng.stream_id)
+    return _GAME._quantile_formula(u, strict=True)
 
 
 def sample_petersburg(n: int, rng: RngStream) -> SampleBatch:
-    """n independent St. Petersburg draws."""
-    return _uniform_batch(petersburg_from_uniform, n, rng, "petersburg")
+    """n independent St. Petersburg draws: sample_tail_model of the game."""
+    return sample_tail_model(_GAME, n, rng)
 
 
 # P(X = 2^k) = 2^-k for k < 64, then the rest, 2^-63, in one last cell
@@ -272,19 +260,26 @@ def sample_tail_model(model: TailModel, n: int, rng: RngStream,
                       symmetrize: bool = False) -> SampleBatch:
     """Quantile-transform draws from the renormalized law on (x0, inf).
 
-    x = inf{x : T(x) < U T(x0)}, U uniform on (0, 1]: the strict inverse,
-    exact on a St. Petersburg tail (above x0; petersburg_from_uniform(U) at
-    x0 = 1).  With symmetrize the magnitudes get independent uniform signs,
-    drawn after them on the same stream.  A draw past the float range
-    (alpha near 0) raises OverflowError.
+    x = inf{x : T(x) < U T(x0)}, U uniform on (0, 1], in place: the strict
+    inverse, exact on a St. Petersburg tail (the game at x0 = 1).  With
+    symmetrize the magnitudes get independent uniform signs, drawn after
+    them on the same stream.  At most 2^26 draws, held in memory like a
+    point set; a draw past the float range (alpha near 0) raises OverflowError.
     """
     cap = tail_eval(model, model.x0) if model.x0 > 0.0 else 0.0
     if not cap * 2.0 ** -53 > 0.0:  # U * T(x0), U >= 2^-53, must stay positive
         raise ValueError("sampling needs x0 > 0 and T(x0) >= 2^-1021")
+    n = _check_count(n, "n", 1)
+    _check_budget(n, _POINT_SET_BUDGET, "draws held in memory")
+    gen = rng.generator()
+    u = _open01(gen, np.empty(n))
+    np.multiply(u, cap, out=u)
     with _quiet():
-        return _uniform_batch(
-            lambda u: _finite(model._quantile(u * cap, strict=True), model.alpha),
-            n, rng, model_to_json(model), symmetrize)
+        values = _finite(model._quantile(u, u, strict=True), model.alpha)
+    if symmetrize:
+        _signed(gen, values)
+    return SampleBatch(values=values, model=model_to_json(model), seed=rng.seed,
+                       stream_id=rng.stream_id)
 
 
 # -- Poisson point processes -------------------------------------------------
@@ -371,7 +366,7 @@ def _poisson_sum_block(model, lam, symmetric, centering, gen, rows):
     for c0 in range(0, int(ends[-1]), _CHUNK):
         c1 = min(c0 + _CHUNK, int(ends[-1]))
         tile = _open01(gen, u[:c1 - c0])
-        x = intensity_quantile(model, np.multiply(tile, lam, out=tile))
+        x = model._quantile_formula(np.multiply(tile, lam, out=tile), tile)
         if symmetric:
             _signed(gen, x)
         r0, r1 = np.searchsorted(ends, [c0, c1 - 1], side="right")

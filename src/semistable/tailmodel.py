@@ -371,12 +371,13 @@ def model_to_json(model: TailModel) -> str:
 
 def model_from_json(text: str) -> TailModel:
     """Parse the canonical JSON document; ValueError names what is malformed."""
-    doc = json.loads(text)
     try:
+        doc = json.loads(text)
         psi = doc.get("psi", {"kind": "const"})
         return TailModel(alpha=float(doc["alpha"]), q=doc["q"], c=float(doc["c"]),
                          x0=float(doc["x0"]), psi_kind=psi.get("kind", "const"),
                          psi_values=tuple(psi.get("values", ()) or ()))
-    except (AttributeError, KeyError, TypeError) as exc:  # not an object, no key, null
+    # not JSON, not an object, no key, null
+    except (json.JSONDecodeError, AttributeError, KeyError, TypeError) as exc:
         raise ValueError("malformed model document (%s: %s)"
                          % (type(exc).__name__, exc)) from None

@@ -1,5 +1,6 @@
 import argparse
 import functools
+import hashlib
 import io
 import json
 import os
@@ -17,6 +18,7 @@ from semistable import cli
 from semistable import coupling
 from semistable import empirics
 from semistable import sampling
+from semistable import tailmodel
 from semistable.cli import DEFAULT_SEED, main, run_selftest
 
 
@@ -61,8 +63,8 @@ def test_sample_sidecar_written_once(tmp_path, monkeypatch):
               "params": {"model": "petersburg", "model_json": None, "alpha": 0.5,
                          "c": 1.0, "x0": None, "n": 3, "stream": 0,
                          "symmetrize": False}}
-    meta = {"model": "petersburg", "seed": 1, "stream_id": 0,
-            "n": 3, "config": config}
+    meta = {"model": tailmodel.model_to_json(tailmodel.make_petersburg(1.0)),
+            "seed": 1, "stream_id": 0, "n": 3, "config": config}
     assert read(out + ".meta.json") == json.dumps(meta, sort_keys=True,
                                                   indent=2) + "\n"
 
@@ -109,6 +111,42 @@ def test_sample_explicit_x0_two_draws_above_it(capsys):
     assert vals.min() >= 4.0
 
 
+def sample_values(path):
+    return np.array([float(l.split(",")[1]) for l in read(path).splitlines()[1:]])
+
+
+# SHA-256 of values.tobytes(), recorded while the CLI drew the game through
+# its own branch: the tail model at x0 = 1 must draw the same bytes
+@pytest.mark.parametrize("flags, digest", [
+    ([], "0de3659696bb418ff3c841fbf65b9192bcdf5792e75b2f42368293892cb6a5e0"),
+    (["--symmetrize"], "1890098c97cc2a588cba560848687dbd5be5cbf4d6d62da55459a207ba25fa77"),
+    (["--x0", "1"], "0de3659696bb418ff3c841fbf65b9192bcdf5792e75b2f42368293892cb6a5e0"),
+], ids=["game", "game-symmetrized", "x0-1"])
+def test_sample_keeps_its_pinned_digests(flags, digest, tmp_path):
+    out = str(tmp_path / "s.csv")
+    assert main(["sample", "--n", "1000", "--seed", "7", "--out", out] + flags) == 0
+    assert hashlib.sha256(sample_values(out).tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("flags", [
+    ["--model", "petersburg"], ["--model", "petersburg", "--x0", "4"],
+    ["--model", "pareto", "--alpha", "0.7"],
+    ["--model", "pareto", "--alpha", "0.7", "--x0", "3", "--symmetrize"],
+], ids=["game", "petersburg-x0", "pareto", "pareto-x0"])
+def test_sample_sidecar_model_replays(flags, tmp_path):
+    # the game's sidecar read "petersburg", which model_from_json refused,
+    # so --model-json could not replay it (exit 2)
+    out, doc, again = (str(tmp_path / f) for f in ("a.csv", "model.json", "b.csv"))
+    run = ["sample", "--n", "200", "--seed", "11", "--stream", "4"]
+    assert main(run + flags + ["--out", out]) == 0
+    model = json.loads(read(out + ".meta.json"))["model"]
+    assert tailmodel.model_to_json(tailmodel.model_from_json(model)) == model
+    pathlib.Path(doc).write_text(model)
+    replay = [f for f in flags if f == "--symmetrize"]
+    assert main(run + replay + ["--model-json", doc, "--out", again]) == 0
+    assert sample_values(again).tobytes() == sample_values(out).tobytes()
+
+
 @pytest.mark.parametrize("text", [
     '{"q": 2, "c": 1, "x0": 1}',
     '[1, 2]',
@@ -116,8 +154,9 @@ def test_sample_explicit_x0_two_draws_above_it(capsys):
     '{"alpha": null, "q": 2, "c": 1, "x0": 1}',
     '{"alpha": 0.5, "q": 2.5, "c": 1, "x0": 1}',
     None,  # no such file
+    "petersburg",  # the game's old sidecar label
 ], ids=["missing-key", "not-an-object", "psi-not-an-object", "null-alpha",
-        "fractional-q", "missing-file"])
+        "fractional-q", "missing-file", "not-json"])
 def test_malformed_model_json_exit_code(text, tmp_path, capsys):
     # a KeyError, AttributeError, TypeError or FileNotFoundError traceback
     # (exit 1) before

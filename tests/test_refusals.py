@@ -15,7 +15,7 @@ from semistable import (ExperimentReport, RngStream, SampleBatch, TailModel,
                         feller_experiment, g_exponent, g_gamma_law, gamma_n,
                         lepage_batch, lepage_limit_experiment, make_pareto,
                         martin_lof_experiment, maximal_fluctuation, merging_experiment,
-                        merging_sweep, negligibility_experiment,
+                        merging_sweep, model_from_json, negligibility_experiment,
                         order_statistics_experiment, petersburg_sum_batch,
                         poisson_sum_batch, sample_lepage, sample_petersburg,
                         sample_tail_model, sampling, tail_first_moment, tail_quantile)
@@ -246,8 +246,12 @@ GRID_ZERO = (1.0,) * 63 + (0.0,)
     (lambda: poisson_sum_batch(make_pareto(2.5), 1e-2, 3, seed=1), "alpha in \\(0, 2\\)"),
     (lambda: g_exponent(1.0, max_jump=0), "max_jump must be positive"),
     (lambda: g_gamma_law(2.5), re.escape("gamma must lie in [1, 2]")),
+    # a bare JSONDecodeError ("Expecting value: ...") named no document before
+    (lambda: model_from_json("petersburg"),
+     re.escape("malformed model document (JSONDecodeError: Expecting value")),
 ], ids=["unit-mass", "x0-not-finite", "psi-kind", "psi-not-positive", "quantile-x0-zero",
-        "moment-lo", "moment-no-hi", "poisson-alpha", "max-jump", "gamma-range"])
+        "moment-lo", "moment-no-hi", "poisson-alpha", "max-jump", "gamma-range",
+        "model-not-json"])
 def test_argument_refusals(call, message):
     with pytest.raises(ValueError, match=message):
         call()

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import math
 import os
 import subprocess
@@ -21,7 +22,7 @@ from semistable.empirics import (Ecdf, ks_distance, ks_two_sample,
                                  negligibility_experiment,
                                  order_statistics_experiment)
 from semistable.sampling import (PoissonPointSet, ResourceLimitError,
-                                 RngStream, _open01, lepage_auto_terms,
+                                 RngStream, _open01, _signed, lepage_auto_terms,
                                  lepage_batch, petersburg_from_uniform,
                                  petersburg_sum_batch, points_from_arrivals,
                                  poisson_sum_batch, poisson_sum_centering,
@@ -30,7 +31,7 @@ from semistable.sampling import (PoissonPointSet, ResourceLimitError,
                                  sample_semistable_poisson_sum,
                                  sample_tail_model, write_batch)
 from semistable.tailmodel import (TailModel, make_pareto, make_petersburg,
-                                  tail_eval)
+                                  model_to_json, tail_eval)
 
 
 # -- petersburg draws -----------------------------------------------------------
@@ -57,14 +58,36 @@ def test_reproducibility_and_stream_independence():
     c = sample_petersburg(512, RngStream(9, 4))
     assert np.array_equal(a.values, b.values)
     assert not np.array_equal(a.values, c.values)
-    meta = a.metadata()
-    assert meta == {"model": "petersburg", "seed": 9, "stream_id": 3,
-                    "n": 512}
+    meta = a.metadata()  # the game is the tail model at x0 = 1
+    assert meta == {"model": model_to_json(make_petersburg(1.0)), "seed": 9,
+                    "stream_id": 3, "n": 512}
 
 
 def test_batch_validation():
     with pytest.raises(ValueError):
         sample_petersburg(0, RngStream(1))
+
+
+def _ripple_model():  # a log-periodic ripple on the 1/2-stable tail, 96 psi samples
+    u = np.arange(96) / 96.0
+    return TailModel(alpha=0.5, q=2, c=1.0, x0=1.0, psi_kind="grid",
+                     psi_values=tuple(1.0 + 0.05 * np.sin(2.0 * math.pi * u)))
+
+
+# SHA-256 of values.tobytes(), recorded while the game had its own dyadic
+# formula and batch sampler: one draw rule must draw the same bytes
+@pytest.mark.parametrize("draw, digest", [
+    (lambda: sample_petersburg(512, RngStream(9, 3)).values,
+     "f9c044e95d72ba65270dcb6010a9efb0196258fac1d1746cda1e41b8490abdc3"),
+    (lambda: poisson_sum_batch(make_pareto(0.5), 1e-6, 256, seed=1),
+     "8b5accf97b091bf26ec17a9c9cc5f561be9efa3dba691f6f5ba1a737a5d8d7ac"),
+    (lambda: poisson_sum_batch(make_pareto(0.5), 1e-6, 256, seed=1, symmetric=True),
+     "a4e6315ff80f1905de2e726fce74df25c56fe44803fd2e325551af299b0d2188"),
+    (lambda: sample_tail_model(_ripple_model(), 1000, RngStream(3, 0)).values,
+     "f3d518228dd4710925b91fce09ee45e74a3fb94d144bb768cdfa8b75787e99c5"),
+], ids=["petersburg", "poisson-pareto", "poisson-pareto-symmetric", "grid-ripple"])
+def test_draws_keep_their_pinned_digests(draw, digest):
+    assert hashlib.sha256(draw().tobytes()).hexdigest() == digest
 
 
 # -- petersburg sums from level counts -------------------------------------------
@@ -215,9 +238,11 @@ def test_petersburg_via_tail_model_matches_direct():
     # the support)
     for symmetrize in (False, True):
         a = sample_tail_model(m, 10 ** 5, RngStream(5, 3), symmetrize)
-        b = sampling._uniform_batch(petersburg_from_uniform, 10 ** 5, RngStream(5, 3),
-                                    "petersburg", symmetrize)
-        assert a.values.tobytes() == b.values.tobytes()
+        gen = RngStream(5, 3).generator()
+        b = petersburg_from_uniform(_open01(gen, np.empty(10 ** 5)))
+        if symmetrize:
+            _signed(gen, b)
+        assert a.values.tobytes() == b.tobytes()
     for x0 in (2.0, 3.0):  # every draw lies above x0: the least is 4
         assert sample_tail_model(make_petersburg(x0), 10 ** 5, RngStream(6)).values.min() == 4.0
 
@@ -484,6 +509,23 @@ def test_poisson_sum_memory_is_bounded():
     assert peak <= 4 * 2 ** 20
 
 
+@pytest.mark.parametrize("symmetric, most", [(False, 320), (True, 600)],
+                         ids=["one-sided", "symmetric"])
+def test_poisson_sum_block_maps_its_tiles_in_place(symmetric, most):
+    # each tile went through intensity_quantile, a fresh array per tile: the
+    # block peaked at 812 KiB either way; symmetric, the sign draw's int64
+    # array is what is left
+    tracemalloc.start()
+    try:
+        sums = poisson_sum_batch(make_pareto(0.5), 1e-8, sampling.BLOCK, seed=1,
+                                 symmetric=symmetric)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sums.shape == (sampling.BLOCK,) and np.all(np.isfinite(sums))
+    assert peak <= most * 1024
+
+
 def test_dyadic_scaling_of_centered_sums():
     # one law across dyadic cutoff levels: centered sums at T(t) = 2^k merge
     pete = make_petersburg(x0=1.0)
@@ -710,6 +752,8 @@ def test_lepage_small_alpha_is_not_nan():
     lambda: lepage_batch(0.01, 20000, seed=5, n_terms=100),
     lambda: lepage_batch(0.01, 2000, seed=5, symmetric=True, n_terms=100),
     lambda: poisson_sum_batch(make_pareto(0.01), 1e-6, 20000, seed=5),
+    # an inf point makes its sum inf, or NaN (inf - inf) with signs
+    lambda: poisson_sum_batch(make_pareto(0.01), 1e-6, 20000, seed=5, symmetric=True),
     lambda: sample_tail_model(make_pareto(0.01), 20000, RngStream(5)),
     lambda: coupling.coupled_pair(make_pareto(0.01), 10 ** 4, RngStream(5)),
     # n = 100 draws 130 terms per path, so its 4 blocks pool; none of them
@@ -720,8 +764,8 @@ def test_lepage_small_alpha_is_not_nan():
                                         psi_values=tuple(np.ones(64))), 1000, RngStream(5)),
     # U * T(x0) below 2^-1023 maps to 2**1024 = inf
     lambda: sample_tail_model(make_petersburg(x0=2.0 ** 1015), 1000, RngStream(5)),
-], ids=["lepage", "lepage-symmetric", "poisson", "tail-model", "coupled-pair",
-        "coupling-curve", "grid", "petersburg"])
+], ids=["lepage", "lepage-symmetric", "poisson", "poisson-symmetric", "tail-model",
+        "coupled-pair", "coupling-curve", "grid", "petersburg"])
 def test_small_alpha_overflow_is_an_error(call):
     # the largest term Z_1**(-100) passes float64's max when Z_1 < 8.3e-4;
     # these batches returned rows of +inf (11 of the LePage rows, 22 of the
