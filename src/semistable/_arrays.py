@@ -19,6 +19,11 @@ The count rule: every integer parameter (n, reps, k, p, n_terms, q, a
 seed or stream id) passes _check_count at the public boundary, which alone
 decides integrality: the call then uses the int it returns, so no count is
 truncated or used as a float.
+
+The real rule: every real parameter (a tolerance, an exponent, a scale, a
+bound, an inverse map's argument) passes _check_real, which alone decides its
+interval and refuses NaN, an infinity past an open end or a non-number by
+name: the call then uses the float it returns.
 """
 
 import math
@@ -66,6 +71,36 @@ def _check_count(value, name, least=None, most=None):
     rule = "" if least is None else " >= %d" % least
     rule += "" if most is None else " and <= %d" % most
     raise ValueError("%s must be an integer%s, got %s" % (name, rule, shown))
+
+
+def _inside(v, lo, hi, ends):  # elementwise on an array
+    return (lo < v if ends[0] == "(" else lo <= v) & (v < hi if ends[1] == ")" else v <= hi)
+
+
+def _shortest(v):  # v in its shortest round-trip digits, 2 for 2.0
+    return repr(float(v)).removesuffix(".0")
+
+
+def _check_real(value, name, lo=-math.inf, hi=math.inf, ends="()"):
+    """float(value) for a real in lo..hi, open or closed at each end as ends
+    says ("(]" holds hi, not lo), or for an array of them a float array (value
+    itself if it is one); else ValueError "<name> must lie in (lo, hi], got V",
+    V the first value outside (NaN is) in shortest digits or a non-number's repr."""
+    if isinstance(value, (int, float, np.integer, np.floating)):
+        big = isinstance(value, int) and abs(value) > sys.float_info.max  # past float64
+        x = (math.inf if value > 0 else -math.inf) if big else float(value)
+        if _inside(x, lo, hi, ends):
+            return x
+        shown = _shortest(x)
+    elif np.asarray(value).dtype.kind in "iuf":
+        x = np.asarray(value, dtype=float)
+        if not x.size or _inside(x.min(), lo, hi, ends) and _inside(x.max(), lo, hi, ends):
+            return x
+        shown = _shortest(x.flat[np.argmin(_inside(x, lo, hi, ends))])
+    else:
+        shown = repr(value)
+    raise ValueError("%s must lie in %s%s, %s%s, got %s" % (
+        name, ends[0], _shortest(lo), _shortest(hi), ends[1], shown))
 
 
 def elementwise(fn, x, cast=float, cdf_from=None):

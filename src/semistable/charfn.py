@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from ._arrays import _CHUNK, _check_budget, _check_count, elementwise
+from ._arrays import _CHUNK, _check_budget, _check_count, _check_real, elementwise
 
 __all__ = [
     "CfExponent",
@@ -114,10 +114,8 @@ def g_exponent(t, tol: float = 1e-12, max_jump=None):
     2^{-L}; the inversion splits those off (see CfExponent).  Terms are
     accumulated with Kahan compensation.  t must be finite.
     """
-    if not 0.0 < tol < math.inf:
-        raise ValueError("tol must be positive and finite, got %s" % tol)
-    if max_jump is not None and not max_jump > 0.0:
-        raise ValueError("max_jump must be positive")
+    tol = _check_real(tol, "tol", 0.0)
+    max_jump = None if max_jump is None else _check_real(max_jump, "max_jump", 0.0, ends="(]")
 
     def chunk(tt):
         # l0 = -(e + 2) for |t| = m 2^e, m in [0.5, 1), so |t 2^l0| < 1/4
@@ -144,8 +142,7 @@ def g_exponent(t, tol: float = 1e-12, max_jump=None):
         return total
 
     def series(tt):
-        if not np.all(np.isfinite(tt)):
-            raise ValueError("t must be finite")
+        tt = _check_real(tt, "t")
         # _CHUNK / 4 points at a time: complex temporaries of _CHUNK / 2
         # doubles, so the level loop stays in cache
         step = _CHUNK // 4
@@ -162,10 +159,9 @@ def g_gamma_exponent(t, gamma: float, max_jump=None):
     series runs at tol _LAW_TOL.  Its jumps sit at 2^l / gamma with mass
     gamma 2^-l; max_jump drops those above it, as in g_exponent.
     """
-    if not (1.0 <= gamma <= 2.0):
-        raise ValueError("gamma must lie in [1, 2]")
+    gamma = _check_real(gamma, "gamma", 1.0, 2.0, "[]")
     ta = np.asarray(t, dtype=float)
-    mj = None if max_jump is None else max_jump * gamma
+    mj = None if max_jump is None else _check_real(max_jump, "max_jump", 0.0, ends="(]") * gamma
     return gamma * g_exponent(ta / gamma, _LAW_TOL / gamma, mj) - 1j * ta * math.log2(gamma)
 
 
@@ -188,8 +184,7 @@ def petersburg_law() -> CfExponent:
 
 def g_gamma_law(gamma: float) -> CfExponent:
     """Member of the merging family at position gamma in [1, 2]."""
-    if not (1.0 <= gamma <= 2.0):
-        raise ValueError("gamma must lie in [1, 2]")
+    gamma = _check_real(gamma, "gamma", 1.0, 2.0, "[]")
 
     def split(cut):
         # the reduced series stops at level L; the jumps 2^l / gamma, l > L,
@@ -208,8 +203,7 @@ def g_gamma_law(gamma: float) -> CfExponent:
 
 def cauchy_law(scale: float = 1.0) -> CfExponent:
     """Cauchy exponent -scale*|t|; CDF 1/2 + arctan(x/scale)/pi."""
-    if not 0.0 < scale < math.inf:
-        raise ValueError("scale must be positive and finite, got %s" % scale)
+    scale = _check_real(scale, "scale", 0.0)
     return CfExponent(fn=lambda t: -scale * np.abs(t) + 0j, band=0.0)
 
 
@@ -226,10 +220,7 @@ def one_sided_stable_exponent(alpha: float, c: float = 1.0) -> CfExponent:
     the analytic continuation of the Laplace exponent c Gamma(1-alpha) s**alpha
     of the sum of Poisson points with intensity tails c x**(-alpha).
     """
-    if not (0.0 < alpha < 1.0):
-        raise ValueError("alpha must lie in (0, 1)")
-    if not 0.0 < c < math.inf:
-        raise ValueError("c must be positive and finite, got %s" % c)
+    alpha, c = _check_real(alpha, "alpha", 0.0, 1.0), _check_real(c, "c", 0.0)
     scale = c * math.gamma(1.0 - alpha)
     # exp(-i sign(t) pi alpha / 2) for sign(t) = -1, 0, 1, picked per node
     phases = np.exp(-0.5j * math.pi * alpha * np.array([-1.0, 0.0, 1.0]))
@@ -246,9 +237,7 @@ def convolution_power(h: CfExponent, k: float) -> CfExponent:
 
     Its split keeps the lattice spacing and scales the removed rate by k;
     its band is the base law's."""
-    if not 0.0 < k < math.inf:
-        raise ValueError("power k must be positive and finite, got %s" % k)
-    k, base, base_split, base_mgf = float(k), h.fn, h.split, h.log_mgf
+    k, base, base_split, base_mgf = _check_real(k, "k", 0.0), h.fn, h.split, h.log_mgf
     split = log_mgf = None
     if base_split is not None:
         def split(cut):
@@ -531,8 +520,7 @@ def cdf_from_cf(h: CfExponent, x, tol: float = 1e-8):
     would pass _LATTICE_BUDGET points, one node set _NODE_BUDGET nodes, or
     the whole call _WORK_BUDGET point x node products.
     """
-    if not 1e-10 <= tol < math.inf:
-        raise ValueError("tol must be finite and >= 1e-10, got %s" % tol)
+    tol = _check_real(tol, "tol", 1e-10, ends="[)")
     return elementwise(lambda xs: _invert(h, xs, tol), x)
 
 
@@ -587,8 +575,7 @@ def _node_plan(law, ys, tol):
 
 def _invert(h, xs, tol):
     """cdf_from_cf over the flat float array xs."""
-    if not np.all(np.isfinite(xs)):
-        raise ValueError("x must be finite")
+    xs = _check_real(xs, "x")
     out = np.zeros(xs.size)
     if not xs.size:
         return out
@@ -683,9 +670,8 @@ def tabulate_cdf(h: CfExponent, x_lo: float, x_hi: float,
     1 - F(1024), is 1.75e-3 at gamma 1 and 2 and 1.47e-3 at 1.5.  The span
     must be finite with x_lo < x_hi, or ValueError; more than _TABLE_BUDGET
     points raise ResourceLimitError."""
-    if not -math.inf < x_lo < x_hi < math.inf:
-        raise ValueError("a CDF table needs finite x_lo < x_hi, got %s and %s"
-                         % (x_lo, x_hi))
+    x_lo = _check_real(x_lo, "x_lo")
+    x_hi = _check_real(x_hi, "x_hi", x_lo)
     knee = min(x_hi, max(x_lo, _BODY_HI))
     _check_budget(16.0 * (knee - x_lo) + 1.0, _TABLE_BUDGET, "table points")
     steps = math.floor(16.0 * (knee - x_lo))

@@ -25,7 +25,7 @@ import sys
 import numpy as np
 
 from . import charfn, coupling, empirics, sampling, tailmodel
-from ._arrays import ResourceLimitError, _check_budget
+from ._arrays import ResourceLimitError, _check_budget, _check_real
 
 DEFAULT_SEED = 0xC5D00B5E55AA1234
 SEED_ENV = "SEMISTABLE_SEED"
@@ -49,10 +49,8 @@ def _parse_grid(spec: str) -> np.ndarray:
         lo, hi, step = (float(p) for p in spec.split(":"))
     except Exception:
         raise ValueError("grid must be lo:hi:step") from None
-    if not all(map(math.isfinite, (lo, hi, step))):
-        raise ValueError("grid bounds and step must be finite")
-    if step <= 0.0 or hi < lo:
-        raise ValueError("grid needs hi >= lo and step > 0")
+    lo = _check_real(lo, "grid lo")
+    hi, step = _check_real(hi, "grid hi", lo, ends="[)"), _check_real(step, "grid step", 0.0)
     rows = np.floor((hi - lo) / step + 1e-9) + 1.0
     _check_budget(rows, 10 ** 6, "grid rows")
     return lo + step * np.arange(int(rows))
@@ -66,10 +64,6 @@ def _parse_reals(spec: str):
     return [float(p) for p in spec.split(",") if p]
 
 
-def _fmt(v: float) -> str:
-    return "%.17g" % v
-
-
 def _config(args) -> dict:
     """The run configuration: every flag of the subcommand's row, plus --reps."""
     _, _, flags, reps = _COMMANDS[args.command]
@@ -79,7 +73,7 @@ def _config(args) -> dict:
         "seed": args.seed,
         "params": {k: getattr(args, k) for k in keys},
         "out": args.out,
-        "format": args.format or "json",
+        "format": args.format,
     }
 
 
@@ -94,18 +88,18 @@ def _write_lines(path, lines):
 
 def _write_commented(args, lines):
     """lines under a '# config:' comment, to --out or stdout."""
-    _write_lines(args.out, ["# config: " + json.dumps(_config(args), sort_keys=True)]
-                 + lines)
+    _write_lines(args.out, ["# config: " + json.dumps(_config(args), sort_keys=True,
+                                                      allow_nan=False)] + lines)
 
 
 def _csv_rows(rows):
-    return [",".join(_fmt(c) if isinstance(c, float) else str(c) for c in row)
+    return [",".join("%.17g" % c if isinstance(c, float) else str(c) for c in row)
             for row in rows]
 
 
-def _emit_summary(report_dict, args):
+def _emit_summary(report_dict, args):  # strict JSON: a NaN or an infinity raises ValueError
     doc = dict(report_dict, config=_config(args))
-    text = json.dumps(doc, sort_keys=True)
+    text = json.dumps(doc, sort_keys=True, allow_nan=False)
     if args.out and args.format == "jsonl":
         with open(args.out, "a", newline="\n") as fh:
             fh.write(text + "\n")
@@ -142,10 +136,9 @@ _LAWS = {
 def _cmd_sample(args) -> int:
     rng = sampling.RngStream(args.seed, args.stream)
     batch = sampling.sample_tail_model(_build_model(args), args.n, rng, args.symmetrize)
-    csv = args.format == "csv" or (args.format is None and args.out)
-    if csv and args.out:  # with its JSON sidecar
+    if args.format == "csv" and args.out:  # with its JSON sidecar
         sampling.write_batch(batch, args.out, _config(args))
-    elif csv:
+    elif args.format == "csv":
         _write_lines(None, sampling._csv_lines(batch))
     else:
         _emit_summary({"values": list(batch.values), "metadata": batch.metadata()},
@@ -380,6 +373,8 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         if args.seed is None:
             args.seed = seed
+        csv = args.command == "cdf" or args.command == "sample" and args.out
+        args.format = args.format or ("csv" if csv else "json")  # written and recorded
         if args.out:  # an --out that cannot be written is refused before the run
             fresh = None if os.path.exists(args.out) else args.out
             open(args.out, "a").close()

@@ -25,7 +25,7 @@ import numpy as np
 
 from .charfn import (TabulatedCdf, cdf_from_cf, erlang_cdf, g_gamma_law,
                      tabulate_cdf)
-from ._arrays import _CHUNK, _check_count, elementwise
+from ._arrays import _CHUNK, _check_count, _check_real, elementwise
 from .sampling import (_MAX_N, RngStream, _lepage_block, _lepage_prep, _map_blocks,
                        _petersburg_block, _power_block, petersburg_sum_batch)
 
@@ -57,11 +57,9 @@ class Ecdf:
 
     @classmethod
     def from_sample(cls, sample) -> "Ecdf":
-        values = np.asarray(sample, dtype=float)
+        values = np.asarray(_check_real(sample, "sample"))
         if values.size == 0:
             raise ValueError("sample must not be empty")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("sample contains non-finite values")
         return cls(values=np.sort(values))
 
     @property
@@ -132,8 +130,7 @@ def levy_distance(e: Ecdf, cdf, grid_step: float = 1e-4) -> float:
     continuous F) a chunk at a time; approximation error at most grid_step.
     Bounded above by the KS distance, which seeds the bracket.
     """
-    if not 0.0 < grid_step < math.inf:
-        raise ValueError("grid_step must be positive and finite, got %r" % grid_step)
+    grid_step = _check_real(grid_step, "grid_step", 0.0)
 
     def feasible(eps):
         return all(np.all(_cdf_on(cdf, v - eps) - eps <= (i - 1) / e.n + 1e-15)
@@ -174,16 +171,16 @@ class ExperimentReport:
     passed: bool
 
     def __post_init__(self):
-        if self.stderr is not None and not self.stderr >= 0.0:
-            raise ValueError("stderr must be >= 0")
+        if self.stderr is not None:
+            object.__setattr__(self, "stderr", _check_real(self.stderr, "stderr", 0.0, ends="[)"))
 
     def to_dict(self) -> dict:  # the fields in order, "passed" written "pass"
         doc = asdict(self)
         doc["pass"] = doc.pop("passed")
         return doc
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
+    def to_json(self) -> str:  # strict JSON: a NaN or an infinity raises ValueError
+        return json.dumps(self.to_dict(), sort_keys=True, allow_nan=False)
 
 
 # -- shared limit tables -------------------------------------------------------
@@ -264,6 +261,7 @@ def merging_experiment(n: int, reps: int, rng: RngStream, threads: int = 1,
                        tolerance: float = 0.03) -> ExperimentReport:
     """Sup distance of S_n/n - log2 n to the family law at gamma_n."""
     n, reps = _check_count(n, "n", 16, _MAX_N), _check_count(reps, "reps", 10 ** 4)
+    tolerance = _check_real(tolerance, "tolerance", 0.0, ends="[)")
     gamma = gamma_n(n)
     sums = petersburg_sum_batch(n, reps, rng.seed, rng.stream_id)
     vals = sums / n - math.log2(n)
@@ -290,6 +288,8 @@ def merging_sweep(k: int, points_per_octave: int, reps: int, rng: RngStream,
     """
     k, reps = _check_count(k, "k", 8, 61), _check_count(reps, "reps", 1)  # n <= 2^62
     points_per_octave = _check_count(points_per_octave, "points_per_octave", 1)
+    tol_max = _check_real(tol_max, "tol_max", 0.0, ends="[)")
+    tol_two_sample = _check_real(tol_two_sample, "tol_two_sample", 0.0, ends="[)")
     ns = [round((1 << k) * (1.0 + i / points_per_octave))
           for i in range(points_per_octave + 1)]
     gammas = [gamma_n(n) for n in ns]
@@ -338,6 +338,8 @@ def order_statistics_experiment(p: int, n: int, reps: int, rng: RngStream,
     """
     n = _check_count(n, "n", 1, 1 << 53)  # the counts float64 holds exactly
     p, reps = _check_count(p, "p", 1, n), _check_count(reps, "reps", 100)
+    if ks_tolerance is not None:
+        ks_tolerance = _check_real(ks_tolerance, "ks_tolerance", 0.0, ends="[)")
     (ys,) = _map_blocks([(functools.partial(_order_statistic_block, p, n), 2)],
                         reps, rng.seed, rng.stream_id)
     mean_exact = p / (n + 1.0)
@@ -377,11 +379,9 @@ def negligibility_experiment(alpha_list, n: int, reps: int, rng: RngStream,
     drawn.  Bounds: median >= 0.2 for alpha < 1 and <= 0.05 for alpha > 2.
     """
     n, reps = _check_count(n, "n", 10 ** 3), _check_count(reps, "reps", 1)
-    alpha_list = [float(a) for a in alpha_list]
+    alpha_list = [_check_real(a, "each alpha in alpha_list", 0.0) for a in alpha_list]
     if not alpha_list:
         raise ValueError("alpha_list must not be empty")
-    if not all(math.isfinite(a) and a > 0.0 for a in alpha_list):
-        raise ValueError("alphas must be finite and positive")
     bounds = {a: (0.2, 1.0) if a < 1.0 else (0.0, 0.05) if a > 2.0 else (0.0, 1.0)
               for a in alpha_list}
     tops = _map_blocks([(functools.partial(_power_block, alpha, n, 1, False), n)
@@ -417,7 +417,8 @@ def lepage_limit_experiment(alpha: float, k: int, reps: int, rng: RngStream,
     k, reps = _check_count(k, "k", 4, 24), _check_count(reps, "reps", 1)
     n = 1 << k
     r = _RANK_CHECKS  # n_terms must reach the ranks compared
-    p_terms = _lepage_prep(alpha, n_terms, symmetric, least=r)
+    tolerance = _check_real(tolerance, "tolerance", 0.0, ends="[)")
+    alpha, p_terms = _lepage_prep(alpha, n_terms, symmetric, least=r)
     a, b = _map_blocks(
         [(functools.partial(_power_block, alpha, n, r, symmetric), n),
          (functools.partial(_lepage_block, alpha, p_terms, symmetric, ranks=r), p_terms)],

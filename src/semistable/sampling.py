@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._arrays import _CHUNK, ResourceLimitError, _check_budget, _check_count
+from ._arrays import _CHUNK, ResourceLimitError, _check_budget, _check_count, _check_real
 from .tailmodel import (TailModel, _finite, intensity_quantile, intensity_tail,
                         make_pareto, make_petersburg, model_to_json, tail_eval,
                         tail_first_moment)
@@ -199,9 +199,9 @@ def petersburg_from_uniform(u):
     The strict inverse of the game's tail (_GAME, x0 = 1) keeps the dyadic
     masses exact: u in (2^-k, 2^-(k-1)] maps to 2**k, so each value 2**k
     receives probability exactly 2**-k on the 2**-53 uniform lattice.
-    Values are exact powers of two up to 2**53.
+    Values are exact powers of two up to 2**53; u outside (0, 1] raises ValueError.
     """
-    return _GAME._quantile_formula(u, strict=True)
+    return _GAME._quantile_formula(_check_real(u, "u", 0.0, 1.0, "(]"), strict=True)
 
 
 def sample_petersburg(n: int, rng: RngStream) -> SampleBatch:
@@ -312,16 +312,14 @@ def _arrivals_below(gen, lam):
 
 def points_from_arrivals(model: TailModel, arrivals):
     """Inverse-measure mapping y_p = T_inverse(Gamma_p); equals Gamma_p**(-1/alpha)
-    for a pure power tail."""
-    return intensity_quantile(model, np.asarray(arrivals, dtype=float))
+    for a pure power tail; the arrivals must lie in (0, inf)."""
+    return intensity_quantile(model, arrivals)
 
 
 def _point_rate(model: TailModel, cutoff: float, budget=_POINT_BUDGET,
                 what="expected points") -> float:
     """Expected point count T(cutoff) above the cutoff, within the budget."""
-    if not 0.0 < cutoff < math.inf:
-        raise ValueError("cutoff must be positive and finite, got %s" % cutoff)
-    lam = intensity_tail(model, cutoff)
+    lam = intensity_tail(model, _check_real(cutoff, "cutoff", 0.0))
     _check_budget(lam, budget, what)
     return lam
 
@@ -346,8 +344,9 @@ def poisson_sum_centering(model: TailModel, cutoff: float) -> float:
     """
     if model.alpha < 1.0:
         return 0.0
-    if abs(model.alpha - 1.0) < 1e-12:
-        return tail_first_moment(model, cutoff, 1.0)
+    if abs(model.alpha - 1.0) < 1e-12:  # a cutoff past 1 adds the mean on (1, cutoff]
+        return (tail_first_moment(model, cutoff, 1.0) if cutoff < 1.0
+                else -tail_first_moment(model, 1.0, cutoff) if cutoff > 1.0 else 0.0)
     return tail_first_moment(model, cutoff, None)
 
 
@@ -420,8 +419,7 @@ def poisson_sum_batch(model: TailModel, cutoff: float, reps: int, seed: int,
     T(cutoff) is at most 1e9, and reps x ceil(T(cutoff)) must stay within
     the draw budget.  A sum past the float range (alpha near 0) raises
     OverflowError; threads is ignored."""
-    if not (0.0 < model.alpha < 2.0):
-        raise ValueError("poisson sums need alpha in (0, 2)")
+    _check_real(model.alpha, "alpha", 0.0, 2.0)
     classes = 2 if symmetric else 1
     if model.psi_kind == "petersburg":
         lam = _point_rate(model, cutoff, classes * _POISSON_MAX,
@@ -447,6 +445,7 @@ def lepage_auto_terms(alpha: float, symmetric: bool) -> int:
     sum_{p>P} p^{-1/alpha} (mean, positive case), bounded by the integral
     P**(1-s)/(s-1).
     """
+    alpha = _check_real(alpha, "alpha", 0.0, 2.0)
     s = 2.0 / alpha if symmetric else 1.0 / alpha
     if s <= 1.0:
         raise ValueError("series tail does not truncate in this mode")
@@ -470,15 +469,14 @@ def sample_lepage(alpha: float, rng: RngStream, n_terms: int | None = None,
     return float(lepage_batch(alpha, 1, rng.seed, symmetric, n_terms, rng.stream_id)[0])
 
 
-def _lepage_prep(alpha, n_terms, symmetric, least=1):
-    if not (0.0 < alpha < 2.0):
-        raise ValueError("alpha must lie in (0, 2)")
+def _lepage_prep(alpha, n_terms, symmetric, least=1):  # (alpha, P), checked
+    alpha = _check_real(alpha, "alpha", 0.0, 2.0)
     if not symmetric and alpha >= 1.0:
         raise ValueError("positive mode needs alpha < 1")
     p = (lepage_auto_terms(alpha, symmetric) if n_terms is None
          else _check_count(n_terms, "n_terms", least))
     _check_budget(p, 10 ** 8, "series terms")
-    return p
+    return alpha, p
 
 
 def _power_block(alpha, n, ranks, symmetric, gen, rows, scale=None):
@@ -529,7 +527,7 @@ def lepage_batch(alpha: float, reps: int, seed: int, symmetric: bool = False,
 
     reps x n_terms must stay within the 2^32 draw budget, and a term past
     the float range (alpha near 0) raises OverflowError; threads is ignored."""
-    p = _lepage_prep(alpha, n_terms, symmetric)
+    alpha, p = _lepage_prep(alpha, n_terms, symmetric)
     block = lambda gen, rows: _lepage_block(alpha, p, symmetric, gen, rows)[:, 0]
     return next(_map_blocks([(block, p)], reps, seed, base_stream))
 
@@ -546,12 +544,12 @@ def write_batch(batch: SampleBatch, path: str,
     """CSV with header index,value plus a JSON sidecar <path>.meta.json.
 
     The sidecar holds the batch metadata, plus the run configuration under
-    "config" when one is given."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(_csv_lines(batch)) + "\n")
+    "config" when one is given: strict JSON, so a NaN raises ValueError first."""
     meta = batch.metadata()
     if config is not None:
         meta["config"] = config
+    text = json.dumps(meta, sort_keys=True, indent=2, allow_nan=False)
+    with open(path, "w", newline="\n") as fh:
+        fh.write("\n".join(_csv_lines(batch)) + "\n")
     with open(path + ".meta.json", "w", newline="\n") as fh:
-        json.dump(meta, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from ._arrays import _check_count, elementwise
+from ._arrays import _check_count, _check_real, elementwise
 
 __all__ = [
     "TailModel",
@@ -60,23 +60,17 @@ class TailModel:
     psi_values: tuple = ()
 
     def __post_init__(self):
-        if not (self.alpha > 0.0 and math.isfinite(self.alpha)):
-            raise ValueError("alpha must be positive and finite")
+        for name, ends in (("alpha", "()"), ("c", "()"), ("x0", "[)")):
+            object.__setattr__(self, name, _check_real(getattr(self, name), name, 0.0, ends=ends))
         object.__setattr__(self, "q", _check_count(self.q, "q", 2))
-        if not (self.c > 0.0 and math.isfinite(self.c)):
-            raise ValueError("c must be positive")
-        if not (self.x0 >= 0.0 and math.isfinite(self.x0)):
-            raise ValueError("x0 must be finite and >= 0")
         if self.psi_kind not in _PSI_KINDS:
             raise ValueError("unknown psi kind %r" % (self.psi_kind,))
         if self.psi_kind == "petersburg" and not (self.alpha == 1.0 and self.q == 2):
             raise ValueError("petersburg psi requires alpha = 1, q = 2")
         if self.psi_kind == "grid":
-            vals = np.asarray(self.psi_values, dtype=float)
+            vals = np.asarray(_check_real(self.psi_values, "psi", 0.0))
             if vals.ndim != 1 or vals.size < _MIN_GRID:
                 raise ValueError("grid psi needs >= %d samples over one period" % _MIN_GRID)
-            if not np.all(np.isfinite(vals)) or np.any(vals <= 0.0):
-                raise ValueError("psi must be finite and strictly positive")
             # on cell j, d log T / du = psi'/psi - alpha ln q, psi' = alpha m (v[j+1] - v[j])
             rising = vals.size * np.diff(vals, append=vals[0]) > math.log(self.q) * vals
             if rising.any():
@@ -211,20 +205,18 @@ def make_pareto(alpha: float, c: float = 1.0, x0: float | None = None) -> TailMo
 
     x0 defaults to c**(1/alpha) so that T(x0) = 1 (unit total mass).
     """
-    if x0 is None:
-        x0 = c ** (1.0 / alpha)
-    return TailModel(alpha=float(alpha), q=2, c=float(c), x0=float(x0), psi_kind="const")
+    if x0 is None:  # alpha and c are checked before they make it
+        x0 = _check_real(c, "c", 0.0) ** (1.0 / _check_real(alpha, "alpha", 0.0))
+    return TailModel(alpha=alpha, q=2, c=c, x0=x0, psi_kind="const")
 
 
 # -- probability-tail operations (domain [x0, inf)) ------------------------
 
 
 def tail_eval(model: TailModel, x):
-    """T(x) = P(X > x) for x >= x0."""
-    xa = np.asarray(x, dtype=float)
-    if not np.all((xa >= model.x0) & (xa > 0.0)):
-        raise ValueError("tail_eval requires x >= x0 (and x > 0)")
-    return elementwise(model._tail_formula, xa)
+    """T(x) = P(X > x) for x in [x0, inf] (x > 0 at x0 = 0)."""
+    ends = "[]" if model.x0 > 0.0 else "(]"
+    return elementwise(model._tail_formula, _check_real(x, "x", model.x0, ends=ends))
 
 
 def tail_quantile(model: TailModel, u):
@@ -237,10 +229,7 @@ def tail_quantile(model: TailModel, u):
     """
     if model.x0 <= 0.0:
         raise ValueError("tail_quantile needs x0 > 0 (finite total mass)")
-    ua = np.asarray(u, dtype=float)
-    cap = float(model._tail_formula(model.x0))
-    if not np.all((ua > 0.0) & (ua <= cap)):
-        raise ValueError("quantile argument must lie in (0, T(x0)]")
+    ua = _check_real(u, "u", 0.0, float(model._tail_formula(model.x0)), "(]")
     with np.errstate(over="ignore"):  # refused by _finite, naming alpha
         return _finite(elementwise(model._quantile, ua), model.alpha)
 
@@ -257,8 +246,7 @@ def intensity_quantile(model: TailModel, u):
     """inf{x > 0 : T(x) <= u} with no x0 cap; inverse-measure point mapping.
 
     A quantile past float64's range (alpha near 0) raises OverflowError."""
-    if not np.all(np.asarray(u, dtype=float) > 0.0):
-        raise ValueError("quantile argument must be positive")
+    u = _check_real(u, "u", 0.0)
     with np.errstate(over="ignore"):  # refused by _finite, naming alpha
         return _finite(elementwise(model._quantile_formula, u), model.alpha)
 
@@ -267,7 +255,7 @@ def intensity_quantile(model: TailModel, u):
 
 
 def _integrate_tail(model, a, b, weight=None):
-    """integral_a^b w(u) T(u) du, w = 1 or u, by Gauss-Legendre in s = log u.
+    """integral_a^b w(u) T(u) du, a < b, w = 1 or u, by Gauss-Legendre in s = log u.
 
     In s the integrand e^{k s} T(e^s), k = 1 or 2, is an exponential times a
     linear function between the kinks and jumps of psi (grid cells, dyadic
@@ -279,7 +267,7 @@ def _integrate_tail(model, a, b, weight=None):
     k < alpha).  Overflowing pieces give inf or nan, for the caller to refuse.
     """
     k = 2.0 if weight == "u" else 1.0
-    lo, hi = sorted((math.log(a) if a else -math.inf, math.log(b)))
+    lo, hi = math.log(a) if a else -math.inf, math.log(b)
     period = math.log(model.q) / model.alpha
     h = period / (len(model.psi_values) if model.psi_kind == "grid" else 1)
     h /= math.ceil(h * max(4.0, abs(k - model.alpha) / 8.0))
@@ -303,20 +291,18 @@ def _integrate_tail(model, a, b, weight=None):
     if n:
         total += pieces(lo, lo + period) * (
             math.expm1(n * log_r) / math.expm1(log_r) if log_r else n)
-    return total if a <= b else -total
+    return total
 
 
 def tail_first_moment(model: TailModel, lo: float, hi: float | None = None) -> float:
-    """integral of x over the intensity measure on (lo, hi]; hi = None means inf.
+    """integral of x over the intensity measure on (lo, hi], lo < hi; None means inf.
 
     Computed from the tail by parts, lo*T(lo) - hi*T(hi) + int_lo^hi T(u) du;
     hi = inf (needs alpha > 1) drops hi*T(hi), and _integrate_tail sums the
     improper integral's periods exactly.
     """
-    if not 0.0 < lo < math.inf:
-        raise ValueError("lo must be positive and finite, got %s" % lo)
-    if hi is not None and not 0.0 < hi < math.inf:
-        raise ValueError("hi must be positive and finite, got %s" % hi)
+    lo = _check_real(lo, "lo", 0.0)
+    hi = None if hi is None else _check_real(hi, "hi", lo)
     if hi is None and model.alpha <= 1.0:
         raise ValueError("mean above a cutoff is infinite for alpha <= 1")
     top = 0.0 if hi is None else hi * float(model._tail_formula(hi))
@@ -333,11 +319,10 @@ def gaussian_criterion_ratio(model: TailModel, x: float) -> float:
     x0 = 0 (pure intensity reading, needs alpha < 2) the boundary term
     vanishes and _integrate_tail sums the periods down to 0 exactly; for
     psi == 1 the ratio is then (2 - alpha)/alpha at every x.  A vanishing
-    limit signals a Gaussian domain.  x must be finite (ValueError).
+    limit signals a Gaussian domain.  x must lie in (x0, inf) (ValueError).
     OverflowError if m2(x) leaves the float range.
     """
-    if not (x > model.x0 and 0.0 < x < math.inf):
-        raise ValueError("x must be finite and exceed x0 (and be positive), got %s" % x)
+    x = _check_real(x, "x", model.x0)
     t_x = float(model._tail_formula(x))
     if t_x == 0.0 or (model.x0 == 0.0 and model.alpha >= 2.0):
         return 0.0  # at x0 = 0 and alpha >= 2 m2 diverges at the origin

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 import time
 import tracemalloc
 import warnings
@@ -287,12 +288,12 @@ def test_cdf_tol_validation_and_failure():
     # accepted, to warn invalid values on evaluation
     (lambda: one_sided_stable_exponent(0.5, c=math.inf), "c"),
     (lambda: one_sided_stable_exponent(0.5, c=math.nan), "c"),
-    (lambda: convolution_power(gaussian_law(), math.inf), "power k"),
-    (lambda: convolution_power(gaussian_law(), math.nan), "power k"),
+    (lambda: convolution_power(gaussian_law(), math.inf), "k"),
+    (lambda: convolution_power(gaussian_law(), math.nan), "k"),
 ], ids=["cdf-tol-nan", "cdf-tol-inf", "table-tol-nan", "g-tol-inf", "cauchy-inf", "cauchy-nan", "stable-c-inf", "stable-c-nan",
         "power-inf", "power-nan"])
 def test_non_finite_parameters_are_refused_by_name(call, name):
-    with pytest.raises(ValueError, match="^%s must be .*finite" % name):
+    with pytest.raises(ValueError, match=r"^%s must lie in [(\[].*, got (nan|inf)$" % name):
         call()
 
 
@@ -307,20 +308,20 @@ def test_cdf_non_finite_phase_slope_raises():
 
 def test_cdf_rejects_nan():
     # the NaN slot used to come back as a clipped uninitialised entry
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ValueError, match=re.escape("x must lie in (-inf, inf), got nan")):
         cdf_from_cf(cauchy_law(), [0.0, math.nan])
 
 
 def test_cdf_rejects_infinity():
     # used to fail inside np.geomspace with an unrelated message
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ValueError, match=re.escape("x must lie in (-inf, inf), got inf")):
         cdf_from_cf(cauchy_law(), [0.0, math.inf])
 
 
 def test_g_exponent_rejects_nan():
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ValueError, match=re.escape("t must lie in (-inf, inf), got nan")):
         g_exponent(math.nan)
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ValueError, match=re.escape("t must lie in (-inf, inf), got nan")):
         g_gamma_exponent(np.array([1.0, math.nan]), 1.5)
 
 
@@ -553,13 +554,13 @@ def test_cdf_table_and_interpolant():
 
 def test_tabulate_cdf_rejects_reversed_span():
     # used to tabulate [-10, 10] silently
-    with pytest.raises(ValueError, match="finite x_lo < x_hi, got 10 and -10"):
+    with pytest.raises(ValueError, match=re.escape("x_hi must lie in (10, inf), got -10")):
         tabulate_cdf(cauchy_law(), 10, -10)
 
 
 def test_tabulate_cdf_rejects_empty_span():
     # used to fail inside TabulatedCdf with "needs >= 2 increasing x"
-    with pytest.raises(ValueError, match="finite x_lo < x_hi, got 5 and 5"):
+    with pytest.raises(ValueError, match=re.escape("x_hi must lie in (5, inf), got 5")):
         tabulate_cdf(cauchy_law(), 5, 5)
 
 
@@ -567,7 +568,7 @@ def test_tabulate_cdf_rejects_nan_span_without_warning():
     # used to warn from linspace before "x must be finite"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="finite x_lo < x_hi, got nan and 3"):
+        with pytest.raises(ValueError, match=re.escape("x_lo must lie in (-inf, inf), got nan")):
             tabulate_cdf(cauchy_law(), math.nan, 3)
 
 

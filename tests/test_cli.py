@@ -59,7 +59,7 @@ def test_sample_sidecar_written_once(tmp_path, monkeypatch):
     assert main(["sample", "--n", "3", "--seed", "1", "--out", out]) == 0
     monkeypatch.undo()
     assert writes.count(out + ".meta.json") == 1
-    config = {"format": "json", "out": out, "seed": 1, "subcommand": "sample",
+    config = {"format": "csv", "out": out, "seed": 1, "subcommand": "sample",
               "params": {"model": "petersburg", "model_json": None, "alpha": 0.5,
                          "c": 1.0, "x0": None, "n": 3, "stream": 0,
                          "symmetrize": False}}
@@ -441,7 +441,7 @@ def test_negligibility_bad_alpha_exit_code(alphas, capsys):
     # exited 3 with a NaN or meaningless median before
     assert main(["negligibility", "--alphas", alphas, "--n", "1000",
                  "--reps", "100"]) == 2
-    assert "finite and positive" in capsys.readouterr().err
+    assert "each alpha in alpha_list must lie in (0, inf), got" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("n_terms", ("0", "2"))
@@ -518,6 +518,84 @@ def test_sample_formats(tmp_path, capsys):
     assert main(argv + ["--format", "csv", "--out", str(csv)]) == 0
     assert csv.read_text().splitlines() == lines
     assert (tmp_path / "s.csv.meta.json").exists()
+
+
+def _strict(text):
+    """json.loads that refuses the NaN and Infinity tokens strict JSON lacks."""
+    def refuse(token):
+        raise ValueError("not strict JSON: %s" % token)
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def _written_format(path):
+    """The format the file at path is in: csv (under a '# config:' line, or
+    with a .meta.json sidecar), json (one document) or jsonl (one a line)."""
+    text = read(path)
+    if text.startswith("# config: "):
+        return "csv", _strict(text.splitlines()[0][10:])
+    if os.path.exists(path + ".meta.json"):
+        return "csv", _strict(read(path + ".meta.json"))["config"]
+    lines = text.splitlines()
+    if len(lines) > 1 and all(l.startswith("{") and l.endswith("}") for l in lines):
+        return "jsonl", _strict(lines[-1])["config"]
+    return "json", _strict(text)["config"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["cdf", "--law", "cauchy", "--grid", "0:0.2:0.1"],
+    ["cdf", "--law", "cauchy", "--grid", "0:0.2:0.1", "--format", "csv"],
+    ["cdf", "--law", "cauchy", "--grid", "0:0.2:0.1", "--format", "json"],
+    ["sample", "--n", "3"],
+    ["sample", "--n", "3", "--format", "json"],
+    ["merging", "--n", "16", "--reps", "10000"],
+    ["coupling", "--n-list", "20", "--reps", "50", "--format", "csv"],
+    ["orderstats", "--p", "3", "--n", "50", "--reps", "300", "--format", "jsonl"],
+], ids=["cdf", "cdf-csv", "cdf-json", "sample", "sample-json", "merging", "coupling-csv",
+        "orderstats-jsonl"])
+def test_each_artifact_records_the_format_it_wrote(argv, tmp_path):
+    # cdf --out and sample --out wrote CSV but recorded "format": "json"
+    out = str(tmp_path / "artifact")
+    for _ in range(2 if "jsonl" in argv else 1):
+        assert main(argv + ["--seed", "1", "--out", out]) in (0, 3)
+    written, config = _written_format(out)
+    assert config["format"] == written
+
+
+def test_stdout_artifacts_record_json(capsys):
+    assert main(["sample", "--n", "3", "--seed", "1"]) == 0
+    assert _strict(capsys.readouterr().out)["config"]["format"] == "json"
+    assert main(["merging", "--n", "16", "--reps", "10000", "--seed", "1"]) in (0, 3)
+    assert _strict(capsys.readouterr().out)["config"]["format"] == "json"
+
+
+@pytest.mark.parametrize("argv", [
+    ["merging", "--n", "16", "--reps", "10000"],
+    ["mlof", "--k", "4", "--reps", "10000"],
+    ["feller", "--n", "256", "--reps", "400"],
+    ["coupling", "--n-list", "20,80", "--reps", "300"],
+    ["lepage", "--k", "6", "--reps", "300", "--n-terms", "200"],
+    ["orderstats", "--p", "3", "--n", "50", "--reps", "300"],
+    ["negligibility", "--n", "1000", "--reps", "300"],
+    ["sweep", "--k", "8", "--points", "1", "--reps", "10000"],
+], ids=lambda argv: argv[0])
+def test_every_experiment_artifact_is_strict_json(argv, tmp_path):
+    out = str(tmp_path / "report.json")
+    assert main(argv + ["--seed", "3", "--out", out]) in (0, 3)
+    doc = _strict(read(out))
+    assert doc["config"]["subcommand"] == argv[0] and doc["config"]["format"] == "json"
+
+
+def test_a_non_finite_report_is_refused_not_written(tmp_path, monkeypatch, capsys):
+    # json.dumps wrote a bare NaN token, which strict parsers refuse
+    def nan_report(*args, **kwargs):
+        return empirics.ExperimentReport("merging", {}, float("nan"), 0.1, 1, 0.03, True)
+
+    monkeypatch.setattr(empirics, "merging_experiment", nan_report)
+    out = tmp_path / "m.json"
+    assert main(["merging", "--n", "16", "--out", str(out)]) == 2
+    assert "Out of range float values are not JSON compliant" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cold_start_loads_no_scipy():

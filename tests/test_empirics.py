@@ -1,6 +1,8 @@
 import json
 import math
+import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -174,7 +176,8 @@ def test_empty_alpha_list_rejected():
 @pytest.mark.parametrize("alpha", (math.nan, math.inf, -1.0, 0.0))
 def test_negligibility_rejects_bad_alpha(alpha):
     # exited 3 with a NaN or meaningless median before
-    with pytest.raises(ValueError, match="finite and positive"):
+    refusal = re.escape("each alpha in alpha_list must lie in (0, inf), got")
+    with pytest.raises(ValueError, match=refusal):
         negligibility_experiment([0.5, alpha], 10 ** 3, 100, RngStream(1))
 
 
@@ -204,7 +207,7 @@ def test_levy_distance_point_masses():
 def test_levy_distance_rejects_bad_grid_step(grid_step):
     # nan returned nan and inf returned inf before
     e = Ecdf.from_sample([0.1, 0.4, 0.7])
-    with pytest.raises(ValueError, match="grid_step must be positive and finite"):
+    with pytest.raises(ValueError, match=re.escape("grid_step must lie in (0, inf), got")):
         levy_distance(e, lambda x: np.clip(np.asarray(x), 0.0, 1.0), grid_step)
 
 
@@ -419,3 +422,11 @@ def test_lepage_limit_symmetric_mode():
                                   symmetric=True, n_terms=30000,
                                   tolerance=0.04)
     assert rep.statistic["two_sample_ks"] <= 0.04
+
+
+def test_report_json_is_strict():
+    # a NaN statistic was written as the bare token NaN
+    report = ExperimentReport("x", {}, math.nan, 0.1, 1, 0.03, False)
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        report.to_json()
+    assert json.loads(replace(report, statistic=0.5).to_json())["statistic"] == 0.5

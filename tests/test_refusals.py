@@ -1,8 +1,11 @@
 """Every public refusal of a bad argument: each integer count goes through
 _arrays._check_count, which returns the int or raises ValueError "<name>
-must be an integer >= L and <= M, got V" before anything is drawn; the
-other argument checks raise ValueError with their own messages."""
+must be an integer >= L and <= M, got V" before anything is drawn; each
+real parameter goes through _arrays._check_real, which returns the float or
+raises ValueError "<name> must lie in <interval>, got V"; the checks that
+relate two parameters raise ValueError with their own messages."""
 
+import functools
 import json
 import math
 import re
@@ -10,15 +13,20 @@ import re
 import numpy as np
 import pytest
 
-from semistable import (ExperimentReport, RngStream, SampleBatch, TailModel,
-                        cli, coupled_pair, coupling_gap_curve, erlang_cdf,
-                        feller_experiment, g_exponent, g_gamma_law, gamma_n,
-                        lepage_batch, lepage_limit_experiment, make_pareto,
-                        martin_lof_experiment, maximal_fluctuation, merging_experiment,
-                        merging_sweep, model_from_json, negligibility_experiment,
-                        order_statistics_experiment, petersburg_sum_batch,
-                        poisson_sum_batch, sample_lepage, sample_petersburg,
-                        sample_tail_model, sampling, tail_first_moment, tail_quantile)
+from semistable import (Ecdf, ExperimentReport, RngStream, SampleBatch, TailModel,
+                        cauchy_law, cdf_from_cf, cli, convolution_power, coupled_pair,
+                        coupling_gap_curve, erlang_cdf, feller_experiment, g_exponent,
+                        g_gamma_exponent, g_gamma_law, gamma_n, gaussian_criterion_ratio,
+                        gaussian_law, intensity_quantile, lepage_auto_terms, lepage_batch,
+                        lepage_limit_experiment, levy_distance, make_pareto,
+                        make_petersburg, martin_lof_experiment, maximal_fluctuation,
+                        merging_experiment, merging_sweep, model_from_json,
+                        negligibility_experiment, one_sided_stable_exponent,
+                        order_statistics_experiment, petersburg_from_uniform,
+                        petersburg_sum_batch, points_from_arrivals, poisson_sum_batch,
+                        sample_lepage, sample_petersburg, sample_poisson_points,
+                        sample_tail_model, sampling, tabulate_cdf, tail_first_moment,
+                        tail_quantile)
 
 PARETO = make_pareto(0.5)
 R = RngStream(1)
@@ -229,30 +237,194 @@ def test_cli_n_terms_takes_an_integral_float(capsys):
     assert type(via_float["params"]["n_terms"]) is int and via_float["params"]["n_terms"] == 100
 
 
-# -- the other argument checks ---------------------------------------------------
+# -- the real parameters ------------------------------------------------------
+
+# id: (call of the real v, its name, its interval, a valid value)
+REALS = {
+    "g_exponent-tol": (lambda v: g_exponent(1.0, tol=v), "tol", "(0, inf)", 1e-8),
+    "g_exponent-max_jump": (lambda v: g_exponent(1.0, max_jump=v), "max_jump", "(0, inf]", 8.0),
+    "g_gamma_exponent-gamma": (lambda v: g_gamma_exponent(1.0, v), "gamma", "[1, 2]", 2.0),
+    "g_gamma_exponent-max_jump": (lambda v: g_gamma_exponent(1.0, 1.5, v), "max_jump", "(0, inf]",
+                                  8.0),
+    "g_gamma_law-gamma": (g_gamma_law, "gamma", "[1, 2]", 1.0),
+    "cauchy_law-scale": (cauchy_law, "scale", "(0, inf)", 2.0),
+    "stable-alpha": (one_sided_stable_exponent, "alpha", "(0, 1)", 0.5),
+    "stable-c": (lambda v: one_sided_stable_exponent(0.5, v), "c", "(0, inf)", 2.0),
+    "convolution_power-k": (lambda v: convolution_power(gaussian_law(), v), "k", "(0, inf)", 3.0),
+    "cdf_from_cf-tol": (lambda v: cdf_from_cf(cauchy_law(), 0.5, tol=v), "tol", "[1e-10, inf)",
+                        1e-10),
+    "tabulate_cdf-x_lo": (lambda v: tabulate_cdf(cauchy_law(), v, 1.0), "x_lo", "(-inf, inf)",
+                          -1.0),
+    "tabulate_cdf-x_hi": (lambda v: tabulate_cdf(cauchy_law(), -1.0, v), "x_hi", "(-1, inf)",
+                          1.0),
+    "TailModel-alpha": (lambda v: TailModel(alpha=v, q=2, c=1.0, x0=1.0), "alpha", "(0, inf)",
+                        0.5),
+    "TailModel-c": (lambda v: TailModel(alpha=0.5, q=2, c=v, x0=1.0), "c", "(0, inf)", 2.0),
+    "TailModel-x0": (lambda v: TailModel(alpha=0.5, q=2, c=1.0, x0=v), "x0", "[0, inf)", 0.0),
+    "make_pareto-alpha": (make_pareto, "alpha", "(0, inf)", 0.5),
+    "make_pareto-c": (lambda v: make_pareto(0.5, c=v), "c", "(0, inf)", 2.0),
+    "tail_first_moment-lo": (lambda v: tail_first_moment(make_pareto(1.5), v), "lo",
+                             "(0, inf)", 2.0),
+    "tail_first_moment-hi": (lambda v: tail_first_moment(make_pareto(1.5), 2.0, v), "hi",
+                             "(2, inf)", 3.0),
+    "gaussian_criterion_ratio-x": (lambda v: gaussian_criterion_ratio(make_pareto(1.5), v), "x",
+                                   "(1, inf)", 10.0),
+    "tail_quantile-u": (lambda v: tail_quantile(make_petersburg(), v), "u", "(0, 0.5]", 0.5),
+    "intensity_quantile-u": (lambda v: intensity_quantile(PARETO, v), "u", "(0, inf)", 2.0),
+    "points_from_arrivals-u": (lambda v: points_from_arrivals(PARETO, v), "u", "(0, inf)", 2.0),
+    "petersburg_from_uniform-u": (petersburg_from_uniform, "u", "(0, 1]", 1.0),
+    "poisson_sum_batch-cutoff": (lambda v: poisson_sum_batch(PARETO, v, 3, seed=1), "cutoff",
+                                 "(0, inf)", 1.0),
+    "sample_poisson_points-cutoff": (lambda v: sample_poisson_points(PARETO, v, R), "cutoff",
+                                     "(0, inf)", 1.0),
+    "lepage_auto_terms-alpha": (lambda v: lepage_auto_terms(v, True), "alpha", "(0, 2)", 1.5),
+    "lepage_batch-alpha": (lambda v: lepage_batch(v, 3, 1, symmetric=True, n_terms=10),
+                           "alpha", "(0, 2)", 1.5),
+    "lepage_limit-alpha": (lambda v: lepage_limit_experiment(v, 4, 20, R, symmetric=True,
+                                                             n_terms=10), "alpha", "(0, 2)", 1.5),
+    "levy_distance-grid_step": (lambda v: levy_distance(Ecdf.from_sample([0.5]), np.tanh, v),
+                                "grid_step", "(0, inf)", 0.1),
+    "ExperimentReport-stderr": (lambda v: ExperimentReport("x", {}, 0.0, v, 1, 0.1, True),
+                                "stderr", "[0, inf)", 0.0),
+    "negligibility-alpha": (lambda v: negligibility_experiment([0.5, v], 10 ** 3, 2, R),
+                            "each alpha in alpha_list", "(0, inf)", 2.5),
+    "merging-tolerance": (lambda v: merging_experiment(16, 10 ** 4, R, tolerance=v),
+                          "tolerance", "[0, inf)", 0.0),
+    "mlof-tolerance": (lambda v: martin_lof_experiment(4, 10 ** 4, R, tolerance=v),
+                       "tolerance", "[0, inf)", 0.0),
+    "sweep-tol_max": (lambda v: merging_sweep(8, 1, 200, R, tol_max=v), "tol_max", "[0, inf)",
+                      0.0),
+    "sweep-tol_two_sample": (lambda v: merging_sweep(8, 1, 200, R, tol_two_sample=v),
+                             "tol_two_sample", "[0, inf)", 0.0),
+    "orderstats-ks_tolerance": (lambda v: order_statistics_experiment(1, 10, 100, R,
+                                                                      ks_tolerance=v),
+                                "ks_tolerance", "[0, inf)", 0.0),
+    "lepage_limit-tolerance": (lambda v: lepage_limit_experiment(0.5, 4, 20, R, n_terms=10,
+                                                                 tolerance=v),
+                               "tolerance", "[0, inf)", 0.0),
+}
+
+
+def _digits(v):
+    """A float as the refusals print it: its shortest repr, 2 for 2.0."""
+    s = repr(float(v))
+    return s[:-2] if s.endswith(".0") else s
+
+
+def _bad_reals(interval):
+    """(id, value) for NaN, each infinity outside the interval, the nearest
+    float past each finite bound (the bound itself at an open end) and a
+    numeric string."""
+    lo, hi = (float(b) for b in interval[1:-1].split(", "))
+    bad = [("nan", math.nan)] + [
+        (name, v) for name, v, inside in (("inf", math.inf, interval[-1] == "]"),
+                                          ("-inf", -math.inf, lo == -math.inf))
+        if not inside]
+    if math.isfinite(lo):
+        bad.append(("below", lo if interval[0] == "(" else np.nextafter(lo, -math.inf)))
+    if math.isfinite(hi):
+        bad.append(("above", hi if interval[-1] == ")" else np.nextafter(hi, math.inf)))
+    return bad + [("string", "2")]
+
+
+def _refusal(name, interval, value):
+    shown = repr(value) if isinstance(value, str) else _digits(value)
+    return "^%s$" % re.escape("%s must lie in %s, got %s" % (name, interval, shown))
+
 
 GRID_ZERO = (1.0,) * 63 + (0.0,)
 
-
-@pytest.mark.parametrize("call, message", [
-    (lambda: coupled_pair(make_pareto(0.5, x0=2.0), 10, R), "unit total mass"),
-    (lambda: TailModel(alpha=0.5, q=2, c=1.0, x0=math.inf), "x0 must be finite and >= 0"),
-    (lambda: TailModel(alpha=0.5, q=2, c=1.0, x0=1.0, psi_kind="sine"), "unknown psi kind"),
-    (lambda: TailModel(alpha=0.5, q=2, c=1.0, x0=1.0, psi_kind="grid", psi_values=GRID_ZERO),
-     "psi must be finite and strictly positive"),
-    (lambda: tail_quantile(make_pareto(0.5, x0=0.0), 0.5), "needs x0 > 0"),
-    (lambda: tail_first_moment(make_pareto(1.5), 0.0), "lo must be positive"),
-    (lambda: tail_first_moment(make_pareto(0.5), 1.0, None), "infinite for alpha <= 1"),
-    (lambda: poisson_sum_batch(make_pareto(2.5), 1e-2, 3, seed=1), "alpha in \\(0, 2\\)"),
-    (lambda: g_exponent(1.0, max_jump=0), "max_jump must be positive"),
-    (lambda: g_gamma_law(2.5), re.escape("gamma must lie in [1, 2]")),
+# id: (call, the ValueError's message as a regex); the checks that relate
+# two parameters, the ones on other kinds of argument, and each case that
+# passed or failed otherwise before the real check
+ARGUMENTS = [
+    ("unit-mass", lambda: coupled_pair(make_pareto(0.5, x0=2.0), 10, R), "unit total mass"),
+    ("x0-not-finite", lambda: TailModel(alpha=0.5, q=2, c=1.0, x0=math.inf),
+     _refusal("x0", "[0, inf)", math.inf)),
+    ("psi-kind", lambda: TailModel(alpha=0.5, q=2, c=1.0, x0=1.0, psi_kind="sine"),
+     "unknown psi kind"),
+    ("psi-not-positive", lambda: TailModel(alpha=0.5, q=2, c=1.0, x0=1.0, psi_kind="grid",
+                                           psi_values=GRID_ZERO),
+     _refusal("psi", "(0, inf)", 0.0)),
+    ("quantile-x0-zero", lambda: tail_quantile(make_pareto(0.5, x0=0.0), 0.5), "needs x0 > 0"),
+    ("moment-lo", lambda: tail_first_moment(make_pareto(1.5), 0.0),
+     _refusal("lo", "(0, inf)", 0.0)),
+    ("moment-no-hi", lambda: tail_first_moment(make_pareto(0.5), 1.0, None),
+     "infinite for alpha <= 1"),
+    ("poisson-alpha", lambda: poisson_sum_batch(make_pareto(2.5), 1e-2, 3, seed=1),
+     _refusal("alpha", "(0, 2)", 2.5)),
+    ("poisson-alpha-2", lambda: poisson_sum_batch(make_pareto(2.0), 1e-2, 3, seed=1),
+     _refusal("alpha", "(0, 2)", 2.0)),
+    ("lepage-positive-mode", lambda: lepage_batch(1.5, 3, 1, n_terms=10),
+     "^positive mode needs alpha < 1$"),
+    ("max-jump", lambda: g_exponent(1.0, max_jump=0), _refusal("max_jump", "(0, inf]", 0.0)),
+    ("gamma-range", lambda: g_gamma_law(2.5), _refusal("gamma", "[1, 2]", 2.5)),
     # a bare JSONDecodeError ("Expecting value: ...") named no document before
-    (lambda: model_from_json("petersburg"),
+    ("model-not-json", lambda: model_from_json("petersburg"),
      re.escape("malformed model document (JSONDecodeError: Expecting value")),
-], ids=["unit-mass", "x0-not-finite", "psi-kind", "psi-not-positive", "quantile-x0-zero",
-        "moment-lo", "moment-no-hi", "poisson-alpha", "max-jump", "gamma-range",
-        "model-not-json"])
-def test_argument_refusals(call, message):
+    # each of these raised ZeroDivisionError, raised TypeError, returned a
+    # value or named no interval before
+    ("lepage-terms-alpha-0", lambda: lepage_auto_terms(0.0, True),
+     _refusal("alpha", "(0, 2)", 0.0)),
+    ("cauchy-string", lambda: cauchy_law("2"), _refusal("scale", "(0, inf)", "2")),
+    ("moment-empty-interval", lambda: tail_first_moment(make_pareto(1.5), 2.0, 1.0),  # -0.8787
+     _refusal("hi", "(2, inf)", 1.0)),
+    ("pareto-c-inf", lambda: make_pareto(0.5, c=math.inf), _refusal("c", "(0, inf)", math.inf)),
+    ("uniform-nan", lambda: petersburg_from_uniform(math.nan), _refusal("u", "(0, 1]", math.nan)),
+    ("uniform-0", lambda: petersburg_from_uniform(0.0), _refusal("u", "(0, 1]", 0.0)),  # 4.0
+    ("uniform-2", lambda: petersburg_from_uniform(2.0), _refusal("u", "(0, 1]", 2.0)),  # 1.0
+    ("uniform-array", lambda: petersburg_from_uniform(np.array([0.5, 2.0, math.nan])),
+     _refusal("u", "(0, 1]", 2.0)),
+    ("game-quantile-inf", lambda: intensity_quantile(make_petersburg(1.0), math.inf),  # 2.0
+     _refusal("u", "(0, inf)", math.inf)),
+    ("arrivals-inf", lambda: points_from_arrivals(make_pareto(0.5), [1.0, math.inf]),  # 0.0
+     _refusal("u", "(0, inf)", math.inf)),
+] + [("%s-%s" % (row, case), functools.partial(REALS[row][0], v),
+      _refusal(REALS[row][1], REALS[row][2], v))
+     for row in REALS for case, v in _bad_reals(REALS[row][2])]
+
+
+@pytest.mark.parametrize("call, message", [a[1:] for a in ARGUMENTS],
+                         ids=[a[0] for a in ARGUMENTS])
+def test_argument_refusals(call, message, monkeypatch):
+    def started(*args, **kwargs):
+        raise AssertionError("drew before the argument check")
+
+    monkeypatch.setattr(sampling.RngStream, "generator", started)
     with pytest.raises(ValueError, match=message):
         call()
 
+
+@pytest.mark.parametrize("row", REALS, ids=list(REALS))
+def test_every_real_takes_its_valid_values(row):
+    # the bounds a closed end holds are valid, and a numpy float or an int is
+    # the same real as the float
+    call, _, _, ok = REALS[row]
+    call(ok)
+    call(np.float64(ok))
+    if float(ok).is_integer():
+        call(int(ok))
+
+
+def test_a_real_comes_back_as_a_float():
+    # an int, a numpy integer or a numpy float is stored as the float
+    m = TailModel(alpha=1, q=2, c=np.float32(2.0), x0=np.int64(1))
+    assert [type(v) for v in (m.alpha, m.c, m.x0)] == [float] * 3
+    assert make_pareto(0.5, x0=0) == make_pareto(0.5, x0=0.0)
+    with pytest.raises(ValueError, match=re.escape("scale must lie in (0, inf), got inf")):
+        cauchy_law(10 ** 400)  # past float64, shown as inf
+
+
+@pytest.mark.parametrize("grid, message", [
+    ("nan:1:0.1", "grid lo must lie in (-inf, inf), got nan"),
+    ("0:inf:0.1", "grid hi must lie in [0, inf), got inf"),
+    ("5:1:0.1", "grid hi must lie in [5, inf), got 1"),
+    ("0:1:0", "grid step must lie in (0, inf), got 0"),
+    ("0:1:-0.1", "grid step must lie in (0, inf), got -0.1"),
+    ("0:1:nan", "grid step must lie in (0, inf), got nan"),
+], ids=["lo-nan", "hi-inf", "hi-below-lo", "step-0", "step-negative", "step-nan"])
+def test_cli_grid_refusals(grid, message, capsys):
+    # each said "grid bounds and step must be finite" or "grid needs hi >= lo
+    # and step > 0", which named neither the bound nor the value
+    assert cli.main(["cdf", "--law", "cauchy", "--grid", grid]) == 2
+    assert capsys.readouterr().err == "parameter error: %s\n" % message

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -201,9 +202,9 @@ def test_poisson_cutoff_must_be_finite(cutoff):
     # integral, drew a Petersburg point at 4 "above" it, or drew empty Pareto
     # sums; NaN was refused only by the tail formula, which names no cutoff
     for model in (make_petersburg(1.0), make_pareto(0.5)):
-        with pytest.raises(ValueError, match="cutoff must be positive and finite"):
+        with pytest.raises(ValueError, match=re.escape("cutoff must lie in (0, inf), got")):
             poisson_sum_batch(model, cutoff, 3, seed=1)
-        with pytest.raises(ValueError, match="cutoff must be positive and finite"):
+        with pytest.raises(ValueError, match=re.escape("cutoff must lie in (0, inf), got")):
             sample_poisson_points(model, cutoff, RngStream(1))
 
 
@@ -985,3 +986,11 @@ def test_write_batch(tmp_path):
     import json
     meta = json.loads((tmp_path / "batch.csv.meta.json").read_text())
     assert meta["seed"] == 4 and meta["n"] == 16
+
+
+def test_write_batch_sidecar_is_strict_json(tmp_path):
+    # a non-finite config value was written as the bare token NaN
+    batch = sample_petersburg(4, RngStream(4))
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        write_batch(batch, str(tmp_path / "b.csv"), {"tolerance": math.nan})
+    assert list(tmp_path.iterdir()) == []  # neither file, not half a sidecar

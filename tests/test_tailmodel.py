@@ -347,7 +347,7 @@ def test_gaussian_criterion_domain():
 def test_tail_moments_refuse_non_finite_arguments(call, name):
     m = make_pareto(1.5)
     assert gaussian_criterion_ratio(m, 1e12) == pytest.approx(1.0 / 3.0, rel=1e-5)
-    with pytest.raises(ValueError, match="^%s must be .*finite" % name):
+    with pytest.raises(ValueError, match=r"^%s must lie in \([01], inf\), got (nan|inf)$" % name):
         call(m)
 
 
