@@ -5,7 +5,7 @@ log-periodically: exact samplers, the dyadic merging family of limit laws
 via characteristic-function inversion, Poisson point-process constructions
 and couplings, the LePage series, and a reproducible Monte Carlo
 experiment harness that checks each limit statement quantitatively.  It
-imports numpy alone; levy_cdf and the CLI selftest load scipy on demand.
+runs on numpy and the standard library alone, and imports nothing on demand.
 """
 
 from .charfn import (CfExponent, InversionError, TabulatedCdf, cauchy_law,

@@ -142,7 +142,7 @@ def g_exponent(t, tol: float = 1e-12, max_jump=None):
         return total
 
     def series(tt):
-        tt = _check_real(tt, "t")
+        tt = _check_real(tt, "t", array=True)
         # _CHUNK / 4 points at a time: complex temporaries of _CHUNK / 2
         # doubles, so the level loop stays in cache
         step = _CHUNK // 4
@@ -575,7 +575,7 @@ def _node_plan(law, ys, tol):
 
 def _invert(h, xs, tol):
     """cdf_from_cf over the flat float array xs."""
-    xs = _check_real(xs, "x")
+    xs = _check_real(xs, "x", array=True)
     out = np.zeros(xs.size)
     if not xs.size:
         return out
@@ -704,10 +704,10 @@ def erlang_cdf(p: int, x):
 def levy_cdf(x):
     """CDF of the positive 1/2-stable law with Laplace exponent sqrt(pi s).
 
-    F(x) = erfc(sqrt(pi/(4x))); this is the limit of the sums built on the
-    intensity tail T(x) = x**(-1/2) and the LePage series at alpha = 1/2.
+    F(x) = erfc(sqrt(pi/(4x))), by math.erfc at each point (within 1e-15 of
+    the exact erfc of the same double); this is the limit of the sums built on
+    the intensity tail T(x) = x**(-1/2) and the LePage series at alpha = 1/2.
     NaN raises ValueError.
     """
-    from scipy.special import erfc  # loaded on first use, not with the package
-
+    erfc = np.vectorize(math.erfc, otypes=[float])
     return elementwise(lambda v: erfc(np.sqrt(math.pi / (4.0 * v))), x, cdf_from=0.0)

@@ -18,9 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sampling import (_POINT_BUDGET, RngStream, _check_budget, _check_count, _col_chunks,
-                       _finite, _map_blocks, _open01, _quiet, _row_groups)
-from .tailmodel import TailModel, tail_eval
+from ._arrays import _check_budget, _check_count
+from .empirics import ExperimentReport, ks_two_sample
+from .sampling import (_POINT_BUDGET, RngStream, _col_chunks, _map_blocks, _open01, _quiet,
+                       _row_groups)
+from .tailmodel import TailModel, _finite, tail_eval
 
 __all__ = ["CoupledPair", "coupled_pair", "coupling_gap_curve", "maximal_fluctuation"]
 
@@ -147,8 +149,6 @@ def coupling_gap_curve(model: TailModel, n_list, reps: int, rng: RngStream,
     is |j - n| <= 3 sqrt(n); reps x (n + window half-width) must stay within
     the 2^32 draw budget at every n; threads is ignored.
     """
-    from .empirics import ExperimentReport, ks_two_sample
-
     n_list = [_check_count(n, "each n in n_list", 10) for n in n_list]
     if not n_list:
         raise ValueError("n_list must not be empty")

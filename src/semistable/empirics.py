@@ -57,7 +57,7 @@ class Ecdf:
 
     @classmethod
     def from_sample(cls, sample) -> "Ecdf":
-        values = np.asarray(_check_real(sample, "sample"))
+        values = np.asarray(_check_real(sample, "sample", array=True))
         if values.size == 0:
             raise ValueError("sample must not be empty")
         return cls(values=np.sort(values))

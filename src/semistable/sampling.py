@@ -201,7 +201,7 @@ def petersburg_from_uniform(u):
     receives probability exactly 2**-k on the 2**-53 uniform lattice.
     Values are exact powers of two up to 2**53; u outside (0, 1] raises ValueError.
     """
-    return _GAME._quantile_formula(_check_real(u, "u", 0.0, 1.0, "(]"), strict=True)
+    return _GAME._quantile_formula(_check_real(u, "u", 0.0, 1.0, "(]", array=True), strict=True)
 
 
 def sample_petersburg(n: int, rng: RngStream) -> SampleBatch:
@@ -342,6 +342,7 @@ def poisson_sum_centering(model: TailModel, cutoff: float) -> float:
     the mean truncated at 1, which grows like log(1/cutoff) (any other
     truncation point shifts the limit by a convergent constant).
     """
+    cutoff = _check_real(cutoff, "cutoff", 0.0)
     if model.alpha < 1.0:
         return 0.0
     if abs(model.alpha - 1.0) < 1e-12:  # a cutoff past 1 adds the mean on (1, cutoff]
@@ -438,17 +439,19 @@ def poisson_sum_batch(model: TailModel, cutoff: float, reps: int, seed: int,
 # -- LePage series ------------------------------------------------------------
 
 
+def _lepage_alpha(alpha, symmetric):  # the one LePage rule: positive mode needs alpha < 1
+    return _check_real(alpha, "alpha", 0.0, 2.0 if symmetric else 1.0)
+
+
 def lepage_auto_terms(alpha: float, symmetric: bool) -> int:
     """Truncation point P with the series tail bound below 1e-6.
 
     The proxy is sum_{p>P} p^{-2/alpha} (variance, symmetric case) or
     sum_{p>P} p^{-1/alpha} (mean, positive case), bounded by the integral
-    P**(1-s)/(s-1).
+    P**(1-s)/(s-1); s > 1 since alpha lies in (0, 2), (0, 1) when positive.
     """
-    alpha = _check_real(alpha, "alpha", 0.0, 2.0)
+    alpha = _lepage_alpha(alpha, symmetric)
     s = 2.0 / alpha if symmetric else 1.0 / alpha
-    if s <= 1.0:
-        raise ValueError("series tail does not truncate in this mode")
     p = math.ceil((_SERIES_TAIL * (s - 1.0)) ** (-1.0 / (s - 1.0)))
     return max(int(p), 8)
 
@@ -470,9 +473,7 @@ def sample_lepage(alpha: float, rng: RngStream, n_terms: int | None = None,
 
 
 def _lepage_prep(alpha, n_terms, symmetric, least=1):  # (alpha, P), checked
-    alpha = _check_real(alpha, "alpha", 0.0, 2.0)
-    if not symmetric and alpha >= 1.0:
-        raise ValueError("positive mode needs alpha < 1")
+    alpha = _lepage_alpha(alpha, symmetric)
     p = (lepage_auto_terms(alpha, symmetric) if n_terms is None
          else _check_count(n_terms, "n_terms", least))
     _check_budget(p, 10 ** 8, "series terms")

@@ -68,7 +68,7 @@ class TailModel:
         if self.psi_kind == "petersburg" and not (self.alpha == 1.0 and self.q == 2):
             raise ValueError("petersburg psi requires alpha = 1, q = 2")
         if self.psi_kind == "grid":
-            vals = np.asarray(_check_real(self.psi_values, "psi", 0.0))
+            vals = np.asarray(_check_real(self.psi_values, "psi", 0.0, array=True))
             if vals.ndim != 1 or vals.size < _MIN_GRID:
                 raise ValueError("grid psi needs >= %d samples over one period" % _MIN_GRID)
             # on cell j, d log T / du = psi'/psi - alpha ln q, psi' = alpha m (v[j+1] - v[j])
@@ -216,7 +216,7 @@ def make_pareto(alpha: float, c: float = 1.0, x0: float | None = None) -> TailMo
 def tail_eval(model: TailModel, x):
     """T(x) = P(X > x) for x in [x0, inf] (x > 0 at x0 = 0)."""
     ends = "[]" if model.x0 > 0.0 else "(]"
-    return elementwise(model._tail_formula, _check_real(x, "x", model.x0, ends=ends))
+    return elementwise(model._tail_formula, _check_real(x, "x", model.x0, ends=ends, array=True))
 
 
 def tail_quantile(model: TailModel, u):
@@ -229,7 +229,7 @@ def tail_quantile(model: TailModel, u):
     """
     if model.x0 <= 0.0:
         raise ValueError("tail_quantile needs x0 > 0 (finite total mass)")
-    ua = _check_real(u, "u", 0.0, float(model._tail_formula(model.x0)), "(]")
+    ua = _check_real(u, "u", 0.0, float(model._tail_formula(model.x0)), "(]", array=True)
     with np.errstate(over="ignore"):  # refused by _finite, naming alpha
         return _finite(elementwise(model._quantile, ua), model.alpha)
 
@@ -238,15 +238,15 @@ def tail_quantile(model: TailModel, u):
 
 
 def intensity_tail(model: TailModel, x):
-    """Tail mass of the intensity measure: same formula as T, any x > 0."""
-    return elementwise(model._tail_formula, x)
+    """Tail mass of the intensity measure: same formula as T, any x in (0, inf]."""
+    return elementwise(model._tail_formula, _check_real(x, "x", 0.0, ends="(]", array=True))
 
 
 def intensity_quantile(model: TailModel, u):
     """inf{x > 0 : T(x) <= u} with no x0 cap; inverse-measure point mapping.
 
     A quantile past float64's range (alpha near 0) raises OverflowError."""
-    u = _check_real(u, "u", 0.0)
+    u = _check_real(u, "u", 0.0, array=True)
     with np.errstate(over="ignore"):  # refused by _finite, naming alpha
         return _finite(elementwise(model._quantile_formula, u), model.alpha)
 

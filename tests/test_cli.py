@@ -599,18 +599,23 @@ def test_a_non_finite_report_is_refused_not_written(tmp_path, monkeypatch, capsy
 
 
 def test_cold_start_loads_no_scipy():
-    # the package imports numpy alone; levy_cdf and selftest load scipy on
-    # first use, so a fresh run of the refused default lepage command pays
-    # for no scipy import
+    # the package runs on numpy alone: a fresh process that imports the CLI,
+    # runs the selftest and calls levy_cdf (both took erfc from
+    # scipy.special, loaded on first use) holds no scipy module, and a fresh
+    # run of the refused default lepage command pays for no scipy import
     env = dict(os.environ)
     env.pop(cli.SEED_ENV, None)
     src = str(pathlib.Path(cli.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     probe = ("import sys, semistable.cli; "
-             "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+             "code, lines = semistable.cli.run_selftest(1); "
+             "f = semistable.charfn.levy_cdf([0.5, 2.0]); "
+             "print(code, len(lines), [m for m in sys.modules if m.split('.')[0] == 'scipy'])")
     res = subprocess.run([sys.executable, "-c", probe], env=env,
                          capture_output=True, text=True, timeout=120)
-    assert (res.returncode, res.stdout.strip()) == (0, "[]"), res.stderr
+    code, n_lines, loaded = res.stdout.split(" ", 2)
+    assert (res.returncode, code, loaded.strip()) == (0, "0", "[]"), res.stderr
+    assert int(n_lines) > 1
     res = subprocess.run([sys.executable, "-m", "semistable.cli", "lepage"], env=env,
                          capture_output=True, text=True, timeout=120)
     assert res.returncode == 4, res.stderr

@@ -17,7 +17,8 @@ from semistable import (Ecdf, ExperimentReport, RngStream, SampleBatch, TailMode
                         cauchy_law, cdf_from_cf, cli, convolution_power, coupled_pair,
                         coupling_gap_curve, erlang_cdf, feller_experiment, g_exponent,
                         g_gamma_exponent, g_gamma_law, gamma_n, gaussian_criterion_ratio,
-                        gaussian_law, intensity_quantile, lepage_auto_terms, lepage_batch,
+                        gaussian_law, intensity_quantile, intensity_tail, lepage_auto_terms,
+                        lepage_batch, poisson_sum_centering,
                         lepage_limit_experiment, levy_distance, make_pareto,
                         make_petersburg, martin_lof_experiment, maximal_fluctuation,
                         merging_experiment, merging_sweep, model_from_json,
@@ -277,11 +278,23 @@ REALS = {
                                  "(0, inf)", 1.0),
     "sample_poisson_points-cutoff": (lambda v: sample_poisson_points(PARETO, v, R), "cutoff",
                                      "(0, inf)", 1.0),
+    "intensity_tail-x": (lambda v: intensity_tail(make_pareto(1.5), v), "x", "(0, inf]", 2.0),
+    "poisson_sum_centering-cutoff": (lambda v: poisson_sum_centering(make_pareto(1.0), v),
+                                     "cutoff", "(0, inf)", 2.0),
     "lepage_auto_terms-alpha": (lambda v: lepage_auto_terms(v, True), "alpha", "(0, 2)", 1.5),
     "lepage_batch-alpha": (lambda v: lepage_batch(v, 3, 1, symmetric=True, n_terms=10),
                            "alpha", "(0, 2)", 1.5),
     "lepage_limit-alpha": (lambda v: lepage_limit_experiment(v, 4, 20, R, symmetric=True,
                                                              n_terms=10), "alpha", "(0, 2)", 1.5),
+    # the positive mode's one rule, alpha < 1, wherever it is reached
+    "lepage_auto_terms-positive-alpha": (lambda v: lepage_auto_terms(v, False), "alpha",
+                                         "(0, 1)", 0.5),
+    "lepage_batch-positive-alpha": (lambda v: lepage_batch(v, 3, 1, n_terms=10), "alpha",
+                                    "(0, 1)", 0.5),
+    "sample_lepage-positive-alpha": (lambda v: sample_lepage(v, R, n_terms=10), "alpha",
+                                     "(0, 1)", 0.5),
+    "lepage_limit-positive-alpha": (lambda v: lepage_limit_experiment(v, 4, 20, R, n_terms=10),
+                                    "alpha", "(0, 1)", 0.5),
     "levy_distance-grid_step": (lambda v: levy_distance(Ecdf.from_sample([0.5]), np.tanh, v),
                                 "grid_step", "(0, inf)", 0.1),
     "ExperimentReport-stderr": (lambda v: ExperimentReport("x", {}, 0.0, v, 1, 0.1, True),
@@ -328,7 +341,8 @@ def _bad_reals(interval):
 
 
 def _refusal(name, interval, value):
-    shown = repr(value) if isinstance(value, str) else _digits(value)
+    shown = (repr(value) if isinstance(value, str) else _digits(value) if np.ndim(value) == 0
+             else "an array of shape %s" % (np.shape(value),))
     return "^%s$" % re.escape("%s must lie in %s, got %s" % (name, interval, shown))
 
 
@@ -355,8 +369,12 @@ ARGUMENTS = [
      _refusal("alpha", "(0, 2)", 2.5)),
     ("poisson-alpha-2", lambda: poisson_sum_batch(make_pareto(2.0), 1e-2, 3, seed=1),
      _refusal("alpha", "(0, 2)", 2.0)),
+    # "positive mode needs alpha < 1" here, "series tail does not truncate
+    # in this mode" from lepage_auto_terms, for the one rule
     ("lepage-positive-mode", lambda: lepage_batch(1.5, 3, 1, n_terms=10),
-     "^positive mode needs alpha < 1$"),
+     _refusal("alpha", "(0, 1)", 1.5)),
+    ("lepage-terms-positive-mode", lambda: lepage_auto_terms(1.5, False),
+     _refusal("alpha", "(0, 1)", 1.5)),
     ("max-jump", lambda: g_exponent(1.0, max_jump=0), _refusal("max_jump", "(0, inf]", 0.0)),
     ("gamma-range", lambda: g_gamma_law(2.5), _refusal("gamma", "[1, 2]", 2.5)),
     # a bare JSONDecodeError ("Expecting value: ...") named no document before
@@ -379,6 +397,28 @@ ARGUMENTS = [
      _refusal("u", "(0, inf)", math.inf)),
     ("arrivals-inf", lambda: points_from_arrivals(make_pareto(0.5), [1.0, math.inf]),  # 0.0
      _refusal("u", "(0, inf)", math.inf)),
+    # an array passed to a scalar parameter raised a broadcast error, a
+    # TypeError or "truth value ... is ambiguous", which named nothing
+    ("cauchy-array", lambda: cdf_from_cf(cauchy_law(np.array([1.0, 2.0])), 0.5),
+     _refusal("scale", "(0, inf)", np.zeros(2))),
+    ("cdf-tol-array", lambda: cdf_from_cf(cauchy_law(), 0.5, tol=np.array([1e-8, 1e-6])),
+     _refusal("tol", "[1e-10, inf)", np.zeros(2))),
+    ("gamma-array", lambda: g_gamma_law(np.array([1.0, 1.5])).fn(np.array([1.0])),
+     _refusal("gamma", "[1, 2]", np.zeros(2))),
+    ("pareto-array", lambda: make_pareto(np.array([0.5, 0.7])),
+     _refusal("alpha", "(0, inf)", np.zeros(2))),
+    # returned 0.354, said "tail formula needs x > 0", named the cutoff lo
+    # and hi, or returned 0.0
+    ("intensity-tail-string", lambda: intensity_tail(make_pareto(1.5), "2"),
+     _refusal("x", "(0, inf]", "2")),
+    ("intensity-tail-nan", lambda: intensity_tail(make_pareto(1.5), math.nan),
+     _refusal("x", "(0, inf]", math.nan)),
+    ("centering-nan", lambda: poisson_sum_centering(make_pareto(1.5), math.nan),
+     _refusal("cutoff", "(0, inf)", math.nan)),
+    ("centering-inf", lambda: poisson_sum_centering(make_pareto(1.0), math.inf),
+     _refusal("cutoff", "(0, inf)", math.inf)),
+    ("centering-uncentered-nan", lambda: poisson_sum_centering(make_pareto(0.5), math.nan),
+     _refusal("cutoff", "(0, inf)", math.nan)),
 ] + [("%s-%s" % (row, case), functools.partial(REALS[row][0], v),
       _refusal(REALS[row][1], REALS[row][2], v))
      for row in REALS for case, v in _bad_reals(REALS[row][2])]
@@ -406,6 +446,25 @@ def test_every_real_takes_its_valid_values(row):
         call(int(ok))
 
 
+# the elementwise arguments among REALS; every other real is a scalar
+ELEMENTWISE = {"tail_quantile-u", "intensity_quantile-u", "points_from_arrivals-u",
+               "petersburg_from_uniform-u", "intensity_tail-x"}
+
+
+@pytest.mark.parametrize("row", REALS, ids=list(REALS))
+def test_scalars_refuse_arrays_by_name(row):
+    # a 0-d array is a scalar; an array of two went on to fail or run
+    # elsewhere; the elementwise arguments take it
+    call, name, interval, ok = REALS[row]
+    call(np.array(ok))
+    if row in ELEMENTWISE:
+        call(np.array([ok, ok]))
+        return
+    for value in (np.array([ok, ok]), [ok], np.full((1, 1), ok)):
+        with pytest.raises(ValueError, match=_refusal(name, interval, np.asarray(value))):
+            call(value)
+
+
 def test_a_real_comes_back_as_a_float():
     # an int, a numpy integer or a numpy float is stored as the float
     m = TailModel(alpha=1, q=2, c=np.float32(2.0), x0=np.int64(1))
@@ -413,6 +472,12 @@ def test_a_real_comes_back_as_a_float():
     assert make_pareto(0.5, x0=0) == make_pareto(0.5, x0=0.0)
     with pytest.raises(ValueError, match=re.escape("scale must lie in (0, inf), got inf")):
         cauchy_law(10 ** 400)  # past float64, shown as inf
+
+
+def test_cli_lepage_positive_mode_exit_2(capsys):
+    # the experiment said "positive mode needs alpha < 1"
+    assert cli.main(["lepage", "--alpha", "1.5", "--reps", "10"]) == 2
+    assert capsys.readouterr().err == "parameter error: alpha must lie in (0, 1), got 1.5\n"
 
 
 @pytest.mark.parametrize("grid, message", [
