@@ -82,26 +82,35 @@ def _shortest(v):  # v in its shortest round-trip digits, 2 for 2.0
     return repr(float(v)).removesuffix(".0")
 
 
+def _array_or_none(value):  # None for a ragged sequence, which numpy refuses unnamed
+    try:
+        return np.asarray(value)
+    except ValueError:
+        return None
+
+
 def _check_real(value, name, lo=-math.inf, hi=math.inf, ends="()", array=False):
     """float(value) for a real in lo..hi, open or closed at each end as ends
     says ("(]" holds hi, not lo), a numpy scalar or 0-d array included; with
     array set, also a float array of them (value itself if it is one).  Else
     ValueError "<name> must lie in (lo, hi], got V", V the first value outside
-    (NaN is) in shortest digits, a non-number's repr or, where a scalar is
-    due, "an array of shape S"."""
+    (NaN is) in shortest digits, a non-number's repr, "a ragged sequence" or,
+    where a scalar is due, "an array of shape S"."""
     if isinstance(value, (int, float, np.integer, np.floating)):
         big = isinstance(value, int) and abs(value) > sys.float_info.max  # past float64
         x = (math.inf if value > 0 else -math.inf) if big else float(value)
         if _inside(x, lo, hi, ends):
             return x
         shown = _shortest(x)
-    elif (array or np.ndim(value) == 0) and np.asarray(value).dtype.kind in "iuf":
-        x = np.asarray(value, dtype=float)
+    elif (a := _array_or_none(value)) is None:
+        shown = "a ragged sequence"
+    elif (array or a.ndim == 0) and a.dtype.kind in "iuf":
+        x = np.asarray(a, dtype=float)
         if not x.size or _inside(x.min(), lo, hi, ends) and _inside(x.max(), lo, hi, ends):
             return x if array else float(x)
         shown = _shortest(x.flat[np.argmin(_inside(x, lo, hi, ends))])
     else:
-        shown = "an array of shape %s" % (np.shape(value),) if np.ndim(value) else repr(value)
+        shown = "an array of shape %s" % (a.shape,) if a.ndim else repr(value)
     raise ValueError("%s must lie in %s%s, %s%s, got %s" % (
         name, ends[0], _shortest(lo), _shortest(hi), ends[1], shown))
 

@@ -121,24 +121,32 @@ def g_exponent(t, tol: float = 1e-12, max_jump=None):
         # l0 = -(e + 2) for |t| = m 2^e, m in [0.5, 1), so |t 2^l0| < 1/4
         l0 = np.minimum(0, -np.frexp(tt)[1] - 2)
         z = 1j * np.ldexp(tt, l0)
-        total = np.zeros(tt.shape, dtype=complex)
+        total, comp, term, s = (np.zeros(tt.shape, dtype=complex) for _ in range(4))
+        # Horner, then the Kahan sum, in place with the same roundings; a
+        # complex product goes to another array, since numpy rounds one in
+        # place on a single point differently
         for c in _SMALL_C:
-            total = total * z + c
-        total = total * z * z * np.ldexp(1.0, -l0)
-        comp = np.zeros(tt.shape, dtype=complex)
+            np.add(np.multiply(total, z, out=term), c, out=total)
+        np.multiply(np.multiply(total, z, out=term), z, out=total)
+        np.multiply(total, np.ldexp(1.0, -l0), out=total)
         # one exponential per point, at its first level l0 + 1; each later level
         # squares it, so its rounding error grows like 2^(l - l0), which the
         # weight 2^-l cancels: every term stays within about |t| ulp
-        e = e1 = np.exp(1j * np.ldexp(tt, l0 + 1))
+        e = np.exp(1j * np.ldexp(tt, l0 + 1))
         for l in range(int(l0.min(initial=0)) + 1, _top_level(tol, max_jump) + 1):
-            e = e * e if l > 1 else np.where(l > l0 + 1, e * e, e1)
-            term = e - 1.0
+            np.multiply(e, e, out=term)
+            if l > 1:
+                e, term = term, e
+            else:
+                np.copyto(e, term, where=l > l0 + 1)
+            np.subtract(e, 1.0, out=term)
             if l <= 0:
-                term = np.where(l > l0, term - 1j * np.ldexp(tt, l), 0.0)
-            y = term * 2.0 ** float(-l) - comp
-            s = total + y
-            comp = (s - total) - y
-            total = s
+                np.subtract(term, np.multiply(1j, np.ldexp(tt, l), out=s), out=term)
+                np.copyto(term, 0.0, where=l <= l0)
+            y = np.subtract(np.multiply(term, 2.0 ** float(-l), out=term), comp, out=term)
+            np.add(total, y, out=s)
+            np.subtract(np.subtract(s, total, out=comp), y, out=comp)
+            total, s = s, total
         return total
 
     def series(tt):
@@ -269,15 +277,19 @@ _gl_rule = functools.cache(leggauss)  # on first use: its eigensolver loads LAPA
 
 def _decay_cutoff(h, tol):
     """Smallest dyadic cutoff T = 8 2^j <= 1e6 with exp(Re h)/t safely below
-    tol at T, 1.25 T and 1.6 T; every T's probes go in one exponent call."""
-    probes = np.ldexp(8.0, np.arange(17))[:, None] * np.array([1.0, 1.25, 1.6])
-    with np.errstate(under="ignore"):
-        ok = np.all(np.exp(np.real(h(probes.ravel()))).reshape(probes.shape) / probes
-                    < tol * 1e-3, axis=1)
-    if not ok.any():
-        raise InversionError(
-            "characteristic function does not decay (cutoff search passed 1e6)")
-    return float(probes[ok.argmax(), 0])
+    tol at T, 1.25 T and 1.6 T.  The ladder goes in doubling batches of T
+    (j < 2, < 4, < 8, < 16, then 16), each batch's probes in one exponent
+    call, and stops at the first batch where a T passes: a dyadic series
+    costs about one level per doubling of its largest probe, and its laws
+    pass at T = 8 to 32."""
+    for lo, hi in ((0, 2), (2, 4), (4, 8), (8, 16), (16, 17)):
+        probes = np.ldexp(8.0, np.arange(lo, hi))[:, None] * np.array([1.0, 1.25, 1.6])
+        with np.errstate(under="ignore"):
+            ok = np.all(np.exp(np.real(h(probes.ravel()))).reshape(probes.shape) / probes
+                        < tol * 1e-3, axis=1)
+        if ok.any():
+            return float(probes[ok.argmax(), 0])
+    raise InversionError("characteristic function does not decay (cutoff search passed 1e6)")
 
 
 def _phase_slope(h, t_lo, t_hi):

@@ -295,7 +295,8 @@ def merging_sweep(k: int, points_per_octave: int, reps: int, rng: RngStream,
     gammas = [gamma_n(n) for n in ns]
     phases = [(functools.partial(_petersburg_block, n), n.bit_length()) for n in ns]
     vals = [np.subtract(np.divide(v, n, out=v), math.log2(n), out=v)  # S_n/n - log2 n
-            for n, v in zip(ns, _map_blocks(phases, reps, rng.seed, rng.stream_id))]
+            for n, v in zip(ns, _map_blocks(phases, reps, rng.seed, rng.stream_id,
+                                            gil_free=True))]
     distances = [_ks_versus_limit(v, g) for v, g in zip(vals, gammas)]
     ks2 = ks_two_sample(vals[0], vals[-1])
     max_distance = float(np.max(distances))

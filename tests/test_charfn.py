@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 from scipy.special import gammainc, ndtr
 
 from semistable._arrays import _CHUNK, ResourceLimitError
-from semistable.charfn import (_NODE_BUDGET, _XBLOCK, CfExponent, InversionError,
-                               TabulatedCdf, _build_nodes, _bulk_nodes,
+from semistable.charfn import (_NODE_BUDGET, _SMALL_C, _XBLOCK, CfExponent, InversionError,
+                               TabulatedCdf, _build_nodes, _bulk_nodes, _decay_cutoff,
                                _bulk_phase_sums, _node_count, _node_plan, _phase_sums,
-                               _row_factors, _slab_plan, cauchy_law,
+                               _row_factors, _slab_plan, _top_level, cauchy_law,
                                cdf_from_cf, convolution_power, erlang_cdf,
                                g_exponent, g_gamma_exponent, g_gamma_law,
                                gaussian_law, levy_cdf,
@@ -104,6 +104,42 @@ def test_small_t_and_level_boundaries_match_oracle():
         assert abs(g_exponent(t) - g_series_oracle(t)) < 1e-12
     # per point, so a value does not depend on the batch it is evaluated in
     assert np.array_equal(g_exponent(np.array(ts)), [g_exponent(t) for t in ts])
+
+
+def _g_exponent_out_of_place(tt, tol=1e-12, max_jump=None):
+    """g_exponent's series on a float array, each step in a new array: the
+    reference the in-place accumulation must equal bit for bit."""
+    l0 = np.minimum(0, -np.frexp(tt)[1] - 2)
+    z = 1j * np.ldexp(tt, l0)
+    total = np.zeros(tt.shape, dtype=complex)
+    for c in _SMALL_C:
+        total = total * z + c
+    total = total * z * z * np.ldexp(1.0, -l0)
+    comp = np.zeros(tt.shape, dtype=complex)
+    e = e1 = np.exp(1j * np.ldexp(tt, l0 + 1))
+    for l in range(int(l0.min(initial=0)) + 1, _top_level(tol, max_jump) + 1):
+        e = e * e if l > 1 else np.where(l > l0 + 1, e * e, e1)
+        term = e - 1.0
+        if l <= 0:
+            term = np.where(l > l0, term - 1j * np.ldexp(tt, l), 0.0)
+        y = term * 2.0 ** float(-l) - comp
+        s = total + y
+        comp = (s - total) - y
+        total = s
+    return total
+
+
+@pytest.mark.parametrize("tol, max_jump", [(1e-12, None), (1e-8, None), (1e-12, 34.0),
+                                           (1e-12, 2.0 ** 40), (1e-3, 4.0)])
+def test_g_exponent_in_place_keeps_every_bit(tol, max_jump):
+    # the decay probes (both signs), two node sets of the inversion and single
+    # points: numpy rounds a complex product in place on one point otherwise
+    probes = (np.ldexp(8.0, np.arange(17))[:, None] * np.array([1.0, 1.25, 1.6])).ravel()
+    grids = [probes, -probes, _all_nodes(16.0, 40.0)[0], _all_nodes(32.0, 100.0, 8.0)[0],
+             np.geomspace(1e-12, 1e3, _CHUNK // 4 + 1)]  # one chunk, then one point
+    for ts in grids + [np.array([t]) for t in probes[::5]]:
+        want = _g_exponent_out_of_place(ts, tol, max_jump)
+        assert g_exponent(ts, tol, max_jump).tobytes() == want.tobytes()
 
 
 LARGE_T = [16.0, 31.9, 100.0, -700.3, 1000.0]
@@ -811,6 +847,36 @@ CDF_PINS = [
 def test_cdf_values_pinned(law, xs, expected):
     got = cdf_from_cf(law, np.array(xs))
     assert np.max(np.abs(got - np.array(expected))) < 1e-12
+
+
+def _full_ladder_cutoff(h, tol):
+    """The decay cutoff from every T's probes in one call, 51 up to 8.4e5.
+    Re h is clipped at 700, a probe that fails as its overflow to inf would:
+    the unsplit dyadic series reads Re h = 6e28 at t = 2^18 (g_gamma(1.5))."""
+    probes = np.ldexp(8.0, np.arange(17))[:, None] * np.array([1.0, 1.25, 1.6])
+    with np.errstate(under="ignore"):
+        ok = np.all(np.exp(np.minimum(np.real(h(probes.ravel())), 700.0)).reshape(probes.shape)
+                    / probes < tol * 1e-3, axis=1)
+    return float(probes[ok.argmax(), 0])
+
+
+def test_decay_cutoff_stops_at_the_first_passing_cutoff():
+    # the same T as the full ladder for every pinned law and the reduced laws
+    # of the family, probing no further than the batch that holds it: at
+    # most 8 of the 17 T (24 probes) here, and t <= 102.4 on the dyadic laws
+    laws = [pin.values[0] for pin in CDF_PINS]
+    laws += [g_gamma_law(g).split(cut)[0] for g in (1.0, 1.37, 1.5, 1.9)
+             for cut in (34.0, 96.0, 1088.0, 2.0 ** 20)]
+    for law in laws:
+        for tol in (1e-6, 1e-8, 1e-10, 1e-12, 1e-14):
+            probed = []
+            T = _decay_cutoff(lambda t: probed.extend(t) or law(t), tol)
+            assert T == _full_ladder_cutoff(law, tol)
+            assert len(probed) <= 24
+            assert law.band != 0.0 and max(probed) <= 102.4 or law.band == 0.0
+    degenerate = CfExponent(fn=lambda t: np.zeros(np.shape(t), dtype=complex))
+    with pytest.raises(InversionError, match="does not decay"):
+        _decay_cutoff(degenerate, 1e-8)
 
 
 def _all_nodes(T, omega, band=None):

@@ -26,8 +26,8 @@ from semistable import (Ecdf, ExperimentReport, RngStream, SampleBatch, TailMode
                         order_statistics_experiment, petersburg_from_uniform,
                         petersburg_sum_batch, points_from_arrivals, poisson_sum_batch,
                         sample_lepage, sample_petersburg, sample_poisson_points,
-                        sample_tail_model, sampling, tabulate_cdf, tail_first_moment,
-                        tail_quantile)
+                        sample_tail_model, sampling, tabulate_cdf, tail_eval,
+                        tail_first_moment, tail_quantile)
 
 PARETO = make_pareto(0.5)
 R = RngStream(1)
@@ -407,6 +407,11 @@ ARGUMENTS = [
      _refusal("gamma", "[1, 2]", np.zeros(2))),
     ("pareto-array", lambda: make_pareto(np.array([0.5, 0.7])),
      _refusal("alpha", "(0, inf)", np.zeros(2))),
+    # numpy's "inhomogeneous shape" ValueError named no parameter
+    ("cauchy-ragged", lambda: cauchy_law([[1.0], [1.0, 2.0]]),
+     "^%s$" % re.escape("scale must lie in (0, inf), got a ragged sequence")),
+    ("tail-eval-ragged", lambda: tail_eval(make_pareto(0.5), [[1.0], [1.0, 2.0]]),
+     "^%s$" % re.escape("x must lie in [1, inf], got a ragged sequence")),
     # returned 0.354, said "tail formula needs x > 0", named the cutoff lo
     # and hi, or returned 0.0
     ("intensity-tail-string", lambda: intensity_tail(make_pareto(1.5), "2"),

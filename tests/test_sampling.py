@@ -799,9 +799,11 @@ def test_kernel_chunking_changes_only_rounding(monkeypatch):
 def test_batches_do_not_depend_on_threads(reps, base):
     # the pool's worker count follows the CPU count; 1 CPU runs blocks in line.
     # Poisson (lambda = 316), LePage (128 terms) and both curve phases (130
-    # and 187 draws) pool once there are two blocks; the St. Petersburg sums
-    # (7 level draws per replicate at n = 100) and the St. Petersburg Poisson
-    # sums (9 at lambda = 256, twice that when symmetric) stay in line
+    # and 187 draws) pool once there are two blocks, one task per block; so
+    # do the level counts, in runs of blocks: the St. Petersburg sums (7
+    # levels per replicate at n = 100), both sweep phases (9 and 10) and the
+    # St. Petersburg Poisson sums (9 at lambda = 256, twice that when
+    # symmetric); the Feller sums (17 at n = 2^16) pool from 100 + reps > 256
     m, pete = make_pareto(0.5), make_petersburg(x0=1.0)
     runs = []
     for cpus in (1, 2, 3):
@@ -814,8 +816,11 @@ def test_batches_do_not_depend_on_threads(reps, base):
                                   symmetric=True).tobytes(),
                 lepage_batch(0.5, reps, seed=87, n_terms=128, base_stream=base).tobytes(),
                 petersburg_sum_batch(100, reps, seed=87, base_stream=base).tobytes(),
-                curve.statistic))
-        assert len(pooled) == (4 if cpus > 1 and reps > sampling.BLOCK else 0)
+                curve.statistic,
+                empirics.merging_sweep(8, 1, reps, RngStream(87, base)).statistic,
+                empirics.feller_experiment(1 << 16, 100 + reps, RngStream(87, base)).statistic))
+        several = cpus > 1 and reps > sampling.BLOCK
+        assert len(pooled) == 9 * several + (cpus > 1 and 100 + reps > sampling.BLOCK)
     assert runs[0] == runs[1] == runs[2]
 
 
@@ -853,8 +858,11 @@ def _cpu_count(cpus):
 
 def _pooled_outputs():
     # with several CPUs every phase but the order statistics' (2 draws per
-    # replicate) pools: 12 phases of at least _CHUNK draws per block
-    m = make_pareto(0.5)
+    # replicate) pools: 12 phases of at least _CHUNK draws per block, and 7
+    # of level counts: the sweep's 3 (11 and 12 levels per replicate), the
+    # Feller and merging sums (17 and 11) and the St. Petersburg Poisson
+    # sums (21 levels at cutoff 2^-20, twice that when symmetric)
+    m, pete = make_pareto(0.5), make_petersburg(x0=1.0)
     curve = coupling_gap_curve(m, [100, 300], 700, RngStream(88, 3))
     return [
         poisson_sum_batch(m, 1e-5, 1000, seed=88).tobytes(),
@@ -867,6 +875,11 @@ def _pooled_outputs():
         lepage_limit_experiment(0.5, 7, 600, RngStream(91), n_terms=300).to_json(),
         lepage_limit_experiment(1.5, 7, 600, RngStream(92), symmetric=True,
                                 n_terms=300).to_json(),
+        empirics.merging_sweep(10, 2, 3000, RngStream(93)).to_json(),
+        empirics.feller_experiment(1 << 16, 1000, RngStream(94)).to_json(),
+        empirics.merging_experiment(1536, 10 ** 4, RngStream(95)).to_json(),
+        poisson_sum_batch(pete, 2.0 ** -20, 1000, seed=96).tobytes(),
+        poisson_sum_batch(pete, 2.0 ** -20, 1000, seed=96, symmetric=True).tobytes(),
     ]
 
 
@@ -874,13 +887,49 @@ def test_pooled_batches_match_one_worker():
     with _cpu_count(1) as pooled:
         inline = _pooled_outputs()
     assert pooled == []
-    with _cpu_count(3) as pooled:
-        assert _pooled_outputs() == inline
-        (ran_on,) = sampling._map_blocks(
-            [(lambda gen, rows: np.full(rows, threading.get_ident(), dtype=object),
-              sampling._CHUNK)], 4 * sampling.BLOCK, 1)
-    assert len(pooled) == 13
-    assert threading.get_ident() not in set(ran_on)  # pool threads drew them
+    for cpus in (2, 3):
+        with _cpu_count(cpus) as pooled:
+            assert _pooled_outputs() == inline
+            (ran_on,) = sampling._map_blocks(
+                [(lambda gen, rows: np.full(rows, threading.get_ident(), dtype=object),
+                  sampling._CHUNK)], 4 * sampling.BLOCK, 1)
+        assert len(pooled) == 20
+        assert threading.get_ident() not in set(ran_on)  # pool threads drew them
+
+
+def _pool_tasks(call, cpus=2):
+    """The tasks call submits to a pool of cpus workers, one list per phase."""
+    tasks, on_pool = [], sampling._on_pool
+
+    def spy(run, phase_tasks, workers):
+        tasks.append(list(phase_tasks))
+        return on_pool(run, phase_tasks, workers)
+
+    with _cpu_count(cpus), pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sampling, "_on_pool", spy)
+        call()
+    return tasks
+
+
+def test_order_statistics_stay_on_the_caller():
+    # two Gamma draws per replicate: a task would cost more than its block
+    # draws; nor do level counts below 6 levels (n = 16: 5) pool
+    assert _pool_tasks(lambda: order_statistics_experiment(3, 500, 10 ** 4, RngStream(97))) == []
+    assert _pool_tasks(lambda: petersburg_sum_batch(16, 10 ** 4, seed=97)) == []
+
+
+def test_level_counts_pool_in_runs_of_blocks():
+    # 50 blocks of level counts go as 4 runs per worker of consecutive blocks,
+    # in block order; a fill-bound phase keeps one task per block
+    for cpus in (2, 3):
+        (runs,) = _pool_tasks(lambda: petersburg_sum_batch(1536, 50 * sampling.BLOCK, 98), cpus)
+        assert len(runs) == 4 * cpus and all(isinstance(r, range) and r for r in runs)
+        assert [b for r in runs for b in r] == list(range(50))
+        assert max(map(len, runs)) - min(map(len, runs)) <= 1
+    (runs,) = _pool_tasks(lambda: petersburg_sum_batch(1536, 3 * sampling.BLOCK, 98))
+    assert runs == [range(0, 1), range(1, 2), range(2, 3)]
+    (blocks,) = _pool_tasks(lambda: poisson_sum_batch(make_pareto(0.5), 1e-5, 700, seed=98))
+    assert blocks == [0, 1, 2]
 
 
 def test_map_blocks_draws_each_phase_when_reached():
