@@ -130,8 +130,12 @@ def g_exponent(t, tol: float = 1e-12, max_jump=None):
         np.multiply(np.multiply(total, z, out=term), z, out=total)
         np.multiply(total, np.ldexp(1.0, -l0), out=total)
         # one exponential per point, at its first level l0 + 1; each later level
-        # squares it, so its rounding error grows like 2^(l - l0), which the
-        # weight 2^-l cancels: every term stays within about |t| ulp
+        # squares it.  Its phase error grows like 2^(l - l0), which the weight
+        # 2^-l cancels, but its modulus error compounds like exp(2^(l - l0) eps):
+        # terms stay within about |t| ulp only while 2^(L - l0) eps is small,
+        # for |t| below about 4e4 at tol 1e-12 or with the levels cut by
+        # max_jump (the inversion's reduced laws).  Past that Re g drifts
+        # positive, a known defect (CHANGES.md)
         e = np.exp(1j * np.ldexp(tt, l0 + 1))
         for l in range(int(l0.min(initial=0)) + 1, _top_level(tol, max_jump) + 1):
             np.multiply(e, e, out=term)

@@ -27,7 +27,7 @@ from .charfn import (TabulatedCdf, cdf_from_cf, erlang_cdf, g_gamma_law,
                      tabulate_cdf)
 from ._arrays import _CHUNK, _check_count, _check_real, elementwise
 from .sampling import (_MAX_N, RngStream, _lepage_block, _lepage_prep, _map_blocks,
-                       _petersburg_block, _power_block, petersburg_sum_batch)
+                       _petersburg_phase, _power_block, petersburg_sum_batch)
 
 _KS_CHUNK = _CHUNK // 4  # points per KS step: the step and a TabulatedCdf call
                          # on it hold about ten temporaries of this many doubles
@@ -203,6 +203,14 @@ def _ks_versus_limit(vals: np.ndarray, gamma: float) -> float:
     return ks_distance(Ecdf.from_sample(vals), _limit_table(round(float(gamma), 12)))
 
 
+@functools.lru_cache(maxsize=256)
+def _exceedance(gamma: float, thr: float) -> float:
+    """P(|W| > thr), W following the family law at gamma: one inversion at
+    +-thr, the same for every call at the same n."""
+    up, down = cdf_from_cf(g_gamma_law(gamma), [thr, -thr]).tolist()
+    return 1.0 - up + down
+
+
 # -- experiments ----------------------------------------------------------------
 
 
@@ -227,10 +235,7 @@ def feller_experiment(n: int, reps: int, rng: RngStream,
     exc_half = float(np.mean(np.abs(w) > 0.5))
     exc_quarter = float(np.mean(np.abs(w) > 0.25))
     gamma = gamma_n(n)
-    law = g_gamma_law(gamma)
-    thr = 0.5 * log2n
-    up, down = cdf_from_cf(law, [thr, -thr]).tolist()  # one inversion plan
-    predicted = 1.0 - up + down
+    predicted = _exceedance(gamma, 0.5 * log2n)
     stat = abs(exc_half - predicted)
     stderr = math.sqrt(max(exc_half * (1.0 - exc_half), 1e-12) / reps)
     tolerance = _FELLER_TOL_BASE + 3.0 * stderr
@@ -293,10 +298,9 @@ def merging_sweep(k: int, points_per_octave: int, reps: int, rng: RngStream,
     ns = [round((1 << k) * (1.0 + i / points_per_octave))
           for i in range(points_per_octave + 1)]
     gammas = [gamma_n(n) for n in ns]
-    phases = [(functools.partial(_petersburg_block, n), n.bit_length()) for n in ns]
     vals = [np.subtract(np.divide(v, n, out=v), math.log2(n), out=v)  # S_n/n - log2 n
-            for n, v in zip(ns, _map_blocks(phases, reps, rng.seed, rng.stream_id,
-                                            gil_free=True))]
+            for n, v in zip(ns, _map_blocks(map(_petersburg_phase, ns), reps, rng.seed,
+                                            rng.stream_id))]
     distances = [_ks_versus_limit(v, g) for v, g in zip(vals, gammas)]
     ks2 = ks_two_sample(vals[0], vals[-1])
     max_distance = float(np.max(distances))

@@ -8,15 +8,14 @@ which alone owns the stream layout (block b of phase i on stream
 base_stream + i * _STRIDE + b, blocks of BLOCK = 256 replicates), the 2^32
 draw budget of a phase, checked before any phase draws, and the pool of
 one worker per usable CPU: a block of at least _CHUNK draws is one task,
-the St. Petersburg level counts (of sums and of Poisson sums), one
-GIL-releasing multinomial call per block, go in runs of blocks from 6
-levels per replicate, and other blocks (the order statistics' two Gamma
-draws) run on the caller.  Blocks join in block order, so outputs depend
-on neither the worker count nor threads=.  Each construction has one
-vectorized block kernel; the single-draw functions run it on one row.
-Every sampler maps its uniforms in place through the tail model's
-inverse, the St. Petersburg game's too: the game is the model at x0 = 1
-(_GAME).  The kernels follow the package's working-set rule (_arrays):
+as is a block of St. Petersburg level counts (of sums and of Poisson sums,
+one GIL-releasing multinomial call) from 6 levels per replicate; other
+blocks (the order statistics' two Gamma draws) run on the caller.  Blocks
+join in block order, so outputs depend on neither the worker count nor
+threads=.  Each construction has one vectorized block kernel; the
+single-draw functions run it on one row.  Every sampler maps its
+uniforms in place through the tail model's inverse, the St. Petersburg
+game's too: the game is the model at x0 = 1 (_GAME).  The kernels follow the package's working-set rule (_arrays):
 their temporaries hold at most _CHUNK doubles, whatever n, P or lambda,
 and they sum elementwise, not by matrix products, which OpenBLAS may hand
 to a second thread.
@@ -29,8 +28,9 @@ import json
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -70,8 +70,7 @@ BLOCK = 256
 _STRIDE = 10 ** 7  # stream-id block separating experiment phases
 # a GIL-free phase pools from 6 draws (levels) per replicate: St. Petersburg
 # sums at n = 16 (5 levels) broke even on 2 cores, and gained from n = 32
-_POOL_MIN = 6 * BLOCK
-_RUNS_PER_WORKER = 4  # a few runs per worker, so that a slow one holds up little
+_POOL_LEVELS = 6
 _WORKER_NAME = "semistable-block"  # the pool's threads; their calls run in line
 # kernels run under it (per thread), so that _finite's error comes with no warning
 _quiet = functools.partial(np.errstate, over="ignore", invalid="ignore")
@@ -109,62 +108,66 @@ def _cpus() -> int:  # the CPUs this process may run on
     return len(os.sched_getaffinity(0)) if has_mask else os.cpu_count() or 1
 
 
+class _Phase(NamedTuple):
+    """One phase of _map_blocks: block_fn(gen, rows) draws a block of rows
+    replicates, draws per replicate; gil_free when the block is one call
+    that releases the GIL (the St. Petersburg level counts)."""
+
+    block_fn: Callable
+    draws: int
+    gil_free: bool = False
+
+
 @functools.lru_cache(maxsize=None)
 def _pool(workers: int) -> ThreadPoolExecutor:
     """The shared block pool, made on first use; it starts threads lazily."""
     return ThreadPoolExecutor(workers, thread_name_prefix=_WORKER_NAME)
 
 
-def _map_blocks(phases, reps: int, seed: int, base_stream: int = 0, gil_free: bool = False):
-    """For each phase (block_fn, draws per replicate), block_fn(gen, rows)
-    concatenated over blocks of BLOCK replicates, drawn at its next().
+def _map_blocks(phases, reps: int, seed: int, base_stream: int = 0):
+    """For each phase (block_fn, draws per replicate[, gil_free]: a _Phase),
+    block_fn(gen, rows) concatenated over blocks of BLOCK replicates, drawn
+    at its next().
 
     Block b of phase i covers replicates [b * BLOCK, min((b + 1) * BLOCK, reps))
     and draws from stream (seed, base_stream + i * _STRIDE + b) alone.  A
-    phase of reps x draws > 2^32 is refused before any phase draws.  Blocks
-    of BLOCK x draws >= _CHUNK run on the shared pool, one task per block.
-    With gil_free (each block is one call that releases the GIL: the
-    St. Petersburg level counts) blocks from _POOL_MIN draws pool too, as
-    _RUNS_PER_WORKER runs of consecutive blocks per worker, since a task per
-    block costs about what such a block draws.  Other kernels' smaller
-    blocks make many short numpy calls each and ran up to 3x slower pooled
-    (LePage sums of 8 terms, 2 cores), so they stay on the caller, as do
-    the order statistics' two Gamma draws.  Nothing pools with one CPU,
-    one block or a call from a pool worker.  A block error cancels the
-    pending tasks and waits for the running ones before it is raised.
+    phase of reps x draws > 2^32 is refused before any phase draws.  A
+    phase's blocks run on the shared pool, one task per block, when they
+    make BLOCK x draws >= _CHUNK draws, or when gil_free (each block one
+    call that releases the GIL) from _POOL_LEVELS draws per replicate.
+    Other kernels' smaller blocks make many short numpy calls each and ran
+    up to 3x slower pooled (LePage sums of 8 terms, 2 cores), so they stay
+    on the caller, as do the order statistics' two Gamma draws.  Nothing
+    pools with one CPU, one block or a call from a pool worker.  A block
+    error cancels the pending tasks and waits for the running ones before
+    it is raised.
     """
     reps = _check_count(reps, "reps", 1)
-    for _, draws in phases:
-        _check_budget(reps * draws, _DRAW_BUDGET, "draws in one phase")
+    phases = [_Phase(*p) for p in phases]
+    for p in phases:
+        _check_budget(reps * p.draws, _DRAW_BUDGET, "draws in one phase")
     blocks, cpus = range(-(-reps // BLOCK)), _cpus()
     inline = (min(len(blocks), cpus) == 1
               or threading.current_thread().name.startswith(_WORKER_NAME))
-    n_runs = min(len(blocks), _RUNS_PER_WORKER * cpus)
-    runs = [blocks[k * len(blocks) // n_runs:(k + 1) * len(blocks) // n_runs]
-            for k in range(n_runs)]
 
     def draw():
-        for i, (block_fn, draws) in enumerate(phases):
+        for i, p in enumerate(phases):
             def run(b):  # called only within this iteration
                 with _quiet():
-                    return block_fn(RngStream(seed, base_stream + i * _STRIDE + b).generator(),
-                                    min(BLOCK, reps - b * BLOCK))
+                    return p.block_fn(RngStream(seed, base_stream + i * _STRIDE + b).generator(),
+                                      min(BLOCK, reps - b * BLOCK))
 
-            if not inline and BLOCK * draws >= _CHUNK:
-                parts = _on_pool(run, blocks, cpus)
-            elif not inline and gil_free and BLOCK * draws >= _POOL_MIN:
-                parts = [p for run_parts in _on_pool(lambda r: list(map(run, r)), runs, cpus)
-                         for p in run_parts]
-            else:
-                parts = list(map(run, blocks))
+            pooled = BLOCK * p.draws >= _CHUNK or p.gil_free and p.draws >= _POOL_LEVELS
+            parts = _on_pool(run, blocks, cpus) if pooled and not inline else list(map(run, blocks))
             yield np.concatenate(parts)
     return draw()
 
 
-def _on_pool(run, tasks, workers):  # [run(t) for t in tasks] on the pool
-    futures = [_pool(workers).submit(run, t) for t in tasks][::-1]
-    try:  # drop each future once read, as Executor.map does: each holds a lock
-        return [futures.pop().result() for _ in tasks]
+def _on_pool(run, blocks, workers):  # [run(b) for b in blocks] on the pool
+    futures = [_pool(workers).submit(run, b) for b in blocks]
+    try:  # the caller wakes once per phase, or at a block error, not once per block
+        wait(futures, return_when=FIRST_EXCEPTION)
+        return [f.result() for f in futures]
     except BaseException:
         for f in futures:
             f.cancel()
@@ -265,18 +268,21 @@ def _petersburg_block(n, gen, rows):
     return _level_sums(np.full(rows, n, dtype=np.int64), gen)
 
 
+def _petersburg_phase(n):  # the _map_blocks phase of sums S_n: bit_length(n) levels
+    return _Phase(functools.partial(_petersburg_block, n), n.bit_length(), gil_free=True)
+
+
 def petersburg_sum_batch(n: int, reps: int, seed: int, base_stream: int = 0,
                          threads: int = 1) -> np.ndarray:
     """reps independent sums S_n, block b on stream base_stream + b.
 
     Each block is one multinomial call over its rows (_petersburg_block),
-    which releases the GIL, so from n = 32 (6 levels) the blocks pool, in
-    runs of blocks.  A row's levels count as its draws: reps x bit_length(n)
+    which releases the GIL, so from n = 32 (6 levels) the blocks pool, one
+    task per block.  A row's levels count as its draws: reps x bit_length(n)
     must stay within the 2^32 draw budget, and n must fit the int64 level
     counts; threads is ignored."""
     n = _check_count(n, "n", 1, _MAX_N)
-    phase = (functools.partial(_petersburg_block, n), n.bit_length())
-    return next(_map_blocks([phase], reps, seed, base_stream, gil_free=True))
+    return next(_map_blocks([_petersburg_phase(n)], reps, seed, base_stream))
 
 
 def sample_tail_model(model: TailModel, n: int, rng: RngStream,
@@ -449,15 +455,14 @@ def poisson_sum_batch(model: TailModel, cutoff: float, reps: int, seed: int,
         lam = _point_rate(model, cutoff, classes * _POISSON_MAX,
                           "expected points in numpy's Poisson draws")
         kernel = functools.partial(_level_poisson_block, model, lam, math.frexp(cutoff)[1])
-        draws = classes * math.ceil(lam).bit_length()
+        draws, gil_free = classes * math.ceil(lam).bit_length(), True
     else:
         lam = _point_rate(model, cutoff)
         kernel = functools.partial(_poisson_sum_block, model, lam)
-        draws = math.ceil(lam)
+        draws, gil_free = math.ceil(lam), False
     centering = 0.0 if symmetric else poisson_sum_centering(model, cutoff)
     block = functools.partial(kernel, symmetric, centering)
-    return next(_map_blocks([(block, draws)], reps, seed, base_stream,
-                            gil_free=model.psi_kind == "petersburg"))
+    return next(_map_blocks([(block, draws, gil_free)], reps, seed, base_stream))
 
 
 # -- LePage series ------------------------------------------------------------

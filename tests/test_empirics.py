@@ -7,8 +7,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from semistable.charfn import TabulatedCdf, erlang_cdf, g_gamma_law, tabulate_cdf
-from semistable.empirics import (Ecdf, ExperimentReport, _ks_versus_limit,
+from semistable.charfn import TabulatedCdf, cdf_from_cf, erlang_cdf, g_gamma_law, tabulate_cdf
+from semistable.empirics import (Ecdf, ExperimentReport, _exceedance, _ks_versus_limit,
                                  _limit_table, _order_statistic_block,
                                  feller_experiment, gamma_n, ks_distance,
                                  ks_two_sample, lepage_limit_experiment,
@@ -277,6 +277,16 @@ def test_feller_smoke_and_nesting():
 def test_feller_matches_limit_prediction():
     rep = feller_experiment(2 ** 12, 2000, RngStream(42))
     assert rep.passed, rep.statistic
+
+
+def test_feller_prediction_is_inverted_once_per_n():
+    # the prediction depends on n alone: runs at one n share one inversion
+    # and give the value cdf_from_cf gives
+    _exceedance.cache_clear()
+    reps = [feller_experiment(2 ** 12, 100, RngStream(s)) for s in (1, 2)]
+    assert _exceedance.cache_info().misses == 1
+    up, down = cdf_from_cf(g_gamma_law(gamma_n(2 ** 12)), [6.0, -6.0]).tolist()
+    assert [r.statistic["predicted_0.5"] for r in reps] == [1.0 - up + down] * 2
 
 
 def test_martin_lof_basics():

@@ -800,7 +800,7 @@ def test_batches_do_not_depend_on_threads(reps, base):
     # the pool's worker count follows the CPU count; 1 CPU runs blocks in line.
     # Poisson (lambda = 316), LePage (128 terms) and both curve phases (130
     # and 187 draws) pool once there are two blocks, one task per block; so
-    # do the level counts, in runs of blocks: the St. Petersburg sums (7
+    # do the level counts: the St. Petersburg sums (7
     # levels per replicate at n = 100), both sweep phases (9 and 10) and the
     # St. Petersburg Poisson sums (9 at lambda = 256, twice that when
     # symmetric); the Feller sums (17 at n = 2^16) pool from 100 + reps > 256
@@ -918,18 +918,18 @@ def test_order_statistics_stay_on_the_caller():
     assert _pool_tasks(lambda: petersburg_sum_batch(16, 10 ** 4, seed=97)) == []
 
 
-def test_level_counts_pool_in_runs_of_blocks():
-    # 50 blocks of level counts go as 4 runs per worker of consecutive blocks,
-    # in block order; a fill-bound phase keeps one task per block
+def test_level_counts_pool_one_task_per_block():
+    # blocks of level counts from 6 levels per replicate go to the pool one
+    # task per block, in block order, as do a fill-bound phase's blocks
     for cpus in (2, 3):
-        (runs,) = _pool_tasks(lambda: petersburg_sum_batch(1536, 50 * sampling.BLOCK, 98), cpus)
-        assert len(runs) == 4 * cpus and all(isinstance(r, range) and r for r in runs)
-        assert [b for r in runs for b in r] == list(range(50))
-        assert max(map(len, runs)) - min(map(len, runs)) <= 1
-    (runs,) = _pool_tasks(lambda: petersburg_sum_batch(1536, 3 * sampling.BLOCK, 98))
-    assert runs == [range(0, 1), range(1, 2), range(2, 3)]
-    (blocks,) = _pool_tasks(lambda: poisson_sum_batch(make_pareto(0.5), 1e-5, 700, seed=98))
-    assert blocks == [0, 1, 2]
+        assert _pool_tasks(lambda: petersburg_sum_batch(1536, 50 * sampling.BLOCK, 98),
+                           cpus) == [list(range(50))]
+        assert _pool_tasks(lambda: petersburg_sum_batch(32, 3 * sampling.BLOCK, 98),
+                           cpus) == [[0, 1, 2]]
+    pete = make_petersburg(x0=1.0)
+    assert _pool_tasks(lambda: poisson_sum_batch(pete, 2.0 ** -20, 700, seed=98)) == [[0, 1, 2]]
+    assert _pool_tasks(lambda: poisson_sum_batch(make_pareto(0.5), 1e-5, 700, seed=98)) == [
+        [0, 1, 2]]
 
 
 def test_map_blocks_draws_each_phase_when_reached():
