@@ -15,10 +15,11 @@ join in block order, so outputs depend on neither the worker count nor
 threads=.  Each construction has one vectorized block kernel; the
 single-draw functions run it on one row.  Every sampler maps its
 uniforms in place through the tail model's inverse, the St. Petersburg
-game's too: the game is the model at x0 = 1 (_GAME).  The kernels follow the package's working-set rule (_arrays):
-their temporaries hold at most _CHUNK doubles, whatever n, P or lambda,
-and they sum elementwise, not by matrix products, which OpenBLAS may hand
-to a second thread.
+game's too: the game is the model at x0 = 1 (_GAME).  The kernels
+follow the package's working-set rule (_arrays): their temporaries hold
+at most _CHUNK doubles, whatever n, P or lambda, and they sum
+elementwise, not by matrix products, which OpenBLAS may hand to a second
+thread.
 """
 
 from __future__ import annotations
