@@ -1,5 +1,5 @@
-"""The scalar-or-array calling convention, and the working-set, work-bound
-and count rules shared by the public functions.
+"""The scalar-or-array calling convention, and the working-set, work-bound,
+count, real and overflow rules shared by the public functions.
 
 The working-set rule: every array kernel (sampling, inversion, KS) works
 in pieces whose temporaries hold at most _CHUNK doubles (256 KiB, within a
@@ -25,14 +25,26 @@ bound, an inverse map's argument) passes _check_real, which alone decides its
 interval and refuses NaN, an infinity past an open end, a non-number or an
 array where a scalar is due by name: the call then uses the float it returns.
 Only the elementwise arguments (array=True) take an array.
+
+The overflow rule: a result that can pass float64 from finite inputs (a draw,
+a sum, a quantile, a tail mass or moment, a truncation point) is formed under
+_quiet, with no numpy warning, from parts that pass float64 only where it does
+(x**2 T(x) as a power of x where T(x) alone leaves the range, a geometric sum
+from its largest term), and passes _check_finite, which alone raises
+OverflowError, naming what overflowed and alpha.
 """
 
+import functools
 import math
 import sys
 
 import numpy as np
 
 _CHUNK = 1 << 15  # doubles per kernel temporary; complex multiply-adds per product
+
+
+# the errstate a result is formed under before _check_finite sees it (per thread)
+_quiet = functools.partial(np.errstate, over="ignore", invalid="ignore")
 
 
 class ResourceLimitError(RuntimeError):
@@ -54,6 +66,15 @@ def _check_budget(need, budget, what):
     if not need <= budget:
         raise ResourceLimitError("would need %s %s, over the budget of %s"
                                  % (_printed(need, budget), what, _printed(budget, need)))
+
+
+def _check_finite(value, what, alpha):
+    """value, or OverflowError "at alpha = A <what> overflows float64 (max M)"
+    if any of it is inf or NaN."""
+    if not np.isfinite(value).all():
+        raise OverflowError("at alpha = %s %s overflows float64 (max %.3g)"
+                            % (_shortest(alpha), what, sys.float_info.max))
+    return value
 
 
 def _check_count(value, name, least=None, most=None):

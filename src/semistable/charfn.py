@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from ._arrays import _CHUNK, _check_budget, _check_count, _check_real, elementwise
+from ._arrays import _CHUNK, _check_budget, _check_count, _check_real, _quiet, elementwise
 
 __all__ = [
     "CfExponent",
@@ -100,6 +100,15 @@ def _top_level(tol: float, max_jump=None) -> int:
     return L
 
 
+# g_exponent's squaring chains of up to 54 levels (every |t| < 512 at tol
+# 1e-12, |t| < 256 gamma in the family) are within 1.3e-15 of a fresh
+# exponential per level and keep their bits; 58 levels missed by 2e-12, 60 by
+# 1e6.  A longer chain has e divided by |e| at each level l = 0 mod 24: within
+# 6e-16 on [512, 1e6], as a fresh exponential there was, whose argument past
+# 2^27 takes libm's slow reduction and made |t| in [256, 1e4] 20 % slower
+_LONG_CHAIN, _RENORM = 54, 24
+
+
 def g_exponent(t, tol: float = 1e-12, max_jump=None):
     """Exponent of the St. Petersburg limit law, a doubly infinite dyadic series.
 
@@ -107,7 +116,9 @@ def g_exponent(t, tol: float = 1e-12, max_jump=None):
          + sum_{l>=1} (e^{i t 2^l} - 1) 2^{-l}.
     Per point, the small-jump levels l <= l0 with |t 2^l0| < 1/4 are summed
     in closed form (no lower truncation); the levels l > l0 one by one, from
-    one exponential e^{i t 2^(l0+1)} squared once per level.
+    one exponential e^{i t 2^(l0+1)} squared once per level, and divided by
+    its modulus every 24 levels in a chain of more than 54 levels, so every
+    |t| keeps its terms to rounding.
     The upper sum stops at the first level L with 2^{-L} < tol/8, which
     bounds the discarded mass 2 * 2^{-L} by tol/4.  With max_jump it also
     stops below the jumps 2^l > max_jump, whose total mass is exactly
@@ -129,24 +140,29 @@ def g_exponent(t, tol: float = 1e-12, max_jump=None):
             np.add(np.multiply(total, z, out=term), c, out=total)
         np.multiply(np.multiply(total, z, out=term), z, out=total)
         np.multiply(total, np.ldexp(1.0, -l0), out=total)
-        # one exponential per point, at its first level l0 + 1; each later level
-        # squares it.  Its phase error grows like 2^(l - l0), which the weight
-        # 2^-l cancels, but its modulus error compounds like exp(2^(l - l0) eps):
-        # terms stay within about |t| ulp only while 2^(L - l0) eps is small,
-        # for |t| below about 4e4 at tol 1e-12 or with the levels cut by
-        # max_jump (the inversion's reduced laws).  Past that Re g drifts
-        # positive, a known defect (CHANGES.md)
+        # one exponential per point at its first level l0 + 1, squared once per
+        # level after it.  A squaring doubles the exponential's relative error,
+        # in phase (which the weight 2^-l cancels) and in modulus (which
+        # compounds like exp(2^m eps) after m squarings), so a chain of more
+        # than _LONG_CHAIN levels has its modulus reset to 1 every _RENORM
+        # levels; the inversion's reduced laws cut their chains far shorter
+        first, top = int(l0.min(initial=0)) + 1, _top_level(tol, max_jump)
+        late = int(l0.max(initial=0))  # past it every chain has started
+        long = top - l0 > _LONG_CHAIN if top - first >= _LONG_CHAIN else None
         e = np.exp(1j * np.ldexp(tt, l0 + 1))
-        for l in range(int(l0.min(initial=0)) + 1, _top_level(tol, max_jump) + 1):
+        for l in range(first, top + 1):
             np.multiply(e, e, out=term)
-            if l > 1:
+            if l > 1 or l > late + 1:
                 e, term = term, e
             else:
                 np.copyto(e, term, where=l > l0 + 1)
+            if long is not None and l % _RENORM == 0:
+                np.divide(e, np.abs(e), out=e, where=long & (l > l0 + 1))
             np.subtract(e, 1.0, out=term)
-            if l <= 0:
-                np.subtract(term, np.multiply(1j, np.ldexp(tt, l), out=s), out=term)
-                np.copyto(term, 0.0, where=l <= l0)
+            if l <= 0:  # less i t 2^l: the real part of i t 2^l is a zero
+                np.subtract(term.imag, np.ldexp(tt, l), out=term.imag)
+                if l <= late:
+                    np.copyto(term, 0.0, where=l <= l0)
             y = np.subtract(np.multiply(term, 2.0 ** float(-l), out=term), comp, out=term)
             np.add(total, y, out=s)
             np.subtract(np.subtract(s, total, out=comp), y, out=comp)
@@ -701,18 +717,42 @@ def tabulate_cdf(h: CfExponent, x_lo: float, x_hi: float,
 # -- closed-form reference CDFs ---------------------------------------------
 
 
+_ERLANG_BUDGET = 1 << 30  # series terms (p x points) per erlang_cdf call or KS:
+                         # p = 10^5 on 8,192 points (8.2e8) took 1.8 s
+
+
 def erlang_cdf(p: int, x):
     """Gamma(p, 1) CDF for integer shape p: 1 - e^{-x} sum_{j<p} x^j/j!.
 
-    x = +inf gives 1; NaN raises ValueError."""
+    The sum stays below float64's max (x^j/j! <= e^x): a point whose next
+    term would pass it has its sum and term scaled by 2^-e, e the exponent of
+    its sum, and e ln 2 added back to the log, so every x gives a finite
+    value and no point that needs no scaling changes.  More than
+    _ERLANG_BUDGET terms (p x points) raise ResourceLimitError before the
+    sum; x = +inf gives 1; NaN raises ValueError."""
     p = _check_count(p, "p", 1)
 
     def cdf(v):
+        _check_budget(float(p) * v.size, _ERLANG_BUDGET, "Erlang series terms")
         s = term = np.ones_like(v)
-        for j in range(1, p):
-            term = term * v / j
-            s = s + term
-        return -np.expm1(np.log(s) - v)
+        # term * v <= p e^v: it passes float64 only where v + log p does
+        watch = v.size and float(v.max()) + math.log(p) > 709.0
+        shift = np.zeros_like(v) if watch else None  # the powers of two out of s
+        with _quiet():
+            for j in range(1, p):
+                nxt = term * v / j
+                total = s + nxt
+                big = np.flatnonzero(np.isinf(total)) if watch else ()
+                if len(big):
+                    e = np.frexp(s[big])[1]
+                    shift[big] += e
+                    nxt[big] = np.ldexp(term[big], -e) * v[big] / j
+                    total[big] = np.ldexp(s[big], -e) + nxt[big]
+                term, s = nxt, total
+        y = np.log(s) - v
+        if watch:
+            y += shift * math.log(2.0)
+        return -np.expm1(y)
 
     return elementwise(cdf, x, cdf_from=0.0)
 

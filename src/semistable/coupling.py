@@ -18,11 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._arrays import _check_budget, _check_count
+from ._arrays import _check_budget, _check_count, _check_finite, _quiet
 from .empirics import ExperimentReport, ks_two_sample
-from .sampling import (_POINT_BUDGET, RngStream, _col_chunks, _map_blocks, _open01, _quiet,
-                       _row_groups)
-from .tailmodel import TailModel, _finite, tail_eval
+from .sampling import _POINT_BUDGET, RngStream, _col_chunks, _map_blocks, _open01, _row_groups
+from .tailmodel import TailModel, tail_eval
 
 __all__ = ["CoupledPair", "coupled_pair", "coupling_gap_curve", "maximal_fluctuation"]
 
@@ -107,7 +106,7 @@ def _coupled_block(model, n, half, gen, counts):
         if half:
             out[rs, 3] = np.maximum(top - at_n, at_n - bottom)
     out *= float(n) ** (-1.0 / model.alpha)
-    return _finite(out, model.alpha)
+    return _check_finite(out, "a coupled sum", model.alpha)
 
 
 def _curve_block(model, n, half, gen, rows):  # the curve's phase: counts, then paths

@@ -23,9 +23,9 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .charfn import (TabulatedCdf, cdf_from_cf, erlang_cdf, g_gamma_law,
+from .charfn import (_ERLANG_BUDGET, TabulatedCdf, cdf_from_cf, erlang_cdf, g_gamma_law,
                      tabulate_cdf)
-from ._arrays import _CHUNK, _check_count, _check_real, elementwise
+from ._arrays import _CHUNK, _check_budget, _check_count, _check_real, elementwise
 from .sampling import (_MAX_N, RngStream, _lepage_block, _lepage_prep, _map_blocks,
                        _petersburg_phase, _power_block, petersburg_sum_batch)
 
@@ -339,14 +339,18 @@ def order_statistics_experiment(p: int, n: int, reps: int, rng: RngStream,
     Var y_p = p(n-p+1)/((n+1)^2 (n+2)) within 3 Monte Carlo standard errors,
     and the KS distance of n*y_p to the Erlang(p) CDF.  The Erlang limit
     needs n >> p; pass ks_tolerance=None to report the KS without letting it
-    decide the verdict (exact-moment checks at small n).
+    decide the verdict (exact-moment checks at small n).  A KS of more than
+    2^30 Erlang terms (2 reps p) raises ResourceLimitError before any draw.
     """
     n = _check_count(n, "n", 1, 1 << 53)  # the counts float64 holds exactly
     p, reps = _check_count(p, "p", 1, n), _check_count(reps, "reps", 100)
     if ks_tolerance is not None:
         ks_tolerance = _check_real(ks_tolerance, "ks_tolerance", 0.0, ends="[)")
-    (ys,) = _map_blocks([(functools.partial(_order_statistic_block, p, n), 2)],
-                        reps, rng.seed, rng.stream_id)
+    batches = _map_blocks([(functools.partial(_order_statistic_block, p, n), 2)],
+                          reps, rng.seed, rng.stream_id)  # prices its draws
+    # the KS evaluates erlang_cdf at each point and just below it
+    _check_budget(2.0 * reps * p, _ERLANG_BUDGET, "Erlang series terms")
+    (ys,) = batches
     mean_exact = p / (n + 1.0)
     var_exact = p * (n - p + 1.0) / ((n + 1.0) ** 2 * (n + 2.0))
     mean_err = float(abs(ys.mean() - mean_exact))

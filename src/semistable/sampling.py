@@ -35,8 +35,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ._arrays import _CHUNK, ResourceLimitError, _check_budget, _check_count, _check_real
-from .tailmodel import (TailModel, _finite, intensity_quantile, intensity_tail,
+from ._arrays import (_CHUNK, ResourceLimitError, _check_budget, _check_count, _check_finite,
+                      _check_real, _quiet)
+from .tailmodel import (TailModel, intensity_quantile, intensity_tail,
                         make_pareto, make_petersburg, model_to_json, tail_eval,
                         tail_first_moment)
 
@@ -73,8 +74,6 @@ _STRIDE = 10 ** 7  # stream-id block separating experiment phases
 # sums at n = 16 (5 levels) broke even on 2 cores, and gained from n = 32
 _POOL_LEVELS = 6
 _WORKER_NAME = "semistable-block"  # the pool's threads; their calls run in line
-# kernels run under it (per thread), so that _finite's error comes with no warning
-_quiet = functools.partial(np.errstate, over="ignore", invalid="ignore")
 
 
 @dataclass(frozen=True)
@@ -305,7 +304,7 @@ def sample_tail_model(model: TailModel, n: int, rng: RngStream,
     u = _open01(gen, np.empty(n))
     np.multiply(u, cap, out=u)
     with _quiet():
-        values = _finite(model._quantile(u, u, strict=True), model.alpha)
+        values = _check_finite(model._quantile(u, u, strict=True), "a draw", model.alpha)
     if symmetrize:
         _signed(gen, values)
     return SampleBatch(values=values, model=model_to_json(model), seed=rng.seed,
@@ -403,7 +402,7 @@ def _poisson_sum_block(model, lam, symmetric, centering, gen, rows):
         heads = np.maximum(starts[r0:r1 + 1], c0) - c0
         full = heads < np.minimum(ends[r0:r1 + 1], c1) - c0
         sums[r0:r1 + 1][full] += np.add.reduceat(x, heads[full])
-    return _finite(sums - centering, model.alpha)
+    return _check_finite(sums - centering, "a Poisson sum", model.alpha)
 
 
 def _level_poisson_block(model, lam, e, symmetric, centering, gen, rows):
@@ -421,7 +420,7 @@ def _level_poisson_block(model, lam, e, symmetric, centering, gen, rows):
         sums = pos - neg
     else:
         sums = _level_sums(gen.poisson(lam, rows), gen)
-    return _finite(np.ldexp(sums, e - 1) - centering, model.alpha)
+    return _check_finite(np.ldexp(sums, e - 1) - centering, "a Poisson sum", model.alpha)
 
 
 def sample_semistable_poisson_sum(model: TailModel, cutoff: float, rng: RngStream,
@@ -479,11 +478,13 @@ def lepage_auto_terms(alpha: float, symmetric: bool) -> int:
     The proxy is sum_{p>P} p^{-2/alpha} (variance, symmetric case) or
     sum_{p>P} p^{-1/alpha} (mean, positive case), bounded by the integral
     P**(1-s)/(s-1); s > 1 since alpha lies in (0, 2), (0, 1) when positive.
+    A P past float64's range (s near 1) raises OverflowError.
     """
     alpha = _lepage_alpha(alpha, symmetric)
     s = 2.0 / alpha if symmetric else 1.0 / alpha
-    p = math.ceil((_SERIES_TAIL * (s - 1.0)) ** (-1.0 / (s - 1.0)))
-    return max(int(p), 8)
+    with _quiet():
+        p = np.float64(_SERIES_TAIL * (s - 1.0)) ** (-1.0 / (s - 1.0))
+    return max(math.ceil(_check_finite(p, "the truncation point P", alpha)), 8)
 
 
 def sample_lepage(alpha: float, rng: RngStream, n_terms: int | None = None,
@@ -537,7 +538,7 @@ def _power_block(alpha, n, ranks, symmetric, gen, rows, scale=None):
                                    c1 - c0, axis=1)[:, c1 - c0:]
             out[rs, 0] += (_signed(gen, mags) if symmetric else mags).sum(axis=1)
         out[rs, 1:] = np.sort(top, axis=1)[:, ::-1]
-    return _finite(out, alpha)
+    return _check_finite(out, "a sum of powers", alpha)
 
 
 def _lepage_block(alpha, p, symmetric, gen, rows, ranks=0):

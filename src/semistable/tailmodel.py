@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from ._arrays import _check_count, _check_real, elementwise
+from ._arrays import _check_count, _check_finite, _check_real, _quiet, _shortest, elementwise
 
 __all__ = [
     "TailModel",
@@ -79,7 +80,7 @@ class TailModel:
             object.__setattr__(self, "psi_values", tuple(float(v) for v in vals))
         else:
             object.__setattr__(self, "psi_values", ())
-        with np.errstate(over="ignore"):  # an overflowing T(x0) is refused here
+        with _quiet():  # an overflowing T(x0) is refused here
             if self.x0 > 0.0 and not 0.0 < float(self._tail_formula(self.x0)) < math.inf:
                 raise ValueError("x0 must leave a finite positive mass T(x0)")
 
@@ -114,6 +115,23 @@ class TailModel:
         logq = np.log(x) / math.log(self.q) if self.q != 2 else np.log2(x)
         return self.c * x ** (-self.alpha) * self._psi(logq)
 
+    def _tail_times(self, x, k):
+        """x**k T(x), k = 1 or 2, on (0, inf) as x**(k - 1) (x T(x)); where T(x)
+        alone leaves float64's normal range (inf near 0, 0 or subnormal far
+        out), as c x**(k - alpha) psi instead, so a product in range never
+        passes through an infinite or a lost T(x)."""
+        x = np.asarray(x, dtype=float)
+        with _quiet():
+            t = self._tail_formula(x)
+            out = x ** (k - 1.0) * (x * t)
+            big = (t < sys.float_info.min) | np.isinf(t)
+            if big.any():
+                psi = (1.0 if self.psi_kind == "const"
+                       else 2.0 * np.frexp(x)[0] if self.psi_kind == "petersburg"
+                       else self._psi(np.log(x) / math.log(self.q)))
+                out = np.where(big, self.c * x ** (k - self.alpha) * psi, out)
+        return out
+
     def _quantile_formula(self, u, out=None, strict=False):
         """inf{x > 0 : T(x) <= u} on the full intensity domain, for u > 0;
         strict gives inf{x > 0 : T(x) < u}, one atom higher at a petersburg
@@ -127,10 +145,7 @@ class TailModel:
             x = np.divide(self.c, u, out=out)
             x **= 1.0 / self.alpha
             return x
-        try:
-            return elementwise(self._quantile_grid, u)
-        except OverflowError:  # a block edge past float64's max (math.exp, rho)
-            return _finite(math.inf, self.alpha)  # raises, naming alpha
+        return elementwise(self._quantile_grid, u)
 
     def _quantile(self, u, out=None, strict=False):
         """inf{x >= x0 : T(x) <= u} for an array u in (0, T(x0)], unchecked;
@@ -145,19 +160,24 @@ class TailModel:
         tail ratio exactly q, so j = ceil(log_q(T(r0)/u)) brackets the
         quantile; a point the rounded logarithm puts one block off is moved
         back, so T(hi) <= u < T(lo) holds from the start.  Each point stops
-        once hi - lo <= 1e-12 hi.
+        once hi - lo <= 1e-12 hi.  An edge past float64's max is inf, and so
+        is the quantile of a point whose block it bounds.
         """
         r0 = self.x0 if self.x0 > 0.0 else 1.0
         t0 = float(self._tail_formula(r0))
-        rho = self.q ** (1.0 / self.alpha)
+        with _quiet():
+            rho = float(np.float64(self.q) ** (1.0 / self.alpha))  # inf past float64
+        log_rho, log_max = math.log(rho), math.log(sys.float_info.max)
 
         def edge(j):
             # r0 * rho**k once per distinct block index k, in logs where
-            # rho**k alone would leave the float range
+            # rho**k alone would leave the float range: inf past its max, and
+            # below its least positive value that value, where T is defined
             ks, where = np.unique(j, return_inverse=True)
-            return np.array([
-                r0 * rho ** int(k) if abs(k) * math.log(rho) < 700.0
-                else math.exp(math.log(r0) + k * math.log(rho)) for k in ks])[where]
+            return np.maximum(np.array([
+                r0 * rho ** int(k) if not k or abs(k) * log_rho < 700.0
+                else math.exp(a) if (a := math.log(r0) + k * log_rho) <= log_max
+                else math.inf for k in ks])[where], math.ulp(0.0))
 
         j = np.ceil((math.log(t0) - np.log(u)) / math.log(self.q))
         lo, hi = edge(j - 1), edge(j)
@@ -179,14 +199,6 @@ class TailModel:
         return hi
 
 
-def _finite(out, alpha):
-    """out, or OverflowError if a term left the float range (tiny alpha)."""
-    if not np.isfinite(out).all():
-        raise OverflowError("at alpha = %g a term overflows float64 (max %.3g), "
-                            "so the output is not finite" % (alpha, np.finfo(float).max))
-    return out
-
-
 # -- constructors ----------------------------------------------------------
 
 
@@ -205,8 +217,11 @@ def make_pareto(alpha: float, c: float = 1.0, x0: float | None = None) -> TailMo
 
     x0 defaults to c**(1/alpha) so that T(x0) = 1 (unit total mass).
     """
-    if x0 is None:  # alpha and c are checked before they make it
-        x0 = _check_real(c, "c", 0.0) ** (1.0 / _check_real(alpha, "alpha", 0.0))
+    if x0 is None:  # c and alpha are checked before they make it
+        c, alpha = _check_real(c, "c", 0.0), _check_real(alpha, "alpha", 0.0)
+        with _quiet():
+            x0 = float(_check_finite(np.float64(c) ** (1.0 / alpha),
+                                     "the default x0 = c**(1/alpha)", alpha))
     return TailModel(alpha=alpha, q=2, c=c, x0=x0, psi_kind="const")
 
 
@@ -230,16 +245,19 @@ def tail_quantile(model: TailModel, u):
     if model.x0 <= 0.0:
         raise ValueError("tail_quantile needs x0 > 0 (finite total mass)")
     ua = _check_real(u, "u", 0.0, float(model._tail_formula(model.x0)), "(]", array=True)
-    with np.errstate(over="ignore"):  # refused by _finite, naming alpha
-        return _finite(elementwise(model._quantile, ua), model.alpha)
+    with _quiet():
+        return _check_finite(elementwise(model._quantile, ua), "a quantile", model.alpha)
 
 
 # -- intensity-measure reading on (0, inf) ---------------------------------
 
 
 def intensity_tail(model: TailModel, x):
-    """Tail mass of the intensity measure: same formula as T, any x in (0, inf]."""
-    return elementwise(model._tail_formula, _check_real(x, "x", 0.0, ends="(]", array=True))
+    """Tail mass of the intensity measure: same formula as T, any x in (0, inf];
+    a mass past float64's range (x near 0) raises OverflowError."""
+    x = _check_real(x, "x", 0.0, ends="(]", array=True)
+    with _quiet():
+        return _check_finite(elementwise(model._tail_formula, x), "T(x)", model.alpha)
 
 
 def intensity_quantile(model: TailModel, u):
@@ -247,8 +265,8 @@ def intensity_quantile(model: TailModel, u):
 
     A quantile past float64's range (alpha near 0) raises OverflowError."""
     u = _check_real(u, "u", 0.0, array=True)
-    with np.errstate(over="ignore"):  # refused by _finite, naming alpha
-        return _finite(elementwise(model._quantile_formula, u), model.alpha)
+    with _quiet():
+        return _check_finite(elementwise(model._quantile_formula, u), "a quantile", model.alpha)
 
 
 # -- tail integrals --------------------------------------------------------
@@ -262,9 +280,11 @@ def _integrate_tail(model, a, b, weight=None):
     steps); on the pieces of one lattice through them, at most 1/4 long
     (shorter at large alpha), 12 points integrate it to rounding.  It scales
     by r = q^(k/alpha - 1) per period log(q)/alpha, so a run of whole
-    periods is one period's integral times a geometric sum: n periods, or
+    periods is the integral of the period that dominates it (the last one
+    for r > 1) times a geometric sum of powers of min(r, 1/r): n periods, or
     all of them down to a = 0 (needs k > alpha) or up to b = inf (needs
-    k < alpha).  Overflowing pieces give inf or nan, for the caller to refuse.
+    k < alpha).  The integrand is u**k T(u) (TailModel._tail_times), so inf
+    or nan comes only from a piece past float64, for the caller to refuse.
     """
     k = 2.0 if weight == "u" else 1.0
     lo, hi = math.log(a) if a else -math.inf, math.log(b)
@@ -278,19 +298,19 @@ def _integrate_tail(model, a, b, weight=None):
         edges = np.concatenate(
             ([s0], h * np.arange(math.floor(s0 / h) + 1, math.ceil(s1 / h)), [s1]))
         mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
-        with np.errstate(over="ignore", invalid="ignore"):
+        with _quiet():
             u = np.exp(mid[:, None] + half[:, None] * x)
-            g = u ** (k - 1.0) * (u * model._tail_formula(u))  # u**2 alone overflows sooner
-            return float(np.sum(half[:, None] * w * g))
+            return float(np.sum(half[:, None] * w * model._tail_times(u, k)))
 
     if math.isinf(hi - lo):  # down to 0 or up to inf: r^-1 or r per period
         s = hi - period if lo == -math.inf else lo
         return pieces(s, s + period) / -math.expm1(-abs(log_r))
     n = math.floor((hi - lo) / period)
     total = pieces(min(lo + n * period, hi), hi)
-    if n:
-        total += pieces(lo, lo + period) * (
-            math.expm1(n * log_r) / math.expm1(log_r) if log_r else n)
+    if n:  # the first period for r <= 1, else the last, times a sum of r^-j
+        s = lo + (n - 1) * period if log_r > 0.0 else lo
+        total += pieces(s, s + period) * (
+            math.expm1(-n * abs(log_r)) / math.expm1(-abs(log_r)) if log_r else n)
     return total
 
 
@@ -299,15 +319,18 @@ def tail_first_moment(model: TailModel, lo: float, hi: float | None = None) -> f
 
     Computed from the tail by parts, lo*T(lo) - hi*T(hi) + int_lo^hi T(u) du;
     hi = inf (needs alpha > 1) drops hi*T(hi), and _integrate_tail sums the
-    improper integral's periods exactly.
+    improper integral's periods exactly.  A moment past float64's range
+    raises OverflowError.
     """
     lo = _check_real(lo, "lo", 0.0)
     hi = None if hi is None else _check_real(hi, "hi", lo)
     if hi is None and model.alpha <= 1.0:
         raise ValueError("mean above a cutoff is infinite for alpha <= 1")
-    top = 0.0 if hi is None else hi * float(model._tail_formula(hi))
-    return (lo * float(model._tail_formula(lo)) - top
-            + _integrate_tail(model, lo, math.inf if hi is None else hi))
+    top = 0.0 if hi is None else float(model._tail_times(hi, 1))
+    with _quiet():
+        mean = (float(model._tail_times(lo, 1)) - top
+                + _integrate_tail(model, lo, math.inf if hi is None else hi))
+    return _check_finite(mean, "the first moment above lo = %s" % _shortest(lo), model.alpha)
 
 
 def gaussian_criterion_ratio(model: TailModel, x: float) -> float:
@@ -320,23 +343,17 @@ def gaussian_criterion_ratio(model: TailModel, x: float) -> float:
     vanishes and _integrate_tail sums the periods down to 0 exactly; for
     psi == 1 the ratio is then (2 - alpha)/alpha at every x.  A vanishing
     limit signals a Gaussian domain.  x must lie in (x0, inf) (ValueError).
-    OverflowError if m2(x) leaves the float range.
+    OverflowError if x**2 T(x) or m2(x) leaves the float range.
     """
     x = _check_real(x, "x", model.x0)
-    t_x = float(model._tail_formula(x))
-    if t_x == 0.0 or (model.x0 == 0.0 and model.alpha >= 2.0):
+    at = "at x = %s" % _shortest(x)
+    top = _check_finite(float(model._tail_times(x, 2)), "x**2 T(x) " + at, model.alpha)
+    if top == 0.0 or (model.x0 == 0.0 and model.alpha >= 2.0):
         return 0.0  # at x0 = 0 and alpha >= 2 m2 diverges at the origin
-    top = x * (x * t_x)  # x * x alone overflows sooner
-    boundary = (model.x0 * (model.x0 * float(model._tail_formula(model.x0)))
-                if model.x0 > 0.0 else 0.0)
-    try:
-        m2 = -top + boundary + 2.0 * _integrate_tail(model, model.x0, x, weight="u")
-    except OverflowError:  # from the geometric sum of whole periods
-        m2 = math.inf
-    if not math.isfinite(m2):
-        raise OverflowError("the truncated second moment at x = %g overflows float64 "
-                            "(alpha = %g)" % (x, model.alpha))
-    return top / m2
+    boundary = float(model._tail_times(model.x0, 2)) if model.x0 > 0.0 else 0.0
+    with _quiet():  # the integral less top / 2 passes float64 only after m2 does
+        m2 = 2.0 * (_integrate_tail(model, model.x0, x, weight="u") - 0.5 * top) + boundary
+    return top / _check_finite(m2, "the truncated second moment " + at, model.alpha)
 
 
 # -- JSON ------------------------------------------------------------------

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from scipy.special import gammainc, ndtr
 
 from semistable._arrays import _CHUNK, ResourceLimitError
-from semistable.charfn import (_NODE_BUDGET, _SMALL_C, _XBLOCK, CfExponent, InversionError,
+from semistable.charfn import (_LONG_CHAIN, _NODE_BUDGET, _RENORM, _SMALL_C, _XBLOCK,
+                               CfExponent, InversionError,
                                TabulatedCdf, _build_nodes, _bulk_nodes, _decay_cutoff,
                                _bulk_phase_sums, _node_count, _node_plan, _phase_sums,
                                _row_factors, _slab_plan, _top_level, cauchy_law,
@@ -106,9 +107,10 @@ def test_small_t_and_level_boundaries_match_oracle():
     assert np.array_equal(g_exponent(np.array(ts)), [g_exponent(t) for t in ts])
 
 
-def _g_exponent_out_of_place(tt, tol=1e-12, max_jump=None):
+def _g_exponent_out_of_place(tt, tol=1e-12, max_jump=None, renorm=True):
     """g_exponent's series on a float array, each step in a new array: the
-    reference the in-place accumulation must equal bit for bit."""
+    reference the in-place accumulation must equal bit for bit (without
+    renorm, the plain squaring chain)."""
     l0 = np.minimum(0, -np.frexp(tt)[1] - 2)
     z = 1j * np.ldexp(tt, l0)
     total = np.zeros(tt.shape, dtype=complex)
@@ -117,8 +119,13 @@ def _g_exponent_out_of_place(tt, tol=1e-12, max_jump=None):
     total = total * z * z * np.ldexp(1.0, -l0)
     comp = np.zeros(tt.shape, dtype=complex)
     e = e1 = np.exp(1j * np.ldexp(tt, l0 + 1))
-    for l in range(int(l0.min(initial=0)) + 1, _top_level(tol, max_jump) + 1):
+    top = _top_level(tol, max_jump)
+    for l in range(int(l0.min(initial=0)) + 1, top + 1):
         e = e * e if l > 1 else np.where(l > l0 + 1, e * e, e1)
+        # a chain of more than _LONG_CHAIN levels is renormed every _RENORM
+        if renorm:
+            e = np.where((top - l0 > _LONG_CHAIN) & (l > l0 + 1) & (l % _RENORM == 0),
+                         e / np.abs(e), e)
         term = e - 1.0
         if l <= 0:
             term = np.where(l > l0, term - 1j * np.ldexp(tt, l), 0.0)
@@ -163,6 +170,74 @@ def test_reduced_exponent_matches_oracle_at_large_t(cut):
                     for l in range(1, 80) if 2.0 ** l > cut * gamma)
         want = gamma * (g_series_oracle(tg) - atoms) - 1j * t * math.log2(gamma)
         assert abs(reduced(t) - want) < 1e-12 + 2e-16 * abs(want)
+
+
+def _g_per_level(tt, tol=1e-12):
+    """g_exponent's series with a fresh exponential at every level: the
+    reference for the squaring chains, in plain sums."""
+    l0 = np.minimum(0, -np.frexp(tt)[1] - 2)
+    z = 1j * np.ldexp(tt, l0)
+    total = np.zeros(tt.shape, dtype=complex)
+    for c in _SMALL_C:
+        total = total * z + c
+    total = total * z * z * np.ldexp(1.0, -l0)
+    for l in range(int(l0.min(initial=0)) + 1, _top_level(tol) + 1):
+        x = np.ldexp(tt, l)
+        term = np.expm1(1j * x) - (1j * x if l <= 0 else 0.0)
+        total += np.where(l > l0, term, 0.0) * 2.0 ** -l
+    return total
+
+
+def test_g_exponent_is_right_at_every_t():
+    # the squaring chain from level l0 + 1 to 43 compounded |e|'s rounding:
+    # g(1e6) read 8.3e122 - 6.4e122j, Re g turned positive from t = 3.9e4 and
+    # g(1e8) was NaN after overflow warnings; a chain of more than
+    # _LONG_CHAIN levels now has its modulus reset every _RENORM levels, and
+    # every term keeps its rounding
+    t = np.geomspace(1e-3, 1e6, 4001)
+    t = np.concatenate([t, -t])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = {"g": g_exponent(t), "far": g_exponent(np.array([1e8, -3e9, 1e12]))}
+        for gamma in (1.0, 1.37, 1.5, 2.0):
+            want = gamma * _g_per_level(t / gamma, 1e-12 / gamma) - 1j * t * math.log2(gamma)
+            for h in (g_gamma_exponent(t, gamma), g_gamma_law(gamma).fn(t)):
+                assert np.all(np.abs(h - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+    want = _g_per_level(t)
+    assert np.all(np.abs(got["g"] - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+    assert np.all(got["g"].real <= 0.0) and np.all(got["far"].real < 0.0)
+    assert g_exponent(1e6) == pytest.approx(-2.3593889349e6 - 1.9750631959e7j, rel=1e-10)
+
+
+@pytest.mark.parametrize("t", [3.9e4, 1e5, -7.77e5, 1e6])
+def test_g_exponent_far_values_match_mpmath(t):
+    # the same series (levels up to 43 at tol 1e-12) at 40 digits
+    import mpmath as mp
+    with mp.workdps(40):
+        want = mp.mpc(0)
+        for l in range(-200, _top_level(1e-12) + 1):
+            x = mp.mpf(t) * mp.mpf(2) ** l
+            want += (mp.expj(x) - 1 - (1j * x if l <= 0 else 0)) * mp.mpf(2) ** -l
+    assert abs(g_exponent(t) - complex(want)) <= 1e-13 * abs(complex(want))
+
+
+def test_short_chains_take_no_renorm(monkeypatch):
+    # the inversion's reduced laws stop their series at the cut (chains of at
+    # most 14 levels), and every |t| < 512 at tol 1e-12 has a chain of at most
+    # _LONG_CHAIN levels: neither takes a modulus, and both keep the bits of
+    # the plain squaring chain
+    taken = []
+    monkeypatch.setattr(np, "abs", lambda x, *a, **k: taken.append(x.size) or np.absolute(x))
+    probes = (np.ldexp(8.0, np.arange(17))[:, None] * np.array([1.0, 1.25, 1.6])).ravel()
+    for gamma in (1.0, 1.5):
+        for cut in (34.0, 96.0, 1088.0, 2.0 ** 14):
+            g_gamma_law(gamma).split(cut)[0](probes)
+    short = np.geomspace(1e-9, 511.0, 1001)
+    got = g_exponent(short)
+    assert taken == []
+    assert got.tobytes() == _g_exponent_out_of_place(short, renorm=False).tobytes()
+    g_exponent(512.0)
+    assert taken == [1, 1]  # at levels 0 and 24
 
 
 def test_exponent_chunks_match_per_point_calls():
@@ -676,6 +751,47 @@ def test_erlang_cdf_rejects_nan():
         erlang_cdf(3, math.nan)
 
 
+def _erlang_unscaled(p, x):
+    """erlang_cdf's sum with no rescaling: -inf once x^j/j! passes float64."""
+    s = term = np.ones_like(x)
+    for j in range(1, p):
+        term = term * x / j
+        s = s + term
+    return -np.expm1(np.log(s) - x)
+
+
+@pytest.mark.parametrize("p", [700, 1000, 5000])
+def test_erlang_cdf_stays_in_range(p):
+    # the running sum passed float64 from x near 710: erlang_cdf(1000, 1000.0)
+    # was -inf after an overflow warning; the body and both tails now match
+    # the regularized gamma, within 1e-12 (the sum 1 - e^{-x} sum cancels
+    # below 1e-12 in the lower tail, as at small p)
+    x = p + np.sqrt(p) * np.linspace(-6.0, 6.0, 25)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = erlang_cdf(p, x)
+    import mpmath as mp
+    with mp.workdps(30):
+        want = np.array([float(mp.gammainc(p, 0, mp.mpf(v), regularized=True)) for v in x])
+    assert np.max(np.abs(got - want)) < 1e-12
+    assert np.all(np.diff(got) >= 0.0)
+
+
+def test_erlang_cdf_keeps_its_finite_values():
+    # a point the sum never carries past float64 takes no rescaling: the same
+    # bits as the unscaled sum, whatever the other points of the call need
+    for p in (1, 3, 7, 50, 300, 700):
+        x = np.concatenate([np.linspace(0.01, 700.0, 301), [1e4]])
+        want = _erlang_unscaled(p, x[:-1])
+        assert np.isfinite(want).all()
+        assert erlang_cdf(p, x)[:-1].tobytes() == want.tobytes()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert erlang_cdf(1000, [900.0, 1000.0, 1100.0]) == pytest.approx(
+            [5.4990226588e-4, 0.50420524414, 0.99894067698], rel=1e-9)
+        assert erlang_cdf(200, 1e5) == 1.0
+
+
 def test_levy_cdf_rejects_nan():
     # used to return 0.0
     with pytest.raises(ValueError, match="NaN"):
@@ -850,12 +966,10 @@ def test_cdf_values_pinned(law, xs, expected):
 
 
 def _full_ladder_cutoff(h, tol):
-    """The decay cutoff from every T's probes in one call, 51 up to 8.4e5.
-    Re h is clipped at 700, a probe that fails as its overflow to inf would:
-    the unsplit dyadic series reads Re h = 6e28 at t = 2^18 (g_gamma(1.5))."""
+    """The decay cutoff from every T's probes in one call, 51 up to 8.4e5."""
     probes = np.ldexp(8.0, np.arange(17))[:, None] * np.array([1.0, 1.25, 1.6])
     with np.errstate(under="ignore"):
-        ok = np.all(np.exp(np.minimum(np.real(h(probes.ravel())), 700.0)).reshape(probes.shape)
+        ok = np.all(np.exp(np.real(h(probes.ravel()))).reshape(probes.shape)
                     / probes < tol * 1e-3, axis=1)
     return float(probes[ok.argmax(), 0])
 

@@ -9,6 +9,7 @@ import shlex
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -632,6 +633,26 @@ def test_float_overflow_exit_code(argv, capsys):
     # exited 3 with infinite sums or a bare NaN median in the JSON before
     assert main(argv) == 4
     assert "alpha = 0.01" in capsys.readouterr().err
+
+
+def test_lepage_auto_terms_overflow_exit_code(capsys):
+    # the truncation point P is about 1e791 terms: exit 4 with the bare
+    # "(34, 'Numerical result out of range')", naming nothing, before
+    assert main(["lepage", "--alpha", "0.99", "--reps", "10"]) == 4
+    assert ("at alpha = 0.99 the truncation point P overflows float64"
+            in capsys.readouterr().err)
+
+
+def test_orderstats_erlang_stays_in_range(capsys):
+    # erlang_cdf(1000, x) was -inf from x = 710, so the KS was inf and the
+    # strict JSON writer refused it: exit 2, "Out of range float values are
+    # not JSON compliant"; n*y_p at n = 10^6 is far from its Erlang limit at
+    # 2000 reps, so the seed's KS fails its 0.012 bound
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["orderstats", "--p", "1000", "--n", "1000000", "--reps", "2000"]) == 3
+    ks = json.loads(capsys.readouterr().out)["statistic"]["ks"]
+    assert 0.012 < ks < 0.05
 
 
 @pytest.mark.parametrize("command", (["merging", "--n", "96"],

@@ -31,8 +31,8 @@ from semistable.sampling import (PoissonPointSet, ResourceLimitError,
                                  sample_poisson_points,
                                  sample_semistable_poisson_sum,
                                  sample_tail_model, write_batch)
-from semistable.tailmodel import (TailModel, make_pareto, make_petersburg,
-                                  model_to_json, tail_eval)
+from semistable.tailmodel import (TailModel, intensity_tail, make_pareto, make_petersburg,
+                                  model_to_json, tail_eval, tail_first_moment)
 
 
 # -- petersburg draws -----------------------------------------------------------
@@ -749,34 +749,55 @@ def test_lepage_small_alpha_is_not_nan():
     assert not np.isnan(vals).any()
 
 
-@pytest.mark.parametrize("call", [
-    lambda: lepage_batch(0.01, 20000, seed=5, n_terms=100),
-    lambda: lepage_batch(0.01, 2000, seed=5, symmetric=True, n_terms=100),
-    lambda: poisson_sum_batch(make_pareto(0.01), 1e-6, 20000, seed=5),
+@pytest.mark.parametrize("alpha, call", [
+    (0.01, lambda: lepage_batch(0.01, 20000, seed=5, n_terms=100)),
+    (0.01, lambda: lepage_batch(0.01, 2000, seed=5, symmetric=True, n_terms=100)),
+    (0.01, lambda: poisson_sum_batch(make_pareto(0.01), 1e-6, 20000, seed=5)),
     # an inf point makes its sum inf, or NaN (inf - inf) with signs
-    lambda: poisson_sum_batch(make_pareto(0.01), 1e-6, 20000, seed=5, symmetric=True),
-    lambda: sample_tail_model(make_pareto(0.01), 20000, RngStream(5)),
-    lambda: coupling.coupled_pair(make_pareto(0.01), 10 ** 4, RngStream(5)),
+    (0.01, lambda: poisson_sum_batch(make_pareto(0.01), 1e-6, 20000, seed=5, symmetric=True)),
+    (0.01, lambda: sample_tail_model(make_pareto(0.01), 20000, RngStream(5))),
+    (0.01, lambda: coupling.coupled_pair(make_pareto(0.01), 10 ** 4, RngStream(5))),
     # n = 100 draws 130 terms per path, so its 4 blocks pool; none of them
     # runs on past the error
-    lambda: coupling_gap_curve(make_pareto(0.01), [100, 1000], 1000, RngStream(5)),
+    (0.01, lambda: coupling_gap_curve(make_pareto(0.01), [100, 1000], 1000, RngStream(5))),
     # a block edge q**(k/alpha) of the grid quantile passes float64's max
-    lambda: sample_tail_model(TailModel(alpha=0.002, q=2, c=1.0, x0=1.0, psi_kind="grid",
-                                        psi_values=tuple(np.ones(64))), 1000, RngStream(5)),
+    (0.002, lambda: sample_tail_model(TailModel(alpha=0.002, q=2, c=1.0, x0=1.0, psi_kind="grid",
+                                                psi_values=tuple(np.ones(64))),
+                                      1000, RngStream(5))),
     # U * T(x0) below 2^-1023 maps to 2**1024 = inf
-    lambda: sample_tail_model(make_petersburg(x0=2.0 ** 1015), 1000, RngStream(5)),
+    (1, lambda: sample_tail_model(make_petersburg(x0=2.0 ** 1015), 1000, RngStream(5))),
+    # T(1e-300) = 1e570: inf after a RuntimeWarning, and the Poisson calls
+    # refused "inf expected points" as a work bound
+    (1.9, lambda: intensity_tail(make_pareto(1.9), 1e-300)),
+    (1.9, lambda: poisson_sum_batch(make_pareto(1.9), 1e-300, 10, seed=5)),
+    (1.9, lambda: sample_poisson_points(make_pareto(1.9), 1e-300, RngStream(5))),
+    # the mean above 1e-300 is 1e100 (1.9 / 0.9) 1e270: inf after a warning
+    (1.9, lambda: tail_first_moment(make_pareto(1.9, c=1e100), 1e-300)),
+    (1.9, lambda: poisson_sum_centering(make_pareto(1.9, c=1e100), 1e-300)),
+    # P = (1e-6 (s - 1))**(-1/(s - 1)) is about 1e377: "(34, 'Numerical
+    # result out of range')", naming nothing
+    (0.98, lambda: lepage_auto_terms(0.98, False)),
+    (1.96, lambda: lepage_auto_terms(1.96, True)),
+    # the default x0 = c**(1/alpha) = 1e1000: the same bare errno message
+    (0.1, lambda: make_pareto(0.1, c=1e100)),
+    # rho = q**(1/alpha) = 2**10000: the same bare errno message
+    (1e-4, lambda: sample_tail_model(TailModel(alpha=1e-4, q=2, c=1.0, x0=1.0, psi_kind="grid",
+                                               psi_values=tuple(np.ones(64))), 10, RngStream(5))),
 ], ids=["lepage", "lepage-symmetric", "poisson", "poisson-symmetric", "tail-model",
-        "coupled-pair", "coupling-curve", "grid", "petersburg"])
-def test_small_alpha_overflow_is_an_error(call):
+        "coupled-pair", "coupling-curve", "grid", "petersburg", "intensity-tail",
+        "poisson-rate", "poisson-points", "first-moment", "centering", "lepage-auto",
+        "lepage-auto-symmetric", "pareto-x0", "grid-rho"])
+def test_small_alpha_overflow_is_an_error(alpha, call):
     # the largest term Z_1**(-100) passes float64's max when Z_1 < 8.3e-4;
     # these batches returned rows of +inf (11 of the LePage rows, 22 of the
     # tail-model draws) with only a RuntimeWarning before, and the coupled
-    # pair came back as s_hat = s_bar = nan with gap = 0.0.  The typed error
-    # comes with no RuntimeWarning before it (the grid raised a bare "math
-    # range error")
+    # pair came back as s_hat = s_bar = nan with gap = 0.0.  The one typed
+    # error (_arrays._check_finite) names alpha and comes with no
+    # RuntimeWarning before it (the grid raised a bare "math range error")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(OverflowError, match=r"alpha = (0\.01|0\.002|1) .*overflows float64"):
+        with pytest.raises(OverflowError, match=re.escape("at alpha = %s " % alpha)
+                           + r".* overflows float64 \(max 1\.8e\+308\)$"):
             call()
 
 

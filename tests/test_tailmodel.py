@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from semistable.sampling import points_from_arrivals
+from semistable.sampling import points_from_arrivals, poisson_sum_centering
 from semistable.tailmodel import (TailModel, gaussian_criterion_ratio,
                                   intensity_quantile, intensity_tail,
                                   make_pareto, make_petersburg,
@@ -210,6 +210,15 @@ def test_quantile_overflow_is_an_error(call):
             call()
 
 
+def test_grid_quantile_where_rho_passes_float64():
+    # rho = 2**(1/alpha) = 2**10000: the edge below x0 = 1 underflowed to 0
+    # and T(0) raised "tail formula needs x > 0"; u = T(x0) has quantile x0
+    m = TailModel(alpha=1e-4, q=2, c=1.0, x0=1.0, psi_kind="grid", psi_values=(1.0,) * 64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert tail_quantile(m, 1.0) == 1.0
+
+
 @pytest.mark.parametrize("model", [make_petersburg(), make_pareto(0.5),
                                    wavy_grid_model()])
 def test_quantile_tail_galois(model):
@@ -317,14 +326,47 @@ def test_gaussian_criterion_far_range():
     # x * x * T(x) overflowed before the division: NaN above about 1.3e154
     m = make_pareto(0.5)
     assert gaussian_criterion_ratio(m, 1e200) == pytest.approx(3.0, abs=1e-9)
-    # m2(x) itself passes float64's max: a named error, not "math range error",
-    # and no overflow warning before it
+    # m2(x) and x**2 T(x) pass float64's max: a named error, not "math range
+    # error", and no overflow warning before it
     for alpha, x in ((0.5, 1e250), (0.5, 1e300), (0.3, 1e200)):
-        msg = "x = %g overflows float64 (alpha = %g)" % (x, alpha)
+        msg = "at alpha = %g x**2 T(x) at x = %r overflows float64" % (alpha, x)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(OverflowError, match=re.escape(msg)):
                 gaussian_criterion_ratio(make_pareto(alpha), x)
+
+
+def _pareto_moments():
+    """(call, closed form at 40 digits) for constant psi: each part of the
+    by-parts formula, or a period sum, passed float64 though the result
+    does not."""
+    import mpmath as mp
+    with mp.workdps(40):
+        a, lo, hi = mp.mpf(0.1), mp.mpf(1e-300), mp.mpf(1e300)
+        # expm1(n log r) overflowed before the product: "math range error"
+        yield (lambda: tail_first_moment(make_pareto(0.1), 1e-300, 1e300),
+               float(a / (1 - a) * (hi ** (1 - a) - lo ** (1 - a))))
+        # T(1e-300) = 1e570 passes float64, so lo T(lo) read inf after a warning
+        a = mp.mpf(1.9)
+        yield (lambda: tail_first_moment(make_pareto(1.9), 1e-300),
+               float(a / (a - 1) * lo ** (1 - a)))
+        yield (lambda: poisson_sum_centering(make_pareto(1.9), 1e-300),
+               float(a / (a - 1) * lo ** (1 - a)))
+        # the period sum over 200 decades overflowed: refused as m2 overflowing
+        a, x0, x = mp.mpf(0.3), mp.mpf(1e-100), mp.mpf(1e100)
+        yield (lambda: gaussian_criterion_ratio(make_pareto(0.3, x0=1e-100), 1e100),
+               float(x ** (2 - a) / (a / (2 - a) * (x ** (2 - a) - x0 ** (2 - a)))))
+        # T(1e-300) = 1e450 alone overflowed before x**2 T(x) = 1e-150 was formed
+        a = mp.mpf(1.5)
+        yield (lambda: gaussian_criterion_ratio(TailModel(alpha=1.5, q=2, c=1.0, x0=0.0), 1e-300),
+               float((2 - a) / a))
+
+
+def test_tail_moments_past_an_overflowing_part_are_finite():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call, want in _pareto_moments():
+            assert call() == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 def test_gaussian_criterion_domain():
