@@ -80,9 +80,8 @@ class TailModel:
             object.__setattr__(self, "psi_values", tuple(float(v) for v in vals))
         else:
             object.__setattr__(self, "psi_values", ())
-        with _quiet():  # an overflowing T(x0) is refused here
-            if self.x0 > 0.0 and not 0.0 < float(self._tail_formula(self.x0)) < math.inf:
-                raise ValueError("x0 must leave a finite positive mass T(x0)")
+        if self.x0 > 0.0 and not 0.0 < float(self._tail_formula(self.x0)) < math.inf:
+            raise ValueError("x0 must leave a finite positive mass T(x0)")
 
     # -- psi and tail formula (intensity reading, any x > 0) ---------------
 
@@ -98,39 +97,40 @@ class TailModel:
         nxt = np.where(j + 1 < m, vals[np.minimum(j + 1, m - 1)], vals[0])
         return vals[j] * (1.0 - frac) + nxt * frac
 
-    def _tail_formula(self, x):
-        """T(x) on (0, inf] with no x0 restriction; T(inf) = 0."""
+    def _tail_formula(self, x, k=0):
+        """x**k T(x), k = 0, 1 or 2, on (0, inf] with no x0 restriction; 0 at x = inf.
+
+        T(x) = c x**(-alpha) psi, psi read at log_q x (log2 x at q = 2;
+        petersburg: the exact steps c 2**(1 - e), x = m 2**e, so psi = 2m),
+        and x**k T(x) = x**(k - 1) (x T(x)).  Where T(x) alone leaves float64's
+        normal range (inf near 0, 0 or subnormal far out) it is the power
+        c x**(k - alpha) psi instead, and where that leaves it too but the
+        value does not, (c psi h) h, h = x**((k - alpha)/2), so a value in
+        range never passes through an infinite or a lost part.
+        """
         x = np.asarray(x, dtype=float)
         if not np.all(x > 0.0):
             raise ValueError("tail formula needs x > 0")
         top = x == math.inf
         if top.any():  # the formulas below see x = 1 there
-            return np.where(top, 0.0, self._tail_formula(np.where(top, 1.0, x)))
-        if self.psi_kind == "petersburg":
-            # exact dyadic steps: T(x) = c * 2**(-floor(log2 x))
-            _, e = np.frexp(x)
-            return self.c * np.ldexp(1.0, 1 - e)
-        if self.psi_kind == "const":
-            return self.c * x ** (-self.alpha)
-        logq = np.log(x) / math.log(self.q) if self.q != 2 else np.log2(x)
-        return self.c * x ** (-self.alpha) * self._psi(logq)
-
-    def _tail_times(self, x, k):
-        """x**k T(x), k = 1 or 2, on (0, inf) as x**(k - 1) (x T(x)); where T(x)
-        alone leaves float64's normal range (inf near 0, 0 or subnormal far
-        out), as c x**(k - alpha) psi instead, so a product in range never
-        passes through an infinite or a lost T(x)."""
-        x = np.asarray(x, dtype=float)
+            x = np.where(top, 1.0, x)
         with _quiet():
-            t = self._tail_formula(x)
-            out = x ** (k - 1.0) * (x * t)
-            big = (t < sys.float_info.min) | np.isinf(t)
-            if big.any():
-                psi = (1.0 if self.psi_kind == "const"
-                       else 2.0 * np.frexp(x)[0] if self.psi_kind == "petersburg"
-                       else self._psi(np.log(x) / math.log(self.q)))
-                out = np.where(big, self.c * x ** (k - self.alpha) * psi, out)
-        return out
+            if self.psi_kind == "petersburg":
+                m, e = np.frexp(x)
+                t, psi = np.ldexp(self.c, 1 - e), 2.0 * m
+            else:
+                psi = (1.0 if self.psi_kind == "const" else
+                       self._psi(np.log2(x) if self.q == 2 else np.log(x) / math.log(self.q)))
+                t = self.c * x ** (-self.alpha) * psi
+            out = t if k == 0 else x ** (k - 1.0) * (x * t)
+            off = (t < sys.float_info.min) | (t == math.inf)
+            if off.any() and (k or self.psi_kind != "petersburg"):  # steps are exact
+                h = x ** (0.5 * (k - self.alpha))
+                power, halves = self.c * x ** (k - self.alpha) * psi, self.c * psi * h * h
+                lost = (power < sys.float_info.min) | (power == math.inf)
+                good = (halves >= sys.float_info.min) & (halves < math.inf)
+                out = np.where(off, np.where(lost & good, halves, power), out)
+        return np.where(top, 0.0, out) if top.any() else out
 
     def _quantile_formula(self, u, out=None, strict=False):
         """inf{x > 0 : T(x) <= u} on the full intensity domain, for u > 0;
@@ -160,8 +160,10 @@ class TailModel:
         tail ratio exactly q, so j = ceil(log_q(T(r0)/u)) brackets the
         quantile; a point the rounded logarithm puts one block off is moved
         back, so T(hi) <= u < T(lo) holds from the start.  Each point stops
-        once hi - lo <= 1e-12 hi.  An edge past float64's max is inf, and so
-        is the quantile of a point whose block it bounds.
+        once hi - lo <= 1e-12 hi.  An edge past float64's max is inf (rho
+        itself is, at alpha below ln(q)/709), and so is the quantile of a
+        point whose block it bounds, unless T(max) <= u: that block is cut at
+        the max and bisected in log x, at the geometric mean of its ends.
         """
         r0 = self.x0 if self.x0 > 0.0 else 1.0
         t0 = float(self._tail_formula(r0))
@@ -185,12 +187,18 @@ class TailModel:
         if shift.any():
             j += shift
             lo, hi = edge(j - 1), edge(j)
-        idx = np.arange(u.size)
+        far = np.isinf(hi) & np.isfinite(lo)
+        if far.any():
+            far &= self._tail_formula(sys.float_info.max) <= u
+            hi[far] = sys.float_info.max
+        idx = np.flatnonzero(hi < math.inf)
         for _ in range(200):
             if idx.size == 0:
                 break
             a, b = lo[idx], hi[idx]
             mid = 0.5 * (a + b)
+            if far.any():
+                mid = np.where(far[idx], np.sqrt(a) * np.sqrt(b), mid)
             below = self._tail_formula(mid) <= u[idx]
             b = np.where(below, mid, b)
             a = np.where(below, a, mid)
@@ -229,9 +237,10 @@ def make_pareto(alpha: float, c: float = 1.0, x0: float | None = None) -> TailMo
 
 
 def tail_eval(model: TailModel, x):
-    """T(x) = P(X > x) for x in [x0, inf] (x > 0 at x0 = 0)."""
-    ends = "[]" if model.x0 > 0.0 else "(]"
-    return elementwise(model._tail_formula, _check_real(x, "x", model.x0, ends=ends, array=True))
+    """T(x) = P(X > x) for x in [x0, inf] (x > 0 at x0 = 0, where a mass past
+    float64's range, x near 0, raises OverflowError)."""
+    x = _check_real(x, "x", model.x0, ends="[]" if model.x0 > 0.0 else "(]", array=True)
+    return _check_finite(elementwise(model._tail_formula, x), "T(x)", model.alpha)
 
 
 def tail_quantile(model: TailModel, u):
@@ -256,8 +265,7 @@ def intensity_tail(model: TailModel, x):
     """Tail mass of the intensity measure: same formula as T, any x in (0, inf];
     a mass past float64's range (x near 0) raises OverflowError."""
     x = _check_real(x, "x", 0.0, ends="(]", array=True)
-    with _quiet():
-        return _check_finite(elementwise(model._tail_formula, x), "T(x)", model.alpha)
+    return _check_finite(elementwise(model._tail_formula, x), "T(x)", model.alpha)
 
 
 def intensity_quantile(model: TailModel, u):
@@ -272,8 +280,8 @@ def intensity_quantile(model: TailModel, u):
 # -- tail integrals --------------------------------------------------------
 
 
-def _integrate_tail(model, a, b, weight=None):
-    """integral_a^b w(u) T(u) du, a < b, w = 1 or u, by Gauss-Legendre in s = log u.
+def _integrate_tail(model, a, b, k):
+    """integral_a^b u**(k - 1) T(u) du, a < b, k = 1 or 2, by Gauss-Legendre in s = log u.
 
     In s the integrand e^{k s} T(e^s), k = 1 or 2, is an exponential times a
     linear function between the kinks and jumps of psi (grid cells, dyadic
@@ -283,10 +291,9 @@ def _integrate_tail(model, a, b, weight=None):
     periods is the integral of the period that dominates it (the last one
     for r > 1) times a geometric sum of powers of min(r, 1/r): n periods, or
     all of them down to a = 0 (needs k > alpha) or up to b = inf (needs
-    k < alpha).  The integrand is u**k T(u) (TailModel._tail_times), so inf
+    k < alpha).  The integrand is u**k T(u) (TailModel._tail_formula), so inf
     or nan comes only from a piece past float64, for the caller to refuse.
     """
-    k = 2.0 if weight == "u" else 1.0
     lo, hi = math.log(a) if a else -math.inf, math.log(b)
     period = math.log(model.q) / model.alpha
     h = period / (len(model.psi_values) if model.psi_kind == "grid" else 1)
@@ -300,7 +307,7 @@ def _integrate_tail(model, a, b, weight=None):
         mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
         with _quiet():
             u = np.exp(mid[:, None] + half[:, None] * x)
-            return float(np.sum(half[:, None] * w * model._tail_times(u, k)))
+            return float(np.sum(half[:, None] * w * model._tail_formula(u, k)))
 
     if math.isinf(hi - lo):  # down to 0 or up to inf: r^-1 or r per period
         s = hi - period if lo == -math.inf else lo
@@ -326,10 +333,9 @@ def tail_first_moment(model: TailModel, lo: float, hi: float | None = None) -> f
     hi = None if hi is None else _check_real(hi, "hi", lo)
     if hi is None and model.alpha <= 1.0:
         raise ValueError("mean above a cutoff is infinite for alpha <= 1")
-    top = 0.0 if hi is None else float(model._tail_times(hi, 1))
-    with _quiet():
-        mean = (float(model._tail_times(lo, 1)) - top
-                + _integrate_tail(model, lo, math.inf if hi is None else hi))
+    top = 0.0 if hi is None else float(model._tail_formula(hi, 1))
+    mean = (float(model._tail_formula(lo, 1)) - top
+            + _integrate_tail(model, lo, math.inf if hi is None else hi, 1))
     return _check_finite(mean, "the first moment above lo = %s" % _shortest(lo), model.alpha)
 
 
@@ -341,19 +347,35 @@ def gaussian_criterion_ratio(model: TailModel, x: float) -> float:
     integral exact to rounding on the cells of psi (_integrate_tail).  With
     x0 = 0 (pure intensity reading, needs alpha < 2) the boundary term
     vanishes and _integrate_tail sums the periods down to 0 exactly; for
-    psi == 1 the ratio is then (2 - alpha)/alpha at every x.  A vanishing
-    limit signals a Gaussian domain.  x must lie in (x0, inf) (ValueError).
-    OverflowError if x**2 T(x) or m2(x) leaves the float range.
+    psi == 1 the ratio is then (2 - alpha)/alpha at every x.  There a whole
+    number of periods, x -> x q**(j/alpha), leaves the ratio as it is, so it
+    is taken at the shifted x nearest 1, in range wherever x is.  A
+    vanishing limit signals a Gaussian domain.  x must lie in (x0, inf)
+    (ValueError).  OverflowError if x**2 T(x) or m2(x) passes float64's max;
+    ValueError naming x if m2(x), or x**2 T(x) with m2(x) < 1, lies below
+    its normal range, where the ratio would lose its bits.
     """
     x = _check_real(x, "x", model.x0)
     at = "at x = %s" % _shortest(x)
-    top = _check_finite(float(model._tail_times(x, 2)), "x**2 T(x) " + at, model.alpha)
-    if top == 0.0 or (model.x0 == 0.0 and model.alpha >= 2.0):
-        return 0.0  # at x0 = 0 and alpha >= 2 m2 diverges at the origin
-    boundary = float(model._tail_times(model.x0, 2)) if model.x0 > 0.0 else 0.0
-    with _quiet():  # the integral less top / 2 passes float64 only after m2 does
-        m2 = 2.0 * (_integrate_tail(model, model.x0, x, weight="u") - 0.5 * top) + boundary
-    return top / _check_finite(m2, "the truncated second moment " + at, model.alpha)
+    if model.x0 == 0.0:
+        if model.alpha >= 2.0:
+            return 0.0  # m2 diverges at the origin
+        j = round(-model.alpha * math.log(x) / math.log(model.q))
+        with _quiet():  # q**(j/alpha) in two halves, each in range; exact at q**(1/alpha) = 2
+            y = float(x * np.float64(model.q) ** (j // 2 / model.alpha)
+                      * np.float64(model.q) ** ((j - j // 2) / model.alpha))
+        x = y if 0.0 < y < math.inf else x
+    top = float(model._tail_formula(x, 2))
+    boundary = float(model._tail_formula(model.x0, 2)) if model.x0 > 0.0 else 0.0
+    # the integral less top / 2 passes float64 only after m2 does
+    m2 = 2.0 * (_integrate_tail(model, model.x0, x, 2) - 0.5 * top) + boundary
+    _check_finite(top, "x**2 T(x) " + at, model.alpha)
+    _check_finite(m2, "the truncated second moment " + at, model.alpha)
+    if not (m2 >= sys.float_info.min and (top >= sys.float_info.min or m2 >= 1.0)):
+        raise ValueError("%s x**2 T(x) = %.3g over a truncated second moment of %.3g: "
+                         "below float64's normal range (min %.3g) their ratio loses its bits"
+                         % (at, top, m2, sys.float_info.min))
+    return top / m2
 
 
 # -- JSON ------------------------------------------------------------------

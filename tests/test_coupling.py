@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -150,3 +151,37 @@ def test_single_paths_survive_column_chunking(monkeypatch):
         assert p1.s_bar == pytest.approx(p0.s_bar, rel=1e-12)
         assert p1.gap == pytest.approx(p0.gap, rel=1e-9, abs=1e-12)
         assert f1 == pytest.approx(f0, rel=1e-9)
+
+
+# SHA-256 pins recorded before any rewrite of the coupled-sum kernel: one
+# path per row must keep these bytes.  The pairs at each n are the first
+# streams RngStream(71, i) whose Poisson count falls below n (i = 2) and
+# above it (i = 0); 40,000 terms pass _CHUNK, so a lone row spans two tiles
+@pytest.mark.parametrize("n, counts, digest", [
+    (100, [93, 104], "14ba448c983216843e1d68790e8c1b451467e3021e5846429561581488a5a452"),
+    (1000, [978, 1012], "6bfc97e1190c8c2a6dc1e4d4055ca649933389008c27714d5df50aef42cb1f52"),
+    (10 ** 4, [9930, 10038], "3c496038f5c15cac9c59bd0f3bcaa0abe6848495a77666317da234aa39b3e9da"),
+    (40000, [39861, 40075], "d56f67e62f9a7e70426d9a6a605e519395e752103e947a3d07fa2e4f4502ec8b"),
+])
+def test_coupled_pairs_keep_their_pinned_digests(n, counts, digest):
+    pairs = [coupled_pair(make_pareto(0.5), n, RngStream(71, i)) for i in (2, 0)]
+    assert [p.count for p in pairs] == counts
+    rows = np.array([[p.s_hat, p.s_bar, p.gap, p.count] for p in pairs])
+    assert hashlib.sha256(rows.tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("n, digest", [
+    (100, "bee1c9bcbd0e62b5a4c7b85adaa6ce754cf69536c151721a5537bc6a86546782"),
+    (10 ** 4, "1975e04bca67fe830dada72f6e7bb36a57e5b991cd2bc7fec9aea7e2d010c3e3"),
+    (40000, "3b078f253502f20a4c9c9c02bb2aec2e6c9d9e3bc3fab0e5e00b002066df0915"),
+])
+def test_maximal_fluctuations_keep_their_pinned_digests(n, digest):
+    vals = np.array([maximal_fluctuation(make_pareto(0.5), n, RngStream(72, i))
+                     for i in range(3)])
+    assert hashlib.sha256(vals.tobytes()).hexdigest() == digest
+
+
+def test_coupling_curve_keeps_its_pinned_digest():
+    report = coupling_gap_curve(make_pareto(0.5), [100, 1000], 500, RngStream(73))
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == (
+        "bf0a8cdac708983c422dda7a5c081136095c661227436917945496d995c1494e")

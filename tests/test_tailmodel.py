@@ -510,6 +510,153 @@ def test_tail_integrals_closed_forms_to_rounding():
                                                                        rel=1e-12)
 
 
+# -- one tail formula: x**k T(x) wherever its value is in range ------------------
+
+_TINY, _HUGE = np.finfo(float).tiny, np.finfo(float).max
+
+
+def _exact_times_tail(model, x, k):
+    """x**k T(x) at 40 digits, psi read at the exact log_q x."""
+    import mpmath as mp
+    with mp.workdps(40):
+        xm = mp.mpf(x)
+        if model.psi_kind == "petersburg":  # T = c 2**-n, n = floor(log2 x)
+            n = int(mp.floor(mp.log(xm, 2)))
+            n += (mp.mpf(2) ** (n + 1) <= xm) - (mp.mpf(2) ** n > xm)
+            return xm ** k * model.c * mp.mpf(2) ** -n
+        psi = mp.mpf(1)
+        if model.psi_kind == "grid":
+            v = model.psi_values
+            w = mp.log(xm, model.q) * mp.mpf(model.alpha)
+            w = (w - mp.floor(w)) * len(v)
+            j = int(mp.floor(w))
+            psi = v[j] * (1 - (w - j)) + v[(j + 1) % len(v)] * (w - j)
+        return xm ** (k - mp.mpf(model.alpha)) * model.c * psi
+
+
+_FORMULA_MODELS = {
+    "const-small-c": TailModel(alpha=1.5, q=2, c=1e-200, x0=0.0),
+    "const-large-c": TailModel(alpha=0.5, q=2, c=3e7, x0=0.0),
+    "grid-q2": TailModel(alpha=1.9, q=2, c=1.3, x0=0.0, psi_kind="grid",
+                         psi_values=wavy_grid_model().psi_values),
+    "grid-q3-small-c": TailModel(alpha=1.2, q=3, c=1e-150, x0=0.0, psi_kind="grid",
+                                 psi_values=wavy_grid_model().psi_values),
+    "petersburg-small-c": TailModel(alpha=1.0, q=2, c=1e-300, x0=0.0, psi_kind="petersburg"),
+}
+
+
+@pytest.mark.parametrize("k", (0, 1, 2))
+@pytest.mark.parametrize("name", sorted(_FORMULA_MODELS))
+def test_tail_formula_matches_mpmath_wherever_normal(name, k):
+    # the one formula for T, x T and x**2 T, from the least positive double
+    # to the largest: within 2e-13 of 40 digits wherever the value is
+    # normal, inf past float64's max and below its normal range under it
+    model = _FORMULA_MODELS[name]
+    xs = np.concatenate(([5e-324, 1e-310, _TINY, 1.0, 2.0, 1e308, _HUGE],
+                         10.0 ** np.random.default_rng(37).uniform(-323.0, 308.0, 150)))
+    got = model._tail_formula(xs, k)
+    for x, g in zip(xs, got):
+        want = _exact_times_tail(model, x, k)
+        if want > _HUGE:
+            assert g == math.inf
+        elif want < _TINY:
+            assert g < _TINY
+        else:
+            assert float(abs(g - want) / want) <= 2e-13, (x, g, float(want))
+    assert model._tail_formula(math.inf, k) == 0.0
+
+
+def test_small_c_is_not_an_overflow():
+    # c x**(-alpha) formed x**(-alpha) = inf first, though T(x) = 1e175
+    import mpmath as mp
+    m = make_pareto(1.5, c=1e-200, x0=1.0)
+    want = float(mp.mpf(1e-200) * mp.mpf(1e-250) ** mp.mpf(-1.5))
+    assert intensity_tail(m, 1e-250) == pytest.approx(want, rel=2e-13, abs=0.0)
+    # the constructor refused it: "x0 must leave a finite positive mass"
+    low = TailModel(alpha=1.5, q=2, c=1e-200, x0=1e-250)
+    assert tail_eval(low, low.x0) == pytest.approx(want, rel=2e-13, abs=0.0)
+    pete = TailModel(alpha=1.0, q=2, c=1e-300, x0=5e-324, psi_kind="petersburg")
+    assert tail_eval(pete, pete.x0) == math.ldexp(1e-300, 1074)  # exact
+
+
+def test_tail_eval_past_float64_is_an_error():
+    # at x0 = 0, T(1e-300) = 1e450 read inf after an overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match=r"^at alpha = 1\.5 T\(x\) overflows"):
+            tail_eval(make_pareto(1.5, x0=0.0), [1.0, 1e-300])
+
+
+def test_power_tails_keep_their_bits_and_reach_every_value_in_range():
+    # where c * x**(-alpha) is normal the formula is that product, bit for
+    # bit; where it is not but the value is, within 2e-13 of 40 digits
+    import mpmath as mp
+    rng = np.random.default_rng(41)
+    alpha, c = rng.uniform(0.9, 3.0, 600), 10.0 ** rng.uniform(-307.0, 307.0, 600)
+    log_t = rng.uniform(-700.0, 700.0, 600)  # the value's log, in range
+    x = np.exp(np.clip((np.log(c) - log_t) / alpha, -744.0, 709.0))
+    with np.errstate(over="ignore", under="ignore"):
+        direct = c * x ** -alpha
+    recovered = 0
+    for a, ci, xi, d in zip(alpha, c, x, direct):
+        t = float(TailModel(alpha=a, q=2, c=ci, x0=0.0)._tail_formula(xi))
+        if _TINY <= d < math.inf:
+            assert t == d
+            continue
+        with mp.workdps(40):
+            want = mp.mpf(ci) * mp.mpf(xi) ** -mp.mpf(a)
+        if _TINY <= want <= _HUGE:
+            assert float(abs(t - want) / want) <= 2e-13
+            recovered += 1
+    assert recovered >= 100  # 117 of the 600
+
+
+def test_grid_quantile_in_a_block_past_float64():
+    # rho = 2**10000 passes float64: the block above x0 = 1 is cut at the
+    # max and bisected in log x; bisection from inf got nowhere (refused)
+    m = TailModel(alpha=1e-4, q=2, c=1.0, x0=1.0, psi_kind="grid", psi_values=(1.0,) * 64)
+    assert tail_quantile(m, 0.99995) == pytest.approx(0.99995 ** -1e4, rel=1e-12)
+    u = np.array([0.99995, 0.95, 0.94])
+    assert tail_quantile(m, u) == pytest.approx(u ** -1e4, rel=1e-12)
+    # T(max) = 0.9315: a quantile below it lies truly past float64
+    with pytest.raises(OverflowError, match=r"^at alpha = 0\.0001 a quantile overflows"):
+        tail_quantile(m, 0.93)
+
+
+@pytest.mark.parametrize("alpha", (0.5, 1.0, 1.5))
+def test_gaussian_criterion_at_x0_zero_near_underflow(alpha):
+    # x**2 T(x) = 1e-450 underflowed at alpha 1/2, and 0.0 came back for
+    # the ratio 3; a whole number of periods leaves the ratio as it is
+    m = make_pareto(alpha, x0=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in (1e-300, 1e-100, 1e300):
+            assert gaussian_criterion_ratio(m, x) == pytest.approx(
+                (2.0 - alpha) / alpha, rel=1e-12)
+
+
+def test_gaussian_criterion_petersburg_at_the_least_double():
+    # m2 came out 0 at x = 5e-324 (a bare ZeroDivisionError); 2**-1074 is
+    # 1074 periods below 1, where the ratio is the same
+    m = TailModel(alpha=1.0, q=2, c=1.0, x0=0.0, psi_kind="petersburg")
+    assert gaussian_criterion_ratio(m, 5e-324) == pytest.approx(
+        gaussian_criterion_ratio(m, 1.0), rel=1e-12)
+    assert gaussian_criterion_ratio(m, 3.0 * 2.0 ** -1070) == pytest.approx(
+        gaussian_criterion_ratio(m, 3.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("model, x", [
+    # x**2 T(x) and m2 of about 1e-449 underflow at x0 > 0, where no shift helps
+    (make_pareto(1.5, c=1e-300, x0=1e-300), 1e-299),
+    # no mass in (1, 1.5): m2 is 0 up to rounding, and -2.2e-16 gave -1e16
+    (make_petersburg(x0=1.0), 1.5),
+], ids=["underflow", "no-mass"])
+def test_gaussian_criterion_refuses_below_the_normal_range(model, x):
+    with pytest.raises(ValueError, match=r"^at x = %s x\*\*2 T\(x\) = .* below float64's "
+                       r"normal range" % re.escape(repr(x))):
+        gaussian_criterion_ratio(model, x)
+
+
 # -- serialization -------------------------------------------------------------
 
 @pytest.mark.parametrize("model", [make_petersburg(), make_pareto(0.75, c=2.0),
