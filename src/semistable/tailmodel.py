@@ -78,24 +78,26 @@ class TailModel:
                 raise ValueError("tail is not nonincreasing: psi grid cell j = %d has "
                                  "m (v[j+1] - v[j]) > ln(q) v[j]" % np.argmax(rising))
             object.__setattr__(self, "psi_values", tuple(float(v) for v in vals))
+            # v[0], ..., v[m-1], v[0] once, for _psi: cell j runs from ring[j] to ring[j + 1]
+            object.__setattr__(self, "_ring", np.append(vals, vals[0]))
         else:
             object.__setattr__(self, "psi_values", ())
-        if self.x0 > 0.0 and not 0.0 < float(self._tail_formula(self.x0)) < math.inf:
-            raise ValueError("x0 must leave a finite positive mass T(x0)")
+        with _quiet():  # an overflowing T(x0) is refused here
+            if self.x0 > 0.0 and not 0.0 < float(self._tail_formula(self.x0)) < math.inf:
+                raise ValueError("x0 must leave a finite positive mass T(x0)")
 
     # -- psi and tail formula (intensity reading, any x > 0) ---------------
 
     def _psi(self, u):
         """Grid psi evaluated at u = log_q x; periodic with period 1/alpha."""
-        vals = np.asarray(self.psi_values)
-        m = vals.size
+        ring = self._ring
+        m = ring.size - 1
         # position within the period, in grid units
         w = np.asarray(u, dtype=float) * self.alpha
         w = (w - np.floor(w)) * m
         j = np.minimum(w.astype(int), m - 1)
         frac = w - j
-        nxt = np.where(j + 1 < m, vals[np.minimum(j + 1, m - 1)], vals[0])
-        return vals[j] * (1.0 - frac) + nxt * frac
+        return ring[j] * (1.0 - frac) + ring[j + 1] * frac
 
     def _tail_formula(self, x, k=0):
         """x**k T(x), k = 0, 1 or 2, on (0, inf] with no x0 restriction; 0 at x = inf.
@@ -106,7 +108,8 @@ class TailModel:
         normal range (inf near 0, 0 or subnormal far out) it is the power
         c x**(k - alpha) psi instead, and where that leaves it too but the
         value does not, (c psi h) h, h = x**((k - alpha)/2), so a value in
-        range never passes through an infinite or a lost part.
+        range never passes through an infinite or a lost part.  Callers hold
+        _quiet: a value past float64 is theirs to refuse.
         """
         x = np.asarray(x, dtype=float)
         if not np.all(x > 0.0):
@@ -114,22 +117,24 @@ class TailModel:
         top = x == math.inf
         if top.any():  # the formulas below see x = 1 there
             x = np.where(top, 1.0, x)
-        with _quiet():
-            if self.psi_kind == "petersburg":
-                m, e = np.frexp(x)
-                t, psi = np.ldexp(self.c, 1 - e), 2.0 * m
-            else:
-                psi = (1.0 if self.psi_kind == "const" else
-                       self._psi(np.log2(x) if self.q == 2 else np.log(x) / math.log(self.q)))
-                t = self.c * x ** (-self.alpha) * psi
-            out = t if k == 0 else x ** (k - 1.0) * (x * t)
+        if self.psi_kind == "petersburg":
+            m, e = np.frexp(x)
+            t, psi = np.ldexp(self.c, 1 - e), 2.0 * m
+        else:
+            psi = (1.0 if self.psi_kind == "const" else
+                   self._psi(np.log2(x) if self.q == 2 else np.log(x) / math.log(self.q)))
+            t = self.c * x ** (-self.alpha) * psi
+        out = t if k == 0 else x ** (k - 1.0) * (x * t)
+        # the steps are exact; least and greatest T, cheaper than a mask, spot one out of range
+        if (k or self.psi_kind != "petersburg") and not (
+                np.minimum.reduce(t, None) >= sys.float_info.min
+                and np.maximum.reduce(t, None) < math.inf):
             off = (t < sys.float_info.min) | (t == math.inf)
-            if off.any() and (k or self.psi_kind != "petersburg"):  # steps are exact
-                h = x ** (0.5 * (k - self.alpha))
-                power, halves = self.c * x ** (k - self.alpha) * psi, self.c * psi * h * h
-                lost = (power < sys.float_info.min) | (power == math.inf)
-                good = (halves >= sys.float_info.min) & (halves < math.inf)
-                out = np.where(off, np.where(lost & good, halves, power), out)
+            h = x ** (0.5 * (k - self.alpha))
+            power, halves = self.c * x ** (k - self.alpha) * psi, self.c * psi * h * h
+            lost = (power < sys.float_info.min) | (power == math.inf)
+            good = (halves >= sys.float_info.min) & (halves < math.inf)
+            out = np.where(off, np.where(lost & good, halves, power), out)
         return np.where(top, 0.0, out) if top.any() else out
 
     def _quantile_formula(self, u, out=None, strict=False):
@@ -191,13 +196,13 @@ class TailModel:
         if far.any():
             far &= self._tail_formula(sys.float_info.max) <= u
             hi[far] = sys.float_info.max
-        idx = np.flatnonzero(hi < math.inf)
+        idx, bent = np.flatnonzero(hi < math.inf), far.any()
         for _ in range(200):
             if idx.size == 0:
                 break
             a, b = lo[idx], hi[idx]
             mid = 0.5 * (a + b)
-            if far.any():
+            if bent:
                 mid = np.where(far[idx], np.sqrt(a) * np.sqrt(b), mid)
             below = self._tail_formula(mid) <= u[idx]
             b = np.where(below, mid, b)
@@ -240,7 +245,8 @@ def tail_eval(model: TailModel, x):
     """T(x) = P(X > x) for x in [x0, inf] (x > 0 at x0 = 0, where a mass past
     float64's range, x near 0, raises OverflowError)."""
     x = _check_real(x, "x", model.x0, ends="[]" if model.x0 > 0.0 else "(]", array=True)
-    return _check_finite(elementwise(model._tail_formula, x), "T(x)", model.alpha)
+    with _quiet():
+        return _check_finite(elementwise(model._tail_formula, x), "T(x)", model.alpha)
 
 
 def tail_quantile(model: TailModel, u):
@@ -253,8 +259,8 @@ def tail_quantile(model: TailModel, u):
     """
     if model.x0 <= 0.0:
         raise ValueError("tail_quantile needs x0 > 0 (finite total mass)")
-    ua = _check_real(u, "u", 0.0, float(model._tail_formula(model.x0)), "(]", array=True)
     with _quiet():
+        ua = _check_real(u, "u", 0.0, float(model._tail_formula(model.x0)), "(]", array=True)
         return _check_finite(elementwise(model._quantile, ua), "a quantile", model.alpha)
 
 
@@ -265,7 +271,8 @@ def intensity_tail(model: TailModel, x):
     """Tail mass of the intensity measure: same formula as T, any x in (0, inf];
     a mass past float64's range (x near 0) raises OverflowError."""
     x = _check_real(x, "x", 0.0, ends="(]", array=True)
-    return _check_finite(elementwise(model._tail_formula, x), "T(x)", model.alpha)
+    with _quiet():
+        return _check_finite(elementwise(model._tail_formula, x), "T(x)", model.alpha)
 
 
 def intensity_quantile(model: TailModel, u):
@@ -333,9 +340,10 @@ def tail_first_moment(model: TailModel, lo: float, hi: float | None = None) -> f
     hi = None if hi is None else _check_real(hi, "hi", lo)
     if hi is None and model.alpha <= 1.0:
         raise ValueError("mean above a cutoff is infinite for alpha <= 1")
-    top = 0.0 if hi is None else float(model._tail_formula(hi, 1))
-    mean = (float(model._tail_formula(lo, 1)) - top
-            + _integrate_tail(model, lo, math.inf if hi is None else hi, 1))
+    with _quiet():
+        top = 0.0 if hi is None else float(model._tail_formula(hi, 1))
+        mean = (float(model._tail_formula(lo, 1)) - top
+                + _integrate_tail(model, lo, math.inf if hi is None else hi, 1))
     return _check_finite(mean, "the first moment above lo = %s" % _shortest(lo), model.alpha)
 
 
@@ -365,10 +373,10 @@ def gaussian_criterion_ratio(model: TailModel, x: float) -> float:
             y = float(x * np.float64(model.q) ** (j // 2 / model.alpha)
                       * np.float64(model.q) ** ((j - j // 2) / model.alpha))
         x = y if 0.0 < y < math.inf else x
-    top = float(model._tail_formula(x, 2))
-    boundary = float(model._tail_formula(model.x0, 2)) if model.x0 > 0.0 else 0.0
-    # the integral less top / 2 passes float64 only after m2 does
-    m2 = 2.0 * (_integrate_tail(model, model.x0, x, 2) - 0.5 * top) + boundary
+    with _quiet():  # the integral less top / 2 passes float64 only after m2 does
+        top = float(model._tail_formula(x, 2))
+        boundary = float(model._tail_formula(model.x0, 2)) if model.x0 > 0.0 else 0.0
+        m2 = 2.0 * (_integrate_tail(model, model.x0, x, 2) - 0.5 * top) + boundary
     _check_finite(top, "x**2 T(x) " + at, model.alpha)
     _check_finite(m2, "the truncated second moment " + at, model.alpha)
     if not (m2 >= sys.float_info.min and (top >= sys.float_info.min or m2 >= 1.0)):

@@ -554,7 +554,8 @@ def test_tail_formula_matches_mpmath_wherever_normal(name, k):
     model = _FORMULA_MODELS[name]
     xs = np.concatenate(([5e-324, 1e-310, _TINY, 1.0, 2.0, 1e308, _HUGE],
                          10.0 ** np.random.default_rng(37).uniform(-323.0, 308.0, 150)))
-    got = model._tail_formula(xs, k)
+    with np.errstate(over="ignore", invalid="ignore"):  # as the formula's callers hold it
+        got = model._tail_formula(xs, k)
     for x, g in zip(xs, got):
         want = _exact_times_tail(model, x, k)
         if want > _HUGE:
@@ -599,7 +600,8 @@ def test_power_tails_keep_their_bits_and_reach_every_value_in_range():
         direct = c * x ** -alpha
     recovered = 0
     for a, ci, xi, d in zip(alpha, c, x, direct):
-        t = float(TailModel(alpha=a, q=2, c=ci, x0=0.0)._tail_formula(xi))
+        with np.errstate(over="ignore"):
+            t = float(TailModel(alpha=a, q=2, c=ci, x0=0.0)._tail_formula(xi))
         if _TINY <= d < math.inf:
             assert t == d
             continue

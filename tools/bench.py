@@ -1,14 +1,15 @@
 """Paired benchmark runs of this checkout against a parent commit.
 
-    python3 tools/bench.py --pr 37 --parent HEAD~1 [--pairs 5]
+    python3 tools/bench.py --pr 37 --parent HEAD~1
 
 The parent's committed files are extracted (git archive) into a temporary
 directory (not a git worktree: nothing is left to prune in .git), and
 perfbench/run.py, unchanged, runs on both trees for every
-workload in BENCHMARK.json: --pairs pairs per workload (at least 5), the
-order alternating (parent first in even pairs, this tree first in odd ones),
-all at seed 4242 and the benchmark's run_seconds.  The head side is this
-checkout as it stands, uncommitted changes included.
+workload in BENCHMARK.json: 10 pairs per workload, the fewest the gain rule
+below counts on, the order alternating (parent first in even pairs, this
+tree first in odd ones), all at seed 4242 and the benchmark's run_seconds.
+The head side is this checkout, which must have no uncommitted change to a
+tracked file, so that the head commit in the record names the tree measured.
 
 BENCH_<pr>.json, written at the root, holds every pair, each side's median
 and quartiles per end-to-end metric, and the spread rule's verdict:
@@ -42,17 +43,14 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RUN_TIMEOUT_S = 600.0  # one perfbench invocation; run.py itself stops at 170 s
 SEED = 4242
+PAIRS = 10  # per workload; "gain" needs 9 of every 10 pairs better
 
 
 def _parse(argv):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--pr", type=int, required=True, help="names BENCH_<pr>.json")
     ap.add_argument("--parent", required=True, help="the parent commit (any git ref)")
-    ap.add_argument("--pairs", type=int, default=5, help="pairs per workload, at least 5")
-    args = ap.parse_args(argv)
-    if args.pairs < 5:
-        ap.error("--pairs must be at least 5")
-    return args
+    return ap.parse_args(argv)
 
 
 def _git(*args):
@@ -127,19 +125,23 @@ def main(argv=None) -> int:
     out = os.path.join(ROOT, "BENCH_%d.json" % args.pr)
     parent_sha = _git("rev-parse", args.parent).decode().strip()
     head_sha = _git("rev-parse", "HEAD").decode().strip()
+    dirty = _git("status", "--porcelain", "--untracked-files=no").decode()
+    if dirty:
+        sys.exit("bench: commit or stash these changes first, the record names the "
+                 "head by its commit:\n" + dirty)
     scratch = tempfile.mkdtemp(prefix="semistable-bench-")
     try:
         _extract(parent_sha, scratch)
         trees = {"parent": scratch, "head": ROOT}
-        doc = {"pr": args.pr, "parent": parent_sha, "head": "working tree at " + head_sha,
+        doc = {"pr": args.pr, "parent": parent_sha, "head": head_sha,
                "command": bench["command"], "seed": SEED,
-               "seconds": bench["run_seconds"], "pairs_per_workload": args.pairs,
+               "seconds": bench["run_seconds"], "pairs_per_workload": PAIRS,
                "host": {"machine": platform.machine(), "cpus": os.cpu_count(),
                         "python": platform.python_version()},
                "workloads": {}}
         for name in [w["name"] for w in bench["workloads"]]:
             pairs = []
-            for i in range(args.pairs):
+            for i in range(PAIRS):
                 order = ("parent", "head") if i % 2 == 0 else ("head", "parent")
                 runs = {}
                 for side in order:
