@@ -200,7 +200,7 @@ def _dyadic_log_mgf(s, gamma: float, L: int):
     s = np.asarray(s, dtype=float)
     levels = np.arange(-100, L + 1)
     u = np.multiply.outer(s, np.ldexp(1.0 / gamma, levels))
-    with np.errstate(over="ignore", invalid="ignore"):
+    with _quiet():
         terms = (np.expm1(u) - np.where(levels <= 0, u, 0.0)) * np.ldexp(gamma, -levels)
     return terms.sum(axis=-1) - s * math.log2(gamma)
 
@@ -479,7 +479,7 @@ def _reach(law, eps):
     no log_mgf reach (inf, inf)."""
     if law.log_mgf is None:
         return math.inf, math.inf
-    with np.errstate(over="ignore", invalid="ignore"):
+    with _quiet():
         bounds = [np.nanmin((law.log_mgf(side * _CHERNOFF_S) - math.log(eps)) / _CHERNOFF_S)
                   for side in (-1.0, 1.0)]
     return float(bounds[0]), float(bounds[1])

@@ -253,8 +253,13 @@ def _level_sums(counts, gen):
     below 2^53.
     """
     levels = gen.multinomial(counts, _LEVEL_P)
-    # elementwise: a small BLAS product can stall on OpenBLAS's threads
-    sums = (levels[:, :-1] * _LEVEL_VALUES).sum(axis=1)
+    # numpy's own loop, not a BLAS product (which can stall on OpenBLAS's
+    # threads); partial sums below 2^53 are exact integers in any order, so
+    # only a row past it needs the elementwise sum for the same bits
+    sums = np.einsum("ij,j->i", levels[:, :-1], _LEVEL_VALUES)
+    big = sums >= 2.0 ** 53
+    if big.any():
+        sums[big] = (levels[big, :-1] * _LEVEL_VALUES).sum(axis=1)
     deep = levels[:, -1] > 0
     if deep.any():
         sums[deep] += np.ldexp(_level_sums(levels[deep, -1], gen), 63)

@@ -361,7 +361,13 @@ def gaussian_criterion_ratio(model: TailModel, x: float) -> float:
     vanishing limit signals a Gaussian domain.  x must lie in (x0, inf)
     (ValueError).  OverflowError if x**2 T(x) or m2(x) passes float64's max;
     ValueError naming x if m2(x), or x**2 T(x) with m2(x) < 1, lies below
-    its normal range, where the ratio would lose its bits.
+    its normal range, where the ratio would lose its bits, or if the sum's
+    rounding, about eps (x**2 T(x) + x0**2 T(x0) + 2 int u T(u) du) / m2(x),
+    passes 1e-8 of m2(x): just above x0 the three terms cancel down to a
+    difference of size x - x0 (make_pareto(1.5) at 1 + 2**-52 gave 2**51,
+    25 % under the ratio).  At x0 = 0, m2 = 2 (I - x**2 T(x) / 2) is about
+    x**2 T(x) alpha / (2 - alpha), so the integral's own rounding grows like
+    1/alpha: 2.8e-12 relative at alpha 0.01, within the bound and not refused.
     """
     x = _check_real(x, "x", model.x0)
     at = "at x = %s" % _shortest(x)
@@ -376,13 +382,18 @@ def gaussian_criterion_ratio(model: TailModel, x: float) -> float:
     with _quiet():  # the integral less top / 2 passes float64 only after m2 does
         top = float(model._tail_formula(x, 2))
         boundary = float(model._tail_formula(model.x0, 2)) if model.x0 > 0.0 else 0.0
-        m2 = 2.0 * (_integrate_tail(model, model.x0, x, 2) - 0.5 * top) + boundary
+        integral = _integrate_tail(model, model.x0, x, 2)
+        m2 = 2.0 * (integral - 0.5 * top) + boundary
     _check_finite(top, "x**2 T(x) " + at, model.alpha)
     _check_finite(m2, "the truncated second moment " + at, model.alpha)
     if not (m2 >= sys.float_info.min and (top >= sys.float_info.min or m2 >= 1.0)):
         raise ValueError("%s x**2 T(x) = %.3g over a truncated second moment of %.3g: "
                          "below float64's normal range (min %.3g) their ratio loses its bits"
                          % (at, top, m2, sys.float_info.min))
+    rounding = sys.float_info.epsilon * (top / m2 + boundary / m2 + 2.0 * (integral / m2))
+    if not rounding <= 1e-8:
+        raise ValueError("%s the truncated second moment %.3g carries a rounding error "
+                         "of about %.3g of itself, over 1e-8" % (at, m2, rounding))
     return top / m2
 
 

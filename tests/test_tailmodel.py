@@ -659,6 +659,20 @@ def test_gaussian_criterion_refuses_below_the_normal_range(model, x):
         gaussian_criterion_ratio(model, x)
 
 
+def test_gaussian_criterion_refuses_a_cancelled_sum_just_above_x0():
+    # m2 = 3 (sqrt(x) - 1) cancels x0**2 T(x0) = 1 against the other terms:
+    # at 1 + 2**-52 the sum came back as 2**51 against sqrt(x) / (3 (sqrt(x) - 1))
+    # = 3.0024e15, 25 % off; at 1 + 1e-4 its rounding is about 3e-12
+    m = make_pareto(1.5)
+    with pytest.raises(ValueError, match=r"^at x = 1\.0000000000000002 the truncated second "
+                       r"moment .* of about .* of itself, over 1e-8$"):
+        gaussian_criterion_ratio(m, 1.0 + 2.0 ** -52)
+    x = 1.0 + 1e-4
+    root_less_1 = math.expm1(0.5 * math.log1p(x - 1.0))  # sqrt(x) - 1 to rounding
+    assert gaussian_criterion_ratio(m, x) == pytest.approx(
+        (1.0 + root_less_1) / (3.0 * root_less_1), rel=1e-11)
+
+
 # -- serialization -------------------------------------------------------------
 
 @pytest.mark.parametrize("model", [make_petersburg(), make_pareto(0.75, c=2.0),

@@ -10,6 +10,9 @@ below counts on, the order alternating (parent first in even pairs, this
 tree first in odd ones), all at seed 4242 and the benchmark's run_seconds.
 The head side is this checkout, which must have no uncommitted change to a
 tracked file, so that the head commit in the record names the tree measured.
+Each tree also runs Tier-1 once, under CI's flags (parent first), for its
+wall seconds, its summary line and the eleven "ACCEPTANCE ... runtime=" lines
+that tests/test_acceptance.py prints (shown by -rP).
 
 BENCH_<pr>.json, written at the root, holds every pair, each side's median
 and quartiles per end-to-end metric, and the spread rule's verdict:
@@ -39,9 +42,13 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RUN_TIMEOUT_S = 600.0  # one perfbench invocation; run.py itself stops at 170 s
+TIER1_TIMEOUT_S = 1800.0  # one Tier-1 run, about 85 s on 2 CPUs
+TIER1 = [sys.executable, "-m", "pytest", "-q", "-rP", "-p", "no:cacheprovider",
+         "--continue-on-collection-errors", "-W", "error::RuntimeWarning"]
 SEED = 4242
 PAIRS = 10  # per workload; "gain" needs 9 of every 10 pairs better
 
@@ -67,28 +74,46 @@ def _extract(ref, tree):
             tar.extractall(tree)
 
 
-def _run(tree, workload, seconds):
-    """One perfbench invocation: its end-to-end metrics and operation counts."""
-    # its own session, so a timeout stops run.py's children with it
-    proc = subprocess.Popen(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
-         "--seconds", str(seconds), "--trace", "0"],
-        cwd=tree, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-        start_new_session=True)
+def _child(cmd, tree, timeout, env=None):
+    """(exit code, stdout, stderr) of cmd run in tree."""
+    # its own session, so a timeout stops the child's children with it
+    proc = subprocess.Popen(cmd, cwd=tree, env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True, start_new_session=True)
     try:
-        stdout, stderr = proc.communicate(timeout=RUN_TIMEOUT_S)
+        stdout, stderr = proc.communicate(timeout=timeout)
     finally:
         if proc.poll() is None:
             os.killpg(proc.pid, signal.SIGKILL)
             proc.communicate()
+    return proc.returncode, stdout, stderr
+
+
+def _run(tree, workload, seconds):
+    """One perfbench invocation: its end-to-end metrics and operation counts."""
+    code, stdout, stderr = _child(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
+         "--seconds", str(seconds), "--trace", "0"], tree, RUN_TIMEOUT_S)
     lines = stdout.strip().splitlines()
-    if proc.returncode != 0 or not lines:
+    if code != 0 or not lines:
         raise RuntimeError("perfbench failed in %s on %s (exit %d): %s"
-                           % (tree, workload, proc.returncode, stderr.strip()[-400:]))
+                           % (tree, workload, code, stderr.strip()[-400:]))
     doc = json.loads(lines[-1])
     return {"metrics": {k: m["value"] for k, m in doc["metrics"].items()},
             "attempted": doc["attempted"], "failed": doc["failed"],
             "failures": [line for line in lines if line.startswith("FAILED ")]}
+
+
+def _tier1(tree):
+    """One Tier-1 run of tree: wall seconds, exit code, summary line and the
+    ACCEPTANCE lines."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+    started = time.perf_counter()
+    code, stdout, _ = _child(TIER1, tree, TIER1_TIMEOUT_S, env)
+    lines = stdout.strip().splitlines()
+    return {"wall_s": time.perf_counter() - started, "exit": code,
+            "summary": lines[-1].strip("= ") if lines else "",
+            "acceptance": sorted({line[line.index("ACCEPTANCE "):] for line in lines
+                                  if "ACCEPTANCE " in line and "runtime=" in line})}
 
 
 def _summary(values):
@@ -139,6 +164,9 @@ def main(argv=None) -> int:
                "host": {"machine": platform.machine(), "cpus": os.cpu_count(),
                         "python": platform.python_version()},
                "workloads": {}}
+        doc["tier1"] = {side: _tier1(trees[side]) for side in ("parent", "head")}
+        for side, run in doc["tier1"].items():
+            print("tier1 %s: %.1f s, %s" % (side, run["wall_s"], run["summary"]), flush=True)
         for name in [w["name"] for w in bench["workloads"]]:
             pairs = []
             for i in range(PAIRS):
