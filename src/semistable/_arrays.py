@@ -11,6 +11,9 @@ tail model's inverse (TailModel._quantile_formula) and signs it in place
 each does at most _CHUNK complex multiply-adds (see charfn._bulk_phase_sums),
 below the size from which OpenBLAS hands a product to a second thread; on a
 busy host such a hand-off can stall every product of a process about 100x.
+A multi-phase experiment holds only the phases a later statistic reads (the
+merging sweep keeps its two end batches and reduces the rest as they are
+drawn), and a quadrature rule is a constant (_GL12), not a solve.
 
 The work-bound rule: a call prices work that has no natural limit
 before it draws or integrates, and _check_budget alone refuses it.
@@ -41,6 +44,15 @@ import sys
 import numpy as np
 
 _CHUNK = 1 << 15  # doubles per kernel temporary; complex multiply-adds per product
+
+# the 12-node Gauss-Legendre rule (nodes, weights) on [-1, 1] of the inversion's
+# panels and the tail integrals (Golub & Welsch 1969): the upper half, mirrored
+# odd and even, is numpy.polynomial.legendre.leggauss(12) bit for bit
+_GL12 = (np.array([0.1252334085114689, 0.3678314989981802, 0.5873179542866175,
+                   0.7699026741943047, 0.9041172563704748, 0.9815606342467192]),
+         np.array([0.2491470458134027, 0.2334925365383546, 0.20316742672306573,
+                   0.16007832854334642, 0.10693932599531907, 0.04717533638651141]))
+_GL12 = tuple(np.concatenate((s * v[::-1], v)) for s, v in zip((-1.0, 1.0), _GL12))
 
 
 # the errstate a result is formed under before _check_finite sees it (per thread)

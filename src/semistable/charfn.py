@@ -17,15 +17,13 @@ states its band (CfExponent) gets panels three times as wide past the first.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
-from ._arrays import _CHUNK, _check_budget, _check_count, _check_real, _quiet, elementwise
+from ._arrays import _CHUNK, _GL12, _check_budget, _check_count, _check_real, _quiet, elementwise
 
 __all__ = [
     "CfExponent",
@@ -292,7 +290,6 @@ def _tanh_sinh_rule():
 
 
 _HEAD_T, _HEAD_W = _tanh_sinh_rule()
-_gl_rule = functools.cache(leggauss)  # on first use: its eigensolver loads LAPACK
 
 
 def _decay_cutoff(h, tol):
@@ -377,7 +374,7 @@ def _build_nodes(T, omega, band=None):
 def _bulk_nodes(t0, delta, stop, start=0):
     """(stop - start, 12) nodes t0 + k delta + s_j and weights of the equal
     panels k = start .. stop - 1."""
-    x, w = _gl_rule(12)
+    x, w = _GL12
     s = 0.5 * delta * (1.0 + x)
     t = t0 + (delta * np.arange(start, stop))[:, None] + s
     return t, np.broadcast_to(0.5 * delta * w, t.shape)

@@ -290,6 +290,7 @@ def merging_sweep(k: int, points_per_octave: int, reps: int, rng: RngStream,
     Runs the merging comparison at n = round(2^k (1 + i/points)) for
     i = 0..points; the family position returns to gamma = 1 at both ends,
     so the law tags coincide and the end batches must agree (two-sample KS).
+    Each batch is reduced as it is drawn, and only the end batches are kept.
     """
     k, reps = _check_count(k, "k", 8, 61), _check_count(reps, "reps", 1)  # n <= 2^62
     points_per_octave = _check_count(points_per_octave, "points_per_octave", 1)
@@ -298,11 +299,15 @@ def merging_sweep(k: int, points_per_octave: int, reps: int, rng: RngStream,
     ns = [round((1 << k) * (1.0 + i / points_per_octave))
           for i in range(points_per_octave + 1)]
     gammas = [gamma_n(n) for n in ns]
-    vals = [np.subtract(np.divide(v, n, out=v), math.log2(n), out=v)  # S_n/n - log2 n
-            for n, v in zip(ns, _map_blocks(map(_petersburg_phase, ns), reps, rng.seed,
-                                            rng.stream_id))]
-    distances = [_ks_versus_limit(v, g) for v, g in zip(vals, gammas)]
-    ks2 = ks_two_sample(vals[0], vals[-1])
+    batches = _map_blocks(map(_petersburg_phase, ns), reps, rng.seed, rng.stream_id)
+    distances, ends = [], []
+    for i, (n, g) in enumerate(zip(ns, gammas)):
+        v = next(batches)
+        np.subtract(np.divide(v, n, out=v), math.log2(n), out=v)  # S_n/n - log2 n
+        distances.append(_ks_versus_limit(v, g))
+        if i in (0, points_per_octave):  # the end batches, for the two-sample KS
+            ends.append(v)
+    ks2 = ks_two_sample(*ends)
     max_distance = float(np.max(distances))
     closure = gammas[0] == gammas[-1] == 1.0
     passed = max_distance <= tol_max and ks2 <= tol_two_sample and closure

@@ -158,8 +158,9 @@ def _map_blocks(phases, reps: int, seed: int, base_stream: int = 0):
                                       min(BLOCK, reps - b * BLOCK))
 
             pooled = BLOCK * p.draws >= _CHUNK or p.gil_free and p.draws >= _POOL_LEVELS
-            parts = _on_pool(run, blocks, cpus) if pooled and not inline else list(map(run, blocks))
-            yield np.concatenate(parts)
+            # the blocks are dropped once joined, before the phase is handed on
+            yield np.concatenate(_on_pool(run, blocks, cpus) if pooled and not inline
+                                 else list(map(run, blocks)))
     return draw()
 
 

@@ -16,9 +16,8 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
-from ._arrays import _check_count, _check_finite, _check_real, _quiet, _shortest, elementwise
+from ._arrays import _GL12, _check_count, _check_finite, _check_real, _quiet, _shortest, elementwise
 
 __all__ = [
     "TailModel",
@@ -140,12 +139,14 @@ class TailModel:
     def _quantile_formula(self, u, out=None, strict=False):
         """inf{x > 0 : T(x) <= u} on the full intensity domain, for u > 0;
         strict gives inf{x > 0 : T(x) < u}, one atom higher at a petersburg
-        step u = c 2^-k (const and grid tails ignore it).  The const formula
-        writes into out (which may be u) when given; use the returned array."""
+        step u = c 2^-k (const and grid tails ignore it).  The const and
+        petersburg formulas write into out (which may be u) when given; use
+        the returned array."""
         u = np.asarray(u, dtype=float)
         if self.psi_kind == "petersburg":  # 2^k, k least with u 2^k >= c (> c if strict)
-            (m, e), (mc, ec) = np.frexp(u), math.frexp(self.c)  # mantissas in [1/2, 1)
-            return np.ldexp(1.0, ec - e + ((m <= mc) if strict else (m < mc)))
+            (m, e), (mc, ec) = np.frexp(u, out=(out, np.empty_like(u, np.intc))), math.frexp(self.c)
+            b = (np.less_equal if strict else np.less)(m, mc, out=out)  # 2^(ec - e + b)
+            return np.ldexp(np.add(b, 1.0, out=out), np.subtract(ec, e, out=e), out=out)
         if self.psi_kind == "const":
             x = np.divide(self.c, u, out=out)
             x **= 1.0 / self.alpha
@@ -305,7 +306,7 @@ def _integrate_tail(model, a, b, k):
     period = math.log(model.q) / model.alpha
     h = period / (len(model.psi_values) if model.psi_kind == "grid" else 1)
     h /= math.ceil(h * max(4.0, abs(k - model.alpha) / 8.0))
-    x, w = leggauss(12)
+    x, w = _GL12
     log_r = (k / model.alpha - 1.0) * math.log(model.q)
 
     def pieces(s0, s1):

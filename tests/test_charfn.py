@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import math
 import re
 import time
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammainc, ndtr
 
-from semistable._arrays import _CHUNK, ResourceLimitError
+from semistable._arrays import _CHUNK, _GL12, ResourceLimitError
 from semistable.charfn import (_LONG_CHAIN, _NODE_BUDGET, _RENORM, _SMALL_C, _XBLOCK,
                                CfExponent, InversionError,
                                TabulatedCdf, _build_nodes, _bulk_nodes, _decay_cutoff,
@@ -661,6 +662,19 @@ def test_cdf_table_and_interpolant():
     tab = tabulate_cdf(law, -8.0, 1024.0, tol=1e-7)
     probe = np.linspace(48.0, 1024.0, 300)
     assert np.max(np.abs(tab(probe) - cdf_from_cf(law, probe, 1e-8))) < 2e-3
+
+
+def test_gauss_legendre_constant_is_leggauss_bit_for_bit():
+    x, w = np.polynomial.legendre.leggauss(12)
+    assert _GL12[0].tobytes() == x.tobytes() and _GL12[1].tobytes() == w.tobytes()
+
+
+def test_limit_table_keeps_its_pinned_digest():
+    # SHA-256 of the table's values on a fixed grid, recorded while the
+    # panels took their 12-node rule from leggauss at run time
+    tab = tabulate_cdf(g_gamma_law(1.5), -8.0, 1024.0, tol=1e-7)
+    assert hashlib.sha256(tab(np.linspace(-8.0, 1024.0, 4097)).tobytes()).hexdigest() == (
+        "89620a0e22574d3c46588573c428de34eec38ece528653d6e09a3ff1112565fb")
 
 
 def test_tabulate_cdf_rejects_reversed_span():

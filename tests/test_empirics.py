@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -343,6 +344,28 @@ def test_merging_sweep_small():
     assert len(stat["distances"]) == 3
     assert stat["max_distance"] == max(stat["distances"])
     assert rep.passed
+
+
+def test_merging_sweep_keeps_its_pinned_digest():
+    # SHA-256 of the report, recorded while the sweep held every batch
+    rep = merging_sweep(10, 2, 3000, RngStream(93))
+    assert hashlib.sha256(rep.to_json().encode()).hexdigest() == (
+        "e1498eaa625507d88f638f773424950a4e6e92b7f4d0dde6d0719b12ad183cbd")
+
+
+def test_merging_sweep_memory_does_not_grow_with_points():
+    # each batch is reduced as it is drawn: 8 points per octave peak within
+    # one batch of 2 (holding every batch, 8 points took 6 batches more)
+    reps, peaks = 2 * 10 ** 4, {}
+    merging_sweep(10, 8, 100, RngStream(1))  # builds the limit tables
+    for points in (2, 8):
+        tracemalloc.start()
+        try:
+            merging_sweep(10, points, reps, RngStream(94))
+            peaks[points] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[8] < peaks[2] + 8 * reps
 
 
 def test_order_statistics_moments_and_erlang():

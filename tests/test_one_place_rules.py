@@ -44,6 +44,14 @@ def _imports(n):  # the modules an import statement names
     return []
 
 
+def _eigensolver(n):  # leggauss, numpy.linalg or numpy.polynomial: used, or imported
+    if isinstance(n, ast.ImportFrom):
+        names = [n.module or ""] + ["%s.%s" % (n.module, a.name) for a in n.names]
+    else:
+        names = _imports(n) or [ast.unparse(n)] * isinstance(n, (ast.Name, ast.Attribute))
+    return any(re.match(r"(np|numpy)\.(linalg|polynomial)\b|(.*\.)?leggauss$", s) for s in names)
+
+
 # rule: (whether a node breaks it, the places that may hold such a node)
 RULES = {
     "one work-bound check": (lambda n: _call(n, "ResourceLimitError"), ["_arrays._check_budget"]),
@@ -64,6 +72,7 @@ RULES = {
     "one tail formula": (_tail_power, ["tailmodel.TailModel._tail_formula"]),
     "one errstate": (lambda n: isinstance(n, ast.Call)
                      and any(k.arg in ("over", "invalid") for k in n.keywords), ["_arrays"]),
+    "no eigensolver at run time": (_eigensolver, []),
 }
 
 # rule: (the directories whose lines it reads, the line it forbids)
@@ -225,6 +234,21 @@ PROBES = {
         "_arrays", '_quiet = functools.partial(np.errstate, over="ignore", invalid="ignore")')),
     "errstate-under": (None, *_src(
         "charfn", "def _pmf(p):", '    with np.errstate(under="ignore"):', "        return p")),
+    "eigensolver-leggauss": ("no eigensolver at run time", *_src(
+        "charfn", "from numpy.polynomial.legendre import leggauss",
+        "_gl_rule = functools.cache(leggauss)")),
+    "eigensolver-leggauss-call": ("no eigensolver at run time", *_src(
+        "tailmodel", "def _integrate_tail(model, a, b, k):",
+        "    x, w = np.polynomial.legendre.leggauss(12)")),
+    "eigensolver-linalg": ("no eigensolver at run time", *_src(
+        "charfn", "def _nodes(m):", "    return numpy.linalg.eigvalsh(m)")),
+    "eigensolver-linalg-import": ("no eigensolver at run time", *_src(
+        "empirics", "from numpy import linalg")),
+    "eigensolver-constant": (None, *_src(
+        "_arrays", "# numpy.polynomial.legendre.leggauss(12) bit for bit",
+        "_GL12 = (np.array([0.1252334085114689]), np.array([0.2491470458134027]))",
+        "def _rule():", '    """The 12-node rule, not leggauss(12) and its np.linalg eigensolve."""',
+        "    return _GL12")),
 }
 
 

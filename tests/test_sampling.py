@@ -44,6 +44,14 @@ def test_uniform_to_winnings_mapping():
     assert list(v) == [4.0, 2.0, 2.0, 4.0, 8.0, 2.0 ** 21]
 
 
+def test_uniform_to_winnings_leaves_its_argument():
+    # the game's draws map their own buffer in place; a caller's u is not one
+    u = np.array([0.3, 0.6, 1.0, 0.5, 0.25, 2.0 ** -20])
+    kept = u.copy()
+    petersburg_from_uniform(u)
+    assert u.tobytes() == kept.tobytes()
+
+
 def test_petersburg_mass_frequencies():
     batch = sample_petersburg(10 ** 6, RngStream(101))
     freq2 = np.mean(batch.values == 2.0)

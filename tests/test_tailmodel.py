@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 import warnings
@@ -485,6 +486,16 @@ def test_grid_tail_integrals_match_per_cell_quadrature(model):
               for x in (5.0, 1e3, 1e6)]
     for got, ref in pairs:
         assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+def test_ripple_tail_integrals_keep_their_pinned_digest():
+    # SHA-256 of the moments' bytes, recorded while _integrate_tail took its
+    # 12-node rule from leggauss at run time
+    model, xs = _grid_model(0.5, 2, 1.0, 0.05, 96), (1.5, 3.0, 10.0, 1e3, 1e8)
+    vals = np.array([tail_first_moment(model, 0.9, x) for x in xs]
+                    + [gaussian_criterion_ratio(model, x) for x in xs])
+    assert hashlib.sha256(vals.tobytes()).hexdigest() == (
+        "6d79c794972991fb02f76b7caa7b1dc6c947395ff68e69f6e738921b837f8a18")
 
 
 def test_tail_integrals_closed_forms_to_rounding():
