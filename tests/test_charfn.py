@@ -386,7 +386,6 @@ def test_cdf_tol_validation_and_failure():
         cdf_from_cf(degenerate, 0.5)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("call, name", [
     # a NaN tol raised InversionError ("does not decay"); inf returned a value
     (lambda: cdf_from_cf(gaussian_law(), 0.5, tol=math.nan), "tol"),
@@ -407,6 +406,14 @@ def test_cdf_tol_validation_and_failure():
 def test_non_finite_parameters_are_refused_by_name(call, name):
     with pytest.raises(ValueError, match=r"^%s must lie in [(\[].*, got (nan|inf)$" % name):
         call()
+
+
+def test_an_overflow_in_a_test_is_an_error():
+    # pyproject.toml makes every RuntimeWarning an error, so the refusals
+    # above fail on any warning before them, and plain pytest reads an
+    # overflow as CI does, with no -W flag
+    with pytest.raises(RuntimeWarning, match="overflow"):
+        np.exp(np.array([1000.0]))
 
 
 def test_cdf_non_finite_phase_slope_raises():
@@ -977,6 +984,15 @@ CDF_PINS = [
 def test_cdf_values_pinned(law, xs, expected):
     got = cdf_from_cf(law, np.array(xs))
     assert np.max(np.abs(got - np.array(expected))) < 1e-12
+
+
+def test_family_closes_at_tol_1e10():
+    # gamma = 1 and gamma = 2 are one law, inverted through different reduced
+    # laws' node sets (each with the 55-node tanh-sinh head); on the CLI's
+    # grid -5:15:0.1 the two must agree within 1e-12
+    xs = -5.0 + 0.1 * np.arange(201)
+    f1, f2 = (cdf_from_cf(g_gamma_law(g), xs, tol=1e-10) for g in (1.0, 2.0))
+    assert np.max(np.abs(f1 - f2)) <= 1e-12
 
 
 def _full_ladder_cutoff(h, tol):

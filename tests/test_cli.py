@@ -445,7 +445,7 @@ def test_negligibility_bad_alpha_exit_code(alphas, capsys):
     assert "each alpha in alpha_list must lie in (0, inf), got" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("n_terms", ("0", "2"))
+@pytest.mark.parametrize("n_terms", ("0", "2", "3.5"))
 def test_lepage_too_few_terms_exit_code(n_terms, capsys):
     # --n-terms 0 died with an IndexError traceback (exit 1) before; one
     # count rule refuses every n_terms below the 3 ranks compared
@@ -599,30 +599,6 @@ def test_a_non_finite_report_is_refused_not_written(tmp_path, monkeypatch, capsy
     assert not out.exists()
 
 
-def test_cold_start_loads_no_scipy():
-    # the package runs on numpy alone: a fresh process that imports the CLI,
-    # runs the selftest and calls levy_cdf (both took erfc from
-    # scipy.special, loaded on first use) holds no scipy module, and a fresh
-    # run of the refused default lepage command pays for no scipy import
-    env = dict(os.environ)
-    env.pop(cli.SEED_ENV, None)
-    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    probe = ("import sys, semistable.cli; "
-             "code, lines = semistable.cli.run_selftest(1); "
-             "f = semistable.charfn.levy_cdf([0.5, 2.0]); "
-             "print(code, len(lines), [m for m in sys.modules if m.split('.')[0] == 'scipy'])")
-    res = subprocess.run([sys.executable, "-c", probe], env=env,
-                         capture_output=True, text=True, timeout=120)
-    code, n_lines, loaded = res.stdout.split(" ", 2)
-    assert (res.returncode, code, loaded.strip()) == (0, "0", "[]"), res.stderr
-    assert int(n_lines) > 1
-    res = subprocess.run([sys.executable, "-m", "semistable.cli", "lepage"], env=env,
-                         capture_output=True, text=True, timeout=120)
-    assert res.returncode == 4, res.stderr
-    assert "draws in one phase, over the budget of 4294967296" in res.stderr
-
-
 @pytest.mark.parametrize("argv", [
     ["lepage", "--alpha", "0.01", "--k", "6", "--reps", "3000", "--n-terms", "100"],
     ["negligibility", "--alphas", "0.01", "--n", "1000", "--reps", "300"],
@@ -760,10 +736,89 @@ def test_selftest_injected_corruption_fails(monkeypatch):
     assert any("FAIL" in l for l in lines)
 
 
+# -- fresh processes -------------------------------------------------------------
+# what only a new interpreter shows: the modules it loads, its peak RSS, the
+# CPUs it may use, and the demos run as scripts
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def _fresh(args, cwd=None):
+    """Run python with args on the package under src/, no SEMISTABLE_SEED set."""
+    env = dict(os.environ)
+    env.pop(cli.SEED_ENV, None)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH"))
+                                        if p)
+    return subprocess.run([sys.executable, *args], env=env, cwd=cwd,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_cold_start_loads_no_scipy():
+    # the package runs on numpy alone: a fresh process that imports the CLI,
+    # runs the selftest and calls levy_cdf (both took erfc from
+    # scipy.special, loaded on first use) holds no scipy module, and a fresh
+    # run of the refused default lepage command pays for no scipy import and
+    # exits through main's handler, with no traceback
+    probe = ("import sys, semistable.cli; "
+             "code, lines = semistable.cli.run_selftest(1); "
+             "f = semistable.charfn.levy_cdf([0.5, 2.0]); "
+             "print(code, len(lines), [m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    res = _fresh(["-c", probe])
+    code, n_lines, loaded = res.stdout.split(" ", 2)
+    assert (res.returncode, code, loaded.strip()) == (0, "0", "[]"), res.stderr
+    assert int(n_lines) > 1
+    res = _fresh(["-m", "semistable.cli", "lepage"])
+    assert res.returncode == 4, res.stderr
+    assert "draws in one phase, over the budget of 4294967296" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="no /proc/self/status")
+def test_largest_node_set_in_bounded_rss():
+    # Cauchy at |x| = 6.5e4 inverts on 2.7e6 nodes, the largest group the node
+    # budget admits; built a slab at a time its weights stay small (the whole
+    # set at once reached 225 MiB of RSS), caches and first-call set-up
+    # included.  The child reads VmHWM, the peak of its own image: Linux
+    # carries the RSS of the process that forked it (pytest's, over 300 MiB
+    # in a full run) across exec into ru_maxrss
+    probe = ("import numpy as np; from semistable.charfn import cauchy_law, cdf_from_cf; "
+             "cdf_from_cf(cauchy_law(), np.array([6.5e4, -6.5e4])); "
+             "print(open('/proc/self/status').read().split('VmHWM:')[1].split()[0])")
+    res = _fresh(["-W", "error::RuntimeWarning", "-c", probe])
+    assert res.returncode == 0, res.stderr
+    assert int(res.stdout) < 120 * 1024  # kB
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity mask")
+def test_pooled_level_counts_match_one_cpu(tmp_path):
+    # the St. Petersburg level counts pool, one task per block, on every CPU
+    # the process may use; a child pinned to one CPU draws every block in
+    # line, and its sweep artifact must equal an unpinned child's byte for
+    # byte (both write sweep.json: the artifact records its --out)
+    probe = ("import os, sys; from semistable import cli; "
+             "sys.argv[1] == 'one' and os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+             "sys.exit(cli.main(['sweep', '--k', '10', '--points', '2', '--reps', '50000', "
+             "'--seed', '7', '--out', 'sweep.json']))")
+    artifacts = []
+    for cpus in ("one", "all"):
+        (tmp_path / cpus).mkdir()
+        res = _fresh(["-W", "error::RuntimeWarning", "-c", probe, cpus], cwd=tmp_path / cpus)
+        assert res.returncode == 0, res.stderr
+        artifacts.append((tmp_path / cpus / "sweep.json").read_bytes())
+    assert artifacts[0] == artifacts[1]
+
+
+@pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.name)
+def test_demo_runs_clean(demo, tmp_path):
+    # a child does not inherit pytest's warning filter, so it gets its own
+    res = _fresh(["-W", "error::RuntimeWarning", str(demo)], cwd=tmp_path)
+    assert res.returncode == 0, res.stderr
+
+
 # -- documentation ------------------------------------------------------------------
 
 def _readme_commands():
-    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    readme = ROOT / "README.md"
     block = readme.read_text().split("## Command line", 1)[1].split("```")[1]
     return [shlex.split(line)[1:] for line in block.splitlines()
             if line.startswith("semistable ")]

@@ -1,9 +1,10 @@
 """One table of the rules that keep each idea of the package in one place.  A
 row gives the node a rule forbids and the places that may hold it: a module, or
 its top-level function or method ("tailmodel.TailModel._tail_formula"), with all
-inside it.  The ast walk reads code only, so prose may name any form; two rules
-read lines of text.  A new rule is one row and one probe that must break it; a
-scoped rule also keeps an allowed form that must pass."""
+inside it.  The ast walk reads code only, so prose may name any form; three
+rules read lines of text, one of them the CI workflows (as text: CI installs no
+YAML parser).  A new rule is one row and one probe that must break it; a scoped
+rule also keeps an allowed form that must pass."""
 
 import ast
 import pathlib
@@ -80,6 +81,11 @@ TEXT_RULES = {
     "no ignored overflow warning": (("tests/", "perfbench/tests/"), re.compile(
         FILTER + ".*(overflow|invalid value)|" + IGNORE + "[^\"']*(overflow|invalid value)")),
     "no merged tail function": (("src/", "tests/"), re.compile(TAIL_TIMES)),
+    # CI runs what Tier-1 runs and nothing else: a step may install, run
+    # pytest or count lines, each one command with no shell control
+    "one gate": ((".github/workflows/",), re.compile(
+        r"^\s*(- )?run:(?!\s*(python -m pip install|(PYTHONPATH=\S+ )?python3? -m pytest|wc -l)"
+        r" [^;&|`$<>]*$)")),
 }
 
 
@@ -104,10 +110,15 @@ def _faults(path, source):
     return found
 
 
+WALKED = (("src", "*.py"), ("tests", "*.py"), ("perfbench/tests", "*.py"),
+          (".github/workflows", "*.yml"))
+
+
 def test_the_tree_keeps_every_rule():
-    paths = sorted(p.relative_to(ROOT).as_posix() for d in ("src", "tests", "perfbench/tests")
-                   for p in (ROOT / d).rglob("*.py"))
-    assert "src/semistable/_arrays.py" in paths  # the walk found the package
+    paths = sorted(p.relative_to(ROOT).as_posix() for d, glob in WALKED
+                   for p in (ROOT / d).rglob(glob))
+    # the walk found the package and the workflow
+    assert {"src/semistable/_arrays.py", ".github/workflows/tests.yml"} <= set(paths)
     faults = ["%s:%d: %s" % (p, line, rule) for p in paths
               for rule, line in sorted(_faults(p, (ROOT / p).read_text(encoding="utf-8")))]
     assert not faults, "\n".join(faults)
@@ -116,6 +127,10 @@ def test_the_tree_keeps_every_rule():
 def _src(module, *lines):  # a probe in src/semistable/<module>.py
     return "src/semistable/%s.py" % module, "\n".join(lines) + "\n"
 
+
+GATE_STEP = "      - name: Tier-1 tests\n        run: %s\n"  # a probe in the workflow
+TIER1_LINE = ("PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q "
+              "--continue-on-collection-errors --durations=10")
 
 # id: (the rule it breaks, or None for an allowed form that must pass; the
 #      file it stands in, from the root; its source)
@@ -249,9 +264,23 @@ PROBES = {
         "_GL12 = (np.array([0.1252334085114689]), np.array([0.2491470458134027]))",
         "def _rule():", '    """The 12-node rule, not leggauss(12) and its np.linalg eigensolve."""',
         "    return _GL12")),
+    "gate-demos": ("one gate", ".github/workflows/tests.yml", "\n".join([
+        "      - name: Demos", "        run: |", "          for demo in demos/*.py; do",
+        '            PYTHONPATH=src python -W error::RuntimeWarning "$demo" || exit 1',
+        "          done", ""])),
+    "gate-block": ("one gate", ".github/workflows/tests.yml",
+                   "        run: |\n          %s\n" % TIER1_LINE),
+    "gate-chained": ("one gate", ".github/workflows/tests.yml",
+                     GATE_STEP % (TIER1_LINE + " && python demos/merging_walk.py")),
+    "gate-tier1": (None, ".github/workflows/tests.yml", GATE_STEP % TIER1_LINE),
+    "gate-install-count-perfbench": (None, ".github/workflows/tests.yml", "\n".join([
+        '        run: python -m pip install "numpy==1.24.*" "scipy==1.10.*" pytest',
+        "        run: wc -l src/semistable/*.py",
+        "        run: python3 -m pytest perfbench/tests -q", ""])),
 }
 
 
 @pytest.mark.parametrize("rule, path, source", PROBES.values(), ids=list(PROBES))
 def test_each_probe_breaks_its_rule_alone(rule, path, source):
     assert {r for r, _ in _faults(path, source)} == ({rule} if rule else set())
+
