@@ -11,9 +11,9 @@ tail model's inverse (TailModel._quantile_formula) and signs it in place
 each does at most _CHUNK complex multiply-adds (see charfn._bulk_phase_sums),
 below the size from which OpenBLAS hands a product to a second thread; on a
 busy host such a hand-off can stall every product of a process about 100x.
-A multi-phase experiment holds only the phases a later statistic reads (the
-merging sweep keeps its two end batches and reduces the rest as they are
-drawn), and a quadrature rule is a constant (_GL12), not a solve.
+An experiment holds only the batches a later statistic reads, each released
+before the next phase draws and sorted in place for its KS, whose steps hold
+_CHUNK doubles in all; a quadrature rule is a constant (_GL12), not a solve.
 
 The work-bound rule: a call prices work that has no natural limit
 before it draws or integrates, and _check_budget alone refuses it.

@@ -154,8 +154,9 @@ def coupling_gap_curve(model: TailModel, n_list, reps: int, rng: RngStream,
     reps = _check_count(reps, "reps", 1)
     phases = [(functools.partial(_curve_block, model, n, half), n + half)
               for n in n_list for half in [_check_coupling_model(model, n, window=True)]]
-    rows = []  # each phase reduced before the next draws
-    for n, vals in zip(n_list, _map_blocks(phases, reps, rng.seed, rng.stream_id)):
+    batches, rows = _map_blocks(phases, reps, rng.seed, rng.stream_id), []
+    for n in n_list:  # each phase reduced, and dropped before the next draws
+        vals = next(batches)
         rows.append({
             "n": n,
             "median_gap": float(np.median(vals[:, 2])),
@@ -163,6 +164,8 @@ def coupling_gap_curve(model: TailModel, n_list, reps: int, rng: RngStream,
             "median_max_fluctuation": float(np.median(vals[:, 3])),
             "ks": float(ks_two_sample(vals[:, 0], vals[:, 1])),
         })
+        if len(rows) < len(n_list):
+            del vals  # the last phase's batch stays, for the stderr
     medians = [r["median_gap"] for r in rows]
     drops = [b < a for a, b in zip(medians, medians[1:])]
     fraction = sum(drops) / len(drops) if drops else 1.0

@@ -9,9 +9,9 @@ Reports carry the statistic, a Monte Carlo standard error where one makes
 sense, the seed and the pass/fail verdict at the stated tolerance.
 
 The distances follow the package's working-set rule (_arrays): they
-reduce over the sorted sample _KS_CHUNK points at a time, so a KS
-statistic holds a few temporaries of _CHUNK doubles, however large the
-sample; the result is the max (or the all) of the same terms, exactly.
+reduce over the sorted sample _KS_CHUNK points at a time, so a KS step's
+temporaries hold about _CHUNK doubles in all, however large the sample;
+the result is the max (or the all) of the same terms, exactly.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from ._arrays import _CHUNK, _check_budget, _check_count, _check_real, elementwi
 from .sampling import (_MAX_N, RngStream, _lepage_block, _lepage_prep, _map_blocks,
                        _petersburg_phase, _power_block, petersburg_sum_batch)
 
-_KS_CHUNK = _CHUNK // 4  # points per KS step: the step and a TabulatedCdf call
-                         # on it hold about ten temporaries of this many doubles
+_KS_CHUNK = _CHUNK // 16  # points per KS step: the step and a TabulatedCdf call on
+                          # it hold about 16 temporaries of this many doubles, _CHUNK in all
 
 __all__ = [
     "Ecdf",
@@ -113,6 +113,10 @@ def ks_two_sample(a, b) -> float:
         raise ValueError("samples must not be empty")
     if np.isnan(a[-1]) or np.isnan(b[-1]):  # np.sort puts NaN last
         raise ValueError("sample contains NaN")
+    return _ks_sorted(a, b)
+
+
+def _ks_sorted(a, b) -> float:  # ks_two_sample of two sorted, non-empty, NaN-free samples
     gap = 0
     for x in (a, b):
         for c0 in range(0, x.size, _KS_CHUNK):
@@ -199,8 +203,11 @@ def _ks_versus_limit(vals: np.ndarray, gamma: float) -> float:
     (tabulate_cdf).  It clamps the values beyond its span: F(-8) is 0 in
     double precision, and the clamp at 1024 moves the statistic by at most
     1 - F(1024), 1.75e-3 at gamma 1 and 2 and 1.47e-3 at gamma 1.5 (the
-    law's right tail is ~1.4/x), well below the 0.02+ tolerances in play."""
-    return ks_distance(Ecdf.from_sample(vals), _limit_table(round(float(gamma), 12)))
+    law's right tail is ~1.4/x), well below the 0.02+ tolerances in play.
+    vals, which the caller owns, is sorted in place."""
+    vals = _check_real(vals, "sample", array=True)
+    vals.sort()
+    return ks_distance(Ecdf(vals), _limit_table(round(float(gamma), 12)))
 
 
 @functools.lru_cache(maxsize=256)
@@ -268,8 +275,8 @@ def merging_experiment(n: int, reps: int, rng: RngStream, threads: int = 1,
     n, reps = _check_count(n, "n", 16, _MAX_N), _check_count(reps, "reps", 10 ** 4)
     tolerance = _check_real(tolerance, "tolerance", 0.0, ends="[)")
     gamma = gamma_n(n)
-    sums = petersburg_sum_batch(n, reps, rng.seed, rng.stream_id)
-    vals = sums / n - math.log2(n)
+    vals = petersburg_sum_batch(n, reps, rng.seed, rng.stream_id)
+    np.subtract(np.divide(vals, n, out=vals), math.log2(n), out=vals)  # S_n/n - log2 n
     stat = _ks_versus_limit(vals, gamma)
     return ExperimentReport(
         experiment="merging",
@@ -299,15 +306,18 @@ def merging_sweep(k: int, points_per_octave: int, reps: int, rng: RngStream,
     ns = [round((1 << k) * (1.0 + i / points_per_octave))
           for i in range(points_per_octave + 1)]
     gammas = [gamma_n(n) for n in ns]
-    batches = _map_blocks(map(_petersburg_phase, ns), reps, rng.seed, rng.stream_id)
+    batches = _map_blocks(map(_petersburg_phase, ns), reps, rng.seed, rng.stream_id)  # priced
+    for g in set(gammas):  # the tables, built before any batch is held
+        _limit_table(round(g, 12))
     distances, ends = [], []
     for i, (n, g) in enumerate(zip(ns, gammas)):
         v = next(batches)
         np.subtract(np.divide(v, n, out=v), math.log2(n), out=v)  # S_n/n - log2 n
-        distances.append(_ks_versus_limit(v, g))
+        distances.append(_ks_versus_limit(v, g))  # sorts v
         if i in (0, points_per_octave):  # the end batches, for the two-sample KS
             ends.append(v)
-    ks2 = ks_two_sample(*ends)
+        del v  # released before the next phase draws
+    ks2 = _ks_sorted(*ends)
     max_distance = float(np.max(distances))
     closure = gammas[0] == gammas[-1] == 1.0
     passed = max_distance <= tol_max and ks2 <= tol_two_sample and closure

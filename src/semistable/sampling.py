@@ -193,8 +193,10 @@ def _open01(gen, out):  # fills out with uniforms on (0, 1], where log/quantile 
     return np.subtract(1.0, out, out=out)
 
 
-def _signed(gen, x):  # x with independent uniform signs, in place: one draw per value
-    return np.negative(x, out=x, where=gen.integers(0, 2, x.shape) == 0)
+def _signed(gen, x):  # x >= 0 with independent uniform signs, in place: one draw per value
+    bits = gen.integers(0, 2, x.shape)  # a 0 draws a minus: (i ^ 1) << 63 is its sign bit
+    np.left_shift(np.bitwise_xor(bits, 1, out=bits), 63, out=bits)
+    return np.copysign(x, bits.view(np.float64), out=x)
 
 
 @dataclass(frozen=True)

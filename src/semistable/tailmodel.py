@@ -368,7 +368,7 @@ def gaussian_criterion_ratio(model: TailModel, x: float) -> float:
     difference of size x - x0 (make_pareto(1.5) at 1 + 2**-52 gave 2**51,
     25 % under the ratio).  At x0 = 0, m2 = 2 (I - x**2 T(x) / 2) is about
     x**2 T(x) alpha / (2 - alpha), so the integral's own rounding grows like
-    1/alpha: 2.8e-12 relative at alpha 0.01, within the bound and not refused.
+    1/alpha; for psi == 1 m2 takes that closed form (by parts 2.8e-12 off at alpha 0.01).
     """
     x = _check_real(x, "x", model.x0)
     at = "at x = %s" % _shortest(x)
@@ -383,15 +383,18 @@ def gaussian_criterion_ratio(model: TailModel, x: float) -> float:
     with _quiet():  # the integral less top / 2 passes float64 only after m2 does
         top = float(model._tail_formula(x, 2))
         boundary = float(model._tail_formula(model.x0, 2)) if model.x0 > 0.0 else 0.0
-        integral = _integrate_tail(model, model.x0, x, 2)
-        m2 = 2.0 * (integral - 0.5 * top) + boundary
+        closed = model.x0 == 0.0 and model.psi_kind == "const"  # nothing cancels
+        integral = 0.0 if closed else _integrate_tail(model, model.x0, x, 2)
+        m2 = (top * model.alpha / (2.0 - model.alpha) if closed
+              else 2.0 * (integral - 0.5 * top) + boundary)
     _check_finite(top, "x**2 T(x) " + at, model.alpha)
     _check_finite(m2, "the truncated second moment " + at, model.alpha)
     if not (m2 >= sys.float_info.min and (top >= sys.float_info.min or m2 >= 1.0)):
         raise ValueError("%s x**2 T(x) = %.3g over a truncated second moment of %.3g: "
                          "below float64's normal range (min %.3g) their ratio loses its bits"
                          % (at, top, m2, sys.float_info.min))
-    rounding = sys.float_info.epsilon * (top / m2 + boundary / m2 + 2.0 * (integral / m2))
+    rounding = sys.float_info.epsilon * (
+        1.0 if closed else top / m2 + boundary / m2 + 2.0 * (integral / m2))
     if not rounding <= 1e-8:
         raise ValueError("%s the truncated second moment %.3g carries a rounding error "
                          "of about %.3g of itself, over 1e-8" % (at, m2, rounding))

@@ -94,7 +94,11 @@ def _ripple_model():  # a log-periodic ripple on the 1/2-stable tail, 96 psi sam
      "a4e6315ff80f1905de2e726fce74df25c56fe44803fd2e325551af299b0d2188"),
     (lambda: sample_tail_model(_ripple_model(), 1000, RngStream(3, 0)).values,
      "f3d518228dd4710925b91fce09ee45e74a3fb94d144bb768cdfa8b75787e99c5"),
-], ids=["petersburg", "poisson-pareto", "poisson-pareto-symmetric", "grid-ripple"])
+    # recorded while _signed negated where the draw was 0
+    (lambda: lepage_batch(1.5, 256, seed=1, symmetric=True, n_terms=10 ** 4),
+     "911986e762c3a2e135e0ebf673274142815ceec5b86e654356184278e1efe18b"),
+], ids=["petersburg", "poisson-pareto", "poisson-pareto-symmetric", "grid-ripple",
+        "lepage-symmetric"])
 def test_draws_keep_their_pinned_digests(draw, digest):
     assert hashlib.sha256(draw().tobytes()).hexdigest() == digest
 

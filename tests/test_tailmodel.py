@@ -313,6 +313,15 @@ def test_gaussian_criterion_pure_tails():
     assert gaussian_criterion_ratio(m, 1e6) == pytest.approx(0.1 / 1.9, abs=1e-3)
 
 
+@pytest.mark.parametrize("alpha", (0.01, 0.05, 0.5, 1.5, 1.99))
+def test_gaussian_criterion_pure_tails_in_closed_form(alpha):
+    # by parts, m2 cancelled to 2.8e-12 relative at alpha 0.01 and x 0.67
+    # (1.9e-14 at alpha 1.99)
+    for x in (0.67, 1e6):
+        assert gaussian_criterion_ratio(make_pareto(alpha, x0=0.0), x) == pytest.approx(
+            (2.0 - alpha) / alpha, rel=1e-14, abs=0.0)
+
+
 def test_gaussian_criterion_stabilizes():
     # with support cut at x0 = 1 the ratio converges to the limit from above
     m = make_pareto(0.5)
