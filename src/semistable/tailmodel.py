@@ -368,7 +368,7 @@ def gaussian_criterion_ratio(model: TailModel, x: float) -> float:
     difference of size x - x0 (make_pareto(1.5) at 1 + 2**-52 gave 2**51,
     25 % under the ratio).  At x0 = 0, m2 = 2 (I - x**2 T(x) / 2) is about
     x**2 T(x) alpha / (2 - alpha), so the integral's own rounding grows like
-    1/alpha; for psi == 1 m2 takes that closed form (by parts 2.8e-12 off at alpha 0.01).
+    1/alpha, so for psi == 1 m2 takes that closed form, which does not cancel.
     """
     x = _check_real(x, "x", model.x0)
     at = "at x = %s" % _shortest(x)
