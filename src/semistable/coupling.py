@@ -72,9 +72,7 @@ def _coupled_block(model, n, half, gen, counts):
         w0, w1 = min(a, min(ends)), max(b, max(ends))
         tiles = (_col_chunks(0, w1, 1) if nr == 1
                  else _col_chunks(0, w0, nr) + _col_chunks(w0, w1, nr))
-        # every tile is drawn, transformed and summed in these two buffers
-        width = max(c1 - c0 for c0, c1 in tiles)
-        draws, sums = np.empty(nr * width), np.empty(nr * width)
+        draws = np.empty(nr * max(c1 - c0 for c0, c1 in tiles))
         head, at_n, at_count, carry = 0.0, 0.0, np.zeros(nr), 0.0  # P_w0 = 0
         top, bottom = (0.0, 0.0) if a == w0 else (-np.inf, np.inf)
         for c0, c1 in tiles:
@@ -88,7 +86,7 @@ def _coupled_block(model, n, half, gen, counts):
             if c0 > w0:
                 x[:, 0] += carry
             # cs[:, k] = P_{c0 + k + 1}
-            cs = np.cumsum(x, axis=1, out=sums[:x.size].reshape(x.shape))
+            cs = np.cumsum(x, axis=1, out=x)
             carry = cs[:, -1].copy()
             if c0 < n <= c1:
                 at_n = cs[:, n - c0 - 1].copy()

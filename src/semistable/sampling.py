@@ -6,20 +6,20 @@ runs are bitwise identical and distinct stream ids give independent
 streams regardless of scheduling.  Every sum batch draws through _map_blocks,
 which alone owns the stream layout (block b of phase i on stream
 base_stream + i * _STRIDE + b, blocks of BLOCK = 256 replicates), the 2^32
-draw budget of a phase, checked before any phase draws, and the pool of
-one worker per usable CPU: a block of at least _CHUNK draws is one task,
-as is a block of St. Petersburg level counts (of sums and of Poisson sums,
-one GIL-releasing multinomial call) from 6 levels per replicate; other
-blocks (the order statistics' two Gamma draws) run on the caller.  Blocks
-join in block order, so outputs depend on neither the worker count nor
-threads=.  Each construction has one vectorized block kernel; the
-single-draw functions run it on one row.  Every sampler maps its
-uniforms in place through the tail model's inverse, the St. Petersburg
-game's too: the game is the model at x0 = 1 (_GAME).  The kernels
-follow the package's working-set rule (_arrays): their temporaries hold
-at most _CHUNK doubles, whatever n, P or lambda, and they sum
-elementwise, not by matrix products, which OpenBLAS may hand to a second
-thread.
+draw budget of a phase, checked before any phase draws, and who draws
+its blocks: the caller and one pool worker per further usable CPU take
+blocks of at least _CHUNK draws, and of St. Petersburg level counts (of
+sums and of Poisson sums, one GIL-releasing multinomial call) from 6
+levels per replicate; other blocks (the order statistics' two Gamma
+draws) run on the caller alone.  Blocks join in block order, so outputs
+depend on neither the worker count nor threads=.  Each construction has
+one vectorized block kernel; the single-draw functions run it on one
+row.  Every sampler maps its uniforms in place through the tail model's
+inverse, the St. Petersburg game's too: the game is the model at x0 = 1
+(_GAME).  The kernels follow the package's working-set rule (_arrays):
+their temporaries hold at most _CHUNK doubles, whatever n, P or lambda,
+and they sum elementwise, not by matrix products, which OpenBLAS may
+hand to a second thread.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import json
 import math
 import os
 import threading
-from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -73,7 +73,8 @@ _STRIDE = 10 ** 7  # stream-id block separating experiment phases
 # a GIL-free phase pools from 6 draws (levels) per replicate: St. Petersburg
 # sums at n = 16 (5 levels) broke even on 2 cores, and gained from n = 32
 _POOL_LEVELS = 6
-_WORKER_NAME = "semistable-block"  # the pool's threads; their calls run in line
+_WORKER_NAME = "semistable-block"  # the pool's threads, one per usable CPU past the first
+_DRAWING = threading.local()  # .on while this thread draws a pooled phase: its calls run in line
 
 
 @dataclass(frozen=True)
@@ -132,23 +133,21 @@ def _map_blocks(phases, reps: int, seed: int, base_stream: int = 0):
     Block b of phase i covers replicates [b * BLOCK, min((b + 1) * BLOCK, reps))
     and draws from stream (seed, base_stream + i * _STRIDE + b) alone.  A
     phase of reps x draws > 2^32 is refused before any phase draws.  A
-    phase's blocks run on the shared pool, one task per block, when they
-    make BLOCK x draws >= _CHUNK draws, or when gil_free (each block one
-    call that releases the GIL) from _POOL_LEVELS draws per replicate.
-    Other kernels' smaller blocks make many short numpy calls each and ran
-    up to 3x slower pooled (LePage sums of 8 terms, 2 cores), so they stay
-    on the caller, as do the order statistics' two Gamma draws.  Nothing
-    pools with one CPU, one block or a call from a pool worker.  A block
-    error cancels the pending tasks and waits for the running ones before
-    it is raised.
+    phase's blocks pool (_on_pool: the caller and cpus - 1 workers draw
+    them) when they make BLOCK x draws >= _CHUNK draws, or when gil_free
+    (each block one call that releases the GIL) from _POOL_LEVELS draws per
+    replicate.  Other kernels' smaller blocks make many short numpy calls
+    each and ran up to 3x slower pooled (LePage sums of 8 terms, 2 cores),
+    so they stay on the caller, as do the order statistics' two Gamma
+    draws.  Nothing pools with one CPU, one block or a call made while a
+    pooled block is drawn: it runs in line on the thread that draws it.
     """
     reps = _check_count(reps, "reps", 1)
     phases = [_Phase(*p) for p in phases]
     for p in phases:
         _check_budget(reps * p.draws, _DRAW_BUDGET, "draws in one phase")
     blocks, cpus = range(-(-reps // BLOCK)), _cpus()
-    inline = (min(len(blocks), cpus) == 1
-              or threading.current_thread().name.startswith(_WORKER_NAME))
+    inline = min(len(blocks), cpus) == 1 or getattr(_DRAWING, "on", False)
 
     def draw():
         for i, p in enumerate(phases):
@@ -164,16 +163,29 @@ def _map_blocks(phases, reps: int, seed: int, base_stream: int = 0):
     return draw()
 
 
-def _on_pool(run, blocks, workers):  # [run(b) for b in blocks] on the pool
-    futures = [_pool(workers).submit(run, b) for b in blocks]
-    try:  # the caller wakes once per phase, or at a block error, not once per block
-        wait(futures, return_when=FIRST_EXCEPTION)
-        return [f.result() for f in futures]
-    except BaseException:
-        for f in futures:
-            f.cancel()
-        wait(futures)
-        raise
+def _on_pool(run, blocks, workers):  # [run(b) for b in blocks], the caller drawing beside the pool
+    out, todo, lock, errors = [None] * len(blocks), iter(blocks), threading.Lock(), []
+
+    def drain():  # the next block under the lock, until none is left or one has failed
+        _DRAWING.on = True  # a pool thread only ever drains
+        try:
+            while not errors:
+                with lock:
+                    b = next(todo, None)
+                if b is None:
+                    break
+                out[b] = run(b)
+        except BaseException as e:  # an interrupt of the caller stops the helpers too
+            errors.append(e)
+    helpers = [_pool(workers - 1).submit(drain) for _ in range(min(workers, len(blocks)) - 1)]
+    try:
+        drain()
+    finally:  # the running helpers end before an error is raised; one not started has no block
+        _DRAWING.on = False
+        wait([f for f in helpers if not f.cancel()])
+    if errors:
+        raise errors[0]
+    return out
 
 
 def _row_groups(rows: int, cols: int):
@@ -286,7 +298,7 @@ def petersburg_sum_batch(n: int, reps: int, seed: int, base_stream: int = 0,
 
     Each block is one multinomial call over its rows (_petersburg_block),
     which releases the GIL, so from n = 32 (6 levels) the blocks pool, one
-    task per block.  A row's levels count as its draws: reps x bit_length(n)
+    block at a time.  A row's levels count as its draws: reps x bit_length(n)
     must stay within the 2^32 draw budget, and n must fit the int64 level
     counts; threads is ignored."""
     n = _check_count(n, "n", 1, _MAX_N)

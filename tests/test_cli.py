@@ -791,7 +791,7 @@ def test_largest_node_set_in_bounded_rss():
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity mask")
 def test_pooled_level_counts_match_one_cpu(tmp_path):
-    # the St. Petersburg level counts pool, one task per block, on every CPU
+    # the St. Petersburg level counts pool, one block at a time, on every CPU
     # the process may use; a child pinned to one CPU draws every block in
     # line, and its sweep artifact must equal an unpinned child's byte for
     # byte (both write sweep.json: the artifact records its --out)

@@ -832,7 +832,7 @@ def test_kernel_chunking_changes_only_rounding(monkeypatch):
 def test_batches_do_not_depend_on_threads(reps, base):
     # the pool's worker count follows the CPU count; 1 CPU runs blocks in line.
     # Poisson (lambda = 316), LePage (128 terms) and both curve phases (130
-    # and 187 draws) pool once there are two blocks, one task per block; so
+    # and 187 draws) pool once there are two blocks, one block at a time; so
     # do the level counts: the St. Petersburg sums (7
     # levels per replicate at n = 100), both sweep phases (9 and 10) and the
     # St. Petersburg Poisson sums (9 at lambda = 256, twice that when
@@ -872,8 +872,8 @@ def test_tail_model_sampling_needs_a_positive_scaled_mass():
 
 @contextlib.contextmanager
 def _cpu_count(cpus):
-    """Pooled batches see cpus CPUs and run on a fresh pool of that size;
-    with 1 CPU, blocks run in line.  Yields the block counts of the phases
+    """Pooled batches see cpus CPUs and run on the caller and a fresh pool
+    of cpus - 1 workers; with 1 CPU, blocks run in line.  Yields the block counts of the phases
     run on the pool, in order.  A context manager rather than a fixture, so
     that hypothesis tests can use it too."""
     pooled, on_pool = [], sampling._on_pool
@@ -882,7 +882,7 @@ def _cpu_count(cpus):
         pooled.append(len(blocks))
         return on_pool(run, blocks, workers)
 
-    with pytest.MonkeyPatch.context() as mp, sampling._pool.__wrapped__(cpus) as pool:
+    with pytest.MonkeyPatch.context() as mp, sampling._pool.__wrapped__(max(cpus - 1, 1)) as pool:
         mp.setattr(sampling, "_cpus", lambda: cpus)
         mp.setattr(sampling, "_pool", lambda workers: pool)
         mp.setattr(sampling, "_on_pool", spy)
@@ -927,11 +927,38 @@ def test_pooled_batches_match_one_worker():
                 [(lambda gen, rows: np.full(rows, threading.get_ident(), dtype=object),
                   sampling._CHUNK)], 4 * sampling.BLOCK, 1)
         assert len(pooled) == 20
-        assert threading.get_ident() not in set(ran_on)  # pool threads drew them
+        assert len(set(ran_on)) <= cpus  # the caller and the pool's cpus - 1 threads
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_pool_has_a_thread_fewer_than_cpus(cpus):
+    # the caller draws beside the pool, so the pool holds cpus - 1 threads
+    # (it held cpus, one of them idle while the caller waited)
+    code = ("import threading; from semistable import sampling; "
+            f"sampling._cpus = lambda: {cpus}; "
+            "sampling.petersburg_sum_batch(1536, 50 * sampling.BLOCK, 1); "
+            "print(sum(t.name.startswith(sampling._WORKER_NAME) for t in threading.enumerate()))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    res = subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=60,
+                         capture_output=True, text=True)
+    assert int(res.stdout) == cpus - 1
+
+
+def test_caller_and_pool_both_draw():
+    # blocks that take 20 ms each: the caller cannot drain the phase before
+    # the pool's worker takes blocks too
+    def block(gen, rows):
+        time.sleep(0.02)
+        return np.full(rows, threading.get_ident(), dtype=object)
+
+    with _cpu_count(2) as pooled:
+        (ran_on,) = sampling._map_blocks([(block, sampling._CHUNK)], 8 * sampling.BLOCK, 1)
+    assert pooled == [8]
+    assert threading.get_ident() in set(ran_on) and len(set(ran_on)) == 2
 
 
 def _pool_tasks(call, cpus=2):
-    """The tasks call submits to a pool of cpus workers, one list per phase."""
+    """The blocks call pools at cpus CPUs, one list per phase."""
     tasks, on_pool = [], sampling._on_pool
 
     def spy(run, phase_tasks, workers):
@@ -952,8 +979,8 @@ def test_order_statistics_stay_on_the_caller():
 
 
 def test_level_counts_pool_one_task_per_block():
-    # blocks of level counts from 6 levels per replicate go to the pool one
-    # task per block, in block order, as do a fill-bound phase's blocks
+    # blocks of level counts from 6 levels per replicate pool, every block
+    # handed out in block order, as do a fill-bound phase's blocks
     for cpus in (2, 3):
         assert _pool_tasks(lambda: petersburg_sum_batch(1536, 50 * sampling.BLOCK, 98),
                            cpus) == [list(range(50))]
@@ -1008,9 +1035,9 @@ def test_pool_passes_block_errors_and_stays_usable():
 
 
 def test_pool_block_error_stops_the_batch():
-    # the error of block 0 cancels the blocks not yet started and waits for
-    # the running ones: none draws on once the caller sees the error (the
-    # pool used to leave 2 of them running)
+    # the error of block 0 stops every drawer from taking another block, and
+    # the caller waits for the running ones: none draws on once the caller
+    # sees the error (the pool used to leave 2 of them running)
     running, lock = [0], threading.Lock()
 
     def block(gen, rows):
@@ -1029,6 +1056,29 @@ def test_pool_block_error_stops_the_batch():
         assert running[0] == 0
 
 
+def test_interrupt_on_the_caller_stops_the_pool():
+    # an interrupt in a block the caller draws stops the worker at its next
+    # block, and the caller waits for it before the interrupt propagates
+    caller, running, drawn, lock = threading.get_ident(), [0], [], threading.Lock()
+
+    def block(gen, rows):
+        time.sleep(0.02)
+        if threading.get_ident() == caller:
+            raise KeyboardInterrupt
+        with lock:
+            running[0] += 1
+            drawn.append(rows)
+        time.sleep(0.02)
+        with lock:
+            running[0] -= 1
+        return gen.random(rows)
+
+    with _cpu_count(2):
+        with pytest.raises(KeyboardInterrupt):
+            list(sampling._map_blocks([(block, sampling._CHUNK)], 20 * sampling.BLOCK, 5))
+        assert running[0] == 0 and len(drawn) <= 2
+
+
 def test_nested_map_blocks_returns():
 
     def outer(gen, rows):
@@ -1045,6 +1095,20 @@ def test_nested_map_blocks_returns():
         worker.join(60.0)
     assert not worker.is_alive() and done[0].shape == (800,)
     assert np.all(done[0] == done[0][0])
+
+
+def test_nested_calls_on_the_caller_run_in_line():
+    # an outer block drawn on the caller sends no inner phase to the pool,
+    # where its helper would queue behind the worker's outer block
+    def outer(gen, rows):
+        time.sleep(0.02)  # the caller draws some outer blocks, the worker the rest
+        (inner,) = sampling._map_blocks([(lambda g, r: g.random(r), sampling._CHUNK)], 600, 7)
+        return np.full(rows, threading.get_ident(), dtype=object)
+
+    with _cpu_count(2) as pooled:
+        (ran_on,) = sampling._map_blocks([(outer, sampling._CHUNK)], 8 * sampling.BLOCK, 6)
+    assert threading.get_ident() in set(ran_on)
+    assert pooled == [8]  # the outer phase alone
 
 
 def test_generator_keys_philox_directly():
