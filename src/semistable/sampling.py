@@ -6,20 +6,20 @@ runs are bitwise identical and distinct stream ids give independent
 streams regardless of scheduling.  Every sum batch draws through _map_blocks,
 which alone owns the stream layout (block b of phase i on stream
 base_stream + i * _STRIDE + b, blocks of BLOCK = 256 replicates), the 2^32
-draw budget of a phase, checked before any phase draws, and who draws
-its blocks: the caller and one pool worker per further usable CPU take
-blocks of at least _CHUNK draws, and of St. Petersburg level counts (of
-sums and of Poisson sums, one GIL-releasing multinomial call) from 6
-levels per replicate; other blocks (the order statistics' two Gamma
-draws) run on the caller alone.  Blocks join in block order, so outputs
-depend on neither the worker count nor threads=.  Each construction has
-one vectorized block kernel; the single-draw functions run it on one
-row.  Every sampler maps its uniforms in place through the tail model's
-inverse, the St. Petersburg game's too: the game is the model at x0 = 1
-(_GAME).  The kernels follow the package's working-set rule (_arrays):
-their temporaries hold at most _CHUNK doubles, whatever n, P or lambda,
-and they sum elementwise, not by matrix products, which OpenBLAS may
-hand to a second thread.
+draw budget of a phase, checked before any phase draws, and who draws:
+the caller and one pool worker per further usable CPU share blocks of
+at least _CHUNK draws, and of St. Petersburg level counts (one GIL-free
+multinomial call) from 6 levels per replicate; the caller alone draws
+the rest (the order statistics' two Gamma draws).  Blocks
+join in block order, so outputs depend on neither the worker count nor
+threads=.  Each construction has one vectorized block kernel; the
+single-draw functions run it on one row.  Every sampler maps its
+uniforms in place through the tail model's inverse, the St. Petersburg
+game's too: the game is the model at x0 = 1 (_GAME).  The kernels
+follow the package's working-set rule (_arrays): their temporaries hold
+at most _CHUNK doubles, whatever n, P or lambda, and they sum
+elementwise, not by matrix products, which OpenBLAS may hand to a second
+thread.
 """
 
 from __future__ import annotations
