@@ -16,7 +16,7 @@ from semistable._arrays import _CHUNK, _GL12, ResourceLimitError
 from semistable.charfn import (_LONG_CHAIN, _NODE_BUDGET, _RENORM, _SMALL_C, _XBLOCK,
                                CfExponent, InversionError,
                                TabulatedCdf, _build_nodes, _bulk_nodes, _decay_cutoff,
-                               _bulk_phase_sums, _node_count, _node_plan, _phase_sums,
+                               _bulk_phase_sums, _node_count, _node_plan, _phase_sums, _reach,
                                _row_factors, _slab_plan, _top_level, cauchy_law,
                                cdf_from_cf, convolution_power, erlang_cdf,
                                g_exponent, g_gamma_exponent, g_gamma_law,
@@ -1189,23 +1189,67 @@ def test_anchored_row_factors_match_exponentials():
     assert np.array_equal(v[:, ::8], exact[:, ::8])
 
 
-@pytest.mark.parametrize("law, xs, bound", [
-    # 1.3e5 bulk nodes on the top group: 7.3 MiB when the inversion built
-    # the weights of a whole node set at once
-    (one_sided_stable_exponent(0.5), np.geomspace(0.1, 100.0, 201), 2),
-    # 4.0e6 nodes, the largest set the node budget admits: 153 MiB before
-    (cauchy_law(), [3e4, -3e4], 8),
-], ids=["stable-oracle", "cauchy-3e4"])
-def test_inversion_memory_is_bounded(law, xs, bound):
-    cdf_from_cf(law, xs)  # caches filled outside the trace
+def _traced_peak(call):
+    """(call(), its tracemalloc peak in bytes), caches filled outside the trace."""
+    call()
     tracemalloc.start()
     try:
-        f = cdf_from_cf(law, xs)
-        peak = tracemalloc.get_traced_memory()[1]
+        out = call()
+        return out, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+# Traced peaks in KiB, each slab's weights formed whole -> built in place
+# 128 panels at a time, with each block's U and V released before the next:
+# stable-oracle 1,222 -> 687, cauchy-3e4 1,165 -> 517, g-gamma-grid 412 -> 275,
+# far-tail 391 -> 264
+@pytest.mark.parametrize("law, xs, tol, bound", [
+    # 1.3e5 bulk nodes on the top group: 7.3 MiB when the inversion built
+    # the weights of a whole node set at once
+    (one_sided_stable_exponent(0.5), np.geomspace(0.1, 100.0, 201), 1e-8, 1.0),
+    # 4.0e6 nodes, the largest set the node budget admits: 153 MiB before
+    (cauchy_law(), [3e4, -3e4], 1e-8, 1.0),
+    # the CLI's grid and the benchmark's far-tail points of the dyadic family
+    (g_gamma_law(1.3), -5.0 + 0.1 * np.arange(201), 1e-8, 0.375),
+    (g_gamma_law(1.5), [1e2, 3e2, 1e3], 1e-8, 0.34),
+], ids=["stable-oracle", "cauchy-3e4", "g-gamma-grid", "far-tail"])
+def test_inversion_memory_is_bounded(law, xs, tol, bound):
+    f, peak = _traced_peak(lambda: cdf_from_cf(law, xs, tol))
     assert np.all((f > 0.0) & (f < 1.0))
     assert peak < bound * 2 ** 20
+
+
+def test_reach_forms_its_log_mgf_terms_in_place():
+    # 121 s values by 110 levels: 271 KiB, 408 KiB when each step of the
+    # terms made its own array
+    reduced = g_gamma_law(1.3).split(96.0)[0]
+    (lo, hi), peak = _traced_peak(lambda: _reach(reduced, 1e-9))
+    assert 0.0 < lo < hi < math.inf
+    assert peak < 0.32 * 2 ** 20
+
+
+# SHA-256 of cdf_from_cf's output bytes, recorded before the slab weights
+# were built in place: the working set changed, not one bit of the results
+CDF_DIGESTS = [
+    pytest.param(one_sided_stable_exponent(0.5), np.geomspace(0.1, 100.0, 201), 1e-8,
+                 "d2ff9cae36e5e8308f5e0a7dd68aad750d52e15c24de8f226a6dd36ad1ac9e27",
+                 id="stable-oracle"),
+    pytest.param(cauchy_law(), np.linspace(-100.0, 100.0, 201), 1e-8,
+                 "afb8287d384847028453128fea67f511e17271f07e441bea4f516fe325325138",
+                 id="cauchy-201"),
+    pytest.param(g_gamma_law(1.3), -5.0 + 0.1 * np.arange(201), 1e-8,
+                 "0def59851f884c88b7e1ddef8d0fdd7b0c7b7c46f39cd0a8daff446a8080a9c3",
+                 id="g-gamma-grid"),
+    pytest.param(g_gamma_law(1.5), np.array([1e2, 3e2, 1e3]), 1e-8,
+                 "06e51c10e1b64d41d96a2f4496622bba65f56f80cf64b183b1346b10023d56cd",
+                 id="far-tail"),
+]
+
+
+@pytest.mark.parametrize("law, xs, tol, digest", CDF_DIGESTS)
+def test_cdf_bytes_pinned(law, xs, tol, digest):
+    assert hashlib.sha256(cdf_from_cf(law, xs, tol).tobytes()).hexdigest() == digest
 
 
 def direct_phase_sums(xs, t, cw):

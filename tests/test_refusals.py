@@ -407,6 +407,14 @@ ARGUMENTS = [
      _refusal("gamma", "[1, 2]", np.zeros(2))),
     ("pareto-array", lambda: make_pareto(np.array([0.5, 0.7])),
      _refusal("alpha", "(0, inf)", np.zeros(2))),
+    # a law's exponent at NaN: the stable law cast NaN to an int and raised
+    # IndexError, the Cauchy and normal laws returned NaN
+    ("stable-t-nan", lambda: one_sided_stable_exponent(0.5)(np.array([math.nan])),
+     _refusal("t", "(-inf, inf)", math.nan)),
+    ("cauchy-t-nan", lambda: cauchy_law()(np.array([math.nan])),
+     _refusal("t", "(-inf, inf)", math.nan)),
+    ("gaussian-t-nan", lambda: gaussian_law()(np.array([0.5, math.nan])),
+     _refusal("t", "(-inf, inf)", math.nan)),
     # numpy's "inhomogeneous shape" ValueError named no parameter
     ("cauchy-ragged", lambda: cauchy_law([[1.0], [1.0, 2.0]]),
      "^%s$" % re.escape("scale must lie in (0, inf), got a ragged sequence")),
@@ -438,6 +446,16 @@ def test_argument_refusals(call, message, monkeypatch):
     monkeypatch.setattr(sampling.RngStream, "generator", started)
     with pytest.raises(ValueError, match=message):
         call()
+
+
+@pytest.mark.parametrize("law", [one_sided_stable_exponent(0.5), cauchy_law(2.0), gaussian_law()],
+                         ids=["stable", "cauchy", "gaussian"])
+def test_laws_keep_their_bytes_at_finite_t(law):
+    # the t check at the call passes finite t on as they are
+    t = np.concatenate([-np.geomspace(1e-300, 1e150, 61), [0.0, -0.0],
+                        np.geomspace(1e-300, 1e3, 61)])
+    assert law(t).tobytes() == law.fn(t).tobytes()
+    assert law(list(t[:3])).tobytes() == law.fn(t[:3]).tobytes()
 
 
 @pytest.mark.parametrize("row", REALS, ids=list(REALS))
