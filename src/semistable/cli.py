@@ -180,6 +180,9 @@ def _experiment(run):
 
 def _cmd_selftest(args) -> int:
     code, lines = run_selftest(args.seed)
+    if args.format != "csv":  # the text report is the csv form
+        _emit_summary({"lines": lines, "pass": code == 0}, args)
+        return code
     _write_lines(None, lines)
     if args.out:
         _write_commented(args, lines)
@@ -291,8 +294,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="PRNG seed (default fixed; env %s overrides)" % SEED_ENV)
         p.add_argument("--out", default=None, help="artifact path (default: stdout)")
         p.add_argument("--format", choices=("csv", "json", "jsonl"), default=None,
-                       help="artifact format; without it cdf and sample --out "
-                            "write csv, the rest json")
+                       help="artifact format; without it cdf, selftest and "
+                            "sample --out write csv, the rest json")
         p.add_argument("--threads", type=int, default=1,
                        help="accepted and ignored; outputs do not depend on it")
         if reps is not None:
@@ -372,7 +375,7 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         if args.seed is None:
             args.seed = seed
-        csv = args.command == "cdf" or args.command == "sample" and args.out
+        csv = args.command in ("cdf", "selftest") or args.command == "sample" and args.out
         args.format = args.format or ("csv" if csv else "json")  # written and recorded
         if args.out:  # an --out that cannot be written is refused before the run
             fresh = None if os.path.exists(args.out) else args.out

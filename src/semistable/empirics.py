@@ -141,10 +141,7 @@ def levy_distance(e: Ecdf, cdf, grid_step: float = 1e-4) -> float:
                    and np.all(_cdf_on(cdf, v + eps) + eps >= i / e.n - 1e-15)
                    for v, i in _steps(e))
 
-    hi = ks_distance(e, cdf) + grid_step
-    lo = 0.0
-    if feasible(lo):
-        return 0.0
+    lo, hi = 0.0, ks_distance(e, cdf) + grid_step
     while hi - lo > grid_step:
         mid = 0.5 * (lo + hi)
         if feasible(mid):

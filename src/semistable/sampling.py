@@ -339,24 +339,14 @@ class PoissonPointSet:
     """Points above the cutoff of the Poisson process with the given intensity tails.
 
     points are the nonincreasing mapped values T_inverse(arrival_times);
-    arrival_times are the underlying unit-rate Poisson arrivals below
-    T(cutoff), so the point count is Poisson with mean T(cutoff).
+    arrival_times are the unit-rate Poisson arrivals below T(cutoff): a
+    Poisson(T(cutoff)) count of Renyi's (1953) normalized exponential sums.
     """
 
     points: np.ndarray
     arrival_times: np.ndarray
     cutoff: float
     intensity: TailModel
-
-
-def _arrivals_below(gen, lam):
-    """Unit-rate Poisson arrival times < lam, in increasing order."""
-    n0 = int(lam + 10.0 * math.sqrt(lam) + 64.0)
-    g = np.cumsum(gen.standard_exponential(n0))
-    while g[-1] < lam:
-        more = gen.standard_exponential(max(64, n0 // 4))
-        g = np.concatenate([g, g[-1] + np.cumsum(more)])
-    return g[: np.searchsorted(g, lam, side="left")]
 
 
 def points_from_arrivals(model: TailModel, arrivals):
@@ -376,11 +366,14 @@ def _point_rate(model: TailModel, cutoff: float, budget=_POINT_BUDGET,
 def sample_poisson_points(model: TailModel, cutoff: float,
                           rng: RngStream) -> PoissonPointSet:
     """Points of the Poisson process with intensity tails T above the cutoff,
-    all held in memory: at most 2^26 expected."""
+    all held in memory: at most 2^26 expected.  The count K ~ Poisson(lam),
+    lam = T(cutoff), then K + 1 exponentials with sums S_j: given K, the
+    arrivals lam S_j / S_{K+1}, j <= K, are uniform order statistics (Renyi 1953)."""
     lam = _point_rate(model, cutoff, _POINT_SET_BUDGET, "expected points held in memory")
-    arr = _arrivals_below(rng.generator(), lam)
-    pts = points_from_arrivals(model, arr) if arr.size else np.empty(0)
-    return PoissonPointSet(points=pts, arrival_times=arr,
+    gen = rng.generator()
+    s = np.cumsum(gen.standard_exponential(gen.poisson(lam) + 1))
+    arr = lam * s[:-1] / s[-1]
+    return PoissonPointSet(points=points_from_arrivals(model, arr), arrival_times=arr,
                            cutoff=float(cutoff), intensity=model)
 
 

@@ -126,8 +126,8 @@ class TailModel:
         out = t if k == 0 else x ** (k - 1.0) * (x * t)
         # the steps are exact; least and greatest T, cheaper than a mask, spot one out of range
         if (k or self.psi_kind != "petersburg") and not (
-                np.minimum.reduce(t, None) >= sys.float_info.min
-                and np.maximum.reduce(t, None) < math.inf):
+                np.minimum.reduce(t, None, initial=math.inf) >= sys.float_info.min
+                and np.maximum.reduce(t, None, initial=0.0) < math.inf):
             off = (t < sys.float_info.min) | (t == math.inf)
             h = x ** (0.5 * (k - self.alpha))
             power, halves = self.c * x ** (k - self.alpha) * psi, self.c * psi * h * h

@@ -607,6 +607,16 @@ def test_far_points_cost_one_reduced_node_set(monkeypatch):
     assert calls == []
 
 
+def test_points_below_the_reduced_reach_are_zero():
+    # -100 and -1e4 form a far group whose reduced points all lie below the
+    # reduced law's reach: its node plan is empty and its F is 0, and the
+    # near point keeps the bits it has alone
+    law = g_gamma_law(1.0)
+    f = cdf_from_cf(law, [-100.0, -1e4, 5.0])
+    assert f[0] == f[1] == 0.0
+    assert f[2:].tobytes() == cdf_from_cf(law, [5.0]).tobytes()
+
+
 def panjer(rate, M):
     """P(B = m) by Panjer's recursion, one lattice point at a time."""
     p = [math.exp(-rate)]

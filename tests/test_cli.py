@@ -453,6 +453,17 @@ def test_lepage_too_few_terms_exit_code(n_terms, capsys):
     assert ("n_terms must be an integer >= 3, got %s\n" % n_terms) in capsys.readouterr().err
 
 
+def test_a_caught_failure_removes_only_a_fresh_out(tmp_path, capsys):
+    # lepage at its defaults exits 4 from the draw budget: the --out this
+    # call made is removed, a file that was there before is left as it was
+    new, old = tmp_path / "new.json", tmp_path / "old.json"
+    old.write_text("kept\n")
+    for path in (new, old):
+        assert main(["lepage", "--out", str(path)]) == 4
+    assert "over the budget" in capsys.readouterr().err
+    assert not new.exists() and old.read_text() == "kept\n"
+
+
 def test_lepage_defaults_exceed_the_draw_budget(capsys):
     # 10^5 reps x 10^6 auto terms ran for many minutes before; now refused
     # before any draw
@@ -552,15 +563,32 @@ def _written_format(path):
     ["merging", "--n", "16", "--reps", "10000"],
     ["coupling", "--n-list", "20", "--reps", "50", "--format", "csv"],
     ["orderstats", "--p", "3", "--n", "50", "--reps", "300", "--format", "jsonl"],
+    ["selftest"],
+    ["selftest", "--format", "json"],
+    ["selftest", "--format", "jsonl"],
 ], ids=["cdf", "cdf-csv", "cdf-json", "sample", "sample-json", "merging", "coupling-csv",
-        "orderstats-jsonl"])
-def test_each_artifact_records_the_format_it_wrote(argv, tmp_path):
-    # cdf --out and sample --out wrote CSV but recorded "format": "json"
+        "orderstats-jsonl", "selftest", "selftest-json", "selftest-jsonl"])
+def test_each_artifact_records_the_format_it_wrote(argv, tmp_path, monkeypatch):
+    # cdf --out and sample --out wrote CSV but recorded "format": "json";
+    # selftest wrote its text report whatever the format, recording "json"
+    monkeypatch.setattr(cli, "run_selftest", lambda seed: (3, ["selftest stub"]))
     out = str(tmp_path / "artifact")
     for _ in range(2 if "jsonl" in argv else 1):
         assert main(argv + ["--seed", "1", "--out", out]) in (0, 3)
     written, config = _written_format(out)
     assert config["format"] == written
+
+
+def test_selftest_json_carries_the_report_lines(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_selftest", lambda seed: (3, ["selftest a", "selftest b"]))
+    assert main(["selftest", "--format", "json"]) == 3
+    doc = _strict(capsys.readouterr().out)
+    assert doc["lines"] == ["selftest a", "selftest b"] and doc["pass"] is False
+    # the default is the text report, on stdout and under a config line in --out
+    out = tmp_path / "report.txt"
+    assert main(["selftest", "--out", str(out)]) == 3
+    assert capsys.readouterr().out == "selftest a\nselftest b\n"
+    assert out.read_text().splitlines()[1:] == ["selftest a", "selftest b"]
 
 
 def test_stdout_artifacts_record_json(capsys):

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semistable import coupling, empirics, sampling
-from semistable.charfn import levy_cdf
+from semistable.charfn import erlang_cdf, levy_cdf
 from semistable.coupling import coupling_gap_curve
 from semistable.empirics import (Ecdf, ks_distance, ks_two_sample,
                                  lepage_limit_experiment,
@@ -269,21 +269,23 @@ def test_points_from_arrivals_power_law():
     assert np.allclose(pts, arr ** -2.0, rtol=1e-13)  # y_p = Gamma_p^(-1/alpha)
 
 
-def test_arrivals_extend_past_the_first_draw():
-    # gaps of 1e-3 need about 10^4 exponentials below lam = 10, more than
-    # the first n0 = 105: the draw extends until it passes lam
-    drawn = []
+def test_poisson_arrivals_follow_the_erlang_laws():
+    # the count first, then Renyi's normalized exponential sums: the j-th
+    # arrival of a unit-rate process is Gamma(j, 1), here at T(t) = 100
+    m = make_pareto(0.5)
+    reps = 2 * 10 ** 4
+    first, fifth = np.array([sample_poisson_points(m, 1e-4, RngStream(79, i)).arrival_times[[0, 4]]
+                             for i in range(reps)]).T
+    for arrivals, p in ((first, 1), (fifth, 5)):
+        ks = ks_distance(Ecdf.from_sample(arrivals), lambda x, p=p: erlang_cdf(p, x))
+        assert ks <= 2.5 / math.sqrt(reps)
 
-    class Small:
-        def standard_exponential(self, n):
-            drawn.append(1e-3 * RngStream(5, len(drawn)).generator().standard_exponential(n))
-            return drawn[-1]
 
-    arr = sampling._arrivals_below(Small(), 10.0)
-    assert len(drawn) > 2
-    every = np.cumsum(np.concatenate(drawn))
-    assert every[-1] >= 10.0 and arr.size == np.count_nonzero(every < 10.0)
-    assert np.allclose(arr, every[:arr.size], rtol=1e-12, atol=0.0)
+def test_poisson_point_set_may_be_empty():
+    # T(10^6) = 10^-3: the count is 0 on this stream, and the set holds nothing
+    ps = sample_poisson_points(make_pareto(0.5), 1e6, RngStream(3))
+    assert ps.points.shape == ps.arrival_times.shape == (0,)
+    assert ps.points.dtype == ps.arrival_times.dtype == np.float64
 
 
 def test_poisson_point_set_structure():
@@ -411,6 +413,12 @@ def test_poisson_sum_batch_stream_layout(threads):
                                     symmetric=symmetric)
             assert one[0] == sample_semistable_poisson_sum(
                 model, 1e-3, RngStream(16, b), symmetric=symmetric)
+
+
+def test_sample_batch_needs_a_value():
+    with pytest.raises(ValueError, match="^empty batch$"):
+        sampling.SampleBatch(values=np.empty(0), model=model_to_json(make_pareto(0.5)),
+                             seed=1, stream_id=0)
 
 
 def test_batches_need_a_replicate():

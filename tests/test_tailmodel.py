@@ -88,6 +88,17 @@ def test_tail_is_zero_at_infinity():
                                                      intensity_tail(m, 8.0)])
 
 
+@pytest.mark.parametrize("model", [make_pareto(0.5), make_petersburg(), wavy_grid_model()],
+                         ids=["const", "petersburg", "grid"])
+def test_empty_arrays_give_empty_arrays(model):
+    # the range check's min and max reductions raised "zero-size array to
+    # reduction operation minimum which has no identity" on a const or grid
+    # tail of an empty array, and so on every grid-psi quantile of one
+    for call in (intensity_tail, tail_eval, intensity_quantile, tail_quantile):
+        out = call(model, np.empty((0, 3)))
+        assert out.shape == (0, 3) and out.dtype == np.float64
+
+
 def test_monotonicity_rejection():
     # ripple too strong: c x^-alpha psi(log_q x) increases somewhere
     u = np.arange(64) / 64.0
@@ -320,6 +331,13 @@ def test_gaussian_criterion_pure_tails_in_closed_form(alpha):
     for x in (0.67, 1e6):
         assert gaussian_criterion_ratio(make_pareto(alpha, x0=0.0), x) == pytest.approx(
             (2.0 - alpha) / alpha, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("alpha", (2.0, 2.5))
+def test_gaussian_criterion_is_zero_for_a_divergent_origin(alpha):
+    # at x0 = 0 and alpha >= 2 the truncated second moment diverges
+    for x in (1e-3, 1.0, 1e6):
+        assert gaussian_criterion_ratio(make_pareto(alpha, x0=0.0), x) == 0.0
 
 
 def test_gaussian_criterion_stabilizes():

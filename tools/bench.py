@@ -14,7 +14,8 @@ This checkout must have no uncommitted change to a tracked file, so that
 the tree measured as the head is the one checked out.
 Each tree also runs Tier-1 once, under CI's flags (parent first), for its
 wall seconds, its summary line and the eleven "ACCEPTANCE ... runtime=" lines
-that tests/test_acceptance.py prints (shown by -rP).
+that tests/test_acceptance.py prints (shown by -rP).  The record also holds
+each tree's src/ line count, the `wc -l` total of src/semistable/*.py.
 
 BENCH_<pr>.json, written at the root, holds every pair, each side's median
 and quartiles per end-to-end metric, and the spread rule's verdict:
@@ -118,6 +119,17 @@ def _tier1(tree):
                                   if "ACCEPTANCE " in line and "runtime=" in line})}
 
 
+def _src_lines(tree):
+    """The `wc -l` total (newline count) of src/semistable/*.py in tree."""
+    src = os.path.join(tree, "src", "semistable")
+    total = 0
+    for name in os.listdir(src):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name), "rb") as f:
+                total += f.read().count(b"\n")
+    return total
+
+
 def _summary(values):
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3}
@@ -167,6 +179,8 @@ def main(argv=None) -> int:
                "host": {"machine": platform.machine(), "cpus": os.cpu_count(),
                         "python": platform.python_version()},
                "workloads": {}}
+        doc["src_lines"] = {side: _src_lines(trees[side]) for side in ("parent", "head")}
+        print("src lines: parent %(parent)d, head %(head)d" % doc["src_lines"], flush=True)
         doc["tier1"] = {side: _tier1(trees[side]) for side in ("parent", "head")}
         for side, run in doc["tier1"].items():
             print("tier1 %s: %.1f s, %s" % (side, run["wall_s"], run["summary"]), flush=True)
