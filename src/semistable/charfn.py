@@ -407,10 +407,8 @@ def _slab_plan(K):
     B, about sqrt(K/12), is at most 10.
     A slab's live set is its weights C, the law on 128 panels at a time
     while C is built, then one block's U, V and U @ C^T: C, V and U @ C^T
-    hold at most _CHUNK / 2 complex values each, U 64 x 12 B.  Traced peaks,
-    slab weights formed whole -> in place: 1/2-stable oracle 1,222 -> 687
-    KiB, Cauchy at +-3e4 1,165 -> 517.  A one-point block is a
-    matrix-vector product of 12 B x tile <= _CHUNK / 64 elements."""
+    hold at most _CHUNK / 2 complex values each, U 64 x 12 B.  A one-point
+    block is a matrix-vector product of 12 B x tile <= _CHUNK / 64 elements."""
     half = _CHUNK // 2
     B = max(1, min(round(math.sqrt(K / 12.0)), _CHUNK // (_XBLOCK * 12 * 4)))
     tile = _CHUNK // (_XBLOCK * 12 * B) // 4 * 4

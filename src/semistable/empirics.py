@@ -26,7 +26,7 @@ import numpy as np
 from .charfn import (_ERLANG_BUDGET, TabulatedCdf, cdf_from_cf, erlang_cdf, g_gamma_law,
                      tabulate_cdf)
 from ._arrays import _CHUNK, _check_budget, _check_count, _check_real, elementwise
-from .sampling import (_MAX_N, RngStream, _lepage_block, _lepage_prep, _map_blocks,
+from .sampling import (_DRAW_BUDGET, _MAX_N, RngStream, _lepage_block, _lepage_prep, _map_blocks,
                        _petersburg_phase, _power_block, petersburg_sum_batch)
 
 _KS_CHUNK = _CHUNK // 16  # points per KS step: the step and a TabulatedCdf call on
@@ -144,6 +144,8 @@ def levy_distance(e: Ecdf, cdf, grid_step: float = 1e-4) -> float:
     lo, hi = 0.0, ks_distance(e, cdf) + grid_step
     while hi - lo > grid_step:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # grid_step below the float spacing at the answer
+            break
         if feasible(mid):
             hi = mid
         else:
@@ -300,6 +302,8 @@ def merging_sweep(k: int, points_per_octave: int, reps: int, rng: RngStream,
     points_per_octave = _check_count(points_per_octave, "points_per_octave", 1)
     tol_max = _check_real(tol_max, "tol_max", 0.0, ends="[)")
     tol_two_sample = _check_real(tol_two_sample, "tol_two_sample", 0.0, ends="[)")
+    # every n is at most 2^(k+1), so k + 2 bounds the levels per replicate
+    _check_budget(reps * (points_per_octave + 1) * (k + 2), _DRAW_BUDGET, "draws in the sweep")
     ns = [round((1 << k) * (1.0 + i / points_per_octave))
           for i in range(points_per_octave + 1)]
     gammas = [gamma_n(n) for n in ns]

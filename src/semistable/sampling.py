@@ -7,13 +7,14 @@ streams regardless of scheduling.  Every sum batch draws through _map_blocks,
 which alone owns the stream layout (block b of phase i on stream
 base_stream + i * _STRIDE + b, blocks of BLOCK = 256 replicates), the 2^32
 draw budget of a phase, checked before any phase draws, and who draws:
-the caller and one pool worker per further usable CPU share blocks of
-at least _CHUNK draws, and of St. Petersburg level counts (one GIL-free
-multinomial call) from 6 levels per replicate; the caller alone draws
-the rest (the order statistics' two Gamma draws).  Blocks
-join in block order, so outputs depend on neither the worker count nor
-threads=.  Each construction has one vectorized block kernel; the
-single-draw functions run it on one row.  Every sampler maps its
+the caller and one helper thread per further usable CPU, started for the
+phase and joined before it returns, share blocks of at least _CHUNK
+draws, and of St. Petersburg level counts (one GIL-free multinomial call)
+from 6 levels per replicate; the caller alone draws the rest (the order
+statistics' two Gamma draws).  A call made inside a block starts its own
+helpers.  Blocks join in block order, so outputs depend on neither the
+worker count nor threads=.  Each construction has one vectorized block
+kernel; the single-draw functions run it on one row.  Every sampler maps its
 uniforms in place through the tail model's inverse, the St. Petersburg
 game's too: the game is the model at x0 = 1 (_GAME).  The kernels
 follow the package's working-set rule (_arrays): their temporaries hold
@@ -29,7 +30,6 @@ import json
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -73,8 +73,7 @@ _STRIDE = 10 ** 7  # stream-id block separating experiment phases
 # a GIL-free phase pools from 6 draws (levels) per replicate: St. Petersburg
 # sums at n = 16 (5 levels) broke even on 2 cores, and gained from n = 32
 _POOL_LEVELS = 6
-_WORKER_NAME = "semistable-block"  # the pool's threads, one per usable CPU past the first
-_DRAWING = threading.local()  # .on while this thread draws a pooled phase: its calls run in line
+_WORKER_NAME = "semistable-block"  # a pooled phase's helpers, one per usable CPU past the first
 
 
 @dataclass(frozen=True)
@@ -119,12 +118,6 @@ class _Phase(NamedTuple):
     gil_free: bool = False
 
 
-@functools.lru_cache(maxsize=None)
-def _pool(workers: int) -> ThreadPoolExecutor:
-    """The shared block pool, made on first use; it starts threads lazily."""
-    return ThreadPoolExecutor(workers, thread_name_prefix=_WORKER_NAME)
-
-
 def _map_blocks(phases, reps: int, seed: int, base_stream: int = 0):
     """For each phase (block_fn, draws per replicate[, gil_free]: a _Phase),
     block_fn(gen, rows) concatenated over blocks of BLOCK replicates, drawn
@@ -132,22 +125,22 @@ def _map_blocks(phases, reps: int, seed: int, base_stream: int = 0):
 
     Block b of phase i covers replicates [b * BLOCK, min((b + 1) * BLOCK, reps))
     and draws from stream (seed, base_stream + i * _STRIDE + b) alone.  A
-    phase of reps x draws > 2^32 is refused before any phase draws.  A
-    phase's blocks pool (_on_pool: the caller and cpus - 1 workers draw
-    them) when they make BLOCK x draws >= _CHUNK draws, or when gil_free
-    (each block one call that releases the GIL) from _POOL_LEVELS draws per
-    replicate.  Other kernels' smaller blocks make many short numpy calls
-    each and ran up to 3x slower pooled (LePage sums of 8 terms, 2 cores),
-    so they stay on the caller, as do the order statistics' two Gamma
-    draws.  Nothing pools with one CPU, one block or a call made while a
-    pooled block is drawn: it runs in line on the thread that draws it.
+    phase of reps x draws > 2^32 is refused before any phase draws.  Each
+    phase is drained by _on_pool: the caller and, when the phase pools,
+    cpus - 1 helper threads started for it and joined before it returns.
+    A phase pools when its blocks make BLOCK x draws >= _CHUNK draws, or
+    when gil_free (each block one call that releases the GIL) from
+    _POOL_LEVELS draws per replicate.  Other kernels' smaller blocks make
+    many short numpy calls each and ran up to 3x slower pooled (LePage sums
+    of 8 terms, 2 cores), so they stay on the caller, as do the order
+    statistics' two Gamma draws.  One CPU or one block starts no helper, and
+    a call made inside a block drains its own phase with its own helpers.
     """
     reps = _check_count(reps, "reps", 1)
     phases = [_Phase(*p) for p in phases]
     for p in phases:
         _check_budget(reps * p.draws, _DRAW_BUDGET, "draws in one phase")
     blocks, cpus = range(-(-reps // BLOCK)), _cpus()
-    inline = min(len(blocks), cpus) == 1 or getattr(_DRAWING, "on", False)
 
     def draw():
         for i, p in enumerate(phases):
@@ -158,16 +151,14 @@ def _map_blocks(phases, reps: int, seed: int, base_stream: int = 0):
 
             pooled = BLOCK * p.draws >= _CHUNK or p.gil_free and p.draws >= _POOL_LEVELS
             # the blocks are dropped once joined, before the phase is handed on
-            yield np.concatenate(_on_pool(run, blocks, cpus) if pooled and not inline
-                                 else list(map(run, blocks)))
+            yield np.concatenate(_on_pool(run, blocks, cpus if pooled else 1))
     return draw()
 
 
-def _on_pool(run, blocks, workers):  # [run(b) for b in blocks], the caller drawing beside the pool
+def _on_pool(run, blocks, workers):  # [run(b) for b in blocks], the caller beside its helpers
     out, todo, lock, errors = [None] * len(blocks), iter(blocks), threading.Lock(), []
 
     def drain():  # the next block under the lock, until none is left or one has failed
-        _DRAWING.on = True  # a pool thread only ever drains
         try:
             while not errors:
                 with lock:
@@ -177,12 +168,15 @@ def _on_pool(run, blocks, workers):  # [run(b) for b in blocks], the caller draw
                 out[b] = run(b)
         except BaseException as e:  # an interrupt of the caller stops the helpers too
             errors.append(e)
-    helpers = [_pool(workers - 1).submit(drain) for _ in range(min(workers, len(blocks)) - 1)]
+    helpers = [threading.Thread(target=drain, name=_WORKER_NAME)
+               for _ in range(min(workers, len(blocks)) - 1)]
     try:
+        for t in helpers:
+            t.start()
         drain()
-    finally:  # the running helpers end before an error is raised; one not started has no block
-        _DRAWING.on = False
-        wait([f for f in helpers if not f.cancel()])
+    finally:  # the started helpers end before the phase returns or an error is raised
+        for t in filter(threading.Thread.is_alive, helpers):
+            t.join()
     if errors:
         raise errors[0]
     return out

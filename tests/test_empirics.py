@@ -205,6 +205,23 @@ def test_levy_distance_point_masses():
     assert d == pytest.approx(delta, abs=2e-4)
 
 
+def test_levy_distance_returns_below_the_float_spacing():
+    # a grid_step below the spacing of floats near the answer left the
+    # bisection's midpoint at one end of the bracket, and the loop never ended
+    e = Ecdf.from_sample(np.random.default_rng(1).random(100))
+    calls = [0]
+
+    def cdf(x):
+        calls[0] += 1
+        assert calls[0] <= 200, "levy_distance kept bisecting"
+        return np.clip(x, 0.0, 1.0)
+
+    coarse = levy_distance(e, cdf, grid_step=1e-12)
+    calls[0] = 0
+    assert levy_distance(e, cdf, grid_step=1e-300) == pytest.approx(coarse, abs=1e-12)
+    assert calls[0] <= 200
+
+
 @pytest.mark.parametrize("grid_step", [math.nan, math.inf, 0.0, -1e-3])
 def test_levy_distance_rejects_bad_grid_step(grid_step):
     # nan returned nan and inf returned inf before

@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import math
+import multiprocessing
 import os
 import re
 import subprocess
@@ -616,8 +617,9 @@ def test_lepage_truncation_refinement_stability():
 def test_lepage_work_budget(monkeypatch):
     # reps x draws per replicate is refused before any stream is opened; the
     # defaults of `semistable lepage` asked for 10^5 x 10^6 exponentials, and
-    # the other calls below ran until stopped.  The coupling curve and the
-    # sweep refuse a later phase before their first phase draws.
+    # the other calls below ran until stopped.  The coupling curve refuses a
+    # later phase before its first phase draws, and the sweep prices its
+    # whole walk, k + 2 levels a replicate, before it forms a phase.
     def drew(*args, **kwargs):
         raise AssertionError("drew before the budget check")
 
@@ -634,11 +636,13 @@ def test_lepage_work_budget(monkeypatch):
                  lambda: poisson_sum_batch(make_petersburg(x0=1.0), 2.0 ** -20, 2 ** 27,
                                            seed=1, symmetric=True),
                  lambda: petersburg_sum_batch(2 ** 62, 2 ** 27, seed=1),
-                 # 9 binomial levels per sum fit, the last phase's 10 do not
+                 # 9 binomial levels per sum fit, the last phase's 10 do not,
+                 # and the walk's 5 phases x 10 levels do not either
                  lambda: empirics.merging_sweep(8, 4, 2 ** 32 // 9, RngStream(1))):
         start = time.perf_counter()
-        with pytest.raises(ResourceLimitError, match="draws in one phase, over the budget "
-                                                     "of 4294967296$"):
+        what = "the sweep" if "merging_sweep" in call.__code__.co_names else "one phase"
+        with pytest.raises(ResourceLimitError, match="draws in %s, over the budget "
+                                                     "of 4294967296$" % what):
             call()
         assert time.perf_counter() - start < 1.0
     monkeypatch.undo()
@@ -838,7 +842,7 @@ def test_kernel_chunking_changes_only_rounding(monkeypatch):
 @settings(max_examples=12, deadline=None)
 @given(reps=st.integers(1, 600), base=st.integers(0, 10 ** 9))
 def test_batches_do_not_depend_on_threads(reps, base):
-    # the pool's worker count follows the CPU count; 1 CPU runs blocks in line.
+    # a pooled phase's drawers follow the CPU count; 1 CPU starts no helper.
     # Poisson (lambda = 316), LePage (128 terms) and both curve phases (130
     # and 187 draws) pool once there are two blocks, one block at a time; so
     # do the level counts: the St. Petersburg sums (7
@@ -878,21 +882,26 @@ def test_tail_model_sampling_needs_a_positive_scaled_mass():
 # -- block pool ----------------------------------------------------------------
 
 
+def _pooled(workers, blocks):  # a phase drawn by more than one thread
+    return workers > 1 and len(blocks) > 1
+
+
 @contextlib.contextmanager
 def _cpu_count(cpus):
-    """Pooled batches see cpus CPUs and run on the caller and a fresh pool
-    of cpus - 1 workers; with 1 CPU, blocks run in line.  Yields the block
-    counts of the phases run on the pool, in order.  A context manager
-    rather than a fixture, so that hypothesis tests can use it too."""
+    """Batches see cpus CPUs: a pooled phase runs on the caller and up to
+    cpus - 1 helpers; with 1 CPU, blocks run on the caller alone.  Yields
+    the block counts of the phases run with more than one worker and more
+    than one block, in order.  A context manager rather than a fixture, so
+    that hypothesis tests can use it too."""
     pooled, on_pool = [], sampling._on_pool
 
     def spy(run, blocks, workers):
-        pooled.append(len(blocks))
+        if _pooled(workers, blocks):
+            pooled.append(len(blocks))
         return on_pool(run, blocks, workers)
 
-    with pytest.MonkeyPatch.context() as mp, sampling._pool.__wrapped__(max(cpus - 1, 1)) as pool:
+    with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sampling, "_cpus", lambda: cpus)
-        mp.setattr(sampling, "_pool", lambda workers: pool)
         mp.setattr(sampling, "_on_pool", spy)
         yield pooled
 
@@ -935,21 +944,72 @@ def test_pooled_batches_match_one_worker():
                 [(lambda gen, rows: np.full(rows, threading.get_ident(), dtype=object),
                   sampling._CHUNK)], 4 * sampling.BLOCK, 1)
         assert len(pooled) == 20
-        assert len(set(ran_on)) <= cpus  # the caller and the pool's cpus - 1 threads
+        assert len(set(ran_on)) <= cpus  # the caller and its cpus - 1 helpers
 
 
 @pytest.mark.parametrize("cpus", [2, 3])
-def test_pool_has_a_thread_fewer_than_cpus(cpus):
-    # the caller draws beside the pool, so the pool holds cpus - 1 threads
-    # (it held cpus, one of them idle while the caller waited)
-    code = ("import threading; from semistable import sampling; "
-            f"sampling._cpus = lambda: {cpus}; "
-            "sampling.petersburg_sum_batch(1536, 50 * sampling.BLOCK, 1); "
-            "print(sum(t.name.startswith(sampling._WORKER_NAME) for t in threading.enumerate()))")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    res = subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=60,
-                         capture_output=True, text=True)
-    assert 0 < int(res.stdout) <= cpus - 1
+def test_no_helper_outlives_its_phase(cpus):
+    # each pooled phase joins the helpers it started before it returns (a
+    # cached pool kept cpus - 1 idle threads for the life of the process)
+    def helpers():
+        return [t for t in threading.enumerate() if t.name.startswith(sampling._WORKER_NAME)]
+
+    m = make_pareto(0.5)
+    with _cpu_count(cpus) as pooled:
+        petersburg_sum_batch(1536, 50 * sampling.BLOCK, 1)
+        assert helpers() == []
+        poisson_sum_batch(m, 1e-5, 700, seed=1)
+        lepage_batch(0.5, 900, seed=1, n_terms=500)
+        empirics.merging_sweep(8, 2, 600, RngStream(1))
+        assert helpers() == []
+    assert pooled == [50, 3, 4, 3, 3, 3]
+
+
+def test_drawers_take_each_block_once():
+    # 8 drawers on this host's cores, switching threads every microsecond:
+    # each block is drawn exactly once and joins at its own index
+    taken, interval = [], sys.getswitchinterval()
+
+    def block(gen, rows):
+        b = int(gen.bit_generator.state["state"]["key"][1])  # stream b: block b
+        taken.append(b)
+        return np.full(rows, b)
+
+    sys.setswitchinterval(1e-6)
+    try:
+        with _cpu_count(8) as pooled:
+            (out,) = sampling._map_blocks([(block, sampling._CHUNK)], 200 * sampling.BLOCK, 0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert pooled == [200] and sorted(taken) == list(range(200))
+    assert np.array_equal(out, np.repeat(np.arange(200), sampling.BLOCK))
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the fork start method is unavailable")
+def test_forked_child_pools_again():
+    # a child forked after the parent pooled draws a pooled phase on 2
+    # threads; a cached executor came over without its thread, and the
+    # child drew every block on the caller alone
+    def block(gen, rows):
+        time.sleep(0.01)
+        return np.full(rows, threading.get_ident(), dtype=object)
+
+    def child(conn):
+        (ran_on,) = sampling._map_blocks([(block, sampling._CHUNK)], 16 * sampling.BLOCK, 1)
+        conn.send(len(set(ran_on)))
+
+    ctx = multiprocessing.get_context("fork")
+    with _cpu_count(2) as pooled:
+        petersburg_sum_batch(1536, 4 * sampling.BLOCK, 1)
+        recv, send = ctx.Pipe(duplex=False)
+        proc = ctx.Process(target=child, args=(send,))
+        proc.start()
+        send.close()
+        threads = recv.recv() if recv.poll(60) else None
+        proc.join(60)
+    assert pooled == [4]
+    assert threads == 2 and proc.exitcode == 0
 
 
 def test_caller_and_pool_both_draw():
@@ -970,7 +1030,8 @@ def _pool_tasks(call, cpus=2):
     tasks, on_pool = [], sampling._on_pool
 
     def spy(run, phase_tasks, workers):
-        tasks.append(list(phase_tasks))
+        if _pooled(workers, phase_tasks):
+            tasks.append(list(phase_tasks))
         return on_pool(run, phase_tasks, workers)
 
     with _cpu_count(cpus), pytest.MonkeyPatch.context() as mp:
@@ -1019,8 +1080,7 @@ def test_map_blocks_draws_each_phase_when_reached():
 def test_import_starts_no_thread():
     code = ("import threading; n = threading.active_count(); import semistable; "
             "from semistable import sampling; "
-            "assert threading.active_count() == n; "
-            "assert sampling._pool.cache_info().currsize == 0")
+            "assert threading.active_count() == n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=60)
 
@@ -1103,20 +1163,6 @@ def test_nested_map_blocks_returns():
         worker.join(60.0)
     assert not worker.is_alive() and done[0].shape == (800,)
     assert np.all(done[0] == done[0][0])
-
-
-def test_nested_calls_on_the_caller_run_in_line():
-    # an outer block drawn on the caller sends no inner phase to the pool,
-    # where its helper would queue behind the worker's outer block
-    def outer(gen, rows):
-        time.sleep(0.02)  # the caller draws some outer blocks, the worker the rest
-        (inner,) = sampling._map_blocks([(lambda g, r: g.random(r), sampling._CHUNK)], 600, 7)
-        return np.full(rows, threading.get_ident(), dtype=object)
-
-    with _cpu_count(2) as pooled:
-        (ran_on,) = sampling._map_blocks([(outer, sampling._CHUNK)], 8 * sampling.BLOCK, 6)
-    assert threading.get_ident() in set(ran_on)
-    assert pooled == [8]  # the outer phase alone
 
 
 def test_generator_keys_philox_directly():

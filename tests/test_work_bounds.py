@@ -9,7 +9,7 @@ import pytest
 
 from semistable import (CfExponent, ResourceLimitError, RngStream, cauchy_law, cdf_from_cf,
                         charfn, cli, erlang_cdf, g_gamma_law, gaussian_law, lepage_batch,
-                        make_pareto, make_petersburg, maximal_fluctuation,
+                        make_pareto, make_petersburg, maximal_fluctuation, merging_sweep,
                         order_statistics_experiment, poisson_sum_batch, sample_petersburg,
                         sample_poisson_points, sampling, tabulate_cdf)
 
@@ -58,10 +58,14 @@ PARETO = make_pareto(0.5)
     # the KS takes two Erlang calls per point; priced before any draw
     (lambda: order_statistics_experiment(10 ** 5, 10 ** 6, 10 ** 4, RngStream(1)),
      "2000000000", "Erlang series terms", "1073741824"),
+    # the sweep's whole walk, priced at k + 2 levels per replicate before
+    # its n values exist: each phase alone passes the phase budget
+    (lambda: merging_sweep(8, 10 ** 6, 10 ** 4, RngStream(1)),
+     "1.000001e+11", "draws in the sweep", "4294967296"),
 ], ids=["nodes-before-probe", "nodes-after-plan", "lattice-points", "products",
         "table-points", "phase-draws", "batch-draws", "poisson-points", "point-set",
         "poisson-range", "series-terms", "series-terms-past-float64", "path-terms",
-        "grid-rows", "erlang-terms", "orderstats-ks"])
+        "grid-rows", "erlang-terms", "orderstats-ks", "sweep-draws"])
 def test_every_work_bound_refuses_alike(call, need, what, budget, monkeypatch):
     def started(*args, **kwargs):
         raise AssertionError("drew or integrated before the work bound")
@@ -82,3 +86,5 @@ def test_the_cli_exits_4_past_a_work_bound(capsys):
     assert "would need 10000001 grid rows" in capsys.readouterr().err
     assert cli.main(["lepage", "--n-terms", str(2 * 10 ** 8), "--reps", "1"]) == 4
     assert "would need 200000000 series terms" in capsys.readouterr().err
+    assert cli.main(["sweep", "--k", "8", "--points", "1000000"]) == 4
+    assert "draws in the sweep" in capsys.readouterr().err

@@ -15,7 +15,10 @@ the tree measured as the head is the one checked out.
 Each tree also runs Tier-1 once, under CI's flags (parent first), for its
 wall seconds, its summary line and the eleven "ACCEPTANCE ... runtime=" lines
 that tests/test_acceptance.py prints (shown by -rP).  The record also holds
-each tree's src/ line count, the `wc -l` total of src/semistable/*.py.
+each tree's src/ line count, the `wc -l` total of src/semistable/*.py, and
+under "host" both os.cpu_count() and "usable_cpus", the CPUs this process
+may run on (null where the platform has no affinity mask): a pooled phase
+starts a helper per usable CPU past the first.
 
 BENCH_<pr>.json, written at the root, holds every pair, each side's median
 and quartiles per end-to-end metric, and the spread rule's verdict:
@@ -177,6 +180,8 @@ def main(argv=None) -> int:
                "command": bench["command"], "seed": SEED,
                "seconds": bench["run_seconds"], "pairs_per_workload": PAIRS,
                "host": {"machine": platform.machine(), "cpus": os.cpu_count(),
+                        "usable_cpus": (len(os.sched_getaffinity(0))
+                                        if hasattr(os, "sched_getaffinity") else None),
                         "python": platform.python_version()},
                "workloads": {}}
         doc["src_lines"] = {side: _src_lines(trees[side]) for side in ("parent", "head")}
