@@ -8,11 +8,8 @@ block of n i.i.d. heavy-tailed draws, scaled by n^(-1/alpha), matches the
 p-th series term: extremes alone carry the sum.
 """
 
-import numpy as np
-
-from semistable import (Ecdf, RngStream, ks_distance, ks_two_sample,
-                        lepage_auto_terms, lepage_batch, levy_cdf,
-                        sample_lepage)
+from semistable import (Ecdf, RngStream, ks_distance, lepage_auto_terms, lepage_batch,
+                        lepage_limit_experiment, levy_cdf, sample_lepage)
 
 SEED = 13
 
@@ -30,21 +27,9 @@ print("  KS of 20000 series draws vs the closed-form CDF: %.4f"
 
 print()
 print("== extremes of i.i.d. blocks match the series terms ==")
-rng = np.random.default_rng(SEED)
-n = 2 ** 12
-reps = 20000
-block_top = np.empty((reps, 3))
-for i in range(reps):
-    m = (1.0 - rng.random(n)) ** -2.0  # pure power tail, alpha = 1/2
-    top = np.sort(np.partition(m, n - 3)[n - 3:])[::-1]
-    block_top[i] = top / float(n) ** 2.0
-series_top = np.empty((reps, 3))
-for i in range(reps):
-    z = np.cumsum(rng.standard_exponential(3))
-    series_top[i] = z ** -2.0
-for p in range(3):
-    print("  rank %d: two-sample KS = %.4f" % (p + 1,
-          ks_two_sample(block_top[:, p], series_top[:, p])))
+rep = lepage_limit_experiment(0.5, 12, 20000, RngStream(SEED, 5), n_terms=3)
+for p, ks in enumerate(rep.statistic["rank_ks"], 1):
+    print("  rank %d: two-sample KS = %.4f" % (p, ks))
 
 print()
 print("== a single draw, term by term ==")

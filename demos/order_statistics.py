@@ -7,8 +7,6 @@ alpha < 2 the top few terms have the magnitude of the whole sum, and the
 classical negligibility of individual terms appears exactly at alpha >= 2.
 """
 
-import numpy as np
-
 from semistable import (RngStream, negligibility_experiment,
                         order_statistics_experiment)
 

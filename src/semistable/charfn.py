@@ -613,8 +613,6 @@ def _invert(h, xs, tol):
     """cdf_from_cf over the flat float array xs."""
     xs = _check_real(xs, "x", array=True)
     out = np.zeros(xs.size)
-    if not xs.size:
-        return out
     jobs = _reduced_laws(h, _magnitudes(xs))
     reach = [_reach(law, tol * _REACH_TOL) for _, law, *_ in jobs]
     _check_budget(sum(max(0.0, (float(xs[mask].max()) + lo) / spacing) + 1.0
@@ -770,4 +768,5 @@ def levy_cdf(x):
     NaN raises ValueError.
     """
     erfc = np.vectorize(math.erfc, otypes=[float])
-    return elementwise(lambda v: erfc(np.sqrt(math.pi / (4.0 * v))), x, cdf_from=0.0)
+    with _quiet():  # pi / (4 x) is inf below x = 4.4e-309, where erfc gives 0
+        return elementwise(lambda v: erfc(np.sqrt(math.pi / (4.0 * v))), x, cdf_from=0.0)

@@ -21,7 +21,7 @@ import numpy as np
 from ._arrays import _check_budget, _check_count, _check_finite, _quiet
 from .empirics import ExperimentReport, ks_two_sample
 from .sampling import _POINT_BUDGET, RngStream, _col_chunks, _map_blocks, _open01, _row_groups
-from .tailmodel import TailModel, tail_eval
+from .tailmodel import TailModel
 
 __all__ = ["CoupledPair", "coupled_pair", "coupling_gap_curve", "maximal_fluctuation"]
 
@@ -40,12 +40,11 @@ class CoupledPair:
     gap: float
 
 
-@functools.lru_cache(maxsize=256)  # a pure check: only passes are cached
 def _check_coupling_model(model: TailModel, n: int, window: bool = False) -> int:
-    """Contract and work checks; returns the window half-width (0 without)."""
+    """Contract and work checks on the kept T(x0); returns the window half-width (0 without)."""
     if not model.alpha < 1.0:
         raise ValueError("coupling is implemented for alpha < 1 (uncentered regime)")
-    if abs(tail_eval(model, model.x0) - 1.0) > 1e-9:
+    if abs(model._mass - 1.0) > 1e-9:
         raise ValueError("coupling needs unit total mass: T(x0) = 1")
     half = math.ceil(_C_MULT * math.sqrt(n)) if window else 0
     _check_budget(n + half, _POINT_BUDGET, "terms per path")

@@ -37,9 +37,8 @@ import numpy as np
 
 from ._arrays import (_CHUNK, ResourceLimitError, _check_budget, _check_count, _check_finite,
                       _check_real, _quiet)
-from .tailmodel import (TailModel, intensity_quantile, intensity_tail,
-                        make_pareto, make_petersburg, model_to_json, tail_eval,
-                        tail_first_moment)
+from .tailmodel import (TailModel, intensity_quantile, intensity_tail, make_pareto,
+                        make_petersburg, model_to_json, tail_first_moment)
 
 __all__ = [
     "RngStream",
@@ -233,9 +232,12 @@ def petersburg_from_uniform(u):
     The strict inverse of the game's tail (_GAME, x0 = 1) keeps the dyadic
     masses exact: u in (2^-k, 2^-(k-1)] maps to 2**k, so each value 2**k
     receives probability exactly 2**-k on the 2**-53 uniform lattice.
-    Values are exact powers of two up to 2**53; u outside (0, 1] raises ValueError.
+    Values are exact powers of two; u outside (0, 1] raises ValueError, and
+    u <= 2**-1023, whose 2**k passes float64's max, OverflowError.
     """
-    return _GAME._quantile_formula(_check_real(u, "u", 0.0, 1.0, "(]", array=True), strict=True)
+    u = _check_real(u, "u", 0.0, 1.0, "(]", array=True)
+    with _quiet():
+        return _check_finite(_GAME._quantile_formula(u, strict=True), "a draw", _GAME.alpha)
 
 
 def sample_petersburg(n: int, rng: RngStream) -> SampleBatch:
@@ -303,20 +305,19 @@ def sample_tail_model(model: TailModel, n: int, rng: RngStream,
                       symmetrize: bool = False) -> SampleBatch:
     """Quantile-transform draws from the renormalized law on (x0, inf).
 
-    x = inf{x : T(x) < U T(x0)}, U uniform on (0, 1], in place: the strict
-    inverse, exact on a St. Petersburg tail (the game at x0 = 1).  With
-    symmetrize the magnitudes get independent uniform signs, drawn after
-    them on the same stream.  At most 2^26 draws, held in memory like a
-    point set; a draw past the float range (alpha near 0) raises OverflowError.
+    x = inf{x : T(x) < U T(x0)}, U uniform on (0, 1], T(x0) the kept _mass,
+    in place: the strict inverse, exact on a St. Petersburg tail (the game
+    at x0 = 1).  With symmetrize the magnitudes get independent uniform
+    signs, drawn after them on the same stream.  At most 2^26 draws, held in
+    memory like a point set; a draw past the float range (alpha near 0) raises OverflowError.
     """
-    cap = tail_eval(model, model.x0) if model.x0 > 0.0 else 0.0
-    if not cap * 2.0 ** -53 > 0.0:  # U * T(x0), U >= 2^-53, must stay positive
+    if not model._mass * 2.0 ** -53 > 0.0:  # U * T(x0), U >= 2^-53, must stay positive
         raise ValueError("sampling needs x0 > 0 and T(x0) >= 2^-1021")
     n = _check_count(n, "n", 1)
     _check_budget(n, _POINT_SET_BUDGET, "draws held in memory")
     gen = rng.generator()
     u = _open01(gen, np.empty(n))
-    np.multiply(u, cap, out=u)
+    np.multiply(u, model._mass, out=u)
     with _quiet():
         values = _check_finite(model._quantile(u, u, strict=True), "a draw", model.alpha)
     if symmetrize:

@@ -49,7 +49,7 @@ class TailModel:
         every cell j (v[m] = v[0]), which the constructor checks.
 
     x0 >= 0 is the lower support bound; T(x0) is the total mass above x0
-    (it need not be 1, samplers renormalize).
+    (it need not be 1, samplers renormalize), kept as _mass (0.0 at x0 = 0).
     """
 
     alpha: float
@@ -81,8 +81,9 @@ class TailModel:
             object.__setattr__(self, "_ring", np.append(vals, vals[0]))
         else:
             object.__setattr__(self, "psi_values", ())
-        with _quiet():  # an overflowing T(x0) is refused here
-            if self.x0 > 0.0 and not 0.0 < float(self._tail_formula(self.x0)) < math.inf:
+        with _quiet():  # T(x0) (0.0 at x0 = 0), evaluated once and kept; an overflow is refused
+            object.__setattr__(self, "_mass", self.x0 and float(self._tail_formula(self.x0)))
+            if self.x0 > 0.0 and not 0.0 < self._mass < math.inf:
                 raise ValueError("x0 must leave a finite positive mass T(x0)")
 
     # -- psi and tail formula (intensity reading, any x > 0) ---------------
@@ -260,8 +261,8 @@ def tail_quantile(model: TailModel, u):
     """
     if model.x0 <= 0.0:
         raise ValueError("tail_quantile needs x0 > 0 (finite total mass)")
+    ua = _check_real(u, "u", 0.0, model._mass, "(]", array=True)
     with _quiet():
-        ua = _check_real(u, "u", 0.0, float(model._tail_formula(model.x0)), "(]", array=True)
         return _check_finite(elementwise(model._quantile, ua), "a quantile", model.alpha)
 
 

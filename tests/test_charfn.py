@@ -925,6 +925,9 @@ def test_levy_cdf_matches_mpmath():
     assert np.all(np.abs(f[keep] - exact[keep]) <= 1e-15 * exact[keep])
     # the conventions: 0 at x <= 0, 1 at +inf, NaN refused, empty in, empty out
     assert levy_cdf(np.array([-math.inf, -1.0, 0.0, math.inf])).tolist() == [0, 0, 0, 1]
+    # pi / (4 x) passes float64 below x = 4.4e-309: 0, with no overflow warning
+    assert levy_cdf(5e-324) == 0.0
+    assert levy_cdf(np.array([5e-324, 1e-310, 1e-300])).tolist() == [0, 0, 0]
     assert type(levy_cdf(2.0)) is float
     with pytest.raises(ValueError, match="NaN"):
         levy_cdf(math.nan)
@@ -1284,8 +1287,12 @@ def test_head_phase_sums_match_direct_sum(omega):
 
 def test_empty_queries_give_empty_arrays():
     # cdf_from_cf([]) raised numpy's "zero-size array" ValueError from the
-    # magnitude grouping; it now matches the closed forms and the exponent
-    for out in (cdf_from_cf(cauchy_law(), []), erlang_cdf(2, []), levy_cdf([]),
+    # magnitude grouping; it now matches the closed forms and the exponent.
+    # The one general path gives it for every kind of law: the closed forms,
+    # a split law, a convolution power and a reduced law with log_mgf
+    laws = (cauchy_law(), g_gamma_law(1.5), convolution_power(g_gamma_law(1.3), 3.0),
+            g_gamma_law(1.3).split(96)[0], one_sided_stable_exponent(0.5))
+    for out in (*(cdf_from_cf(law, []) for law in laws), erlang_cdf(2, []), levy_cdf([]),
                 g_exponent([])):
         assert isinstance(out, np.ndarray) and out.shape == (0,)
     assert cdf_from_cf(cauchy_law(), []).dtype == float

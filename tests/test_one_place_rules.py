@@ -3,8 +3,9 @@ row gives the node a rule forbids and the places that may hold it: a module, or
 its top-level function or method ("tailmodel.TailModel._tail_formula"), with all
 inside it.  The ast walk reads code only, so prose may name any form; three
 rules read lines of text, one of them the CI workflows (as text: CI installs no
-YAML parser).  A new rule is one row and one probe that must break it; a scoped
-rule also keeps an allowed form that must pass."""
+YAML parser), and one reads each module of the package and the demos whole.  A
+new rule is one row and one probe that must break it; a scoped rule also keeps
+an allowed form that must pass."""
 
 import ast
 import pathlib
@@ -76,6 +77,23 @@ RULES = {
     "no eigensolver at run time": (_eigensolver, []),
 }
 
+
+def _unused_imports(tree):  # lines binding a name the module never reads, nor lists in __all__
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    read |= {c.value for n in ast.walk(tree) if isinstance(n, ast.Assign)
+             and "__all__" in map(_name, n.targets) for c in ast.walk(n.value)
+             if isinstance(c, ast.Constant)}
+    return {n.lineno for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))
+            and getattr(n, "module", None) != "__future__" for a in n.names
+            if (a.asname or a.name.split(".")[0]) not in read}
+
+
+# rule: (the directories whose modules it reads whole, an __init__.py and its
+#        re-exports aside; the lines of a module's tree that break it)
+MODULE_RULES = {
+    "no unused import": (("src/", "demos/"), _unused_imports),
+}
+
 # rule: (the directories whose lines it reads, the line it forbids)
 TEXT_RULES = {
     "no ignored overflow warning": (("tests/", "perfbench/tests/"), re.compile(
@@ -102,6 +120,9 @@ def _faults(path, source):
     """{(rule, line)} for each line of source, the file at path, that breaks a rule."""
     found = {(rule, i) for rule, (dirs, pattern) in TEXT_RULES.items() if path.startswith(dirs)
              for i, line in enumerate(source.splitlines(), 1) if pattern.search(line)}
+    if path.endswith(".py") and not path.endswith("/__init__.py"):
+        found |= {(rule, line) for rule, (dirs, lines) in MODULE_RULES.items()
+                  if path.startswith(dirs) for line in lines(ast.parse(source))}
     if path.startswith("src/semistable/"):
         module = path.removeprefix("src/semistable/").removesuffix(".py")
         found |= {(rule, node.lineno) for node, place in _places(ast.parse(source), module)
@@ -110,15 +131,16 @@ def _faults(path, source):
     return found
 
 
-WALKED = (("src", "*.py"), ("tests", "*.py"), ("perfbench/tests", "*.py"),
+WALKED = (("src", "*.py"), ("demos", "*.py"), ("tests", "*.py"), ("perfbench/tests", "*.py"),
           (".github/workflows", "*.yml"))
 
 
 def test_the_tree_keeps_every_rule():
     paths = sorted(p.relative_to(ROOT).as_posix() for d, glob in WALKED
                    for p in (ROOT / d).rglob(glob))
-    # the walk found the package and the workflow
-    assert {"src/semistable/_arrays.py", ".github/workflows/tests.yml"} <= set(paths)
+    # the walk found the package, the demos and the workflow
+    assert {"src/semistable/_arrays.py", "demos/merging_walk.py",
+            ".github/workflows/tests.yml"} <= set(paths)
     faults = ["%s:%d: %s" % (p, line, rule) for p in paths
               for rule, line in sorted(_faults(p, (ROOT / p).read_text(encoding="utf-8")))]
     assert not faults, "\n".join(faults)
@@ -180,12 +202,15 @@ PROBES = {
     "import-in-function": ("no on-demand import", *_src(
         "charfn", "def levy_cdf(x):", "    from math import erfc", "    return erfc(x)")),
     "import-in-try": ("no on-demand import", *_src(
-        "cli", "try:", "    import numba", "except ImportError:", "    numba = None")),
-    "import-scipy": ("no scipy import", *_src("charfn", "import scipy.special")),
-    "import-from-scipy": ("no scipy import", *_src("empirics", "from scipy import stats")),
+        "cli", "try:", "    import numba", "except ImportError:", "    numba = None",
+        "JIT = numba")),
+    "import-scipy": ("no scipy import", *_src(
+        "charfn", "import scipy.special", "erfc = scipy.special.erfc")),
+    "import-from-scipy": ("no scipy import", *_src(
+        "empirics", "from scipy import stats", "norm = stats.norm")),
     "import-top-and-prose": (None, *_src(
         "charfn", "import math", "def pchip(x):", '    """Monotone cubic, as', "    from scipy's",
-        '    PCHIP."""  # import scipy')),
+        '    PCHIP."""  # import scipy', "    return math.inf")),
     "random-sampling": ("one uniform fill", *_src(
         "sampling", "def _poisson_sum_block(gen, n):", "    return gen.random(n)")),
     "random-coupling": ("one uniform fill", *_src(
@@ -258,12 +283,20 @@ PROBES = {
     "eigensolver-linalg": ("no eigensolver at run time", *_src(
         "charfn", "def _nodes(m):", "    return numpy.linalg.eigvalsh(m)")),
     "eigensolver-linalg-import": ("no eigensolver at run time", *_src(
-        "empirics", "from numpy import linalg")),
+        "empirics", "from numpy import linalg", "EIG = linalg.eigvalsh")),
     "eigensolver-constant": (None, *_src(
         "_arrays", "# numpy.polynomial.legendre.leggauss(12) bit for bit",
         "_GL12 = (np.array([0.1252334085114689]), np.array([0.2491470458134027]))",
         "def _rule():", '    """The 12-node rule, not leggauss(12) and its np.linalg eigensolve."""',
         "    return _GL12")),
+    "unused-import": ("no unused import", *_src(
+        "empirics", "import math", "import numpy as np", "def f(x):", "    return np.sqrt(x)")),
+    "unused-import-demo": ("no unused import", "demos/probe.py",
+                           "from semistable import RngStream, gamma_n\nprint(gamma_n(3))\n"),
+    "unused-import-all": (None, *_src(
+        "tailmodel", "from __future__ import annotations", "from ._arrays import _quiet",
+        "__all__ = ['_quiet']")),
+    "unused-import-init": (None, "src/semistable/__init__.py", "from .charfn import levy_cdf\n"),
     "gate-demos": ("one gate", ".github/workflows/tests.yml", "\n".join([
         "      - name: Demos", "        run: |", "          for demo in demos/*.py; do",
         '            PYTHONPATH=src python -W error::RuntimeWarning "$demo" || exit 1',

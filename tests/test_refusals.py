@@ -353,6 +353,9 @@ GRID_ZERO = (1.0,) * 63 + (0.0,)
 # passed or failed otherwise before the real check
 ARGUMENTS = [
     ("unit-mass", lambda: coupled_pair(make_pareto(0.5, x0=2.0), 10, R), "unit total mass"),
+    # "x must lie in (0, inf], got 0" before, naming an argument never passed
+    ("unit-mass-x0-zero", lambda: coupled_pair(make_pareto(0.5, x0=0.0), 10, R),
+     "unit total mass"),
     ("x0-not-finite", lambda: TailModel(alpha=0.5, q=2, c=1.0, x0=math.inf),
      _refusal("x0", "[0, inf)", math.inf)),
     ("psi-kind", lambda: TailModel(alpha=0.5, q=2, c=1.0, x0=1.0, psi_kind="sine"),

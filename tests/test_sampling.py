@@ -807,10 +807,12 @@ def test_lepage_small_alpha_is_not_nan():
     # rho = q**(1/alpha) = 2**10000: the same bare errno message
     (1e-4, lambda: sample_tail_model(TailModel(alpha=1e-4, q=2, c=1.0, x0=1.0, psi_kind="grid",
                                                psi_values=tuple(np.ones(64))), 10, RngStream(5))),
+    # u <= 2^-1023 maps to 2**1024: inf after numpy's "overflow encountered in ldexp"
+    (1, lambda: petersburg_from_uniform(5e-324)),
 ], ids=["lepage", "lepage-symmetric", "poisson", "poisson-symmetric", "tail-model",
         "coupled-pair", "coupling-curve", "grid", "petersburg", "intensity-tail",
         "poisson-rate", "poisson-points", "first-moment", "centering", "lepage-auto",
-        "lepage-auto-symmetric", "pareto-x0", "grid-rho"])
+        "lepage-auto-symmetric", "pareto-x0", "grid-rho", "petersburg-from-uniform"])
 def test_small_alpha_overflow_is_an_error(alpha, call):
     # the largest term Z_1**(-100) passes float64's max when Z_1 < 8.3e-4;
     # these batches returned rows of +inf (11 of the LePage rows, 22 of the
