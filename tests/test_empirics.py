@@ -471,6 +471,24 @@ def test_experiment_kernels_match_the_row_by_row_draws():
         assert list(b[i]) == [terms.sum()] + sorted(terms, reverse=True)[:3]
 
 
+# SHA-256 of the reports, recorded while _power_block merged each tile's top
+# ranks through a concatenated, partitioned copy of the tile: rows of 2^16
+# terms and series of 4*10^4 span two column chunks, 2,000 replicates eight blocks
+@pytest.mark.parametrize("run, digest", [
+    (lambda: lepage_limit_experiment(0.5, 16, 100, RngStream(61), n_terms=4 * 10 ** 4),
+     "a9b14d7d5c2c23b5e141c2c66df86eb1d32567918763ba64c23b7e82aaf22297"),
+    (lambda: lepage_limit_experiment(1.5, 16, 100, RngStream(62), symmetric=True,
+                                     n_terms=4 * 10 ** 4),
+     "c528dae00875e578f53a8c7c5f91911c3ca7101be3a304d596c91d66d1affe55"),
+    (lambda: lepage_limit_experiment(1.5, 8, 2000, RngStream(62), symmetric=True, n_terms=500),
+     "b5f3073ee860c1a461c551a2000e27dca22ffd2e1219eac847038c75f8b4dc5b"),
+    (lambda: negligibility_experiment([0.5, 2.5], 2000, 1000, RngStream(63)),
+     "7dc9390bebf75d82acfb640f86086aa3fdcb564f12593096d69d9bfd516a11e3"),
+], ids=["lepage-one-sided", "lepage-symmetric", "lepage-symmetric-blocks", "negligibility"])
+def test_power_sum_reports_keep_their_pinned_digests(run, digest):
+    assert hashlib.sha256(run().to_json().encode()).hexdigest() == digest
+
+
 def test_lepage_limit_symmetric_mode():
     rep = lepage_limit_experiment(1.2, 10, 10 ** 4, RngStream(54),
                                   symmetric=True, n_terms=30000,

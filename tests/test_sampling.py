@@ -98,8 +98,11 @@ def _ripple_model():  # a log-periodic ripple on the 1/2-stable tail, 96 psi sam
     # recorded while _signed negated where the draw was 0
     (lambda: lepage_batch(1.5, 256, seed=1, symmetric=True, n_terms=10 ** 4),
      "911986e762c3a2e135e0ebf673274142815ceec5b86e654356184278e1efe18b"),
+    # recorded while _signed drew the sign bits of all 10^5 values in one array
+    (lambda: sample_tail_model(make_pareto(1.5), 10 ** 5, RngStream(64), symmetrize=True).values,
+     "7eb804cb1c6f94e49269a63ba4db2f24868fbbfea77d0c646cb137e9a7c4954f"),
 ], ids=["petersburg", "poisson-pareto", "poisson-pareto-symmetric", "grid-ripple",
-        "lepage-symmetric"])
+        "lepage-symmetric", "tail-symmetric"])
 def test_draws_keep_their_pinned_digests(draw, digest):
     assert hashlib.sha256(draw().tobytes()).hexdigest() == digest
 
