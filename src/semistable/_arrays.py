@@ -5,8 +5,8 @@ The working-set rule: every array kernel (sampling, inversion, KS) works
 in pieces whose temporaries hold at most _CHUNK doubles (256 KiB, within a
 core's L2 cache), whatever the input size, so the memory a call needs does
 not grow with its work.  Each sampler kernel draws a block into one such
-buffer through one fill (sampling._open01), maps it in place through the
-tail model's inverse (TailModel._quantile_formula) and signs it in place
+buffer, a tile at a time (sampling._open01), maps it in place through the
+tail model's inverse and signs it in place, a piece of sign bits at a time
 (sampling._signed).  The matrix products of the inversion follow it too:
 each does at most _CHUNK complex multiply-adds (see charfn._bulk_phase_sums),
 below the size from which OpenBLAS hands a product to a second thread; on a

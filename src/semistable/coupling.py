@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._arrays import _check_budget, _check_count, _check_finite, _quiet
+from ._arrays import _CHUNK, _check_budget, _check_count, _check_finite, _quiet
 from .empirics import ExperimentReport, ks_two_sample
 from .sampling import _POINT_BUDGET, RngStream, _col_chunks, _map_blocks, _open01, _row_groups
 from .tailmodel import TailModel
@@ -57,25 +57,25 @@ def _coupled_block(model, n, half, gen, counts):
     Row i sums one i.i.d. path: s_hat the first n terms, s_bar the first
     counts[i], gap |s_hat - s_bar| and fluct the max of |S_j - S_n| over
     |j - n| <= half (0 when half = 0), all scaled by n**(-1/alpha).  The
-    uniforms are drawn a tile of rows x terms at a time: the head below
-    every row's window is one pairwise sum, and the window a cumsum
-    P_j = S_j - head carried across column chunks.  A lone row draws in
-    stream order whatever the tiling, so it tiles [0, w1) at once.  A term
-    past the float range (alpha near 0) raises OverflowError.
+    uniforms are drawn a tile of rows x terms at a time into one buffer,
+    min(_CHUNK, rows x max(b, counts)) doubles: the head below every row's
+    window is one pairwise sum, and the window a cumsum P_j = S_j - head
+    carried across column chunks.  A lone row draws in stream order whatever
+    the tiling, so it tiles [0, w1) at once.  A term past the float range
+    (alpha near 0) raises OverflowError.
     """
     a, b = max(0, n - half), n + half  # the fluctuation window, j in [a, b]
-    out = np.zeros((counts.size, 4))
+    out, buf = np.zeros((counts.size, 4)), np.empty(min(_CHUNK, counts.size * max(b, counts.max())))
     for rs in _row_groups(counts.size, b):
         ends = counts[rs].tolist()
         nr = len(ends)
         w0, w1 = min(a, min(ends)), max(b, max(ends))
         tiles = (_col_chunks(0, w1, 1) if nr == 1
                  else _col_chunks(0, w0, nr) + _col_chunks(w0, w1, nr))
-        draws = np.empty(nr * max(c1 - c0 for c0, c1 in tiles))
         head, at_n, at_count, carry = 0.0, 0.0, np.zeros(nr), 0.0  # P_w0 = 0
         top, bottom = (0.0, 0.0) if a == w0 else (-np.inf, np.inf)
         for c0, c1 in tiles:
-            u = _open01(gen, draws[:nr * (c1 - c0)].reshape(nr, c1 - c0))
+            u = _open01(gen, buf[:nr * (c1 - c0)].reshape(nr, c1 - c0))
             x = model._quantile(u, out=u)
             if c0 < w0:
                 head = head + x[:, :w0 - c0].sum(axis=1)

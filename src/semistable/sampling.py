@@ -4,23 +4,15 @@ All randomness flows through counter-based Philox streams keyed by
 (seed, stream_id), so a draw is a pure function of that pair: replicated
 runs are bitwise identical and distinct stream ids give independent
 streams regardless of scheduling.  Every sum batch draws through _map_blocks,
-which alone owns the stream layout (block b of phase i on stream
-base_stream + i * _STRIDE + b, blocks of BLOCK = 256 replicates), the 2^32
-draw budget of a phase, checked before any phase draws, and who draws:
-the caller and one helper thread per further usable CPU, started for the
-phase and joined before it returns, share blocks of at least _CHUNK
-draws, and of St. Petersburg level counts (one GIL-free multinomial call)
-from 6 levels per replicate; the caller alone draws the rest (the order
-statistics' two Gamma draws).  A call made inside a block starts its own
-helpers.  Blocks join in block order, so outputs depend on neither the
-worker count nor threads=.  Each construction has one vectorized block
+which alone owns the stream layout, the draw budget of a phase and who
+draws (the caller, with a helper thread per further usable CPU on the
+larger blocks); blocks join in block order, so outputs depend on neither
+the worker count nor threads=.  Each construction has one vectorized block
 kernel; the single-draw functions run it on one row.  Every sampler maps its
 uniforms in place through the tail model's inverse, the St. Petersburg
-game's too: the game is the model at x0 = 1 (_GAME).  The kernels
-follow the package's working-set rule (_arrays): their temporaries hold
-at most _CHUNK doubles, whatever n, P or lambda, and they sum
-elementwise, not by matrix products, which OpenBLAS may hand to a second
-thread.
+game's too: the game is the model at x0 = 1 (_GAME).  The kernels follow
+the working-set rule (_arrays) whatever n, P or lambda, and sum elementwise,
+not by matrix products, which OpenBLAS may hand to a second thread.
 """
 
 from __future__ import annotations
@@ -69,9 +61,8 @@ _SERIES_TAIL = 1e-6  # LePage series tail proxy at the auto truncation
 _GAME = make_petersburg(1.0)  # the game X, P(X = 2^k) = 2^-k: its tail at x0 = 1
 BLOCK = 256
 _STRIDE = 10 ** 7  # stream-id block separating experiment phases
-# a GIL-free phase pools from 6 draws (levels) per replicate: St. Petersburg
-# sums at n = 16 (5 levels) broke even on 2 cores, and gained from n = 32
-_POOL_LEVELS = 6
+_POOL_LEVELS = 5  # GIL-free phases pool from 5 levels: at n = 16-31, 0.69-0.89x the caller's time
+_SIGN_PIECE = _CHUNK // 4  # sign draws per call: 32 KiB of uint32
 _WORKER_NAME = "semistable-block"  # a pooled phase's helpers, one per usable CPU past the first
 
 
@@ -182,9 +173,9 @@ def _on_pool(run, blocks, workers):  # [run(b) for b in blocks], the caller besi
 
 
 def _row_groups(rows: int, cols: int):
-    """Row slices of a rows x cols array, about _CHUNK elements each."""
+    """Row slices of a rows x cols array, about _CHUNK elements each, one at a time."""
     step = max(1, min(rows, _CHUNK // max(cols, 1)))
-    return [slice(r, min(r + step, rows)) for r in range(0, rows, step)]
+    return (slice(r, min(r + step, rows)) for r in range(0, rows, step))
 
 
 def _col_chunks(lo: int, hi: int, nrows: int):
@@ -198,10 +189,15 @@ def _open01(gen, out):  # fills out with uniforms on (0, 1], where log/quantile 
     return np.subtract(1.0, out, out=out)
 
 
-def _signed(gen, x):  # x >= 0 with independent uniform signs, in place: one draw per value
-    bits = gen.integers(0, 2, x.shape)  # a 0 draws a minus: (i ^ 1) << 63 is its sign bit
-    np.left_shift(np.bitwise_xor(bits, 1, out=bits), 63, out=bits)
-    return np.copysign(x, bits.view(np.float64), out=x)
+def _signed(gen, x):  # x >= 0, contiguous, with uniform signs in place, _SIGN_PIECE at a time
+    # integers(0, 2)'s stream: bit 31 of one next_uint32 per value (Lemire's method never
+    # rejects at range 2); a 0 draws a minus, ~word & 2^31 the sign of the high 32-bit word
+    high = x.reshape(-1).view(np.uint32)[int(np.little_endian)::2]
+    for words in (high[c0:c0 + _SIGN_PIECE] for c0 in range(0, high.size, _SIGN_PIECE)):
+        bits = gen.integers(0, 1 << 32, words.size, dtype=np.uint32)
+        words |= np.bitwise_and(np.invert(bits, out=bits), np.uint32(1 << 31), out=bits)
+        del bits  # dropped before the next piece is drawn
+    return x
 
 
 @dataclass(frozen=True)
@@ -293,7 +289,7 @@ def petersburg_sum_batch(n: int, reps: int, seed: int, base_stream: int = 0,
     """reps independent sums S_n, block b on stream base_stream + b.
 
     Each block is one multinomial call over its rows (_petersburg_block),
-    which releases the GIL, so from n = 32 (6 levels) the blocks pool, one
+    which releases the GIL, so from n = 16 (5 levels) the blocks pool, one
     block at a time.  A row's levels count as its draws: reps x bit_length(n)
     must stay within the 2^32 draw budget, and n must fit the int64 level
     counts; threads is ignored."""
@@ -524,8 +520,9 @@ def _power_block(alpha, n, ranks, symmetric, gen, rows, scale=None):
     (0, 1] and s the row's scale (1 without one), then the ranks largest.
 
     Tiles of at most _CHUNK uniforms (_row_groups, then _col_chunks) share one
-    buffer, mapped in place by the inverse of the tail x**(-alpha); the top
-    ranks merge tile by tile, then the signs go on in place (_signed).  The
+    buffer per block, mapped in place by the inverse of the tail x**(-alpha)
+    and signed in place (_signed) before the row sums; then the ranks largest
+    magnitudes (np.abs first when signed) are partitioned out in place.  The
     scale goes on each term: on the sum, s**(-1/alpha) overflows (inf * 0).
     A term past the float range (alpha near 0) raises OverflowError.
     """
@@ -539,12 +536,15 @@ def _power_block(alpha, n, ranks, symmetric, gen, rows, scale=None):
             if scale is not None:
                 u *= scale[rs, None]
             mags = inverse(u, out=u)
+            out[rs, 0] += (_signed(gen, mags) if symmetric else mags).sum(axis=1)
+            if ranks and symmetric:
+                np.abs(mags, out=mags)
             if ranks == 1:
                 top = np.maximum(top, mags.max(axis=1, keepdims=True))
-            elif ranks:
-                top = np.partition(np.concatenate([top, mags], axis=1),
-                                   c1 - c0, axis=1)[:, c1 - c0:]
-            out[rs, 0] += (_signed(gen, mags) if symmetric else mags).sum(axis=1)
+            elif ranks:  # the tile's ranks largest, partitioned in place, merged into top
+                k = max(0, c1 - c0 - ranks)
+                mags.partition(k, axis=1)
+                top = np.sort(np.concatenate([top, mags[:, k:]], axis=1), axis=1)[:, -ranks:]
         out[rs, 1:] = np.sort(top, axis=1)[:, ::-1]
     return _check_finite(out, "a sum of powers", alpha)
 

@@ -156,21 +156,17 @@ def test_single_paths_survive_column_chunking(monkeypatch):
 
 def test_coupled_block_sums_its_tiles_in_their_buffer():
     # the window cumsum goes into the tile it sums: with a second buffer for
-    # it, a pair at n = 10^4 peaked at 163 KiB and a 256-row curve block
-    # with its fluctuation window at 931 KiB
+    # it, a pair at n = 10^4 peaked at 163 KiB (a 256-row curve block's bound
+    # is in test_sampling's test_block_kernels_hold_one_chunk)
     m = make_pareto(0.5)
-    peaks = []
-    for call in (lambda: coupled_pair(m, 10 ** 4, RngStream(3)),
-                 lambda: _curve_block(m, 10 ** 4, 300, RngStream(4).generator(), sampling.BLOCK)):
-        call()  # the coupling check's cache is warm before the peak is read
-        tracemalloc.start()
-        try:
-            call()
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert peaks[0] <= 100 * 1024
-    assert peaks[1] <= 2 * sampling._CHUNK * 8
+    coupled_pair(m, 10 ** 4, RngStream(3))  # what the first call builds is outside the peak
+    tracemalloc.start()
+    try:
+        coupled_pair(m, 10 ** 4, RngStream(3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 100 * 1024
 
 
 # SHA-256 pins recorded before any rewrite of the coupled-sum kernel: one

@@ -67,8 +67,7 @@ RULES = {
     "no on-demand import": (lambda n: bool(_imports(n)) and n.col_offset > 0, []),
     "no scipy import": (lambda n: any(re.match(r"scipy(\.|$)", m) for m in _imports(n)), []),
     "one uniform fill": (lambda n: _call(n, "random"), ["sampling._open01"]),
-    "one sign draw": (lambda n: _call(n, "integers") and [
-        getattr(a, "value", None) for a in n.args[:2]] == [0, 2], ["sampling._signed"]),
+    "one sign draw": (lambda n: _call(n, "integers"), ["sampling._signed"]),
     "one dyadic draw rule": (lambda n: isinstance(n, ast.Call) and ast.unparse(n.func) in (
         "np.frexp", "numpy.frexp"), ["tailmodel.TailModel", "charfn"]),
     "one tail formula": (_tail_power, ["tailmodel.TailModel._tail_formula"]),
@@ -220,7 +219,7 @@ PROBES = {
     "signs-sampling": ("one sign draw", *_src(
         "sampling", "def _power_block(gen, u):", "    s = gen.integers(0, 2, u.size)")),
     "signs-signed": (None, *_src(
-        "sampling", "def _signed(gen, x):", "    return gen.integers(0, 2, x.shape)")),
+        "sampling", "def _signed(gen, x):", "    return gen.integers(0, 1 << 32, x.size)")),
     "frexp-sampling": ("one dyadic draw rule", *_src(
         "sampling", "def petersburg_from_uniform(u):", "    m, e = np.frexp(u)")),
     "frexp-coupling": ("one dyadic draw rule", *_src(

@@ -243,6 +243,27 @@ def test_tail_model_sampler_symmetrize():
     assert abs(emp - 0.5) <= 0.0016
 
 
+@pytest.mark.parametrize("shape", [(1,), (sampling._SIGN_PIECE + 3,), (3, sampling._SIGN_PIECE)])
+def test_signed_draws_the_signs_of_one_integers_call(shape):
+    # one 32-bit word per value, a piece at a time, as gen.integers(0, 2, size)
+    # drew them in one call: a 0 draws a minus, and the stream goes on alike
+    # (the odd draws first leave half a 64-bit Philox output buffered)
+    gen, ref = RngStream(8).generator(), RngStream(8).generator()
+    assert np.array_equal(gen.integers(0, 2, 3), ref.integers(0, 2, 3))
+    x = _signed(gen, np.ones(shape))
+    assert np.array_equal(x, np.where(ref.integers(0, 2, shape) == 0, -1.0, 1.0))
+    assert np.array_equal(gen.integers(0, 2, 5), ref.integers(0, 2, 5))
+    assert gen.random() == ref.random()
+
+
+def test_symmetrized_sample_draws_its_signs_a_piece_at_a_time():
+    # 2^20 values hold 8 MiB; their sign bits in one int64 array held 8 MiB more
+    batch, peak = _traced_peak(lambda: sample_tail_model(make_pareto(1.5), 1 << 20,
+                                                         RngStream(23), symmetrize=True))
+    assert np.all(batch.values != 0.0)
+    assert peak <= 9.5 * 2 ** 20
+
+
 def test_petersburg_via_tail_model_matches_direct():
     # unit-mass petersburg tail (x0 = 1) renormalizes to the full winnings law
     m = make_petersburg(x0=1.0)
@@ -534,23 +555,6 @@ def test_poisson_sum_memory_is_bounded():
     assert peak <= 4 * 2 ** 20
 
 
-@pytest.mark.parametrize("symmetric, most", [(False, 320), (True, 600)],
-                         ids=["one-sided", "symmetric"])
-def test_poisson_sum_block_maps_its_tiles_in_place(symmetric, most):
-    # each tile went through intensity_quantile, a fresh array per tile: the
-    # block peaked at 812 KiB either way; symmetric, the sign draw's int64
-    # array is what is left
-    tracemalloc.start()
-    try:
-        sums = poisson_sum_batch(make_pareto(0.5), 1e-8, sampling.BLOCK, seed=1,
-                                 symmetric=symmetric)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert sums.shape == (sampling.BLOCK,) and np.all(np.isfinite(sums))
-    assert peak <= most * 1024
-
-
 def test_dyadic_scaling_of_centered_sums():
     # one law across dyadic cutoff levels: centered sums at T(t) = 2^k merge
     pete = make_petersburg(x0=1.0)
@@ -756,17 +760,54 @@ def test_lepage_block_working_set():
     assert peak <= 320 * 1024
 
 
-def test_symmetric_lepage_block_signs_in_place():
-    # the signs go on the magnitudes in place (_signed); a fresh int64 and
-    # two float arrays per tile took 1,038 KiB
+def _traced_peak(call):  # (call(), its tracemalloc peak in bytes)
     tracemalloc.start()
     try:
-        vals = lepage_batch(1.5, sampling.BLOCK, seed=7, symmetric=True, n_terms=10 ** 4)
-        peak = tracemalloc.get_traced_memory()[1]
+        return call(), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert vals.shape == (sampling.BLOCK,)
-    assert peak <= 640 * 1024
+
+
+def _curve_rows(n):  # a curve block: 256 rows with the fluctuation window
+    half = coupling._check_coupling_model(make_pareto(0.5), n, window=True)
+    return lambda gen: coupling._curve_block(make_pareto(0.5), n, half, gen, sampling.BLOCK)
+
+
+def _power_rows(alpha, ranks, symmetric):  # 256 rows of 10^4 terms
+    return lambda gen: sampling._power_block(alpha, 10 ** 4, ranks, symmetric, gen,
+                                             sampling.BLOCK)
+
+
+@pytest.mark.parametrize("block", [
+    _curve_rows(100), _curve_rows(10 ** 3), _curve_rows(10 ** 4), _curve_rows(10 ** 5),
+    # coupled_pair's lone row at n = 4*10^4, its count past n
+    lambda gen: coupling._coupled_block(make_pareto(0.5), 4 * 10 ** 4, 0, gen,
+                                        np.array([40075])),
+    _power_rows(0.5, 0, False), _power_rows(0.5, 1, False), _power_rows(0.5, 3, False),
+    _power_rows(1.5, 0, True), _power_rows(1.5, 3, True),
+    lambda gen: sampling._lepage_block(0.5, 10 ** 4, False, gen, sampling.BLOCK, ranks=3),
+    lambda gen: sampling._lepage_block(1.5, 10 ** 4, True, gen, sampling.BLOCK, ranks=3),
+    lambda gen: sampling._poisson_sum_block(make_pareto(0.5), 1e4, False, 0.0, gen,
+                                            sampling.BLOCK),
+    lambda gen: sampling._poisson_sum_block(make_pareto(0.5), 1e4, True, 0.0, gen,
+                                            sampling.BLOCK),
+    lambda gen: sampling._level_poisson_block(make_petersburg(1.0), 2.0 ** 20, -19, False, 0.0,
+                                              gen, sampling.BLOCK),
+    lambda gen: sampling._petersburg_block(2 ** 40, gen, sampling.BLOCK),
+], ids=["curve-1e2", "curve-1e3", "curve-1e4", "curve-1e5", "pair-4e4", "power-ranks-0",
+        "power-ranks-1", "power-ranks-3", "power-symmetric", "power-symmetric-ranks-3",
+        "lepage-ranks-3", "lepage-symmetric-ranks-3", "poisson-one-sided", "poisson-symmetric",
+        "poisson-levels", "petersburg"])
+def test_block_kernels_hold_one_chunk(block):
+    # the working-set rule: one buffer of _CHUNK doubles (256 KiB) per block,
+    # and 48 KiB for the rest.  A buffer per row group, bound while the next
+    # was made, took a 256-row curve block to 426-541 KiB; the sign bits of a
+    # whole tile in one int64 array took the symmetric blocks to 499-519 KiB;
+    # concatenated, partitioned copies of each tile took ranks 3 to 742 KiB
+    gen = RngStream(5).generator()
+    out, peak = _traced_peak(lambda: block(gen))
+    assert np.all(np.isfinite(out))
+    assert peak <= sampling._CHUNK * 8 + 48 * 1024
 
 
 def test_lepage_small_alpha_is_not_nan():
@@ -1047,18 +1088,18 @@ def _pool_tasks(call, cpus=2):
 
 def test_order_statistics_stay_on_the_caller():
     # two Gamma draws per replicate: a task would cost more than its block
-    # draws; nor do level counts below 6 levels (n = 16: 5) pool
+    # draws; nor do level counts below 5 levels (n = 15: 4) pool
     assert _pool_tasks(lambda: order_statistics_experiment(3, 500, 10 ** 4, RngStream(97))) == []
-    assert _pool_tasks(lambda: petersburg_sum_batch(16, 10 ** 4, seed=97)) == []
+    assert _pool_tasks(lambda: petersburg_sum_batch(15, 10 ** 4, seed=97)) == []
 
 
 def test_level_counts_pool_one_task_per_block():
-    # blocks of level counts from 6 levels per replicate pool, every block
+    # blocks of level counts from 5 levels per replicate pool, every block
     # handed out in block order, as do a fill-bound phase's blocks
     for cpus in (2, 3):
         assert _pool_tasks(lambda: petersburg_sum_batch(1536, 50 * sampling.BLOCK, 98),
                            cpus) == [list(range(50))]
-        assert _pool_tasks(lambda: petersburg_sum_batch(32, 3 * sampling.BLOCK, 98),
+        assert _pool_tasks(lambda: petersburg_sum_batch(16, 3 * sampling.BLOCK, 98),
                            cpus) == [[0, 1, 2]]
     pete = make_petersburg(x0=1.0)
     assert _pool_tasks(lambda: poisson_sum_batch(pete, 2.0 ** -20, 700, seed=98)) == [[0, 1, 2]]

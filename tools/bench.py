@@ -214,11 +214,13 @@ def main(argv=None) -> int:
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
     for name, w in doc["workloads"].items():
-        for m, v in w["metrics"].items():
-            print("%-22s %-13s parent %.4g head %.4g (%+.1f %%): %s"
+        for m, v in w["metrics"].items():  # with the two numbers the gain rule reads
+            print("%-22s %-13s parent %.4g head %.4g (%+.1f %%), head better in %d/%d pairs, "
+                  "parent q3 - q1 %.4g: %s"
                   % (name, m, v["parent"]["median"], v["head"]["median"],
                      100.0 * v["head_worse_by"] * (1 if v["better"] == "lower" else -1),
-                     v["verdict"]))
+                     v["head_better_pairs"], len(w["pairs"]),
+                     v["parent"]["q3"] - v["parent"]["q1"], v["verdict"]))
     print("wrote " + out)
     return 0
 
