@@ -56,20 +56,20 @@ def _coupled_block(model, n, half, gen, counts):
 
     Row i sums one i.i.d. path: s_hat the first n terms, s_bar the first
     counts[i], gap |s_hat - s_bar| and fluct the max of |S_j - S_n| over
-    |j - n| <= half (0 when half = 0), all scaled by n**(-1/alpha).  The
-    uniforms are drawn a tile of rows x terms at a time into one buffer,
-    min(_CHUNK, rows x max(b, counts)) doubles: the head below every row's
-    window is one pairwise sum, and the window a cumsum P_j = S_j - head
-    carried across column chunks.  A lone row draws in stream order whatever
-    the tiling, so it tiles [0, w1) at once.  A term past the float range
-    (alpha near 0) raises OverflowError.
+    |j - n| <= half (0 when half = 0), all scaled by n**(-1/alpha).  Tiles
+    of rows x terms share one buffer, the size of the largest: the head
+    below every row's window is one pairwise sum, and the window a cumsum
+    P_j = S_j - head carried across column chunks.  A lone row draws in
+    stream order whatever the tiling, so it tiles [0, w1) at once.  A term
+    past the float range (alpha near 0) raises OverflowError.
     """
     a, b = max(0, n - half), n + half  # the fluctuation window, j in [a, b]
-    out, buf = np.zeros((counts.size, 4)), np.empty(min(_CHUNK, counts.size * max(b, counts.max())))
+    hi = max(b, counts.max())  # a lone row's tiles span [0, hi); more rows split at min(a, counts)
+    tile = hi if counts.size == 1 else counts.size * max(a, hi - min(a, counts.min()))
+    out, buf = np.zeros((counts.size, 4)), np.empty(min(_CHUNK, tile))
     for rs in _row_groups(counts.size, b):
         ends = counts[rs].tolist()
-        nr = len(ends)
-        w0, w1 = min(a, min(ends)), max(b, max(ends))
+        nr, w0, w1 = len(ends), min(a, min(ends)), max(b, max(ends))
         tiles = (_col_chunks(0, w1, 1) if nr == 1
                  else _col_chunks(0, w0, nr) + _col_chunks(w0, w1, nr))
         head, at_n, at_count, carry = 0.0, 0.0, np.zeros(nr), 0.0  # P_w0 = 0

@@ -61,7 +61,7 @@ _SERIES_TAIL = 1e-6  # LePage series tail proxy at the auto truncation
 _GAME = make_petersburg(1.0)  # the game X, P(X = 2^k) = 2^-k: its tail at x0 = 1
 BLOCK = 256
 _STRIDE = 10 ** 7  # stream-id block separating experiment phases
-_POOL_LEVELS = 5  # GIL-free phases pool from 5 levels: at n = 16-31, 0.69-0.89x the caller's time
+_POOL_LEVELS = 6  # GIL-free phases pool from 6 levels (n >= 32): 5 gained over 40 blocks, not 10
 _SIGN_PIECE = _CHUNK // 4  # sign draws per call: 32 KiB of uint32
 _WORKER_NAME = "semistable-block"  # a pooled phase's helpers, one per usable CPU past the first
 
@@ -289,7 +289,7 @@ def petersburg_sum_batch(n: int, reps: int, seed: int, base_stream: int = 0,
     """reps independent sums S_n, block b on stream base_stream + b.
 
     Each block is one multinomial call over its rows (_petersburg_block),
-    which releases the GIL, so from n = 16 (5 levels) the blocks pool, one
+    which releases the GIL, so from n = 32 (6 levels) the blocks pool, one
     block at a time.  A row's levels count as its draws: reps x bit_length(n)
     must stay within the 2^32 draw budget, and n must fit the int64 level
     counts; threads is ignored."""

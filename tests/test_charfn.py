@@ -3,7 +3,6 @@ import hashlib
 import math
 import re
 import time
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -1202,17 +1201,6 @@ def test_anchored_row_factors_match_exponentials():
     assert np.array_equal(v[:, ::8], exact[:, ::8])
 
 
-def _traced_peak(call):
-    """(call(), its tracemalloc peak in bytes), caches filled outside the trace."""
-    call()
-    tracemalloc.start()
-    try:
-        out = call()
-        return out, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 # Traced peaks in KiB, each slab's weights formed whole -> built in place
 # 128 panels at a time, with each block's U and V released before the next:
 # stable-oracle 1,222 -> 687, cauchy-3e4 1,165 -> 517, g-gamma-grid 412 -> 275,
@@ -1227,17 +1215,17 @@ def _traced_peak(call):
     (g_gamma_law(1.3), -5.0 + 0.1 * np.arange(201), 1e-8, 0.375),
     (g_gamma_law(1.5), [1e2, 3e2, 1e3], 1e-8, 0.34),
 ], ids=["stable-oracle", "cauchy-3e4", "g-gamma-grid", "far-tail"])
-def test_inversion_memory_is_bounded(law, xs, tol, bound):
-    f, peak = _traced_peak(lambda: cdf_from_cf(law, xs, tol))
+def test_inversion_memory_is_bounded(law, xs, tol, bound, traced_peak):
+    f, peak = traced_peak(lambda: cdf_from_cf(law, xs, tol), warm=True)
     assert np.all((f > 0.0) & (f < 1.0))
     assert peak < bound * 2 ** 20
 
 
-def test_reach_forms_its_log_mgf_terms_in_place():
+def test_reach_forms_its_log_mgf_terms_in_place(traced_peak):
     # 121 s values by 110 levels: 271 KiB, 408 KiB when each step of the
     # terms made its own array
     reduced = g_gamma_law(1.3).split(96.0)[0]
-    (lo, hi), peak = _traced_peak(lambda: _reach(reduced, 1e-9))
+    (lo, hi), peak = traced_peak(lambda: _reach(reduced, 1e-9), warm=True)
     assert 0.0 < lo < hi < math.inf
     assert peak < 0.32 * 2 ** 20
 

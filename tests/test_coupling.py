@@ -1,6 +1,5 @@
 import hashlib
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -154,18 +153,12 @@ def test_single_paths_survive_column_chunking(monkeypatch):
         assert f1 == pytest.approx(f0, rel=1e-9)
 
 
-def test_coupled_block_sums_its_tiles_in_their_buffer():
+def test_coupled_block_sums_its_tiles_in_their_buffer(traced_peak):
     # the window cumsum goes into the tile it sums: with a second buffer for
     # it, a pair at n = 10^4 peaked at 163 KiB (a 256-row curve block's bound
     # is in test_sampling's test_block_kernels_hold_one_chunk)
-    m = make_pareto(0.5)
-    coupled_pair(m, 10 ** 4, RngStream(3))  # what the first call builds is outside the peak
-    tracemalloc.start()
-    try:
-        coupled_pair(m, 10 ** 4, RngStream(3))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: coupled_pair(make_pareto(0.5), 10 ** 4, RngStream(3)),
+                          warm=True)
     assert peak <= 100 * 1024
 
 

@@ -2,7 +2,6 @@ import hashlib
 import json
 import math
 import re
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -134,17 +133,12 @@ def test_chunked_distances_equal_one_shot_reductions(n):
     assert levy_distance(e, table, 1e-3) == one_shot_levy(e, table, 1e-3)
 
 
-def test_ks_distance_memory_is_bounded():
+def test_ks_distance_memory_is_bounded(traced_peak):
     # 10^6 points against a table: the one-shot reduction held about 100 MiB,
     # and steps of 8,192 points about 1,035 KiB; steps of 2,048 hold 261 KiB
     e = Ecdf.from_sample(np.random.default_rng(6).standard_normal(10 ** 6))
     table = TabulatedCdf(np.linspace(-6, 6, 400), 0.5 + 0.5 * np.tanh(np.linspace(-6, 6, 400)))
-    tracemalloc.start()
-    try:
-        ks = ks_distance(e, table)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    ks, peak = traced_peak(lambda: ks_distance(e, table))
     assert 0.0 < ks < 1.0
     assert peak < 384 * 1024
 
@@ -371,7 +365,7 @@ def test_merging_sweep_keeps_its_pinned_digest():
         "e1498eaa625507d88f638f773424950a4e6e92b7f4d0dde6d0719b12ad183cbd")
 
 
-def test_merging_sweep_memory_does_not_grow_with_points():
+def test_merging_sweep_memory_does_not_grow_with_points(traced_peak):
     # each batch is reduced as it is drawn: 8 points per octave peak within
     # one batch of 2 (holding every batch, 8 points took 6 batches more); with
     # each batch sorted in place and released before the next draws, and the
@@ -379,12 +373,7 @@ def test_merging_sweep_memory_does_not_grow_with_points():
     reps, peaks = 2 * 10 ** 4, {}
     merging_sweep(10, 8, 100, RngStream(1))  # builds the limit tables
     for points in (2, 8):
-        tracemalloc.start()
-        try:
-            merging_sweep(10, points, reps, RngStream(94))
-            peaks[points] = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peaks[points] = traced_peak(lambda: merging_sweep(10, points, reps, RngStream(94)))[1]
     assert peaks[8] < peaks[2] + 8 * reps
     assert max(peaks.values()) < 1100 * 1024
 
